@@ -22,6 +22,7 @@ API_KEY_ENV = "PD_API_KEY"
 DEFAULT_FAN_OUT = 4
 MAX_ATTEMPTS = 3
 BACKOFF_START_S = 1.0
+RETRIED_4XX = (408, 429)  # request timeout, too many requests
 
 _fan_out_lock = threading.Lock()
 _fan_out_limit = DEFAULT_FAN_OUT
@@ -59,10 +60,11 @@ def post_json(
 ) -> dict[str, Any]:
     """POST ``body`` as JSON and return the decoded JSON response.
 
-    Transport errors and non-2xx statuses are retried up to
-    ``MAX_ATTEMPTS`` times with exponential backoff starting at
-    ``BACKOFF_START_S``; the final failure is raised as BackendError with
-    the status detail. ``sleep`` is injectable so tests can skip the wait.
+    Transport errors and the transient statuses (5xx, 408, 429) are
+    retried up to ``MAX_ATTEMPTS`` times with exponential backoff starting
+    at ``BACKOFF_START_S``; the final failure is raised as BackendError
+    with the status detail. Any other non-200 status is raised at once.
+    ``sleep`` is injectable so tests can skip the wait.
     """
     with _fan_out_lock:
         sem = _fan_out_sem
@@ -87,6 +89,8 @@ def post_json(
                     f"POST {url}: response is not valid JSON: {exc}"
                 ) from exc
         last_detail = f"HTTP {resp.status_code}: {resp.text[:200]}"
+        if resp.status_code < 500 and resp.status_code not in RETRIED_4XX:
+            raise BackendError(f"POST {url} failed, not retried ({last_detail})")
     raise BackendError(
         f"POST {url} failed after {MAX_ATTEMPTS} attempts ({last_detail})"
     )

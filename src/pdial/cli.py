@@ -91,7 +91,11 @@ def _llm_cfg(args: argparse.Namespace) -> LlmBackendConfig:
         model_name=args.llm_model,
         temperature=args.temperature,
         samples_n=args.samples_n,
-        mock_table_path=args.mock_table,
+        mock_table=(
+            persistence.load_mock_table(args.mock_table)
+            if args.mock_table
+            else None
+        ),
     )
 
 
@@ -107,17 +111,20 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
     dataset = persistence.load_dataset(args.data)
     matrix = persistence.load_matrix(args.matrix)
-    model, log = train(dataset, matrix, backend_cfg, cfg, d_out=args.d_out)
+    docs = list(dataset)
+    if args.pca_out:
+        for extra in args.pca_data:
+            docs.extend(persistence.load_dataset(extra))
+    embeddings = embed_batch([d.text for d in docs], backend_cfg)
+    model, log = train(
+        dataset, matrix, embeddings[: len(dataset)], cfg, d_out=args.d_out
+    )
     persistence.save_model(args.out, model, cfg)
     log_path = args.log_out or str(Path(args.out).with_suffix(".log.json"))
     persistence.save_train_log(log_path, log)
     print(f"model written to {args.out}, training log to {log_path}")
 
     if args.pca_out:
-        pca_docs = list(dataset)
-        for extra in args.pca_data or []:
-            pca_docs.extend(persistence.load_dataset(extra))
-        embeddings = embed_batch([d.text for d in pca_docs], backend_cfg)
         points = [project(model, e) for e in embeddings]
         pca = fit_pca(points)
         persistence.save_pca(args.pca_out, pca)

@@ -103,22 +103,28 @@ def _http_embed_chunk(
 ) -> list[np.ndarray]:
     body = {"model": cfg.model_name, "input": chunk}
     payload = _http.post_json(cfg.endpoint_url, body, cfg.timeout, sleep=sleep)
+    rows: dict[int, object] = {}
     try:
-        data = payload["data"]
-        rows: list[list[float] | None] = [None] * len(chunk)
-        for item in data:
-            rows[item["index"]] = item["embedding"]
-    except (KeyError, TypeError, IndexError) as exc:
+        for item in payload["data"]:
+            index = item["index"]
+            # bool is an int subclass; JSON true must not pass as index 1
+            if type(index) is not int or not 0 <= index < len(chunk) or index in rows:
+                raise ProtocolError(
+                    f"embeddings response has a bad or repeated index "
+                    f"{index!r} for {len(chunk)} inputs"
+                )
+            rows[index] = item["embedding"]
+    except (KeyError, TypeError) as exc:
         raise ProtocolError(
             f"embeddings response has unexpected shape: {exc!r}"
         ) from exc
-    if any(row is None for row in rows):
+    if len(rows) != len(chunk):
         raise ProtocolError(
             "embeddings response is missing entries for some inputs"
         )
     out = []
-    for row in rows:
-        vec = np.asarray(row, dtype=np.float64)
+    for i in range(len(chunk)):
+        vec = np.asarray(rows[i], dtype=np.float64)
         if vec.ndim != 1 or vec.shape[0] != cfg.dimension:
             raise ConfigurationError(
                 f"server returned dimension {vec.shape}, "

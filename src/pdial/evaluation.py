@@ -93,8 +93,8 @@ def cluster_similarity_report(
             f"train clusters {missing} have no test documents"
         )
 
-    train_base = embed_batch([d.text for d in train], backend_cfg)
-    test_base = embed_batch([d.text for d in test], backend_cfg)
+    base = embed_batch([d.text for d in train + test], backend_cfg)
+    train_base, test_base = base[: len(train)], base[len(train) :]
     train_post = [project(model, e) for e in train_base]
     test_post = [project(model, e) for e in test_base]
 

@@ -8,18 +8,11 @@ can run offline and byte-reproducibly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import functools
-import json
 import time
 from typing import Callable, Mapping
 
 from . import _http
-from .errors import (
-    ConfigurationError,
-    FormatError,
-    InputValidationError,
-    ProtocolError,
-)
+from .errors import ConfigurationError, InputValidationError, ProtocolError
 
 
 @dataclass(frozen=True)
@@ -29,7 +22,6 @@ class LlmBackendConfig:
     model_name: str = ""
     temperature: float = 0.0
     samples_n: int = 1
-    mock_table_path: str = ""
     mock_table: Mapping[str, str] | None = None
 
     def __post_init__(self) -> None:
@@ -45,31 +37,6 @@ class LlmBackendConfig:
             )
         if self.kind == "http" and not self.endpoint_url:
             raise ConfigurationError("http llm backend needs endpoint_url")
-
-    def table(self) -> Mapping[str, str]:
-        if self.mock_table is not None:
-            return self.mock_table
-        if self.mock_table_path:
-            return _load_mock_table(self.mock_table_path)
-        return {}
-
-
-@functools.lru_cache(maxsize=32)
-def _load_mock_table(path: str) -> Mapping[str, str]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read mock table {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FormatError(
-            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}"
-        ) from exc
-    if not isinstance(raw, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in raw.items()
-    ):
-        raise FormatError(f"{path}: mock table must map strings to strings")
-    return raw
 
 
 def _mock_complete(prompt: str, table: Mapping[str, str]) -> str:
@@ -131,5 +98,5 @@ def complete(
     if not prompt.strip():
         raise InputValidationError("prompt must be non-empty")
     if cfg.kind == "mock":
-        return [_mock_complete(prompt, cfg.table())] * cfg.samples_n
+        return [_mock_complete(prompt, cfg.mock_table or {})] * cfg.samples_n
     return [_http_complete(prompt, cfg, sleep) for _ in range(cfg.samples_n)]

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embedding import EmbeddingBackendConfig, embed_batch
 from .errors import ConfigurationError, InputValidationError, NumericError
 
 
@@ -314,32 +313,37 @@ def loss_gradient(
 def train(
     dataset: list[LabeledDocument],
     matrix: ClusterSimilarityMatrix,
-    backend_cfg: EmbeddingBackendConfig,
+    embeddings: list[np.ndarray],
     cfg: TrainConfig,
     d_out: int | None = None,
 ) -> tuple[ProjectionModel, TrainingLog]:
     """Train the projection head by single-pair SGD.
 
-    Base embeddings are computed once (the encoder is frozen); pairs are
-    generated once from the cluster matrix and reshuffled per epoch with
-    a seed derived from (cfg.seed, epoch). Returns the final model and a
-    per-epoch training log.
+    ``embeddings`` holds the frozen base embedding of each document, in
+    dataset order; d_in is their length. Pairs are generated once from
+    the cluster matrix and reshuffled per epoch with a seed derived from
+    (cfg.seed, epoch). Returns the final model and a per-epoch training
+    log.
     """
     clusters_present = {doc.cluster for doc in dataset}
     if len(clusters_present) < 2:
         raise InputValidationError(
             "training needs at least 2 clusters with documents"
         )
-    embeddings = dict(
-        zip(
-            [doc.id for doc in dataset],
-            embed_batch([doc.text for doc in dataset], backend_cfg),
-        )
-    )
     if len(embeddings) != len(dataset):
+        raise InputValidationError(
+            f"got {len(embeddings)} embeddings for {len(dataset)} documents"
+        )
+    rows = [np.asarray(e, dtype=np.float64) for e in embeddings]
+    d_in = rows[0].size
+    if d_in == 0 or any(r.shape != (d_in,) for r in rows):
+        raise InputValidationError(
+            "embeddings must be non-empty vectors of one common length"
+        )
+    by_id = dict(zip([doc.id for doc in dataset], rows))
+    if len(by_id) != len(dataset):
         raise InputValidationError("dataset contains duplicate document ids")
 
-    d_in = backend_cfg.dimension
     model = ProjectionModel.initial(d_in, d_out if d_out is not None else d_in, cfg.seed)
     W = model.W.copy()
 
@@ -355,7 +359,7 @@ def train(
             pair = pairs[k]
             try:
                 loss, grad = _pair_loss_grad(
-                    W, embeddings[pair.a], embeddings[pair.b], pair.label_y, cfg
+                    W, by_id[pair.a], by_id[pair.b], pair.label_y, cfg
                 )
             except PairSkip:
                 skipped += 1

@@ -106,13 +106,21 @@ def render_prompt(spec: PromptSpec, a: PromptAssignment) -> str:
 
 
 def perspective_of_output(
-    text: str,
+    texts: list[str],
     proj: ProjectionModel,
     pca: PcaModel,
     backend_cfg: EmbeddingBackendConfig,
 ) -> PerspectivePoint:
-    """Where a generated text lands in the 2-D perspective space."""
-    return pca_transform(pca, project(proj, embed_batch([text], backend_cfg)[0]))
+    """Mean point of ``texts`` in the 2-D perspective space, from one
+    embedding call."""
+    if isinstance(texts, str):
+        raise InputValidationError("perspective_of_output takes a list of texts")
+    return mean_point(
+        [
+            pca_transform(pca, project(proj, e))
+            for e in embed_batch(texts, backend_cfg)
+        ]
+    )
 
 
 def loss_to_target(p: PerspectivePoint, target: PerspectivePoint) -> float:
@@ -141,9 +149,7 @@ def cluster_centroid(
         raise ConfigurationError(
             f"cluster {cluster!r} has no documents in the dataset"
         )
-    embeddings = embed_batch([doc.text for doc in docs], backend_cfg)
-    points = [pca_transform(pca, project(proj, e)) for e in embeddings]
-    return mean_point(points)
+    return perspective_of_output([doc.text for doc in docs], proj, pca, backend_cfg)
 
 
 class _Evaluator:
@@ -175,11 +181,7 @@ class _Evaluator:
         if self.memoize and prompt in self._by_prompt:
             return self.trace.evaluations[self._by_prompt[prompt]].loss
         outputs = complete(prompt, self.llm_cfg)
-        points = [
-            perspective_of_output(o, self.proj, self.pca, self.backend_cfg)
-            for o in outputs
-        ]
-        point = mean_point(points)
+        point = perspective_of_output(outputs, self.proj, self.pca, self.backend_cfg)
         loss = loss_to_target(point, self.target)
         idx = self.trace.record(
             Evaluation(

@@ -8,17 +8,15 @@ bit-exact; see FORMATS.md for the full schemas.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 import json
 import logging
 from pathlib import Path
 
 import numpy as np
 
-from .embedding import EmbeddingBackendConfig
 from .errors import FormatError
 from .evaluation import SimilarityReport, render_report_text
-from .llm_client import LlmBackendConfig, _load_mock_table
 from .metric import (
     ClusterSimilarityMatrix,
     LabeledDocument,
@@ -35,16 +33,6 @@ MODEL_FORMAT = "pdial-proj-v1"
 PCA_FORMAT = "pdial-pca-v1"
 TRAIN_LOG_FORMAT = "pdial-train-log-v1"
 REPORT_FORMAT = "pdial-report-v1"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one pipeline run needs: backends, training, file paths."""
-
-    embedding: EmbeddingBackendConfig
-    llm: LlmBackendConfig
-    train: TrainConfig
-    paths: dict[str, str]
 
 
 def _read_json(path: str | Path) -> dict:
@@ -199,8 +187,13 @@ def load_prompt_spec(path: str | Path) -> PromptSpec:
         raise FormatError(f"{path}: malformed prompt spec: {exc}") from exc
 
 
-def load_mock_table(path: str | Path):
-    return _load_mock_table(str(path))
+def load_mock_table(path: str | Path) -> dict[str, str]:
+    """The mock LLM's prompt-to-response table: one JSON object mapping
+    strings to strings."""
+    table = _read_json(path)
+    if not all(isinstance(v, str) for v in table.values()):
+        raise FormatError(f"{path}: mock table must map strings to strings")
+    return table
 
 
 def save_train_log(path: str | Path, log: TrainingLog) -> None:

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from pdial import _http
-from pdial.embedding import EmbeddingBackendConfig
+from pdial.embedding import EmbeddingBackendConfig, embed_batch
 from pdial.metric import TrainConfig, train
 from pdial.persistence import load_dataset, load_matrix
 
@@ -40,9 +40,16 @@ def fixture_matrix():
 
 
 @pytest.fixture(scope="session")
-def fixture_model(fixture_train_docs, fixture_matrix):
+def fixture_train_embeddings(fixture_train_docs):
+    """Base embeddings of the training fixture, in dataset order."""
+    return embed_batch([d.text for d in fixture_train_docs], FIXTURE_BACKEND)
+
+
+@pytest.fixture(scope="session")
+def fixture_model(fixture_train_docs, fixture_matrix, fixture_train_embeddings):
     model, log = train(
-        fixture_train_docs, fixture_matrix, FIXTURE_BACKEND, FIXTURE_TRAIN_CFG
+        fixture_train_docs, fixture_matrix, fixture_train_embeddings,
+        FIXTURE_TRAIN_CFG,
     )
     return model
 

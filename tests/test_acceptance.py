@@ -106,10 +106,13 @@ def test_criterion_1_gradients():
 
 
 @criterion(2, "post-train separation on the fixture")
-def test_criterion_2_separation(fixture_train_docs, fixture_test_docs, fixture_matrix):
+def test_criterion_2_separation(
+    fixture_train_docs, fixture_test_docs, fixture_matrix, fixture_train_embeddings
+):
     started = time.monotonic()
     model, _ = train(
-        fixture_train_docs, fixture_matrix, FIXTURE_BACKEND, FIXTURE_TRAIN_CFG
+        fixture_train_docs, fixture_matrix, fixture_train_embeddings,
+        FIXTURE_TRAIN_CFG,
     )
     report = cluster_similarity_report(
         fixture_train_docs, fixture_test_docs, model, FIXTURE_BACKEND
@@ -293,16 +296,17 @@ def test_criterion_5_search_optimality():
 
 
 @criterion(6, "each cluster-centroid target selects its base phrase, 3/3")
-def test_criterion_6_correct_phrase(fixture_train_docs, fixture_matrix):
-    from pdial.embedding import embed_batch
+def test_criterion_6_correct_phrase(
+    fixture_train_docs, fixture_matrix, fixture_train_embeddings
+):
     from pdial.metric import project
     from pdial.persistence import load_mock_table, load_prompt_spec
 
     model, _ = train(
-        fixture_train_docs, fixture_matrix, FIXTURE_BACKEND, FIXTURE_TRAIN_CFG
+        fixture_train_docs, fixture_matrix, fixture_train_embeddings,
+        FIXTURE_TRAIN_CFG,
     )
-    embeddings = embed_batch([d.text for d in fixture_train_docs], FIXTURE_BACKEND)
-    pca = fit_pca([project(model, e) for e in embeddings])
+    pca = fit_pca([project(model, e) for e in fixture_train_embeddings])
     spec = load_prompt_spec(FIXTURES / "prompts.json")
     llm = LlmBackendConfig(
         kind="mock", mock_table=load_mock_table(FIXTURES / "mock_table.json")

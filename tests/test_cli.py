@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -271,3 +272,104 @@ class TestPlotCommand:
             "--dim", "64",
         ])
         assert code == 2
+
+
+class TestRequestCounts:
+    """Each command embeds its inputs once, whatever their number."""
+
+    @pytest.fixture
+    def backend(self, stub_server, trained):
+        from pdial.embedding import hashed_embed
+
+        table = json.loads(Path(trained["mock_table"]).read_text())
+
+        def handler(record):
+            body = record["body"]
+            if record["path"] == "/v1/embeddings":
+                return 200, {"data": [
+                    {"index": i, "embedding": hashed_embed(t, 64).tolist()}
+                    for i, t in enumerate(body["input"])
+                ]}
+            prompt = body["messages"][0]["content"]
+            return 200, {"choices": [
+                {"message": {"content": table.get(prompt, prompt)}}
+            ]}
+
+        stub_server.handler_fn = handler
+        return stub_server
+
+    @staticmethod
+    def _posts(server, path):
+        return sum(r["path"] == path for r in server.requests)
+
+    def _embed_flags(self, server):
+        return ["--embedding", "http",
+                "--embedding-url", f"{server.url}/v1/embeddings"]
+
+    def test_train_with_pca_data_embeds_once(self, backend, trained, tmp_path):
+        paths = dict(trained, model=str(tmp_path / "http_model.json"),
+                     pca=str(tmp_path / "http_pca.json"))
+        argv = _train_argv(paths) + ["--pca-data", paths["test"]]
+        assert main(argv + self._embed_flags(backend)) == 0
+        assert len(backend.requests) == 1
+        texts = [Path(paths[k]).read_text().splitlines() for k in ("train", "test")]
+        assert len(backend.requests[0]["body"]["input"]) == sum(map(len, texts))
+        # the same bytes as the offline run of the same embeddings
+        offline = dict(trained, model=str(tmp_path / "hashed_model.json"),
+                       pca=str(tmp_path / "hashed_pca.json"))
+        assert main(_train_argv(offline) + ["--pca-data", paths["test"]]) == 0
+        for http_path, hashed_path in ((paths["model"], offline["model"]),
+                                       (paths["pca"], offline["pca"])):
+            assert Path(http_path).read_bytes() == Path(hashed_path).read_bytes()
+
+    def test_eval_embeds_once(self, backend, trained, tmp_path):
+        assert main([
+            "eval",
+            "--model", trained["model"],
+            "--train", trained["train"],
+            "--test", trained["test"],
+            "--out-json", str(tmp_path / "r.json"),
+            "--out-text", str(tmp_path / "r.txt"),
+            "--dim", "64",
+            *self._embed_flags(backend),
+        ]) == 0
+        assert len(backend.requests) == 1
+
+    def test_optimize_embeds_once_per_evaluation(self, backend, trained, tmp_path):
+        trace = tmp_path / "trace.jsonl"
+        assert main([
+            "optimize",
+            "--model", trained["model"],
+            "--pca", trained["pca"],
+            "--prompts", trained["prompts"],
+            "--mode", "brute",
+            "--llm", "http",
+            "--llm-url", f"{backend.url}/v1/chat/completions",
+            "--samples-n", "2",
+            "--target-cluster", "pro-barca",
+            "--data", trained["train"],
+            "--out-trace", str(trace),
+            "--dim", "64",
+            *self._embed_flags(backend),
+        ]) == 0
+        evaluations = json.loads(trace.read_text().splitlines()[-1])["evaluations"]
+        assert evaluations == 9
+        assert self._posts(backend, "/v1/embeddings") == evaluations + 1
+        assert self._posts(backend, "/v1/chat/completions") == 2 * evaluations
+
+    def test_unauthorized_exits_3_after_one_request(
+        self, stub_server, trained, tmp_path, capsys
+    ):
+        stub_server.handler_fn = lambda record: (401, {"error": "bad key"})
+        assert main([
+            "eval",
+            "--model", trained["model"],
+            "--train", trained["train"],
+            "--test", trained["test"],
+            "--out-json", str(tmp_path / "r.json"),
+            "--out-text", str(tmp_path / "r.txt"),
+            "--dim", "64",
+            *self._embed_flags(stub_server),
+        ]) == 3
+        assert "HTTP 401" in capsys.readouterr().err
+        assert len(stub_server.requests) == 1

@@ -215,6 +215,47 @@ class TestEmbedBatchHttp:
         with pytest.raises(ProtocolError):
             embed_batch(["hello"], cfg, sleep=no_sleep)
 
+    @staticmethod
+    def _indices_handler(indices):
+        def handler(record):
+            return 200, {
+                "data": [{"index": i, "embedding": [1.0, 2.0]} for i in indices]
+            }
+
+        return handler
+
+    @pytest.mark.parametrize(
+        "indices, match",
+        [
+            ([-1, 0], "index -1 for 2 inputs"),
+            ([0, 2], "index 2 for 2 inputs"),
+            ([0, 0, 1], "repeated index 0 for 2 inputs"),
+            ([0, True], "index True for 2 inputs"),
+        ],
+        ids=["negative", "n", "duplicate", "json-true"],
+    )
+    def test_bad_index_is_protocol_error(self, stub_server, indices, match):
+        cfg = self._cfg(stub_server, dimension=2)
+        stub_server.handler_fn = self._indices_handler(indices)
+        with pytest.raises(ProtocolError, match=match):
+            embed_batch(["first", "second"], cfg, sleep=no_sleep)
+
+    @pytest.mark.parametrize("status", [400, 401, 403, 404, 422])
+    def test_client_error_is_not_retried(self, stub_server, status):
+        cfg = self._cfg(stub_server, dimension=2)
+        stub_server.handler_fn = lambda record: (status, {"error": "no"})
+        with pytest.raises(BackendError, match=f"HTTP {status}"):
+            embed_batch(["hello"], cfg, sleep=no_sleep)
+        assert len(stub_server.requests) == 1
+
+    @pytest.mark.parametrize("status", [408, 429])
+    def test_transient_client_error_is_retried(self, stub_server, status):
+        cfg = self._cfg(stub_server, dimension=2)
+        stub_server.handler_fn = lambda record: (status, {"error": "later"})
+        with pytest.raises(BackendError, match=f"HTTP {status}"):
+            embed_batch(["hello"], cfg, sleep=no_sleep)
+        assert len(stub_server.requests) == 3
+
     def test_concurrent_chunks_reassembled_in_input_order(self, stub_server):
         import time as time_mod
 

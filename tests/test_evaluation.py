@@ -97,7 +97,8 @@ class TestReportValues:
                 )
 
     def test_pre_values_independent_of_training(
-        self, fixture_train_docs, fixture_test_docs, fixture_matrix, fixture_model
+        self, fixture_train_docs, fixture_test_docs, fixture_matrix, fixture_model,
+        fixture_train_embeddings,
     ):
         trained = cluster_similarity_report(
             fixture_train_docs, fixture_test_docs, fixture_model, FIXTURE_BACKEND
@@ -105,7 +106,7 @@ class TestReportValues:
         other_model, _ = train(
             fixture_train_docs,
             fixture_matrix,
-            FIXTURE_BACKEND,
+            fixture_train_embeddings,
             TrainConfig(loss_kind="cosine", epochs=2, seed=99),
         )
         other = cluster_similarity_report(

@@ -1,11 +1,8 @@
-import json
-
 import pytest
 
 from pdial.errors import (
     BackendError,
     ConfigurationError,
-    FormatError,
     InputValidationError,
     ProtocolError,
 )
@@ -43,19 +40,6 @@ class TestMockBackend:
         cfg = LlmBackendConfig(kind="mock", mock_table=table)
         runs = [complete("c a b", cfg) for _ in range(5)]
         assert all(r == runs[0] for r in runs)
-
-    def test_table_loaded_from_path(self, tmp_path):
-        path = tmp_path / "table.json"
-        path.write_text(json.dumps({"ping": "pong"}))
-        cfg = LlmBackendConfig(kind="mock", mock_table_path=str(path))
-        assert complete("ping", cfg) == ["pong"]
-
-    def test_non_string_table_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"ping": 3}))
-        cfg = LlmBackendConfig(kind="mock", mock_table_path=str(path))
-        with pytest.raises(FormatError):
-            complete("ping", cfg)
 
     def test_empty_prompt_rejected(self):
         cfg = LlmBackendConfig(kind="mock", mock_table={})

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from pdial.embedding import EmbeddingBackendConfig
 from pdial.errors import ConfigurationError, InputValidationError, NumericError
 from pdial.metric import (
     ClusterSimilarityMatrix,
@@ -19,7 +18,7 @@ from pdial.metric import (
     train,
 )
 
-from conftest import FIXTURE_BACKEND, FIXTURE_TRAIN_CFG
+from conftest import FIXTURE_TRAIN_CFG
 
 POLES_MATRIX = ClusterSimilarityMatrix(
     clusters=["left", "center", "right"],
@@ -251,50 +250,104 @@ class TestLossGradient:
             checked += 1
 
 
+class TestLossOracles:
+    """The public losses are the oracles for the loss the training step
+    computes on the projected pair."""
+
+    def test_cosine_loss_matches_training_step(self):
+        from pdial.metric import _pair_loss_grad
+
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            W, a, b, y, cfg = _random_instance(rng, "cosine")
+            loss, _ = _pair_loss_grad(W, a, b, y, cfg)
+            assert loss == pytest.approx(
+                cosine_loss(W @ a, W @ b, y), rel=0.0, abs=1e-12
+            )
+
+    def test_contrastive_loss_matches_training_step(self):
+        from pdial.metric import _pair_loss_grad
+
+        rng = np.random.default_rng(8)
+        branches = set()
+        for _ in range(200):
+            W, a, b, y, _ = _random_instance(rng, "contrastive")
+            cfg = TrainConfig(
+                loss_kind="contrastive",
+                margin_m=float(rng.uniform(0.5, 3.0)),
+                binarize_threshold=float(rng.uniform(0.1, 0.9)),
+            )
+            y_bin = binarize_label(y, cfg.binarize_threshold)
+            loss, _ = _pair_loss_grad(W, a, b, y, cfg)
+            assert loss == pytest.approx(
+                contrastive_loss(W @ a, W @ b, y_bin, cfg.margin_m),
+                rel=0.0,
+                abs=1e-12,
+            )
+            d = np.linalg.norm(W @ a - W @ b)
+            branches.add((y_bin, y_bin == 0 and d >= cfg.margin_m))
+        # similar pairs, and dissimilar pairs on both sides of the margin
+        assert branches == {(1, False), (0, False), (0, True)}
+
+
 class TestTrain:
-    def test_zero_epochs_keeps_identity(self, fixture_train_docs, fixture_matrix):
+    def test_zero_epochs_keeps_identity(
+        self, fixture_train_docs, fixture_matrix, fixture_train_embeddings
+    ):
         cfg = TrainConfig(loss_kind="contrastive", epochs=0, seed=7)
-        model, log = train(fixture_train_docs, fixture_matrix, FIXTURE_BACKEND, cfg)
+        model, log = train(
+            fixture_train_docs, fixture_matrix, fixture_train_embeddings, cfg
+        )
         np.testing.assert_array_equal(model.W, np.eye(64))
         assert log.epoch_mean_loss == []
 
     def test_vanishing_learning_rate_keeps_weights(
-        self, fixture_train_docs, fixture_matrix
+        self, fixture_train_docs, fixture_matrix, fixture_train_embeddings
     ):
         cfg = TrainConfig(
             loss_kind="contrastive", learning_rate=1e-12, epochs=1, seed=7
         )
-        model, _ = train(fixture_train_docs, fixture_matrix, FIXTURE_BACKEND, cfg)
+        model, _ = train(
+            fixture_train_docs, fixture_matrix, fixture_train_embeddings, cfg
+        )
         assert np.max(np.abs(model.W - np.eye(64))) < 1e-9
 
-    def test_deterministic_given_seed(self, fixture_train_docs, fixture_matrix):
+    def test_deterministic_given_seed(
+        self, fixture_train_docs, fixture_matrix, fixture_train_embeddings
+    ):
         cfg = TrainConfig(loss_kind="contrastive", epochs=3, seed=11)
-        m1, _ = train(fixture_train_docs, fixture_matrix, FIXTURE_BACKEND, cfg)
-        m2, _ = train(fixture_train_docs, fixture_matrix, FIXTURE_BACKEND, cfg)
-        np.testing.assert_array_equal(m1.W, m2.W)
-
-    def test_gaussian_init_when_rectangular(self, fixture_train_docs, fixture_matrix):
-        cfg = TrainConfig(loss_kind="contrastive", epochs=0, seed=3)
         m1, _ = train(
-            fixture_train_docs, fixture_matrix, FIXTURE_BACKEND, cfg, d_out=8
+            fixture_train_docs, fixture_matrix, fixture_train_embeddings, cfg
         )
         m2, _ = train(
-            fixture_train_docs, fixture_matrix, FIXTURE_BACKEND, cfg, d_out=8
+            fixture_train_docs, fixture_matrix, fixture_train_embeddings, cfg
+        )
+        np.testing.assert_array_equal(m1.W, m2.W)
+
+    def test_gaussian_init_when_rectangular(
+        self, fixture_train_docs, fixture_matrix, fixture_train_embeddings
+    ):
+        cfg = TrainConfig(loss_kind="contrastive", epochs=0, seed=3)
+        m1, _ = train(
+            fixture_train_docs, fixture_matrix, fixture_train_embeddings, cfg,
+            d_out=8,
+        )
+        m2, _ = train(
+            fixture_train_docs, fixture_matrix, fixture_train_embeddings, cfg,
+            d_out=8,
         )
         assert m1.W.shape == (8, 64)
         np.testing.assert_array_equal(m1.W, m2.W)
         assert not np.allclose(m1.W, 0.0)
 
     def test_pretrain_equivalence_identity_head(
-        self, fixture_train_docs, fixture_matrix
+        self, fixture_train_docs, fixture_matrix, fixture_train_embeddings
     ):
-        from pdial.embedding import embed_batch
-
         cfg = TrainConfig(loss_kind="contrastive", epochs=0, seed=7)
-        model, _ = train(fixture_train_docs, fixture_matrix, FIXTURE_BACKEND, cfg)
-        embs = embed_batch(
-            [d.text for d in fixture_train_docs[:4]], FIXTURE_BACKEND
+        model, _ = train(
+            fixture_train_docs, fixture_matrix, fixture_train_embeddings, cfg
         )
+        embs = fixture_train_embeddings[:4]
         for i in range(3):
             base = cosine_similarity(embs[i], embs[i + 1])
             post = cosine_similarity(
@@ -302,14 +355,14 @@ class TestTrain:
             )
             assert base == post
 
-    def test_training_separates_clusters(self, fixture_train_docs, fixture_matrix):
-        from pdial.embedding import embed_batch
-
+    def test_training_separates_clusters(
+        self, fixture_train_docs, fixture_matrix, fixture_train_embeddings
+    ):
         model, log = train(
-            fixture_train_docs, fixture_matrix, FIXTURE_BACKEND, FIXTURE_TRAIN_CFG
+            fixture_train_docs, fixture_matrix, fixture_train_embeddings,
+            FIXTURE_TRAIN_CFG,
         )
-        embs = embed_batch([d.text for d in fixture_train_docs], FIXTURE_BACKEND)
-        projected = [project(model, e) for e in embs]
+        projected = [project(model, e) for e in fixture_train_embeddings]
         same, opposite = [], []
         for i in range(len(fixture_train_docs)):
             for j in range(i + 1, len(fixture_train_docs)):
@@ -323,27 +376,68 @@ class TestTrain:
         assert np.mean(same) > np.mean(opposite)
         assert log.epoch_mean_loss[-1] < log.epoch_mean_loss[0]
 
-    def test_negative_seed_supported(self, fixture_train_docs, fixture_matrix):
+    def test_negative_seed_supported(
+        self, fixture_train_docs, fixture_matrix, fixture_train_embeddings
+    ):
         cfg = TrainConfig(loss_kind="contrastive", epochs=1, seed=-3)
-        m1, _ = train(fixture_train_docs, fixture_matrix, FIXTURE_BACKEND, cfg)
-        m2, _ = train(fixture_train_docs, fixture_matrix, FIXTURE_BACKEND, cfg)
+        m1, _ = train(
+            fixture_train_docs, fixture_matrix, fixture_train_embeddings, cfg
+        )
+        m2, _ = train(
+            fixture_train_docs, fixture_matrix, fixture_train_embeddings, cfg
+        )
         np.testing.assert_array_equal(m1.W, m2.W)
 
     def test_single_cluster_rejected(self, fixture_matrix):
         docs = _docs([("a", "left"), ("b", "left")])
         with pytest.raises(InputValidationError):
-            train(docs, POLES_MATRIX, EmbeddingBackendConfig(dimension=8), TrainConfig())
+            train(docs, POLES_MATRIX, [np.ones(8)] * 2, TrainConfig())
+
+    def test_embedding_count_must_match_dataset(self):
+        docs = _docs([("a", "left"), ("b", "right")])
+        with pytest.raises(InputValidationError, match="1 embeddings for 2"):
+            train(docs, POLES_MATRIX, [np.ones(8)], TrainConfig())
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [np.ones(8), np.ones(7)],
+            [np.ones((1, 8)), np.ones((1, 8))],
+            [np.ones(0), np.ones(0)],
+        ],
+        ids=["ragged", "two-dimensional", "empty"],
+    )
+    def test_embedding_shapes_validated(self, rows):
+        docs = _docs([("a", "left"), ("b", "right")])
+        with pytest.raises(InputValidationError, match="common length"):
+            train(docs, POLES_MATRIX, rows, TrainConfig())
+
+    def test_duplicate_ids_rejected(self):
+        docs = _docs([("a", "left"), ("a", "right")])
+        with pytest.raises(InputValidationError, match="duplicate"):
+            train(docs, POLES_MATRIX, [np.ones(8)] * 2, TrainConfig())
+
+    def test_d_in_taken_from_embeddings(self):
+        docs = _docs([("a", "left"), ("b", "right"), ("c", "center")])
+        rows = list(np.eye(5)[:3])
+        model, _ = train(docs, POLES_MATRIX, rows, TrainConfig(epochs=1))
+        assert (model.d_in, model.d_out) == (5, 5)
 
     def test_divergence_aborts_with_diagnostic(
-        self, fixture_train_docs, fixture_matrix
+        self, fixture_train_docs, fixture_matrix, fixture_train_embeddings
     ):
         cfg = TrainConfig(
             loss_kind="contrastive", learning_rate=1e200, epochs=1, seed=7
         )
         with pytest.raises(NumericError, match="epoch 0 step"):
-            train(fixture_train_docs, fixture_matrix, FIXTURE_BACKEND, cfg)
+            train(
+                fixture_train_docs, fixture_matrix, fixture_train_embeddings, cfg
+            )
 
-    def test_skipped_pairs_counted(self, fixture_train_docs, fixture_matrix, monkeypatch):
+    def test_skipped_pairs_counted(
+        self, fixture_train_docs, fixture_matrix, fixture_train_embeddings,
+        monkeypatch,
+    ):
         import pdial.metric as metric_mod
 
         real = metric_mod._pair_loss_grad
@@ -357,7 +451,9 @@ class TestTrain:
 
         monkeypatch.setattr(metric_mod, "_pair_loss_grad", flaky)
         cfg = TrainConfig(loss_kind="cosine", epochs=1, seed=7)
-        _, log = train(fixture_train_docs, fixture_matrix, FIXTURE_BACKEND, cfg)
+        _, log = train(
+            fixture_train_docs, fixture_matrix, fixture_train_embeddings, cfg
+        )
         assert log.pair_count == 105
         assert log.epoch_skipped_pairs[0] == 10  # every 10th of 105 pairs
 

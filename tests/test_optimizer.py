@@ -156,7 +156,7 @@ class TestPerspectiveOfOutput:
         pca = PcaModel(
             mean=e, components=np.eye(8)[:2], explained_variance=np.array([1.0, 1.0])
         )
-        point = perspective_of_output("alpha", proj, pca, EmbeddingBackendConfig(dimension=8))
+        point = perspective_of_output(["alpha"], proj, pca, EmbeddingBackendConfig(dimension=8))
         assert point.x == 0.0 and point.y == 0.0
 
     def test_pinned_composition(self):
@@ -169,7 +169,7 @@ class TestPerspectiveOfOutput:
             explained_variance=np.array([1.0, 1.0]),
         )
         point = perspective_of_output(
-            "barca barca madrid", proj, pca, EmbeddingBackendConfig(dimension=8)
+            ["barca barca madrid"], proj, pca, EmbeddingBackendConfig(dimension=8)
         )
         assert point.x == 0.4472135954999579
         assert point.y == 0.8944271909999159
@@ -184,9 +184,43 @@ class TestPerspectiveOfOutput:
             explained_variance=np.array([1.0, 1.0]),
         )
         cfg = EmbeddingBackendConfig(dimension=16)
-        p1 = perspective_of_output("barca madrid won", proj, pca, cfg)
-        p2 = perspective_of_output("won madrid barca", proj, pca, cfg)
+        p1 = perspective_of_output(["barca madrid won"], proj, pca, cfg)
+        p2 = perspective_of_output(["won madrid barca"], proj, pca, cfg)
         assert (p1.x, p1.y) == (p2.x, p2.y)
+
+    def test_mean_of_texts_from_one_embedding_call(self, monkeypatch):
+        proj = ProjectionModel(d_in=8, d_out=8, W=np.eye(8))
+        pca = PcaModel(
+            mean=np.zeros(8),
+            components=np.eye(8)[[0, 6]],
+            explained_variance=np.array([1.0, 1.0]),
+        )
+        cfg = EmbeddingBackendConfig(dimension=8)
+        texts = ["barca barca madrid", "madrid", "barca"]
+        singles = [perspective_of_output([t], proj, pca, cfg) for t in texts]
+        real_embed = optimizer_mod.embed_batch
+        calls = []
+
+        def counting(batch, backend_cfg, **kwargs):
+            calls.append(list(batch))
+            return real_embed(batch, backend_cfg, **kwargs)
+
+        monkeypatch.setattr(optimizer_mod, "embed_batch", counting)
+        got = perspective_of_output(texts, proj, pca, cfg)
+        assert calls == [texts]
+        assert (got.x, got.y) == (mean_point(singles).x, mean_point(singles).y)
+
+    def test_bare_string_rejected(self):
+        proj = ProjectionModel(d_in=8, d_out=8, W=np.eye(8))
+        pca = PcaModel(
+            mean=np.zeros(8),
+            components=np.eye(8)[:2],
+            explained_variance=np.array([1.0, 1.0]),
+        )
+        with pytest.raises(InputValidationError, match="list of texts"):
+            perspective_of_output(
+                "alpha", proj, pca, EmbeddingBackendConfig(dimension=8)
+            )
 
 
 class TestBruteForce:
@@ -368,6 +402,22 @@ class TestGcdSearch:
         monkeypatch.setattr(optimizer_mod, "complete", counting)
         gcd_search(spec, target, proj, pca, llm, backend)
         assert len(seen) == len(set(seen))
+
+    def test_one_embedding_call_per_evaluation(self, monkeypatch):
+        spec = PromptSpec(base_phrases=("q0", "q1"), slots=(("a0", "a1"),))
+        losses = {(b, s): 0.1 + 0.05 * b + 0.02 * s for b in range(2) for s in range(2)}
+        proj, pca, llm, backend, target = _loss_table_world(spec, losses)
+        llm = LlmBackendConfig(kind="mock", samples_n=3, mock_table=llm.mock_table)
+        real_embed = optimizer_mod.embed_batch
+        sizes = []
+
+        def counting(batch, backend_cfg, **kwargs):
+            sizes.append(len(batch))
+            return real_embed(batch, backend_cfg, **kwargs)
+
+        monkeypatch.setattr(optimizer_mod, "embed_batch", counting)
+        trace = gcd_search(spec, target, proj, pca, llm, backend)
+        assert sizes == [3] * len(trace.evaluations)
 
     def test_deterministic_traces(self):
         spec = PromptSpec(

@@ -164,6 +164,21 @@ class TestOtherLoaders:
         assert len(table) == 9
         assert all(isinstance(v, str) for v in table.values())
 
+    def test_mock_table_loaded_from_path(self, tmp_path):
+        from pdial.llm_client import LlmBackendConfig, complete
+
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({"ping": "pong"}))
+        table = persistence.load_mock_table(path)
+        cfg = LlmBackendConfig(kind="mock", mock_table=table)
+        assert complete("ping", cfg) == ["pong"]
+
+    def test_mock_table_non_string_rejected(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"ping": 3}))
+        with pytest.raises(FormatError):
+            persistence.load_mock_table(path)
+
 
 def _demo_trace():
     trace = SearchTrace()
@@ -227,22 +242,6 @@ class TestTraceFiles:
         assert data["epoch_mean_loss"] == [0.5, 0.25]
         assert data["epoch_skipped_pairs"] == [0, 1]
         assert data["pair_count"] == 10
-
-
-class TestRunConfig:
-    def test_bundles_backend_and_training_configs(self):
-        from pdial.embedding import EmbeddingBackendConfig
-        from pdial.llm_client import LlmBackendConfig
-
-        run = persistence.RunConfig(
-            embedding=EmbeddingBackendConfig(kind="hashed", dimension=64),
-            llm=LlmBackendConfig(kind="mock"),
-            train=TrainConfig(loss_kind="contrastive", epochs=50, seed=7),
-            paths={"dataset": "train.jsonl", "model": "model.json"},
-        )
-        assert run.embedding.dimension == 64
-        assert run.train.seed == 7
-        assert run.paths["model"] == "model.json"
 
 
 class TestReportFiles:
