@@ -100,6 +100,8 @@ def _llm_cfg(args: argparse.Namespace) -> LlmBackendConfig:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    if args.pca_data and not args.pca_out:
+        raise ConfigurationError("--pca-data needs --pca-out")
     backend_cfg = _embedding_cfg(args)
     cfg = TrainConfig(
         loss_kind=args.loss,
@@ -112,9 +114,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     dataset = persistence.load_dataset(args.data)
     matrix = persistence.load_matrix(args.matrix)
     docs = list(dataset)
-    if args.pca_out:
-        for extra in args.pca_data:
-            docs.extend(persistence.load_dataset(extra))
+    for extra in args.pca_data:
+        docs.extend(persistence.load_dataset(extra))
     embeddings = embed_batch([d.text for d in docs], backend_cfg)
     model, log = train(
         dataset, matrix, embeddings[: len(dataset)], cfg, d_out=args.d_out
@@ -239,7 +240,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
             "nothing to plot: give --data and/or --trace"
         )
     svg = render_scatter_svg(groups, target=target, path_points=path_points)
-    Path(args.out).write_text(svg, encoding="utf-8")
+    persistence.write_text_atomic(args.out, svg)
     print(f"plot written to {args.out}")
     return EXIT_OK
 

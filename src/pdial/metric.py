@@ -11,7 +11,11 @@ through both sides. Two objectives are provided:
   ``y*d^2 + (1-y)*max(0, m-d)^2`` for binary y.
 
 Training is plain single-pair SGD under a fixed seed so that identical
-inputs give bit-identical models.
+inputs give bit-identical models. The trainer works in the span of the
+N training embeddings (dual form, see ``train``), at O(d_out * N) per
+step instead of O(d_out * d_in); ``loss_gradient`` gives the
+full-matrix gradient of the same per-pair loss and is the oracle the
+tests check the trainer against.
 """
 
 from __future__ import annotations
@@ -235,17 +239,15 @@ def binarize_label(label_y: float, threshold: float) -> int:
     return 1 if label_y >= threshold else 0
 
 
-def _pair_loss_grad(
-    W: np.ndarray,
-    a: np.ndarray,
-    b: np.ndarray,
-    y: float,
-    cfg: TrainConfig,
-) -> tuple[float, np.ndarray]:
-    # Core math on a raw weight matrix; callers validate shapes.
-    u = W @ a
-    v = W @ b
+def _pair_loss(
+    u: np.ndarray, v: np.ndarray, y: float, cfg: TrainConfig
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Loss of one projected pair (u, v) and its gradients dL/du, dL/dv.
 
+    The one loss core behind both the training step and the oracle
+    ``loss_gradient``. Raises PairSkip when cosine loss meets a zero-norm
+    projection.
+    """
     if cfg.loss_kind == "contrastive":
         y_bin = binarize_label(y, cfg.binarize_threshold)
         m = cfg.margin_m
@@ -253,17 +255,17 @@ def _pair_loss_grad(
         d = float(np.linalg.norm(diff))
         if y_bin == 1:
             loss = d * d
-            grad = 2.0 * np.outer(diff, a - b)
+            dldu = 2.0 * diff
         elif d >= m:
             loss = 0.0
-            grad = np.zeros_like(W)
+            dldu = np.zeros_like(diff)
         elif d == 0.0:
             loss = m * m
-            grad = np.zeros_like(W)
+            dldu = np.zeros_like(diff)
         else:
             loss = (m - d) ** 2
-            grad = (-2.0 * (m - d) / d) * np.outer(diff, a - b)
-        return loss, grad
+            dldu = (-2.0 * (m - d) / d) * diff
+        return loss, dldu, -dldu
 
     # cosine loss
     nu = float(np.linalg.norm(u))
@@ -275,8 +277,19 @@ def _pair_loss_grad(
     loss = r * r
     dldu = 2.0 * r * (v / (nu * nv) - c * u / (nu * nu))
     dldv = 2.0 * r * (u / (nu * nv) - c * v / (nv * nv))
-    grad = np.outer(dldu, a) + np.outer(dldv, b)
-    return loss, grad
+    return loss, dldu, dldv
+
+
+def _pair_loss_grad(
+    W: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
+    y: float,
+    cfg: TrainConfig,
+) -> tuple[float, np.ndarray]:
+    # Core math on a raw weight matrix; callers validate shapes.
+    loss, dldu, dldv = _pair_loss(W @ a, W @ b, y, cfg)
+    return loss, np.outer(dldu, a) + np.outer(dldv, b)
 
 
 def loss_gradient(
@@ -294,9 +307,12 @@ def loss_gradient(
     * contrastive, y=0:  L = max(0, m-d)^2,  dL/dW = -2 (m-d)/d (u-v)(a-b)^T
       for 0 < d < m, zero otherwise (d = |u-v|; at d = 0 the hinge is not
       differentiable and the zero subgradient is used)
-    * cosine: L = (c - y)^2 with c = cos(u, v); dL/dW = (dL/du) a^T +
-      (dL/dv) b^T where dL/du = 2 (c-y) (v/(|u||v|) - c u/|u|^2) and
-      symmetrically for v.
+    * cosine: L = (c - y)^2 with c = cos(u, v); dL/du = 2 (c-y)
+      (v/(|u||v|) - c u/|u|^2) and symmetrically for v.
+
+    Every case is dL/dW = (dL/du) a^T + (dL/dv) b^T, built from the same
+    per-pair loss core the trainer uses; this full-matrix form is the
+    finite-difference-checked oracle of the trainer's step.
 
     Raises PairSkip when cosine loss meets a zero-norm projection.
     """
@@ -324,6 +340,14 @@ def train(
     the cluster matrix and reshuffled per epoch with a seed derived from
     (cfg.seed, epoch). Returns the final model and a per-epoch training
     log.
+
+    The SGD runs in dual form. Each step's gradient is
+    ``outer(dL/du, a) + outer(dL/dv, b)`` with ``a``, ``b`` rows of the
+    N x d_in embedding matrix ``E``, so ``W = W0 + G^T E`` for an
+    N x d_out coefficient matrix ``G`` whose row n belongs to document n.
+    With ``K = E E^T`` and ``P0 = E W0^T`` precomputed, a step computes
+    ``u = P0[i] + K[i] @ G`` and updates rows i and j of ``G`` in
+    O(d_out * N); ``W`` is built once at the end.
     """
     clusters_present = {doc.cluster for doc in dataset}
     if len(clusters_present) < 2:
@@ -340,12 +364,17 @@ def train(
         raise InputValidationError(
             "embeddings must be non-empty vectors of one common length"
         )
-    by_id = dict(zip([doc.id for doc in dataset], rows))
-    if len(by_id) != len(dataset):
+    index = {doc.id: n for n, doc in enumerate(dataset)}
+    if len(index) != len(dataset):
         raise InputValidationError("dataset contains duplicate document ids")
 
-    model = ProjectionModel.initial(d_in, d_out if d_out is not None else d_in, cfg.seed)
-    W = model.W.copy()
+    W0 = ProjectionModel.initial(
+        d_in, d_out if d_out is not None else d_in, cfg.seed
+    ).W
+    E = np.stack(rows)
+    K = E @ E.T
+    P0 = E @ W0.T
+    G = np.zeros((len(rows), W0.shape[0]))
 
     pairs = generate_pairs(dataset, matrix, cfg.seed)
     log = TrainingLog(pair_count=len(pairs))
@@ -357,22 +386,35 @@ def train(
         skipped = 0
         for step, k in enumerate(order):
             pair = pairs[k]
+            i, j = index[pair.a], index[pair.b]
             try:
-                loss, grad = _pair_loss_grad(
-                    W, by_id[pair.a], by_id[pair.b], pair.label_y, cfg
+                loss, dldu, dldv = _pair_loss(
+                    P0[i] + K[i] @ G, P0[j] + K[j] @ G, pair.label_y, cfg
                 )
             except PairSkip:
                 skipped += 1
                 continue
-            if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
+            if not (
+                np.isfinite(loss)
+                and np.isfinite(dldu).all()
+                and np.isfinite(dldv).all()
+            ):
                 raise NumericError(
                     f"non-finite loss/gradient at epoch {epoch} step {step} "
                     f"(pair {pair.a!r}, {pair.b!r})"
                 )
-            W = W - cfg.learning_rate * grad
+            G[i] -= cfg.learning_rate * dldu
+            G[j] -= cfg.learning_rate * dldv
             total += loss
             evaluated += 1
         log.epoch_mean_loss.append(total / evaluated if evaluated else 0.0)
         log.epoch_skipped_pairs.append(skipped)
 
+    W = W0 + G.T @ E
+    if not np.all(np.isfinite(W)):
+        # The last step's update is not seen by any later loss check.
+        raise NumericError(
+            f"training produced non-finite weights "
+            f"(learning rate {cfg.learning_rate})"
+        )
     return ProjectionModel(d_in=d_in, d_out=W.shape[0], W=W), log

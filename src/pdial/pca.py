@@ -1,6 +1,7 @@
 """Principal-component reduction of perspective embeddings to 2-D.
 
-The covariance matrix is diagonalized with cyclic Jacobi rotations
+The smaller of the centred Gram matrix (m x m, for m points) and the
+covariance matrix (d x d) is diagonalized with cyclic Jacobi rotations
 (upper triangle, row-major sweep order) so the decomposition is exact
 for symmetric input, dependency-free, and easy to check against a
 reference eigensolver. The top components define the user-facing 2-D
@@ -17,6 +18,11 @@ from .errors import InputValidationError, NumericError
 
 JACOBI_MAX_SWEEPS = 100
 JACOBI_REL_TOL = 1e-12
+# The Gram route maps an eigenvector v back to the axis Xc^T v, whose
+# length is sqrt((m-1) * eigenvalue). Below this fraction of the top
+# eigenvalue that axis is rounding noise (rank < out_dim), and the
+# covariance route is used instead.
+GRAM_MIN_EIGENVALUE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -151,9 +157,17 @@ def _apply_sign_convention(components: np.ndarray) -> np.ndarray:
 def fit_pca(points: list[np.ndarray], out_dim: int = 2) -> PcaModel:
     """Fit the PCA reduction on projected perspective embeddings.
 
-    Uses the unbiased covariance (1/(n-1)) and the Jacobi solver; the
+    Uses the unbiased covariance (1/(m-1)) and the Jacobi solver; the
     largest-|entry| coordinate of each principal axis is made positive so
     fitted models are reproducible down to the byte.
+
+    With fewer points than dimensions (m < d) the m x m centred Gram
+    matrix ``Xc Xc^T / (m-1)`` is diagonalized instead of the d x d
+    covariance: it has the same nonzero eigenvalues, and each top
+    eigenvector v maps to the principal axis ``Xc^T v``. When the Gram
+    matrix has fewer than ``out_dim`` clearly positive eigenvalues the
+    axes are not determined by the points, and the covariance is
+    diagonalized as for m >= d.
     """
     if len(points) < 3:
         raise InputValidationError(
@@ -176,12 +190,36 @@ def fit_pca(points: list[np.ndarray], out_dim: int = 2) -> PcaModel:
         )
     mean = X.mean(axis=0)
     centered = X - mean
-    cov = (centered.T @ centered) / (X.shape[0] - 1)
+    m = X.shape[0]
+    if m < d:
+        gram = (centered @ centered.T) / (m - 1)
+        eigvals, eigvecs = jacobi_eigh((gram + gram.T) / 2.0)
+        if out_dim < m and eigvals[out_dim - 1] > GRAM_MIN_EIGENVALUE * eigvals[0]:
+            components = _orthonormal_rows(eigvecs[:out_dim] @ centered)
+            return _pca_model(mean, components, eigvals[:out_dim])
+    cov = (centered.T @ centered) / (m - 1)
     cov = (cov + cov.T) / 2.0  # force exact symmetry for the solver
     eigvals, eigvecs = jacobi_eigh(cov)
-    components = _apply_sign_convention(eigvecs[:out_dim])
-    explained = np.maximum(eigvals[:out_dim], 0.0)
-    return PcaModel(mean=mean, components=components, explained_variance=explained)
+    return _pca_model(mean, eigvecs[:out_dim], eigvals[:out_dim])
+
+
+def _orthonormal_rows(rows: np.ndarray) -> np.ndarray:
+    """Gram-Schmidt on a few linearly independent rows, in order."""
+    basis = np.zeros_like(rows)
+    for k, row in enumerate(rows):
+        r = row - basis[:k].T @ (basis[:k] @ row)
+        basis[k] = r / np.linalg.norm(r)
+    return basis
+
+
+def _pca_model(
+    mean: np.ndarray, components: np.ndarray, eigvals: np.ndarray
+) -> PcaModel:
+    return PcaModel(
+        mean=mean,
+        components=_apply_sign_convention(components),
+        explained_variance=np.maximum(eigvals, 0.0),
+    )
 
 
 def pca_transform(model: PcaModel, p: np.ndarray) -> PerspectivePoint:

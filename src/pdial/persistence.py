@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import asdict
 import json
 import logging
+import os
 from pathlib import Path
 
 import numpy as np
@@ -60,10 +61,29 @@ def _check_format(data: dict, expected: str, path: str | Path) -> None:
         )
 
 
+def write_text_atomic(path: str | Path, text: str) -> None:
+    """Write ``text`` as UTF-8 to a temporary file next to ``path``, then
+    rename it over ``path``.
+
+    Readers see the old file or the new one, never a truncated one. An
+    error while encoding or writing leaves any existing file as it was
+    and removes the temporary file; a process killed mid-write also
+    leaves the existing file intact. Without an fsync this does not
+    guard against power loss.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _write_json(path: str | Path, data: dict) -> None:
-    Path(path).write_text(
-        json.dumps(data, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-    )
+    write_text_atomic(path, json.dumps(data, indent=2, ensure_ascii=False) + "\n")
 
 
 def save_model(path: str | Path, model: ProjectionModel, cfg: TrainConfig) -> None:
@@ -228,7 +248,7 @@ def save_report(path: str | Path, report: SimilarityReport) -> None:
 
 
 def save_report_text(path: str | Path, report: SimilarityReport) -> None:
-    Path(path).write_text(render_report_text(report), encoding="utf-8")
+    write_text_atomic(path, render_report_text(report))
 
 
 def _evaluation_to_obj(index: int, ev: Evaluation, best_so_far: float) -> dict:
@@ -275,7 +295,7 @@ def save_trace(
             ensure_ascii=False,
         )
     )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_trace(path: str | Path) -> tuple[SearchTrace, dict]:

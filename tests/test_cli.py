@@ -81,6 +81,18 @@ class TestTrainCommand:
         assert main(_train_argv(paths)) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("exists", [False, True], ids=["missing", "existing"])
+    def test_pca_data_without_pca_out_is_config_error(
+        self, tmp_path, capsys, exists
+    ):
+        paths = _base_args(tmp_path)
+        argv = _train_argv(paths)
+        del argv[argv.index("--pca-out"):argv.index("--pca-out") + 2]
+        extra = FIXTURES / "test.jsonl" if exists else tmp_path / "missing.jsonl"
+        assert main(argv + ["--pca-data", str(extra)]) == 2
+        assert "--pca-data needs --pca-out" in capsys.readouterr().err
+        assert not (tmp_path / "model.json").exists()
+
     def test_divergent_lr_is_numeric_error(self, tmp_path, capsys):
         paths = _base_args(tmp_path)
         argv = _train_argv(paths)
@@ -249,6 +261,26 @@ class TestPlotCommand:
                 "--dim", "64",
             ]) == 0
         assert (tmp_path / "a.svg").read_bytes() == (tmp_path / "b.svg").read_bytes()
+
+    def test_failed_write_keeps_previous_svg(self, trained, tmp_path, monkeypatch):
+        import pdial.cli as cli_mod
+
+        out_svg = tmp_path / "plot.svg"
+        out_svg.write_text("<svg>previous</svg>")
+        before = sorted(tmp_path.iterdir())
+        # A lone surrogate cannot be encoded as UTF-8: the write fails midway.
+        monkeypatch.setattr(cli_mod, "render_scatter_svg", lambda *a, **k: "<svg>\ud800")
+        with pytest.raises(UnicodeEncodeError):
+            main([
+                "plot",
+                "--pca", trained["pca"],
+                "--model", trained["model"],
+                "--data", trained["train"],
+                "--out", str(out_svg),
+                "--dim", "64",
+            ])
+        assert out_svg.read_text() == "<svg>previous</svg>"
+        assert sorted(tmp_path.iterdir()) == before  # no temporary file left
 
     def test_no_point_source_is_config_error(self, trained, tmp_path, capsys):
         code = main([

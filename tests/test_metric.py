@@ -434,28 +434,116 @@ class TestTrain:
                 fixture_train_docs, fixture_matrix, fixture_train_embeddings, cfg
             )
 
+    def test_non_finite_final_weights_are_numeric_error(self):
+        # One similar pair (0.35 >= threshold 0.3) per epoch: the only
+        # step's update overflows and no later loss sees it.
+        docs = _docs([("a", "left"), ("b", "center")])
+        cfg = TrainConfig(
+            loss_kind="contrastive", learning_rate=1e308, epochs=1,
+            binarize_threshold=0.3,
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match="non-finite weights"):
+                train(docs, POLES_MATRIX, list(np.eye(2)), cfg)
+
     def test_skipped_pairs_counted(
         self, fixture_train_docs, fixture_matrix, fixture_train_embeddings,
         monkeypatch,
     ):
         import pdial.metric as metric_mod
 
-        real = metric_mod._pair_loss_grad
+        real = metric_mod._pair_loss
         calls = {"n": 0}
 
-        def flaky(W, a, b, y, cfg):
+        def flaky(u, v, y, cfg):
             calls["n"] += 1
             if calls["n"] % 10 == 0:
                 raise PairSkip("forced for test")
-            return real(W, a, b, y, cfg)
+            return real(u, v, y, cfg)
 
-        monkeypatch.setattr(metric_mod, "_pair_loss_grad", flaky)
+        monkeypatch.setattr(metric_mod, "_pair_loss", flaky)
         cfg = TrainConfig(loss_kind="cosine", epochs=1, seed=7)
         _, log = train(
             fixture_train_docs, fixture_matrix, fixture_train_embeddings, cfg
         )
         assert log.pair_count == 105
         assert log.epoch_skipped_pairs[0] == 10  # every 10th of 105 pairs
+
+
+def _primal_train(dataset, matrix, embeddings, cfg, d_out=None):
+    """Reference SGD on the full weight matrix: W -= lr * loss_gradient(...)
+    at every step, in the pair order train uses."""
+    from pdial.metric import _rng
+
+    by_id = {doc.id: e for doc, e in zip(dataset, embeddings)}
+    d_in = len(embeddings[0])
+    W = ProjectionModel.initial(d_in, d_out or d_in, cfg.seed).W
+    pairs = generate_pairs(dataset, matrix, cfg.seed)
+    losses, skips = [], []
+    for epoch in range(cfg.epochs):
+        total, evaluated, skipped = 0.0, 0, 0
+        for k in _rng(cfg.seed, epoch).permutation(len(pairs)):
+            pair = pairs[k]
+            model = ProjectionModel(d_in=d_in, d_out=W.shape[0], W=W)
+            try:
+                loss, grad = loss_gradient(
+                    model, by_id[pair.a], by_id[pair.b], pair.label_y, cfg
+                )
+            except PairSkip:
+                skipped += 1
+                continue
+            W = W - cfg.learning_rate * grad
+            total += loss
+            evaluated += 1
+        losses.append(total / evaluated if evaluated else 0.0)
+        skips.append(skipped)
+    return W, losses, skips
+
+
+class TestDualTraining:
+    """train's dual (Gram-space) SGD against the primal oracle."""
+
+    @pytest.mark.parametrize(
+        "loss_kind,d_out,zero_doc",
+        [
+            ("contrastive", None, False),
+            ("cosine", None, False),
+            ("contrastive", 8, False),
+            ("cosine", 8, False),
+            ("cosine", None, True),
+        ],
+        ids=[
+            "contrastive-square", "cosine-square", "contrastive-rectangular",
+            "cosine-rectangular", "cosine-zero-norm-skips",
+        ],
+    )
+    def test_matches_primal_sgd(
+        self, fixture_train_docs, fixture_matrix, fixture_train_embeddings,
+        loss_kind, d_out, zero_doc,
+    ):
+        embeddings = [np.asarray(e, dtype=np.float64) for e in fixture_train_embeddings]
+        if zero_doc:
+            # a zero base embedding projects to zero: its pairs are skipped
+            embeddings[3] = np.zeros_like(embeddings[3])
+        cfg = TrainConfig(
+            loss_kind=loss_kind, margin_m=1.0, learning_rate=0.05, epochs=5,
+            seed=7,
+        )
+        model, log = train(
+            fixture_train_docs, fixture_matrix, embeddings, cfg, d_out=d_out
+        )
+        W, losses, skips = _primal_train(
+            fixture_train_docs, fixture_matrix, embeddings, cfg, d_out=d_out
+        )
+        assert model.W.shape == W.shape
+        np.testing.assert_allclose(model.W, W, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(
+            log.epoch_mean_loss, losses, rtol=0.0, atol=1e-12
+        )
+        assert log.epoch_skipped_pairs == skips
+        assert sum(skips) == (5 * 14 if zero_doc else 0)
+        W0 = ProjectionModel.initial(W.shape[1], W.shape[0], cfg.seed).W
+        assert not np.allclose(W, W0)  # training moved the weights
 
 
 class TestMatrixValidation:

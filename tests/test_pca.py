@@ -175,3 +175,88 @@ class TestPcaModelValidation:
     def test_perspective_point_must_be_finite(self):
         with pytest.raises(InputValidationError):
             PerspectivePoint(x=float("nan"), y=0.0)
+
+
+def _jacobi_spy(monkeypatch):
+    """Record the shape of every matrix fit_pca hands to jacobi_eigh."""
+    import pdial.pca as pca_mod
+
+    shapes = []
+    real = pca_mod.jacobi_eigh
+
+    def spy(C, *args, **kwargs):
+        shapes.append(np.shape(C))
+        return real(C, *args, **kwargs)
+
+    monkeypatch.setattr(pca_mod, "jacobi_eigh", spy)
+    return shapes
+
+
+def _assert_valid(model, d):
+    assert model.components.shape == (2, d)
+    np.testing.assert_allclose(
+        model.components @ model.components.T, np.eye(2), atol=1e-8
+    )
+    ev = model.explained_variance
+    assert np.all(ev >= 0.0) and ev[0] >= ev[1]
+
+
+class TestGramRoute:
+    """Fewer points than dimensions: the m x m Gram matrix is diagonalized."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_reference_on_wide_clouds(self, seed, monkeypatch):
+        shapes = _jacobi_spy(monkeypatch)
+        rng = np.random.default_rng(200 + seed)
+        X = rng.normal(size=(12, 200)) * rng.uniform(0.3, 2.5, size=200)
+        model = fit_pca(list(X))
+        assert shapes == [(12, 12)]
+        ref_ev, ref_vec = np.linalg.eigh(np.cov(X.T))
+        np.testing.assert_allclose(
+            model.explained_variance, ref_ev[::-1][:2], rtol=0.0, atol=1e-8
+        )
+        for k in range(2):
+            overlap = abs(np.dot(model.components[k], ref_vec[:, -1 - k]))
+            assert overlap > 1.0 - 1e-8
+
+    def test_fixture_shape_uses_15x15_gram(self, monkeypatch):
+        shapes = _jacobi_spy(monkeypatch)
+        rng = np.random.default_rng(15)
+        model = fit_pca(list(rng.normal(size=(15, 768))))
+        assert shapes == [(15, 15)]
+        _assert_valid(model, 768)
+
+    def test_identical_points_fall_back_to_covariance(self, monkeypatch):
+        shapes = _jacobi_spy(monkeypatch)
+        model = fit_pca([np.arange(10.0)] * 5)
+        assert shapes == [(5, 5), (10, 10)]
+        _assert_valid(model, 10)
+        np.testing.assert_array_equal(model.explained_variance, [0.0, 0.0])
+
+    def test_collinear_points_fall_back_to_covariance(self, monkeypatch):
+        shapes = _jacobi_spy(monkeypatch)
+        rng = np.random.default_rng(3)
+        direction = rng.normal(size=10)
+        direction /= np.linalg.norm(direction)
+        offset = rng.normal(size=10)
+        model = fit_pca([offset + t * direction for t in (-2.0, -0.5, 1.0, 3.0)])
+        assert shapes == [(4, 4), (10, 10)]
+        _assert_valid(model, 10)
+        assert abs(np.dot(model.components[0], direction)) == pytest.approx(
+            1.0, abs=1e-10
+        )
+        assert model.explained_variance[1] <= 1e-12
+
+    # variance ratios ~7e-9 (Gram route), ~7e-11 and ~7e-13 (covariance)
+    @pytest.mark.parametrize("second_std", [1e-4, 1e-5, 1e-6])
+    def test_tiny_second_variance(self, second_std):
+        rng = np.random.default_rng(4)
+        basis = np.linalg.qr(rng.normal(size=(10, 2)))[0].T
+        t = rng.normal(size=(6, 2)) * np.array([1.0, second_std])
+        X = t @ basis
+        model = fit_pca(list(X))
+        _assert_valid(model, 10)
+        ratio = model.explained_variance[1] / model.explained_variance[0]
+        assert 0.1 * second_std**2 < ratio < 10 * second_std**2
+        ref_top = np.linalg.eigh(np.cov(X.T))[1][:, -1]
+        assert abs(np.dot(model.components[0], ref_top)) > 1.0 - 1e-10

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -262,3 +264,65 @@ class TestReportFiles:
         text_path = tmp_path / "report.txt"
         persistence.save_report_text(text_path, report)
         assert "Post-Train" in text_path.read_text()
+
+
+def _unencodable_writers():
+    """Each artifact writer, given content with a lone surrogate, which
+    only fails when the text is encoded, i.e. while the file is written."""
+    from pdial.evaluation import SimilarityReport
+
+    bad = "\ud800"
+    trace = SearchTrace()
+    trace.record(
+        Evaluation(
+            assignment=PromptAssignment(0, ()),
+            prompt="p",
+            outputs=(f"output {bad}",),
+            point=PerspectivePoint(0.0, 0.0),
+            loss=0.0,
+        )
+    )
+    report = SimilarityReport(
+        clusters=(f"cluster {bad}",),
+        pre_mean=np.ones((1, 1)),
+        pre_std=np.zeros((1, 1)),
+        post_mean=np.ones((1, 1)),
+        post_std=np.zeros((1, 1)),
+    )
+    return {
+        "save_trace": lambda path: persistence.save_trace(
+            path, trace, "brute", PerspectivePoint(0.0, 0.0)
+        ),
+        "save_report": lambda path: persistence.save_report(path, report),
+        "save_report_text": lambda path: persistence.save_report_text(path, report),
+        "write_text_atomic": lambda path: persistence.write_text_atomic(path, bad),
+    }
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize(
+        "writer",
+        ["save_report", "save_report_text", "save_trace", "write_text_atomic"],
+    )
+    def test_failed_write_keeps_previous_file(self, tmp_path, writer):
+        path = tmp_path / "artifact.out"
+        path.write_bytes(b"previous artifact\n")
+        with pytest.raises(UnicodeEncodeError):
+            _unencodable_writers()[writer](path)
+        assert path.read_bytes() == b"previous artifact\n"
+        assert os.listdir(tmp_path) == ["artifact.out"]  # no temporary file
+
+    def test_replaces_existing_file(self, tmp_path):
+        path = tmp_path / "artifact.out"
+        path.write_text("previous")
+        persistence.write_text_atomic(path, "new \u00e9\n")
+        assert path.read_bytes() == "new \u00e9\n".encode("utf-8")
+        assert os.listdir(tmp_path) == ["artifact.out"]
+
+    def test_new_file_mode_follows_umask(self, tmp_path):
+        old = os.umask(0o022)
+        try:
+            persistence.write_text_atomic(tmp_path / "a.json", "{}")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE((tmp_path / "a.json").stat().st_mode) == 0o644
