@@ -4,15 +4,17 @@ Both clients POST JSON, authenticate with a bearer token from the
 ``PD_API_KEY`` environment variable when it is set, retry transport
 failures with exponential backoff, and share one fan-out limit so the
 total number of in-flight requests stays bounded no matter which client
-issues them.
+issues them. Both issue their concurrent requests through
+:func:`fan_out_map`.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 import os
 import threading
 import time
-from typing import Any, Callable
+from typing import Any, Callable, Sequence, TypeVar
 
 import requests
 
@@ -23,6 +25,9 @@ DEFAULT_FAN_OUT = 4
 MAX_ATTEMPTS = 3
 BACKOFF_START_S = 1.0
 RETRIED_4XX = (408, 429)  # request timeout, too many requests
+
+T = TypeVar("T")
+R = TypeVar("R")
 
 _fan_out_lock = threading.Lock()
 _fan_out_limit = DEFAULT_FAN_OUT
@@ -42,6 +47,39 @@ def set_fan_out(limit: int) -> None:
 def get_fan_out() -> int:
     with _fan_out_lock:
         return _fan_out_limit
+
+
+def fan_out_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
+    """Apply ``fn`` to every item, on at most ``get_fan_out()`` threads,
+    and return the results in input order.
+
+    A single item runs inline. Once a job has failed no new job starts;
+    the jobs already running finish, and the error of the earliest
+    failing item in input order is raised.
+    """
+    if len(items) <= 1:
+        return [fn(item) for item in items]
+    failed = threading.Event()
+
+    def job(item: T) -> R | None:
+        if failed.is_set():
+            return None
+        try:
+            return fn(item)
+        except BaseException:
+            failed.set()
+            raise
+
+    pool = ThreadPoolExecutor(max_workers=min(get_fan_out(), len(items)))
+    try:
+        futures = [pool.submit(job, item) for item in items]
+        wait(futures, return_when=FIRST_EXCEPTION)
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+    for future in futures:
+        if not future.cancelled() and future.exception() is not None:
+            raise future.exception()
+    return [future.result() for future in futures]
 
 
 def auth_headers() -> dict[str, str]:

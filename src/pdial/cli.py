@@ -82,6 +82,10 @@ def _add_llm_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--mock-table", default="", help="mock table JSON path")
     group.add_argument("--temperature", type=float, default=0.0)
     group.add_argument("--samples-n", type=int, default=1)
+    group.add_argument(
+        "--llm-timeout", type=float, default=60.0,
+        help="seconds per http llm request (default: 60)",
+    )
 
 
 def _llm_cfg(args: argparse.Namespace) -> LlmBackendConfig:
@@ -91,6 +95,7 @@ def _llm_cfg(args: argparse.Namespace) -> LlmBackendConfig:
         model_name=args.llm_model,
         temperature=args.temperature,
         samples_n=args.samples_n,
+        timeout=args.llm_timeout,
         mock_table=(
             persistence.load_mock_table(args.mock_table)
             if args.mock_table

@@ -9,7 +9,6 @@ head in :mod:`pdial.metric`.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 import re
 import time
@@ -145,7 +144,8 @@ def embed_batch(
 
     The http backend chunks requests to ``cfg.batch_size`` and issues
     chunks concurrently up to the shared fan-out limit; results are
-    reassembled in input order. Any failed chunk fails the whole call.
+    reassembled in input order. Any failed chunk fails the whole call, and
+    no new chunk is sent after the first failure.
     """
     _validate_texts(texts)
     if cfg.kind == "hashed":
@@ -155,11 +155,7 @@ def embed_batch(
         texts[i : i + cfg.batch_size]
         for i in range(0, len(texts), cfg.batch_size)
     ]
-    if len(chunks) == 1:
-        results = [_http_embed_chunk(chunks[0], cfg, sleep)]
-    else:
-        with ThreadPoolExecutor(max_workers=_http.get_fan_out()) as pool:
-            results = list(
-                pool.map(lambda c: _http_embed_chunk(c, cfg, sleep), chunks)
-            )
+    results = _http.fan_out_map(
+        lambda chunk: _http_embed_chunk(chunk, cfg, sleep), chunks
+    )
     return [vec for chunk_result in results for vec in chunk_result]

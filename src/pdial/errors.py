@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all pdial modules.
+"""Exception hierarchy shared by all pdial modules, and the text check
+that every entry point applies to incoming strings.
 
 The CLI maps these onto its exit-code contract: usage/config problems
 exit 2, numeric/protocol/transport failures exit 3.
@@ -33,3 +34,21 @@ class ProtocolError(PdialError):
 
 class NumericError(PdialError):
     """A numeric procedure failed (non-finite values, non-convergence)."""
+
+
+def require_utf8(text: str, error: type[PdialError], where: str) -> str:
+    """Return ``text`` if it can be encoded as UTF-8, else raise ``error``
+    naming ``where``.
+
+    A JSON string escape such as ``"\\ud800"`` decodes to a lone surrogate,
+    which no UTF-8 artifact can hold; rejecting it where text enters the
+    program keeps it from failing a write much later.
+    """
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise error(
+            f"{where} is not valid Unicode ({exc.reason} at position "
+            f"{exc.start})"
+        ) from exc
+    return text

@@ -9,10 +9,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import time
-from typing import Callable, Mapping
+from typing import Callable, Mapping, overload
 
 from . import _http
-from .errors import ConfigurationError, InputValidationError, ProtocolError
+from .errors import (
+    ConfigurationError,
+    InputValidationError,
+    ProtocolError,
+    require_utf8,
+)
 
 
 @dataclass(frozen=True)
@@ -23,6 +28,7 @@ class LlmBackendConfig:
     temperature: float = 0.0
     samples_n: int = 1
     mock_table: Mapping[str, str] | None = None
+    timeout: float = 60.0  # seconds per http request
 
     def __post_init__(self) -> None:
         if self.kind not in ("http", "mock"):
@@ -35,6 +41,8 @@ class LlmBackendConfig:
             raise ConfigurationError(
                 f"samples_n must be >= 1, got {self.samples_n}"
             )
+        if not self.timeout > 0:
+            raise ConfigurationError(f"timeout must be > 0, got {self.timeout}")
         if self.kind == "http" and not self.endpoint_url:
             raise ConfigurationError("http llm backend needs endpoint_url")
 
@@ -70,7 +78,9 @@ def _http_complete(
         "messages": [{"role": "user", "content": prompt}],
         "temperature": cfg.temperature,
     }
-    payload = _http.post_json(cfg.endpoint_url, body, timeout=60.0, sleep=sleep)
+    payload = _http.post_json(
+        cfg.endpoint_url, body, timeout=cfg.timeout, sleep=sleep
+    )
     try:
         content = payload["choices"][0]["message"]["content"]
     except (KeyError, IndexError, TypeError) as exc:
@@ -81,22 +91,48 @@ def _http_complete(
         raise ProtocolError(
             f"chat completion content is not a string: {type(content).__name__}"
         )
-    return content
+    return require_utf8(content, ProtocolError, "chat completion content")
+
+
+@overload
+def complete(
+    prompts: str, cfg: LlmBackendConfig, sleep: Callable[[float], None] = ...
+) -> list[str]: ...
+
+
+@overload
+def complete(
+    prompts: list[str], cfg: LlmBackendConfig, sleep: Callable[[float], None] = ...
+) -> list[list[str]]: ...
 
 
 def complete(
-    prompt: str,
+    prompts: str | list[str],
     cfg: LlmBackendConfig,
     sleep: Callable[[float], None] = time.sleep,
-) -> list[str]:
-    """Generate ``cfg.samples_n`` completions for ``prompt``.
+) -> list[str] | list[list[str]]:
+    """Generate ``cfg.samples_n`` completions for each of ``prompts``.
 
-    The http backend issues one request per sample (retried individually,
-    so a successful sample is never re-requested). The mock backend is
-    deterministic, so its samples are identical.
+    Every prompt is checked before any request is made. The http backend
+    sends one request per (prompt, sample), concurrently up to the shared
+    fan-out limit; each is retried on its own, so a successful sample is
+    never re-requested, and the first failure fails the call. The mock
+    backend is deterministic, so its samples are identical.
+
+    A bare ``str`` is one prompt and gives its list of samples, the form
+    this function had before it took a list.
     """
-    if not prompt.strip():
-        raise InputValidationError("prompt must be non-empty")
+    if isinstance(prompts, str):
+        return complete([prompts], cfg, sleep)[0]
+    for i, prompt in enumerate(prompts):
+        if not prompt.strip():
+            raise InputValidationError(f"prompt {i} must be non-empty")
+    n = cfg.samples_n
     if cfg.kind == "mock":
-        return [_mock_complete(prompt, cfg.mock_table or {})] * cfg.samples_n
-    return [_http_complete(prompt, cfg, sleep) for _ in range(cfg.samples_n)]
+        table = cfg.mock_table or {}
+        return [[_mock_complete(prompt, table)] * n for prompt in prompts]
+    outputs = _http.fan_out_map(
+        lambda prompt: _http_complete(prompt, cfg, sleep),
+        [prompt for prompt in prompts for _ in range(n)],
+    )
+    return [outputs[i : i + n] for i in range(0, len(outputs), n)]

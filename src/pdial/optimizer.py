@@ -21,6 +21,9 @@ from .pca import PcaModel, PerspectivePoint, pca_transform
 
 BRUTE_FORCE_MAX_SLOTS = 8
 BRUTE_FORCE_MAX_COMBINATIONS = 10_000
+# Assignments brute force evaluates per batch; bounds the outputs held
+# at once when the grid is at the combination budget.
+BRUTE_FORCE_BATCH = 64
 DEFAULT_MAX_SWEEPS = 10
 
 
@@ -105,6 +108,22 @@ def render_prompt(spec: PromptSpec, a: PromptAssignment) -> str:
     return spec.joiner.join(parts)
 
 
+def perspective_points(
+    texts: list[str],
+    proj: ProjectionModel,
+    pca: PcaModel,
+    backend_cfg: EmbeddingBackendConfig,
+) -> list[PerspectivePoint]:
+    """Point of each of ``texts`` in the 2-D perspective space, from one
+    embedding call."""
+    if isinstance(texts, str):
+        raise InputValidationError("expected a list of texts, got a str")
+    return [
+        pca_transform(pca, project(proj, e))
+        for e in embed_batch(texts, backend_cfg)
+    ]
+
+
 def perspective_of_output(
     texts: list[str],
     proj: ProjectionModel,
@@ -113,14 +132,7 @@ def perspective_of_output(
 ) -> PerspectivePoint:
     """Mean point of ``texts`` in the 2-D perspective space, from one
     embedding call."""
-    if isinstance(texts, str):
-        raise InputValidationError("perspective_of_output takes a list of texts")
-    return mean_point(
-        [
-            pca_transform(pca, project(proj, e))
-            for e in embed_batch(texts, backend_cfg)
-        ]
-    )
+    return mean_point(perspective_points(texts, proj, pca, backend_cfg))
 
 
 def loss_to_target(p: PerspectivePoint, target: PerspectivePoint) -> float:
@@ -176,25 +188,48 @@ class _Evaluator:
         self.memoize = memoize
         self._by_prompt: dict[str, int] = {}
 
-    def loss_of(self, assignment: PromptAssignment) -> float:
-        prompt = render_prompt(self.spec, assignment)
-        if self.memoize and prompt in self._by_prompt:
-            return self.trace.evaluations[self._by_prompt[prompt]].loss
-        outputs = complete(prompt, self.llm_cfg)
-        point = perspective_of_output(outputs, self.proj, self.pca, self.backend_cfg)
-        loss = loss_to_target(point, self.target)
-        idx = self.trace.record(
-            Evaluation(
-                assignment=assignment,
-                prompt=prompt,
-                outputs=tuple(outputs),
-                point=point,
-                loss=loss,
-            )
-        )
+    def losses(self, assignments: list[PromptAssignment]) -> list[float]:
+        """Loss of each assignment, recording new evaluations in order.
+
+        The prompts to evaluate go to the LLM in one ``complete`` call, and
+        all their outputs to one embedding call. With ``memoize``, a prompt
+        already in the trace or earlier in the batch is not evaluated again.
+        """
+        prompts = [render_prompt(self.spec, a) for a in assignments]
+        todo = prompts
         if self.memoize:
-            self._by_prompt[prompt] = idx
-        return loss
+            todo = [p for p in dict.fromkeys(prompts) if p not in self._by_prompt]
+        samples: list[list[str]] = []
+        points: list[PerspectivePoint] = []
+        if todo:
+            samples = complete(todo, self.llm_cfg)
+            points = perspective_points(
+                [text for outputs in samples for text in outputs],
+                self.proj, self.pca, self.backend_cfg,
+            )
+        n = self.llm_cfg.samples_n
+        fresh = itertools.count()
+        losses = []
+        for assignment, prompt in zip(assignments, prompts):
+            if self.memoize and prompt in self._by_prompt:
+                losses.append(self.trace.evaluations[self._by_prompt[prompt]].loss)
+                continue
+            j = next(fresh)
+            point = mean_point(points[j * n : (j + 1) * n])
+            loss = loss_to_target(point, self.target)
+            idx = self.trace.record(
+                Evaluation(
+                    assignment=assignment,
+                    prompt=prompt,
+                    outputs=tuple(samples[j]),
+                    point=point,
+                    loss=loss,
+                )
+            )
+            if self.memoize:
+                self._by_prompt[prompt] = idx
+            losses.append(loss)
+        return losses
 
 
 def brute_force_search(
@@ -206,7 +241,9 @@ def brute_force_search(
     backend_cfg: EmbeddingBackendConfig,
 ) -> SearchTrace:
     """Evaluate every assignment once, in lexicographic order (base index
-    major, then slot indices); ties keep the earliest evaluation."""
+    major, then slot indices); ties keep the earliest evaluation.
+
+    The grid is evaluated in batches of ``BRUTE_FORCE_BATCH`` assignments."""
     if len(spec.slots) > BRUTE_FORCE_MAX_SLOTS:
         raise ConfigurationError(
             f"brute force allows at most {BRUTE_FORCE_MAX_SLOTS} slots, "
@@ -222,10 +259,13 @@ def brute_force_search(
     evaluator = _Evaluator(
         spec, target, proj, pca, llm_cfg, backend_cfg, trace, memoize=False
     )
-    slot_ranges = [range(len(s)) for s in spec.slots]
-    for base_index in range(len(spec.base_phrases)):
-        for choices in itertools.product(*slot_ranges):
-            evaluator.loss_of(PromptAssignment(base_index, choices))
+    grid = (
+        PromptAssignment(base_index, choices)
+        for base_index in range(len(spec.base_phrases))
+        for choices in itertools.product(*(range(len(s)) for s in spec.slots))
+    )
+    while batch := list(itertools.islice(grid, BRUTE_FORCE_BATCH)):
+        evaluator.losses(batch)
     return trace
 
 
@@ -243,7 +283,8 @@ def gcd_search(
     Starts at the all-zero assignment; each sweep visits coordinates in
     order and adopts the candidate with minimal loss, holding the others
     fixed (ties go to the lowest candidate index). Stops after a sweep
-    with no change or after ``max_sweeps``. Repeat visits to an already
+    with no change or after ``max_sweeps``. The candidates of one
+    coordinate are evaluated as one batch. Repeat visits to an already
     rendered prompt are served from the memo and add no trace entries.
     """
     if max_sweeps < 1:
@@ -258,14 +299,14 @@ def gcd_search(
     for _ in range(max_sweeps):
         changed = False
         for coord, size in enumerate(coordinate_sizes):
-            best_candidate = 0
-            best_loss = math.inf
+            trials = []
             for candidate in range(size):
                 trial = current.copy()
                 trial[coord] = candidate
-                loss = evaluator.loss_of(
-                    PromptAssignment(trial[0], tuple(trial[1:]))
-                )
+                trials.append(PromptAssignment(trial[0], tuple(trial[1:])))
+            best_candidate = 0
+            best_loss = math.inf
+            for candidate, loss in enumerate(evaluator.losses(trials)):
                 if loss < best_loss:
                     best_loss = loss
                     best_candidate = candidate

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, require_utf8
 from .evaluation import SimilarityReport, render_report_text
 from .metric import (
     ClusterSimilarityMatrix,
@@ -170,6 +170,8 @@ def load_dataset(path: str | Path) -> list[LabeledDocument]:
             raise FormatError(
                 f"{path}:{lineno}: missing field {exc.args[0]!r}"
             ) from exc
+        for name in ("id", "text", "cluster"):
+            require_utf8(getattr(doc, name), FormatError, f"{path}:{lineno}: {name}")
         if doc.id in seen:
             raise FormatError(
                 f"{path}: duplicate id {doc.id!r} on lines {seen[doc.id]} "
@@ -195,13 +197,17 @@ def load_matrix(path: str | Path) -> ClusterSimilarityMatrix:
 
 def load_prompt_spec(path: str | Path) -> PromptSpec:
     data = _read_json(path)
+
+    def text(value: object, name: str = "phrase") -> str:
+        return require_utf8(str(value), FormatError, f"{path}: {name}")
+
     try:
         return PromptSpec(
-            base_phrases=tuple(str(p) for p in data["base_phrases"]),
+            base_phrases=tuple(text(p) for p in data["base_phrases"]),
             slots=tuple(
-                tuple(str(c) for c in slot) for slot in data.get("slots", [])
+                tuple(text(c) for c in slot) for slot in data.get("slots", [])
             ),
-            joiner=str(data.get("joiner", " ")),
+            joiner=text(data.get("joiner", " "), "joiner"),
         )
     except (KeyError, TypeError) as exc:
         raise FormatError(f"{path}: malformed prompt spec: {exc}") from exc
@@ -213,6 +219,9 @@ def load_mock_table(path: str | Path) -> dict[str, str]:
     table = _read_json(path)
     if not all(isinstance(v, str) for v in table.values()):
         raise FormatError(f"{path}: mock table must map strings to strings")
+    for key, value in table.items():
+        require_utf8(key, FormatError, f"{path}: mock table key")
+        require_utf8(value, FormatError, f"{path}: mock table value")
     return table
 
 

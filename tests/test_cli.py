@@ -1,5 +1,6 @@
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -200,6 +201,28 @@ class TestOptimizeCommand:
                             extra=["--target-x", "0", "--target-y", "0"]))
         assert err.value.code == 2
 
+    def test_lone_surrogate_in_mock_table_exits_2(self, trained, tmp_path, capsys):
+        table = json.loads(Path(trained["mock_table"]).read_text())
+        bad = tmp_path / "bad_table.json"
+        # json.dumps writes each lone surrogate as the escape \ud800
+        bad.write_text(json.dumps({k: v + "\ud800" for k, v in table.items()}))
+        argv = self._argv(trained, tmp_path, extra=["--target-x", "0", "--target-y", "0"])
+        argv[argv.index("--mock-table") + 1] = str(bad)
+        assert main(argv) == 2
+        assert "bad_table.json: mock table value is not valid Unicode" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "trace.jsonl").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_non_positive_llm_timeout_exits_2(self, trained, tmp_path, capsys, value):
+        argv = self._argv(
+            trained, tmp_path,
+            extra=["--target-x", "0", "--target-y", "0", "--llm-timeout", value],
+        )
+        assert main(argv) == 2
+        assert "timeout" in capsys.readouterr().err
+
     def test_budget_guard_exits_2_before_network(self, trained, tmp_path, capsys):
         big = tmp_path / "big.json"
         big.write_text(json.dumps({
@@ -367,7 +390,7 @@ class TestRequestCounts:
         ]) == 0
         assert len(backend.requests) == 1
 
-    def test_optimize_embeds_once_per_evaluation(self, backend, trained, tmp_path):
+    def test_optimize_embeds_once_per_batch_chunk(self, backend, trained, tmp_path):
         trace = tmp_path / "trace.jsonl"
         assert main([
             "optimize",
@@ -386,8 +409,85 @@ class TestRequestCounts:
         ]) == 0
         evaluations = json.loads(trace.read_text().splitlines()[-1])["evaluations"]
         assert evaluations == 9
-        assert self._posts(backend, "/v1/embeddings") == evaluations + 1
+        # the centroid, then the 18 outputs of the one brute batch in one
+        # chunk of at most 32 texts
+        assert self._posts(backend, "/v1/embeddings") == 1 + 1
         assert self._posts(backend, "/v1/chat/completions") == 2 * evaluations
+
+    def _optimize_argv(self, server, trained, tmp_path, *extra):
+        return [
+            "optimize",
+            "--model", trained["model"],
+            "--pca", trained["pca"],
+            "--mode", "brute",
+            "--llm", "http",
+            "--llm-url", f"{server.url}/v1/chat/completions",
+            "--target-x", "0", "--target-y", "0",
+            "--out-trace", str(tmp_path / "trace.jsonl"),
+            "--dim", "64",
+            *self._embed_flags(server),
+            *extra,
+        ]
+
+    def test_llm_timeout_reaches_chat_requests(
+        self, backend, trained, tmp_path, monkeypatch
+    ):
+        import requests
+
+        real_post = requests.post
+        timeouts = {}
+
+        def recording(url, **kwargs):
+            timeouts.setdefault(url.rsplit("/", 1)[-1], set()).add(kwargs["timeout"])
+            return real_post(url, **kwargs)
+
+        monkeypatch.setattr(requests, "post", recording)
+        argv = self._optimize_argv(
+            backend, trained, tmp_path, "--prompts", trained["prompts"],
+            "--llm-timeout", "7.5",
+        )
+        assert main(argv) == 0
+        assert timeouts == {"completions": {7.5}, "embeddings": {30.0}}
+
+    def test_brute_fails_fast_on_a_rejected_prompt(
+        self, backend, trained, tmp_path, monkeypatch, capsys
+    ):
+        import requests
+
+        spec = tmp_path / "wide.json"
+        spec.write_text(json.dumps({
+            "base_phrases": ["write about football"],
+            "slots": [[f"name player {i}" for i in range(60)]],
+        }))
+        rejected = "write about football name player 2"  # third in the grid
+        answer = backend.handler_fn
+
+        def handler(record):
+            messages = record["body"].get("messages")
+            if messages and messages[0]["content"] == rejected:
+                return 401, {"error": "denied"}
+            return answer(record)
+
+        backend.handler_fn = handler
+        real_post = requests.post
+
+        def slow_ok(url, **kwargs):
+            messages = kwargs["json"].get("messages")
+            if messages and messages[0]["content"] != rejected:
+                time.sleep(0.03)  # the rejection arrives before any later reply
+            return real_post(url, **kwargs)
+
+        monkeypatch.setattr(requests, "post", slow_ok)
+        fan_out = 2
+        argv = self._optimize_argv(
+            backend, trained, tmp_path, "--prompts", str(spec),
+            "--fan-out", str(fan_out),
+        )
+        assert main(argv) == 3
+        assert "HTTP 401" in capsys.readouterr().err
+        chat_posts = self._posts(backend, "/v1/chat/completions")
+        assert 3 <= chat_posts <= 3 + fan_out
+        assert not (tmp_path / "trace.jsonl").exists()
 
     def test_unauthorized_exits_3_after_one_request(
         self, stub_server, trained, tmp_path, capsys

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -273,6 +275,33 @@ class TestEmbedBatchHttp:
         out = embed_batch(["aaa", "bb", "c"], cfg, sleep=no_sleep)
         assert [int(v[0]) for v in out] == [3, 2, 1]
         assert len(stub_server.requests) == 3
+
+    def test_failed_chunk_stops_new_chunks(self, stub_server, monkeypatch):
+        import requests
+
+        from pdial import _http
+
+        fan_out = 2
+        _http.set_fan_out(fan_out)
+        cfg = self._cfg(stub_server, dimension=2, batch_size=1)
+        texts = [f"text {i}" for i in range(20)]
+        rejected = texts[2]
+        ok = self._ok_handler(2)
+        stub_server.handler_fn = lambda record: (
+            (401, {"error": "denied"})
+            if record["body"]["input"] == [rejected] else ok(record)
+        )
+        real_post = requests.post
+
+        def slow_ok(url, **kwargs):
+            if kwargs["json"]["input"] != [rejected]:
+                time.sleep(0.03)  # the rejection arrives before any later reply
+            return real_post(url, **kwargs)
+
+        monkeypatch.setattr(requests, "post", slow_ok)
+        with pytest.raises(BackendError, match="HTTP 401"):
+            embed_batch(texts, cfg, sleep=no_sleep)
+        assert 3 <= len(stub_server.requests) <= 3 + fan_out
 
 
 class TestConfigValidation:

@@ -1,16 +1,21 @@
+import itertools
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
 
 import pdial.optimizer as optimizer_mod
-from pdial.embedding import EmbeddingBackendConfig
+from pdial.embedding import EmbeddingBackendConfig, embed_batch
 from pdial.errors import ConfigurationError, InputValidationError
-from pdial.llm_client import LlmBackendConfig
-from pdial.metric import ProjectionModel
+from pdial.llm_client import LlmBackendConfig, complete
+from pdial.metric import ProjectionModel, project
 from pdial.optimizer import (
+    Evaluation,
     PromptAssignment,
     PromptSpec,
+    SearchTrace,
     brute_force_search,
     cluster_centroid,
     gcd_search,
@@ -19,7 +24,8 @@ from pdial.optimizer import (
     perspective_of_output,
     render_prompt,
 )
-from pdial.pca import PcaModel, PerspectivePoint
+from pdial.pca import PcaModel, PerspectivePoint, pca_transform
+from pdial.persistence import save_trace
 
 from conftest import FIXTURE_BACKEND
 
@@ -277,9 +283,9 @@ class TestBruteForce:
     def test_combination_budget_guard_fires_before_llm(self, monkeypatch):
         calls = {"n": 0}
 
-        def counting_complete(*args, **kwargs):
+        def counting_complete(prompts, *args, **kwargs):
             calls["n"] += 1
-            return ["x"]
+            return [["x"] for _ in prompts]
 
         monkeypatch.setattr(optimizer_mod, "complete", counting_complete)
         spec = PromptSpec(
@@ -395,15 +401,17 @@ class TestGcdSearch:
         real_complete = optimizer_mod.complete
         seen = []
 
-        def counting(prompt, cfg, **kwargs):
-            seen.append(prompt)
-            return real_complete(prompt, cfg, **kwargs)
+        def counting(prompts, cfg, **kwargs):
+            seen.extend(prompts)
+            return real_complete(prompts, cfg, **kwargs)
 
         monkeypatch.setattr(optimizer_mod, "complete", counting)
         gcd_search(spec, target, proj, pca, llm, backend)
         assert len(seen) == len(set(seen))
 
-    def test_one_embedding_call_per_evaluation(self, monkeypatch):
+    def test_one_embedding_call_per_batch(self, monkeypatch):
+        # one batch per coordinate: both bases (2 new prompts), then both
+        # slot choices (1 new, 1 from the memo)
         spec = PromptSpec(base_phrases=("q0", "q1"), slots=(("a0", "a1"),))
         losses = {(b, s): 0.1 + 0.05 * b + 0.02 * s for b in range(2) for s in range(2)}
         proj, pca, llm, backend, target = _loss_table_world(spec, losses)
@@ -417,7 +425,8 @@ class TestGcdSearch:
 
         monkeypatch.setattr(optimizer_mod, "embed_batch", counting)
         trace = gcd_search(spec, target, proj, pca, llm, backend)
-        assert sizes == [3] * len(trace.evaluations)
+        assert sizes == [6, 3]
+        assert sum(sizes) == 3 * len(trace.evaluations)
 
     def test_deterministic_traces(self):
         spec = PromptSpec(
@@ -449,6 +458,248 @@ class TestGcdSearch:
         for search in (brute_force_search, gcd_search):
             trace = search(spec, target, proj, pca, llm, backend)
             assert np.all(np.diff(_best_so_far(trace)) <= 0)
+
+
+class _SequentialEvaluator:
+    """The one-assignment-at-a-time evaluator that the batched one replaced:
+    ``samples_n`` completions and one embedding call per new prompt. Kept
+    as the oracle of ``_Evaluator.losses``."""
+
+    def __init__(self, spec, target, proj, pca, llm_cfg, backend_cfg, memoize):
+        self.spec, self.target = spec, target
+        self.proj, self.pca = proj, pca
+        self.llm_cfg, self.backend_cfg = llm_cfg, backend_cfg
+        self.memoize = memoize
+        self.trace = SearchTrace()
+        self._by_prompt = {}
+
+    def loss_of(self, assignment):
+        prompt = render_prompt(self.spec, assignment)
+        if self.memoize and prompt in self._by_prompt:
+            return self.trace.evaluations[self._by_prompt[prompt]].loss
+        outputs = optimizer_mod.complete([prompt], self.llm_cfg)[0]
+        point = mean_point([
+            pca_transform(self.pca, project(self.proj, e))
+            for e in embed_batch(outputs, self.backend_cfg)
+        ])
+        loss = loss_to_target(point, self.target)
+        idx = self.trace.record(
+            Evaluation(assignment, prompt, tuple(outputs), point, loss)
+        )
+        if self.memoize:
+            self._by_prompt[prompt] = idx
+        return loss
+
+
+def _sequential_brute(spec, *world):
+    evaluator = _SequentialEvaluator(spec, *world, memoize=False)
+    for base_index in range(len(spec.base_phrases)):
+        for choices in itertools.product(*(range(len(s)) for s in spec.slots)):
+            evaluator.loss_of(PromptAssignment(base_index, choices))
+    return evaluator.trace
+
+
+def _sequential_gcd(spec, *world):
+    evaluator = _SequentialEvaluator(spec, *world, memoize=True)
+    current = [0] * (1 + len(spec.slots))
+    sizes = [len(spec.base_phrases)] + [len(s) for s in spec.slots]
+    for _ in range(optimizer_mod.DEFAULT_MAX_SWEEPS):
+        changed = False
+        for coord, size in enumerate(sizes):
+            best_candidate, best_loss = 0, math.inf
+            for candidate in range(size):
+                trial = current.copy()
+                trial[coord] = candidate
+                loss = evaluator.loss_of(PromptAssignment(trial[0], tuple(trial[1:])))
+                if loss < best_loss:
+                    best_loss, best_candidate = loss, candidate
+            if best_candidate != current[coord]:
+                current[coord] = best_candidate
+                changed = True
+        if not changed:
+            break
+    return evaluator.trace
+
+
+_WORDS = ("madrid", "barca", "derby", "goal", "tiki", "taka", "press", "glory",
+          "draw", "neutral", "stadium", "fans")
+
+
+def _random_world(seed, samples_n, slot_sizes=None, duplicate=False, dim=16):
+    """A seeded spec, mock table, projection, PCA and target.
+
+    About half of the rendered prompts have a table entry; the rest fall
+    back to the mock's substring or echo rule.
+    """
+    rng = np.random.default_rng(seed)
+
+    def words(k):
+        return " ".join(rng.choice(_WORDS, size=k))
+
+    if slot_sizes is None:
+        slot_sizes = [int(k) for k in rng.integers(1, 5, size=rng.integers(1, 4))]
+    slots = [[words(1) if rng.random() < 0.8 else "" for _ in range(k)]
+             for k in slot_sizes]
+    if duplicate:
+        slots[0].append(slots[0][-1])  # two candidates render alike
+    spec = PromptSpec(
+        base_phrases=tuple(f"write {words(2)}" for _ in range(rng.integers(1, 4))),
+        slots=tuple(map(tuple, slots)),
+    )
+    grid = itertools.product(
+        range(len(spec.base_phrases)), *(range(len(s)) for s in spec.slots)
+    )
+    table = {
+        render_prompt(spec, PromptAssignment(c[0], c[1:])): words(int(rng.integers(3, 8)))
+        for c in grid if rng.random() < 0.5
+    }
+    d_out = 8
+    proj = ProjectionModel(d_in=dim, d_out=d_out, W=rng.normal(size=(d_out, dim)))
+    q, _ = np.linalg.qr(rng.normal(size=(d_out, d_out)))
+    pca = PcaModel(
+        mean=rng.normal(size=d_out) * 0.1,
+        components=q[:, :2].T,
+        explained_variance=np.array([1.0, 0.5]),
+    )
+    target = PerspectivePoint(*rng.normal(size=2))
+    llm = LlmBackendConfig(kind="mock", samples_n=samples_n, mock_table=table)
+    backend = EmbeddingBackendConfig(kind="hashed", dimension=dim)
+    return spec, (target, proj, pca, llm, backend)
+
+
+def _distinct_samples(prompts, cfg):
+    """The mock backend, with the k-th word appended to the k-th sample of
+    each prompt, so that samples differ and their order shows."""
+    return [
+        [f"{out} {_WORDS[k % len(_WORDS)]}" for k, out in enumerate(outputs)]
+        for outputs in complete(prompts, cfg)
+    ]
+
+
+def _trace_bytes(path, trace, mode, target):
+    save_trace(path, trace, mode, target)
+    return path.read_bytes()
+
+
+class TestBatchedEvaluation:
+    """The batched searches against the sequential oracle."""
+
+    @pytest.mark.parametrize("samples_n", [1, 3])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_sequential_oracle(self, tmp_path, monkeypatch, seed, samples_n):
+        monkeypatch.setattr(optimizer_mod, "complete", _distinct_samples)
+        spec, world = _random_world(seed, samples_n, duplicate=seed % 3 == 0)
+        target = world[0]
+        for mode, fast, slow in (
+            ("brute", brute_force_search, _sequential_brute),
+            ("gcd", gcd_search, _sequential_gcd),
+        ):
+            got = fast(spec, *world)
+            want = slow(spec, *world)
+            assert got == want
+            assert _trace_bytes(tmp_path / "got.jsonl", got, mode, target) == (
+                _trace_bytes(tmp_path / "want.jsonl", want, mode, target)
+            )
+
+    def test_duplicate_candidates_in_one_batch_are_evaluated_once(
+        self, monkeypatch
+    ):
+        spec, world = _random_world(0, 2, slot_sizes=[3], duplicate=True)
+        # the last two candidates render alike and are both new in the
+        # batch of slot 0, whose current choice is candidate 0
+        assert spec.slots[0][0] != spec.slots[0][2] == spec.slots[0][3]
+        want = _sequential_gcd(spec, *world)
+        real_complete = optimizer_mod.complete
+        requested = []
+
+        def counting(prompts, cfg, **kwargs):
+            requested.extend(prompts)
+            return real_complete(prompts, cfg, **kwargs)
+
+        monkeypatch.setattr(optimizer_mod, "complete", counting)
+        trace = gcd_search(spec, *world)
+        assert len(requested) == len(set(requested)) == len(trace.evaluations)
+        assert trace == want
+
+    @pytest.mark.parametrize("samples_n", [1, 3])
+    def test_grid_larger_than_one_brute_batch(self, monkeypatch, samples_n):
+        spec, world = _random_world(
+            7, samples_n, slot_sizes=[6, 6], duplicate=True
+        )
+        combos = spec.combination_count()
+        assert combos > optimizer_mod.BRUTE_FORCE_BATCH
+        real_embed = optimizer_mod.embed_batch
+        sizes = []
+
+        def counting(batch, backend_cfg, **kwargs):
+            sizes.append(len(batch))
+            return real_embed(batch, backend_cfg, **kwargs)
+
+        monkeypatch.setattr(optimizer_mod, "embed_batch", counting)
+        got = brute_force_search(spec, *world)
+        full, rest = divmod(combos, optimizer_mod.BRUTE_FORCE_BATCH)
+        assert sizes == (
+            [optimizer_mod.BRUTE_FORCE_BATCH * samples_n] * full
+            + ([rest * samples_n] if rest else [])
+        )
+        assert got == _sequential_brute(spec, *world)
+
+    def test_http_search_keeps_fan_out_requests_in_flight(
+        self, stub_server, monkeypatch
+    ):
+        import requests
+
+        from pdial import _http
+        from pdial.embedding import hashed_embed
+
+        spec, (target, proj, pca, llm, backend) = _random_world(
+            3, 2, slot_sizes=[3, 2]
+        )
+        table = llm.mock_table
+
+        def handler(record):
+            body = record["body"]
+            if "input" in body:
+                return 200, {"data": [
+                    {"index": i, "embedding": hashed_embed(t, 16).tolist()}
+                    for i, t in enumerate(body["input"])
+                ]}
+            prompt = body["messages"][0]["content"]
+            return 200, {"choices": [
+                {"message": {"content": complete([prompt], llm)[0][0]}}
+            ]}
+
+        stub_server.handler_fn = handler
+        lock = threading.Lock()
+        flight = {"now": 0, "max": 0}
+        real_post = requests.post
+
+        def tracking(url, **kwargs):
+            with lock:
+                flight["now"] += 1
+                flight["max"] = max(flight["max"], flight["now"])
+            try:
+                time.sleep(0.005)
+                return real_post(url, **kwargs)
+            finally:
+                with lock:
+                    flight["now"] -= 1
+
+        monkeypatch.setattr(requests, "post", tracking)
+        _http.set_fan_out(2)
+        http_llm = LlmBackendConfig(
+            kind="http", endpoint_url=f"{stub_server.url}/v1/chat/completions",
+            samples_n=2,
+        )
+        http_backend = EmbeddingBackendConfig(
+            kind="http", endpoint_url=f"{stub_server.url}/v1/embeddings",
+            dimension=16,
+        )
+        got = brute_force_search(spec, target, proj, pca, http_llm, http_backend)
+        assert flight["max"] == 2
+        assert got == brute_force_search(spec, target, proj, pca, llm, backend)
+        chats = sum("messages" in r["body"] for r in stub_server.requests)
+        assert chats == 2 * spec.combination_count()
 
 
 class TestClusterCentroid:

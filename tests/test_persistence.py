@@ -117,6 +117,17 @@ class TestDatasetLoader:
         with pytest.raises(FormatError, match="cluster"):
             persistence.load_dataset(path)
 
+    @pytest.mark.parametrize("field", ["id", "text", "cluster"])
+    def test_lone_surrogate_names_file_line_and_field(self, tmp_path, field):
+        doc = {"id": "b", "text": "u", "cluster": "c"}
+        doc[field] += "\ud800"  # written as the JSON escape \ud800
+        path = tmp_path / "surrogate.jsonl"
+        path.write_text(
+            '{"id": "a", "text": "t", "cluster": "c"}\n' + json.dumps(doc) + "\n"
+        )
+        with pytest.raises(FormatError, match=rf"surrogate.jsonl:2: {field} is not valid"):
+            persistence.load_dataset(path)
+
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "gaps.jsonl"
         path.write_text(
@@ -173,7 +184,25 @@ class TestOtherLoaders:
         path.write_text(json.dumps({"ping": "pong"}))
         table = persistence.load_mock_table(path)
         cfg = LlmBackendConfig(kind="mock", mock_table=table)
-        assert complete("ping", cfg) == ["pong"]
+        assert complete(["ping"], cfg)[0] == ["pong"]
+
+    @pytest.mark.parametrize("spec", [
+        {"base_phrases": ["ok", "bad\udfff"]},
+        {"base_phrases": ["ok"], "slots": [["", "bad\ud800"]]},
+        {"base_phrases": ["ok"], "joiner": "\ud800"},
+    ])
+    def test_prompt_spec_lone_surrogate_rejected(self, tmp_path, spec):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        with pytest.raises(FormatError, match=r"spec.json: .* is not valid Unicode"):
+            persistence.load_prompt_spec(path)
+
+    @pytest.mark.parametrize("table", [{"ping": "pong\ud800"}, {"ping\ud800": "pong"}])
+    def test_mock_table_lone_surrogate_rejected(self, tmp_path, table):
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(table))
+        with pytest.raises(FormatError, match=r"table.json: mock table .* is not valid"):
+            persistence.load_mock_table(path)
 
     def test_mock_table_non_string_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
