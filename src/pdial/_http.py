@@ -18,7 +18,7 @@ from typing import Any, Callable, Sequence, TypeVar
 
 import requests
 
-from .errors import BackendError, ProtocolError
+from .errors import BackendError, ConfigurationError, ProtocolError
 
 API_KEY_ENV = "PD_API_KEY"
 DEFAULT_FAN_OUT = 4
@@ -38,7 +38,7 @@ def set_fan_out(limit: int) -> None:
     """Set the shared cap on concurrent in-flight requests."""
     global _fan_out_limit, _fan_out_sem
     if limit < 1:
-        raise ValueError(f"fan-out limit must be >= 1, got {limit}")
+        raise ConfigurationError(f"fan-out limit must be >= 1, got {limit}")
     with _fan_out_lock:
         _fan_out_limit = limit
         _fan_out_sem = threading.BoundedSemaphore(limit)

@@ -54,6 +54,8 @@ class EmbeddingBackendConfig:
             raise ConfigurationError(
                 f"batch size must be >= 1, got {self.batch_size}"
             )
+        if not self.timeout > 0:
+            raise ConfigurationError(f"timeout must be > 0, got {self.timeout}")
         if self.kind == "http" and not self.endpoint_url:
             raise ConfigurationError("http embedding backend needs endpoint_url")
 

@@ -6,6 +6,11 @@ the identity projection of the base embeddings ("pre") and once for the
 trained projection ("post"). Rows are test clusters, columns train
 clusters; the diagonal says how well test texts align with their own
 cluster's training texts.
+
+Each of "pre" and "post" is one matrix: the rows of the split's vectors
+are normalised once, ``S = U_test @ U_train^T`` holds every cross-pair
+cosine, and a cell's statistics are those of the ``S`` block whose rows
+are the test cluster and whose columns are the train cluster.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import numpy as np
 
 from .embedding import EmbeddingBackendConfig, embed_batch
 from .errors import InputValidationError
-from .metric import LabeledDocument, ProjectionModel, cosine_similarity, project
+from .metric import LabeledDocument, ProjectionModel
 
 
 @dataclass(frozen=True)
@@ -44,24 +49,6 @@ class SimilarityReport:
             raise InputValidationError("stds must be non-negative")
 
 
-def _group_by_cluster(
-    docs: list[LabeledDocument], embeddings: list[np.ndarray]
-) -> dict[str, list[np.ndarray]]:
-    groups: dict[str, list[np.ndarray]] = {}
-    for doc, emb in zip(docs, embeddings):
-        groups.setdefault(doc.cluster, []).append(emb)
-    return groups
-
-
-def _cell_stats(
-    test_vecs: list[np.ndarray], train_vecs: list[np.ndarray]
-) -> tuple[float, float]:
-    sims = np.array(
-        [cosine_similarity(t, r) for t in test_vecs for r in train_vecs]
-    )
-    return float(np.mean(sims)), float(np.std(sims))  # population std
-
-
 def cluster_similarity_report(
     train: list[LabeledDocument],
     test: list[LabeledDocument],
@@ -73,7 +60,8 @@ def cluster_similarity_report(
 
     Cluster order follows first appearance in the train split. Every
     train cluster must have test documents (and vice versa), otherwise
-    some cells would be empty.
+    some cells would be empty. A document whose base or projected vector
+    is zero has no cosine similarity and is rejected.
     """
     if not train or not test:
         raise InputValidationError("both splits must be non-empty")
@@ -93,33 +81,30 @@ def cluster_similarity_report(
             f"train clusters {missing} have no test documents"
         )
 
-    base = embed_batch([d.text for d in train + test], backend_cfg)
-    train_base, test_base = base[: len(train)], base[len(train) :]
-    train_post = [project(model, e) for e in train_base]
-    test_post = [project(model, e) for e in test_base]
-
-    by_cluster = {
-        "train_pre": _group_by_cluster(train, train_base),
-        "test_pre": _group_by_cluster(test, test_base),
-        "train_post": _group_by_cluster(train, train_post),
-        "test_post": _group_by_cluster(test, test_post),
-    }
-
-    n = len(clusters)
-    pre_mean = np.zeros((n, n))
-    pre_std = np.zeros((n, n))
-    post_mean = np.zeros((n, n))
-    post_std = np.zeros((n, n))
-    for i, test_cluster in enumerate(clusters):
-        for j, train_cluster in enumerate(clusters):
-            pre_mean[i, j], pre_std[i, j] = _cell_stats(
-                by_cluster["test_pre"][test_cluster],
-                by_cluster["train_pre"][train_cluster],
+    docs = train + test
+    B = np.stack(embed_batch([d.text for d in docs], backend_cfg))
+    if B.shape[1] != model.d_in:
+        raise InputValidationError(
+            f"embedding length {B.shape[1]} does not match d_in={model.d_in}"
+        )
+    train_of = [[k for k, d in enumerate(train) if d.cluster == c] for c in clusters]
+    test_of = [[k for k, d in enumerate(test) if d.cluster == c] for c in clusters]
+    cells = []
+    for kind, X in (("base", B), ("projected", B @ model.W.T)):
+        norms = np.linalg.norm(X, axis=1)
+        zero = np.flatnonzero(norms == 0.0)
+        if zero.size:
+            raise InputValidationError(
+                f"document {docs[zero[0]].id!r} has a zero {kind} vector, "
+                "so its cosine similarity is undefined"
             )
-            post_mean[i, j], post_std[i, j] = _cell_stats(
-                by_cluster["test_post"][test_cluster],
-                by_cluster["train_post"][train_cluster],
-            )
+        U = X / norms[:, None]
+        S = U[len(train) :] @ U[: len(train)].T
+        blocks = [[S[np.ix_(rows, cols)] for cols in train_of] for rows in test_of]
+        cells.append(np.array([[b.mean() for b in row] for row in blocks]))
+        # population std
+        cells.append(np.array([[b.std() for b in row] for row in blocks]))
+    pre_mean, pre_std, post_mean, post_std = cells
     return SimilarityReport(
         clusters=tuple(clusters),
         pre_mean=pre_mean,

@@ -336,10 +336,10 @@ def train(
     """Train the projection head by single-pair SGD.
 
     ``embeddings`` holds the frozen base embedding of each document, in
-    dataset order; d_in is their length. Pairs are generated once from
-    the cluster matrix and reshuffled per epoch with a seed derived from
-    (cfg.seed, epoch). Returns the final model and a per-epoch training
-    log.
+    dataset order; d_in is their length, and ``d_out`` (default d_in)
+    must be at least 1. Pairs are generated once from the cluster matrix
+    and reshuffled per epoch with a seed derived from (cfg.seed, epoch).
+    Returns the final model and a per-epoch training log.
 
     The SGD runs in dual form. Each step's gradient is
     ``outer(dL/du, a) + outer(dL/dv, b)`` with ``a``, ``b`` rows of the
@@ -367,10 +367,12 @@ def train(
     index = {doc.id: n for n, doc in enumerate(dataset)}
     if len(index) != len(dataset):
         raise InputValidationError("dataset contains duplicate document ids")
+    if d_out is None:
+        d_out = d_in
+    if d_out < 1:
+        raise InputValidationError(f"d_out must be >= 1, got {d_out}")
 
-    W0 = ProjectionModel.initial(
-        d_in, d_out if d_out is not None else d_in, cfg.seed
-    ).W
+    W0 = ProjectionModel.initial(d_in, d_out, cfg.seed).W
     E = np.stack(rows)
     K = E @ E.T
     P0 = E @ W0.T

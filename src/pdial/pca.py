@@ -18,9 +18,11 @@ from .errors import InputValidationError, NumericError
 
 JACOBI_MAX_SWEEPS = 100
 JACOBI_REL_TOL = 1e-12
+# The perspective space is a plane: every fitted model has two axes.
+PCA_AXES = 2
 # The Gram route maps an eigenvector v back to the axis Xc^T v, whose
 # length is sqrt((m-1) * eigenvalue). Below this fraction of the top
-# eigenvalue that axis is rounding noise (rank < out_dim), and the
+# eigenvalue that axis is rounding noise (rank < PCA_AXES), and the
 # covariance route is used instead.
 GRAM_MIN_EIGENVALUE = 1e-10
 
@@ -39,7 +41,8 @@ class PerspectivePoint:
 
 @dataclass(frozen=True)
 class PcaModel:
-    """Mean vector plus orthonormal principal axes (rows of components)."""
+    """Mean vector plus the two orthonormal principal axes (rows of
+    components)."""
 
     mean: np.ndarray
     components: np.ndarray
@@ -53,6 +56,10 @@ class PcaModel:
             raise InputValidationError(
                 f"components shape {comps.shape} does not match mean "
                 f"length {mean.shape}"
+            )
+        if comps.shape[0] != PCA_AXES:
+            raise InputValidationError(
+                f"model has {comps.shape[0]} components, expected {PCA_AXES}"
             )
         if ev.shape != (comps.shape[0],):
             raise InputValidationError(
@@ -74,15 +81,14 @@ class PcaModel:
         return int(self.mean.shape[0])
 
 
-def jacobi_eigh(
-    C: np.ndarray, max_sweeps: int = JACOBI_MAX_SWEEPS
-) -> tuple[np.ndarray, np.ndarray]:
+def jacobi_eigh(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Full eigendecomposition of a symmetric matrix by cyclic Jacobi.
 
     Sweeps rotate away each upper-triangle entry in row-major order until
     the off-diagonal Frobenius norm drops below ``JACOBI_REL_TOL`` times
-    the Frobenius norm of the input. Returns (eigenvalues, eigenvectors)
-    sorted by descending eigenvalue, eigenvectors as rows.
+    the Frobenius norm of the input, or fail after ``JACOBI_MAX_SWEEPS``
+    sweeps. Returns (eigenvalues, eigenvectors) sorted by descending
+    eigenvalue, eigenvectors as rows.
     """
     A = np.array(C, dtype=np.float64, copy=True)
     n = A.shape[0]
@@ -104,9 +110,9 @@ def jacobi_eigh(
     converged = off_norm() <= tol
     sweeps = 0
     while not converged:
-        if sweeps >= max_sweeps:
+        if sweeps >= JACOBI_MAX_SWEEPS:
             raise NumericError(
-                f"Jacobi eigensolver did not converge in {max_sweeps} sweeps "
+                f"Jacobi eigensolver did not converge in {JACOBI_MAX_SWEEPS} sweeps "
                 f"(off-diagonal norm {off_norm():.3e}, tolerance {tol:.3e})"
             )
         for p in range(n - 1):
@@ -154,8 +160,8 @@ def _apply_sign_convention(components: np.ndarray) -> np.ndarray:
     return fixed
 
 
-def fit_pca(points: list[np.ndarray], out_dim: int = 2) -> PcaModel:
-    """Fit the PCA reduction on projected perspective embeddings.
+def fit_pca(points: list[np.ndarray]) -> PcaModel:
+    """Fit the 2-D PCA reduction on projected perspective embeddings.
 
     Uses the unbiased covariance (1/(m-1)) and the Jacobi solver; the
     largest-|entry| coordinate of each principal axis is made positive so
@@ -165,7 +171,7 @@ def fit_pca(points: list[np.ndarray], out_dim: int = 2) -> PcaModel:
     matrix ``Xc Xc^T / (m-1)`` is diagonalized instead of the d x d
     covariance: it has the same nonzero eigenvalues, and each top
     eigenvector v maps to the principal axis ``Xc^T v``. When the Gram
-    matrix has fewer than ``out_dim`` clearly positive eigenvalues the
+    matrix has fewer than two clearly positive eigenvalues the
     axes are not determined by the points, and the covariance is
     diagonalized as for m >= d.
     """
@@ -184,23 +190,19 @@ def fit_pca(points: list[np.ndarray], out_dim: int = 2) -> PcaModel:
     d = X.shape[1]
     if d < 2:
         raise InputValidationError(f"point dimension must be >= 2, got {d}")
-    if out_dim < 1 or out_dim > d:
-        raise InputValidationError(
-            f"out_dim must be in [1, {d}], got {out_dim}"
-        )
     mean = X.mean(axis=0)
     centered = X - mean
     m = X.shape[0]
     if m < d:
         gram = (centered @ centered.T) / (m - 1)
         eigvals, eigvecs = jacobi_eigh((gram + gram.T) / 2.0)
-        if out_dim < m and eigvals[out_dim - 1] > GRAM_MIN_EIGENVALUE * eigvals[0]:
-            components = _orthonormal_rows(eigvecs[:out_dim] @ centered)
-            return _pca_model(mean, components, eigvals[:out_dim])
+        if eigvals[PCA_AXES - 1] > GRAM_MIN_EIGENVALUE * eigvals[0]:
+            components = _orthonormal_rows(eigvecs[:PCA_AXES] @ centered)
+            return _pca_model(mean, components, eigvals[:PCA_AXES])
     cov = (centered.T @ centered) / (m - 1)
     cov = (cov + cov.T) / 2.0  # force exact symmetry for the solver
     eigvals, eigvecs = jacobi_eigh(cov)
-    return _pca_model(mean, eigvecs[:out_dim], eigvals[:out_dim])
+    return _pca_model(mean, eigvecs[:PCA_AXES], eigvals[:PCA_AXES])
 
 
 def _orthonormal_rows(rows: np.ndarray) -> np.ndarray:
@@ -230,9 +232,4 @@ def pca_transform(model: PcaModel, p: np.ndarray) -> PerspectivePoint:
             f"point length {p.shape} does not match model dimension {model.dim}"
         )
     coords = model.components @ (p - model.mean)
-    if coords.shape[0] != 2:
-        raise InputValidationError(
-            f"model has {coords.shape[0]} components, expected 2 for "
-            "perspective points"
-        )
     return PerspectivePoint(x=float(coords[0]), y=float(coords[1]))

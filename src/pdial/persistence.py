@@ -36,13 +36,18 @@ TRAIN_LOG_FORMAT = "pdial-train-log-v1"
 REPORT_FORMAT = "pdial-report-v1"
 
 
+def _read_text(path: str | Path) -> str:
+    """The UTF-8 text of ``path``; an unreadable file or one that is not
+    valid UTF-8 is a FormatError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FormatError(f"cannot read {path}: {exc}") from exc
+
+
 def _read_json(path: str | Path) -> dict:
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from exc
-    try:
-        data = json.loads(text)
+        data = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise FormatError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: "
@@ -145,10 +150,7 @@ def load_dataset(path: str | Path) -> list[LabeledDocument]:
     Duplicate ids are rejected with both line numbers; an empty file is
     allowed but logged as a warning.
     """
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from exc
+    lines = _read_text(path).splitlines()
     docs: list[LabeledDocument] = []
     seen: dict[str, int] = {}
     for lineno, line in enumerate(lines, start=1):
@@ -309,10 +311,7 @@ def save_trace(
 
 def load_trace(path: str | Path) -> tuple[SearchTrace, dict]:
     """Read back a trace JSONL file; returns the trace and the summary."""
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from exc
+    lines = _read_text(path).splitlines()
     trace = SearchTrace()
     summary: dict = {}
     for lineno, line in enumerate(lines, start=1):

@@ -94,6 +94,23 @@ class TestTrainCommand:
         assert "--pca-data needs --pca-out" in capsys.readouterr().err
         assert not (tmp_path / "model.json").exists()
 
+    @pytest.mark.parametrize("d_out", ["0", "-1"])
+    def test_d_out_below_one_exits_2(self, tmp_path, capsys, d_out):
+        paths = _base_args(tmp_path)
+        assert main(_train_argv(paths) + ["--d-out", d_out]) == 2
+        assert "d_out must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "model.json").exists()
+
+    def test_non_utf8_dataset_exits_2(self, tmp_path, capsys):
+        paths = _base_args(tmp_path)
+        data = tmp_path / "latin1.jsonl"
+        data.write_bytes(
+            '{"id": "x", "text": "café", "cluster": "a"}\n'.encode("latin-1")
+        )
+        paths["train"] = str(data)
+        assert main(_train_argv(paths)) == 2
+        assert "error: cannot read" in capsys.readouterr().err
+
     def test_divergent_lr_is_numeric_error(self, tmp_path, capsys):
         paths = _base_args(tmp_path)
         argv = _train_argv(paths)
@@ -136,6 +153,24 @@ class TestEvalCommand:
             "--dim", "64",
         ])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flag,value", [("--fan-out", "0"), ("--timeout", "0"), ("--timeout", "-1")]
+    )
+    def test_bad_backend_limit_exits_2(self, trained, tmp_path, capsys, flag, value):
+        code = main([
+            "eval",
+            "--model", trained["model"],
+            "--train", trained["train"],
+            "--test", trained["test"],
+            "--out-json", str(tmp_path / "r.json"),
+            "--out-text", str(tmp_path / "r.txt"),
+            "--dim", "64",
+            flag, value,
+        ])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
 
 class TestOptimizeCommand:

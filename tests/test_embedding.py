@@ -320,3 +320,8 @@ class TestConfigValidation:
     def test_http_needs_url(self):
         with pytest.raises(ConfigurationError):
             EmbeddingBackendConfig(kind="http")
+
+    @pytest.mark.parametrize("timeout", [0.0, -1.0, float("nan")])
+    def test_non_positive_timeout(self, timeout):
+        with pytest.raises(ConfigurationError, match="timeout must be > 0"):
+            EmbeddingBackendConfig(timeout=timeout)

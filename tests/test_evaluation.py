@@ -1,12 +1,19 @@
 import numpy as np
 import pytest
 
-from pdial.embedding import EmbeddingBackendConfig, hashed_embed
+from pdial.embedding import EmbeddingBackendConfig, embed_batch, hashed_embed
 from pdial.errors import InputValidationError
 from pdial.evaluation import cluster_similarity_report, render_report_text
-from pdial.metric import LabeledDocument, ProjectionModel, TrainConfig, train
+from pdial.metric import (
+    LabeledDocument,
+    ProjectionModel,
+    TrainConfig,
+    cosine_similarity,
+    project,
+    train,
+)
 
-from conftest import FIXTURE_BACKEND
+from conftest import FIXTURE_BACKEND, FIXTURE_TRAIN_CFG
 
 BACKEND8 = EmbeddingBackendConfig(kind="hashed", dimension=8)
 
@@ -139,6 +146,72 @@ class TestReportValues:
             for j in range(3):
                 if i != j:
                     assert report.post_mean[i, i] > report.post_mean[i, j]
+
+
+def _per_pair_report(train_docs, test_docs, model, backend_cfg):
+    """The four report matrices computed one document pair at a time, with
+    ``project`` and ``cosine_similarity``: the oracle for the matrix form."""
+    clusters = list(dict.fromkeys(d.cluster for d in train_docs))
+    train_base = embed_batch([d.text for d in train_docs], backend_cfg)
+    test_base = embed_batch([d.text for d in test_docs], backend_cfg)
+    n = len(clusters)
+    names = ("pre_mean", "pre_std", "post_mean", "post_std")
+    out = {name: np.zeros((n, n)) for name in names}
+    for i, tc in enumerate(clusters):
+        for j, rc in enumerate(clusters):
+            pre, post = [], []
+            for td, t in zip(test_docs, test_base):
+                for rd, r in zip(train_docs, train_base):
+                    if td.cluster == tc and rd.cluster == rc:
+                        pre.append(cosine_similarity(t, r))
+                        post.append(
+                            cosine_similarity(project(model, t), project(model, r))
+                        )
+            out["pre_mean"][i, j], out["pre_std"][i, j] = np.mean(pre), np.std(pre)
+            out["post_mean"][i, j], out["post_std"][i, j] = np.mean(post), np.std(post)
+    return out
+
+
+class TestReportMatchesPerPairLoop:
+    @pytest.mark.parametrize("d_out", [None, 8], ids=["square", "rectangular"])
+    def test_all_four_matrices_agree(
+        self, fixture_train_docs, fixture_test_docs, fixture_matrix,
+        fixture_train_embeddings, d_out,
+    ):
+        model, _ = train(
+            fixture_train_docs, fixture_matrix, fixture_train_embeddings,
+            FIXTURE_TRAIN_CFG, d_out=d_out,
+        )
+        report = cluster_similarity_report(
+            fixture_train_docs, fixture_test_docs, model, FIXTURE_BACKEND
+        )
+        expected = _per_pair_report(
+            fixture_train_docs, fixture_test_docs, model, FIXTURE_BACKEND
+        )
+        for name, matrix in expected.items():
+            np.testing.assert_allclose(
+                getattr(report, name), matrix, rtol=0.0, atol=1e-12, err_msg=name
+            )
+
+    def test_zero_projected_vector_names_the_document(self):
+        train_docs = [LabeledDocument("t1", "hello there", "a"),
+                      LabeledDocument("t2", "completely different words", "b")]
+        test_docs = [LabeledDocument("s1", "hello", "a"),
+                     LabeledDocument("s2", "completely different words", "b")]
+        # "hello" embeds to a one-hot vector; W drops exactly that axis.
+        W = np.eye(8)
+        W[np.argmax(hashed_embed("hello", 8))] = 0.0
+        model = ProjectionModel(d_in=8, d_out=8, W=W)
+        with pytest.raises(InputValidationError, match="'s1' has a zero projected"):
+            cluster_similarity_report(train_docs, test_docs, model, BACKEND8)
+
+    def test_embedding_width_must_match_d_in(
+        self, fixture_train_docs, fixture_test_docs
+    ):
+        with pytest.raises(InputValidationError, match="d_in=8"):
+            cluster_similarity_report(
+                fixture_train_docs, fixture_test_docs, _identity(8), FIXTURE_BACKEND
+            )
 
 
 class TestReportRendering:

@@ -417,6 +417,12 @@ class TestTrain:
         with pytest.raises(InputValidationError, match="duplicate"):
             train(docs, POLES_MATRIX, [np.ones(8)] * 2, TrainConfig())
 
+    @pytest.mark.parametrize("d_out", [0, -1])
+    def test_d_out_below_one_rejected(self, d_out):
+        docs = _docs([("a", "left"), ("b", "right")])
+        with pytest.raises(InputValidationError, match="d_out must be >= 1"):
+            train(docs, POLES_MATRIX, [np.ones(8)] * 2, TrainConfig(), d_out=d_out)
+
     def test_d_in_taken_from_embeddings(self):
         docs = _docs([("a", "left"), ("b", "right"), ("c", "center")])
         rows = list(np.eye(5)[:3])

@@ -53,10 +53,13 @@ class TestJacobiEigh:
         with pytest.raises(InputValidationError):
             jacobi_eigh(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
-    def test_sweep_budget_exhaustion_raises(self):
+    def test_sweep_budget_exhaustion_raises(self, monkeypatch):
+        import pdial.pca as pca_mod
+
+        monkeypatch.setattr(pca_mod, "JACOBI_MAX_SWEEPS", 0)
         C = np.array([[2.0, 1.0], [1.0, 2.0]])
         with pytest.raises(NumericError, match="did not converge"):
-            jacobi_eigh(C, max_sweeps=0)
+            jacobi_eigh(C)
 
 
 class TestFitPca:
@@ -170,6 +173,14 @@ class TestPcaModelValidation:
                 mean=np.zeros(2),
                 components=np.eye(2),
                 explained_variance=np.array([0.5, 1.0]),
+            )
+
+    def test_three_components_rejected(self):
+        with pytest.raises(InputValidationError, match="3 components, expected 2"):
+            PcaModel(
+                mean=np.zeros(3),
+                components=np.eye(3),
+                explained_variance=np.array([3.0, 2.0, 1.0]),
             )
 
     def test_perspective_point_must_be_finite(self):

@@ -328,6 +328,26 @@ def _unencodable_writers():
     }
 
 
+@pytest.mark.parametrize(
+    "loader",
+    [
+        persistence.load_dataset,
+        persistence.load_matrix,
+        persistence.load_prompt_spec,
+        persistence.load_mock_table,
+        persistence.load_model,
+        persistence.load_pca,
+        persistence.load_trace,
+    ],
+    ids=lambda f: f.__name__,
+)
+def test_non_utf8_input_is_format_error(tmp_path, loader):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"text": "café"}\n'.encode("latin-1"))
+    with pytest.raises(FormatError, match="latin1.json.*can't decode byte 0xe9"):
+        loader(path)
+
+
 class TestAtomicWrites:
     @pytest.mark.parametrize(
         "writer",
