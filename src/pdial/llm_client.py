@@ -33,7 +33,7 @@ class LlmBackendConfig:
     def __post_init__(self) -> None:
         if self.kind not in ("http", "mock"):
             raise ConfigurationError(f"unknown llm backend kind {self.kind!r}")
-        if self.temperature < 0:
+        if not self.temperature >= 0:
             raise ConfigurationError(
                 f"temperature must be >= 0, got {self.temperature}"
             )

@@ -90,12 +90,41 @@ class TrainingPair:
 
 
 @dataclass(frozen=True)
+class SpanFactors:
+    """``W = base + coef^T basis``, the form ``train`` builds ``W`` in.
+
+    ``basis`` holds the N base embeddings of the training documents
+    (N x d_in) and ``coef`` one row of coefficients per document
+    (N x d_out). ``base`` is the initial matrix (d_out x d_in), or None
+    for the identity, which needs d_in == d_out.
+    """
+
+    base: np.ndarray | None
+    coef: np.ndarray
+    basis: np.ndarray
+
+    def weights(self) -> np.ndarray:
+        """``W`` by ``train``'s own expression, so a rebuilt matrix is
+        bit-identical to the trained one; with no rows, ``base`` as it is
+        (adding a zero product would turn -0.0 into 0.0)."""
+        base = np.eye(self.basis.shape[1]) if self.base is None else self.base
+        if len(self.coef) == 0:
+            return base
+        return base + self.coef.T @ self.basis
+
+
+@dataclass(frozen=True)
 class ProjectionModel:
-    """The shared-weight Siamese head: one d_out x d_in matrix."""
+    """The shared-weight Siamese head: one d_out x d_in matrix.
+
+    ``factors``, when set, are the span factors ``W`` was built from;
+    ``persistence.save_model`` stores those instead of ``W``.
+    """
 
     d_in: int
     d_out: int
     W: np.ndarray
+    factors: SpanFactors | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         W = np.asarray(self.W, dtype=np.float64)
@@ -131,9 +160,9 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.loss_kind not in ("cosine", "contrastive"):
             raise ConfigurationError(f"unknown loss kind {self.loss_kind!r}")
-        if self.margin_m <= 0:
+        if not self.margin_m > 0:
             raise ConfigurationError(f"margin must be > 0, got {self.margin_m}")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise ConfigurationError(
                 f"learning rate must be > 0, got {self.learning_rate}"
             )
@@ -347,7 +376,8 @@ def train(
     N x d_out coefficient matrix ``G`` whose row n belongs to document n.
     With ``K = E E^T`` and ``P0 = E W0^T`` precomputed, a step computes
     ``u = P0[i] + K[i] @ G`` and updates rows i and j of ``G`` in
-    O(d_out * N); ``W`` is built once at the end.
+    O(d_out * N); ``W`` is built once at the end, and the model keeps
+    ``W0`` (None for the identity), ``G`` and ``E`` as its ``factors``.
     """
     clusters_present = {doc.cluster for doc in dataset}
     if len(clusters_present) < 2:
@@ -412,11 +442,12 @@ def train(
         log.epoch_mean_loss.append(total / evaluated if evaluated else 0.0)
         log.epoch_skipped_pairs.append(skipped)
 
-    W = W0 + G.T @ E
+    factors = SpanFactors(base=None if d_in == d_out else W0, coef=G, basis=E)
+    W = factors.weights()
     if not np.all(np.isfinite(W)):
         # The last step's update is not seen by any later loss check.
         raise NumericError(
             f"training produced non-finite weights "
             f"(learning rate {cfg.learning_rate})"
         )
-    return ProjectionModel(d_in=d_in, d_out=W.shape[0], W=W), log
+    return ProjectionModel(d_in=d_in, d_out=d_out, W=W, factors=factors), log

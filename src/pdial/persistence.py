@@ -1,13 +1,17 @@
 """Versioned JSON/JSONL serialization for every artifact the pipeline
 reads or writes.
 
-Formats carry a ``format`` tag and are rejected on mismatch. Floats go
-through Python's shortest-round-trip repr, so save/load pairs are
-bit-exact; see FORMATS.md for the full schemas.
+Formats carry a ``format`` tag and are rejected on mismatch. The
+projection model stores its span factors as base64 of little-endian
+float64; every other float goes through Python's shortest-round-trip
+repr. Either way save/load pairs are bit-exact; see FORMATS.md for the
+full schemas.
 """
 
 from __future__ import annotations
 
+import base64
+import binascii
 from dataclasses import asdict
 import json
 import logging
@@ -16,12 +20,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, require_utf8
+from .errors import (
+    ConfigurationError,
+    FormatError,
+    InputValidationError,
+    require_utf8,
+)
 from .evaluation import SimilarityReport, render_report_text
 from .metric import (
     ClusterSimilarityMatrix,
     LabeledDocument,
     ProjectionModel,
+    SpanFactors,
     TrainConfig,
     TrainingLog,
 )
@@ -30,7 +40,7 @@ from .pca import PcaModel, PerspectivePoint
 
 logger = logging.getLogger(__name__)
 
-MODEL_FORMAT = "pdial-proj-v1"
+MODEL_FORMAT = "pdial-proj-v2"
 PCA_FORMAT = "pdial-pca-v1"
 TRAIN_LOG_FORMAT = "pdial-train-log-v1"
 REPORT_FORMAT = "pdial-report-v1"
@@ -91,30 +101,87 @@ def _write_json(path: str | Path, data: dict) -> None:
     write_text_atomic(path, json.dumps(data, indent=2, ensure_ascii=False) + "\n")
 
 
+def _encode_array(a: np.ndarray) -> str:
+    raw = np.ascontiguousarray(a, dtype="<f8").tobytes()
+    return base64.b64encode(raw).decode("ascii")
+
+
+def _decode_array(
+    data: dict, name: str, rows: int, cols: int, path: str | Path
+) -> np.ndarray:
+    """Field ``name`` of a model file as a finite rows x cols array."""
+    try:
+        raw = base64.b64decode(data[name], validate=True)
+    except KeyError as exc:
+        raise FormatError(f"{path}: malformed model file: no {name!r}") from exc
+    except (binascii.Error, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: {name} is not valid base64: {exc}") from exc
+    if len(raw) != rows * cols * 8:
+        raise FormatError(
+            f"{path}: {name} holds {len(raw)} bytes, expected {rows} x {cols} "
+            f"float64 ({rows * cols * 8} bytes)"
+        )
+    a = np.frombuffer(raw, dtype="<f8").reshape(rows, cols)
+    if not np.isfinite(a).all():
+        raise FormatError(f"{path}: {name} contains non-finite values")
+    return a
+
+
 def save_model(path: str | Path, model: ProjectionModel, cfg: TrainConfig) -> None:
+    """Store ``model`` as its span factors; a model without factors is
+    stored as ``base = W`` with no rows."""
+    f = model.factors or SpanFactors(
+        base=model.W,
+        coef=np.empty((0, model.d_out)),
+        basis=np.empty((0, model.d_in)),
+    )
     _write_json(
         path,
         {
             "format": MODEL_FORMAT,
             "d_in": model.d_in,
             "d_out": model.d_out,
-            "w_row_major": model.W.flatten().tolist(),
+            "n": len(f.coef),
+            "base": None if f.base is None else _encode_array(f.base),
+            "coef": _encode_array(f.coef),
+            "basis": _encode_array(f.basis),
             "train_config": asdict(cfg),
         },
     )
 
 
 def load_model(path: str | Path) -> tuple[ProjectionModel, TrainConfig]:
+    """Read a model file and rebuild ``W`` once from its span factors."""
     data = _read_json(path)
     _check_format(data, MODEL_FORMAT, path)
     try:
         d_in = int(data["d_in"])
         d_out = int(data["d_out"])
-        w = np.asarray(data["w_row_major"], dtype=np.float64).reshape(d_out, d_in)
+        n = int(data["n"])
+        base = data["base"]
         cfg = TrainConfig(**data["train_config"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (ConfigurationError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed model file: {exc}") from exc
-    return ProjectionModel(d_in=d_in, d_out=d_out, W=w), cfg
+    if d_in < 1 or d_out < 1 or n < 0:
+        raise FormatError(
+            f"{path}: bad model shape d_in={d_in}, d_out={d_out}, n={n}"
+        )
+    if base is None and d_in != d_out:
+        raise FormatError(
+            f"{path}: base is null (the identity) but d_in={d_in} != d_out={d_out}"
+        )
+    factors = SpanFactors(
+        base=None if base is None else _decode_array(data, "base", d_out, d_in, path),
+        coef=_decode_array(data, "coef", n, d_out, path),
+        basis=_decode_array(data, "basis", n, d_in, path),
+    )
+    try:
+        model = ProjectionModel(
+            d_in=d_in, d_out=d_out, W=factors.weights(), factors=factors
+        )
+    except InputValidationError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+    return model, cfg
 
 
 def save_pca(path: str | Path, model: PcaModel) -> None:

@@ -53,7 +53,7 @@ class TestTrainCommand:
         assert (tmp_path / "model.log.json").exists()
         assert (tmp_path / "pca.json").exists()
         model = json.loads((tmp_path / "model.json").read_text())
-        assert model["format"] == "pdial-proj-v1"
+        assert model["format"] == "pdial-proj-v2"
         assert model["d_in"] == model["d_out"] == 64
         log = json.loads((tmp_path / "model.log.json").read_text())
         assert len(log["epoch_mean_loss"]) == 50
@@ -110,6 +110,15 @@ class TestTrainCommand:
         paths["train"] = str(data)
         assert main(_train_argv(paths)) == 2
         assert "error: cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--lr", "--margin"])
+    def test_nan_rate_or_margin_exits_2(self, tmp_path, capsys, flag):
+        paths = _base_args(tmp_path)
+        argv = _train_argv(paths)
+        argv[argv.index(flag) + 1] = "nan"
+        assert main(argv) == 2
+        assert "must be > 0, got nan" in capsys.readouterr().err
+        assert not (tmp_path / "model.json").exists()
 
     def test_divergent_lr_is_numeric_error(self, tmp_path, capsys):
         paths = _base_args(tmp_path)
@@ -257,6 +266,15 @@ class TestOptimizeCommand:
         )
         assert main(argv) == 2
         assert "timeout" in capsys.readouterr().err
+
+    def test_nan_temperature_exits_2(self, trained, tmp_path, capsys):
+        argv = self._argv(
+            trained, tmp_path,
+            extra=["--target-x", "0", "--target-y", "0", "--temperature", "nan"],
+        )
+        assert main(argv) == 2
+        assert "temperature must be >= 0, got nan" in capsys.readouterr().err
+        assert not (tmp_path / "trace.jsonl").exists()
 
     def test_budget_guard_exits_2_before_network(self, trained, tmp_path, capsys):
         big = tmp_path / "big.json"

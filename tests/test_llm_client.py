@@ -178,6 +178,10 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             LlmBackendConfig(temperature=-0.1)
 
+    def test_nan_temperature(self):
+        with pytest.raises(ConfigurationError, match="temperature"):
+            LlmBackendConfig(temperature=float("nan"))
+
     def test_zero_samples(self):
         with pytest.raises(ConfigurationError):
             LlmBackendConfig(samples_n=0)

@@ -76,6 +76,16 @@ class TestGeneratePairs:
             generate_pairs(_docs([("a", "left")]), POLES_MATRIX, 0)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize(
+        "name,message", [("margin_m", "margin"), ("learning_rate", "learning rate")]
+    )
+    def test_not_positive_rejected(self, name, message, value):
+        with pytest.raises(ConfigurationError, match=f"{message} must be > 0"):
+            TrainConfig(**{name: value})
+
+
 class TestProject:
     def test_identity(self):
         model = ProjectionModel(d_in=3, d_out=3, W=np.eye(3))

@@ -1,3 +1,5 @@
+import base64
+from dataclasses import asdict
 import json
 import os
 import stat
@@ -5,11 +7,15 @@ import stat
 import numpy as np
 import pytest
 
+from pdial.cli import main
+from pdial.embedding import hashed_embed
 from pdial.errors import FormatError
-from pdial.metric import ProjectionModel, TrainConfig
+from pdial.metric import ProjectionModel, TrainConfig, train
 from pdial.optimizer import Evaluation, PromptAssignment, SearchTrace
 from pdial.pca import PerspectivePoint
 from pdial import persistence
+
+from conftest import FIXTURES
 
 
 class TestModelRoundTrip:
@@ -37,11 +43,11 @@ class TestModelRoundTrip:
         with pytest.raises(FormatError) as err:
             persistence.load_model(path)
         assert "pdial-proj-v0" in str(err.value)
-        assert "pdial-proj-v1" in str(err.value)
+        assert "pdial-proj-v2" in str(err.value)
 
     def test_malformed_json_reports_position(self, tmp_path):
         path = tmp_path / "broken.json"
-        path.write_text('{"format": "pdial-proj-v1", \n  "d_in": }')
+        path.write_text('{"format": "pdial-proj-v2", \n  "d_in": }')
         with pytest.raises(FormatError, match=r"line 2 column"):
             persistence.load_model(path)
 
@@ -54,6 +60,194 @@ class TestModelRoundTrip:
         persistence.save_model(p1, model, cfg)
         persistence.save_model(p2, model, cfg)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def _v1_save(path, model, cfg):
+    """The pdial-proj-v1 writer the factored format replaced: every entry
+    of W as a JSON float."""
+    data = {
+        "format": "pdial-proj-v1",
+        "d_in": model.d_in,
+        "d_out": model.d_out,
+        "w_row_major": model.W.flatten().tolist(),
+        "train_config": asdict(cfg),
+    }
+    path.write_text(json.dumps(data, indent=2) + "\n")
+
+
+def _v1_load(path):
+    data = json.loads(path.read_text())
+    w = np.asarray(data["w_row_major"], dtype=np.float64)
+    return w.reshape(data["d_out"], data["d_in"])
+
+
+FIXTURE_RECIPE = TrainConfig(
+    loss_kind="contrastive", margin_m=1.0, learning_rate=0.05, epochs=5, seed=7
+)
+
+
+def _train_fixture(dim, d_out=None):
+    docs = persistence.load_dataset(FIXTURES / "train.jsonl")
+    matrix = persistence.load_matrix(FIXTURES / "matrix.json")
+    embeddings = [hashed_embed(d.text, dim) for d in docs]
+    model, _ = train(docs, matrix, embeddings, FIXTURE_RECIPE, d_out=d_out)
+    return model
+
+
+class TestFactoredModel:
+    @pytest.fixture(
+        scope="class",
+        params=[(64, None), (768, None), (64, 8)],
+        ids=["d64", "d768", "d64-dout8"],
+    )
+    def model(self, request):
+        return _train_fixture(*request.param)
+
+    def test_load_rebuilds_trained_W_bit_for_bit(self, tmp_path, model):
+        path = tmp_path / "model.json"
+        persistence.save_model(path, model, FIXTURE_RECIPE)
+        loaded, cfg = persistence.load_model(path)
+        assert loaded.W.tobytes() == model.W.tobytes()
+        assert cfg == FIXTURE_RECIPE
+
+    def test_save_load_save_is_byte_identical(self, tmp_path, model):
+        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+        persistence.save_model(p1, model, FIXTURE_RECIPE)
+        persistence.save_model(p2, persistence.load_model(p1)[0], FIXTURE_RECIPE)
+        assert p1.read_bytes() == p2.read_bytes()
+
+    def test_v1_oracle_reads_the_same_W(self, tmp_path, model):
+        v1, v2 = tmp_path / "v1.json", tmp_path / "v2.json"
+        _v1_save(v1, model, FIXTURE_RECIPE)
+        persistence.save_model(v2, model, FIXTURE_RECIPE)
+        assert _v1_load(v1).tobytes() == persistence.load_model(v2)[0].W.tobytes()
+
+    def test_stores_the_span_factors(self, tmp_path, model):
+        path = tmp_path / "model.json"
+        persistence.save_model(path, model, FIXTURE_RECIPE)
+        data = json.loads(path.read_text())
+        assert data["n"] == 15
+        if model.d_out == model.d_in:
+            assert data["base"] is None
+        else:
+            base = np.frombuffer(base64.b64decode(data["base"]), dtype="<f8")
+            initial = ProjectionModel.initial(model.d_in, model.d_out, 7).W
+            assert base.tobytes() == initial.tobytes()
+
+    def test_fixture_model_at_768_is_under_half_a_megabyte(self, tmp_path):
+        path = tmp_path / "model.json"
+        persistence.save_model(path, _train_fixture(768), FIXTURE_RECIPE)
+        assert path.stat().st_size < 500_000
+
+    def test_bare_W_with_negative_zeros_round_trips(self, tmp_path):
+        W = np.random.default_rng(3).normal(size=(5, 7))
+        W[0, 0] = W[4, 6] = -0.0
+        path = tmp_path / "model.json"
+        persistence.save_model(path, ProjectionModel(d_in=7, d_out=5, W=W), TrainConfig())
+        assert json.loads(path.read_text())["n"] == 0
+        loaded, _ = persistence.load_model(path)
+        assert loaded.W.tobytes() == W.tobytes()
+        assert np.signbit(loaded.W[0, 0]) and np.signbit(loaded.W[4, 6])
+
+
+def _encode(a):
+    return base64.b64encode(np.asarray(a, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _decode(text):
+    return np.frombuffer(base64.b64decode(text), dtype="<f8").copy()
+
+
+def _with_non_finite(name, value):
+    def mutate(data):
+        a = _decode(data[name])
+        a[3] = value
+        data[name] = _encode(a)
+
+    return mutate
+
+
+def _drop_a_row(name, width):
+    def mutate(data):
+        data[name] = _encode(_decode(data[name])[width:])
+
+    return mutate
+
+
+# Each mutation of a valid d_in=64, d_out=8 model file, and a pattern its
+# FormatError must match.
+BAD_MODEL_FILES = {
+    "v1-file": (None, r"'pdial-proj-v1'.*'pdial-proj-v2'"),
+    "bad-base64": (
+        lambda d: d.update(coef=d["coef"][:-4] + "#==="), "coef is not valid base64"
+    ),
+    "unpadded-base64": (
+        lambda d: d.update(basis=d["basis"][:-1]), "basis is not valid base64"
+    ),
+    "short-by-one-float": (
+        lambda d: d.update(basis=_encode(_decode(d["basis"])[:-1])),
+        r"basis holds 7672 bytes, expected 15 x 64",
+    ),
+    "coef-one-row-short": (_drop_a_row("coef", 8), r"coef holds 896 bytes"),
+    "n-off-by-one": (lambda d: d.update(n=16), r"coef holds 960 bytes, expected 16 x 8"),
+    "null-base-not-square": (lambda d: d.update(base=None), "base is null"),
+    "nan-in-base": (_with_non_finite("base", np.nan), "base contains non-finite"),
+    "inf-in-coef": (_with_non_finite("coef", np.inf), "coef contains non-finite"),
+    "nan-in-basis": (_with_non_finite("basis", np.nan), "basis contains non-finite"),
+    "no-coef": (lambda d: d.pop("coef"), "no 'coef'"),
+    "bad-train-config": (
+        lambda d: d["train_config"].update(margin_m=-1.0), "margin must be > 0"
+    ),
+    "overflowing-product": (
+        lambda d: d.update(coef=_encode(np.full(15 * 8, 1e308)),
+                           basis=_encode(np.full(15 * 64, 1e308))),
+        "W contains non-finite entries",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def small_model():
+    return _train_fixture(64, d_out=8)
+
+
+@pytest.fixture(params=sorted(BAD_MODEL_FILES))
+def bad_model_file(request, tmp_path, small_model):
+    mutate, pattern = BAD_MODEL_FILES[request.param]
+    path = tmp_path / "model.json"
+    if mutate is None:
+        _v1_save(path, small_model, FIXTURE_RECIPE)
+    else:
+        persistence.save_model(path, small_model, FIXTURE_RECIPE)
+        data = json.loads(path.read_text())
+        mutate(data)
+        path.write_text(json.dumps(data))
+    return path, pattern
+
+
+class TestBadModelFiles:
+    def test_format_error_names_the_file(self, bad_model_file):
+        path, pattern = bad_model_file
+        with pytest.raises(FormatError, match=pattern) as err:
+            persistence.load_model(path)
+        assert str(path) in str(err.value)
+
+    def test_eval_exits_2_without_traceback(self, bad_model_file, tmp_path, capsys):
+        path, _ = bad_model_file
+        code = main([
+            "eval",
+            "--model", str(path),
+            "--train", str(FIXTURES / "train.jsonl"),
+            "--test", str(FIXTURES / "test.jsonl"),
+            "--out-json", str(tmp_path / "r.json"),
+            "--out-text", str(tmp_path / "r.txt"),
+            "--dim", "64",
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {path}")
+        assert "Traceback" not in err
+        assert not (tmp_path / "r.json").exists()
 
 
 class TestPcaRoundTrip:
