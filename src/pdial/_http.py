@@ -6,17 +6,23 @@ failures with exponential backoff, and share one fan-out limit so the
 total number of in-flight requests stays bounded no matter which client
 issues them. Both issue their concurrent requests through
 :func:`fan_out_map`.
+
+Requests go through the standard library (``urllib.request``), one
+connection per request. It is imported by the first :func:`post_json`
+call, so a command that never reaches a remote backend does not load
+it. HTTPS uses the system trust store, and proxies come from the
+``*_proxy`` environment variables.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+import json
 import os
 import threading
 import time
 from typing import Any, Callable, Sequence, TypeVar
-
-import requests
+from urllib.parse import urlsplit
 
 from .errors import BackendError, ConfigurationError, ProtocolError
 
@@ -82,6 +88,23 @@ def fan_out_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
     return [future.result() for future in futures]
 
 
+def check_endpoint_url(url: str, what: str) -> None:
+    """Raise ConfigurationError unless ``url`` is an http(s) URL with a
+    host; ``what`` names the backend in the message."""
+    if not url:
+        raise ConfigurationError(f"http {what} backend needs endpoint_url")
+    try:
+        parts = urlsplit(url)
+        parts.port  # parsed lazily; raises ValueError when not a number
+    except ValueError as exc:
+        raise ConfigurationError(f"{what} endpoint URL {url!r}: {exc}") from exc
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise ConfigurationError(
+            f"{what} endpoint URL {url!r} needs an http:// or https:// "
+            f"scheme and a host"
+        )
+
+
 def auth_headers() -> dict[str, str]:
     headers = {"Content-Type": "application/json"}
     key = os.environ.get(API_KEY_ENV)
@@ -104,30 +127,43 @@ def post_json(
     with the status detail. Any other non-200 status is raised at once.
     ``sleep`` is injectable so tests can skip the wait.
     """
+    import http.client
+    import urllib.error
+    import urllib.request
+
+    data = json.dumps(body, allow_nan=False).encode()
     with _fan_out_lock:
         sem = _fan_out_sem
     last_detail = ""
     for attempt in range(MAX_ATTEMPTS):
         if attempt > 0:
             sleep(BACKOFF_START_S * 2 ** (attempt - 1))
+        request = urllib.request.Request(
+            url, data=data, headers=auth_headers(), method="POST"
+        )
         try:
             with sem:
-                resp = requests.post(
-                    url, json=body, headers=auth_headers(), timeout=timeout
-                )
-        except requests.RequestException as exc:
+                try:
+                    with urllib.request.urlopen(request, timeout=timeout) as resp:
+                        status, raw = resp.status, resp.read()
+                except urllib.error.HTTPError as exc:
+                    # urlopen raises every status outside 2xx; the error
+                    # is the response
+                    with exc:
+                        status, raw = exc.code, exc.read()
+        except (OSError, http.client.HTTPException) as exc:
             last_detail = f"transport error: {exc}"
             continue
-        if resp.status_code == 200:
+        if status == 200:
             try:
-                return resp.json()
+                return json.loads(raw)
             except ValueError as exc:
                 # A 200 with an unparseable body is not a transport glitch.
                 raise ProtocolError(
                     f"POST {url}: response is not valid JSON: {exc}"
                 ) from exc
-        last_detail = f"HTTP {resp.status_code}: {resp.text[:200]}"
-        if resp.status_code < 500 and resp.status_code not in RETRIED_4XX:
+        last_detail = f"HTTP {status}: {raw.decode('utf-8', 'replace')[:200]}"
+        if status < 500 and status not in RETRIED_4XX:
             raise BackendError(f"POST {url} failed, not retried ({last_detail})")
     raise BackendError(
         f"POST {url} failed after {MAX_ATTEMPTS} attempts ({last_detail})"

@@ -56,8 +56,8 @@ class EmbeddingBackendConfig:
             )
         if not self.timeout > 0:
             raise ConfigurationError(f"timeout must be > 0, got {self.timeout}")
-        if self.kind == "http" and not self.endpoint_url:
-            raise ConfigurationError("http embedding backend needs endpoint_url")
+        if self.kind == "http":
+            _http.check_endpoint_url(self.endpoint_url, "embedding")
 
 
 def fnv1a64(data: bytes) -> int:

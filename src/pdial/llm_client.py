@@ -8,6 +8,7 @@ can run offline and byte-reproducibly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
 import time
 from typing import Callable, Mapping, overload
 
@@ -37,14 +38,17 @@ class LlmBackendConfig:
             raise ConfigurationError(
                 f"temperature must be >= 0, got {self.temperature}"
             )
+        if self.temperature == math.inf:
+            # a request body carries no infinity: JSON has no such number
+            raise ConfigurationError("temperature must be finite, got inf")
         if self.samples_n < 1:
             raise ConfigurationError(
                 f"samples_n must be >= 1, got {self.samples_n}"
             )
         if not self.timeout > 0:
             raise ConfigurationError(f"timeout must be > 0, got {self.timeout}")
-        if self.kind == "http" and not self.endpoint_url:
-            raise ConfigurationError("http llm backend needs endpoint_url")
+        if self.kind == "http":
+            _http.check_endpoint_url(self.endpoint_url, "llm")
 
 
 def _mock_complete(prompt: str, table: Mapping[str, str]) -> str:

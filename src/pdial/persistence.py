@@ -207,7 +207,7 @@ def load_pca(path: str | Path) -> PcaModel:
                 data["explained_variance"], dtype=np.float64
             ),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (InputValidationError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed PCA file: {exc}") from exc
 
 

@@ -1,4 +1,6 @@
 import json
+import socket
+import socketserver
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -92,11 +94,56 @@ def stub_server():
     server.lock = threading.Lock()
     server.handler_fn = lambda record: (404, {"error": "no handler installed"})
     server.url = f"http://127.0.0.1:{server.server_address[1]}"
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
     thread.start()
     yield server
     server.shutdown()
     thread.join(timeout=5)
+
+
+class _RawHandler(socketserver.StreamRequestHandler):
+    def handle(self):
+        length = 0
+        while (line := self.rfile.readline()) not in (b"\r\n", b""):
+            name, _, value = line.decode("latin-1").partition(":")
+            if name.strip().lower() == "content-length":
+                length = int(value)
+        self.rfile.read(length)
+        with self.server.lock:
+            self.server.connections += 1
+        self.wfile.write(self.server.reply)
+
+
+@pytest.fixture
+def raw_server():
+    """Local TCP server that reads each request whole, answers with the
+    bytes in ``server.reply`` and closes the connection; it need not
+    speak HTTP. ``server.connections`` counts the requests read."""
+    server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), _RawHandler)
+    server.daemon_threads = True
+    server.connections = 0
+    server.lock = threading.Lock()
+    server.reply = b""
+    server.url = f"http://127.0.0.1:{server.server_address[1]}"
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+
+
+@pytest.fixture
+def closed_port_url():
+    """URL of a localhost port that nothing listens on."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    return f"http://127.0.0.1:{port}"
 
 
 def no_sleep(_seconds: float) -> None:

@@ -1,10 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+from pdial import _http
 from pdial.cli import main
 
 from conftest import FIXTURES
@@ -485,16 +489,18 @@ class TestRequestCounts:
     def test_llm_timeout_reaches_chat_requests(
         self, backend, trained, tmp_path, monkeypatch
     ):
-        import requests
+        import urllib.request
 
-        real_post = requests.post
+        real_urlopen = urllib.request.urlopen
         timeouts = {}
 
-        def recording(url, **kwargs):
-            timeouts.setdefault(url.rsplit("/", 1)[-1], set()).add(kwargs["timeout"])
-            return real_post(url, **kwargs)
+        def recording(request, **kwargs):
+            timeouts.setdefault(
+                request.full_url.rsplit("/", 1)[-1], set()
+            ).add(kwargs["timeout"])
+            return real_urlopen(request, **kwargs)
 
-        monkeypatch.setattr(requests, "post", recording)
+        monkeypatch.setattr(urllib.request, "urlopen", recording)
         argv = self._optimize_argv(
             backend, trained, tmp_path, "--prompts", trained["prompts"],
             "--llm-timeout", "7.5",
@@ -505,7 +511,7 @@ class TestRequestCounts:
     def test_brute_fails_fast_on_a_rejected_prompt(
         self, backend, trained, tmp_path, monkeypatch, capsys
     ):
-        import requests
+        import urllib.request
 
         spec = tmp_path / "wide.json"
         spec.write_text(json.dumps({
@@ -522,15 +528,15 @@ class TestRequestCounts:
             return answer(record)
 
         backend.handler_fn = handler
-        real_post = requests.post
+        real_urlopen = urllib.request.urlopen
 
-        def slow_ok(url, **kwargs):
-            messages = kwargs["json"].get("messages")
+        def slow_ok(request, **kwargs):
+            messages = json.loads(request.data).get("messages")
             if messages and messages[0]["content"] != rejected:
                 time.sleep(0.03)  # the rejection arrives before any later reply
-            return real_post(url, **kwargs)
+            return real_urlopen(request, **kwargs)
 
-        monkeypatch.setattr(requests, "post", slow_ok)
+        monkeypatch.setattr(urllib.request, "urlopen", slow_ok)
         fan_out = 2
         argv = self._optimize_argv(
             backend, trained, tmp_path, "--prompts", str(spec),
@@ -558,3 +564,166 @@ class TestRequestCounts:
         ]) == 3
         assert "HTTP 401" in capsys.readouterr().err
         assert len(stub_server.requests) == 1
+
+
+def _eval_argv(trained, tmp_path, *extra):
+    return [
+        "eval",
+        "--model", trained["model"],
+        "--train", trained["train"],
+        "--test", trained["test"],
+        "--out-json", str(tmp_path / "r.json"),
+        "--out-text", str(tmp_path / "r.txt"),
+        "--dim", "64",
+        *extra,
+    ]
+
+
+class TestBackendFailures:
+    @pytest.mark.parametrize("url", [
+        "localhost:1234/v1/embeddings", "ftp://127.0.0.1/v1/embeddings",
+    ])
+    def test_embedding_url_without_http_scheme_exits_2(
+        self, trained, tmp_path, capsys, url
+    ):
+        argv = _eval_argv(
+            trained, tmp_path, "--embedding", "http", "--embedding-url", url
+        )
+        assert main(argv) == 2
+        assert f"embedding endpoint URL {url!r}" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_llm_url_without_http_scheme_exits_2(self, trained, tmp_path, capsys):
+        url = "localhost:1234/v1/chat/completions"
+        assert main([
+            "optimize",
+            "--model", trained["model"],
+            "--pca", trained["pca"],
+            "--prompts", trained["prompts"],
+            "--llm", "http",
+            "--llm-url", url,
+            "--target-x", "0", "--target-y", "0",
+            "--out-trace", str(tmp_path / "trace.jsonl"),
+            "--dim", "64",
+        ]) == 2
+        assert f"llm endpoint URL {url!r}" in capsys.readouterr().err
+        assert not (tmp_path / "trace.jsonl").exists()
+
+    def test_rejected_pca_file_is_named(self, trained, tmp_path, capsys):
+        pca = json.loads(Path(trained["pca"]).read_text())
+        d = len(pca["mean"])
+        pca["components"] = [
+            [float(i == j) for j in range(d)] for i in range(3)
+        ]
+        pca["explained_variance"] = [3.0, 2.0, 1.0]
+        bad = tmp_path / "three_axes.json"
+        bad.write_text(json.dumps(pca))
+        assert main([
+            "optimize",
+            "--model", trained["model"],
+            "--pca", str(bad),
+            "--prompts", trained["prompts"],
+            "--mock-table", trained["mock_table"],
+            "--target-x", "0", "--target-y", "0",
+            "--out-trace", str(tmp_path / "trace.jsonl"),
+            "--dim", "64",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err
+        assert "3 components, expected 2" in err
+
+    @pytest.mark.parametrize("server", ["closed-port", "bad-status-line"])
+    def test_failure_below_http_exits_3(
+        self, trained, tmp_path, capsys, monkeypatch, closed_port_url,
+        raw_server, server,
+    ):
+        monkeypatch.setattr(_http, "BACKOFF_START_S", 0.0)
+        raw_server.reply = b"SPAM 200 OK\r\n\r\n"
+        url = closed_port_url if server == "closed-port" else raw_server.url
+        argv = _eval_argv(
+            trained, tmp_path,
+            "--embedding", "http", "--embedding-url", f"{url}/v1/embeddings",
+        )
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "after 3 attempts (transport error: " in err
+        assert "Traceback" not in err
+        if server == "bad-status-line":
+            assert raw_server.connections == _http.MAX_ATTEMPTS
+        assert not (tmp_path / "r.json").exists()
+
+
+# Runs each argv list given as JSON in sys.argv[1] through pdial.cli.main,
+# then prints which transport modules the process has loaded.
+_RUN_COMMANDS = """
+import json
+import sys
+
+from pdial.cli import main
+
+for argv in json.loads(sys.argv[1]):
+    if main(argv) != 0:
+        sys.exit(f"failed: {argv}")
+loaded = ["requests", "urllib.request", "http.client"]
+print(json.dumps([name for name in loaded if sys.modules.get(name)]))
+"""
+
+
+def _run_fresh(commands, prelude=""):
+    """Run ``commands`` in a fresh interpreter; return the transport modules
+    it loaded."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("PD_API_KEY", None)
+    done = subprocess.run(
+        [sys.executable, "-c", prelude + _RUN_COMMANDS, json.dumps(commands)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+class TestColdStart:
+    def test_offline_commands_load_no_transport(self, tmp_path):
+        paths = _base_args(tmp_path)
+        commands = [
+            _train_argv(paths),
+            _eval_argv(paths, tmp_path),
+            [
+                "optimize",
+                "--model", paths["model"],
+                "--pca", paths["pca"],
+                "--prompts", paths["prompts"],
+                "--llm", "mock",
+                "--mock-table", paths["mock_table"],
+                "--target-cluster", "pro-barca",
+                "--data", paths["train"],
+                "--out-trace", str(tmp_path / "trace.jsonl"),
+                "--dim", "64",
+            ],
+        ]
+        assert _run_fresh(commands) == []
+        assert (tmp_path / "r.json").exists()
+        assert (tmp_path / "trace.jsonl").exists()
+
+    def test_http_backend_runs_without_requests(
+        self, trained, tmp_path, stub_server
+    ):
+        from pdial.embedding import hashed_embed
+
+        stub_server.handler_fn = lambda record: (200, {"data": [
+            {"index": i, "embedding": hashed_embed(text, 64).tolist()}
+            for i, text in enumerate(record["body"]["input"])
+        ]})
+        command = _eval_argv(
+            trained, tmp_path,
+            "--embedding", "http",
+            "--embedding-url", f"{stub_server.url}/v1/embeddings",
+        )
+        # a None entry in sys.modules makes importing requests fail
+        prelude = "import sys\nsys.modules['requests'] = None\n"
+        loaded = _run_fresh([command], prelude)
+        assert loaded == ["urllib.request", "http.client"]
+        assert len(stub_server.requests) == 1
+        assert (tmp_path / "r.json").exists()

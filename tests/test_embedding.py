@@ -1,3 +1,4 @@
+import json
 import time
 
 import numpy as np
@@ -277,7 +278,7 @@ class TestEmbedBatchHttp:
         assert len(stub_server.requests) == 3
 
     def test_failed_chunk_stops_new_chunks(self, stub_server, monkeypatch):
-        import requests
+        import urllib.request
 
         from pdial import _http
 
@@ -291,14 +292,14 @@ class TestEmbedBatchHttp:
             (401, {"error": "denied"})
             if record["body"]["input"] == [rejected] else ok(record)
         )
-        real_post = requests.post
+        real_urlopen = urllib.request.urlopen
 
-        def slow_ok(url, **kwargs):
-            if kwargs["json"]["input"] != [rejected]:
+        def slow_ok(request, **kwargs):
+            if json.loads(request.data)["input"] != [rejected]:
                 time.sleep(0.03)  # the rejection arrives before any later reply
-            return real_post(url, **kwargs)
+            return real_urlopen(request, **kwargs)
 
-        monkeypatch.setattr(requests, "post", slow_ok)
+        monkeypatch.setattr(urllib.request, "urlopen", slow_ok)
         with pytest.raises(BackendError, match="HTTP 401"):
             embed_batch(texts, cfg, sleep=no_sleep)
         assert 3 <= len(stub_server.requests) <= 3 + fan_out
@@ -320,6 +321,28 @@ class TestConfigValidation:
     def test_http_needs_url(self):
         with pytest.raises(ConfigurationError):
             EmbeddingBackendConfig(kind="http")
+
+    @pytest.mark.parametrize("url", [
+        "localhost:1234/v1/embeddings",  # parses as scheme "localhost"
+        "127.0.0.1:1234/v1/embeddings",
+        "ftp://host/v1/embeddings",
+        "https:///v1/embeddings",
+        "http://host:port/v1/embeddings",
+        "http://[::1/v1/embeddings",
+    ])
+    def test_http_url_needs_scheme_and_host(self, url):
+        with pytest.raises(ConfigurationError, match="embedding endpoint URL"):
+            EmbeddingBackendConfig(kind="http", endpoint_url=url)
+
+    @pytest.mark.parametrize("url", [
+        "http://127.0.0.1:8080/v1/embeddings", "https://[::1]/v1/embeddings",
+        "HTTPS://Example.com/v1/embeddings",
+    ])
+    def test_http_and_https_urls_pass(self, url):
+        EmbeddingBackendConfig(kind="http", endpoint_url=url)
+
+    def test_url_of_hashed_backend_is_not_checked(self):
+        EmbeddingBackendConfig(kind="hashed", endpoint_url="unused")
 
     @pytest.mark.parametrize("timeout", [0.0, -1.0, float("nan")])
     def test_non_positive_timeout(self, timeout):

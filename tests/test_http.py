@@ -4,6 +4,7 @@ import time
 import pytest
 
 from pdial import _http
+from pdial.errors import BackendError, ProtocolError
 
 
 class TestFanOutMap:
@@ -62,3 +63,84 @@ class TestFanOutMap:
 
         with pytest.raises(ValueError, match="item 0"):
             _http.fan_out_map(job, [0, 1, 2])
+
+
+# Replies that fail below HTTP: no status line, a non-HTTP status line,
+# and a body cut short of its Content-Length.
+BROKEN_REPLIES = {
+    "no-reply": b"",
+    "bad-status-line": b"SPAM 200 OK\r\n\r\n",
+    "truncated-body": (
+        b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+        b"Content-Length: 100\r\n\r\n{\"data\": ["
+    ),
+}
+
+
+class TestPostJson:
+    BODY = {"model": "", "input": ["hello"]}
+
+    def test_refused_connection_is_retried_then_raised(self, closed_port_url):
+        sleeps = []
+        with pytest.raises(
+            BackendError, match=r"after 3 attempts \(transport error: .*refused"
+        ):
+            _http.post_json(closed_port_url, self.BODY, 5.0, sleep=sleeps.append)
+        assert sleeps == [1.0, 2.0]  # three attempts
+
+    @pytest.mark.parametrize("reply", BROKEN_REPLIES.values(), ids=BROKEN_REPLIES)
+    def test_broken_reply_is_retried_then_raised(self, raw_server, reply):
+        raw_server.reply = reply
+        sleeps = []
+        with pytest.raises(
+            BackendError, match=r"after 3 attempts \(transport error: "
+        ):
+            _http.post_json(raw_server.url, self.BODY, 5.0, sleep=sleeps.append)
+        assert raw_server.connections == _http.MAX_ATTEMPTS
+        assert sleeps == [1.0, 2.0]
+
+    def test_timeout_is_a_transport_error(self, raw_server):
+        # a reply that never comes: the server holds each connection open
+        release = threading.Event()
+
+        class Stalling(raw_server.RequestHandlerClass):
+            def handle(self):
+                super().handle()
+                release.wait(5)
+
+        raw_server.RequestHandlerClass = Stalling
+        try:
+            with pytest.raises(
+                BackendError, match=r"after 3 attempts \(transport error: .*timed out"
+            ):
+                _http.post_json(raw_server.url, self.BODY, 0.05, sleep=lambda s: None)
+        finally:
+            release.set()
+
+    def test_body_is_json_without_nan(self, stub_server):
+        stub_server.handler_fn = lambda record: (200, {"ok": True})
+        assert _http.post_json(stub_server.url, {"x": [1.5, "é"]}, 5.0) == {"ok": True}
+        record = stub_server.requests[0]
+        assert record["body"] == {"x": [1.5, "é"]}
+        assert record["headers"]["content-type"] == "application/json"
+        with pytest.raises(ValueError):
+            _http.post_json(stub_server.url, {"x": float("nan")}, 5.0)
+        assert len(stub_server.requests) == 1
+
+    def test_success_status_other_than_200_is_not_retried(self, stub_server):
+        stub_server.handler_fn = lambda record: (201, {"created": True})
+        with pytest.raises(BackendError, match="not retried \\(HTTP 201: "):
+            _http.post_json(stub_server.url, self.BODY, 5.0)
+        assert len(stub_server.requests) == 1
+
+    def test_error_detail_is_the_start_of_the_error_body(self, stub_server):
+        stub_server.handler_fn = lambda record: (404, b"x" * 300)
+        with pytest.raises(BackendError) as err:
+            _http.post_json(stub_server.url, self.BODY, 5.0)
+        assert str(err.value).endswith(f"(HTTP 404: {'x' * 200})")
+
+    def test_unparseable_200_is_a_protocol_error(self, stub_server):
+        stub_server.handler_fn = lambda record: (200, b"not json")
+        with pytest.raises(ProtocolError, match="not valid JSON"):
+            _http.post_json(stub_server.url, self.BODY, 5.0)
+        assert len(stub_server.requests) == 1

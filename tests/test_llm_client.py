@@ -182,6 +182,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError, match="temperature"):
             LlmBackendConfig(temperature=float("nan"))
 
+    def test_infinite_temperature(self):
+        # JSON has no infinity, so no request body could carry it
+        with pytest.raises(ConfigurationError, match="temperature must be finite"):
+            LlmBackendConfig(temperature=float("inf"))
+
     def test_zero_samples(self):
         with pytest.raises(ConfigurationError):
             LlmBackendConfig(samples_n=0)
@@ -194,3 +199,10 @@ class TestConfigValidation:
     def test_http_needs_url(self):
         with pytest.raises(ConfigurationError):
             LlmBackendConfig(kind="http")
+
+    @pytest.mark.parametrize("url", [
+        "localhost:1234/v1/chat/completions", "ftp://host/v1", "http:///v1",
+    ])
+    def test_http_url_needs_scheme_and_host(self, url):
+        with pytest.raises(ConfigurationError, match="llm endpoint URL"):
+            LlmBackendConfig(kind="http", endpoint_url=url)

@@ -647,7 +647,7 @@ class TestBatchedEvaluation:
     def test_http_search_keeps_fan_out_requests_in_flight(
         self, stub_server, monkeypatch
     ):
-        import requests
+        import urllib.request
 
         from pdial import _http
         from pdial.embedding import hashed_embed
@@ -672,20 +672,20 @@ class TestBatchedEvaluation:
         stub_server.handler_fn = handler
         lock = threading.Lock()
         flight = {"now": 0, "max": 0}
-        real_post = requests.post
+        real_urlopen = urllib.request.urlopen
 
-        def tracking(url, **kwargs):
+        def tracking(request, **kwargs):
             with lock:
                 flight["now"] += 1
                 flight["max"] = max(flight["max"], flight["now"])
             try:
                 time.sleep(0.005)
-                return real_post(url, **kwargs)
+                return real_urlopen(request, **kwargs)
             finally:
                 with lock:
                     flight["now"] -= 1
 
-        monkeypatch.setattr(requests, "post", tracking)
+        monkeypatch.setattr(urllib.request, "urlopen", tracking)
         _http.set_fan_out(2)
         http_llm = LlmBackendConfig(
             kind="http", endpoint_url=f"{stub_server.url}/v1/chat/completions",

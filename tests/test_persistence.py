@@ -2,6 +2,7 @@ import base64
 from dataclasses import asdict
 import json
 import os
+import re
 import stat
 
 import numpy as np
@@ -267,6 +268,20 @@ class TestPcaRoundTrip:
         path = tmp_path / "pca.json"
         path.write_text(json.dumps({"format": "pdial-proj-v1"}))
         with pytest.raises(FormatError):
+            persistence.load_pca(path)
+
+    def test_rejected_model_names_the_file(self, tmp_path):
+        # well-formed JSON that PcaModel's own checks reject
+        path = tmp_path / "pca.json"
+        path.write_text(json.dumps({
+            "format": persistence.PCA_FORMAT,
+            "mean": [0.0] * 4,
+            "components": np.eye(4)[:3].tolist(),
+            "explained_variance": [3.0, 2.0, 1.0],
+        }))
+        with pytest.raises(
+            FormatError, match=f"{re.escape(str(path))}: .*3 components"
+        ):
             persistence.load_pca(path)
 
 
