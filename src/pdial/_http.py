@@ -11,7 +11,9 @@ Requests go through the standard library (``urllib.request``), one
 connection per request. It is imported by the first :func:`post_json`
 call, so a command that never reaches a remote backend does not load
 it. HTTPS uses the system trust store, and proxies come from the
-``*_proxy`` environment variables.
+``*_proxy`` environment variables. Redirects are not followed: a 3xx
+answer fails like any other non-200 status, so neither the body nor the
+bearer token goes to the host a ``Location`` header names.
 """
 
 from __future__ import annotations
@@ -90,9 +92,14 @@ def fan_out_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
 
 def check_endpoint_url(url: str, what: str) -> None:
     """Raise ConfigurationError unless ``url`` is an http(s) URL with a
-    host; ``what`` names the backend in the message."""
-    if not url:
-        raise ConfigurationError(f"http {what} backend needs endpoint_url")
+    host, written in printable ASCII; ``what`` names the backend in the
+    message."""
+    if not all("!" <= c <= "~" for c in url):
+        # http.client sends neither spaces nor non-ASCII characters
+        raise ConfigurationError(
+            f"{what} endpoint URL {url!r} must be printable ASCII without "
+            f"spaces; percent-encode other characters"
+        )
     try:
         parts = urlsplit(url)
         parts.port  # parsed lazily; raises ValueError when not a number
@@ -113,6 +120,24 @@ def auth_headers() -> dict[str, str]:
     return headers
 
 
+_opener = None
+
+
+def _open(request: Any, *, timeout: float) -> Any:
+    """Send ``request`` and return the response. Redirects are refused:
+    a 3xx answer is raised as an ``HTTPError``, like a 4xx."""
+    global _opener
+    import urllib.request
+
+    if _opener is None:
+        class NoRedirect(urllib.request.HTTPRedirectHandler):
+            def redirect_request(self, *args: Any, **kwargs: Any) -> None:
+                return None
+
+        _opener = urllib.request.build_opener(NoRedirect)
+    return _opener.open(request, timeout=timeout)
+
+
 def post_json(
     url: str,
     body: dict[str, Any],
@@ -124,7 +149,8 @@ def post_json(
     Transport errors and the transient statuses (5xx, 408, 429) are
     retried up to ``MAX_ATTEMPTS`` times with exponential backoff starting
     at ``BACKOFF_START_S``; the final failure is raised as BackendError
-    with the status detail. Any other non-200 status is raised at once.
+    with the status detail. Any other non-200 status, a redirect included,
+    is raised at once.
     ``sleep`` is injectable so tests can skip the wait.
     """
     import http.client
@@ -144,11 +170,11 @@ def post_json(
         try:
             with sem:
                 try:
-                    with urllib.request.urlopen(request, timeout=timeout) as resp:
+                    with _open(request, timeout=timeout) as resp:
                         status, raw = resp.status, resp.read()
                 except urllib.error.HTTPError as exc:
-                    # urlopen raises every status outside 2xx; the error
-                    # is the response
+                    # the opener raises every status outside 2xx; the
+                    # error is the response
                     with exc:
                         status, raw = exc.code, exc.read()
         except (OSError, http.client.HTTPException) as exc:

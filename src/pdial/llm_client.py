@@ -34,13 +34,11 @@ class LlmBackendConfig:
     def __post_init__(self) -> None:
         if self.kind not in ("http", "mock"):
             raise ConfigurationError(f"unknown llm backend kind {self.kind!r}")
-        if not self.temperature >= 0:
-            raise ConfigurationError(
-                f"temperature must be >= 0, got {self.temperature}"
-            )
-        if self.temperature == math.inf:
+        if not 0 <= self.temperature < math.inf:
             # a request body carries no infinity: JSON has no such number
-            raise ConfigurationError("temperature must be finite, got inf")
+            raise ConfigurationError(
+                f"temperature must be finite and >= 0, got {self.temperature}"
+            )
         if self.samples_n < 1:
             raise ConfigurationError(
                 f"samples_n must be >= 1, got {self.samples_n}"

@@ -81,6 +81,8 @@ class _StubHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(data)
 
+    do_GET = do_POST  # noqa: N815 (recorded too: a followed redirect is a GET)
+
     def log_message(self, *args):
         pass
 

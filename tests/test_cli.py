@@ -277,7 +277,7 @@ class TestOptimizeCommand:
             extra=["--target-x", "0", "--target-y", "0", "--temperature", "nan"],
         )
         assert main(argv) == 2
-        assert "temperature must be >= 0, got nan" in capsys.readouterr().err
+        assert "temperature must be finite and >= 0, got nan" in capsys.readouterr().err
         assert not (tmp_path / "trace.jsonl").exists()
 
     def test_budget_guard_exits_2_before_network(self, trained, tmp_path, capsys):
@@ -489,18 +489,16 @@ class TestRequestCounts:
     def test_llm_timeout_reaches_chat_requests(
         self, backend, trained, tmp_path, monkeypatch
     ):
-        import urllib.request
-
-        real_urlopen = urllib.request.urlopen
+        real_open = _http._open
         timeouts = {}
 
         def recording(request, **kwargs):
             timeouts.setdefault(
                 request.full_url.rsplit("/", 1)[-1], set()
             ).add(kwargs["timeout"])
-            return real_urlopen(request, **kwargs)
+            return real_open(request, **kwargs)
 
-        monkeypatch.setattr(urllib.request, "urlopen", recording)
+        monkeypatch.setattr(_http, "_open", recording)
         argv = self._optimize_argv(
             backend, trained, tmp_path, "--prompts", trained["prompts"],
             "--llm-timeout", "7.5",
@@ -511,8 +509,6 @@ class TestRequestCounts:
     def test_brute_fails_fast_on_a_rejected_prompt(
         self, backend, trained, tmp_path, monkeypatch, capsys
     ):
-        import urllib.request
-
         spec = tmp_path / "wide.json"
         spec.write_text(json.dumps({
             "base_phrases": ["write about football"],
@@ -528,15 +524,15 @@ class TestRequestCounts:
             return answer(record)
 
         backend.handler_fn = handler
-        real_urlopen = urllib.request.urlopen
+        real_open = _http._open
 
         def slow_ok(request, **kwargs):
             messages = json.loads(request.data).get("messages")
             if messages and messages[0]["content"] != rejected:
                 time.sleep(0.03)  # the rejection arrives before any later reply
-            return real_urlopen(request, **kwargs)
+            return real_open(request, **kwargs)
 
-        monkeypatch.setattr(urllib.request, "urlopen", slow_ok)
+        monkeypatch.setattr(_http, "_open", slow_ok)
         fan_out = 2
         argv = self._optimize_argv(
             backend, trained, tmp_path, "--prompts", str(spec),
@@ -582,6 +578,7 @@ def _eval_argv(trained, tmp_path, *extra):
 class TestBackendFailures:
     @pytest.mark.parametrize("url", [
         "localhost:1234/v1/embeddings", "ftp://127.0.0.1/v1/embeddings",
+        "http://127.0.0.1/v1/\u00e9mbeddings", "http://127.0.0.1/v1/my embeddings",
     ])
     def test_embedding_url_without_http_scheme_exits_2(
         self, trained, tmp_path, capsys, url

@@ -278,8 +278,6 @@ class TestEmbedBatchHttp:
         assert len(stub_server.requests) == 3
 
     def test_failed_chunk_stops_new_chunks(self, stub_server, monkeypatch):
-        import urllib.request
-
         from pdial import _http
 
         fan_out = 2
@@ -292,14 +290,14 @@ class TestEmbedBatchHttp:
             (401, {"error": "denied"})
             if record["body"]["input"] == [rejected] else ok(record)
         )
-        real_urlopen = urllib.request.urlopen
+        real_open = _http._open
 
         def slow_ok(request, **kwargs):
             if json.loads(request.data)["input"] != [rejected]:
                 time.sleep(0.03)  # the rejection arrives before any later reply
-            return real_urlopen(request, **kwargs)
+            return real_open(request, **kwargs)
 
-        monkeypatch.setattr(urllib.request, "urlopen", slow_ok)
+        monkeypatch.setattr(_http, "_open", slow_ok)
         with pytest.raises(BackendError, match="HTTP 401"):
             embed_batch(texts, cfg, sleep=no_sleep)
         assert 3 <= len(stub_server.requests) <= 3 + fan_out
@@ -329,6 +327,9 @@ class TestConfigValidation:
         "https:///v1/embeddings",
         "http://host:port/v1/embeddings",
         "http://[::1/v1/embeddings",
+        "http://host/v1/\u00e9mbeddings",  # http.client sends ASCII only
+        "http://host/v1/my embeddings",
+        "http://host/v1/embeddings\n",
     ])
     def test_http_url_needs_scheme_and_host(self, url):
         with pytest.raises(ConfigurationError, match="embedding endpoint URL"):

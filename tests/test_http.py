@@ -139,6 +139,24 @@ class TestPostJson:
             _http.post_json(stub_server.url, self.BODY, 5.0)
         assert str(err.value).endswith(f"(HTTP 404: {'x' * 200})")
 
+    @pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+    def test_redirect_is_not_followed(
+        self, raw_server, stub_server, monkeypatch, status
+    ):
+        # the token and the body stay with the configured endpoint
+        monkeypatch.setenv(_http.API_KEY_ENV, "secret")
+        stub_server.handler_fn = lambda record: (200, {"ok": True})
+        raw_server.reply = (
+            f"HTTP/1.1 {status} Moved\r\nLocation: {stub_server.url}/v1\r\n"
+            f"Content-Length: 5\r\nConnection: close\r\n\r\nmoved"
+        ).encode()
+        with pytest.raises(
+            BackendError, match=f"not retried \\(HTTP {status}: moved\\)"
+        ):
+            _http.post_json(raw_server.url, self.BODY, 5.0)
+        assert raw_server.connections == 1
+        assert stub_server.requests == []
+
     def test_unparseable_200_is_a_protocol_error(self, stub_server):
         stub_server.handler_fn = lambda record: (200, b"not json")
         with pytest.raises(ProtocolError, match="not valid JSON"):

@@ -202,6 +202,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("url", [
         "localhost:1234/v1/chat/completions", "ftp://host/v1", "http:///v1",
+        "http://host/v1/ch\u00e2t", "http://host/v1 /chat",
     ])
     def test_http_url_needs_scheme_and_host(self, url):
         with pytest.raises(ConfigurationError, match="llm endpoint URL"):

@@ -647,8 +647,6 @@ class TestBatchedEvaluation:
     def test_http_search_keeps_fan_out_requests_in_flight(
         self, stub_server, monkeypatch
     ):
-        import urllib.request
-
         from pdial import _http
         from pdial.embedding import hashed_embed
 
@@ -672,7 +670,7 @@ class TestBatchedEvaluation:
         stub_server.handler_fn = handler
         lock = threading.Lock()
         flight = {"now": 0, "max": 0}
-        real_urlopen = urllib.request.urlopen
+        real_open = _http._open
 
         def tracking(request, **kwargs):
             with lock:
@@ -680,12 +678,12 @@ class TestBatchedEvaluation:
                 flight["max"] = max(flight["max"], flight["now"])
             try:
                 time.sleep(0.005)
-                return real_urlopen(request, **kwargs)
+                return real_open(request, **kwargs)
             finally:
                 with lock:
                     flight["now"] -= 1
 
-        monkeypatch.setattr(urllib.request, "urlopen", tracking)
+        monkeypatch.setattr(_http, "_open", tracking)
         _http.set_fan_out(2)
         http_llm = LlmBackendConfig(
             kind="http", endpoint_url=f"{stub_server.url}/v1/chat/completions",
