@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import re
@@ -724,3 +725,24 @@ class TestColdStart:
         assert loaded == ["urllib.request", "http.client"]
         assert len(stub_server.requests) == 1
         assert (tmp_path / "r.json").exists()
+
+
+class TestRepeatedCommands:
+    def test_a_command_leaves_no_parser_garbage(self, tmp_path, capsys):
+        # garbage freed by a later collection, in the middle of the next
+        # command, made the peak RSS of a many-command process unsteady
+        argv = [
+            "train", "--data", "d", "--matrix", "m", "--out", "o",
+            "--pca-data", str(tmp_path / "p.jsonl"),
+        ]
+        assert main(argv) == 2
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            assert main(argv) == 2
+            gc.collect()
+            kinds = {type(obj).__name__ for obj in gc.garbage}
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert not kinds & {"ArgumentParser", "HelpFormatter", "_StoreAction"}
