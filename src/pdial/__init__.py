@@ -24,7 +24,6 @@ from .metric import (
     cosine_similarity,
     generate_pairs,
     loss_gradient,
-    project,
     train,
 )
 from .optimizer import (

@@ -26,13 +26,14 @@ from .errors import (
 )
 from .evaluation import cluster_similarity_report, render_report_text
 from .llm_client import LlmBackendConfig
-from .metric import TrainConfig, project, train
+from .metric import TrainConfig, train
 from .optimizer import (
     brute_force_search,
     cluster_centroid,
     gcd_search,
+    perspective_points,
 )
-from .pca import PerspectivePoint, fit_pca, pca_transform
+from .pca import PerspectivePoint, fit_pca
 from .plotting import PointGroup, render_scatter_svg
 
 EXIT_OK = 0
@@ -132,8 +133,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     print(f"model written to {args.out}, training log to {log_path}")
 
     if args.pca_out:
-        points = [project(model, e) for e in embeddings]
-        pca = fit_pca(points)
+        pca = fit_pca([model.W @ e for e in embeddings])
         persistence.save_pca(args.pca_out, pca)
         print(f"pca written to {args.pca_out}")
     return EXIT_OK
@@ -193,6 +193,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
+    if (args.target_x is None) != (args.target_y is None):
+        raise ConfigurationError("give both --target-x and --target-y, or neither")
     backend_cfg = _embedding_cfg(args)
     pca = persistence.load_pca(args.pca)
     groups: list[PointGroup] = []
@@ -206,10 +208,11 @@ def cmd_plot(args: argparse.Namespace) -> int:
         dataset = persistence.load_dataset(args.data)
         if not dataset:
             raise ConfigurationError(f"{args.data}: dataset is empty")
-        embeddings = embed_batch([d.text for d in dataset], backend_cfg)
+        points = perspective_points(
+            [d.text for d in dataset], model, pca, backend_cfg
+        )
         by_cluster: dict[str, list] = {}
-        for doc, emb in zip(dataset, embeddings):
-            point = pca_transform(pca, project(model, emb))
+        for doc, point in zip(dataset, points):
             by_cluster.setdefault(doc.cluster, []).append(point)
         for cluster, points in by_cluster.items():
             groups.append(PointGroup(label=cluster, points=tuple(points)))
@@ -238,7 +241,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
                 path.append(ev.point)
         path_points = path
 
-    if args.target_x is not None and args.target_y is not None:
+    if args.target_x is not None:
         target = PerspectivePoint(x=args.target_x, y=args.target_y)
 
     if not groups:

@@ -81,12 +81,13 @@ def cluster_similarity_report(
             f"train clusters {missing} have no test documents"
         )
 
+    if backend_cfg.dimension != model.d_in:
+        raise InputValidationError(
+            f"embedding dimension {backend_cfg.dimension} does not match "
+            f"the model's d_in={model.d_in}"
+        )
     docs = train + test
     B = np.stack(embed_batch([d.text for d in docs], backend_cfg))
-    if B.shape[1] != model.d_in:
-        raise InputValidationError(
-            f"embedding length {B.shape[1]} does not match d_in={model.d_in}"
-        )
     train_of = [[k for k, d in enumerate(train) if d.cluster == c] for c in clusters]
     test_of = [[k for k, d in enumerate(test) if d.cluster == c] for c in clusters]
     cells = []

@@ -106,11 +106,25 @@ class SpanFactors:
     def weights(self) -> np.ndarray:
         """``W`` by ``train``'s own expression, so a rebuilt matrix is
         bit-identical to the trained one; with no rows, ``base`` as it is
-        (adding a zero product would turn -0.0 into 0.0)."""
-        base = np.eye(self.basis.shape[1]) if self.base is None else self.base
+        (adding a zero product would turn -0.0 into 0.0).
+
+        The sum is built in the product's buffer, so no d x d identity is
+        held beside it. For the identity, ``P += 0.0`` turns -0.0 into 0.0
+        as ``eye + P`` does, and the diagonal then gets its 1. An overflow
+        gives non-finite entries without a warning; callers check for them.
+        """
         if len(self.coef) == 0:
-            return base
-        return base + self.coef.T @ self.basis
+            if self.base is None:
+                return np.eye(self.basis.shape[1])
+            return self.base
+        with np.errstate(over="ignore", invalid="ignore"):
+            W = self.coef.T @ self.basis
+            if self.base is None:
+                W += 0.0
+                W[np.diag_indices_from(W)] += 1.0
+            else:
+                W += self.base
+        return W
 
 
 @dataclass(frozen=True)
@@ -212,15 +226,6 @@ def generate_pairs(
             )
     order = _rng(seed).permutation(len(pairs))
     return [pairs[k] for k in order]
-
-
-def project(model: ProjectionModel, e: np.ndarray) -> np.ndarray:
-    e = np.asarray(e, dtype=np.float64)
-    if e.shape != (model.d_in,):
-        raise InputValidationError(
-            f"embedding length {e.shape} does not match d_in={model.d_in}"
-        )
-    return model.W @ e
 
 
 def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
@@ -411,36 +416,39 @@ def train(
     pairs = generate_pairs(dataset, matrix, cfg.seed)
     log = TrainingLog(pair_count=len(pairs))
 
-    for epoch in range(cfg.epochs):
-        order = _rng(cfg.seed, epoch).permutation(len(pairs))
-        total = 0.0
-        evaluated = 0
-        skipped = 0
-        for step, k in enumerate(order):
-            pair = pairs[k]
-            i, j = index[pair.a], index[pair.b]
-            try:
-                loss, dldu, dldv = _pair_loss(
-                    P0[i] + K[i] @ G, P0[j] + K[j] @ G, pair.label_y, cfg
-                )
-            except PairSkip:
-                skipped += 1
-                continue
-            if not (
-                np.isfinite(loss)
-                and np.isfinite(dldu).all()
-                and np.isfinite(dldv).all()
-            ):
-                raise NumericError(
-                    f"non-finite loss/gradient at epoch {epoch} step {step} "
-                    f"(pair {pair.a!r}, {pair.b!r})"
-                )
-            G[i] -= cfg.learning_rate * dldu
-            G[j] -= cfg.learning_rate * dldv
-            total += loss
-            evaluated += 1
-        log.epoch_mean_loss.append(total / evaluated if evaluated else 0.0)
-        log.epoch_skipped_pairs.append(skipped)
+    # An overflow shows as a non-finite loss or gradient, checked right
+    # after each step; numpy need not warn about it as well.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            order = _rng(cfg.seed, epoch).permutation(len(pairs))
+            total = 0.0
+            evaluated = 0
+            skipped = 0
+            for step, k in enumerate(order):
+                pair = pairs[k]
+                i, j = index[pair.a], index[pair.b]
+                try:
+                    loss, dldu, dldv = _pair_loss(
+                        P0[i] + K[i] @ G, P0[j] + K[j] @ G, pair.label_y, cfg
+                    )
+                except PairSkip:
+                    skipped += 1
+                    continue
+                if not (
+                    np.isfinite(loss)
+                    and np.isfinite(dldu).all()
+                    and np.isfinite(dldv).all()
+                ):
+                    raise NumericError(
+                        f"non-finite loss/gradient at epoch {epoch} step {step} "
+                        f"(pair {pair.a!r}, {pair.b!r})"
+                    )
+                G[i] -= cfg.learning_rate * dldu
+                G[j] -= cfg.learning_rate * dldv
+                total += loss
+                evaluated += 1
+            log.epoch_mean_loss.append(total / evaluated if evaluated else 0.0)
+            log.epoch_skipped_pairs.append(skipped)
 
     factors = SpanFactors(base=None if d_in == d_out else W0, coef=G, basis=E)
     W = factors.weights()

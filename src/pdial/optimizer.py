@@ -16,8 +16,8 @@ import math
 from .embedding import EmbeddingBackendConfig, embed_batch
 from .errors import ConfigurationError, InputValidationError
 from .llm_client import LlmBackendConfig, complete
-from .metric import LabeledDocument, ProjectionModel, project
-from .pca import PcaModel, PerspectivePoint, pca_transform
+from .metric import LabeledDocument, ProjectionModel
+from .pca import PcaModel, PerspectivePoint
 
 BRUTE_FORCE_MAX_SLOTS = 8
 BRUTE_FORCE_MAX_COMBINATIONS = 10_000
@@ -108,6 +108,46 @@ def render_prompt(spec: PromptSpec, a: PromptAssignment) -> str:
     return spec.joiner.join(parts)
 
 
+class _PlaneMap:
+    """The text-to-plane map: ``pca_transform(pca, proj.W @ e)`` composed
+    into one 2 x d_in matrix ``M = C W`` and an offset ``c = C mean``,
+    where ``C`` is the PCA's 2 x d_out components.
+
+    The constructor checks that the embedding backend, the projection and
+    the PCA fit together, so a mismatch fails before any backend request.
+    ``M`` is applied one text at a time: a matrix product over the whole
+    batch may round the same text differently at different rows, and the
+    searches resolve exact ties between points.
+    """
+
+    def __init__(
+        self,
+        proj: ProjectionModel,
+        pca: PcaModel,
+        backend_cfg: EmbeddingBackendConfig,
+    ) -> None:
+        if backend_cfg.dimension != proj.d_in:
+            raise InputValidationError(
+                f"embedding dimension {backend_cfg.dimension} does not match "
+                f"the model's d_in={proj.d_in}"
+            )
+        if pca.dim != proj.d_out:
+            raise InputValidationError(
+                f"PCA dimension {pca.dim} does not match "
+                f"the model's d_out={proj.d_out}"
+            )
+        self.M = pca.components @ proj.W
+        self.c = pca.components @ pca.mean
+        self.backend_cfg = backend_cfg
+
+    def points(self, texts: list[str]) -> list[PerspectivePoint]:
+        points = []
+        for e in embed_batch(texts, self.backend_cfg):
+            x, y = self.M @ e - self.c
+            points.append(PerspectivePoint(x=float(x), y=float(y)))
+        return points
+
+
 def perspective_points(
     texts: list[str],
     proj: ProjectionModel,
@@ -115,13 +155,16 @@ def perspective_points(
     backend_cfg: EmbeddingBackendConfig,
 ) -> list[PerspectivePoint]:
     """Point of each of ``texts`` in the 2-D perspective space, from one
-    embedding call."""
+    embedding call: ``M e - c`` per embedding ``e``, with ``M = C W`` and
+    ``c = C mean`` (see ``_PlaneMap``). Equal to
+    ``pca_transform(pca, proj.W @ e)`` up to rounding.
+
+    Raises InputValidationError, before embedding anything, when the
+    backend's dimension is not the model's d_in or the PCA's is not its
+    d_out."""
     if isinstance(texts, str):
         raise InputValidationError("expected a list of texts, got a str")
-    return [
-        pca_transform(pca, project(proj, e))
-        for e in embed_batch(texts, backend_cfg)
-    ]
+    return _PlaneMap(proj, pca, backend_cfg).points(texts)
 
 
 def perspective_of_output(
@@ -180,10 +223,8 @@ class _Evaluator:
     ) -> None:
         self.spec = spec
         self.target = target
-        self.proj = proj
-        self.pca = pca
+        self.plane = _PlaneMap(proj, pca, backend_cfg)
         self.llm_cfg = llm_cfg
-        self.backend_cfg = backend_cfg
         self.trace = trace
         self.memoize = memoize
         self._by_prompt: dict[str, int] = {}
@@ -203,9 +244,8 @@ class _Evaluator:
         points: list[PerspectivePoint] = []
         if todo:
             samples = complete(todo, self.llm_cfg)
-            points = perspective_points(
-                [text for outputs in samples for text in outputs],
-                self.proj, self.pca, self.backend_cfg,
+            points = self.plane.points(
+                [text for outputs in samples for text in outputs]
             )
         n = self.llm_cfg.samples_n
         fresh = itertools.count()

@@ -239,6 +239,8 @@ def load_dataset(path: str | Path) -> list[LabeledDocument]:
             raise FormatError(
                 f"{path}:{lineno}: missing field {exc.args[0]!r}"
             ) from exc
+        except InputValidationError as exc:
+            raise FormatError(f"{path}:{lineno}: {exc}") from exc
         for name in ("id", "text", "cluster"):
             require_utf8(getattr(doc, name), FormatError, f"{path}:{lineno}: {name}")
         if doc.id in seen:
@@ -260,7 +262,7 @@ def load_matrix(path: str | Path) -> ClusterSimilarityMatrix:
             clusters=list(data["clusters"]),
             sim=np.asarray(data["sim"], dtype=np.float64),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (InputValidationError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed cluster matrix: {exc}") from exc
 
 
@@ -278,7 +280,7 @@ def load_prompt_spec(path: str | Path) -> PromptSpec:
             ),
             joiner=text(data.get("joiner", " "), "joiner"),
         )
-    except (KeyError, TypeError) as exc:
+    except (InputValidationError, KeyError, TypeError) as exc:
         raise FormatError(f"{path}: malformed prompt spec: {exc}") from exc
 
 
@@ -408,7 +410,9 @@ def load_trace(path: str | Path) -> tuple[SearchTrace, dict]:
                     loss=float(obj["loss"]),
                 )
             )
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+        except (
+            InputValidationError, KeyError, TypeError, ValueError, IndexError
+        ) as exc:
             raise FormatError(
                 f"{path}:{lineno}: malformed trace line: {exc}"
             ) from exc

@@ -299,14 +299,13 @@ def test_criterion_5_search_optimality():
 def test_criterion_6_correct_phrase(
     fixture_train_docs, fixture_matrix, fixture_train_embeddings
 ):
-    from pdial.metric import project
     from pdial.persistence import load_mock_table, load_prompt_spec
 
     model, _ = train(
         fixture_train_docs, fixture_matrix, fixture_train_embeddings,
         FIXTURE_TRAIN_CFG,
     )
-    pca = fit_pca([project(model, e) for e in fixture_train_embeddings])
+    pca = fit_pca([model.W @ e for e in fixture_train_embeddings])
     spec = load_prompt_spec(FIXTURES / "prompts.json")
     llm = LlmBackendConfig(
         kind="mock", mock_table=load_mock_table(FIXTURES / "mock_table.json")

@@ -373,6 +373,21 @@ class TestPlotCommand:
         assert code == 2
         assert "nothing to plot" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--target-x", "--target-y"])
+    def test_lone_target_flag_is_config_error(self, trained, tmp_path, capsys, flag):
+        code = main([
+            "plot",
+            "--pca", trained["pca"],
+            "--model", trained["model"],
+            "--data", trained["train"],
+            flag, "0.5",
+            "--out", str(tmp_path / "x.svg"),
+            "--dim", "64",
+        ])
+        assert code == 2
+        assert "both --target-x and --target-y" in capsys.readouterr().err
+        assert not (tmp_path / "x.svg").exists()
+
     def test_empty_dataset_is_config_error(self, trained, tmp_path):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
@@ -561,6 +576,62 @@ class TestRequestCounts:
         ]) == 3
         assert "HTTP 401" in capsys.readouterr().err
         assert len(stub_server.requests) == 1
+
+    @staticmethod
+    def _pca_of_width(trained, tmp_path, width):
+        pca = json.loads(Path(trained["pca"]).read_text())
+        pca["mean"] = [0.0] * width
+        pca["components"] = [
+            [float(i == j) for j in range(width)] for i in range(2)
+        ]
+        path = tmp_path / f"pca{width}.json"
+        path.write_text(json.dumps(pca))
+        return str(path)
+
+    @pytest.mark.parametrize("case", [
+        "eval-dim", "optimize-dim", "optimize-centroid-dim", "plot-dim",
+        "optimize-brute-pca", "optimize-gcd-pca",
+    ])
+    def test_width_mismatch_exits_2_before_any_request(
+        self, backend, trained, tmp_path, capsys, case
+    ):
+        """A --dim other than the model's d_in, or a PCA of another width
+        than its d_out, is refused before the first backend request."""
+        command, _, what = case.rpartition("-")
+        llm = ["--llm", "http", "--llm-url", f"{backend.url}/v1/chat/completions"]
+        opt = ["--model", trained["model"], "--prompts", trained["prompts"],
+               "--out-trace", str(tmp_path / "trace.jsonl"), *llm,
+               *self._embed_flags(backend)]
+        xy = ["--target-x", "0", "--target-y", "0"]
+        narrow_pca = self._pca_of_width(trained, tmp_path, 32)
+        argv = {
+            "eval": _eval_argv(trained, tmp_path, *self._embed_flags(backend)),
+            "optimize": ["optimize", "--pca", trained["pca"], *opt, *xy],
+            "optimize-centroid": [
+                "optimize", "--pca", trained["pca"], *opt,
+                "--target-cluster", "pro-barca", "--data", trained["train"],
+            ],
+            "plot": [
+                "plot", "--pca", trained["pca"], "--model", trained["model"],
+                "--data", trained["train"], "--out", str(tmp_path / "p.svg"),
+                *self._embed_flags(backend),
+            ],
+            "optimize-brute": [
+                "optimize", "--pca", narrow_pca,
+                "--mode", "brute", *opt, *xy, "--dim", "64",
+            ],
+            "optimize-gcd": [
+                "optimize", "--pca", narrow_pca,
+                "--mode", "gcd", *opt, *xy, "--dim", "64",
+            ],
+        }[command]
+        if what == "dim":
+            argv += ["--dim", "32"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert ("d_in=64" if what == "dim" else "d_out=64") in err
+        assert backend.requests == []
+        assert not (tmp_path / "trace.jsonl").exists()
 
 
 def _eval_argv(trained, tmp_path, *extra):

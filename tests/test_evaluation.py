@@ -9,7 +9,6 @@ from pdial.metric import (
     ProjectionModel,
     TrainConfig,
     cosine_similarity,
-    project,
     train,
 )
 
@@ -165,7 +164,7 @@ def _per_pair_report(train_docs, test_docs, model, backend_cfg):
                     if td.cluster == tc and rd.cluster == rc:
                         pre.append(cosine_similarity(t, r))
                         post.append(
-                            cosine_similarity(project(model, t), project(model, r))
+                            cosine_similarity(model.W @ t, model.W @ r)
                         )
             out["pre_mean"][i, j], out["pre_std"][i, j] = np.mean(pre), np.std(pre)
             out["post_mean"][i, j], out["post_std"][i, j] = np.mean(post), np.std(post)

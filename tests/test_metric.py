@@ -7,6 +7,7 @@ from pdial.metric import (
     LabeledDocument,
     PairSkip,
     ProjectionModel,
+    SpanFactors,
     TrainConfig,
     binarize_label,
     contrastive_loss,
@@ -14,7 +15,6 @@ from pdial.metric import (
     cosine_similarity,
     generate_pairs,
     loss_gradient,
-    project,
     train,
 )
 
@@ -84,28 +84,6 @@ class TestTrainConfig:
     def test_not_positive_rejected(self, name, message, value):
         with pytest.raises(ConfigurationError, match=f"{message} must be > 0"):
             TrainConfig(**{name: value})
-
-
-class TestProject:
-    def test_identity(self):
-        model = ProjectionModel(d_in=3, d_out=3, W=np.eye(3))
-        e = np.array([0.1, -2.0, 7.5])
-        np.testing.assert_array_equal(project(model, e), e)
-
-    def test_zero_matrix(self):
-        model = ProjectionModel(d_in=3, d_out=2, W=np.zeros((2, 3)))
-        np.testing.assert_array_equal(project(model, np.ones(3)), np.zeros(2))
-
-    def test_hand_multiplied(self):
-        model = ProjectionModel(d_in=2, d_out=2, W=np.array([[1.0, 1.0], [0.0, 2.0]]))
-        np.testing.assert_array_equal(
-            project(model, np.array([3.0, 4.0])), np.array([7.0, 8.0])
-        )
-
-    def test_dimension_mismatch(self):
-        model = ProjectionModel(d_in=3, d_out=3, W=np.eye(3))
-        with pytest.raises(InputValidationError):
-            project(model, np.ones(4))
 
 
 class TestCosineSimilarity:
@@ -361,7 +339,7 @@ class TestTrain:
         for i in range(3):
             base = cosine_similarity(embs[i], embs[i + 1])
             post = cosine_similarity(
-                project(model, embs[i]), project(model, embs[i + 1])
+                model.W @ embs[i], model.W @ embs[i + 1]
             )
             assert base == post
 
@@ -372,7 +350,7 @@ class TestTrain:
             fixture_train_docs, fixture_matrix, fixture_train_embeddings,
             FIXTURE_TRAIN_CFG,
         )
-        projected = [project(model, e) for e in fixture_train_embeddings]
+        projected = [model.W @ e for e in fixture_train_embeddings]
         same, opposite = [], []
         for i in range(len(fixture_train_docs)):
             for j in range(i + 1, len(fixture_train_docs)):
@@ -560,6 +538,54 @@ class TestDualTraining:
         assert sum(skips) == (5 * 14 if zero_doc else 0)
         W0 = ProjectionModel.initial(W.shape[1], W.shape[0], cfg.seed).W
         assert not np.allclose(W, W0)  # training moved the weights
+
+
+class TestSpanFactorsWeights:
+    """``SpanFactors.weights`` builds ``W`` in the product's buffer; its bits
+    must be those of ``base + coef^T basis`` with ``base`` held whole."""
+
+    def test_identity_base_matches_eye_plus_product(self):
+        rng = np.random.default_rng(5)
+        coef, basis = rng.normal(size=(2, 9)), rng.normal(size=(2, 9))
+        # Products that underflow to -0.0, on and off the diagonal; eye + P
+        # turns them into 0.0.
+        coef[:, 0] = -1e-200
+        basis[:, :3] = 1e-200
+        product = coef.T @ basis
+        assert np.signbit(product[0, :3]).all() and not product[0, :3].any()
+        want = np.eye(9) + product
+        got = SpanFactors(base=None, coef=coef, basis=basis).weights()
+        assert got.tobytes() == want.tobytes()
+
+    def test_gaussian_base_matches_base_plus_product(self):
+        rng = np.random.default_rng(6)
+        base = rng.normal(size=(5, 9))
+        coef, basis = rng.normal(size=(4, 5)), rng.normal(size=(4, 9))
+        factors = SpanFactors(base=base, coef=coef, basis=basis)
+        want = base + coef.T @ basis
+        assert factors.weights().tobytes() == want.tobytes()
+        assert factors.base.tobytes() == base.tobytes()  # left as it was
+
+    def test_fixture_model_matches_eye_plus_product(self, fixture_model):
+        f = fixture_model.factors
+        want = np.eye(f.basis.shape[1]) + f.coef.T @ f.basis
+        assert fixture_model.W.tobytes() == want.tobytes()
+
+    def test_no_d_by_d_temporary(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(7)
+        d = 256
+        factors = SpanFactors(
+            base=None, coef=rng.normal(size=(15, d)), basis=rng.normal(size=(15, d))
+        )
+        tracemalloc.start()
+        try:
+            W = factors.weights()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * W.nbytes
 
 
 class TestMatrixValidation:

@@ -10,7 +10,7 @@ import pdial.optimizer as optimizer_mod
 from pdial.embedding import EmbeddingBackendConfig, embed_batch
 from pdial.errors import ConfigurationError, InputValidationError
 from pdial.llm_client import LlmBackendConfig, complete
-from pdial.metric import ProjectionModel, project
+from pdial.metric import ProjectionModel, train
 from pdial.optimizer import (
     Evaluation,
     PromptAssignment,
@@ -22,12 +22,13 @@ from pdial.optimizer import (
     loss_to_target,
     mean_point,
     perspective_of_output,
+    perspective_points,
     render_prompt,
 )
-from pdial.pca import PcaModel, PerspectivePoint, pca_transform
-from pdial.persistence import save_trace
+from pdial.pca import PcaModel, PerspectivePoint, fit_pca, pca_transform
+from pdial.persistence import load_dataset, load_matrix, save_trace
 
-from conftest import FIXTURE_BACKEND
+from conftest import FIXTURE_BACKEND, FIXTURE_TRAIN_CFG, FIXTURES
 
 
 # Independent FNV-1a for building controlled geometries (kept separate
@@ -227,6 +228,103 @@ class TestPerspectiveOfOutput:
             perspective_of_output(
                 "alpha", proj, pca, EmbeddingBackendConfig(dimension=8)
             )
+
+
+def _random_pca(rng, dim):
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    return PcaModel(
+        mean=rng.normal(size=dim),
+        components=q[:, :2].T,
+        explained_variance=np.array([2.0, 1.0]),
+    )
+
+
+def _fixture_texts(n):
+    """The fixture's train and test texts, repeated to ``n``."""
+    texts = [
+        d.text for split in ("train", "test")
+        for d in load_dataset(FIXTURES / f"{split}.jsonl")
+    ]
+    return [texts[k % len(texts)] for k in range(n)]
+
+
+@pytest.fixture(scope="module")
+def fixture_world_768():
+    """The fixture model trained at the CLI's default dim 768, with its PCA."""
+    backend = EmbeddingBackendConfig(kind="hashed", dimension=768)
+    docs = load_dataset(FIXTURES / "train.jsonl")
+    embs = embed_batch([d.text for d in docs], backend)
+    model, _ = train(docs, load_matrix(FIXTURES / "matrix.json"), embs, FIXTURE_TRAIN_CFG)
+    return model, fit_pca([model.W @ e for e in embs]), backend
+
+
+class TestPerspectivePoints:
+    """``perspective_points`` applies the composed 2 x d_in map per text."""
+
+    @staticmethod
+    def _oracle(texts, proj, pca, backend):
+        return [
+            pca_transform(pca, proj.W @ e) for e in embed_batch(texts, backend)
+        ]
+
+    @pytest.mark.parametrize("d_in,d_out", [(16, 8), (8, 12), (64, 64)])
+    def test_matches_per_vector_oracle(self, d_in, d_out):
+        rng = np.random.default_rng(d_in * 100 + d_out)
+        proj = ProjectionModel(d_in=d_in, d_out=d_out, W=rng.normal(size=(d_out, d_in)))
+        pca = _random_pca(rng, d_out)
+        backend = EmbeddingBackendConfig(kind="hashed", dimension=d_in)
+        texts = _fixture_texts(40)
+        got = perspective_points(texts, proj, pca, backend)
+        want = self._oracle(texts, proj, pca, backend)
+        for g, w in zip(got, want, strict=True):
+            assert g.x == pytest.approx(w.x, abs=1e-12)
+            assert g.y == pytest.approx(w.y, abs=1e-12)
+
+    def test_matches_per_vector_oracle_at_768(self, fixture_world_768):
+        model, pca, backend = fixture_world_768
+        texts = _fixture_texts(30)
+        got = perspective_points(texts, model, pca, backend)
+        want = self._oracle(texts, model, pca, backend)
+        for g, w in zip(got, want, strict=True):
+            assert g.x == pytest.approx(w.x, abs=1e-12)
+            assert g.y == pytest.approx(w.y, abs=1e-12)
+
+    def test_point_does_not_depend_on_its_row(self, fixture_world_768):
+        """The searches resolve exact ties, so a text's point must be the
+        same bits alone and at any row of a batch."""
+        model, pca, backend = fixture_world_768
+        texts = _fixture_texts(70)
+        batch = perspective_points(texts, model, pca, backend)
+        alone = {t: perspective_points([t], model, pca, backend)[0] for t in set(texts)}
+        for text, point in zip(texts, batch):
+            assert (point.x, point.y) == (alone[text].x, alone[text].y)
+
+    @pytest.mark.parametrize("what", ["embedding", "pca"])
+    def test_width_mismatch_embeds_nothing(self, monkeypatch, what):
+        proj = ProjectionModel(d_in=16, d_out=8, W=np.ones((8, 16)))
+        pca = _random_pca(np.random.default_rng(0), 12 if what == "pca" else 8)
+        backend = EmbeddingBackendConfig(dimension=32 if what == "embedding" else 16)
+        calls = []
+        monkeypatch.setattr(optimizer_mod, "embed_batch", lambda *a, **k: calls.append(a))
+        match = "d_in=16" if what == "embedding" else "d_out=8"
+        with pytest.raises(InputValidationError, match=match):
+            perspective_points(["alpha"], proj, pca, backend)
+        assert calls == []
+
+    @pytest.mark.parametrize("search", [brute_force_search, gcd_search])
+    def test_searches_check_widths_before_the_first_completion(
+        self, monkeypatch, search
+    ):
+        spec = PromptSpec(base_phrases=("q0", "q1"), slots=(("a", "b"),))
+        proj, pca, llm, backend, target = _loss_table_world(
+            spec, {(b, s): 0.1 for b in range(2) for s in range(2)}
+        )
+        calls = []
+        monkeypatch.setattr(optimizer_mod, "complete", lambda *a, **k: calls.append(a))
+        narrow = EmbeddingBackendConfig(dimension=proj.d_in // 2)
+        with pytest.raises(InputValidationError, match="d_in="):
+            search(spec, target, proj, pca, llm, narrow)
+        assert calls == []
 
 
 class TestBruteForce:
@@ -478,10 +576,9 @@ class _SequentialEvaluator:
         if self.memoize and prompt in self._by_prompt:
             return self.trace.evaluations[self._by_prompt[prompt]].loss
         outputs = optimizer_mod.complete([prompt], self.llm_cfg)[0]
-        point = mean_point([
-            pca_transform(self.pca, project(self.proj, e))
-            for e in embed_batch(outputs, self.backend_cfg)
-        ])
+        point = mean_point(
+            perspective_points(outputs, self.proj, self.pca, self.backend_cfg)
+        )
         loss = loss_to_target(point, self.target)
         idx = self.trace.record(
             Evaluation(assignment, prompt, tuple(outputs), point, loss)
@@ -703,16 +800,15 @@ class TestBatchedEvaluation:
 class TestClusterCentroid:
     def test_centroid_is_mean_of_cluster_points(self, fixture_train_docs, fixture_model):
         from pdial.embedding import embed_batch
-        from pdial.metric import project
         from pdial.pca import fit_pca, pca_transform
 
         embs = embed_batch([d.text for d in fixture_train_docs], FIXTURE_BACKEND)
-        pca = fit_pca([project(fixture_model, e) for e in embs])
+        pca = fit_pca([fixture_model.W @ e for e in embs])
         got = cluster_centroid(
             fixture_train_docs, "pro-barca", fixture_model, pca, FIXTURE_BACKEND
         )
         points = [
-            pca_transform(pca, project(fixture_model, e))
+            pca_transform(pca, fixture_model.W @ e)
             for d, e in zip(fixture_train_docs, embs)
             if d.cluster == "pro-barca"
         ]
@@ -722,11 +818,10 @@ class TestClusterCentroid:
 
     def test_unknown_cluster_rejected(self, fixture_train_docs, fixture_model):
         from pdial.embedding import embed_batch
-        from pdial.metric import project
         from pdial.pca import fit_pca
 
         embs = embed_batch([d.text for d in fixture_train_docs], FIXTURE_BACKEND)
-        pca = fit_pca([project(fixture_model, e) for e in embs])
+        pca = fit_pca([fixture_model.W @ e for e in embs])
         with pytest.raises(ConfigurationError):
             cluster_centroid(
                 fixture_train_docs, "pro-atletico", fixture_model, pca, FIXTURE_BACKEND

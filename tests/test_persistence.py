@@ -420,6 +420,45 @@ class TestOtherLoaders:
             persistence.load_mock_table(path)
 
 
+_VALID_DOC = '{"id": "b", "text": "fine", "cluster": "x"}\n'
+
+
+@pytest.mark.parametrize("loader,content,where,message", [
+    (
+        persistence.load_dataset,
+        _VALID_DOC + '{"id": "a", "text": "", "cluster": "x"}\n',
+        ":2: ", "document 'a' has empty text",
+    ),
+    (
+        persistence.load_matrix,
+        json.dumps({"clusters": ["a", "b"], "sim": [[1.0, 0.2], [0.3, 1.0]]}),
+        ": malformed cluster matrix: ", "similarity matrix must be symmetric",
+    ),
+    (
+        persistence.load_prompt_spec,
+        json.dumps({"base_phrases": []}),
+        ": malformed prompt spec: ", "prompt spec needs at least one base phrase",
+    ),
+    (
+        persistence.load_trace,
+        json.dumps({
+            "assignment": {"base_index": 0, "choices": []}, "prompt": "p",
+            "outputs": ["o"], "point": [float("nan"), 0.0], "loss": 1.0,
+        }) + "\n",
+        ":1: malformed trace line: ", "perspective point must be finite",
+    ),
+], ids=["dataset", "matrix", "prompt-spec", "trace"])
+def test_rejected_object_names_the_file(tmp_path, loader, content, where, message):
+    """An object's own check (an InputValidationError) comes out as a
+    FormatError that names the file, and the line of a JSON Lines file."""
+    path = tmp_path / "input.txt"
+    path.write_text(content)
+    with pytest.raises(FormatError) as err:
+        loader(path)
+    assert str(err.value).startswith(f"{path}{where}")
+    assert message in str(err.value)
+
+
 def _demo_trace():
     trace = SearchTrace()
     trace.record(
