@@ -27,13 +27,13 @@ from .metric import (
     train,
 )
 from .optimizer import (
+    PerspectiveSpace,
     PromptAssignment,
     PromptSpec,
     SearchTrace,
     brute_force_search,
     gcd_search,
     loss_to_target,
-    perspective_of_output,
     render_prompt,
 )
 from .pca import PcaModel, PerspectivePoint, fit_pca, jacobi_eigh, pca_transform

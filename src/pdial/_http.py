@@ -142,7 +142,6 @@ def post_json(
     url: str,
     body: dict[str, Any],
     timeout: float,
-    sleep: Callable[[float], None] = time.sleep,
 ) -> dict[str, Any]:
     """POST ``body`` as JSON and return the decoded JSON response.
 
@@ -151,7 +150,6 @@ def post_json(
     at ``BACKOFF_START_S``; the final failure is raised as BackendError
     with the status detail. Any other non-200 status, a redirect included,
     is raised at once.
-    ``sleep`` is injectable so tests can skip the wait.
     """
     import http.client
     import urllib.error
@@ -163,7 +161,7 @@ def post_json(
     last_detail = ""
     for attempt in range(MAX_ATTEMPTS):
         if attempt > 0:
-            sleep(BACKOFF_START_S * 2 ** (attempt - 1))
+            time.sleep(BACKOFF_START_S * 2 ** (attempt - 1))
         request = urllib.request.Request(
             url, data=data, headers=auth_headers(), method="POST"
         )

@@ -16,22 +16,15 @@ from pathlib import Path
 
 from . import _http, persistence
 from .embedding import EmbeddingBackendConfig, embed_batch
-from .errors import (
-    BackendError,
-    ConfigurationError,
-    InputValidationError,
-    NumericError,
-    PdialError,
-    ProtocolError,
-)
+from .errors import ConfigurationError, InputValidationError, PdialError
 from .evaluation import cluster_similarity_report, render_report_text
 from .llm_client import LlmBackendConfig
 from .metric import TrainConfig, train
 from .optimizer import (
+    PerspectiveSpace,
     brute_force_search,
     cluster_centroid,
     gcd_search,
-    perspective_points,
 )
 from .pca import PerspectivePoint, fit_pca
 from .plotting import PointGroup, render_scatter_svg
@@ -152,7 +145,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _resolve_target(
-    args: argparse.Namespace, model, pca, backend_cfg
+    args: argparse.Namespace, space: PerspectiveSpace
 ) -> PerspectivePoint:
     if args.target_cluster:
         if not args.data:
@@ -160,9 +153,7 @@ def _resolve_target(
                 "--target-cluster needs --data to compute the centroid"
             )
         dataset = persistence.load_dataset(args.data)
-        return cluster_centroid(
-            dataset, args.target_cluster, model, pca, backend_cfg
-        )
+        return cluster_centroid(dataset, args.target_cluster, space)
     if args.target_x is None or args.target_y is None:
         raise ConfigurationError(
             "give either --target-cluster or both --target-x and --target-y"
@@ -176,14 +167,14 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     model, _ = persistence.load_model(args.model)
     pca = persistence.load_pca(args.pca)
     spec = persistence.load_prompt_spec(args.prompts)
-    target = _resolve_target(args, model, pca, backend_cfg)
+    space = PerspectiveSpace(model, pca, backend_cfg)
+    target = _resolve_target(args, space)
 
     if args.mode == "brute":
-        trace = brute_force_search(spec, target, model, pca, llm_cfg, backend_cfg)
+        trace = brute_force_search(spec, target, space, llm_cfg)
     else:
         trace = gcd_search(
-            spec, target, model, pca, llm_cfg, backend_cfg,
-            max_sweeps=args.max_sweeps,
+            spec, target, space, llm_cfg, max_sweeps=args.max_sweeps
         )
     persistence.save_trace(args.out_trace, trace, args.mode, target)
     best = trace.best_evaluation
@@ -208,8 +199,8 @@ def cmd_plot(args: argparse.Namespace) -> int:
         dataset = persistence.load_dataset(args.data)
         if not dataset:
             raise ConfigurationError(f"{args.data}: dataset is empty")
-        points = perspective_points(
-            [d.text for d in dataset], model, pca, backend_cfg
+        points = PerspectiveSpace(model, pca, backend_cfg).points(
+            [d.text for d in dataset]
         )
         by_cluster: dict[str, list] = {}
         for doc, point in zip(dataset, points):
@@ -229,10 +220,8 @@ def cmd_plot(args: argparse.Namespace) -> int:
                     points=tuple(by_base[base_index]),
                 )
             )
-        if summary.get("target"):
-            target = PerspectivePoint(
-                x=float(summary["target"][0]), y=float(summary["target"][1])
-            )
+        if summary:
+            target = PerspectivePoint(*map(float, summary["target"]))
         best_so_far = float("inf")
         path = []
         for ev in trace.evaluations:
@@ -344,14 +333,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, InputValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (NumericError, ProtocolError, BackendError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except PdialError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, (ConfigurationError, InputValidationError)):
+            return EXIT_CONFIG
         return EXIT_NUMERIC
 
 

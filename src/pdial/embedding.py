@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import re
-import time
-from typing import Callable
 
 import numpy as np
 
@@ -90,6 +88,8 @@ def hashed_embed(text: str, dimension: int) -> np.ndarray:
 
 
 def _validate_texts(texts: list[str]) -> None:
+    if isinstance(texts, str):
+        raise InputValidationError("expected a list of texts, got a str")
     if not texts:
         raise InputValidationError("embed_batch needs at least one text")
     for i, text in enumerate(texts):
@@ -98,12 +98,10 @@ def _validate_texts(texts: list[str]) -> None:
 
 
 def _http_embed_chunk(
-    chunk: list[str],
-    cfg: EmbeddingBackendConfig,
-    sleep: Callable[[float], None],
+    chunk: list[str], cfg: EmbeddingBackendConfig
 ) -> list[np.ndarray]:
     body = {"model": cfg.model_name, "input": chunk}
-    payload = _http.post_json(cfg.endpoint_url, body, cfg.timeout, sleep=sleep)
+    payload = _http.post_json(cfg.endpoint_url, body, cfg.timeout)
     rows: dict[int, object] = {}
     try:
         for item in payload["data"]:
@@ -138,9 +136,7 @@ def _http_embed_chunk(
 
 
 def embed_batch(
-    texts: list[str],
-    cfg: EmbeddingBackendConfig,
-    sleep: Callable[[float], None] = time.sleep,
+    texts: list[str], cfg: EmbeddingBackendConfig
 ) -> list[np.ndarray]:
     """Embed ``texts``, one vector per input, order-preserving.
 
@@ -158,6 +154,6 @@ def embed_batch(
         for i in range(0, len(texts), cfg.batch_size)
     ]
     results = _http.fan_out_map(
-        lambda chunk: _http_embed_chunk(chunk, cfg, sleep), chunks
+        lambda chunk: _http_embed_chunk(chunk, cfg), chunks
     )
     return [vec for chunk_result in results for vec in chunk_result]

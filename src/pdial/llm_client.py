@@ -9,8 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import math
-import time
-from typing import Callable, Mapping, overload
+from typing import Mapping, overload
 
 from . import _http
 from .errors import (
@@ -72,17 +71,13 @@ def _mock_complete(prompt: str, table: Mapping[str, str]) -> str:
     return prompt
 
 
-def _http_complete(
-    prompt: str, cfg: LlmBackendConfig, sleep: Callable[[float], None]
-) -> str:
+def _http_complete(prompt: str, cfg: LlmBackendConfig) -> str:
     body = {
         "model": cfg.model_name,
         "messages": [{"role": "user", "content": prompt}],
         "temperature": cfg.temperature,
     }
-    payload = _http.post_json(
-        cfg.endpoint_url, body, timeout=cfg.timeout, sleep=sleep
-    )
+    payload = _http.post_json(cfg.endpoint_url, body, timeout=cfg.timeout)
     try:
         content = payload["choices"][0]["message"]["content"]
     except (KeyError, IndexError, TypeError) as exc:
@@ -97,21 +92,15 @@ def _http_complete(
 
 
 @overload
-def complete(
-    prompts: str, cfg: LlmBackendConfig, sleep: Callable[[float], None] = ...
-) -> list[str]: ...
+def complete(prompts: str, cfg: LlmBackendConfig) -> list[str]: ...
 
 
 @overload
-def complete(
-    prompts: list[str], cfg: LlmBackendConfig, sleep: Callable[[float], None] = ...
-) -> list[list[str]]: ...
+def complete(prompts: list[str], cfg: LlmBackendConfig) -> list[list[str]]: ...
 
 
 def complete(
-    prompts: str | list[str],
-    cfg: LlmBackendConfig,
-    sleep: Callable[[float], None] = time.sleep,
+    prompts: str | list[str], cfg: LlmBackendConfig
 ) -> list[str] | list[list[str]]:
     """Generate ``cfg.samples_n`` completions for each of ``prompts``.
 
@@ -125,7 +114,7 @@ def complete(
     this function had before it took a list.
     """
     if isinstance(prompts, str):
-        return complete([prompts], cfg, sleep)[0]
+        return complete([prompts], cfg)[0]
     for i, prompt in enumerate(prompts):
         if not prompt.strip():
             raise InputValidationError(f"prompt {i} must be non-empty")
@@ -134,7 +123,7 @@ def complete(
         table = cfg.mock_table or {}
         return [[_mock_complete(prompt, table)] * n for prompt in prompts]
     outputs = _http.fan_out_map(
-        lambda prompt: _http_complete(prompt, cfg, sleep),
+        lambda prompt: _http_complete(prompt, cfg),
         [prompt for prompt in prompts for _ in range(n)],
     )
     return [outputs[i : i + n] for i in range(0, len(outputs), n)]

@@ -1,10 +1,12 @@
-"""Prompt search: steer LLM output toward a target perspective point.
+"""The perspective space and the prompt search that steers LLM output
+toward a target point in it.
 
-Prompts are a base phrase plus k swappable phrase slots. Two searches
-over the assignment grid are provided: exhaustive brute force (guarded
-by a combination budget) and greedy coordinate descent that sweeps one
+:class:`PerspectiveSpace` maps a text to its 2-D point. Prompts are a
+base phrase plus k swappable phrase slots. Two searches over the
+assignment grid are provided: exhaustive brute force (guarded by a
+combination budget) and greedy coordinate descent that sweeps one
 coordinate at a time, adopting the per-coordinate argmin of the L2 loss
-in the 2-D perspective space. Both record every evaluation in a trace.
+in the perspective space. Both record every evaluation in a trace.
 """
 
 from __future__ import annotations
@@ -108,8 +110,9 @@ def render_prompt(spec: PromptSpec, a: PromptAssignment) -> str:
     return spec.joiner.join(parts)
 
 
-class _PlaneMap:
-    """The text-to-plane map: ``pca_transform(pca, proj.W @ e)`` composed
+class PerspectiveSpace:
+    """The 2-D perspective space: the map from a text to its point,
+    ``pca_transform(pca, proj.W @ e)`` of its embedding ``e``, composed
     into one 2 x d_in matrix ``M = C W`` and an offset ``c = C mean``,
     where ``C`` is the PCA's 2 x d_out components.
 
@@ -141,41 +144,13 @@ class _PlaneMap:
         self.backend_cfg = backend_cfg
 
     def points(self, texts: list[str]) -> list[PerspectivePoint]:
+        """Point of each of ``texts``, from one embedding call; a bare
+        ``str`` is an InputValidationError, as in ``embed_batch``."""
         points = []
         for e in embed_batch(texts, self.backend_cfg):
             x, y = self.M @ e - self.c
             points.append(PerspectivePoint(x=float(x), y=float(y)))
         return points
-
-
-def perspective_points(
-    texts: list[str],
-    proj: ProjectionModel,
-    pca: PcaModel,
-    backend_cfg: EmbeddingBackendConfig,
-) -> list[PerspectivePoint]:
-    """Point of each of ``texts`` in the 2-D perspective space, from one
-    embedding call: ``M e - c`` per embedding ``e``, with ``M = C W`` and
-    ``c = C mean`` (see ``_PlaneMap``). Equal to
-    ``pca_transform(pca, proj.W @ e)`` up to rounding.
-
-    Raises InputValidationError, before embedding anything, when the
-    backend's dimension is not the model's d_in or the PCA's is not its
-    d_out."""
-    if isinstance(texts, str):
-        raise InputValidationError("expected a list of texts, got a str")
-    return _PlaneMap(proj, pca, backend_cfg).points(texts)
-
-
-def perspective_of_output(
-    texts: list[str],
-    proj: ProjectionModel,
-    pca: PcaModel,
-    backend_cfg: EmbeddingBackendConfig,
-) -> PerspectivePoint:
-    """Mean point of ``texts`` in the 2-D perspective space, from one
-    embedding call."""
-    return mean_point(perspective_points(texts, proj, pca, backend_cfg))
 
 
 def loss_to_target(p: PerspectivePoint, target: PerspectivePoint) -> float:
@@ -193,9 +168,7 @@ def mean_point(points: list[PerspectivePoint]) -> PerspectivePoint:
 def cluster_centroid(
     dataset: list[LabeledDocument],
     cluster: str,
-    proj: ProjectionModel,
-    pca: PcaModel,
-    backend_cfg: EmbeddingBackendConfig,
+    space: PerspectiveSpace,
 ) -> PerspectivePoint:
     """Mean perspective point of one cluster's documents; the named-cluster
     form of target specification."""
@@ -204,7 +177,7 @@ def cluster_centroid(
         raise ConfigurationError(
             f"cluster {cluster!r} has no documents in the dataset"
         )
-    return perspective_of_output([doc.text for doc in docs], proj, pca, backend_cfg)
+    return mean_point(space.points([doc.text for doc in docs]))
 
 
 class _Evaluator:
@@ -214,16 +187,14 @@ class _Evaluator:
         self,
         spec: PromptSpec,
         target: PerspectivePoint,
-        proj: ProjectionModel,
-        pca: PcaModel,
+        space: PerspectiveSpace,
         llm_cfg: LlmBackendConfig,
-        backend_cfg: EmbeddingBackendConfig,
         trace: SearchTrace,
         memoize: bool,
     ) -> None:
         self.spec = spec
         self.target = target
-        self.plane = _PlaneMap(proj, pca, backend_cfg)
+        self.space = space
         self.llm_cfg = llm_cfg
         self.trace = trace
         self.memoize = memoize
@@ -244,7 +215,7 @@ class _Evaluator:
         points: list[PerspectivePoint] = []
         if todo:
             samples = complete(todo, self.llm_cfg)
-            points = self.plane.points(
+            points = self.space.points(
                 [text for outputs in samples for text in outputs]
             )
         n = self.llm_cfg.samples_n
@@ -275,10 +246,8 @@ class _Evaluator:
 def brute_force_search(
     spec: PromptSpec,
     target: PerspectivePoint,
-    proj: ProjectionModel,
-    pca: PcaModel,
+    space: PerspectiveSpace,
     llm_cfg: LlmBackendConfig,
-    backend_cfg: EmbeddingBackendConfig,
 ) -> SearchTrace:
     """Evaluate every assignment once, in lexicographic order (base index
     major, then slot indices); ties keep the earliest evaluation.
@@ -296,9 +265,7 @@ def brute_force_search(
             f"(limit {BRUTE_FORCE_MAX_COMBINATIONS})"
         )
     trace = SearchTrace()
-    evaluator = _Evaluator(
-        spec, target, proj, pca, llm_cfg, backend_cfg, trace, memoize=False
-    )
+    evaluator = _Evaluator(spec, target, space, llm_cfg, trace, memoize=False)
     grid = (
         PromptAssignment(base_index, choices)
         for base_index in range(len(spec.base_phrases))
@@ -312,10 +279,8 @@ def brute_force_search(
 def gcd_search(
     spec: PromptSpec,
     target: PerspectivePoint,
-    proj: ProjectionModel,
-    pca: PcaModel,
+    space: PerspectiveSpace,
     llm_cfg: LlmBackendConfig,
-    backend_cfg: EmbeddingBackendConfig,
     max_sweeps: int = DEFAULT_MAX_SWEEPS,
 ) -> SearchTrace:
     """Greedy coordinate descent over (base, slot_0, ..., slot_k-1).
@@ -330,9 +295,7 @@ def gcd_search(
     if max_sweeps < 1:
         raise InputValidationError(f"max_sweeps must be >= 1, got {max_sweeps}")
     trace = SearchTrace()
-    evaluator = _Evaluator(
-        spec, target, proj, pca, llm_cfg, backend_cfg, trace, memoize=True
-    )
+    evaluator = _Evaluator(spec, target, space, llm_cfg, trace, memoize=True)
     current = [0] * (1 + len(spec.slots))
     coordinate_sizes = [len(spec.base_phrases)] + [len(s) for s in spec.slots]
 

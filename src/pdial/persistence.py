@@ -17,6 +17,7 @@ import json
 import logging
 import os
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -66,6 +67,45 @@ def _read_json(path: str | Path) -> dict:
     if not isinstance(data, dict):
         raise FormatError(f"{path}: expected a JSON object at top level")
     return data
+
+
+def _read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """The line number and object of each non-blank line of a JSON Lines
+    file; a line that is not a JSON object is a FormatError naming the
+    file and the line."""
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise FormatError(
+                f"{path}:{lineno}: invalid JSON at column {exc.colno}: {exc.msg}"
+            ) from exc
+        if not isinstance(obj, dict):
+            raise FormatError(f"{path}:{lineno}: expected a JSON object")
+        yield lineno, obj
+
+
+def _string(value: object, where: str) -> str:
+    """``value`` if it is a JSON string that UTF-8 can hold, else a
+    FormatError naming ``where``."""
+    if not isinstance(value, str):
+        raise FormatError(f"{where} must be a JSON string, got {type(value).__name__}")
+    return require_utf8(value, FormatError, where)
+
+
+def _list(value: object, where: str) -> list:
+    """``value`` if it is a JSON list, else a FormatError naming ``where``."""
+    if not isinstance(value, list):
+        raise FormatError(f"{where} must be a JSON list, got {type(value).__name__}")
+    return value
+
+
+def _strings(value: object, where: str) -> list[str]:
+    """``value`` if it is a JSON list of strings, each checked as by
+    ``_string``."""
+    return [_string(v, where) for v in _list(value, where)]
 
 
 def _check_format(data: dict, expected: str, path: str | Path) -> None:
@@ -217,32 +257,18 @@ def load_dataset(path: str | Path) -> list[LabeledDocument]:
     Duplicate ids are rejected with both line numbers; an empty file is
     allowed but logged as a warning.
     """
-    lines = _read_text(path).splitlines()
     docs: list[LabeledDocument] = []
     seen: dict[str, int] = {}
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
+    for lineno, obj in _read_jsonl(path):
+        fields = {}
+        for name in ("id", "text", "cluster"):
+            if name not in obj:
+                raise FormatError(f"{path}:{lineno}: missing field {name!r}")
+            fields[name] = _string(obj[name], f"{path}:{lineno}: {name}")
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise FormatError(
-                f"{path}:{lineno}: invalid JSON at column {exc.colno}: {exc.msg}"
-            ) from exc
-        if not isinstance(obj, dict):
-            raise FormatError(f"{path}:{lineno}: expected a JSON object")
-        try:
-            doc = LabeledDocument(
-                id=str(obj["id"]), text=str(obj["text"]), cluster=str(obj["cluster"])
-            )
-        except KeyError as exc:
-            raise FormatError(
-                f"{path}:{lineno}: missing field {exc.args[0]!r}"
-            ) from exc
+            doc = LabeledDocument(**fields)
         except InputValidationError as exc:
             raise FormatError(f"{path}:{lineno}: {exc}") from exc
-        for name in ("id", "text", "cluster"):
-            require_utf8(getattr(doc, name), FormatError, f"{path}:{lineno}: {name}")
         if doc.id in seen:
             raise FormatError(
                 f"{path}: duplicate id {doc.id!r} on lines {seen[doc.id]} "
@@ -259,7 +285,7 @@ def load_matrix(path: str | Path) -> ClusterSimilarityMatrix:
     data = _read_json(path)
     try:
         return ClusterSimilarityMatrix(
-            clusters=list(data["clusters"]),
+            clusters=_strings(data["clusters"], f"{path}: clusters"),
             sim=np.asarray(data["sim"], dtype=np.float64),
         )
     except (InputValidationError, KeyError, TypeError, ValueError) as exc:
@@ -268,17 +294,12 @@ def load_matrix(path: str | Path) -> ClusterSimilarityMatrix:
 
 def load_prompt_spec(path: str | Path) -> PromptSpec:
     data = _read_json(path)
-
-    def text(value: object, name: str = "phrase") -> str:
-        return require_utf8(str(value), FormatError, f"{path}: {name}")
-
     try:
+        slots = _list(data.get("slots", []), f"{path}: slots")
         return PromptSpec(
-            base_phrases=tuple(text(p) for p in data["base_phrases"]),
-            slots=tuple(
-                tuple(text(c) for c in slot) for slot in data.get("slots", [])
-            ),
-            joiner=text(data.get("joiner", " "), "joiner"),
+            base_phrases=_strings(data["base_phrases"], f"{path}: base_phrases"),
+            slots=[_strings(s, f"{path}: slot {i}") for i, s in enumerate(slots)],
+            joiner=_string(data.get("joiner", " "), f"{path}: joiner"),
         )
     except (InputValidationError, KeyError, TypeError) as exc:
         raise FormatError(f"{path}: malformed prompt spec: {exc}") from exc
@@ -288,11 +309,9 @@ def load_mock_table(path: str | Path) -> dict[str, str]:
     """The mock LLM's prompt-to-response table: one JSON object mapping
     strings to strings."""
     table = _read_json(path)
-    if not all(isinstance(v, str) for v in table.values()):
-        raise FormatError(f"{path}: mock table must map strings to strings")
     for key, value in table.items():
-        require_utf8(key, FormatError, f"{path}: mock table key")
-        require_utf8(value, FormatError, f"{path}: mock table value")
+        _string(key, f"{path}: mock table key")
+        _string(value, f"{path}: mock table value")
     return table
 
 
@@ -378,44 +397,50 @@ def save_trace(
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 
+def _point(value: object) -> PerspectivePoint:
+    """A trace's ``[x, y]`` as a point; anything but two finite JSON
+    numbers raises ValueError or InputValidationError."""
+    if not (
+        isinstance(value, list)
+        and len(value) == 2
+        and all(type(v) in (int, float) for v in value)
+    ):
+        raise ValueError(f"expected [x, y] as two numbers, got {value!r}")
+    return PerspectivePoint(x=float(value[0]), y=float(value[1]))
+
+
 def load_trace(path: str | Path) -> tuple[SearchTrace, dict]:
-    """Read back a trace JSONL file; returns the trace and the summary."""
-    lines = _read_text(path).splitlines()
+    """Read back a trace JSONL file; returns the trace and the summary,
+    whose ``target`` is checked to be two finite numbers."""
     trace = SearchTrace()
     summary: dict = {}
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise FormatError(
-                f"{path}:{lineno}: invalid JSON at column {exc.colno}: {exc.msg}"
-            ) from exc
+    for lineno, obj in _read_jsonl(path):
+        where = f"{path}:{lineno}"
         if obj.get("summary"):
+            try:
+                _point(obj.get("target"))
+            except (InputValidationError, ValueError) as exc:
+                raise FormatError(
+                    f"{where}: malformed trace summary: target {exc}"
+                ) from exc
             summary = obj
             continue
         try:
+            assignment = obj["assignment"]
             trace.record(
                 Evaluation(
                     assignment=PromptAssignment(
-                        base_index=int(obj["assignment"]["base_index"]),
-                        choices=tuple(obj["assignment"]["choices"]),
+                        base_index=int(assignment["base_index"]),
+                        choices=_list(assignment["choices"], f"{where}: choices"),
                     ),
-                    prompt=str(obj["prompt"]),
-                    outputs=tuple(obj["outputs"]),
-                    point=PerspectivePoint(
-                        x=float(obj["point"][0]), y=float(obj["point"][1])
-                    ),
+                    prompt=_string(obj["prompt"], f"{where}: prompt"),
+                    outputs=tuple(_strings(obj["outputs"], f"{where}: outputs")),
+                    point=_point(obj["point"]),
                     loss=float(obj["loss"]),
                 )
             )
-        except (
-            InputValidationError, KeyError, TypeError, ValueError, IndexError
-        ) as exc:
-            raise FormatError(
-                f"{path}:{lineno}: malformed trace line: {exc}"
-            ) from exc
+        except (InputValidationError, KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"{where}: malformed trace line: {exc}") from exc
     if not summary and trace.evaluations:
         raise FormatError(f"{path}: trace file has no summary line")
     return trace, summary

@@ -1,5 +1,6 @@
 import json
 import socket
+from types import SimpleNamespace
 import socketserver
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -149,5 +150,10 @@ def closed_port_url():
     return f"http://127.0.0.1:{port}"
 
 
-def no_sleep(_seconds: float) -> None:
-    """Injectable sleep for retry tests."""
+@pytest.fixture
+def no_sleep(monkeypatch):
+    """Skip the retry backoff of ``_http.post_json``; yields the list of
+    the waits it asked for, in seconds."""
+    waits = []
+    monkeypatch.setattr(_http, "time", SimpleNamespace(sleep=waits.append))
+    yield waits

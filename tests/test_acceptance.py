@@ -23,6 +23,7 @@ from pdial.metric import (
 )
 from pdial.metric import _pair_loss_grad
 from pdial.optimizer import (
+    PerspectiveSpace,
     PromptAssignment,
     PromptSpec,
     brute_force_search,
@@ -236,10 +237,10 @@ def _search_world(losses: dict[tuple[int, int, int], float]):
     return (
         spec,
         PerspectivePoint(0.0, 0.0),
-        proj,
-        pca,
+        PerspectiveSpace(
+            proj, pca, EmbeddingBackendConfig(kind="hashed", dimension=dim)
+        ),
         LlmBackendConfig(kind="mock", mock_table=table),
-        EmbeddingBackendConfig(kind="hashed", dimension=dim),
     )
 
 
@@ -260,8 +261,8 @@ def test_criterion_5_search_optimality():
         (b, s1, s2): round(float(rng.uniform(0.01, 0.15)), 4)
         for b in range(3) for s1 in range(3) for s2 in range(3)
     }
-    spec, target, proj, pca, llm, backend = _search_world(general)
-    trace = brute_force_search(spec, target, proj, pca, llm, backend)
+    spec, target, space, llm = _search_world(general)
+    trace = brute_force_search(spec, target, space, llm)
     assert len(trace.evaluations) == 27
     # hand enumeration: independent argmin over the loss table
     oracle_best = min(general, key=lambda k: (general[k], k))
@@ -278,9 +279,9 @@ def test_criterion_5_search_optimality():
         (b, s1, s2): g0[b] + g1[s1] + g2[s2]
         for b in range(3) for s1 in range(3) for s2 in range(3)
     }
-    spec, target, proj, pca, llm, backend = _search_world(separable)
-    brute = brute_force_search(spec, target, proj, pca, llm, backend)
-    gcd = gcd_search(spec, target, proj, pca, llm, backend)
+    spec, target, space, llm = _search_world(separable)
+    brute = brute_force_search(spec, target, space, llm)
+    gcd = gcd_search(spec, target, space, llm)
     assert gcd.best_evaluation.assignment == brute.best_evaluation.assignment
     assert len(gcd.evaluations) <= 27
     _assert_monotone_best(brute)
@@ -310,13 +311,12 @@ def test_criterion_6_correct_phrase(
     llm = LlmBackendConfig(
         kind="mock", mock_table=load_mock_table(FIXTURES / "mock_table.json")
     )
+    space = PerspectiveSpace(model, pca, FIXTURE_BACKEND)
     cluster_to_base = {"pro-madrid": 0, "neutral": 1, "pro-barca": 2}
     hits = 0
     for cluster, base_index in cluster_to_base.items():
-        target = cluster_centroid(
-            fixture_train_docs, cluster, model, pca, FIXTURE_BACKEND
-        )
-        trace = brute_force_search(spec, target, model, pca, llm, FIXTURE_BACKEND)
+        target = cluster_centroid(fixture_train_docs, cluster, space)
+        trace = brute_force_search(spec, target, space, llm)
         if trace.best_evaluation.assignment.base_index == base_index:
             hits += 1
     assert hits == 3, f"only {hits}/3 targets selected the matching base phrase"
@@ -395,8 +395,8 @@ def test_criterion_7_determinism(tmp_path):
         (b, s1, s2): round(float(rng.uniform(0.01, 0.15)), 4)
         for b in range(3) for s1 in range(3) for s2 in range(3)
     }
-    spec, target, proj, pca, llm, backend = _search_world(general)
+    spec, target, space, llm = _search_world(general)
     for name in ("t1.jsonl", "t2.jsonl"):
-        trace = gcd_search(spec, target, proj, pca, llm, backend)
+        trace = gcd_search(spec, target, space, llm)
         save_trace(tmp_path / name, trace, "gcd", target)
     assert (tmp_path / "t1.jsonl").read_bytes() == (tmp_path / "t2.jsonl").read_bytes()

@@ -11,6 +11,15 @@ import pytest
 
 from pdial import _http
 from pdial.cli import main
+from pdial.errors import (
+    BackendError,
+    ConfigurationError,
+    FormatError,
+    InputValidationError,
+    NumericError,
+    PdialError,
+    ProtocolError,
+)
 
 from conftest import FIXTURES
 
@@ -185,6 +194,28 @@ class TestEvalCommand:
         assert code == 2
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("error,code", [
+    (ConfigurationError, 2),
+    (FormatError, 2),
+    (InputValidationError, 2),
+    (NumericError, 3),
+    (ProtocolError, 3),
+    (BackendError, 3),
+    (PdialError, 3),
+], ids=lambda v: getattr(v, "__name__", str(v)))
+def test_each_error_class_exits_with_its_code(
+    trained, tmp_path, capsys, monkeypatch, error, code
+):
+    import pdial.cli as cli_mod
+
+    def fail(*args):
+        raise error("injected")
+
+    monkeypatch.setattr(cli_mod, "cluster_similarity_report", fail)
+    assert main(_eval_argv(trained, tmp_path)) == code
+    assert capsys.readouterr().err == "error: injected\n"
 
 
 class TestOptimizeCommand:
@@ -386,6 +417,39 @@ class TestPlotCommand:
         ])
         assert code == 2
         assert "both --target-x and --target-y" in capsys.readouterr().err
+        assert not (tmp_path / "x.svg").exists()
+
+    _EVALUATION = json.dumps({
+        "index": 0, "assignment": {"base_index": 0, "choices": []},
+        "prompt": "p", "outputs": ["o"], "point": [0.5, 0.5], "loss": 0.5,
+        "best_so_far": 0.5,
+    })
+
+    @pytest.mark.parametrize("lines,message", [
+        (["[1, 2]"], ":1: expected a JSON object"),
+        (
+            [_EVALUATION, '{"summary": true, "target": "ab"}'],
+            ":2: malformed trace summary: target expected [x, y]",
+        ),
+        (
+            [_EVALUATION, '{"summary": true, "target": [1]}'],
+            ":2: malformed trace summary: target expected [x, y]",
+        ),
+    ], ids=["list-line", "string-target", "one-number-target"])
+    def test_malformed_trace_exits_2(
+        self, trained, tmp_path, capsys, lines, message
+    ):
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text("\n".join(lines) + "\n")
+        code = main([
+            "plot",
+            "--pca", trained["pca"],
+            "--trace", str(trace),
+            "--out", str(tmp_path / "x.svg"),
+            "--dim", "64",
+        ])
+        assert code == 2
+        assert f"{trace}{message}" in capsys.readouterr().err
         assert not (tmp_path / "x.svg").exists()
 
     def test_empty_dataset_is_config_error(self, trained, tmp_path):

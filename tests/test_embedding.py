@@ -18,8 +18,6 @@ from pdial.errors import (
     ProtocolError,
 )
 
-from conftest import no_sleep
-
 
 # Independent re-implementation used as the oracle for index positions.
 def _fnv_oracle(data: bytes) -> int:
@@ -102,6 +100,10 @@ class TestHashedEmbed:
 
 
 class TestEmbedBatchHashed:
+    def test_bare_string_rejected(self):
+        with pytest.raises(InputValidationError, match="list of texts, got a str"):
+            embed_batch("hello", EmbeddingBackendConfig(dimension=8))
+
     CFG = EmbeddingBackendConfig(kind="hashed", dimension=8)
 
     def test_order_preserving_and_deterministic(self):
@@ -132,6 +134,7 @@ class TestEmbedBatchHashed:
             embed_batch(["fine", "   "], self.CFG)
 
 
+@pytest.mark.usefixtures("no_sleep")
 class TestEmbedBatchHttp:
     def _cfg(self, server, **kwargs):
         return EmbeddingBackendConfig(
@@ -157,7 +160,7 @@ class TestEmbedBatchHttp:
     def test_round_trip_and_index_alignment(self, stub_server):
         cfg = self._cfg(stub_server, dimension=4)
         stub_server.handler_fn = self._ok_handler(4)
-        out = embed_batch(["xy", "abcde"], cfg, sleep=no_sleep)
+        out = embed_batch(["xy", "abcde"], cfg)
         np.testing.assert_array_equal(out[0], [2.0] * 4)
         np.testing.assert_array_equal(out[1], [5.0] * 4)
         body = stub_server.requests[0]["body"]
@@ -168,7 +171,7 @@ class TestEmbedBatchHttp:
         cfg = self._cfg(stub_server, dimension=3, batch_size=2)
         stub_server.handler_fn = self._ok_handler(3)
         texts = ["a", "bb", "ccc", "dddd", "eeeee"]
-        out = embed_batch(texts, cfg, sleep=no_sleep)
+        out = embed_batch(texts, cfg)
         assert [int(v[0]) for v in out] == [1, 2, 3, 4, 5]
         assert len(stub_server.requests) == 3
         sizes = sorted(len(r["body"]["input"]) for r in stub_server.requests)
@@ -178,7 +181,7 @@ class TestEmbedBatchHttp:
         monkeypatch.setenv("PD_API_KEY", "sk-test-123")
         cfg = self._cfg(stub_server, dimension=2)
         stub_server.handler_fn = self._ok_handler(2)
-        embed_batch(["hello"], cfg, sleep=no_sleep)
+        embed_batch(["hello"], cfg)
         auth = stub_server.requests[0]["headers"].get("authorization")
         assert auth == "Bearer sk-test-123"
 
@@ -186,20 +189,20 @@ class TestEmbedBatchHttp:
         monkeypatch.delenv("PD_API_KEY", raising=False)
         cfg = self._cfg(stub_server, dimension=2)
         stub_server.handler_fn = self._ok_handler(2)
-        embed_batch(["hello"], cfg, sleep=no_sleep)
+        embed_batch(["hello"], cfg)
         assert "authorization" not in stub_server.requests[0]["headers"]
 
     def test_dimension_mismatch_is_fatal_config_error(self, stub_server):
         cfg = self._cfg(stub_server, dimension=16)
         stub_server.handler_fn = self._ok_handler(4)  # wrong size
         with pytest.raises(ConfigurationError):
-            embed_batch(["hello"], cfg, sleep=no_sleep)
+            embed_batch(["hello"], cfg)
 
     def test_http_failure_retries_then_raises(self, stub_server):
         cfg = self._cfg(stub_server, dimension=2)
         stub_server.handler_fn = lambda record: (500, {"error": "boom"})
         with pytest.raises(BackendError, match="HTTP 500"):
-            embed_batch(["hello"], cfg, sleep=no_sleep)
+            embed_batch(["hello"], cfg)
         assert len(stub_server.requests) == 3  # three attempts
 
     def test_recovers_after_transient_failure(self, stub_server):
@@ -208,7 +211,7 @@ class TestEmbedBatchHttp:
         stub_server.handler_fn = lambda record: (
             (503, {}) if len(stub_server.requests) == 1 else ok(record)
         )
-        out = embed_batch(["hey"], cfg, sleep=no_sleep)
+        out = embed_batch(["hey"], cfg)
         assert out[0].shape == (2,)
         assert len(stub_server.requests) == 2
 
@@ -216,7 +219,7 @@ class TestEmbedBatchHttp:
         cfg = self._cfg(stub_server, dimension=2)
         stub_server.handler_fn = lambda record: (200, {"data": []})
         with pytest.raises(ProtocolError):
-            embed_batch(["hello"], cfg, sleep=no_sleep)
+            embed_batch(["hello"], cfg)
 
     @staticmethod
     def _indices_handler(indices):
@@ -241,14 +244,14 @@ class TestEmbedBatchHttp:
         cfg = self._cfg(stub_server, dimension=2)
         stub_server.handler_fn = self._indices_handler(indices)
         with pytest.raises(ProtocolError, match=match):
-            embed_batch(["first", "second"], cfg, sleep=no_sleep)
+            embed_batch(["first", "second"], cfg)
 
     @pytest.mark.parametrize("status", [400, 401, 403, 404, 422])
     def test_client_error_is_not_retried(self, stub_server, status):
         cfg = self._cfg(stub_server, dimension=2)
         stub_server.handler_fn = lambda record: (status, {"error": "no"})
         with pytest.raises(BackendError, match=f"HTTP {status}"):
-            embed_batch(["hello"], cfg, sleep=no_sleep)
+            embed_batch(["hello"], cfg)
         assert len(stub_server.requests) == 1
 
     @pytest.mark.parametrize("status", [408, 429])
@@ -256,7 +259,7 @@ class TestEmbedBatchHttp:
         cfg = self._cfg(stub_server, dimension=2)
         stub_server.handler_fn = lambda record: (status, {"error": "later"})
         with pytest.raises(BackendError, match=f"HTTP {status}"):
-            embed_batch(["hello"], cfg, sleep=no_sleep)
+            embed_batch(["hello"], cfg)
         assert len(stub_server.requests) == 3
 
     def test_concurrent_chunks_reassembled_in_input_order(self, stub_server):
@@ -273,7 +276,7 @@ class TestEmbedBatchHttp:
             return ok(record)
 
         stub_server.handler_fn = slow_first
-        out = embed_batch(["aaa", "bb", "c"], cfg, sleep=no_sleep)
+        out = embed_batch(["aaa", "bb", "c"], cfg)
         assert [int(v[0]) for v in out] == [3, 2, 1]
         assert len(stub_server.requests) == 3
 
@@ -299,7 +302,7 @@ class TestEmbedBatchHttp:
 
         monkeypatch.setattr(_http, "_open", slow_ok)
         with pytest.raises(BackendError, match="HTTP 401"):
-            embed_batch(texts, cfg, sleep=no_sleep)
+            embed_batch(texts, cfg)
         assert 3 <= len(stub_server.requests) <= 3 + fan_out
 
 

@@ -80,26 +80,26 @@ BROKEN_REPLIES = {
 class TestPostJson:
     BODY = {"model": "", "input": ["hello"]}
 
-    def test_refused_connection_is_retried_then_raised(self, closed_port_url):
-        sleeps = []
+    def test_refused_connection_is_retried_then_raised(
+        self, closed_port_url, no_sleep
+    ):
         with pytest.raises(
             BackendError, match=r"after 3 attempts \(transport error: .*refused"
         ):
-            _http.post_json(closed_port_url, self.BODY, 5.0, sleep=sleeps.append)
-        assert sleeps == [1.0, 2.0]  # three attempts
+            _http.post_json(closed_port_url, self.BODY, 5.0)
+        assert no_sleep == [1.0, 2.0]  # three attempts
 
     @pytest.mark.parametrize("reply", BROKEN_REPLIES.values(), ids=BROKEN_REPLIES)
-    def test_broken_reply_is_retried_then_raised(self, raw_server, reply):
+    def test_broken_reply_is_retried_then_raised(self, raw_server, reply, no_sleep):
         raw_server.reply = reply
-        sleeps = []
         with pytest.raises(
             BackendError, match=r"after 3 attempts \(transport error: "
         ):
-            _http.post_json(raw_server.url, self.BODY, 5.0, sleep=sleeps.append)
+            _http.post_json(raw_server.url, self.BODY, 5.0)
         assert raw_server.connections == _http.MAX_ATTEMPTS
-        assert sleeps == [1.0, 2.0]
+        assert no_sleep == [1.0, 2.0]
 
-    def test_timeout_is_a_transport_error(self, raw_server):
+    def test_timeout_is_a_transport_error(self, raw_server, no_sleep):
         # a reply that never comes: the server holds each connection open
         release = threading.Event()
 
@@ -113,7 +113,7 @@ class TestPostJson:
             with pytest.raises(
                 BackendError, match=r"after 3 attempts \(transport error: .*timed out"
             ):
-                _http.post_json(raw_server.url, self.BODY, 0.05, sleep=lambda s: None)
+                _http.post_json(raw_server.url, self.BODY, 0.05)
         finally:
             release.set()
 

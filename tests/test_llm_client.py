@@ -9,8 +9,6 @@ from pdial.errors import (
 )
 from pdial.llm_client import LlmBackendConfig, complete
 
-from conftest import no_sleep
-
 
 class TestMockBackend:
     def test_exact_table_hit(self):
@@ -60,6 +58,7 @@ class TestMockBackend:
         assert complete("p", cfg) == complete(["p"], cfg)[0] == ["out", "out"]
 
 
+@pytest.mark.usefixtures("no_sleep")
 class TestHttpBackend:
     def _cfg(self, server, **kwargs):
         return LlmBackendConfig(
@@ -76,7 +75,7 @@ class TestHttpBackend:
     def test_round_trip_extracts_content(self, stub_server):
         stub_server.handler_fn = lambda record: self._ok("canned response body")
         cfg = self._cfg(stub_server)
-        assert complete(["say hi"], cfg, sleep=no_sleep)[0] == ["canned response body"]
+        assert complete(["say hi"], cfg)[0] == ["canned response body"]
         body = stub_server.requests[0]["body"]
         assert body["model"] == "test-chat"
         assert body["messages"] == [{"role": "user", "content": "say hi"}]
@@ -85,13 +84,13 @@ class TestHttpBackend:
     def test_temperature_passed_through(self, stub_server):
         stub_server.handler_fn = lambda record: self._ok("x")
         cfg = self._cfg(stub_server, temperature=0.7)
-        complete(["p"], cfg, sleep=no_sleep)
+        complete(["p"], cfg)
         assert stub_server.requests[0]["body"]["temperature"] == 0.7
 
     def test_one_request_per_sample(self, stub_server):
         stub_server.handler_fn = lambda record: self._ok("x")
         cfg = self._cfg(stub_server, samples_n=3)
-        assert complete(["p"], cfg, sleep=no_sleep)[0] == ["x", "x", "x"]
+        assert complete(["p"], cfg)[0] == ["x", "x", "x"]
         assert len(stub_server.requests) == 3
 
     def test_retry_does_not_duplicate_successful_sample(self, stub_server):
@@ -100,21 +99,21 @@ class TestHttpBackend:
             (500, {}) if len(stub_server.requests) == 1 else self._ok("ok")
         )
         cfg = self._cfg(stub_server, samples_n=2)
-        assert complete(["p"], cfg, sleep=no_sleep)[0] == ["ok", "ok"]
+        assert complete(["p"], cfg)[0] == ["ok", "ok"]
         assert len(stub_server.requests) == 3  # 1 failed + 2 successful
 
     def test_transport_exhaustion_is_backend_error(self, stub_server):
         stub_server.handler_fn = lambda record: (502, {"error": "down"})
         cfg = self._cfg(stub_server)
         with pytest.raises(BackendError, match="after 3 attempts"):
-            complete(["p"], cfg, sleep=no_sleep)
+            complete(["p"], cfg)
         assert len(stub_server.requests) == 3
 
     def test_malformed_payload_is_protocol_error(self, stub_server):
         stub_server.handler_fn = lambda record: (200, {"choices": []})
         cfg = self._cfg(stub_server)
         with pytest.raises(ProtocolError):
-            complete(["p"], cfg, sleep=no_sleep)
+            complete(["p"], cfg)
 
     def test_non_string_content_is_protocol_error(self, stub_server):
         stub_server.handler_fn = lambda record: (
@@ -123,33 +122,33 @@ class TestHttpBackend:
         )
         cfg = self._cfg(stub_server)
         with pytest.raises(ProtocolError):
-            complete(["p"], cfg, sleep=no_sleep)
+            complete(["p"], cfg)
 
     def test_samples_of_many_prompts_fan_out_in_order(self, stub_server):
         stub_server.handler_fn = lambda record: self._ok(
             record["body"]["messages"][0]["content"].upper()
         )
         cfg = self._cfg(stub_server, samples_n=2)
-        got = complete(["a", "b", "c"], cfg, sleep=no_sleep)
+        got = complete(["a", "b", "c"], cfg)
         assert got == [["A", "A"], ["B", "B"], ["C", "C"]]
         assert len(stub_server.requests) == 6
 
     def test_every_prompt_checked_before_any_request(self, stub_server):
         stub_server.handler_fn = lambda record: self._ok("x")
         with pytest.raises(InputValidationError, match="prompt 2"):
-            complete(["a", "b", " "], self._cfg(stub_server), sleep=no_sleep)
+            complete(["a", "b", " "], self._cfg(stub_server))
         assert stub_server.requests == []
 
     def test_lone_surrogate_content_is_protocol_error(self, stub_server):
         # JSON "\ud800" decodes to a lone surrogate, which UTF-8 cannot hold
         stub_server.handler_fn = lambda record: self._ok("fine\ud800")
         with pytest.raises(ProtocolError, match="not valid Unicode"):
-            complete(["p"], self._cfg(stub_server), sleep=no_sleep)
+            complete(["p"], self._cfg(stub_server))
 
     def test_timeout_reaches_post_json(self, monkeypatch):
         seen = []
 
-        def fake_post_json(url, body, timeout, sleep):
+        def fake_post_json(url, body, timeout):
             seen.append(timeout)
             return {"choices": [{"message": {"content": "x"}}]}
 
@@ -165,7 +164,7 @@ class TestHttpBackend:
     def test_bearer_auth(self, stub_server, monkeypatch):
         monkeypatch.setenv("PD_API_KEY", "sk-llm")
         stub_server.handler_fn = lambda record: self._ok("x")
-        complete(["p"], self._cfg(stub_server), sleep=no_sleep)
+        complete(["p"], self._cfg(stub_server))
         assert stub_server.requests[0]["headers"]["authorization"] == "Bearer sk-llm"
 
 

@@ -13,6 +13,7 @@ from pdial.llm_client import LlmBackendConfig, complete
 from pdial.metric import ProjectionModel, train
 from pdial.optimizer import (
     Evaluation,
+    PerspectiveSpace,
     PromptAssignment,
     PromptSpec,
     SearchTrace,
@@ -21,8 +22,6 @@ from pdial.optimizer import (
     gcd_search,
     loss_to_target,
     mean_point,
-    perspective_of_output,
-    perspective_points,
     render_prompt,
 )
 from pdial.pca import PcaModel, PerspectivePoint, fit_pca, pca_transform
@@ -56,7 +55,7 @@ def _distinct_tokens(count: int, dim: int) -> list[tuple[str, int]]:
 
 
 def _loss_table_world(spec: PromptSpec, losses: dict[tuple, float], dim: int = 64):
-    """Build (proj, pca, llm_cfg, target) realizing an arbitrary loss table.
+    """Build (space, llm_cfg, target) realizing an arbitrary loss table.
 
     Each assignment's mock output is a unique single token; that token's
     one-hot embedding is placed at x = wanted loss, y = 0, so the L2 loss
@@ -88,7 +87,7 @@ def _loss_table_world(spec: PromptSpec, losses: dict[tuple, float], dim: int = 6
     )
     llm = LlmBackendConfig(kind="mock", mock_table=table)
     backend = EmbeddingBackendConfig(kind="hashed", dimension=dim)
-    return proj, pca, llm, backend, PerspectivePoint(0.0, 0.0)
+    return PerspectiveSpace(proj, pca, backend), llm, PerspectivePoint(0.0, 0.0)
 
 
 class TestRenderPrompt:
@@ -163,7 +162,8 @@ class TestPerspectiveOfOutput:
         pca = PcaModel(
             mean=e, components=np.eye(8)[:2], explained_variance=np.array([1.0, 1.0])
         )
-        point = perspective_of_output(["alpha"], proj, pca, EmbeddingBackendConfig(dimension=8))
+        space = PerspectiveSpace(proj, pca, EmbeddingBackendConfig(dimension=8))
+        point = mean_point(space.points(["alpha"]))
         assert point.x == 0.0 and point.y == 0.0
 
     def test_pinned_composition(self):
@@ -175,9 +175,8 @@ class TestPerspectiveOfOutput:
             components=np.eye(8)[[0, 6]],
             explained_variance=np.array([1.0, 1.0]),
         )
-        point = perspective_of_output(
-            ["barca barca madrid"], proj, pca, EmbeddingBackendConfig(dimension=8)
-        )
+        space = PerspectiveSpace(proj, pca, EmbeddingBackendConfig(dimension=8))
+        point = mean_point(space.points(["barca barca madrid"]))
         assert point.x == 0.4472135954999579
         assert point.y == 0.8944271909999159
 
@@ -190,9 +189,9 @@ class TestPerspectiveOfOutput:
             components=q[:, :2].T,
             explained_variance=np.array([1.0, 1.0]),
         )
-        cfg = EmbeddingBackendConfig(dimension=16)
-        p1 = perspective_of_output(["barca madrid won"], proj, pca, cfg)
-        p2 = perspective_of_output(["won madrid barca"], proj, pca, cfg)
+        space = PerspectiveSpace(proj, pca, EmbeddingBackendConfig(dimension=16))
+        p1 = mean_point(space.points(["barca madrid won"]))
+        p2 = mean_point(space.points(["won madrid barca"]))
         assert (p1.x, p1.y) == (p2.x, p2.y)
 
     def test_mean_of_texts_from_one_embedding_call(self, monkeypatch):
@@ -202,9 +201,9 @@ class TestPerspectiveOfOutput:
             components=np.eye(8)[[0, 6]],
             explained_variance=np.array([1.0, 1.0]),
         )
-        cfg = EmbeddingBackendConfig(dimension=8)
+        space = PerspectiveSpace(proj, pca, EmbeddingBackendConfig(dimension=8))
         texts = ["barca barca madrid", "madrid", "barca"]
-        singles = [perspective_of_output([t], proj, pca, cfg) for t in texts]
+        singles = [mean_point(space.points([t])) for t in texts]
         real_embed = optimizer_mod.embed_batch
         calls = []
 
@@ -213,7 +212,7 @@ class TestPerspectiveOfOutput:
             return real_embed(batch, backend_cfg, **kwargs)
 
         monkeypatch.setattr(optimizer_mod, "embed_batch", counting)
-        got = perspective_of_output(texts, proj, pca, cfg)
+        got = mean_point(space.points(texts))
         assert calls == [texts]
         assert (got.x, got.y) == (mean_point(singles).x, mean_point(singles).y)
 
@@ -225,9 +224,7 @@ class TestPerspectiveOfOutput:
             explained_variance=np.array([1.0, 1.0]),
         )
         with pytest.raises(InputValidationError, match="list of texts"):
-            perspective_of_output(
-                "alpha", proj, pca, EmbeddingBackendConfig(dimension=8)
-            )
+            PerspectiveSpace(proj, pca, EmbeddingBackendConfig(dimension=8)).points("alpha")
 
 
 def _random_pca(rng, dim):
@@ -259,7 +256,7 @@ def fixture_world_768():
 
 
 class TestPerspectivePoints:
-    """``perspective_points`` applies the composed 2 x d_in map per text."""
+    """``PerspectiveSpace.points`` applies the composed 2 x d_in map per text."""
 
     @staticmethod
     def _oracle(texts, proj, pca, backend):
@@ -274,7 +271,7 @@ class TestPerspectivePoints:
         pca = _random_pca(rng, d_out)
         backend = EmbeddingBackendConfig(kind="hashed", dimension=d_in)
         texts = _fixture_texts(40)
-        got = perspective_points(texts, proj, pca, backend)
+        got = PerspectiveSpace(proj, pca, backend).points(texts)
         want = self._oracle(texts, proj, pca, backend)
         for g, w in zip(got, want, strict=True):
             assert g.x == pytest.approx(w.x, abs=1e-12)
@@ -283,7 +280,7 @@ class TestPerspectivePoints:
     def test_matches_per_vector_oracle_at_768(self, fixture_world_768):
         model, pca, backend = fixture_world_768
         texts = _fixture_texts(30)
-        got = perspective_points(texts, model, pca, backend)
+        got = PerspectiveSpace(model, pca, backend).points(texts)
         want = self._oracle(texts, model, pca, backend)
         for g, w in zip(got, want, strict=True):
             assert g.x == pytest.approx(w.x, abs=1e-12)
@@ -294,8 +291,9 @@ class TestPerspectivePoints:
         same bits alone and at any row of a batch."""
         model, pca, backend = fixture_world_768
         texts = _fixture_texts(70)
-        batch = perspective_points(texts, model, pca, backend)
-        alone = {t: perspective_points([t], model, pca, backend)[0] for t in set(texts)}
+        space = PerspectiveSpace(model, pca, backend)
+        batch = space.points(texts)
+        alone = {t: space.points([t])[0] for t in set(texts)}
         for text, point in zip(texts, batch):
             assert (point.x, point.y) == (alone[text].x, alone[text].y)
 
@@ -308,7 +306,7 @@ class TestPerspectivePoints:
         monkeypatch.setattr(optimizer_mod, "embed_batch", lambda *a, **k: calls.append(a))
         match = "d_in=16" if what == "embedding" else "d_out=8"
         with pytest.raises(InputValidationError, match=match):
-            perspective_points(["alpha"], proj, pca, backend)
+            PerspectiveSpace(proj, pca, backend).points(["alpha"])
         assert calls == []
 
     @pytest.mark.parametrize("search", [brute_force_search, gcd_search])
@@ -316,22 +314,24 @@ class TestPerspectivePoints:
         self, monkeypatch, search
     ):
         spec = PromptSpec(base_phrases=("q0", "q1"), slots=(("a", "b"),))
-        proj, pca, llm, backend, target = _loss_table_world(
+        _, llm, target = _loss_table_world(
             spec, {(b, s): 0.1 for b in range(2) for s in range(2)}
         )
+        proj = ProjectionModel(d_in=64, d_out=64, W=np.eye(64))
+        pca = _random_pca(np.random.default_rng(0), 64)
         calls = []
         monkeypatch.setattr(optimizer_mod, "complete", lambda *a, **k: calls.append(a))
         narrow = EmbeddingBackendConfig(dimension=proj.d_in // 2)
         with pytest.raises(InputValidationError, match="d_in="):
-            search(spec, target, proj, pca, llm, narrow)
+            search(spec, target, PerspectiveSpace(proj, pca, narrow), llm)
         assert calls == []
 
 
 class TestBruteForce:
     def test_single_combination(self):
         spec = PromptSpec(base_phrases=("only query",))
-        proj, pca, llm, backend, target = _loss_table_world(spec, {(0,): 0.25})
-        trace = brute_force_search(spec, target, proj, pca, llm, backend)
+        space, llm, target = _loss_table_world(spec, {(0,): 0.25})
+        trace = brute_force_search(spec, target, space, llm)
         assert len(trace.evaluations) == 1
         assert trace.best == 0
         assert trace.best_evaluation.loss == 0.25
@@ -344,8 +344,8 @@ class TestBruteForce:
             (b, s1, s2): 0.1 + 0.01 * (4 * b + 2 * s1 + s2)
             for b in range(2) for s1 in range(2) for s2 in range(2)
         }
-        proj, pca, llm, backend, target = _loss_table_world(spec, losses)
-        trace = brute_force_search(spec, target, proj, pca, llm, backend)
+        space, llm, target = _loss_table_world(spec, losses)
+        trace = brute_force_search(spec, target, space, llm)
         seen = [
             (ev.assignment.base_index, *ev.assignment.choices)
             for ev in trace.evaluations
@@ -362,8 +362,8 @@ class TestBruteForce:
             (1, 0): 0.35, (1, 1): 0.05,
             (2, 0): 0.18, (2, 1): 0.40,
         }
-        proj, pca, llm, backend, target = _loss_table_world(spec, losses)
-        trace = brute_force_search(spec, target, proj, pca, llm, backend)
+        space, llm, target = _loss_table_world(spec, losses)
+        trace = brute_force_search(spec, target, space, llm)
         oracle = min(losses, key=lambda k: (losses[k], k))
         best = trace.best_evaluation
         assert (best.assignment.base_index, *best.assignment.choices) == oracle
@@ -374,8 +374,8 @@ class TestBruteForce:
     def test_tie_broken_by_earliest_evaluation(self):
         spec = PromptSpec(base_phrases=("q0", "q1", "q2"))
         losses = {(0,): 0.4, (1,): 0.2, (2,): 0.2}
-        proj, pca, llm, backend, target = _loss_table_world(spec, losses)
-        trace = brute_force_search(spec, target, proj, pca, llm, backend)
+        space, llm, target = _loss_table_world(spec, losses)
+        trace = brute_force_search(spec, target, space, llm)
         assert trace.best_evaluation.assignment.base_index == 1
 
     def test_combination_budget_guard_fires_before_llm(self, monkeypatch):
@@ -398,9 +398,9 @@ class TestBruteForce:
         )
         with pytest.raises(ConfigurationError, match="budget"):
             brute_force_search(
-                spec, PerspectivePoint(0, 0), proj, pca,
+                spec, PerspectivePoint(0, 0),
+                PerspectiveSpace(proj, pca, EmbeddingBackendConfig(dimension=4)),
                 LlmBackendConfig(kind="mock", mock_table={}),
-                EmbeddingBackendConfig(dimension=4),
             )
         assert calls["n"] == 0
 
@@ -415,9 +415,9 @@ class TestBruteForce:
         )
         with pytest.raises(ConfigurationError, match="slots"):
             brute_force_search(
-                spec, PerspectivePoint(0, 0), proj, pca,
+                spec, PerspectivePoint(0, 0),
+                PerspectiveSpace(proj, pca, EmbeddingBackendConfig(dimension=4)),
                 LlmBackendConfig(kind="mock", mock_table={}),
-                EmbeddingBackendConfig(dimension=4),
             )
 
 
@@ -432,8 +432,8 @@ def _best_so_far(trace):
 class TestGcdSearch:
     def test_trivial_spec_single_evaluation(self):
         spec = PromptSpec(base_phrases=("only",))
-        proj, pca, llm, backend, target = _loss_table_world(spec, {(0,): 0.2})
-        trace = gcd_search(spec, target, proj, pca, llm, backend)
+        space, llm, target = _loss_table_world(spec, {(0,): 0.2})
+        trace = gcd_search(spec, target, space, llm)
         assert len(trace.evaluations) == 1
 
     def test_separable_reaches_global_optimum(self):
@@ -446,9 +446,9 @@ class TestGcdSearch:
             (b, s1, s2): g0[b] + g1[s1] + g2[s2]
             for b in range(3) for s1 in range(3) for s2 in range(3)
         }
-        proj, pca, llm, backend, target = _loss_table_world(spec, losses)
-        brute = brute_force_search(spec, target, proj, pca, llm, backend)
-        gcd = gcd_search(spec, target, proj, pca, llm, backend)
+        space, llm, target = _loss_table_world(spec, losses)
+        brute = brute_force_search(spec, target, space, llm)
+        gcd = gcd_search(spec, target, space, llm)
         assert gcd.best_evaluation.assignment == brute.best_evaluation.assignment
         assert gcd.best_evaluation.loss == brute.best_evaluation.loss
         assert len(gcd.evaluations) <= len(brute.evaluations)
@@ -463,9 +463,9 @@ class TestGcdSearch:
             (0, 0, 0): 0.30, (0, 1, 0): 0.60,
             (0, 0, 1): 0.50, (0, 1, 1): 0.10,
         }
-        proj, pca, llm, backend, target = _loss_table_world(spec, losses)
-        gcd = gcd_search(spec, target, proj, pca, llm, backend)
-        brute = brute_force_search(spec, target, proj, pca, llm, backend)
+        space, llm, target = _loss_table_world(spec, losses)
+        gcd = gcd_search(spec, target, space, llm)
+        brute = brute_force_search(spec, target, space, llm)
         assert gcd.best_evaluation.loss == 0.30
         assert brute.best_evaluation.loss == 0.10
         assert gcd.best_evaluation.loss >= brute.best_evaluation.loss
@@ -480,8 +480,8 @@ class TestGcdSearch:
             (b, s1, s2): 0.1 + 0.07 * b + 0.03 * s1 + 0.01 * s2
             for b in range(2) for s1 in range(2) for s2 in range(2)
         }
-        proj, pca, llm, backend, target = _loss_table_world(spec, losses)
-        trace = gcd_search(spec, target, proj, pca, llm, backend)
+        space, llm, target = _loss_table_world(spec, losses)
+        trace = gcd_search(spec, target, space, llm)
         prompts = [ev.prompt for ev in trace.evaluations]
         assert len(prompts) == len(set(prompts))
         assert len(trace.evaluations) <= spec.combination_count()
@@ -495,7 +495,7 @@ class TestGcdSearch:
             (b, s1, s2): 0.01 * (9 * b + 3 * s1 + s2 + 1)
             for b in range(3) for s1 in range(3) for s2 in range(3)
         }
-        proj, pca, llm, backend, target = _loss_table_world(spec, losses)
+        space, llm, target = _loss_table_world(spec, losses)
         real_complete = optimizer_mod.complete
         seen = []
 
@@ -504,7 +504,7 @@ class TestGcdSearch:
             return real_complete(prompts, cfg, **kwargs)
 
         monkeypatch.setattr(optimizer_mod, "complete", counting)
-        gcd_search(spec, target, proj, pca, llm, backend)
+        gcd_search(spec, target, space, llm)
         assert len(seen) == len(set(seen))
 
     def test_one_embedding_call_per_batch(self, monkeypatch):
@@ -512,7 +512,7 @@ class TestGcdSearch:
         # slot choices (1 new, 1 from the memo)
         spec = PromptSpec(base_phrases=("q0", "q1"), slots=(("a0", "a1"),))
         losses = {(b, s): 0.1 + 0.05 * b + 0.02 * s for b in range(2) for s in range(2)}
-        proj, pca, llm, backend, target = _loss_table_world(spec, losses)
+        space, llm, target = _loss_table_world(spec, losses)
         llm = LlmBackendConfig(kind="mock", samples_n=3, mock_table=llm.mock_table)
         real_embed = optimizer_mod.embed_batch
         sizes = []
@@ -522,7 +522,7 @@ class TestGcdSearch:
             return real_embed(batch, backend_cfg, **kwargs)
 
         monkeypatch.setattr(optimizer_mod, "embed_batch", counting)
-        trace = gcd_search(spec, target, proj, pca, llm, backend)
+        trace = gcd_search(spec, target, space, llm)
         assert sizes == [6, 3]
         assert sum(sizes) == 3 * len(trace.evaluations)
 
@@ -531,17 +531,17 @@ class TestGcdSearch:
             base_phrases=("q0", "q1"), slots=(("a0", "a1"),)
         )
         losses = {(b, s): 0.1 + 0.05 * b + 0.02 * s for b in range(2) for s in range(2)}
-        args = _loss_table_world(spec, losses)
-        t1 = gcd_search(spec, args[4], *args[:4])
-        t2 = gcd_search(spec, args[4], *args[:4])
+        space, llm, target = _loss_table_world(spec, losses)
+        t1 = gcd_search(spec, target, space, llm)
+        t2 = gcd_search(spec, target, space, llm)
         assert t1.evaluations == t2.evaluations
         assert t1.best == t2.best
 
     def test_max_sweeps_validation(self):
         spec = PromptSpec(base_phrases=("q",))
-        proj, pca, llm, backend, target = _loss_table_world(spec, {(0,): 0.1})
+        space, llm, target = _loss_table_world(spec, {(0,): 0.1})
         with pytest.raises(InputValidationError):
-            gcd_search(spec, target, proj, pca, llm, backend, max_sweeps=0)
+            gcd_search(spec, target, space, llm, max_sweeps=0)
 
     def test_best_so_far_monotone_on_both_searches(self):
         spec = PromptSpec(
@@ -552,9 +552,9 @@ class TestGcdSearch:
             (b, s): round(float(rng.uniform(0.01, 0.3)), 3)
             for b in range(3) for s in range(3)
         }
-        proj, pca, llm, backend, target = _loss_table_world(spec, losses)
+        space, llm, target = _loss_table_world(spec, losses)
         for search in (brute_force_search, gcd_search):
-            trace = search(spec, target, proj, pca, llm, backend)
+            trace = search(spec, target, space, llm)
             assert np.all(np.diff(_best_so_far(trace)) <= 0)
 
 
@@ -563,10 +563,9 @@ class _SequentialEvaluator:
     ``samples_n`` completions and one embedding call per new prompt. Kept
     as the oracle of ``_Evaluator.losses``."""
 
-    def __init__(self, spec, target, proj, pca, llm_cfg, backend_cfg, memoize):
+    def __init__(self, spec, target, space, llm_cfg, memoize):
         self.spec, self.target = spec, target
-        self.proj, self.pca = proj, pca
-        self.llm_cfg, self.backend_cfg = llm_cfg, backend_cfg
+        self.space, self.llm_cfg = space, llm_cfg
         self.memoize = memoize
         self.trace = SearchTrace()
         self._by_prompt = {}
@@ -576,9 +575,7 @@ class _SequentialEvaluator:
         if self.memoize and prompt in self._by_prompt:
             return self.trace.evaluations[self._by_prompt[prompt]].loss
         outputs = optimizer_mod.complete([prompt], self.llm_cfg)[0]
-        point = mean_point(
-            perspective_points(outputs, self.proj, self.pca, self.backend_cfg)
-        )
+        point = mean_point(self.space.points(outputs))
         loss = loss_to_target(point, self.target)
         idx = self.trace.record(
             Evaluation(assignment, prompt, tuple(outputs), point, loss)
@@ -622,8 +619,11 @@ _WORDS = ("madrid", "barca", "derby", "goal", "tiki", "taka", "press", "glory",
           "draw", "neutral", "stadium", "fans")
 
 
-def _random_world(seed, samples_n, slot_sizes=None, duplicate=False, dim=16):
-    """A seeded spec, mock table, projection, PCA and target.
+def _random_world(
+    seed, samples_n, slot_sizes=None, duplicate=False, dim=16, backend=None
+):
+    """A seeded spec, mock table, perspective space and target; the space
+    embeds with ``backend``, by default the hashed one at ``dim``.
 
     About half of the rendered prompts have a table entry; the rest fall
     back to the mock's substring or echo rule.
@@ -660,8 +660,8 @@ def _random_world(seed, samples_n, slot_sizes=None, duplicate=False, dim=16):
     )
     target = PerspectivePoint(*rng.normal(size=2))
     llm = LlmBackendConfig(kind="mock", samples_n=samples_n, mock_table=table)
-    backend = EmbeddingBackendConfig(kind="hashed", dimension=dim)
-    return spec, (target, proj, pca, llm, backend)
+    backend = backend or EmbeddingBackendConfig(kind="hashed", dimension=dim)
+    return spec, (target, PerspectiveSpace(proj, pca, backend), llm)
 
 
 def _distinct_samples(prompts, cfg):
@@ -747,10 +747,7 @@ class TestBatchedEvaluation:
         from pdial import _http
         from pdial.embedding import hashed_embed
 
-        spec, (target, proj, pca, llm, backend) = _random_world(
-            3, 2, slot_sizes=[3, 2]
-        )
-        table = llm.mock_table
+        spec, (target, space, llm) = _random_world(3, 2, slot_sizes=[3, 2])
 
         def handler(record):
             body = record["body"]
@@ -790,9 +787,12 @@ class TestBatchedEvaluation:
             kind="http", endpoint_url=f"{stub_server.url}/v1/embeddings",
             dimension=16,
         )
-        got = brute_force_search(spec, target, proj, pca, http_llm, http_backend)
+        _, (_, http_space, _) = _random_world(
+            3, 2, slot_sizes=[3, 2], backend=http_backend
+        )
+        got = brute_force_search(spec, target, http_space, http_llm)
         assert flight["max"] == 2
-        assert got == brute_force_search(spec, target, proj, pca, llm, backend)
+        assert got == brute_force_search(spec, target, space, llm)
         chats = sum("messages" in r["body"] for r in stub_server.requests)
         assert chats == 2 * spec.combination_count()
 
@@ -805,7 +805,8 @@ class TestClusterCentroid:
         embs = embed_batch([d.text for d in fixture_train_docs], FIXTURE_BACKEND)
         pca = fit_pca([fixture_model.W @ e for e in embs])
         got = cluster_centroid(
-            fixture_train_docs, "pro-barca", fixture_model, pca, FIXTURE_BACKEND
+            fixture_train_docs, "pro-barca",
+            PerspectiveSpace(fixture_model, pca, FIXTURE_BACKEND),
         )
         points = [
             pca_transform(pca, fixture_model.W @ e)
@@ -824,5 +825,6 @@ class TestClusterCentroid:
         pca = fit_pca([fixture_model.W @ e for e in embs])
         with pytest.raises(ConfigurationError):
             cluster_centroid(
-                fixture_train_docs, "pro-atletico", fixture_model, pca, FIXTURE_BACKEND
+                fixture_train_docs, "pro-atletico",
+                PerspectiveSpace(fixture_model, pca, FIXTURE_BACKEND),
             )

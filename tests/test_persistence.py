@@ -337,6 +337,19 @@ class TestDatasetLoader:
         with pytest.raises(FormatError, match=rf"surrogate.jsonl:2: {field} is not valid"):
             persistence.load_dataset(path)
 
+    @pytest.mark.parametrize("field", ["id", "text", "cluster"])
+    def test_non_string_field_names_file_line_and_field(self, tmp_path, field):
+        doc = {"id": "b", "text": "u", "cluster": "c"}
+        doc[field] = ["real madrid"]
+        path = tmp_path / "listed.jsonl"
+        path.write_text(
+            '{"id": "a", "text": "t", "cluster": "c"}\n' + json.dumps(doc) + "\n"
+        )
+        with pytest.raises(
+            FormatError, match=rf"listed.jsonl:2: {field} must be a JSON string, got list"
+        ):
+            persistence.load_dataset(path)
+
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "gaps.jsonl"
         path.write_text(
@@ -370,6 +383,28 @@ class TestOtherLoaders:
         assert spec.base_phrases == ("hello",)
         assert spec.slots == ()
         assert spec.joiner == " "
+
+    @pytest.mark.parametrize("spec,message", [
+        ({"base_phrases": "Tell me"}, "base_phrases must be a JSON list, got str"),
+        ({"base_phrases": [3]}, "base_phrases must be a JSON string, got int"),
+        ({"base_phrases": ["ok"], "slots": "ab"}, "slots must be a JSON list, got str"),
+        ({"base_phrases": ["ok"], "slots": ["ab"]}, "slot 0 must be a JSON list, got str"),
+        ({"base_phrases": ["ok"], "joiner": 0}, "joiner must be a JSON string, got int"),
+    ], ids=["string-base-phrases", "number-phrase", "string-slots", "string-slot",
+            "number-joiner"])
+    def test_prompt_spec_wrong_json_type_rejected(self, tmp_path, spec, message):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        with pytest.raises(FormatError) as err:
+            persistence.load_prompt_spec(path)
+        assert str(err.value) == f"{path}: {message}"
+
+    def test_matrix_string_clusters_rejected(self, tmp_path):
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps({"clusters": "ab", "sim": [[1.0, 0.0], [0.0, 1.0]]}))
+        with pytest.raises(FormatError) as err:
+            persistence.load_matrix(path)
+        assert str(err.value) == f"{path}: clusters must be a JSON list, got str"
 
     def test_prompt_spec_fixture(self):
         from conftest import FIXTURES
@@ -507,6 +542,22 @@ class TestTraceFiles:
         second = json.loads(lines[1])
         assert second["best_so_far"] == 0.1
         assert json.loads(lines[2])["summary"] is True
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("outputs", "abc", "outputs must be a JSON list, got str"),
+        ("prompt", ["p"], "prompt must be a JSON string, got list"),
+        ("point", [1.0, 2.0, 3.0], "expected [x, y] as two numbers"),
+    ], ids=["outputs", "prompt", "point"])
+    def test_wrong_json_type_in_evaluation_line(self, tmp_path, field, value, message):
+        line = {
+            "assignment": {"base_index": 0, "choices": []}, "prompt": "p",
+            "outputs": ["o"], "point": [0.0, 0.0], "loss": 1.0, field: value,
+        }
+        path = tmp_path / "trace.jsonl"
+        path.write_text(json.dumps(line) + "\n")
+        with pytest.raises(FormatError, match=re.escape(f"{path}:1: ") + ".*"
+                           + re.escape(message)):
+            persistence.load_trace(path)
 
     def test_training_log_round_shape(self, tmp_path):
         from pdial.metric import TrainingLog

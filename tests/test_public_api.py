@@ -27,3 +27,10 @@ def test_core_names_exported():
         "PdialError",
     ):
         assert hasattr(pdial, name), name
+
+
+def test_perspective_space_is_the_one_text_to_point_path():
+    assert pdial.PerspectiveSpace is pdial.optimizer.PerspectiveSpace
+    for name in ("perspective_points", "perspective_of_output", "_PlaneMap"):
+        assert not hasattr(pdial, name), name
+        assert not hasattr(pdial.optimizer, name), name
