@@ -112,6 +112,16 @@ def check_endpoint_url(url: str, what: str) -> None:
         )
 
 
+def check_timeout(timeout: float) -> None:
+    """Raise ConfigurationError unless ``timeout`` is a number of seconds
+    a socket accepts: above 0 and at most ``threading.TIMEOUT_MAX``."""
+    if not 0 < timeout <= threading.TIMEOUT_MAX:
+        raise ConfigurationError(
+            f"timeout must be > 0 and at most {threading.TIMEOUT_MAX:.0f} s, "
+            f"got {timeout}"
+        )
+
+
 def auth_headers() -> dict[str, str]:
     headers = {"Content-Type": "application/json"}
     key = os.environ.get(API_KEY_ENV)

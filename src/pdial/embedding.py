@@ -52,8 +52,7 @@ class EmbeddingBackendConfig:
             raise ConfigurationError(
                 f"batch size must be >= 1, got {self.batch_size}"
             )
-        if not self.timeout > 0:
-            raise ConfigurationError(f"timeout must be > 0, got {self.timeout}")
+        _http.check_timeout(self.timeout)
         if self.kind == "http":
             _http.check_endpoint_url(self.endpoint_url, "embedding")
 

@@ -42,8 +42,7 @@ class LlmBackendConfig:
             raise ConfigurationError(
                 f"samples_n must be >= 1, got {self.samples_n}"
             )
-        if not self.timeout > 0:
-            raise ConfigurationError(f"timeout must be > 0, got {self.timeout}")
+        _http.check_timeout(self.timeout)
         if self.kind == "http":
             _http.check_endpoint_url(self.endpoint_url, "llm")
 
@@ -58,17 +57,10 @@ def _mock_complete(prompt: str, table: Mapping[str, str]) -> str:
     """
     if prompt in table:
         return table[prompt]
-    best: tuple[int, int, str] | None = None
-    for key in table:
-        pos = prompt.find(key)
-        if pos < 0 or not key:
-            continue
-        rank = (-len(key), pos, key)
-        if best is None or rank < best:
-            best = rank
-    if best is not None:
-        return best[2]
-    return prompt
+    found = [key for key in table if key and key in prompt]
+    if not found:
+        return prompt
+    return min(found, key=lambda key: (-len(key), prompt.find(key), key))
 
 
 def _http_complete(prompt: str, cfg: LlmBackendConfig) -> str:

@@ -21,6 +21,7 @@ tests check the trainer against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import math
 
 import numpy as np
 
@@ -36,7 +37,7 @@ class LabeledDocument:
     def __post_init__(self) -> None:
         if not self.id:
             raise InputValidationError("document id must be non-empty")
-        if not self.text:
+        if not self.text.strip():
             raise InputValidationError(f"document {self.id!r} has empty text")
         if not self.cluster:
             raise InputValidationError(
@@ -90,66 +91,81 @@ class TrainingPair:
 
 
 @dataclass(frozen=True)
-class SpanFactors:
-    """``W = base + coef^T basis``, the form ``train`` builds ``W`` in.
+class ProjectionModel:
+    """The shared-weight Siamese head ``W = base + coef^T basis``, held as
+    the span factors ``train`` builds it from.
 
     ``basis`` holds the N base embeddings of the training documents
     (N x d_in) and ``coef`` one row of coefficients per document
     (N x d_out). ``base`` is the initial matrix (d_out x d_in), or None
-    for the identity, which needs d_in == d_out.
+    for the identity, which needs d_in == d_out. ``W`` is built from the
+    factors here and cannot be passed in or replaced.
     """
 
-    base: np.ndarray | None
     coef: np.ndarray
     basis: np.ndarray
-
-    def weights(self) -> np.ndarray:
-        """``W`` by ``train``'s own expression, so a rebuilt matrix is
-        bit-identical to the trained one; with no rows, ``base`` as it is
-        (adding a zero product would turn -0.0 into 0.0).
-
-        The sum is built in the product's buffer, so no d x d identity is
-        held beside it. For the identity, ``P += 0.0`` turns -0.0 into 0.0
-        as ``eye + P`` does, and the diagonal then gets its 1. An overflow
-        gives non-finite entries without a warning; callers check for them.
-        """
-        if len(self.coef) == 0:
-            if self.base is None:
-                return np.eye(self.basis.shape[1])
-            return self.base
-        with np.errstate(over="ignore", invalid="ignore"):
-            W = self.coef.T @ self.basis
-            if self.base is None:
-                W += 0.0
-                W[np.diag_indices_from(W)] += 1.0
-            else:
-                W += self.base
-        return W
-
-
-@dataclass(frozen=True)
-class ProjectionModel:
-    """The shared-weight Siamese head: one d_out x d_in matrix.
-
-    ``factors``, when set, are the span factors ``W`` was built from;
-    ``persistence.save_model`` stores those instead of ``W``.
-    """
-
-    d_in: int
-    d_out: int
-    W: np.ndarray
-    factors: SpanFactors | None = field(default=None, compare=False, repr=False)
+    base: np.ndarray | None = None
+    W: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        W = np.asarray(self.W, dtype=np.float64)
-        if W.shape != (self.d_out, self.d_in):
+        coef = np.asarray(self.coef, dtype=np.float64)
+        basis = np.asarray(self.basis, dtype=np.float64)
+        if not (coef.ndim == basis.ndim == 2 and len(coef) == len(basis)
+                and coef.shape[1] and basis.shape[1]):
             raise InputValidationError(
-                f"W shape {W.shape} does not match "
-                f"(d_out={self.d_out}, d_in={self.d_in})"
+                f"coef {coef.shape} and basis {basis.shape} must be 2-D, with "
+                f"the same number of rows and at least one column"
             )
-        if not np.all(np.isfinite(W)):
+        d_out, d_in = coef.shape[1], basis.shape[1]
+        base = None if self.base is None else np.asarray(self.base, np.float64)
+        if base is None and d_in != d_out:
+            raise InputValidationError(
+                f"base is null (the identity) but d_in={d_in} != d_out={d_out}"
+            )
+        if base is not None and base.shape != (d_out, d_in):
+            raise InputValidationError(
+                f"base shape {base.shape} does not match (d_out, d_in) = "
+                f"({d_out}, {d_in})"
+            )
+        # Training and loading both build W here, so a loaded W is
+        # bit-identical to the trained one. With no rows W is ``base`` as
+        # it is (adding a zero product turns -0.0 into 0.0). The sum is
+        # built in the product's buffer, with no d x d identity beside it;
+        # ``P += 0.0`` turns -0.0 into 0.0 as ``eye + P`` does.
+        if len(coef) == 0:
+            W = np.eye(d_in) if base is None else base
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                W = coef.T @ basis
+                if base is None:
+                    W += 0.0
+                    W[np.diag_indices_from(W)] += 1.0
+                else:
+                    W += base
+        # min and max are NaN or infinite exactly when some entry is
+        if not (np.isfinite(W.min()) and np.isfinite(W.max())):
             raise InputValidationError("W contains non-finite entries")
+        object.__setattr__(self, "coef", coef)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "base", base)
         object.__setattr__(self, "W", W)
+
+    @property
+    def d_in(self) -> int:
+        return self.basis.shape[1]
+
+    @property
+    def d_out(self) -> int:
+        return self.coef.shape[1]
+
+    @classmethod
+    def from_weights(cls, W: np.ndarray) -> "ProjectionModel":
+        """The model of a bare d_out x d_in matrix: ``base = W``, no rows."""
+        W = np.asarray(W, dtype=np.float64)
+        if W.ndim != 2:
+            raise InputValidationError(f"W must be 2-D, got shape {W.shape}")
+        d_out, d_in = W.shape
+        return cls(np.empty((0, d_out)), np.empty((0, d_in)), W)
 
     @classmethod
     def initial(cls, d_in: int, d_out: int, seed: int) -> "ProjectionModel":
@@ -159,7 +175,7 @@ class ProjectionModel:
             W = np.eye(d_in, dtype=np.float64)
         else:
             W = _rng(seed).normal(0.0, 1.0 / np.sqrt(d_in), size=(d_out, d_in))
-        return cls(d_in=d_in, d_out=d_out, W=W)
+        return cls.from_weights(W)
 
 
 @dataclass(frozen=True)
@@ -174,12 +190,13 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.loss_kind not in ("cosine", "contrastive"):
             raise ConfigurationError(f"unknown loss kind {self.loss_kind!r}")
-        if not self.margin_m > 0:
-            raise ConfigurationError(f"margin must be > 0, got {self.margin_m}")
-        if not self.learning_rate > 0:
-            raise ConfigurationError(
-                f"learning rate must be > 0, got {self.learning_rate}"
-            )
+        for name, value in (
+            ("margin", self.margin_m), ("learning rate", self.learning_rate)
+        ):
+            if not 0 < value < math.inf:
+                raise ConfigurationError(
+                    f"{name} must be > 0, got {value} (finite values only)"
+                )
         if self.epochs < 0:
             raise ConfigurationError(f"epochs must be >= 0, got {self.epochs}")
         if not 0.0 < self.binarize_threshold < 1.0:
@@ -381,8 +398,8 @@ def train(
     N x d_out coefficient matrix ``G`` whose row n belongs to document n.
     With ``K = E E^T`` and ``P0 = E W0^T`` precomputed, a step computes
     ``u = P0[i] + K[i] @ G`` and updates rows i and j of ``G`` in
-    O(d_out * N); ``W`` is built once at the end, and the model keeps
-    ``W0`` (None for the identity), ``G`` and ``E`` as its ``factors``.
+    O(d_out * N). The model is ``ProjectionModel(G, E, W0)``, with
+    ``W0`` None for the identity; it builds ``W`` once.
     """
     clusters_present = {doc.cluster for doc in dataset}
     if len(clusters_present) < 2:
@@ -450,12 +467,11 @@ def train(
             log.epoch_mean_loss.append(total / evaluated if evaluated else 0.0)
             log.epoch_skipped_pairs.append(skipped)
 
-    factors = SpanFactors(base=None if d_in == d_out else W0, coef=G, basis=E)
-    W = factors.weights()
-    if not np.all(np.isfinite(W)):
+    try:
+        return ProjectionModel(G, E, None if d_in == d_out else W0), log
+    except InputValidationError as exc:
         # The last step's update is not seen by any later loss check.
         raise NumericError(
             f"training produced non-finite weights "
             f"(learning rate {cfg.learning_rate})"
-        )
-    return ProjectionModel(d_in=d_in, d_out=d_out, W=W, factors=factors), log
+        ) from exc

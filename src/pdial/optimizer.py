@@ -307,12 +307,8 @@ def gcd_search(
                 trial = current.copy()
                 trial[coord] = candidate
                 trials.append(PromptAssignment(trial[0], tuple(trial[1:])))
-            best_candidate = 0
-            best_loss = math.inf
-            for candidate, loss in enumerate(evaluator.losses(trials)):
-                if loss < best_loss:
-                    best_loss = loss
-                    best_candidate = candidate
+            losses = evaluator.losses(trials)
+            best_candidate = losses.index(min(losses))
             if best_candidate != current[coord]:
                 current[coord] = best_candidate
                 changed = True

@@ -32,7 +32,6 @@ from .metric import (
     ClusterSimilarityMatrix,
     LabeledDocument,
     ProjectionModel,
-    SpanFactors,
     TrainConfig,
     TrainingLog,
 )
@@ -168,23 +167,17 @@ def _decode_array(
 
 
 def save_model(path: str | Path, model: ProjectionModel, cfg: TrainConfig) -> None:
-    """Store ``model`` as its span factors; a model without factors is
-    stored as ``base = W`` with no rows."""
-    f = model.factors or SpanFactors(
-        base=model.W,
-        coef=np.empty((0, model.d_out)),
-        basis=np.empty((0, model.d_in)),
-    )
+    """Store ``model`` as its span factors."""
     _write_json(
         path,
         {
             "format": MODEL_FORMAT,
             "d_in": model.d_in,
             "d_out": model.d_out,
-            "n": len(f.coef),
-            "base": None if f.base is None else _encode_array(f.base),
-            "coef": _encode_array(f.coef),
-            "basis": _encode_array(f.basis),
+            "n": len(model.coef),
+            "base": None if model.base is None else _encode_array(model.base),
+            "coef": _encode_array(model.coef),
+            "basis": _encode_array(model.basis),
             "train_config": asdict(cfg),
         },
     )
@@ -206,22 +199,14 @@ def load_model(path: str | Path) -> tuple[ProjectionModel, TrainConfig]:
         raise FormatError(
             f"{path}: bad model shape d_in={d_in}, d_out={d_out}, n={n}"
         )
-    if base is None and d_in != d_out:
-        raise FormatError(
-            f"{path}: base is null (the identity) but d_in={d_in} != d_out={d_out}"
-        )
-    factors = SpanFactors(
-        base=None if base is None else _decode_array(data, "base", d_out, d_in, path),
-        coef=_decode_array(data, "coef", n, d_out, path),
-        basis=_decode_array(data, "basis", n, d_in, path),
-    )
+    if base is not None:
+        base = _decode_array(data, "base", d_out, d_in, path)
+    coef = _decode_array(data, "coef", n, d_out, path)
+    basis = _decode_array(data, "basis", n, d_in, path)
     try:
-        model = ProjectionModel(
-            d_in=d_in, d_out=d_out, W=factors.weights(), factors=factors
-        )
+        return ProjectionModel(coef, basis, base), cfg
     except InputValidationError as exc:
         raise FormatError(f"{path}: {exc}") from exc
-    return model, cfg
 
 
 def save_pca(path: str | Path, model: PcaModel) -> None:

@@ -90,7 +90,7 @@ def test_criterion_1_gradients():
                 d = np.linalg.norm(W @ (a - b))
                 if abs(d - cfg.margin_m) < 0.05:
                     continue
-            model = ProjectionModel(d_in=d_in, d_out=d_out, W=W)
+            model = ProjectionModel.from_weights(W)
             _, analytic = loss_gradient(model, a, b, y, cfg)
             numeric = _fd_gradient(W, a, b, y, cfg)
             denom = max(np.linalg.norm(analytic), np.linalg.norm(numeric), 1e-12)
@@ -228,7 +228,7 @@ def _search_world(losses: dict[tuple[int, int, int], float]):
         table[prompt] = tok
     c0[spare[0]] = math.sqrt(1.0 - float(np.sum(c0**2)))
     c1[spare[1]] = 1.0
-    proj = ProjectionModel(d_in=dim, d_out=dim, W=np.eye(dim))
+    proj = ProjectionModel.from_weights(np.eye(dim))
     pca = PcaModel(
         mean=np.zeros(dim),
         components=np.vstack([c0, c1]),

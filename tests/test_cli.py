@@ -128,11 +128,25 @@ class TestTrainCommand:
     @pytest.mark.parametrize("flag", ["--lr", "--margin"])
     def test_nan_rate_or_margin_exits_2(self, tmp_path, capsys, flag):
         paths = _base_args(tmp_path)
-        argv = _train_argv(paths)
-        argv[argv.index(flag) + 1] = "nan"
-        assert main(argv) == 2
-        assert "must be > 0, got nan" in capsys.readouterr().err
-        assert not (tmp_path / "model.json").exists()
+        for value in ("nan", "inf"):
+            argv = _train_argv(paths)
+            argv[argv.index(flag) + 1] = value
+            assert main(argv) == 2
+            assert f"must be > 0, got {value}" in capsys.readouterr().err
+            assert not (tmp_path / "model.json").exists()
+
+    def test_blank_text_names_file_and_line(self, tmp_path, capsys):
+        data = tmp_path / "ws.jsonl"
+        data.write_text(
+            '{"id": "a", "text": "left", "cluster": "left"}\n'
+            '{"id": "b", "text": "   ", "cluster": "right"}\n'
+        )
+        paths = _base_args(tmp_path)
+        paths["train"] = str(data)
+        assert main(_train_argv(paths)) == 2
+        assert f"error: {data}:2: document 'b' has empty text" in (
+            capsys.readouterr().err
+        )
 
     def test_divergent_lr_is_numeric_error(self, tmp_path, capsys):
         paths = _base_args(tmp_path)
@@ -178,7 +192,9 @@ class TestEvalCommand:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "flag,value", [("--fan-out", "0"), ("--timeout", "0"), ("--timeout", "-1")]
+        "flag,value",
+        [("--fan-out", "0"), ("--timeout", "0"), ("--timeout", "-1"),
+         ("--timeout", "inf")],
     )
     def test_bad_backend_limit_exits_2(self, trained, tmp_path, capsys, flag, value):
         code = main([
@@ -294,7 +310,7 @@ class TestOptimizeCommand:
         )
         assert not (tmp_path / "trace.jsonl").exists()
 
-    @pytest.mark.parametrize("value", ["0", "-5"])
+    @pytest.mark.parametrize("value", ["0", "-5", "inf"])
     def test_non_positive_llm_timeout_exits_2(self, trained, tmp_path, capsys, value):
         argv = self._argv(
             trained, tmp_path,

@@ -348,7 +348,9 @@ class TestConfigValidation:
     def test_url_of_hashed_backend_is_not_checked(self):
         EmbeddingBackendConfig(kind="hashed", endpoint_url="unused")
 
-    @pytest.mark.parametrize("timeout", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize(
+        "timeout", [0.0, -1.0, float("nan"), float("inf"), 1e300]
+    )
     def test_non_positive_timeout(self, timeout):
         with pytest.raises(ConfigurationError, match="timeout must be > 0"):
             EmbeddingBackendConfig(timeout=timeout)

@@ -18,7 +18,7 @@ BACKEND8 = EmbeddingBackendConfig(kind="hashed", dimension=8)
 
 
 def _identity(dim):
-    return ProjectionModel(d_in=dim, d_out=dim, W=np.eye(dim))
+    return ProjectionModel.from_weights(np.eye(dim))
 
 
 class TestReportBasics:
@@ -200,7 +200,7 @@ class TestReportMatchesPerPairLoop:
         # "hello" embeds to a one-hot vector; W drops exactly that axis.
         W = np.eye(8)
         W[np.argmax(hashed_embed("hello", 8))] = 0.0
-        model = ProjectionModel(d_in=8, d_out=8, W=W)
+        model = ProjectionModel.from_weights(W)
         with pytest.raises(InputValidationError, match="'s1' has a zero projected"):
             cluster_similarity_report(train_docs, test_docs, model, BACKEND8)
 

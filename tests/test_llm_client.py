@@ -190,7 +190,9 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             LlmBackendConfig(samples_n=0)
 
-    @pytest.mark.parametrize("timeout", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize(
+        "timeout", [0.0, -1.0, float("nan"), float("inf"), 1e300]
+    )
     def test_non_positive_timeout(self, timeout):
         with pytest.raises(ConfigurationError, match="timeout"):
             LlmBackendConfig(timeout=timeout)

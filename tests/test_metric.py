@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from pdial.metric import (
     LabeledDocument,
     PairSkip,
     ProjectionModel,
-    SpanFactors,
     TrainConfig,
     binarize_label,
     contrastive_loss,
@@ -77,7 +78,7 @@ class TestGeneratePairs:
 
 
 class TestTrainConfig:
-    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
     @pytest.mark.parametrize(
         "name,message", [("margin_m", "margin"), ("learning_rate", "learning rate")]
     )
@@ -199,7 +200,7 @@ def _random_instance(rng, loss_kind):
 
 class TestLossGradient:
     def test_contrastive_identical_pair_is_stationary(self):
-        model = ProjectionModel(d_in=3, d_out=2, W=np.ones((2, 3)))
+        model = ProjectionModel.from_weights(np.ones((2, 3)))
         e = np.array([1.0, 2.0, 3.0])
         cfg = TrainConfig(loss_kind="contrastive")
         loss, grad = loss_gradient(model, e, e, 1.0, cfg)
@@ -207,7 +208,7 @@ class TestLossGradient:
         np.testing.assert_array_equal(grad, np.zeros((2, 3)))
 
     def test_cosine_zero_residual_zero_gradient(self):
-        model = ProjectionModel(d_in=2, d_out=2, W=np.eye(2))
+        model = ProjectionModel.from_weights(np.eye(2))
         u = np.array([1.0, 0.0])
         v = np.array([0.0, 1.0])
         cfg = TrainConfig(loss_kind="cosine")
@@ -216,7 +217,7 @@ class TestLossGradient:
         np.testing.assert_allclose(grad, 0.0, atol=1e-15)
 
     def test_cosine_zero_norm_signals_skip(self):
-        model = ProjectionModel(d_in=2, d_out=2, W=np.zeros((2, 2)))
+        model = ProjectionModel.from_weights(np.zeros((2, 2)))
         cfg = TrainConfig(loss_kind="cosine")
         with pytest.raises(PairSkip):
             loss_gradient(model, np.ones(2), np.ones(2), 1.0, cfg)
@@ -231,7 +232,7 @@ class TestLossGradient:
                 d = np.linalg.norm(W @ (a - b))
                 if abs(d - cfg.margin_m) < 0.05:
                     continue  # finite differences straddle the hinge
-            model = ProjectionModel(d_in=W.shape[1], d_out=W.shape[0], W=W)
+            model = ProjectionModel.from_weights(W)
             _, analytic = loss_gradient(model, a, b, y, cfg)
             numeric = _fd_gradient(W, a, b, y, cfg)
             assert _rel_error(analytic, numeric) < 1e-4
@@ -478,7 +479,7 @@ def _primal_train(dataset, matrix, embeddings, cfg, d_out=None):
         total, evaluated, skipped = 0.0, 0, 0
         for k in _rng(cfg.seed, epoch).permutation(len(pairs)):
             pair = pairs[k]
-            model = ProjectionModel(d_in=d_in, d_out=W.shape[0], W=W)
+            model = ProjectionModel.from_weights(W)
             try:
                 loss, grad = loss_gradient(
                     model, by_id[pair.a], by_id[pair.b], pair.label_y, cfg
@@ -541,8 +542,9 @@ class TestDualTraining:
 
 
 class TestSpanFactorsWeights:
-    """``SpanFactors.weights`` builds ``W`` in the product's buffer; its bits
-    must be those of ``base + coef^T basis`` with ``base`` held whole."""
+    """``ProjectionModel`` builds ``W`` from its span factors in the
+    product's buffer; its bits must be those of ``base + coef^T basis``
+    with ``base`` held whole."""
 
     def test_identity_base_matches_eye_plus_product(self):
         rng = np.random.default_rng(5)
@@ -554,21 +556,21 @@ class TestSpanFactorsWeights:
         product = coef.T @ basis
         assert np.signbit(product[0, :3]).all() and not product[0, :3].any()
         want = np.eye(9) + product
-        got = SpanFactors(base=None, coef=coef, basis=basis).weights()
+        got = ProjectionModel(coef=coef, basis=basis).W
         assert got.tobytes() == want.tobytes()
 
     def test_gaussian_base_matches_base_plus_product(self):
         rng = np.random.default_rng(6)
         base = rng.normal(size=(5, 9))
         coef, basis = rng.normal(size=(4, 5)), rng.normal(size=(4, 9))
-        factors = SpanFactors(base=base, coef=coef, basis=basis)
+        model = ProjectionModel(coef=coef, basis=basis, base=base)
         want = base + coef.T @ basis
-        assert factors.weights().tobytes() == want.tobytes()
-        assert factors.base.tobytes() == base.tobytes()  # left as it was
+        assert model.W.tobytes() == want.tobytes()
+        assert model.base.tobytes() == base.tobytes()  # left as it was
 
     def test_fixture_model_matches_eye_plus_product(self, fixture_model):
-        f = fixture_model.factors
-        want = np.eye(f.basis.shape[1]) + f.coef.T @ f.basis
+        m = fixture_model
+        want = np.eye(m.d_in) + m.coef.T @ m.basis
         assert fixture_model.W.tobytes() == want.tobytes()
 
     def test_no_d_by_d_temporary(self):
@@ -576,16 +578,57 @@ class TestSpanFactorsWeights:
 
         rng = np.random.default_rng(7)
         d = 256
-        factors = SpanFactors(
-            base=None, coef=rng.normal(size=(15, d)), basis=rng.normal(size=(15, d))
-        )
+        coef, basis = rng.normal(size=(15, d)), rng.normal(size=(15, d))
         tracemalloc.start()
         try:
-            W = factors.weights()
+            W = ProjectionModel(coef=coef, basis=basis).W
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1.1 * W.nbytes
+
+
+class TestProjectionModel:
+    """A model is its span factors; ``W`` is derived from them and cannot
+    be set beside them."""
+
+    def test_replacing_a_factor_rebuilds_W(self, fixture_model):
+        moved = dataclasses.replace(
+            fixture_model, coef=np.zeros_like(fixture_model.coef)
+        )
+        assert moved.W.tobytes() == np.eye(64).tobytes()
+
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_null_base_needs_a_square_model(self, n):
+        with pytest.raises(InputValidationError, match="base is null"):
+            ProjectionModel(coef=np.ones((n, 8)), basis=np.ones((n, 64)))
+
+    @pytest.mark.parametrize(
+        "coef,basis,base,message",
+        [
+            (np.ones((3, 4)), np.ones((2, 5)), np.ones((4, 5)), "same number of rows"),
+            (np.ones(4), np.ones((1, 5)), np.ones((4, 5)), "must be 2-D"),
+            (np.ones((0, 0)), np.ones((0, 5)), np.ones((0, 5)), "at least one column"),
+            (np.ones((3, 4)), np.ones((3, 5)), np.ones((5, 4)), "base shape"),
+            (np.ones((0, 2)), np.ones((0, 2)), [[1, np.inf], [0, 1]], "non-finite"),
+            (np.full((1, 2), 1e200), np.full((1, 2), 1e200), None, "non-finite"),
+        ],
+        ids=[
+            "row-counts-differ", "1-d-coef", "no-columns", "base-transposed",
+            "inf-in-bare-matrix", "overflowing-product",
+        ],
+    )
+    def test_bad_factors_rejected(self, coef, basis, base, message):
+        with pytest.raises(InputValidationError, match=message):
+            ProjectionModel(coef=coef, basis=basis, base=base)
+
+    def test_from_weights_keeps_the_matrix_whole(self):
+        W = np.array([[-0.0, 1.0, 2.0], [3.0, -0.0, 5.0]])
+        model = ProjectionModel.from_weights(W)
+        assert (model.d_in, model.d_out, len(model.coef)) == (3, 2, 0)
+        assert model.W.tobytes() == W.tobytes()
+        with pytest.raises(InputValidationError, match="2-D"):
+            ProjectionModel.from_weights(np.ones(3))
 
 
 class TestMatrixValidation:

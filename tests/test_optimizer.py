@@ -79,7 +79,7 @@ def _loss_table_world(spec: PromptSpec, losses: dict[tuple, float], dim: int = 6
     c0[spare[0]] = math.sqrt(budget)
     c1[spare[1]] = 1.0
 
-    proj = ProjectionModel(d_in=dim, d_out=dim, W=np.eye(dim))
+    proj = ProjectionModel.from_weights(np.eye(dim))
     pca = PcaModel(
         mean=np.zeros(dim),
         components=np.vstack([c0, c1]),
@@ -158,7 +158,7 @@ class TestPerspectiveOfOutput:
     def test_projection_at_mean_lands_on_origin(self):
         e = np.zeros(8)
         e[_fnv(b"alpha") % 8] = 1.0
-        proj = ProjectionModel(d_in=8, d_out=8, W=np.eye(8))
+        proj = ProjectionModel.from_weights(np.eye(8))
         pca = PcaModel(
             mean=e, components=np.eye(8)[:2], explained_variance=np.array([1.0, 1.0])
         )
@@ -169,7 +169,7 @@ class TestPerspectiveOfOutput:
     def test_pinned_composition(self):
         # "barca barca madrid" at dim 8 hashes to indices 6 and 0 with
         # weights (2, 1)/sqrt(5); axes pick out those coordinates.
-        proj = ProjectionModel(d_in=8, d_out=8, W=np.eye(8))
+        proj = ProjectionModel.from_weights(np.eye(8))
         pca = PcaModel(
             mean=np.zeros(8),
             components=np.eye(8)[[0, 6]],
@@ -181,7 +181,7 @@ class TestPerspectiveOfOutput:
         assert point.y == 0.8944271909999159
 
     def test_token_multiset_invariance(self):
-        proj = ProjectionModel(d_in=16, d_out=16, W=np.eye(16))
+        proj = ProjectionModel.from_weights(np.eye(16))
         rng = np.random.default_rng(1)
         q, _ = np.linalg.qr(rng.normal(size=(16, 16)))
         pca = PcaModel(
@@ -195,7 +195,7 @@ class TestPerspectiveOfOutput:
         assert (p1.x, p1.y) == (p2.x, p2.y)
 
     def test_mean_of_texts_from_one_embedding_call(self, monkeypatch):
-        proj = ProjectionModel(d_in=8, d_out=8, W=np.eye(8))
+        proj = ProjectionModel.from_weights(np.eye(8))
         pca = PcaModel(
             mean=np.zeros(8),
             components=np.eye(8)[[0, 6]],
@@ -217,7 +217,7 @@ class TestPerspectiveOfOutput:
         assert (got.x, got.y) == (mean_point(singles).x, mean_point(singles).y)
 
     def test_bare_string_rejected(self):
-        proj = ProjectionModel(d_in=8, d_out=8, W=np.eye(8))
+        proj = ProjectionModel.from_weights(np.eye(8))
         pca = PcaModel(
             mean=np.zeros(8),
             components=np.eye(8)[:2],
@@ -267,7 +267,7 @@ class TestPerspectivePoints:
     @pytest.mark.parametrize("d_in,d_out", [(16, 8), (8, 12), (64, 64)])
     def test_matches_per_vector_oracle(self, d_in, d_out):
         rng = np.random.default_rng(d_in * 100 + d_out)
-        proj = ProjectionModel(d_in=d_in, d_out=d_out, W=rng.normal(size=(d_out, d_in)))
+        proj = ProjectionModel.from_weights(rng.normal(size=(d_out, d_in)))
         pca = _random_pca(rng, d_out)
         backend = EmbeddingBackendConfig(kind="hashed", dimension=d_in)
         texts = _fixture_texts(40)
@@ -299,7 +299,7 @@ class TestPerspectivePoints:
 
     @pytest.mark.parametrize("what", ["embedding", "pca"])
     def test_width_mismatch_embeds_nothing(self, monkeypatch, what):
-        proj = ProjectionModel(d_in=16, d_out=8, W=np.ones((8, 16)))
+        proj = ProjectionModel.from_weights(np.ones((8, 16)))
         pca = _random_pca(np.random.default_rng(0), 12 if what == "pca" else 8)
         backend = EmbeddingBackendConfig(dimension=32 if what == "embedding" else 16)
         calls = []
@@ -317,7 +317,7 @@ class TestPerspectivePoints:
         _, llm, target = _loss_table_world(
             spec, {(b, s): 0.1 for b in range(2) for s in range(2)}
         )
-        proj = ProjectionModel(d_in=64, d_out=64, W=np.eye(64))
+        proj = ProjectionModel.from_weights(np.eye(64))
         pca = _random_pca(np.random.default_rng(0), 64)
         calls = []
         monkeypatch.setattr(optimizer_mod, "complete", lambda *a, **k: calls.append(a))
@@ -391,7 +391,7 @@ class TestBruteForce:
             slots=tuple(tuple(f"c{i}{j}" for j in range(7)) for i in range(5)),
         )
         assert spec.combination_count() == 7**5
-        proj = ProjectionModel(d_in=4, d_out=4, W=np.eye(4))
+        proj = ProjectionModel.from_weights(np.eye(4))
         pca = PcaModel(
             mean=np.zeros(4), components=np.eye(4)[:2],
             explained_variance=np.array([1.0, 1.0]),
@@ -408,7 +408,7 @@ class TestBruteForce:
         spec = PromptSpec(
             base_phrases=("q",), slots=tuple((("a",),) * 9)
         )
-        proj = ProjectionModel(d_in=4, d_out=4, W=np.eye(4))
+        proj = ProjectionModel.from_weights(np.eye(4))
         pca = PcaModel(
             mean=np.zeros(4), components=np.eye(4)[:2],
             explained_variance=np.array([1.0, 1.0]),
@@ -651,7 +651,7 @@ def _random_world(
         for c in grid if rng.random() < 0.5
     }
     d_out = 8
-    proj = ProjectionModel(d_in=dim, d_out=d_out, W=rng.normal(size=(d_out, dim)))
+    proj = ProjectionModel.from_weights(rng.normal(size=(d_out, dim)))
     q, _ = np.linalg.qr(rng.normal(size=(d_out, d_out)))
     pca = PcaModel(
         mean=rng.normal(size=d_out) * 0.1,

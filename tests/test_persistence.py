@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 from dataclasses import asdict
 import json
 import os
@@ -22,7 +23,7 @@ from conftest import FIXTURES
 class TestModelRoundTrip:
     def test_identity_round_trip(self, tmp_path):
         path = tmp_path / "model.json"
-        model = ProjectionModel(d_in=4, d_out=4, W=np.eye(4))
+        model = ProjectionModel.from_weights(np.eye(4))
         cfg = TrainConfig(loss_kind="cosine", epochs=5, seed=1)
         persistence.save_model(path, model, cfg)
         loaded, loaded_cfg = persistence.load_model(path)
@@ -33,7 +34,7 @@ class TestModelRoundTrip:
         path = tmp_path / "big.json"
         rng = np.random.default_rng(0)
         W = rng.normal(size=(768, 768))
-        model = ProjectionModel(d_in=768, d_out=768, W=W)
+        model = ProjectionModel.from_weights(W)
         persistence.save_model(path, model, TrainConfig())
         loaded, _ = persistence.load_model(path)
         assert np.max(np.abs(loaded.W - W)) == 0.0
@@ -53,8 +54,8 @@ class TestModelRoundTrip:
             persistence.load_model(path)
 
     def test_save_is_deterministic(self, tmp_path):
-        model = ProjectionModel(
-            d_in=3, d_out=3, W=np.random.default_rng(1).normal(size=(3, 3))
+        model = ProjectionModel.from_weights(
+            np.random.default_rng(1).normal(size=(3, 3))
         )
         cfg = TrainConfig()
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -144,11 +145,50 @@ class TestFactoredModel:
         W = np.random.default_rng(3).normal(size=(5, 7))
         W[0, 0] = W[4, 6] = -0.0
         path = tmp_path / "model.json"
-        persistence.save_model(path, ProjectionModel(d_in=7, d_out=5, W=W), TrainConfig())
+        persistence.save_model(path, ProjectionModel.from_weights(W), TrainConfig())
         assert json.loads(path.read_text())["n"] == 0
         loaded, _ = persistence.load_model(path)
         assert loaded.W.tobytes() == W.tobytes()
         assert np.signbit(loaded.W[0, 0]) and np.signbit(loaded.W[4, 6])
+
+
+class TestSavedModelIsTheModelInMemory:
+    """save_model writes the model's own factors, so loading gives back
+    the W in memory for every way a model is built."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: _train_fixture(64),
+        lambda: _train_fixture(64, d_out=8),
+        lambda: ProjectionModel.from_weights(
+            np.random.default_rng(4).normal(size=(5, 7))
+        ),
+        lambda: ProjectionModel.initial(16, 16, 3),
+        lambda: ProjectionModel.initial(16, 4, 3),
+    ], ids=["train-square", "train-d-out-8", "from-weights", "initial-square",
+            "initial-gaussian"])
+    def test_load_gives_the_W_in_memory(self, tmp_path, build):
+        model = build()
+        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+        persistence.save_model(p1, model, TrainConfig())
+        loaded, _ = persistence.load_model(p1)
+        assert loaded.W.tobytes() == model.W.tobytes()
+        persistence.save_model(p2, loaded, TrainConfig())
+        assert persistence.load_model(p2)[0].W.tobytes() == model.W.tobytes()
+
+    def test_a_model_cannot_carry_a_W_beside_its_factors(self, tmp_path):
+        """The two ways a saved file used to differ from the model in
+        memory: a replaced W, and a W passed with another model's factors."""
+        trained = _train_fixture(16)
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(trained, W=np.zeros_like(trained.W))
+        with pytest.raises(TypeError):
+            ProjectionModel(d_in=16, d_out=16, W=np.eye(16), factors=trained)
+        with pytest.raises(TypeError):
+            ProjectionModel(trained.coef, trained.basis, W=np.eye(16))
+        identity = ProjectionModel.from_weights(np.eye(16))
+        path = tmp_path / "model.json"
+        persistence.save_model(path, identity, TrainConfig())
+        assert persistence.load_model(path)[0].W.tobytes() == np.eye(16).tobytes()
 
 
 def _encode(a):
@@ -482,7 +522,12 @@ _VALID_DOC = '{"id": "b", "text": "fine", "cluster": "x"}\n'
         }) + "\n",
         ":1: malformed trace line: ", "perspective point must be finite",
     ),
-], ids=["dataset", "matrix", "prompt-spec", "trace"])
+    (
+        persistence.load_dataset,
+        _VALID_DOC + '{"id": "a", "text": " \\t ", "cluster": "x"}\n',
+        ":2: ", "document 'a' has empty text",
+    ),
+], ids=["dataset", "matrix", "prompt-spec", "trace", "dataset-blank-text"])
 def test_rejected_object_names_the_file(tmp_path, loader, content, where, message):
     """An object's own check (an InputValidationError) comes out as a
     FormatError that names the file, and the line of a JSON Lines file."""
