@@ -126,7 +126,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     print(f"model written to {args.out}, training log to {log_path}")
 
     if args.pca_out:
-        pca = fit_pca([model.W @ e for e in embeddings])
+        pca = fit_pca([model.project(e) for e in embeddings])
         persistence.save_pca(args.pca_out, pca)
         print(f"pca written to {args.pca_out}")
     return EXIT_OK
@@ -144,31 +144,40 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _resolve_target(
-    args: argparse.Namespace, space: PerspectiveSpace
-) -> PerspectivePoint:
+def _check_target_flags(args: argparse.Namespace) -> None:
+    """Reject a target given twice, or in part, and a --data nothing reads."""
+    xy = (args.target_x, args.target_y)
     if args.target_cluster:
+        if xy != (None, None):
+            raise ConfigurationError(
+                "give either --target-cluster or --target-x and --target-y, "
+                "not both"
+            )
         if not args.data:
             raise ConfigurationError(
                 "--target-cluster needs --data to compute the centroid"
             )
-        dataset = persistence.load_dataset(args.data)
-        return cluster_centroid(dataset, args.target_cluster, space)
-    if args.target_x is None or args.target_y is None:
+    elif None in xy:
         raise ConfigurationError(
             "give either --target-cluster or both --target-x and --target-y"
         )
-    return PerspectivePoint(x=args.target_x, y=args.target_y)
+    elif args.data:
+        raise ConfigurationError("--data is read only with --target-cluster")
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
+    _check_target_flags(args)
     backend_cfg = _embedding_cfg(args)
     llm_cfg = _llm_cfg(args)
     model, _ = persistence.load_model(args.model)
     pca = persistence.load_pca(args.pca)
     spec = persistence.load_prompt_spec(args.prompts)
     space = PerspectiveSpace(model, pca, backend_cfg)
-    target = _resolve_target(args, space)
+    if args.target_cluster:
+        dataset = persistence.load_dataset(args.data)
+        target = cluster_centroid(dataset, args.target_cluster, space)
+    else:
+        target = PerspectivePoint(x=args.target_x, y=args.target_y)
 
     if args.mode == "brute":
         trace = brute_force_search(spec, target, space, llm_cfg)
@@ -186,6 +195,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 def cmd_plot(args: argparse.Namespace) -> int:
     if (args.target_x is None) != (args.target_y is None):
         raise ConfigurationError("give both --target-x and --target-y, or neither")
+    if args.model and not args.data:
+        raise ConfigurationError("--model is read only with --data")
     backend_cfg = _embedding_cfg(args)
     pca = persistence.load_pca(args.pca)
     groups: list[PointGroup] = []

@@ -24,7 +24,7 @@ from .errors import InputValidationError
 from .metric import LabeledDocument, ProjectionModel
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimilarityReport:
     clusters: tuple[str, ...]
     pre_mean: np.ndarray
@@ -91,7 +91,7 @@ def cluster_similarity_report(
     train_of = [[k for k, d in enumerate(train) if d.cluster == c] for c in clusters]
     test_of = [[k for k, d in enumerate(test) if d.cluster == c] for c in clusters]
     cells = []
-    for kind, X in (("base", B), ("projected", B @ model.W.T)):
+    for kind, X in (("base", B), ("projected", model.project(B))):
         norms = np.linalg.norm(X, axis=1)
         zero = np.flatnonzero(norms == 0.0)
         if zero.size:

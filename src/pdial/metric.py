@@ -16,11 +16,17 @@ N training embeddings (dual form, see ``train``), at O(d_out * N) per
 step instead of O(d_out * d_in); ``loss_gradient`` gives the
 full-matrix gradient of the same per-pair loss and is the oracle the
 tests check the trainer against.
+
+The model is held as those span factors. ``ProjectionModel.project`` is
+the one way the commands apply the head, in O(N * d) per text through
+the factors; the dense d_out x d_in ``W`` is built only when read, and
+only the oracle reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import functools
 import math
 
 import numpy as np
@@ -90,7 +96,7 @@ class TrainingPair:
     label_y: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjectionModel:
     """The shared-weight Siamese head ``W = base + coef^T basis``, held as
     the span factors ``train`` builds it from.
@@ -98,14 +104,14 @@ class ProjectionModel:
     ``basis`` holds the N base embeddings of the training documents
     (N x d_in) and ``coef`` one row of coefficients per document
     (N x d_out). ``base`` is the initial matrix (d_out x d_in), or None
-    for the identity, which needs d_in == d_out. ``W`` is built from the
-    factors here and cannot be passed in or replaced.
+    for the identity, which needs d_in == d_out. ``project`` applies the
+    head through the factors; the dense ``W`` is built only when read,
+    and cannot be passed in or replaced.
     """
 
     coef: np.ndarray
     basis: np.ndarray
     base: np.ndarray | None = None
-    W: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         coef = np.asarray(self.coef, dtype=np.float64)
@@ -127,28 +133,44 @@ class ProjectionModel:
                 f"base shape {base.shape} does not match (d_out, d_in) = "
                 f"({d_out}, {d_in})"
             )
-        # Training and loading both build W here, so a loaded W is
-        # bit-identical to the trained one. With no rows W is ``base`` as
-        # it is (adding a zero product turns -0.0 into 0.0). The sum is
-        # built in the product's buffer, with no d x d identity beside it;
-        # ``P += 0.0`` turns -0.0 into 0.0 as ``eye + P`` does.
-        if len(coef) == 0:
-            W = np.eye(d_in) if base is None else base
-        else:
-            with np.errstate(over="ignore", invalid="ignore"):
-                W = coef.T @ basis
-                if base is None:
-                    W += 0.0
-                    W[np.diag_indices_from(W)] += 1.0
-                else:
-                    W += base
-        # min and max are NaN or infinite exactly when some entry is
-        if not (np.isfinite(W.min()) and np.isfinite(W.max())):
+        # |W_ij| <= |base_ij| + sum_n |coef_ni| |basis_nj|, so this bound
+        # is finite only if every factor is, and then so is every entry
+        # of W. It is NaN or infinite when the bound itself overflows.
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = (1.0 if base is None else np.abs(base).max()) + (
+                np.abs(coef).max(axis=1) @ np.abs(basis).max(axis=1)
+            )
+        if not np.isfinite(bound):
             raise InputValidationError("W contains non-finite entries")
         object.__setattr__(self, "coef", coef)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "base", base)
-        object.__setattr__(self, "W", W)
+
+    @functools.cached_property
+    def W(self) -> np.ndarray:
+        """The dense d_out x d_in head, built on first read.
+
+        Training and loading give the same factors, so a loaded W is
+        bit-identical to the trained one. With no rows W is ``base`` as it
+        is (adding a zero product turns -0.0 into 0.0). The sum is built
+        in the product's buffer, with no d x d identity beside it;
+        ``P += 0.0`` turns -0.0 into 0.0 as ``eye + P`` does.
+        """
+        if len(self.coef) == 0:
+            return np.eye(self.d_in) if self.base is None else self.base
+        W = self.coef.T @ self.basis
+        if self.base is None:
+            W += 0.0
+            W[np.diag_indices_from(W)] += 1.0
+        else:
+            W += self.base
+        return W
+
+    def project(self, e: np.ndarray) -> np.ndarray:
+        """``W e`` for a vector ``e``, or ``E W^T`` for the rows of ``E``,
+        computed through the factors without the dense ``W``."""
+        head = e if self.base is None else e @ self.base.T
+        return head + (e @ self.basis.T) @ self.coef
 
     @property
     def d_in(self) -> int:
@@ -399,7 +421,7 @@ def train(
     With ``K = E E^T`` and ``P0 = E W0^T`` precomputed, a step computes
     ``u = P0[i] + K[i] @ G`` and updates rows i and j of ``G`` in
     O(d_out * N). The model is ``ProjectionModel(G, E, W0)``, with
-    ``W0`` None for the identity; it builds ``W`` once.
+    ``W0`` None for the identity.
     """
     clusters_present = {doc.cluster for doc in dataset}
     if len(clusters_present) < 2:
@@ -424,11 +446,11 @@ def train(
     if d_out < 1:
         raise InputValidationError(f"d_out must be >= 1, got {d_out}")
 
-    W0 = ProjectionModel.initial(d_in, d_out, cfg.seed).W
+    initial = ProjectionModel.initial(d_in, d_out, cfg.seed)
     E = np.stack(rows)
     K = E @ E.T
-    P0 = E @ W0.T
-    G = np.zeros((len(rows), W0.shape[0]))
+    P0 = initial.project(E)
+    G = np.zeros((len(rows), d_out))
 
     pairs = generate_pairs(dataset, matrix, cfg.seed)
     log = TrainingLog(pair_count=len(pairs))
@@ -468,7 +490,8 @@ def train(
             log.epoch_skipped_pairs.append(skipped)
 
     try:
-        return ProjectionModel(G, E, None if d_in == d_out else W0), log
+        base = None if d_in == d_out else initial.base
+        return ProjectionModel(G, E, base), log
     except InputValidationError as exc:
         # The last step's update is not seen by any later loss check.
         raise NumericError(

@@ -1,12 +1,14 @@
 """The perspective space and the prompt search that steers LLM output
 toward a target point in it.
 
-:class:`PerspectiveSpace` maps a text to its 2-D point. Prompts are a
-base phrase plus k swappable phrase slots. Two searches over the
-assignment grid are provided: exhaustive brute force (guarded by a
-combination budget) and greedy coordinate descent that sweeps one
-coordinate at a time, adopting the per-coordinate argmin of the L2 loss
-in the perspective space. Both record every evaluation in a trace.
+:class:`PerspectiveSpace` maps a text to its 2-D point,
+``pca_transform(pca, model.project(e))`` of its base embedding ``e``,
+one text at a time. Prompts are a base phrase plus k swappable phrase
+slots. Two searches over the assignment grid are provided: exhaustive
+brute force (guarded by a combination budget) and greedy coordinate
+descent that sweeps one coordinate at a time, adopting the
+per-coordinate argmin of the L2 loss in the perspective space. Both
+record every evaluation in a trace.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .embedding import EmbeddingBackendConfig, embed_batch
 from .errors import ConfigurationError, InputValidationError
 from .llm_client import LlmBackendConfig, complete
 from .metric import LabeledDocument, ProjectionModel
-from .pca import PcaModel, PerspectivePoint
+from .pca import PcaModel, PerspectivePoint, pca_transform
 
 BRUTE_FORCE_MAX_SLOTS = 8
 BRUTE_FORCE_MAX_COMBINATIONS = 10_000
@@ -112,15 +114,13 @@ def render_prompt(spec: PromptSpec, a: PromptAssignment) -> str:
 
 class PerspectiveSpace:
     """The 2-D perspective space: the map from a text to its point,
-    ``pca_transform(pca, proj.W @ e)`` of its embedding ``e``, composed
-    into one 2 x d_in matrix ``M = C W`` and an offset ``c = C mean``,
-    where ``C`` is the PCA's 2 x d_out components.
+    ``pca_transform(pca, proj.project(e))`` of its embedding ``e``.
 
     The constructor checks that the embedding backend, the projection and
     the PCA fit together, so a mismatch fails before any backend request.
-    ``M`` is applied one text at a time: a matrix product over the whole
-    batch may round the same text differently at different rows, and the
-    searches resolve exact ties between points.
+    The map is applied one text at a time: a matrix product over the
+    whole batch may round the same text differently at different rows,
+    and the searches resolve exact ties between points.
     """
 
     def __init__(
@@ -139,18 +139,17 @@ class PerspectiveSpace:
                 f"PCA dimension {pca.dim} does not match "
                 f"the model's d_out={proj.d_out}"
             )
-        self.M = pca.components @ proj.W
-        self.c = pca.components @ pca.mean
+        self.proj = proj
+        self.pca = pca
         self.backend_cfg = backend_cfg
 
     def points(self, texts: list[str]) -> list[PerspectivePoint]:
         """Point of each of ``texts``, from one embedding call; a bare
         ``str`` is an InputValidationError, as in ``embed_batch``."""
-        points = []
-        for e in embed_batch(texts, self.backend_cfg):
-            x, y = self.M @ e - self.c
-            points.append(PerspectivePoint(x=float(x), y=float(y)))
-        return points
+        return [
+            pca_transform(self.pca, self.proj.project(e))
+            for e in embed_batch(texts, self.backend_cfg)
+        ]
 
 
 def loss_to_target(p: PerspectivePoint, target: PerspectivePoint) -> float:

@@ -39,7 +39,7 @@ class PerspectivePoint:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PcaModel:
     """Mean vector plus the two orthonormal principal axes (rows of
     components)."""

@@ -482,6 +482,80 @@ class TestPlotCommand:
         assert code == 2
 
 
+@pytest.mark.parametrize("extra,message", [
+    (
+        ["optimize", "--target-cluster", "pro-barca", "--data", "{train}",
+         "--target-x", "0.5", "--target-y", "0.5"],
+        "give either --target-cluster or --target-x and --target-y, not both",
+    ),
+    (
+        ["optimize", "--target-x", "0.5", "--target-y", "0.5",
+         "--data", "{tmp}/missing.jsonl"],
+        "--data is read only with --target-cluster",
+    ),
+    (
+        ["plot", "--model", "{tmp}/missing.json", "--trace", "{tmp}/t.jsonl"],
+        "--model is read only with --data",
+    ),
+], ids=["cluster-and-xy", "data-without-cluster", "model-without-data"])
+def test_an_ignored_flag_exits_2_before_anything_runs(
+    tmp_path, capsys, extra, message
+):
+    """The model and PCA files do not exist: the flags are checked first."""
+    command, *flags = (
+        a.format(tmp=tmp_path, train=FIXTURES / "train.jsonl") for a in extra
+    )
+    argv = [command, *flags, "--pca", str(tmp_path / "pca.json"), "--dim", "64"]
+    if command == "optimize":
+        argv += [
+            "--model", str(tmp_path / "model.json"),
+            "--prompts", str(FIXTURES / "prompts.json"),
+            "--out-trace", str(tmp_path / "out"),
+        ]
+    else:
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert f"error: {message}\n" == capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_no_command_builds_the_dense_W(tmp_path, monkeypatch):
+    """Every command applies the model through ``project``."""
+    from pdial.metric import ProjectionModel
+
+    def no_dense_W(self):
+        raise AssertionError("a command read ProjectionModel.W")
+
+    monkeypatch.setattr(ProjectionModel, "W", property(no_dense_W))
+    paths = _base_args(tmp_path)
+    assert main(_train_argv(paths)) == 0
+    assert main(_eval_argv(paths, tmp_path)) == 0
+    for mode in ("gcd", "brute"):
+        assert main([
+            "optimize",
+            "--model", paths["model"],
+            "--pca", paths["pca"],
+            "--prompts", paths["prompts"],
+            "--mode", mode,
+            "--llm", "mock",
+            "--mock-table", paths["mock_table"],
+            "--target-cluster", "pro-barca",
+            "--data", paths["train"],
+            "--out-trace", str(tmp_path / f"{mode}.jsonl"),
+            "--dim", "64",
+        ]) == 0
+    assert main([
+        "plot",
+        "--pca", paths["pca"],
+        "--model", paths["model"],
+        "--data", paths["train"],
+        "--trace", str(tmp_path / "gcd.jsonl"),
+        "--out", str(tmp_path / "plot.svg"),
+        "--dim", "64",
+    ]) == 0
+    assert (tmp_path / "plot.svg").exists()
+
+
 class TestRequestCounts:
     """Each command embeds its inputs once, whatever their number."""
 

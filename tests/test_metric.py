@@ -631,6 +631,69 @@ class TestProjectionModel:
             ProjectionModel.from_weights(np.ones(3))
 
 
+class TestProject:
+    """``project`` applies the head through the factors; the dense ``W``
+    is its oracle."""
+
+    @pytest.fixture(params=["train-square", "train-d-out-8", "from-weights"])
+    def model(
+        self, request, fixture_train_docs, fixture_matrix,
+        fixture_train_embeddings,
+    ):
+        if request.param == "from-weights":
+            W = np.random.default_rng(8).normal(size=(5, 64))
+            return ProjectionModel.from_weights(W)
+        d_out = 8 if request.param == "train-d-out-8" else None
+        model, _ = train(
+            fixture_train_docs, fixture_matrix, fixture_train_embeddings,
+            FIXTURE_TRAIN_CFG, d_out=d_out,
+        )
+        assert (model.base is None) == (d_out is None)
+        return model
+
+    def test_matches_W_on_a_vector_and_on_rows(
+        self, model, fixture_train_embeddings
+    ):
+        E = np.stack(fixture_train_embeddings)
+        for got, want in (
+            (model.project(E[0]), model.W @ E[0]),
+            (model.project(E), E @ model.W.T),
+        ):
+            assert got.shape == want.shape
+            tol = 1e-12 * np.abs(want).max()
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=tol)
+
+    @pytest.mark.parametrize(
+        "coef,basis,base",
+        [
+            (np.full((2, 4), 1e200), np.full((2, 4), 1e200), None),
+            (np.array([[1.0, np.inf]]), np.ones((1, 2)), None),
+            (np.ones((1, 2)), np.array([[np.nan, 1.0]]), None),
+            (np.ones((1, 2)), np.ones((1, 3)), np.array([[0.0] * 3, [np.nan] * 3])),
+        ],
+        ids=["bound-overflows", "inf-in-coef", "nan-in-basis", "nan-in-base"],
+    )
+    def test_non_finite_bound_rejected(self, coef, basis, base):
+        with pytest.raises(
+            InputValidationError, match="W contains non-finite entries"
+        ):
+            ProjectionModel(coef=coef, basis=basis, base=base)
+
+    def test_building_a_model_makes_no_d_by_d_array(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(9)
+        d = 256
+        coef, basis = rng.normal(size=(15, d)), rng.normal(size=(15, d))
+        tracemalloc.start()
+        try:
+            model = ProjectionModel(coef, basis)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < model.W.nbytes / 4
+
+
 class TestMatrixValidation:
     def test_asymmetric_rejected(self):
         with pytest.raises(InputValidationError):

@@ -256,7 +256,8 @@ def fixture_world_768():
 
 
 class TestPerspectivePoints:
-    """``PerspectiveSpace.points`` applies the composed 2 x d_in map per text."""
+    """``PerspectiveSpace.points`` maps each text on its own, through
+    ``ProjectionModel.project``; the dense ``W`` is the oracle."""
 
     @staticmethod
     def _oracle(texts, proj, pca, backend):

@@ -179,7 +179,7 @@ class TestSavedModelIsTheModelInMemory:
         """The two ways a saved file used to differ from the model in
         memory: a replaced W, and a W passed with another model's factors."""
         trained = _train_fixture(16)
-        with pytest.raises(ValueError, match="init=False"):
+        with pytest.raises(TypeError, match="'W'"):
             dataclasses.replace(trained, W=np.zeros_like(trained.W))
         with pytest.raises(TypeError):
             ProjectionModel(d_in=16, d_out=16, W=np.eye(16), factors=trained)

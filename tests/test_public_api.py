@@ -1,3 +1,6 @@
+import numpy as np
+import pytest
+
 import pdial
 
 
@@ -34,3 +37,22 @@ def test_perspective_space_is_the_one_text_to_point_path():
     for name in ("perspective_points", "perspective_of_output", "_PlaneMap"):
         assert not hasattr(pdial, name), name
         assert not hasattr(pdial.optimizer, name), name
+
+
+@pytest.mark.parametrize("build", [
+    lambda: pdial.ProjectionModel.from_weights(np.eye(2)),
+    lambda: pdial.PcaModel(
+        mean=np.zeros(2), components=np.eye(2),
+        explained_variance=np.array([1.0, 1.0]),
+    ),
+    lambda: pdial.evaluation.SimilarityReport(
+        ("a",), *(np.zeros((1, 1)) for _ in range(4))
+    ),
+], ids=["ProjectionModel", "PcaModel", "SimilarityReport"])
+def test_array_holders_compare_by_identity(build):
+    """Equal fields would make ``==`` compare arrays elementwise and raise;
+    these types answer by identity instead."""
+    a, b = build(), build()
+    assert a == a
+    assert (a == b) is False
+    assert a != b
