@@ -19,9 +19,6 @@ from .metric import (
     ProjectionModel,
     TrainConfig,
     TrainingPair,
-    contrastive_loss,
-    cosine_loss,
-    cosine_similarity,
     generate_pairs,
     loss_gradient,
     train,

@@ -21,6 +21,7 @@ from .evaluation import cluster_similarity_report, render_report_text
 from .llm_client import LlmBackendConfig
 from .metric import TrainConfig, train
 from .optimizer import (
+    DEFAULT_MAX_SWEEPS,
     PerspectiveSpace,
     brute_force_search,
     cluster_centroid,
@@ -120,13 +121,16 @@ def cmd_train(args: argparse.Namespace) -> int:
     model, log = train(
         dataset, matrix, embeddings[: len(dataset)], cfg, d_out=args.d_out
     )
+    # Fit before the first write, so a PCA that cannot be fit leaves no files.
+    pca = None
+    if args.pca_out:
+        pca = fit_pca([model.project(e) for e in embeddings])
     persistence.save_model(args.out, model, cfg)
     log_path = args.log_out or str(Path(args.out).with_suffix(".log.json"))
     persistence.save_train_log(log_path, log)
     print(f"model written to {args.out}, training log to {log_path}")
 
-    if args.pca_out:
-        pca = fit_pca([model.project(e) for e in embeddings])
+    if pca is not None:
         persistence.save_pca(args.pca_out, pca)
         print(f"pca written to {args.pca_out}")
     return EXIT_OK
@@ -139,8 +143,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     test_docs = persistence.load_dataset(args.test)
     report = cluster_similarity_report(train_docs, test_docs, model, backend_cfg)
     persistence.save_report(args.out_json, report)
-    persistence.save_report_text(args.out_text, report)
-    print(render_report_text(report), end="")
+    text = render_report_text(report)
+    persistence.write_text_atomic(args.out_text, text)
+    print(text, end="")
     return EXIT_OK
 
 
@@ -166,6 +171,8 @@ def _check_target_flags(args: argparse.Namespace) -> None:
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
+    if args.mode == "brute" and args.max_sweeps is not None:
+        raise ConfigurationError("--max-sweeps is read only with --mode gcd")
     _check_target_flags(args)
     backend_cfg = _embedding_cfg(args)
     llm_cfg = _llm_cfg(args)
@@ -182,9 +189,10 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     if args.mode == "brute":
         trace = brute_force_search(spec, target, space, llm_cfg)
     else:
-        trace = gcd_search(
-            spec, target, space, llm_cfg, max_sweeps=args.max_sweeps
-        )
+        max_sweeps = args.max_sweeps
+        if max_sweeps is None:
+            max_sweeps = DEFAULT_MAX_SWEEPS
+        trace = gcd_search(spec, target, space, llm_cfg, max_sweeps=max_sweeps)
     persistence.save_trace(args.out_trace, trace, args.mode, target)
     best = trace.best_evaluation
     print(f"best prompt: {best.prompt}")
@@ -320,7 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="training JSONL (for --target-cluster centroids)",
     )
     p_opt.add_argument("--out-trace", required=True, help="trace JSONL path")
-    p_opt.add_argument("--max-sweeps", type=int, default=10)
+    p_opt.add_argument(
+        "--max-sweeps", type=int,
+        help=f"GCD sweep limit (default: {DEFAULT_MAX_SWEEPS})",
+    )
     _add_llm_flags(p_opt)
     _add_embedding_flags(p_opt)
     p_opt.set_defaults(func=cmd_optimize)

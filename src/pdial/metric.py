@@ -10,6 +10,9 @@ through both sides. Two objectives are provided:
 * contrastive loss over Euclidean distance d with margin m:
   ``y*d^2 + (1-y)*max(0, m-d)^2`` for binary y.
 
+``_pair_loss`` is the one copy of both formulas, with their gradients;
+the trainer and ``loss_gradient`` share it.
+
 Training is plain single-pair SGD under a fixed seed so that identical
 inputs give bit-identical models. The trainer works in the span of the
 N training embeddings (dual form, see ``train``), at O(d_out * N) per
@@ -191,13 +194,13 @@ class ProjectionModel:
 
     @classmethod
     def initial(cls, d_in: int, d_out: int, seed: int) -> "ProjectionModel":
-        """Identity when square (the pre-train condition), else seeded
-        Gaussian with scale 1/sqrt(d_in)."""
+        """The head before training: the identity (base None) when square,
+        else a seeded Gaussian base with scale 1/sqrt(d_in)."""
         if d_in == d_out:
-            W = np.eye(d_in, dtype=np.float64)
-        else:
-            W = _rng(seed).normal(0.0, 1.0 / np.sqrt(d_in), size=(d_out, d_in))
-        return cls.from_weights(W)
+            return cls(np.empty((0, d_out)), np.empty((0, d_in)))
+        return cls.from_weights(
+            _rng(seed).normal(0.0, 1.0 / np.sqrt(d_in), size=(d_out, d_in))
+        )
 
 
 @dataclass(frozen=True)
@@ -267,47 +270,6 @@ def generate_pairs(
     return [pairs[k] for k in order]
 
 
-def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise InputValidationError(
-            f"vector shapes differ: {u.shape} vs {v.shape}"
-        )
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise InputValidationError("cosine similarity undefined for zero vector")
-    return float(np.dot(u, v) / (nu * nv))
-
-
-def cosine_loss(ea: np.ndarray, eb: np.ndarray, y: float) -> float:
-    """(cos(ea, eb) - y)^2 for a continuous label y in [0, 1]."""
-    if not 0.0 <= y <= 1.0:
-        raise InputValidationError(f"label must be in [0, 1], got {y}")
-    return (cosine_similarity(ea, eb) - y) ** 2
-
-
-def contrastive_loss(
-    ea: np.ndarray, eb: np.ndarray, y_bin: int, m: float
-) -> float:
-    """y*d^2 + (1-y)*max(0, m-d)^2 over the pair distance d."""
-    if m <= 0:
-        raise InputValidationError(f"margin must be > 0, got {m}")
-    if y_bin not in (0, 1):
-        raise InputValidationError(f"binary label must be 0 or 1, got {y_bin}")
-    ea = np.asarray(ea, dtype=np.float64)
-    eb = np.asarray(eb, dtype=np.float64)
-    if ea.shape != eb.shape:
-        raise InputValidationError(
-            f"vector shapes differ: {ea.shape} vs {eb.shape}"
-        )
-    d = float(np.linalg.norm(ea - eb))
-    if y_bin == 1:
-        return d * d
-    return max(0.0, m - d) ** 2
-
-
 def binarize_label(label_y: float, threshold: float) -> int:
     return 1 if label_y >= threshold else 0
 
@@ -317,9 +279,7 @@ def _pair_loss(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Loss of one projected pair (u, v) and its gradients dL/du, dL/dv.
 
-    The one loss core behind both the training step and the oracle
-    ``loss_gradient``. Raises PairSkip when cosine loss meets a zero-norm
-    projection.
+    Raises PairSkip when cosine loss meets a zero-norm projection.
     """
     if cfg.loss_kind == "contrastive":
         y_bin = binarize_label(y, cfg.binarize_threshold)
@@ -353,18 +313,6 @@ def _pair_loss(
     return loss, dldu, dldv
 
 
-def _pair_loss_grad(
-    W: np.ndarray,
-    a: np.ndarray,
-    b: np.ndarray,
-    y: float,
-    cfg: TrainConfig,
-) -> tuple[float, np.ndarray]:
-    # Core math on a raw weight matrix; callers validate shapes.
-    loss, dldu, dldv = _pair_loss(W @ a, W @ b, y, cfg)
-    return loss, np.outer(dldu, a) + np.outer(dldv, b)
-
-
 def loss_gradient(
     model: ProjectionModel,
     ea_base: np.ndarray,
@@ -396,7 +344,8 @@ def loss_gradient(
             f"embedding shapes {a.shape}/{b.shape} do not match "
             f"d_in={model.d_in}"
         )
-    return _pair_loss_grad(model.W, a, b, y, cfg)
+    loss, dldu, dldv = _pair_loss(model.W @ a, model.W @ b, y, cfg)
+    return loss, np.outer(dldu, a) + np.outer(dldv, b)
 
 
 def train(
@@ -490,8 +439,7 @@ def train(
             log.epoch_skipped_pairs.append(skipped)
 
     try:
-        base = None if d_in == d_out else initial.base
-        return ProjectionModel(G, E, base), log
+        return ProjectionModel(G, E, initial.base), log
     except InputValidationError as exc:
         # The last step's update is not seen by any later loss check.
         raise NumericError(

@@ -27,7 +27,7 @@ from .errors import (
     InputValidationError,
     require_utf8,
 )
-from .evaluation import SimilarityReport, render_report_text
+from .evaluation import SimilarityReport
 from .metric import (
     ClusterSimilarityMatrix,
     LabeledDocument,
@@ -329,10 +329,6 @@ def save_report(path: str | Path, report: SimilarityReport) -> None:
             "std_kind": "population",
         },
     )
-
-
-def save_report_text(path: str | Path, report: SimilarityReport) -> None:
-    write_text_atomic(path, render_report_text(report))
 
 
 def _evaluation_to_obj(index: int, ev: Evaluation, best_so_far: float) -> dict:

@@ -21,7 +21,6 @@ from pdial.metric import (
     loss_gradient,
     train,
 )
-from pdial.metric import _pair_loss_grad
 from pdial.optimizer import (
     PerspectiveSpace,
     PromptAssignment,
@@ -65,8 +64,8 @@ def _fd_gradient(W, a, b, y, cfg, h=1e-5):
         Wm = W.copy()
         Wm[idx] -= h
         grad[idx] = (
-            _pair_loss_grad(Wp, a, b, y, cfg)[0]
-            - _pair_loss_grad(Wm, a, b, y, cfg)[0]
+            loss_gradient(ProjectionModel.from_weights(Wp), a, b, y, cfg)[0]
+            - loss_gradient(ProjectionModel.from_weights(Wm), a, b, y, cfg)[0]
         ) / (2 * h)
     return grad
 

@@ -148,6 +148,30 @@ class TestTrainCommand:
             capsys.readouterr().err
         )
 
+    @pytest.mark.parametrize("case,message", [
+        ("d-out-1", "point dimension must be >= 2, got 1"),
+        ("two-documents", "PCA needs at least 3 points, got 2"),
+    ], ids=["d-out-1", "two-documents"])
+    def test_pca_that_cannot_be_fit_writes_nothing(
+        self, tmp_path, capsys, case, message
+    ):
+        out = tmp_path / "out"
+        out.mkdir()
+        paths = _base_args(out)
+        argv = _train_argv(paths)
+        if case == "d-out-1":
+            argv += ["--d-out", "1"]
+        else:
+            data = tmp_path / "two.jsonl"
+            data.write_text(
+                '{"id": "a", "text": "hala madrid", "cluster": "pro-madrid"}\n'
+                '{"id": "b", "text": "visca barca", "cluster": "pro-barca"}\n'
+            )
+            argv[argv.index("--data") + 1] = str(data)
+        assert main(argv) == 2
+        assert f"error: {message}\n" == capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_divergent_lr_is_numeric_error(self, tmp_path, capsys):
         paths = _base_args(tmp_path)
         argv = _train_argv(paths)
@@ -175,7 +199,9 @@ class TestEvalCommand:
         assert re.search(r"-?\d\.\d\d \(\d\.\d\d\)", text)
         report = json.loads((tmp_path / "report.json").read_text())
         assert set(report["clusters"]) == {"pro-madrid", "neutral", "pro-barca"}
-        assert capsys.readouterr().out.count("Test:") == 3
+        out = capsys.readouterr().out
+        assert out == text
+        assert out.count("Test:") == 3
 
     def test_unknown_test_cluster_fails(self, trained, tmp_path):
         rogue = tmp_path / "rogue.jsonl"
@@ -497,7 +523,13 @@ class TestPlotCommand:
         ["plot", "--model", "{tmp}/missing.json", "--trace", "{tmp}/t.jsonl"],
         "--model is read only with --data",
     ),
-], ids=["cluster-and-xy", "data-without-cluster", "model-without-data"])
+    (
+        ["optimize", "--mode", "brute", "--max-sweeps", "3",
+         "--target-x", "0.5", "--target-y", "0.5"],
+        "--max-sweeps is read only with --mode gcd",
+    ),
+], ids=["cluster-and-xy", "data-without-cluster", "model-without-data",
+        "brute-with-max-sweeps"])
 def test_an_ignored_flag_exits_2_before_anything_runs(
     tmp_path, capsys, extra, message
 ):

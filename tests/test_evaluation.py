@@ -8,13 +8,17 @@ from pdial.metric import (
     LabeledDocument,
     ProjectionModel,
     TrainConfig,
-    cosine_similarity,
     train,
 )
 
 from conftest import FIXTURE_BACKEND, FIXTURE_TRAIN_CFG
 
 BACKEND8 = EmbeddingBackendConfig(kind="hashed", dimension=8)
+
+
+def _cosine(u, v):
+    """Textbook cosine, the oracle for the report's matrix form."""
+    return float(np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v)))
 
 
 def _identity(dim):
@@ -72,9 +76,6 @@ class TestReportValues:
         )
 
         # plain recomputation from scratch: own cosine, own grouping
-        def cos(u, v):
-            return float(np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v)))
-
         W = fixture_model.W
         for i, tc in enumerate(report.clusters):
             for j, rc in enumerate(report.clusters):
@@ -87,8 +88,8 @@ class TestReportValues:
                             continue
                         e_t = hashed_embed(td.text, 64)
                         e_r = hashed_embed(rd.text, 64)
-                        pre_sims.append(cos(e_t, e_r))
-                        post_sims.append(cos(W @ e_t, W @ e_r))
+                        pre_sims.append(_cosine(e_t, e_r))
+                        post_sims.append(_cosine(W @ e_t, W @ e_r))
                 assert report.pre_mean[i, j] == pytest.approx(
                     np.mean(pre_sims), abs=1e-9
                 )
@@ -149,7 +150,7 @@ class TestReportValues:
 
 def _per_pair_report(train_docs, test_docs, model, backend_cfg):
     """The four report matrices computed one document pair at a time, with
-    ``project`` and ``cosine_similarity``: the oracle for the matrix form."""
+    ``W`` and a textbook cosine: the oracle for the matrix form."""
     clusters = list(dict.fromkeys(d.cluster for d in train_docs))
     train_base = embed_batch([d.text for d in train_docs], backend_cfg)
     test_base = embed_batch([d.text for d in test_docs], backend_cfg)
@@ -162,10 +163,8 @@ def _per_pair_report(train_docs, test_docs, model, backend_cfg):
             for td, t in zip(test_docs, test_base):
                 for rd, r in zip(train_docs, train_base):
                     if td.cluster == tc and rd.cluster == rc:
-                        pre.append(cosine_similarity(t, r))
-                        post.append(
-                            cosine_similarity(model.W @ t, model.W @ r)
-                        )
+                        pre.append(_cosine(t, r))
+                        post.append(_cosine(model.W @ t, model.W @ r))
             out["pre_mean"][i, j], out["pre_std"][i, j] = np.mean(pre), np.std(pre)
             out["post_mean"][i, j], out["post_std"][i, j] = np.mean(post), np.std(post)
     return out

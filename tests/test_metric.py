@@ -11,9 +11,6 @@ from pdial.metric import (
     ProjectionModel,
     TrainConfig,
     binarize_label,
-    contrastive_loss,
-    cosine_loss,
-    cosine_similarity,
     generate_pairs,
     loss_gradient,
     train,
@@ -25,6 +22,27 @@ POLES_MATRIX = ClusterSimilarityMatrix(
     clusters=["left", "center", "right"],
     sim=np.array([[1.0, 0.35, 0.0], [0.35, 1.0, 0.35], [0.0, 0.35, 1.0]]),
 )
+
+
+def cosine_similarity(u, v):
+    """Textbook cosine of two vectors, the oracle for ``_pair_loss``."""
+    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+    if nu == 0.0 or nv == 0.0:
+        raise InputValidationError("cosine of a zero vector is undefined")
+    return float(np.dot(u, v) / (nu * nv))
+
+
+def cosine_loss(ea, eb, y):
+    """(cos(ea, eb) - y)^2 for a continuous label y in [0, 1]."""
+    return (cosine_similarity(ea, eb) - y) ** 2
+
+
+def contrastive_loss(ea, eb, y_bin, m):
+    """y*d^2 + (1-y)*max(0, m-d)^2 over the pair distance d."""
+    d = float(np.linalg.norm(ea - eb))
+    if y_bin == 1:
+        return d * d
+    return max(0.0, m - d) ** 2
 
 
 def _docs(spec):
@@ -168,16 +186,14 @@ class TestLosses:
 
 def _fd_gradient(W, a, b, y, cfg, h=1e-5):
     """Central finite differences of the pair loss with respect to W."""
-    from pdial.metric import _pair_loss_grad
-
     grad = np.zeros_like(W)
     for idx in np.ndindex(W.shape):
         Wp = W.copy()
         Wp[idx] += h
         Wm = W.copy()
         Wm[idx] -= h
-        lp, _ = _pair_loss_grad(Wp, a, b, y, cfg)
-        lm, _ = _pair_loss_grad(Wm, a, b, y, cfg)
+        lp, _ = loss_gradient(ProjectionModel.from_weights(Wp), a, b, y, cfg)
+        lm, _ = loss_gradient(ProjectionModel.from_weights(Wm), a, b, y, cfg)
         grad[idx] = (lp - lm) / (2 * h)
     return grad
 
@@ -240,23 +256,20 @@ class TestLossGradient:
 
 
 class TestLossOracles:
-    """The public losses are the oracles for the loss the training step
-    computes on the projected pair."""
+    """The textbook losses above are the oracles for the loss the training
+    step computes on the projected pair."""
 
     def test_cosine_loss_matches_training_step(self):
-        from pdial.metric import _pair_loss_grad
-
         rng = np.random.default_rng(7)
         for _ in range(200):
             W, a, b, y, cfg = _random_instance(rng, "cosine")
-            loss, _ = _pair_loss_grad(W, a, b, y, cfg)
+            model = ProjectionModel.from_weights(W)
+            loss, _ = loss_gradient(model, a, b, y, cfg)
             assert loss == pytest.approx(
                 cosine_loss(W @ a, W @ b, y), rel=0.0, abs=1e-12
             )
 
     def test_contrastive_loss_matches_training_step(self):
-        from pdial.metric import _pair_loss_grad
-
         rng = np.random.default_rng(8)
         branches = set()
         for _ in range(200):
@@ -267,7 +280,8 @@ class TestLossOracles:
                 binarize_threshold=float(rng.uniform(0.1, 0.9)),
             )
             y_bin = binarize_label(y, cfg.binarize_threshold)
-            loss, _ = _pair_loss_grad(W, a, b, y, cfg)
+            model = ProjectionModel.from_weights(W)
+            loss, _ = loss_gradient(model, a, b, y, cfg)
             assert loss == pytest.approx(
                 contrastive_loss(W @ a, W @ b, y_bin, cfg.margin_m),
                 rel=0.0,
@@ -289,6 +303,33 @@ class TestTrain:
         )
         np.testing.assert_array_equal(model.W, np.eye(64))
         assert log.epoch_mean_loss == []
+
+    def test_square_train_builds_no_d_by_d_matrix(
+        self, fixture_train_docs, fixture_matrix
+    ):
+        """The square initial head is the identity form, base None, so
+        training allocates nothing of size d x d."""
+        import tracemalloc
+
+        from pdial.embedding import EmbeddingBackendConfig, embed_batch
+
+        d = 768
+        assert ProjectionModel.initial(d, d, 7).base is None
+        embeddings = embed_batch(
+            [doc.text for doc in fixture_train_docs],
+            EmbeddingBackendConfig(kind="hashed", dimension=d),
+        )
+        cfg = TrainConfig(learning_rate=0.05, epochs=5, seed=7)
+        tracemalloc.start()
+        try:
+            model, _ = train(
+                fixture_train_docs, fixture_matrix, embeddings, cfg
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert model.base is None
+        assert peak < d * d * 8
 
     def test_vanishing_learning_rate_keeps_weights(
         self, fixture_train_docs, fixture_matrix, fixture_train_embeddings

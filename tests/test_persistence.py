@@ -634,9 +634,6 @@ class TestReportFiles:
         assert np.asarray(data["pre"]["mean"]).shape == (3, 3)
         assert np.asarray(data["post"]["std"]).shape == (3, 3)
         assert data["std_kind"] == "population"
-        text_path = tmp_path / "report.txt"
-        persistence.save_report_text(text_path, report)
-        assert "Post-Train" in text_path.read_text()
 
 
 def _unencodable_writers():
@@ -667,7 +664,6 @@ def _unencodable_writers():
             path, trace, "brute", PerspectivePoint(0.0, 0.0)
         ),
         "save_report": lambda path: persistence.save_report(path, report),
-        "save_report_text": lambda path: persistence.save_report_text(path, report),
         "write_text_atomic": lambda path: persistence.write_text_atomic(path, bad),
     }
 
@@ -695,7 +691,7 @@ def test_non_utf8_input_is_format_error(tmp_path, loader):
 class TestAtomicWrites:
     @pytest.mark.parametrize(
         "writer",
-        ["save_report", "save_report_text", "save_trace", "write_text_atomic"],
+        ["save_report", "save_trace", "write_text_atomic"],
     )
     def test_failed_write_keeps_previous_file(self, tmp_path, writer):
         path = tmp_path / "artifact.out"

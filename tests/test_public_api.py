@@ -56,3 +56,12 @@ def test_array_holders_compare_by_identity(build):
     assert a == a
     assert (a == b) is False
     assert a != b
+
+
+def test_metric_holds_each_training_formula_once():
+    """``_pair_loss`` is the only copy of the loss formulas and
+    ``loss_gradient`` the only full-matrix gradient."""
+    for name in ("cosine_similarity", "cosine_loss", "contrastive_loss"):
+        assert not hasattr(pdial, name), name
+        assert not hasattr(pdial.metric, name), name
+    assert not hasattr(pdial.metric, "_pair_loss_grad")
