@@ -10,15 +10,17 @@ through both sides. Two objectives are provided:
 * contrastive loss over Euclidean distance d with margin m:
   ``y*d^2 + (1-y)*max(0, m-d)^2`` for binary y.
 
-``_pair_loss`` is the one copy of both formulas, with their gradients;
-the trainer and ``loss_gradient`` share it.
+``_pair_loss`` holds both formulas, with their gradients, and the
+contrastive one lives in ``_contrastive``, which needs only the squared
+distance of the pair. The trainer and ``loss_gradient`` share them.
 
 Training is plain single-pair SGD under a fixed seed so that identical
 inputs give bit-identical models. The trainer works in the span of the
 N training embeddings (dual form, see ``train``), at O(d_out * N) per
-step instead of O(d_out * d_in); ``loss_gradient`` gives the
-full-matrix gradient of the same per-pair loss and is the oracle the
-tests check the trainer against.
+step instead of O(d_out * d_in); a contrastive step computes only the
+pair's difference u - v and applies one gradient to both documents.
+``loss_gradient`` gives the full-matrix gradient of the same per-pair
+loss and is the oracle the tests check the trainer against.
 
 The model is held as those span factors. ``ProjectionModel.project`` is
 the one way the commands apply the head, in O(N * d) per text through
@@ -274,6 +276,25 @@ def binarize_label(label_y: float, threshold: float) -> int:
     return 1 if label_y >= threshold else 0
 
 
+def _contrastive(dd: float, y: float, cfg: TrainConfig) -> tuple[float, float]:
+    """Contrastive loss of a pair from its squared distance ``dd = |u-v|^2``,
+    and the scale ``s`` of its gradient: dL/du = s (u-v) = -dL/dv.
+
+    The one copy of the contrastive formula: ``_pair_loss`` and the
+    trainer's step both call it. At d = 0 a dissimilar pair costs m^2 and
+    takes the zero subgradient.
+    """
+    m = cfg.margin_m
+    d = math.sqrt(dd)
+    if binarize_label(y, cfg.binarize_threshold) == 1:
+        return d * d, 2.0
+    if d >= m:
+        return 0.0, 0.0
+    if d == 0.0:
+        return m * m, 0.0
+    return (m - d) ** 2, -2.0 * (m - d) / d
+
+
 def _pair_loss(
     u: np.ndarray, v: np.ndarray, y: float, cfg: TrainConfig
 ) -> tuple[float, np.ndarray, np.ndarray]:
@@ -282,22 +303,9 @@ def _pair_loss(
     Raises PairSkip when cosine loss meets a zero-norm projection.
     """
     if cfg.loss_kind == "contrastive":
-        y_bin = binarize_label(y, cfg.binarize_threshold)
-        m = cfg.margin_m
         diff = u - v
-        d = float(np.linalg.norm(diff))
-        if y_bin == 1:
-            loss = d * d
-            dldu = 2.0 * diff
-        elif d >= m:
-            loss = 0.0
-            dldu = np.zeros_like(diff)
-        elif d == 0.0:
-            loss = m * m
-            dldu = np.zeros_like(diff)
-        else:
-            loss = (m - d) ** 2
-            dldu = (-2.0 * (m - d) / d) * diff
+        loss, scale = _contrastive(float(diff @ diff), y, cfg)
+        dldu = scale * diff
         return loss, dldu, -dldu
 
     # cosine loss
@@ -369,8 +377,11 @@ def train(
     N x d_out coefficient matrix ``G`` whose row n belongs to document n.
     With ``K = E E^T`` and ``P0 = E W0^T`` precomputed, a step computes
     ``u = P0[i] + K[i] @ G`` and updates rows i and j of ``G`` in
-    O(d_out * N). The model is ``ProjectionModel(G, E, W0)``, with
-    ``W0`` None for the identity.
+    O(d_out * N). Under contrastive loss dL/dv = -dL/du, so the step
+    computes only ``diff = u - v = (P0[i] - P0[j]) + (K[i] - K[j]) @ G``
+    and applies one gradient ``g`` as ``G[i] -= g; G[j] += g``. The
+    model is ``ProjectionModel(G, E, W0)``, with ``W0`` None for the
+    identity.
     """
     clusters_present = {doc.cluster for doc in dataset}
     if len(clusters_present) < 2:
@@ -397,13 +408,20 @@ def train(
 
     initial = ProjectionModel.initial(d_in, d_out, cfg.seed)
     E = np.stack(rows)
-    K = E @ E.T
-    P0 = initial.project(E)
+    # Documents with equal embeddings share one row of K and of P0, so a
+    # pair of them sits at distance exactly 0: a matrix product may round
+    # equal rows apart.
+    first: dict[bytes, int] = {}
+    same = [first.setdefault(r.tobytes(), n) for n, r in enumerate(rows)]
+    K = (E @ E.T)[same]
+    P0 = initial.project(E)[same]
     G = np.zeros((len(rows), d_out))
 
     pairs = generate_pairs(dataset, matrix, cfg.seed)
     log = TrainingLog(pair_count=len(pairs))
 
+    lr = cfg.learning_rate
+    contrastive = cfg.loss_kind == "contrastive"
     # An overflow shows as a non-finite loss or gradient, checked right
     # after each step; numpy need not warn about it as well.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -415,24 +433,35 @@ def train(
             for step, k in enumerate(order):
                 pair = pairs[k]
                 i, j = index[pair.a], index[pair.b]
-                try:
-                    loss, dldu, dldv = _pair_loss(
-                        P0[i] + K[i] @ G, P0[j] + K[j] @ G, pair.label_y, cfg
-                    )
-                except PairSkip:
-                    skipped += 1
-                    continue
-                if not (
-                    np.isfinite(loss)
-                    and np.isfinite(dldu).all()
-                    and np.isfinite(dldv).all()
-                ):
-                    raise NumericError(
-                        f"non-finite loss/gradient at epoch {epoch} step {step} "
-                        f"(pair {pair.a!r}, {pair.b!r})"
-                    )
-                G[i] -= cfg.learning_rate * dldu
-                G[j] -= cfg.learning_rate * dldv
+                if contrastive:
+                    diff = (P0[i] - P0[j]) + (K[i] - K[j]) @ G
+                    dd = float(diff @ diff)
+                    loss, scale = _contrastive(dd, pair.label_y, cfg)
+                    # diff is finite when dd is; a margin near the float
+                    # limit can still overflow the loss.
+                    if not (math.isfinite(dd) and math.isfinite(loss)):
+                        raise _diverged(epoch, step, pair)
+                    if scale:
+                        g = (lr * scale) * diff
+                        G[i] -= g
+                        G[j] += g
+                else:
+                    try:
+                        loss, dldu, dldv = _pair_loss(
+                            P0[i] + K[i] @ G, P0[j] + K[j] @ G, pair.label_y,
+                            cfg,
+                        )
+                    except PairSkip:
+                        skipped += 1
+                        continue
+                    if not (
+                        np.isfinite(loss)
+                        and np.isfinite(dldu).all()
+                        and np.isfinite(dldv).all()
+                    ):
+                        raise _diverged(epoch, step, pair)
+                    G[i] -= lr * dldu
+                    G[j] -= lr * dldv
                 total += loss
                 evaluated += 1
             log.epoch_mean_loss.append(total / evaluated if evaluated else 0.0)
@@ -446,3 +475,10 @@ def train(
             f"training produced non-finite weights "
             f"(learning rate {cfg.learning_rate})"
         ) from exc
+
+
+def _diverged(epoch: int, step: int, pair: TrainingPair) -> NumericError:
+    return NumericError(
+        f"non-finite loss/gradient at epoch {epoch} step {step} "
+        f"(pair {pair.a!r}, {pair.b!r})"
+    )

@@ -1,11 +1,12 @@
 """Principal-component reduction of perspective embeddings to 2-D.
 
 The smaller of the centred Gram matrix (m x m, for m points) and the
-covariance matrix (d x d) is diagonalized with cyclic Jacobi rotations
-(upper triangle, row-major sweep order) so the decomposition is exact
-for symmetric input, dependency-free, and easy to check against a
-reference eigensolver. The top components define the user-facing 2-D
-perspective space.
+covariance matrix (d x d) is diagonalized with Jacobi rotations in the
+round-robin order of Brent and Luk, where each step rotates n/2
+disjoint pairs at once as one batched numpy update, so the
+decomposition is exact for symmetric input, dependency-free, and easy
+to check against a reference eigensolver. The top components define
+the user-facing 2-D perspective space. Non-finite input is rejected.
 """
 
 from __future__ import annotations
@@ -82,11 +83,15 @@ class PcaModel:
 
 
 def jacobi_eigh(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi.
+    """Full eigendecomposition of a symmetric matrix by round-robin Jacobi.
 
-    Sweeps rotate away each upper-triangle entry in row-major order until
-    the off-diagonal Frobenius norm drops below ``JACOBI_REL_TOL`` times
-    the Frobenius norm of the input, or fail after ``JACOBI_MAX_SWEEPS``
+    Each sweep visits every off-diagonal pair once, in the round-robin
+    order of Brent and Luk (1985): ``_round_robin`` splits the pairs
+    into steps of disjoint pairs, and each step rotates all its pairs
+    at once as one batched update of rows, columns and eigenvectors.
+    Pairs whose entry is already zero are skipped. Sweeps run until the
+    off-diagonal Frobenius norm drops below ``JACOBI_REL_TOL`` times the
+    Frobenius norm of the input, or fail after ``JACOBI_MAX_SWEEPS``
     sweeps. Returns (eigenvalues, eigenvectors) sorted by descending
     eigenvalue, eigenvectors as rows.
     """
@@ -94,6 +99,8 @@ def jacobi_eigh(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = A.shape[0]
     if A.shape != (n, n):
         raise InputValidationError(f"matrix must be square, got {A.shape}")
+    if not np.isfinite(A).all():
+        raise InputValidationError("matrix must be finite")
     if not np.allclose(A, A.T, rtol=0.0, atol=0.0):
         raise InputValidationError("matrix must be exactly symmetric")
     V = np.eye(n)
@@ -109,46 +116,86 @@ def jacobi_eigh(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     converged = off_norm() <= tol
     sweeps = 0
+    schedule = _round_robin(n)
     while not converged:
         if sweeps >= JACOBI_MAX_SWEEPS:
             raise NumericError(
                 f"Jacobi eigensolver did not converge in {JACOBI_MAX_SWEEPS} sweeps "
                 f"(off-diagonal norm {off_norm():.3e}, tolerance {tol:.3e})"
             )
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                if abs(theta) > 1e150:  # theta**2 would overflow
-                    t = 1.0 / (2.0 * theta)
-                else:
-                    sign = 1.0 if theta >= 0.0 else -1.0
-                    t = sign / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                # rotate rows/columns p and q of A
-                row_p = A[p, :].copy()
-                row_q = A[q, :].copy()
-                A[p, :] = c * row_p - s * row_q
-                A[q, :] = s * row_p + c * row_q
-                col_p = A[:, p].copy()
-                col_q = A[:, q].copy()
-                A[:, p] = c * col_p - s * col_q
-                A[:, q] = s * col_p + c * col_q
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                vcol_p = V[:, p].copy()
-                vcol_q = V[:, q].copy()
-                V[:, p] = c * vcol_p - s * vcol_q
-                V[:, q] = s * vcol_p + c * vcol_q
+        for P, Q, swap in schedule:
+            apq = A[P, Q]
+            if not apq.all():
+                rotate = apq != 0.0
+                P, Q, apq = P[rotate], Q[rotate], apq[rotate]
+            theta = (A[Q, Q] - A[P, P]) / (2.0 * apq)
+            huge = np.abs(theta) > 1e150  # theta**2 would overflow
+            tame = np.where(huge, 0.0, theta)
+            t = np.where(theta >= 0.0, 1.0, -1.0) / (
+                np.abs(tame) + np.sqrt(tame * tame + 1.0)
+            )
+            t[huge] = 1.0 / (2.0 * theta[huge])
+            c = 1.0 / np.sqrt(t * t + 1.0)
+            s = t * c
+            # Row k becomes cos[k] * row k + sin[k] * row swap[k]: for a
+            # rotated pair (p, q) that is c*row_p - s*row_q and
+            # s*row_p + c*row_q; every other row keeps cos 1 and sin 0.
+            cos = np.ones(n)
+            sin = np.zeros(n)
+            cos[P] = c
+            cos[Q] = c
+            sin[P] = -s
+            sin[Q] = s
+            rows = A[swap]
+            rows *= sin[:, None]
+            A *= cos[:, None]
+            A += rows
+            cols = A[:, swap]
+            cols *= sin
+            A *= cos
+            A += cols
+            A[P, Q] = 0.0
+            A[Q, P] = 0.0
+            cols = V[:, swap]
+            cols *= sin
+            V *= cos
+            V += cols
         sweeps += 1
         converged = off_norm() <= tol
 
     eigvals = np.diag(A).copy()
     order = np.argsort(-eigvals, kind="stable")
     return eigvals[order], V[:, order].T
+
+
+def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """One sweep over the pairs of ``range(n)``, as steps of disjoint pairs.
+
+    Step k is ``(P, Q, swap)``: its pairs are ``(P[i], Q[i])`` with
+    ``P[i] < Q[i]``, and ``swap`` is the permutation that exchanges the
+    two members of each pair. This is the round-robin tournament: player
+    0 keeps its seat while the others move one seat per step, so every
+    pair meets exactly once in n - 1 steps. For odd n a phantom player
+    makes n even, and whoever meets it sits the step out (``swap`` maps
+    it to itself).
+    """
+    m = n + n % 2
+    seats = list(range(m))
+    steps = []
+    for _ in range(m - 1):
+        pairs = [
+            (min(a, b), max(a, b))
+            for a, b in zip(seats[: m // 2], reversed(seats[m // 2:]))
+            if max(a, b) < n
+        ]
+        P = np.array([p for p, _ in pairs], dtype=np.intp)
+        Q = np.array([q for _, q in pairs], dtype=np.intp)
+        swap = np.arange(n)
+        swap[P] = Q
+        swap[Q] = P
+        steps.append((P, Q, swap))
+        seats = [seats[0], seats[-1], *seats[1:-1]]
+    return steps
 
 
 def _apply_sign_convention(components: np.ndarray) -> np.ndarray:
@@ -190,6 +237,8 @@ def fit_pca(points: list[np.ndarray]) -> PcaModel:
     d = X.shape[1]
     if d < 2:
         raise InputValidationError(f"point dimension must be >= 2, got {d}")
+    if not np.isfinite(X).all():
+        raise InputValidationError("points must be finite")
     mean = X.mean(axis=0)
     centered = X - mean
     m = X.shape[0]

@@ -581,6 +581,50 @@ class TestDualTraining:
         W0 = ProjectionModel.initial(W.shape[1], W.shape[0], cfg.seed).W
         assert not np.allclose(W, W0)  # training moved the weights
 
+    @pytest.mark.parametrize("d_out", [None, 8], ids=["square", "rectangular"])
+    def test_poles_apart_pair_at_zero_distance(
+        self, fixture_train_docs, fixture_matrix, fixture_train_embeddings,
+        d_out, monkeypatch,
+    ):
+        """Two documents in poles-apart clusters share one embedding: their
+        y = 0 pair sits at d == 0 at every step, which costs m^2, moves
+        nothing and counts as evaluated."""
+        import pdial.metric as metric_mod
+
+        docs = fixture_train_docs
+        assert (docs[0].cluster, docs[10].cluster) == ("pro-madrid", "pro-barca")
+        embeddings = [np.asarray(e, dtype=np.float64) for e in fixture_train_embeddings]
+        embeddings[10] = embeddings[0].copy()
+        cfg = TrainConfig(
+            loss_kind="contrastive", margin_m=1.0, learning_rate=0.05, epochs=5,
+            seed=7,
+        )
+        real = metric_mod._contrastive
+        zero_distance = []
+
+        def spy(dd, y, cfg):
+            loss, scale = real(dd, y, cfg)
+            if dd == 0.0:
+                zero_distance.append((y, loss, scale))
+            return loss, scale
+
+        monkeypatch.setattr(metric_mod, "_contrastive", spy)
+        model, log = train(docs, fixture_matrix, embeddings, cfg, d_out=d_out)
+        monkeypatch.undo()
+        assert zero_distance == [(0.0, 1.0, 0.0)] * 5  # one step per epoch
+        assert log.epoch_skipped_pairs == [0] * 5
+        np.testing.assert_array_equal(
+            model.project(embeddings[0]), model.project(embeddings[10])
+        )
+        W, losses, skips = _primal_train(
+            docs, fixture_matrix, embeddings, cfg, d_out=d_out
+        )
+        np.testing.assert_allclose(model.W, W, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(
+            log.epoch_mean_loss, losses, rtol=0.0, atol=1e-12
+        )
+        assert skips == [0] * 5
+
 
 class TestSpanFactorsWeights:
     """``ProjectionModel`` builds ``W`` from its span factors in the

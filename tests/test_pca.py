@@ -1,14 +1,85 @@
 import numpy as np
 import pytest
 
+import pdial.pca as pca_mod
 from pdial.errors import InputValidationError, NumericError
 from pdial.pca import (
     PcaModel,
     PerspectivePoint,
+    _round_robin,
     fit_pca,
     jacobi_eigh,
     pca_transform,
 )
+
+
+def cyclic_jacobi_eigh(C):
+    """Textbook cyclic Jacobi, one scalar rotation at a time over the upper
+    triangle in row-major order: the oracle for ``jacobi_eigh``. Same sweep
+    budget, tolerance, skips and messages; returns (eigenvalues, row
+    eigenvectors) by descending eigenvalue, and the number of rotations
+    that took the ``|theta| > 1e150`` branch."""
+    A = np.array(C, dtype=np.float64, copy=True)
+    n = A.shape[0]
+    V = np.eye(n)
+    tol = pca_mod.JACOBI_REL_TOL * float(np.linalg.norm(A))
+    off_mask = ~np.eye(n, dtype=bool)
+
+    def off_norm():
+        return float(np.sqrt(np.sum(A[off_mask] ** 2)))
+
+    huge = 0
+    sweeps = 0
+    while off_norm() > tol:
+        if sweeps >= pca_mod.JACOBI_MAX_SWEEPS:
+            raise NumericError(
+                f"Jacobi eigensolver did not converge in "
+                f"{pca_mod.JACOBI_MAX_SWEEPS} sweeps (off-diagonal norm "
+                f"{off_norm():.3e}, tolerance {tol:.3e})"
+            )
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = A[p, q]
+                if apq == 0.0:
+                    continue
+                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
+                if abs(theta) > 1e150:
+                    huge += 1
+                    t = 1.0 / (2.0 * theta)
+                else:
+                    sign = 1.0 if theta >= 0.0 else -1.0
+                    t = sign / (abs(theta) + np.sqrt(theta * theta + 1.0))
+                c = 1.0 / np.sqrt(t * t + 1.0)
+                s = t * c
+                row_p, row_q = A[p, :].copy(), A[q, :].copy()
+                A[p, :] = c * row_p - s * row_q
+                A[q, :] = s * row_p + c * row_q
+                col_p, col_q = A[:, p].copy(), A[:, q].copy()
+                A[:, p] = c * col_p - s * col_q
+                A[:, q] = s * col_p + c * col_q
+                A[p, q] = A[q, p] = 0.0
+                v_p, v_q = V[:, p].copy(), V[:, q].copy()
+                V[:, p] = c * v_p - s * v_q
+                V[:, q] = s * v_p + c * v_q
+        sweeps += 1
+    eigvals = np.diag(A).copy()
+    order = np.argsort(-eigvals, kind="stable")
+    return eigvals[order], V[:, order].T, huge
+
+
+def _random_symmetric(n, seed):
+    A = np.random.default_rng(seed).normal(size=(n, n))
+    return (A + A.T) / 2.0
+
+
+def _assert_same_eigensystem(got, ref, atol=1e-12):
+    """Eigenvalues within ``atol``; each eigenvector's overlap with its
+    reference (up to sign) at least 1 - atol."""
+    ev, vec = got
+    ref_ev, ref_vec = ref
+    np.testing.assert_allclose(ev, ref_ev, rtol=0.0, atol=atol)
+    overlaps = np.abs(np.sum(vec * ref_vec, axis=1))
+    assert np.all(overlaps >= 1.0 - atol), overlaps.min()
 
 
 class TestJacobiEigh:
@@ -54,12 +125,108 @@ class TestJacobiEigh:
             jacobi_eigh(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
     def test_sweep_budget_exhaustion_raises(self, monkeypatch):
-        import pdial.pca as pca_mod
-
         monkeypatch.setattr(pca_mod, "JACOBI_MAX_SWEEPS", 0)
         C = np.array([[2.0, 1.0], [1.0, 2.0]])
         with pytest.raises(NumericError, match="did not converge"):
             jacobi_eigh(C)
+
+    @pytest.mark.parametrize(
+        "C",
+        [
+            [[np.inf, 1.0], [1.0, 1.0]],
+            [[1.0, -np.inf], [-np.inf, 1.0]],
+            [[np.nan, 1.0], [1.0, 1.0]],
+            np.full((3, 3), np.nan),
+        ],
+        ids=["inf-diagonal", "inf-pair", "nan-diagonal", "all-nan"],
+    )
+    def test_non_finite_rejected(self, C):
+        with pytest.raises(InputValidationError, match="matrix must be finite"):
+            jacobi_eigh(np.array(C))
+
+
+class TestRoundRobinJacobi:
+    """The round-robin solver against the cyclic scalar oracle above and
+    ``numpy.linalg.eigh``."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 15, 16, 64])
+    def test_schedule_meets_every_pair_once(self, n):
+        steps = _round_robin(n)
+        assert len(steps) == n - 1 + n % 2
+        met = []
+        for P, Q, swap in steps:
+            assert len(P) == n // 2 or (n == 1 and len(P) == 0)
+            assert np.all(P < Q)
+            assert len(set(P) | set(Q)) == 2 * len(P)  # disjoint pairs
+            expected = np.arange(n)
+            expected[P], expected[Q] = Q, P
+            np.testing.assert_array_equal(swap, expected)
+            met += zip(P.tolist(), Q.tolist())
+        assert sorted(met) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 15, 16, 64])
+    def test_matches_cyclic_oracle_and_eigh(self, n):
+        C = _random_symmetric(n, seed=300 + n)
+        got = jacobi_eigh(C)
+        ev, vec, _ = cyclic_jacobi_eigh(C)
+        _assert_same_eigensystem(got, (ev, vec))
+        ref_ev, ref_vec = np.linalg.eigh(C)
+        _assert_same_eigensystem(got, (ref_ev[::-1], ref_vec[:, ::-1].T))
+
+    def test_block_diagonal_skips_zero_pairs(self):
+        """Entries between the blocks are zero and stay zero: those pairs
+        are skipped (a rotation of one would divide by zero), and every
+        eigenvector lies inside one block."""
+        C = np.zeros((7, 7))
+        C[:3, :3] = _random_symmetric(3, seed=1)
+        C[3:, 3:] = _random_symmetric(4, seed=2)
+        got = jacobi_eigh(C)
+        ev, vec, _ = cyclic_jacobi_eigh(C)
+        _assert_same_eigensystem(got, (ev, vec))
+        for v in got[1]:
+            assert np.all(v[:3] == 0.0) or np.all(v[3:] == 0.0), v
+
+    def test_repeated_eigenvalues(self):
+        """The identity plus a rank-1 term: eigenvalue 1 + |u|^2 along u,
+        and 1 six times over the plane orthogonal to u."""
+        u = np.random.default_rng(5).normal(size=7)
+        C = np.eye(7) + np.outer(u, u)
+        ev, vec = jacobi_eigh(C)
+        ref_ev, _, _ = cyclic_jacobi_eigh(C)
+        np.testing.assert_allclose(ev, ref_ev, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(
+            ev, [1.0 + u @ u] + [1.0] * 6, rtol=0.0, atol=1e-12
+        )
+        assert abs(vec[0] @ u) / np.linalg.norm(u) >= 1.0 - 1e-12
+        np.testing.assert_allclose(vec @ vec.T, np.eye(7), rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(vec @ C, ev[:, None] * vec, rtol=0.0, atol=1e-12)
+
+    def test_huge_theta_branch(self):
+        """A coupling of 1e-160 between diagonal entries 1 apart gives
+        |theta| ~ 5e159, whose square would overflow. The 1/(2 theta)
+        branch rotates the pair anyway, so the eigenvector of eigenvalue
+        ~1 picks up its ~1e-160 components (first order: -2e-160 and
+        1e-160); an unrotated pair would leave them 0."""
+        C = np.array([[1.0, 1e-160, 0.0], [1e-160, 2.0, 1.0], [0.0, 1.0, 3.0]])
+        ev_ref, vec_ref, huge = cyclic_jacobi_eigh(C)
+        assert huge > 0
+        with np.errstate(over="raise"):
+            ev, vec = jacobi_eigh(C)
+        _assert_same_eigensystem((ev, vec), (ev_ref, vec_ref))
+        v = vec[int(np.argmin(np.abs(ev - 1.0)))]
+        assert 1e-161 < abs(v[1]) < 1e-159 and 1e-161 < abs(v[2]) < 1e-159
+
+    def test_zero_sweep_budget_gives_the_oracles_message(self, monkeypatch):
+        monkeypatch.setattr(pca_mod, "JACOBI_MAX_SWEEPS", 0)
+        C = _random_symmetric(5, seed=9)
+        with pytest.raises(NumericError) as ours:
+            jacobi_eigh(C)
+        with pytest.raises(NumericError) as oracle:
+            cyclic_jacobi_eigh(C)
+        assert str(ours.value) == str(oracle.value)
+        assert str(ours.value).startswith(
+            "Jacobi eigensolver did not converge in 0 sweeps"
+        )
 
 
 class TestFitPca:
@@ -118,6 +285,12 @@ class TestFitPca:
     def test_ragged_points_rejected(self):
         with pytest.raises(InputValidationError):
             fit_pca([np.zeros(3), np.zeros(4), np.zeros(3)])
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_point_rejected(self, bad):
+        points = [np.zeros(3), np.ones(3), np.array([1.0, bad, 2.0])]
+        with pytest.raises(InputValidationError, match="points must be finite"):
+            fit_pca(points)
 
     def test_eigenvalue_ordering(self):
         rng = np.random.default_rng(9)
@@ -190,8 +363,6 @@ class TestPcaModelValidation:
 
 def _jacobi_spy(monkeypatch):
     """Record the shape of every matrix fit_pca hands to jacobi_eigh."""
-    import pdial.pca as pca_mod
-
     shapes = []
     real = pca_mod.jacobi_eigh
 

@@ -59,8 +59,9 @@ def test_array_holders_compare_by_identity(build):
 
 
 def test_metric_holds_each_training_formula_once():
-    """``_pair_loss`` is the only copy of the loss formulas and
-    ``loss_gradient`` the only full-matrix gradient."""
+    """``_pair_loss`` (with ``_contrastive`` under it) is the only copy of
+    the loss formulas and ``loss_gradient`` the only full-matrix
+    gradient."""
     for name in ("cosine_similarity", "cosine_loss", "contrastive_loss"):
         assert not hasattr(pdial, name), name
         assert not hasattr(pdial.metric, name), name
