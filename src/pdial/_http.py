@@ -14,11 +14,12 @@ it. HTTPS uses the system trust store, and proxies come from the
 ``*_proxy`` environment variables. Redirects are not followed: a 3xx
 answer fails like any other non-200 status, so neither the body nor the
 bearer token goes to the host a ``Location`` header names.
+``concurrent.futures`` is likewise imported by the first
+:func:`fan_out_map` call with more than one item.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 import json
 import os
 import threading
@@ -67,6 +68,8 @@ def fan_out_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
     """
     if len(items) <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+
     failed = threading.Event()
 
     def job(item: T) -> R | None:

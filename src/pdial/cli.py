@@ -5,6 +5,9 @@ reduction), ``eval`` (cluster similarity report), ``optimize`` (prompt
 search toward a target point), ``plot`` (SVG scatter of the perspective
 space). Exit codes: 0 success, 2 usage/config errors, 3 numeric or
 protocol failures.
+
+Each command imports the modules it uses when it runs, so a run loads
+only what its command needs.
 """
 
 from __future__ import annotations
@@ -13,22 +16,14 @@ import argparse
 import functools
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import _http, persistence
-from .embedding import EmbeddingBackendConfig, embed_batch
 from .errors import ConfigurationError, InputValidationError, PdialError
-from .evaluation import cluster_similarity_report, render_report_text
-from .llm_client import LlmBackendConfig
 from .metric import TrainConfig, train
-from .optimizer import (
-    DEFAULT_MAX_SWEEPS,
-    PerspectiveSpace,
-    brute_force_search,
-    cluster_centroid,
-    gcd_search,
-)
-from .pca import PerspectivePoint, fit_pca
-from .plotting import PointGroup, render_scatter_svg
+
+if TYPE_CHECKING:
+    from .embedding import EmbeddingBackendConfig
+    from .llm_client import LlmBackendConfig
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -56,6 +51,9 @@ def _add_embedding_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _embedding_cfg(args: argparse.Namespace) -> EmbeddingBackendConfig:
+    from . import _http
+    from .embedding import EmbeddingBackendConfig
+
     _http.set_fan_out(args.fan_out)
     return EmbeddingBackendConfig(
         kind=args.embedding,
@@ -85,6 +83,9 @@ def _add_llm_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _llm_cfg(args: argparse.Namespace) -> LlmBackendConfig:
+    from . import persistence
+    from .llm_client import LlmBackendConfig
+
     return LlmBackendConfig(
         kind=args.llm,
         endpoint_url=args.llm_url,
@@ -101,6 +102,9 @@ def _llm_cfg(args: argparse.Namespace) -> LlmBackendConfig:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    from . import persistence
+    from .embedding import embed_batch
+
     if args.pca_data and not args.pca_out:
         raise ConfigurationError("--pca-data needs --pca-out")
     backend_cfg = _embedding_cfg(args)
@@ -124,6 +128,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     # Fit before the first write, so a PCA that cannot be fit leaves no files.
     pca = None
     if args.pca_out:
+        from .pca import fit_pca
+
         pca = fit_pca([model.project(e) for e in embeddings])
     persistence.save_model(args.out, model, cfg)
     log_path = args.log_out or str(Path(args.out).with_suffix(".log.json"))
@@ -137,6 +143,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from . import persistence
+    from .evaluation import cluster_similarity_report, render_report_text
+
     backend_cfg = _embedding_cfg(args)
     model, _ = persistence.load_model(args.model)
     train_docs = persistence.load_dataset(args.train)
@@ -171,8 +180,20 @@ def _check_target_flags(args: argparse.Namespace) -> None:
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
+    from . import persistence
+    from .optimizer import (
+        DEFAULT_MAX_SWEEPS,
+        PerspectiveSpace,
+        brute_force_search,
+        cluster_centroid,
+        gcd_search,
+    )
+    from .pca import PerspectivePoint
+
     if args.mode == "brute" and args.max_sweeps is not None:
         raise ConfigurationError("--max-sweeps is read only with --mode gcd")
+    if args.mock_table and args.llm != "mock":
+        raise ConfigurationError("--mock-table is read only with --llm mock")
     _check_target_flags(args)
     backend_cfg = _embedding_cfg(args)
     llm_cfg = _llm_cfg(args)
@@ -201,6 +222,11 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
+    from . import persistence
+    from .optimizer import PerspectiveSpace
+    from .pca import PerspectivePoint
+    from .plotting import PointGroup, render_scatter_svg
+
     if (args.target_x is None) != (args.target_y is None):
         raise ConfigurationError("give both --target-x and --target-y, or neither")
     if args.model and not args.data:
@@ -330,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--out-trace", required=True, help="trace JSONL path")
     p_opt.add_argument(
         "--max-sweeps", type=int,
-        help=f"GCD sweep limit (default: {DEFAULT_MAX_SWEEPS})",
+        help="GCD sweep limit (default: 10)",
     )
     _add_llm_flags(p_opt)
     _add_embedding_flags(p_opt)

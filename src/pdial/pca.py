@@ -7,6 +7,13 @@ disjoint pairs at once as one batched numpy update, so the
 decomposition is exact for symmetric input, dependency-free, and easy
 to check against a reference eigensolver. The top components define
 the user-facing 2-D perspective space. Non-finite input is rejected.
+
+Both the solver and the fit work on their input divided by a power of
+two that brings its largest entry into [0.5, 1), and scale the results
+back. Such a scaling is exact and commutes with every rounding, so
+results keep every bit, while the norms and products of the largest
+entries can neither overflow nor underflow, whatever the input's scale.
+A result beyond the float64 range is an ``InputValidationError``.
 """
 
 from __future__ import annotations
@@ -92,8 +99,10 @@ def jacobi_eigh(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Pairs whose entry is already zero are skipped. Sweeps run until the
     off-diagonal Frobenius norm drops below ``JACOBI_REL_TOL`` times the
     Frobenius norm of the input, or fail after ``JACOBI_MAX_SWEEPS``
-    sweeps. Returns (eigenvalues, eigenvectors) sorted by descending
-    eigenvalue, eigenvectors as rows.
+    sweeps. The sweeps run on the input scaled by ``2**-k`` (see the
+    module docstring), and the eigenvalues are scaled back. Returns
+    (eigenvalues, eigenvectors) sorted by descending eigenvalue,
+    eigenvectors as rows.
     """
     A = np.array(C, dtype=np.float64, copy=True)
     n = A.shape[0]
@@ -103,6 +112,8 @@ def jacobi_eigh(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise InputValidationError("matrix must be finite")
     if not np.allclose(A, A.T, rtol=0.0, atol=0.0):
         raise InputValidationError("matrix must be exactly symmetric")
+    k = _scale_exponent(A)
+    A = np.ldexp(A, -k)
     V = np.eye(n)
     frob = float(np.linalg.norm(A))
     tol = JACOBI_REL_TOL * frob
@@ -119,9 +130,11 @@ def jacobi_eigh(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     schedule = _round_robin(n)
     while not converged:
         if sweeps >= JACOBI_MAX_SWEEPS:
+            with np.errstate(over="ignore"):
+                off, limit = np.ldexp([off_norm(), tol], k)
             raise NumericError(
                 f"Jacobi eigensolver did not converge in {JACOBI_MAX_SWEEPS} sweeps "
-                f"(off-diagonal norm {off_norm():.3e}, tolerance {tol:.3e})"
+                f"(off-diagonal norm {off:.3e}, tolerance {limit:.3e})"
             )
         for P, Q, swap in schedule:
             apq = A[P, Q]
@@ -163,9 +176,25 @@ def jacobi_eigh(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         sweeps += 1
         converged = off_norm() <= tol
 
-    eigvals = np.diag(A).copy()
+    eigvals = _unscale(np.diag(A), k, "an eigenvalue")
     order = np.argsort(-eigvals, kind="stable")
     return eigvals[order], V[:, order].T
+
+
+def _scale_exponent(a: np.ndarray) -> int:
+    """The k for which the largest |entry| of ``a / 2**k`` lies in
+    [0.5, 1); 0 for an all-zero or empty array."""
+    return int(np.frexp(np.max(np.abs(a), initial=0.0))[1])
+
+
+def _unscale(values: np.ndarray, k: int, what: str) -> np.ndarray:
+    """``values * 2**k``; an InputValidationError naming ``what`` if a
+    value leaves the float64 range."""
+    with np.errstate(over="ignore"):
+        values = np.ldexp(values, k)
+    if not np.isfinite(values).all():
+        raise InputValidationError(f"{what} is beyond the float64 range")
+    return values
 
 
 def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -221,6 +250,10 @@ def fit_pca(points: list[np.ndarray]) -> PcaModel:
     matrix has fewer than two clearly positive eigenvalues the
     axes are not determined by the points, and the covariance is
     diagonalized as for m >= d.
+
+    The points are scaled by ``2**-k`` before they are centred (see the
+    module docstring), so neither the mean nor the products overflow;
+    the mean and the variances are scaled back.
     """
     if len(points) < 3:
         raise InputValidationError(
@@ -239,6 +272,8 @@ def fit_pca(points: list[np.ndarray]) -> PcaModel:
         raise InputValidationError(f"point dimension must be >= 2, got {d}")
     if not np.isfinite(X).all():
         raise InputValidationError("points must be finite")
+    k = _scale_exponent(X)
+    X = np.ldexp(X, -k)
     mean = X.mean(axis=0)
     centered = X - mean
     m = X.shape[0]
@@ -247,11 +282,11 @@ def fit_pca(points: list[np.ndarray]) -> PcaModel:
         eigvals, eigvecs = jacobi_eigh((gram + gram.T) / 2.0)
         if eigvals[PCA_AXES - 1] > GRAM_MIN_EIGENVALUE * eigvals[0]:
             components = _orthonormal_rows(eigvecs[:PCA_AXES] @ centered)
-            return _pca_model(mean, components, eigvals[:PCA_AXES])
+            return _pca_model(mean, components, eigvals[:PCA_AXES], k)
     cov = (centered.T @ centered) / (m - 1)
     cov = (cov + cov.T) / 2.0  # force exact symmetry for the solver
     eigvals, eigvecs = jacobi_eigh(cov)
-    return _pca_model(mean, eigvecs[:PCA_AXES], eigvals[:PCA_AXES])
+    return _pca_model(mean, eigvecs[:PCA_AXES], eigvals[:PCA_AXES], k)
 
 
 def _orthonormal_rows(rows: np.ndarray) -> np.ndarray:
@@ -264,12 +299,16 @@ def _orthonormal_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def _pca_model(
-    mean: np.ndarray, components: np.ndarray, eigvals: np.ndarray
+    mean: np.ndarray, components: np.ndarray, eigvals: np.ndarray, k: int
 ) -> PcaModel:
+    """The model of points that were scaled by ``2**-k``: the mean scales
+    back by ``2**k`` and the variances by ``4**k``."""
     return PcaModel(
-        mean=mean,
+        mean=np.ldexp(mean, k),
         components=_apply_sign_convention(components),
-        explained_variance=np.maximum(eigvals, 0.0),
+        explained_variance=_unscale(
+            np.maximum(eigvals, 0.0), 2 * k, "the points' variance"
+        ),
     )
 
 

@@ -6,6 +6,10 @@ projection model stores its span factors as base64 of little-endian
 float64; every other float goes through Python's shortest-round-trip
 repr. Either way save/load pairs are bit-exact; see FORMATS.md for the
 full schemas.
+
+The optimizer's types are imported by the loaders that build them, and
+the report's only for type checking, so a command that reads no prompt
+spec or trace does not load the optimizer.
 """
 
 from __future__ import annotations
@@ -14,10 +18,9 @@ import base64
 import binascii
 from dataclasses import asdict
 import json
-import logging
 import os
 from pathlib import Path
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
@@ -27,7 +30,6 @@ from .errors import (
     InputValidationError,
     require_utf8,
 )
-from .evaluation import SimilarityReport
 from .metric import (
     ClusterSimilarityMatrix,
     LabeledDocument,
@@ -35,10 +37,11 @@ from .metric import (
     TrainConfig,
     TrainingLog,
 )
-from .optimizer import Evaluation, PromptAssignment, PromptSpec, SearchTrace
 from .pca import PcaModel, PerspectivePoint
 
-logger = logging.getLogger(__name__)
+if TYPE_CHECKING:
+    from .evaluation import SimilarityReport
+    from .optimizer import Evaluation, PromptSpec, SearchTrace
 
 MODEL_FORMAT = "pdial-proj-v2"
 PCA_FORMAT = "pdial-pca-v1"
@@ -262,7 +265,9 @@ def load_dataset(path: str | Path) -> list[LabeledDocument]:
         seen[doc.id] = lineno
         docs.append(doc)
     if not docs:
-        logger.warning("%s: dataset file is empty", path)
+        import logging
+
+        logging.getLogger(__name__).warning("%s: dataset file is empty", path)
     return docs
 
 
@@ -278,6 +283,8 @@ def load_matrix(path: str | Path) -> ClusterSimilarityMatrix:
 
 
 def load_prompt_spec(path: str | Path) -> PromptSpec:
+    from .optimizer import PromptSpec
+
     data = _read_json(path)
     try:
         slots = _list(data.get("slots", []), f"{path}: slots")
@@ -393,6 +400,8 @@ def _point(value: object) -> PerspectivePoint:
 def load_trace(path: str | Path) -> tuple[SearchTrace, dict]:
     """Read back a trace JSONL file; returns the trace and the summary,
     whose ``target`` is checked to be two finite numbers."""
+    from .optimizer import Evaluation, PromptAssignment, SearchTrace
+
     trace = SearchTrace()
     summary: dict = {}
     for lineno, obj in _read_jsonl(path):

@@ -250,12 +250,12 @@ class TestEvalCommand:
 def test_each_error_class_exits_with_its_code(
     trained, tmp_path, capsys, monkeypatch, error, code
 ):
-    import pdial.cli as cli_mod
+    import pdial.evaluation as evaluation_mod
 
     def fail(*args):
         raise error("injected")
 
-    monkeypatch.setattr(cli_mod, "cluster_similarity_report", fail)
+    monkeypatch.setattr(evaluation_mod, "cluster_similarity_report", fail)
     assert main(_eval_argv(trained, tmp_path)) == code
     assert capsys.readouterr().err == "error: injected\n"
 
@@ -367,6 +367,8 @@ class TestOptimizeCommand:
         argv[argv.index("--prompts") + 1] = str(big)
         # llm http with a dead endpoint: the guard must fire first
         argv[argv.index("--llm") + 1] = "http"
+        i = argv.index("--mock-table")
+        del argv[i:i + 2]
         argv += ["--llm-url", "http://127.0.0.1:1/unreachable"]
         assert main(argv) == 2
         assert "budget" in capsys.readouterr().err
@@ -417,13 +419,15 @@ class TestPlotCommand:
         assert (tmp_path / "a.svg").read_bytes() == (tmp_path / "b.svg").read_bytes()
 
     def test_failed_write_keeps_previous_svg(self, trained, tmp_path, monkeypatch):
-        import pdial.cli as cli_mod
+        import pdial.plotting as plotting_mod
 
         out_svg = tmp_path / "plot.svg"
         out_svg.write_text("<svg>previous</svg>")
         before = sorted(tmp_path.iterdir())
         # A lone surrogate cannot be encoded as UTF-8: the write fails midway.
-        monkeypatch.setattr(cli_mod, "render_scatter_svg", lambda *a, **k: "<svg>\ud800")
+        monkeypatch.setattr(
+            plotting_mod, "render_scatter_svg", lambda *a, **k: "<svg>\ud800"
+        )
         with pytest.raises(UnicodeEncodeError):
             main([
                 "plot",
@@ -528,8 +532,14 @@ class TestPlotCommand:
          "--target-x", "0.5", "--target-y", "0.5"],
         "--max-sweeps is read only with --mode gcd",
     ),
+    (
+        ["optimize", "--llm", "http", "--llm-url", "http://127.0.0.1:1/x",
+         "--mock-table", "{tmp}/missing.json",
+         "--target-x", "0.5", "--target-y", "0.5"],
+        "--mock-table is read only with --llm mock",
+    ),
 ], ids=["cluster-and-xy", "data-without-cluster", "model-without-data",
-        "brute-with-max-sweeps"])
+        "brute-with-max-sweeps", "http-with-mock-table"])
 def test_an_ignored_flag_exits_2_before_anything_runs(
     tmp_path, capsys, extra, message
 ):
@@ -549,6 +559,16 @@ def test_an_ignored_flag_exits_2_before_anything_runs(
     assert main(argv) == 2
     assert f"error: {message}\n" == capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_max_sweeps_help_states_the_optimizer_default(capsys):
+    from pdial.optimizer import DEFAULT_MAX_SWEEPS
+
+    with pytest.raises(SystemExit) as done:
+        main(["optimize", "--help"])
+    assert done.value.code == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert f"GCD sweep limit (default: {DEFAULT_MAX_SWEEPS})" in help_text
 
 
 def test_no_command_builds_the_dense_W(tmp_path, monkeypatch):
@@ -914,25 +934,32 @@ _RUN_COMMANDS = """
 import json
 import sys
 
-from pdial.cli import main
-
-for argv in json.loads(sys.argv[1]):
+imported, commands, watched = json.loads(sys.argv[1])
+__import__(imported)
+if commands:
+    from pdial.cli import main
+for argv in commands:
     if main(argv) != 0:
         sys.exit(f"failed: {argv}")
-loaded = ["requests", "urllib.request", "http.client"]
-print(json.dumps([name for name in loaded if sys.modules.get(name)]))
+print(json.dumps([name for name in watched if sys.modules.get(name)]))
 """
+SRC = Path(__file__).resolve().parents[1] / "src"
+TRANSPORT = ["requests", "urllib.request", "http.client"]
 
 
-def _run_fresh(commands, prelude=""):
-    """Run ``commands`` in a fresh interpreter; return the transport modules
-    it loaded."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
+def _run_fresh(commands, prelude="", watched=TRANSPORT, imported="pdial.cli"):
+    """Import ``imported``, then run ``commands``, in a fresh interpreter;
+    return the modules of ``watched`` that it loaded."""
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")])
+    )
     env.pop("PD_API_KEY", None)
     done = subprocess.run(
-        [sys.executable, "-c", prelude + _RUN_COMMANDS, json.dumps(commands)],
+        [
+            sys.executable, "-c", prelude + _RUN_COMMANDS,
+            json.dumps([imported, commands, watched]),
+        ],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
@@ -981,6 +1008,39 @@ class TestColdStart:
         loaded = _run_fresh([command], prelude)
         assert loaded == ["urllib.request", "http.client"]
         assert len(stub_server.requests) == 1
+        assert (tmp_path / "r.json").exists()
+
+    def test_import_pdial_loads_no_numpy_and_no_submodule(self):
+        submodules = [
+            f"pdial.{path.stem}" for path in sorted((SRC / "pdial").glob("*.py"))
+            if path.stem not in ("__init__", "errors")
+        ]
+        assert "pdial.optimizer" in submodules
+        watched = ["numpy", *submodules]
+        assert _run_fresh([], watched=watched, imported="pdial") == []
+
+    def test_import_cli_loads_no_command_module(self):
+        watched = [
+            "pdial.persistence", "pdial.embedding", "pdial._http",
+            "pdial.optimizer", "pdial.evaluation", "pdial.llm_client",
+            "pdial.plotting", "concurrent.futures", "logging",
+        ]
+        assert _run_fresh([], watched=watched) == []
+
+    def test_offline_train_loads_no_search_report_or_plot(self, tmp_path):
+        paths = _base_args(tmp_path)
+        watched = [
+            "pdial.optimizer", "pdial.evaluation", "pdial.llm_client",
+            "pdial.plotting", "concurrent.futures",
+        ]
+        command = [*_train_argv(paths), "--embedding", "hashed"]
+        assert _run_fresh([command], watched=watched) == []
+        assert (tmp_path / "pca.json").exists()
+
+    def test_eval_loads_no_search_or_plot(self, trained, tmp_path):
+        watched = ["pdial.optimizer", "pdial.llm_client", "pdial.plotting"]
+        command = _eval_argv(trained, tmp_path)
+        assert _run_fresh([command], watched=watched) == []
         assert (tmp_path / "r.json").exists()
 
 

@@ -229,6 +229,67 @@ class TestRoundRobinJacobi:
         )
 
 
+class TestExtremeScales:
+    """Entries far from 1: the solver and the fit run on their input
+    scaled by a power of two, which keeps every bit of ordinary results."""
+
+    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+    @pytest.mark.parametrize("n", [2, 5, 16])
+    def test_jacobi_matches_eigh_at_scale(self, n, scale):
+        C = _random_symmetric(n, seed=400 + n) * scale
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            ev, vec = jacobi_eigh(C)
+        ref_ev, ref_vec = np.linalg.eigh(C)
+        top = np.max(np.abs(ref_ev))
+        _assert_same_eigensystem(
+            (ev / top, vec), (ref_ev[::-1] / top, ref_vec[:, ::-1].T)
+        )
+
+    def test_huge_entries_give_their_eigenvalues(self):
+        # the Frobenius norm of this matrix is beyond float64
+        ev, _ = jacobi_eigh(np.array([[1e200, 1e200], [1e200, 1.0]]))
+        golden = (1.0 + np.sqrt(5.0)) / 2.0
+        np.testing.assert_allclose(
+            ev, [golden * 1e200, (1.0 - golden) * 1e200], rtol=1e-12
+        )
+
+    @pytest.mark.parametrize("k", [-900, -600, 600, 900])
+    def test_power_of_two_scaling_keeps_every_bit(self, k):
+        C = _random_symmetric(7, seed=11)
+        ev, vec = jacobi_eigh(C)
+        ev_k, vec_k = jacobi_eigh(np.ldexp(C, k))
+        np.testing.assert_array_equal(ev_k, np.ldexp(ev, k))
+        np.testing.assert_array_equal(vec_k, vec)
+
+    def test_eigenvalue_beyond_float64_is_rejected(self):
+        with pytest.raises(
+            InputValidationError, match="an eigenvalue is beyond the float64 range"
+        ):
+            jacobi_eigh(np.full((2, 2), 1e308))
+
+    def test_fit_whose_sums_overflow_keeps_every_bit(self):
+        """100 points at ~1e154: every sum of squares overflows float64,
+        but the variances (sum / 99) do not."""
+        X = np.random.default_rng(12).normal(size=(100, 3)) * 1e154
+        model = fit_pca(list(X))
+        ref = fit_pca(list(np.ldexp(X, -520)))
+        np.testing.assert_array_equal(model.mean, np.ldexp(ref.mean, 520))
+        np.testing.assert_array_equal(model.components, ref.components)
+        np.testing.assert_array_equal(
+            model.explained_variance, np.ldexp(ref.explained_variance, 1040)
+        )
+        ref_ev = np.linalg.eigh(np.cov(X.T / 1e154))[0][::-1][:2] * 1e308
+        np.testing.assert_allclose(model.explained_variance, ref_ev, rtol=1e-12)
+
+    def test_variance_beyond_float64_is_rejected(self):
+        points = [np.zeros(3), np.ones(3), np.array([1e200, 0.0, 0.0])]
+        with pytest.raises(
+            InputValidationError,
+            match="the points' variance is beyond the float64 range",
+        ):
+            fit_pca(points)
+
+
 class TestFitPca:
     def test_rank_one_line(self):
         points = [t * np.array([1.0, 1.0, 0.0]) for t in (-1.0, 0.0, 1.0)]

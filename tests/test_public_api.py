@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,30 @@ def test_core_names_exported():
         "PdialError",
     ):
         assert hasattr(pdial, name), name
+
+
+def test_every_export_resolves_and_is_listed():
+    """The package's names load on first access; each one resolves to the
+    object of its defining module, and ``dir`` lists it."""
+    assert pdial.__all__ == sorted([
+        "BackendError", "ClusterSimilarityMatrix", "ConfigurationError",
+        "EmbeddingBackendConfig", "FormatError", "InputValidationError",
+        "LabeledDocument", "LlmBackendConfig", "NumericError", "PcaModel",
+        "PdialError", "PerspectivePoint", "PerspectiveSpace", "ProjectionModel",
+        "PromptAssignment", "PromptSpec", "ProtocolError", "SearchTrace",
+        "SimilarityReport", "TrainConfig", "TrainingPair", "brute_force_search",
+        "cluster_similarity_report", "complete", "embed_batch", "fit_pca",
+        "gcd_search", "generate_pairs", "hashed_embed", "jacobi_eigh",
+        "loss_gradient", "loss_to_target", "render_prompt", "train",
+        "pca_transform",
+    ])
+    listed = dir(pdial)
+    for name in pdial.__all__:
+        value = getattr(pdial, name)
+        assert getattr(sys.modules[value.__module__], name) is value, name
+        assert name in listed, name
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        pdial.no_such_name
 
 
 def test_perspective_space_is_the_one_text_to_point_path():
