@@ -214,7 +214,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         if max_sweeps is None:
             max_sweeps = DEFAULT_MAX_SWEEPS
         trace = gcd_search(spec, target, space, llm_cfg, max_sweeps=max_sweeps)
-    persistence.save_trace(args.out_trace, trace, args.mode, target)
+    persistence.save_trace(args.out_trace, trace)
     best = trace.best_evaluation
     print(f"best prompt: {best.prompt}")
     print(f"best loss: {best.loss:.6f} over {len(trace.evaluations)} evaluations")
@@ -231,6 +231,8 @@ def cmd_plot(args: argparse.Namespace) -> int:
         raise ConfigurationError("give both --target-x and --target-y, or neither")
     if args.model and not args.data:
         raise ConfigurationError("--model is read only with --data")
+    if args.data and not args.model:
+        raise ConfigurationError("--data needs --model to project documents")
     backend_cfg = _embedding_cfg(args)
     pca = persistence.load_pca(args.pca)
     groups: list[PointGroup] = []
@@ -238,8 +240,6 @@ def cmd_plot(args: argparse.Namespace) -> int:
     path_points = None
 
     if args.data:
-        if not args.model:
-            raise ConfigurationError("--data needs --model to project documents")
         model, _ = persistence.load_model(args.model)
         dataset = persistence.load_dataset(args.data)
         if not dataset:
@@ -254,7 +254,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
             groups.append(PointGroup(label=cluster, points=tuple(points)))
 
     if args.trace:
-        trace, summary = persistence.load_trace(args.trace)
+        trace = persistence.load_trace(args.trace)
         by_base: dict[int, list] = {}
         for ev in trace.evaluations:
             by_base.setdefault(ev.assignment.base_index, []).append(ev.point)
@@ -265,15 +265,8 @@ def cmd_plot(args: argparse.Namespace) -> int:
                     points=tuple(by_base[base_index]),
                 )
             )
-        if summary:
-            target = PerspectivePoint(*map(float, summary["target"]))
-        best_so_far = float("inf")
-        path = []
-        for ev in trace.evaluations:
-            if ev.loss < best_so_far:
-                best_so_far = ev.loss
-                path.append(ev.point)
-        path_points = path
+        target = trace.target
+        path_points = [trace.evaluations[i].point for i in trace.improvements]
 
     if args.target_x is not None:
         target = PerspectivePoint(x=args.target_x, y=args.target_y)

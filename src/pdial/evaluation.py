@@ -81,11 +81,7 @@ def cluster_similarity_report(
             f"train clusters {missing} have no test documents"
         )
 
-    if backend_cfg.dimension != model.d_in:
-        raise InputValidationError(
-            f"embedding dimension {backend_cfg.dimension} does not match "
-            f"the model's d_in={model.d_in}"
-        )
+    model.check_input_width(backend_cfg.dimension)
     docs = train + test
     B = np.stack(embed_batch([d.text for d in docs], backend_cfg))
     train_of = [[k for k, d in enumerate(train) if d.cluster == c] for c in clusters]

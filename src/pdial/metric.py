@@ -70,6 +70,8 @@ class ClusterSimilarityMatrix:
                 f"similarity matrix shape {sim.shape} does not match "
                 f"{n} clusters"
             )
+        if not np.isfinite(sim).all():
+            raise InputValidationError("similarity labels must be finite")
         if not np.allclose(sim, sim.T, rtol=0.0, atol=0.0):
             raise InputValidationError("similarity matrix must be symmetric")
         if not np.all(np.diag(sim) == 1.0):
@@ -180,6 +182,14 @@ class ProjectionModel:
     @property
     def d_in(self) -> int:
         return self.basis.shape[1]
+
+    def check_input_width(self, dimension: int) -> None:
+        """InputValidationError unless embeddings of ``dimension`` fit d_in."""
+        if dimension != self.d_in:
+            raise InputValidationError(
+                f"embedding dimension {dimension} does not match "
+                f"the model's d_in={self.d_in}"
+            )
 
     @property
     def d_out(self) -> int:

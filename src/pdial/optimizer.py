@@ -74,15 +74,23 @@ class Evaluation:
 
 @dataclass
 class SearchTrace:
-    evaluations: list[Evaluation] = field(default_factory=list)
-    best: int = -1
+    """One search's whole record. Only ``record`` adds evaluations, and
+    it lists in ``improvements`` each one whose loss is below all before
+    it; ``best`` is the last of them, so ties keep the earliest."""
 
-    def record(self, ev: Evaluation) -> int:
+    mode: str
+    target: PerspectivePoint
+    evaluations: list[Evaluation] = field(init=False, default_factory=list)
+    improvements: list[int] = field(init=False, default_factory=list)
+
+    def record(self, ev: Evaluation) -> None:
+        if not self.improvements or ev.loss < self.best_evaluation.loss:
+            self.improvements.append(len(self.evaluations))
         self.evaluations.append(ev)
-        idx = len(self.evaluations) - 1
-        if self.best < 0 or ev.loss < self.evaluations[self.best].loss:
-            self.best = idx
-        return idx
+
+    @property
+    def best(self) -> int:
+        return self.improvements[-1] if self.improvements else -1
 
     @property
     def best_evaluation(self) -> Evaluation:
@@ -129,11 +137,7 @@ class PerspectiveSpace:
         pca: PcaModel,
         backend_cfg: EmbeddingBackendConfig,
     ) -> None:
-        if backend_cfg.dimension != proj.d_in:
-            raise InputValidationError(
-                f"embedding dimension {backend_cfg.dimension} does not match "
-                f"the model's d_in={proj.d_in}"
-            )
+        proj.check_input_width(backend_cfg.dimension)
         if pca.dim != proj.d_out:
             raise InputValidationError(
                 f"PCA dimension {pca.dim} does not match "
@@ -180,24 +184,23 @@ def cluster_centroid(
 
 
 class _Evaluator:
-    """Evaluates assignments, memoizing by rendered prompt."""
+    """Evaluates assignments against ``trace.target``, memoizing losses
+    by rendered prompt."""
 
     def __init__(
         self,
         spec: PromptSpec,
-        target: PerspectivePoint,
         space: PerspectiveSpace,
         llm_cfg: LlmBackendConfig,
         trace: SearchTrace,
         memoize: bool,
     ) -> None:
         self.spec = spec
-        self.target = target
         self.space = space
         self.llm_cfg = llm_cfg
         self.trace = trace
         self.memoize = memoize
-        self._by_prompt: dict[str, int] = {}
+        self._loss_of: dict[str, float] = {}
 
     def losses(self, assignments: list[PromptAssignment]) -> list[float]:
         """Loss of each assignment, recording new evaluations in order.
@@ -209,7 +212,7 @@ class _Evaluator:
         prompts = [render_prompt(self.spec, a) for a in assignments]
         todo = prompts
         if self.memoize:
-            todo = [p for p in dict.fromkeys(prompts) if p not in self._by_prompt]
+            todo = [p for p in dict.fromkeys(prompts) if p not in self._loss_of]
         samples: list[list[str]] = []
         points: list[PerspectivePoint] = []
         if todo:
@@ -221,13 +224,13 @@ class _Evaluator:
         fresh = itertools.count()
         losses = []
         for assignment, prompt in zip(assignments, prompts):
-            if self.memoize and prompt in self._by_prompt:
-                losses.append(self.trace.evaluations[self._by_prompt[prompt]].loss)
+            if self.memoize and prompt in self._loss_of:
+                losses.append(self._loss_of[prompt])
                 continue
             j = next(fresh)
             point = mean_point(points[j * n : (j + 1) * n])
-            loss = loss_to_target(point, self.target)
-            idx = self.trace.record(
+            loss = loss_to_target(point, self.trace.target)
+            self.trace.record(
                 Evaluation(
                     assignment=assignment,
                     prompt=prompt,
@@ -237,7 +240,7 @@ class _Evaluator:
                 )
             )
             if self.memoize:
-                self._by_prompt[prompt] = idx
+                self._loss_of[prompt] = loss
             losses.append(loss)
         return losses
 
@@ -263,8 +266,8 @@ def brute_force_search(
             f"brute force budget exceeded: {combos} combinations "
             f"(limit {BRUTE_FORCE_MAX_COMBINATIONS})"
         )
-    trace = SearchTrace()
-    evaluator = _Evaluator(spec, target, space, llm_cfg, trace, memoize=False)
+    trace = SearchTrace("brute", target)
+    evaluator = _Evaluator(spec, space, llm_cfg, trace, memoize=False)
     grid = (
         PromptAssignment(base_index, choices)
         for base_index in range(len(spec.base_phrases))
@@ -293,8 +296,8 @@ def gcd_search(
     """
     if max_sweeps < 1:
         raise InputValidationError(f"max_sweeps must be >= 1, got {max_sweeps}")
-    trace = SearchTrace()
-    evaluator = _Evaluator(spec, target, space, llm_cfg, trace, memoize=True)
+    trace = SearchTrace("gcd", target)
+    evaluator = _Evaluator(spec, space, llm_cfg, trace, memoize=True)
     current = [0] * (1 + len(spec.slots))
     coordinate_sizes = [len(spec.base_phrases)] + [len(s) for s in spec.slots]
 

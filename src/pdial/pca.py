@@ -73,6 +73,10 @@ class PcaModel:
             raise InputValidationError(
                 "explained_variance length must match component count"
             )
+        named = (("mean", mean), ("components", comps), ("explained_variance", ev))
+        for name, a in named:
+            if not np.isfinite(a).all():
+                raise InputValidationError(f"{name} must be finite")
         gram = comps @ comps.T
         if not np.allclose(gram, np.eye(comps.shape[0]), atol=1e-8):
             raise InputValidationError("component rows must be orthonormal")

@@ -18,6 +18,7 @@ import base64
 import binascii
 from dataclasses import asdict
 import json
+import math
 import os
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
@@ -41,7 +42,7 @@ from .pca import PcaModel, PerspectivePoint
 
 if TYPE_CHECKING:
     from .evaluation import SimilarityReport
-    from .optimizer import Evaluation, PromptSpec, SearchTrace
+    from .optimizer import PromptSpec, SearchTrace
 
 MODEL_FORMAT = "pdial-proj-v2"
 PCA_FORMAT = "pdial-pca-v1"
@@ -74,8 +75,12 @@ def _read_json(path: str | Path) -> dict:
 def _read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     """The line number and object of each non-blank line of a JSON Lines
     file; a line that is not a JSON object is a FormatError naming the
-    file and the line."""
-    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
+    file and the line.
+
+    Lines end at ``\n`` only (the text is read with universal newlines):
+    ``str.splitlines`` would also split inside a string holding U+0085 or
+    U+2028, which ``json.dumps(..., ensure_ascii=False)`` writes as is."""
+    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
         if not line.strip():
             continue
         try:
@@ -108,6 +113,32 @@ def _strings(value: object, where: str) -> list[str]:
     """``value`` if it is a JSON list of strings, each checked as by
     ``_string``."""
     return [_string(v, where) for v in _list(value, where)]
+
+
+def _count(value: object, what: str, least: int = 0) -> int:
+    """``value`` if it is a JSON integer of at least ``least``, else
+    ValueError; a JSON ``true`` is not an integer."""
+    if type(value) is not int or value < least:
+        raise ValueError(f"{what} must be a JSON integer >= {least}, got {value!r}")
+    return value
+
+
+def _finite(value: object, what: str) -> float:
+    """``value`` as a float if it is a finite JSON number, else ValueError
+    (OverflowError for an integer too large for a float)."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"{what} must be a finite JSON number, got {value!r}")
+    return float(value)
+
+
+def _numbers(value: object, what: str) -> np.ndarray:
+    """``value`` as a float64 array if its entries are JSON numbers, else
+    ValueError; ``np.asarray(..., dtype=float64)`` would read the string
+    "0.35" as 0.35 and ``null`` as NaN."""
+    a = np.asarray(value)
+    if a.dtype.kind not in "iuf":
+        raise ValueError(f"{what} must hold only JSON numbers")
+    return a.astype(np.float64)
 
 
 def _check_format(data: dict, expected: str, path: str | Path) -> None:
@@ -191,17 +222,13 @@ def load_model(path: str | Path) -> tuple[ProjectionModel, TrainConfig]:
     data = _read_json(path)
     _check_format(data, MODEL_FORMAT, path)
     try:
-        d_in = int(data["d_in"])
-        d_out = int(data["d_out"])
-        n = int(data["n"])
+        d_in = _count(data["d_in"], "d_in", 1)
+        d_out = _count(data["d_out"], "d_out", 1)
+        n = _count(data["n"], "n")
         base = data["base"]
         cfg = TrainConfig(**data["train_config"])
     except (ConfigurationError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed model file: {exc}") from exc
-    if d_in < 1 or d_out < 1 or n < 0:
-        raise FormatError(
-            f"{path}: bad model shape d_in={d_in}, d_out={d_out}, n={n}"
-        )
     if base is not None:
         base = _decode_array(data, "base", d_out, d_in, path)
     coef = _decode_array(data, "coef", n, d_out, path)
@@ -229,11 +256,8 @@ def load_pca(path: str | Path) -> PcaModel:
     _check_format(data, PCA_FORMAT, path)
     try:
         return PcaModel(
-            mean=np.asarray(data["mean"], dtype=np.float64),
-            components=np.asarray(data["components"], dtype=np.float64),
-            explained_variance=np.asarray(
-                data["explained_variance"], dtype=np.float64
-            ),
+            *(_numbers(data[name], name)
+              for name in ("mean", "components", "explained_variance"))
         )
     except (InputValidationError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed PCA file: {exc}") from exc
@@ -276,7 +300,7 @@ def load_matrix(path: str | Path) -> ClusterSimilarityMatrix:
     try:
         return ClusterSimilarityMatrix(
             clusters=_strings(data["clusters"], f"{path}: clusters"),
-            sim=np.asarray(data["sim"], dtype=np.float64),
+            sim=_numbers(data["sim"], "sim"),
         )
     except (InputValidationError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed cluster matrix: {exc}") from exc
@@ -338,42 +362,33 @@ def save_report(path: str | Path, report: SimilarityReport) -> None:
     )
 
 
-def _evaluation_to_obj(index: int, ev: Evaluation, best_so_far: float) -> dict:
-    return {
-        "index": index,
-        "assignment": {
-            "base_index": ev.assignment.base_index,
-            "choices": list(ev.assignment.choices),
-        },
-        "prompt": ev.prompt,
-        "outputs": list(ev.outputs),
-        "point": [ev.point.x, ev.point.y],
-        "loss": ev.loss,
-        "best_so_far": best_so_far,
-    }
-
-
-def save_trace(
-    path: str | Path,
-    trace: SearchTrace,
-    mode: str,
-    target: PerspectivePoint,
-) -> None:
-    """JSON Lines: one evaluation per line, then one summary object."""
+def save_trace(path: str | Path, trace: SearchTrace) -> None:
+    """JSON Lines: one evaluation per line, then the mode, target and best."""
     lines = []
-    best_so_far = float("inf")
+    improved = set(trace.improvements)
     for i, ev in enumerate(trace.evaluations):
-        best_so_far = min(best_so_far, ev.loss)
-        lines.append(
-            json.dumps(_evaluation_to_obj(i, ev, best_so_far), ensure_ascii=False)
-        )
+        if i in improved:
+            best_so_far = ev.loss
+        obj = {
+            "index": i,
+            "assignment": {
+                "base_index": ev.assignment.base_index,
+                "choices": list(ev.assignment.choices),
+            },
+            "prompt": ev.prompt,
+            "outputs": list(ev.outputs),
+            "point": [ev.point.x, ev.point.y],
+            "loss": ev.loss,
+            "best_so_far": best_so_far,
+        }
+        lines.append(json.dumps(obj, ensure_ascii=False))
     best = trace.best_evaluation
     lines.append(
         json.dumps(
             {
                 "summary": True,
-                "mode": mode,
-                "target": [target.x, target.y],
+                "mode": trace.mode,
+                "target": [trace.target.x, trace.target.y],
                 "evaluations": len(trace.evaluations),
                 "best_index": trace.best,
                 "best_prompt": best.prompt,
@@ -387,7 +402,7 @@ def save_trace(
 
 def _point(value: object) -> PerspectivePoint:
     """A trace's ``[x, y]`` as a point; anything but two finite JSON
-    numbers raises ValueError or InputValidationError."""
+    numbers raises ValueError, OverflowError or InputValidationError."""
     if not (
         isinstance(value, list)
         and len(value) == 2
@@ -397,40 +412,48 @@ def _point(value: object) -> PerspectivePoint:
     return PerspectivePoint(x=float(value[0]), y=float(value[1]))
 
 
-def load_trace(path: str | Path) -> tuple[SearchTrace, dict]:
-    """Read back a trace JSONL file; returns the trace and the summary,
-    whose ``target`` is checked to be two finite numbers."""
+_BAD_VALUE = (InputValidationError, KeyError, OverflowError, TypeError, ValueError)
+
+
+def load_trace(path: str | Path) -> SearchTrace:
+    """The trace ``save_trace`` wrote; errors come in line order, then a
+    missing summary line (the empty file has none either)."""
     from .optimizer import Evaluation, PromptAssignment, SearchTrace
 
-    trace = SearchTrace()
-    summary: dict = {}
+    evaluations = []
+    summary = None
     for lineno, obj in _read_jsonl(path):
         where = f"{path}:{lineno}"
         if obj.get("summary"):
             try:
-                _point(obj.get("target"))
-            except (InputValidationError, ValueError) as exc:
+                target = _point(obj.get("target"))
+            except _BAD_VALUE as exc:
                 raise FormatError(
                     f"{where}: malformed trace summary: target {exc}"
                 ) from exc
-            summary = obj
+            mode = _string(obj.get("mode"), f"{where}: malformed trace summary: mode")
+            summary = (mode, target)
             continue
         try:
             assignment = obj["assignment"]
-            trace.record(
+            base_index = _count(assignment["base_index"], "base_index")
+            choices = _list(assignment["choices"], f"{where}: choices")
+            evaluations.append(
                 Evaluation(
                     assignment=PromptAssignment(
-                        base_index=int(assignment["base_index"]),
-                        choices=_list(assignment["choices"], f"{where}: choices"),
+                        base_index, [_count(c, "choice") for c in choices]
                     ),
                     prompt=_string(obj["prompt"], f"{where}: prompt"),
                     outputs=tuple(_strings(obj["outputs"], f"{where}: outputs")),
                     point=_point(obj["point"]),
-                    loss=float(obj["loss"]),
+                    loss=_finite(obj["loss"], "loss"),
                 )
             )
-        except (InputValidationError, KeyError, TypeError, ValueError) as exc:
+        except _BAD_VALUE as exc:
             raise FormatError(f"{where}: malformed trace line: {exc}") from exc
-    if not summary and trace.evaluations:
+    if summary is None:
         raise FormatError(f"{path}: trace file has no summary line")
-    return trace, summary
+    trace = SearchTrace(*summary)
+    for ev in evaluations:
+        trace.record(ev)
+    return trace

@@ -397,5 +397,5 @@ def test_criterion_7_determinism(tmp_path):
     spec, target, space, llm = _search_world(general)
     for name in ("t1.jsonl", "t2.jsonl"):
         trace = gcd_search(spec, target, space, llm)
-        save_trace(tmp_path / name, trace, "gcd", target)
+        save_trace(tmp_path / name, trace)
     assert (tmp_path / "t1.jsonl").read_bytes() == (tmp_path / "t2.jsonl").read_bytes()

@@ -21,6 +21,8 @@ from pdial.errors import (
     ProtocolError,
 )
 
+from pdial.pca import PerspectivePoint
+
 from conftest import FIXTURES
 
 
@@ -481,7 +483,10 @@ class TestPlotCommand:
             [_EVALUATION, '{"summary": true, "target": [1]}'],
             ":2: malformed trace summary: target expected [x, y]",
         ),
-    ], ids=["list-line", "string-target", "one-number-target"])
+        ([], ": trace file has no summary line"),
+        ([_EVALUATION], ": trace file has no summary line"),
+    ], ids=["list-line", "string-target", "one-number-target", "empty",
+            "no-summary"])
     def test_malformed_trace_exits_2(
         self, trained, tmp_path, capsys, lines, message
     ):
@@ -497,6 +502,59 @@ class TestPlotCommand:
         assert code == 2
         assert f"{trace}{message}" in capsys.readouterr().err
         assert not (tmp_path / "x.svg").exists()
+
+    def test_path_is_the_strict_improvements(self, trained, tmp_path, monkeypatch):
+        import pdial.plotting as plotting_mod
+
+        losses = [0.5, 0.7, 0.5, 0.2, 0.2, 0.3, 0.1]
+        lines = [
+            json.dumps({
+                "index": i, "assignment": {"base_index": i % 2, "choices": []},
+                "prompt": f"p{i}", "outputs": ["o"], "point": [float(i), -1.0],
+                "loss": loss, "best_so_far": min(losses[: i + 1]),
+            })
+            for i, loss in enumerate(losses)
+        ]
+        lines.append(json.dumps({
+            "summary": True, "mode": "brute", "target": [0.25, -0.5],
+            "evaluations": 7, "best_index": 6, "best_prompt": "p6", "best_loss": 0.1,
+        }))
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text("\n".join(lines) + "\n")
+        drawn = {}
+        monkeypatch.setattr(
+            plotting_mod, "render_scatter_svg",
+            lambda groups, **kwargs: drawn.update(kwargs) or "<svg/>",
+        )
+        assert main([
+            "plot", "--pca", trained["pca"], "--trace", str(trace),
+            "--out", str(tmp_path / "x.svg"), "--dim", "64",
+        ]) == 0
+        assert drawn["path_points"] == [
+            PerspectivePoint(float(i), -1.0) for i in (0, 3, 6)
+        ]
+        assert drawn["target"] == PerspectivePoint(0.25, -0.5)
+
+    def test_target_flags_override_the_trace_target(
+        self, trained, tmp_path, monkeypatch
+    ):
+        import pdial.plotting as plotting_mod
+
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text(self._EVALUATION + "\n" + json.dumps(
+            {"summary": True, "mode": "gcd", "target": [1.0, 1.0]}
+        ) + "\n")
+        drawn = {}
+        monkeypatch.setattr(
+            plotting_mod, "render_scatter_svg",
+            lambda groups, **kwargs: drawn.update(kwargs) or "<svg/>",
+        )
+        assert main([
+            "plot", "--pca", trained["pca"], "--trace", str(trace),
+            "--target-x", "-2", "--target-y", "3",
+            "--out", str(tmp_path / "x.svg"), "--dim", "64",
+        ]) == 0
+        assert drawn["target"] == PerspectivePoint(-2.0, 3.0)
 
     def test_empty_dataset_is_config_error(self, trained, tmp_path):
         empty = tmp_path / "empty.jsonl"
@@ -538,8 +596,12 @@ class TestPlotCommand:
          "--target-x", "0.5", "--target-y", "0.5"],
         "--mock-table is read only with --llm mock",
     ),
+    (
+        ["plot", "--data", "{train}"],
+        "--data needs --model to project documents",
+    ),
 ], ids=["cluster-and-xy", "data-without-cluster", "model-without-data",
-        "brute-with-max-sweeps", "http-with-mock-table"])
+        "brute-with-max-sweeps", "http-with-mock-table", "data-without-model"])
 def test_an_ignored_flag_exits_2_before_anything_runs(
     tmp_path, capsys, extra, message
 ):
@@ -793,6 +855,26 @@ class TestRequestCounts:
         path = tmp_path / f"pca{width}.json"
         path.write_text(json.dumps(pca))
         return str(path)
+
+    def test_non_finite_pca_exits_2_before_any_request(
+        self, backend, trained, tmp_path, capsys
+    ):
+        pca = json.loads(Path(trained["pca"]).read_text())
+        pca["mean"][0] = float("nan")
+        path = tmp_path / "nan_pca.json"
+        path.write_text(json.dumps(pca))
+        assert main([
+            "optimize", "--pca", str(path), "--model", trained["model"],
+            "--prompts", trained["prompts"],
+            "--out-trace", str(tmp_path / "trace.jsonl"),
+            "--llm", "http", "--llm-url", f"{backend.url}/v1/chat/completions",
+            *self._embed_flags(backend), "--target-x", "0", "--target-y", "0",
+        ]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: malformed PCA file: mean must be finite\n"
+        )
+        assert backend.requests == []
+        assert not (tmp_path / "trace.jsonl").exists()
 
     @pytest.mark.parametrize("case", [
         "eval-dim", "optimize-dim", "optimize-centroid-dim", "plot-dim",

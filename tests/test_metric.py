@@ -792,6 +792,12 @@ class TestMatrixValidation:
         with pytest.raises(InputValidationError):
             ClusterSimilarityMatrix(["a", "b"], np.array([[1.0, 1.2], [1.2, 1.0]]))
 
+    def test_non_finite_label_rejected(self):
+        with pytest.raises(InputValidationError, match="labels must be finite"):
+            ClusterSimilarityMatrix(
+                ["a", "b"], np.array([[1.0, np.nan], [np.nan, 1.0]])
+            )
+
     def test_duplicate_labels_rejected(self):
         with pytest.raises(InputValidationError):
             ClusterSimilarityMatrix(["a", "a"], np.eye(2))

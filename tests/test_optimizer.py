@@ -328,6 +328,50 @@ class TestPerspectivePoints:
         assert calls == []
 
 
+def _evaluation(loss, x=0.0):
+    return Evaluation(
+        PromptAssignment(0), f"p{x}", ("o",), PerspectivePoint(x, 0.0), loss
+    )
+
+
+class TestSearchTrace:
+    def test_record_keeps_the_strict_improvements(self):
+        trace = SearchTrace("gcd", PerspectivePoint(1.0, 2.0))
+        assert trace.best == -1 and trace.improvements == []
+        for i, loss in enumerate([0.5, 0.7, 0.5, 0.2, 0.2, 0.3, 0.1]):
+            trace.record(_evaluation(loss, float(i)))
+        assert trace.improvements == [0, 3, 6]
+        assert trace.best == 6
+        assert trace.best_evaluation.point == PerspectivePoint(6.0, 0.0)
+        assert (trace.mode, trace.target) == ("gcd", PerspectivePoint(1.0, 2.0))
+
+    def test_ties_keep_the_earliest_evaluation(self):
+        trace = SearchTrace("brute", PerspectivePoint(0.0, 0.0))
+        for i in range(3):
+            trace.record(_evaluation(0.25, float(i)))
+        assert trace.improvements == [0]
+        assert trace.best == 0
+
+    def test_empty_trace_has_no_best(self):
+        trace = SearchTrace("gcd", PerspectivePoint(0.0, 0.0))
+        with pytest.raises(InputValidationError, match="trace has no evaluations"):
+            trace.best_evaluation
+
+    @pytest.mark.parametrize("field", ["evaluations", "improvements", "best"])
+    def test_best_cannot_be_passed_in(self, field):
+        """Only ``record`` builds the evaluations and their best."""
+        value = -1 if field == "best" else [_evaluation(0.5)]
+        with pytest.raises(TypeError):
+            SearchTrace("gcd", PerspectivePoint(0.0, 0.0), **{field: value})
+
+    def test_searches_record_their_mode_and_target(self):
+        spec = PromptSpec(base_phrases=("q0", "q1"))
+        space, llm, target = _loss_table_world(spec, {(0,): 0.3, (1,): 0.1})
+        for mode, search in (("brute", brute_force_search), ("gcd", gcd_search)):
+            trace = search(spec, target, space, llm)
+            assert (trace.mode, trace.target) == (mode, target)
+
+
 class TestBruteForce:
     def test_single_combination(self):
         spec = PromptSpec(base_phrases=("only query",))
@@ -564,38 +608,41 @@ class _SequentialEvaluator:
     ``samples_n`` completions and one embedding call per new prompt. Kept
     as the oracle of ``_Evaluator.losses``."""
 
-    def __init__(self, spec, target, space, llm_cfg, memoize):
-        self.spec, self.target = spec, target
+    def __init__(self, spec, trace, space, llm_cfg, memoize):
+        self.spec, self.trace = spec, trace
         self.space, self.llm_cfg = space, llm_cfg
         self.memoize = memoize
-        self.trace = SearchTrace()
-        self._by_prompt = {}
+        self._loss_of = {}
 
     def loss_of(self, assignment):
         prompt = render_prompt(self.spec, assignment)
-        if self.memoize and prompt in self._by_prompt:
-            return self.trace.evaluations[self._by_prompt[prompt]].loss
+        if self.memoize and prompt in self._loss_of:
+            return self._loss_of[prompt]
         outputs = optimizer_mod.complete([prompt], self.llm_cfg)[0]
         point = mean_point(self.space.points(outputs))
-        loss = loss_to_target(point, self.target)
-        idx = self.trace.record(
+        loss = loss_to_target(point, self.trace.target)
+        self.trace.record(
             Evaluation(assignment, prompt, tuple(outputs), point, loss)
         )
         if self.memoize:
-            self._by_prompt[prompt] = idx
+            self._loss_of[prompt] = loss
         return loss
 
 
-def _sequential_brute(spec, *world):
-    evaluator = _SequentialEvaluator(spec, *world, memoize=False)
+def _sequential_brute(spec, target, *world):
+    evaluator = _SequentialEvaluator(
+        spec, SearchTrace("brute", target), *world, memoize=False
+    )
     for base_index in range(len(spec.base_phrases)):
         for choices in itertools.product(*(range(len(s)) for s in spec.slots)):
             evaluator.loss_of(PromptAssignment(base_index, choices))
     return evaluator.trace
 
 
-def _sequential_gcd(spec, *world):
-    evaluator = _SequentialEvaluator(spec, *world, memoize=True)
+def _sequential_gcd(spec, target, *world):
+    evaluator = _SequentialEvaluator(
+        spec, SearchTrace("gcd", target), *world, memoize=True
+    )
     current = [0] * (1 + len(spec.slots))
     sizes = [len(spec.base_phrases)] + [len(s) for s in spec.slots]
     for _ in range(optimizer_mod.DEFAULT_MAX_SWEEPS):
@@ -674,8 +721,8 @@ def _distinct_samples(prompts, cfg):
     ]
 
 
-def _trace_bytes(path, trace, mode, target):
-    save_trace(path, trace, mode, target)
+def _trace_bytes(path, trace):
+    save_trace(path, trace)
     return path.read_bytes()
 
 
@@ -687,16 +734,15 @@ class TestBatchedEvaluation:
     def test_matches_sequential_oracle(self, tmp_path, monkeypatch, seed, samples_n):
         monkeypatch.setattr(optimizer_mod, "complete", _distinct_samples)
         spec, world = _random_world(seed, samples_n, duplicate=seed % 3 == 0)
-        target = world[0]
-        for mode, fast, slow in (
-            ("brute", brute_force_search, _sequential_brute),
-            ("gcd", gcd_search, _sequential_gcd),
+        for fast, slow in (
+            (brute_force_search, _sequential_brute),
+            (gcd_search, _sequential_gcd),
         ):
             got = fast(spec, *world)
             want = slow(spec, *world)
             assert got == want
-            assert _trace_bytes(tmp_path / "got.jsonl", got, mode, target) == (
-                _trace_bytes(tmp_path / "want.jsonl", want, mode, target)
+            assert _trace_bytes(tmp_path / "got.jsonl", got) == (
+                _trace_bytes(tmp_path / "want.jsonl", want)
             )
 
     def test_duplicate_candidates_in_one_batch_are_evaluated_once(

@@ -417,6 +417,17 @@ class TestPcaModelValidation:
                 explained_variance=np.array([3.0, 2.0, 1.0]),
             )
 
+    @pytest.mark.parametrize("field", ["mean", "components", "explained_variance"])
+    def test_non_finite_entry_rejected(self, field):
+        arrays = {
+            "mean": np.zeros(3),
+            "components": np.eye(3)[:2],
+            "explained_variance": np.array([1.0, 0.5]),
+        }
+        arrays[field].flat[1] = np.nan
+        with pytest.raises(InputValidationError, match=f"^{field} must be finite$"):
+            PcaModel(**arrays)
+
     def test_perspective_point_must_be_finite(self):
         with pytest.raises(InputValidationError):
             PerspectivePoint(x=float("nan"), y=0.0)

@@ -6,6 +6,7 @@ import os
 import re
 import stat
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -239,6 +240,19 @@ BAD_MODEL_FILES = {
     "bad-train-config": (
         lambda d: d["train_config"].update(margin_m=-1.0), "margin must be > 0"
     ),
+    "d-in-string": (
+        lambda d: d.update(d_in="64"), "d_in must be a JSON integer >= 1, got '64'"
+    ),
+    "d-in-true": (
+        lambda d: d.update(d_in=True), "d_in must be a JSON integer >= 1, got True"
+    ),
+    "d-out-float": (
+        lambda d: d.update(d_out=8.0), r"d_out must be a JSON integer >= 1, got 8\.0"
+    ),
+    "d-out-zero": (
+        lambda d: d.update(d_out=0), "d_out must be a JSON integer >= 1, got 0"
+    ),
+    "n-negative": (lambda d: d.update(n=-1), "n must be a JSON integer >= 0, got -1"),
     "overflowing-product": (
         lambda d: d.update(coef=_encode(np.full(15 * 8, 1e308)),
                            basis=_encode(np.full(15 * 64, 1e308))),
@@ -323,6 +337,57 @@ class TestPcaRoundTrip:
             FormatError, match=f"{re.escape(str(path))}: .*3 components"
         ):
             persistence.load_pca(path)
+
+
+def _pca_data():
+    return {
+        "format": persistence.PCA_FORMAT,
+        "mean": [0.0, 0.5, -0.25],
+        "components": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+        "explained_variance": [2.0, 1.0],
+    }
+
+
+class TestNumbersInArrayFiles:
+    """PCA and cluster-matrix arrays hold finite JSON numbers only."""
+
+    @pytest.mark.parametrize("field,index,value,message", [
+        ("mean", 1, float("nan"), "mean must be finite"),
+        ("mean", 0, "0.35", "mean must hold only JSON numbers"),
+        ("mean", 2, None, "mean must hold only JSON numbers"),
+        ("components", 0, [1.0, float("inf"), 0.0], "components must be finite"),
+        ("components", 1, ["0", "1", "0"], "components must hold only JSON numbers"),
+        ("explained_variance", 0, float("inf"), "explained_variance must be finite"),
+        ("explained_variance", 1, "1.0",
+         "explained_variance must hold only JSON numbers"),
+    ], ids=["nan-mean", "string-mean", "null-mean", "inf-component",
+            "string-component", "inf-variance", "string-variance"])
+    def test_pca_entries(self, tmp_path, field, index, value, message):
+        data = _pca_data()
+        data[field][index] = value
+        path = tmp_path / "pca.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(FormatError) as err:
+            persistence.load_pca(path)
+        assert str(err.value) == f"{path}: malformed PCA file: {message}"
+
+    def test_valid_pca_file_loads(self, tmp_path):
+        path = tmp_path / "pca.json"
+        path.write_text(json.dumps(_pca_data()))
+        assert persistence.load_pca(path).mean.tolist() == [0.0, 0.5, -0.25]
+
+    @pytest.mark.parametrize("sim,message", [
+        ([[1.0, float("nan")], [float("nan"), 1.0]],
+         "similarity labels must be finite"),
+        ([[1.0, "0.35"], ["0.35", 1.0]], "sim must hold only JSON numbers"),
+        ([[1.0, None], [None, 1.0]], "sim must hold only JSON numbers"),
+    ], ids=["nan", "string", "null"])
+    def test_matrix_entries(self, tmp_path, sim, message):
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps({"clusters": ["a", "b"], "sim": sim}))
+        with pytest.raises(FormatError) as err:
+            persistence.load_matrix(path)
+        assert str(err.value) == f"{path}: malformed cluster matrix: {message}"
 
 
 class TestDatasetLoader:
@@ -539,8 +604,8 @@ def test_rejected_object_names_the_file(tmp_path, loader, content, where, messag
     assert message in str(err.value)
 
 
-def _demo_trace():
-    trace = SearchTrace()
+def _demo_trace(mode="brute", target=PerspectivePoint(0.0, 0.0)):
+    trace = SearchTrace(mode, target)
     trace.record(
         Evaluation(
             assignment=PromptAssignment(0, (1,)),
@@ -562,23 +627,61 @@ def _demo_trace():
     return trace
 
 
+def _assert_round_trip(path, trace):
+    """``load_trace`` gives back ``trace`` field by field, and saving what
+    it gives writes the same bytes."""
+    persistence.save_trace(path, trace)
+    saved = path.read_bytes()
+    loaded = persistence.load_trace(path)
+    for name in ("mode", "target", "evaluations", "best", "improvements"):
+        assert getattr(loaded, name) == getattr(trace, name), name
+    persistence.save_trace(path, loaded)
+    assert path.read_bytes() == saved
+
+
+_text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_point = st.builds(PerspectivePoint, _finite, _finite)
+_evaluation = st.builds(
+    Evaluation,
+    assignment=st.builds(
+        PromptAssignment,
+        st.integers(0, 4),
+        st.lists(st.integers(0, 4), max_size=3).map(tuple),
+    ),
+    prompt=_text,
+    outputs=st.lists(_text, min_size=1, max_size=3).map(tuple),
+    point=_point,
+    # a few repeated values, so that ties are common
+    loss=st.sampled_from([0.0, 0.25, 0.5]) | st.floats(0.0, 10.0),
+)
+
+
+@st.composite
+def _traces(draw):
+    trace = SearchTrace(draw(_text), draw(_point))
+    for ev in draw(st.lists(_evaluation, min_size=1, max_size=8)):
+        trace.record(ev)
+    return trace
+
+
 class TestTraceFiles:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         trace = _demo_trace()
-        persistence.save_trace(path, trace, "brute", PerspectivePoint(0.0, 0.0))
-        loaded, summary = persistence.load_trace(path)
+        persistence.save_trace(path, trace)
+        loaded = persistence.load_trace(path)
         assert loaded.evaluations == trace.evaluations
         assert loaded.best == trace.best == 1
-        assert summary["mode"] == "brute"
+        assert loaded.mode == "brute"
+        assert loaded.best_evaluation.prompt == "r a0"
+        assert loaded.target == PerspectivePoint(0.0, 0.0)
+        summary = json.loads(path.read_text().splitlines()[-1])
         assert summary["best_prompt"] == "r a0"
-        assert summary["target"] == [0.0, 0.0]
 
     def test_jsonl_layout(self, tmp_path):
         path = tmp_path / "trace.jsonl"
-        persistence.save_trace(
-            path, _demo_trace(), "gcd", PerspectivePoint(1.0, 2.0)
-        )
+        persistence.save_trace(path, _demo_trace("gcd", PerspectivePoint(1.0, 2.0)))
         lines = path.read_text().splitlines()
         assert len(lines) == 3  # two evaluations + summary
         first = json.loads(lines[0])
@@ -586,13 +689,33 @@ class TestTraceFiles:
         assert first["best_so_far"] == 0.75
         second = json.loads(lines[1])
         assert second["best_so_far"] == 0.1
-        assert json.loads(lines[2])["summary"] is True
+        summary = json.loads(lines[2])
+        assert summary["summary"] is True
+        assert (summary["mode"], summary["target"]) == ("gcd", [1.0, 2.0])
 
     @pytest.mark.parametrize("field,value,message", [
         ("outputs", "abc", "outputs must be a JSON list, got str"),
         ("prompt", ["p"], "prompt must be a JSON string, got list"),
         ("point", [1.0, 2.0, 3.0], "expected [x, y] as two numbers"),
-    ], ids=["outputs", "prompt", "point"])
+        ("assignment", {"base_index": "1", "choices": []},
+         "base_index must be a JSON integer >= 0, got '1'"),
+        ("assignment", {"base_index": 1.9, "choices": []},
+         "base_index must be a JSON integer >= 0, got 1.9"),
+        ("assignment", {"base_index": True, "choices": []},
+         "base_index must be a JSON integer >= 0, got True"),
+        ("assignment", {"base_index": -3, "choices": []},
+         "base_index must be a JSON integer >= 0, got -3"),
+        ("assignment", {"base_index": 0, "choices": ["x"]},
+         "choice must be a JSON integer >= 0, got 'x'"),
+        ("assignment", {"base_index": 0, "choices": [0, -1]},
+         "choice must be a JSON integer >= 0, got -1"),
+        ("loss", "0.25", "loss must be a finite JSON number, got '0.25'"),
+        ("loss", True, "loss must be a finite JSON number, got True"),
+        ("loss", float("nan"), "loss must be a finite JSON number, got nan"),
+        ("loss", float("inf"), "loss must be a finite JSON number, got inf"),
+    ], ids=["outputs", "prompt", "point", "string-base-index", "float-base-index",
+            "true-base-index", "negative-base-index", "string-choice",
+            "negative-choice", "string-loss", "true-loss", "nan-loss", "inf-loss"])
     def test_wrong_json_type_in_evaluation_line(self, tmp_path, field, value, message):
         line = {
             "assignment": {"base_index": 0, "choices": []}, "prompt": "p",
@@ -603,6 +726,94 @@ class TestTraceFiles:
         with pytest.raises(FormatError, match=re.escape(f"{path}:1: ") + ".*"
                            + re.escape(message)):
             persistence.load_trace(path)
+
+    def test_huge_integer_is_a_format_error(self, tmp_path):
+        big = "1" + "0" * 400
+        path = tmp_path / "trace.jsonl"
+        path.write_text(
+            '{"assignment": {"base_index": 0, "choices": []}, "prompt": "p", '
+            f'"outputs": ["o"], "point": [0.0, 0.0], "loss": {big}}}\n'
+        )
+        with pytest.raises(FormatError, match=re.escape(f"{path}:1: malformed")):
+            persistence.load_trace(path)
+
+    @pytest.mark.parametrize("content", [
+        "",
+        "\n\n",
+        json.dumps({
+            "assignment": {"base_index": 0, "choices": []}, "prompt": "p",
+            "outputs": ["o"], "point": [0.0, 0.0], "loss": 1.0,
+        }) + "\n",
+    ], ids=["empty", "blank-lines", "evaluations-only"])
+    def test_no_summary_line_is_a_format_error(self, tmp_path, content):
+        path = tmp_path / "trace.jsonl"
+        path.write_text(content)
+        with pytest.raises(FormatError) as err:
+            persistence.load_trace(path)
+        assert str(err.value) == f"{path}: trace file has no summary line"
+
+    @pytest.mark.parametrize("summary,message", [
+        ({"summary": True, "target": [0.0, 0.0]},
+         "malformed trace summary: mode must be a JSON string, got NoneType"),
+        ({"summary": True, "mode": 3, "target": [0.0, 0.0]},
+         "malformed trace summary: mode must be a JSON string, got int"),
+        ({"summary": True, "mode": 3, "target": [0.0]},
+         "malformed trace summary: target expected [x, y]"),
+    ], ids=["no-mode", "number-mode", "bad-target-before-bad-mode"])
+    def test_malformed_summary(self, tmp_path, summary, message):
+        path = tmp_path / "trace.jsonl"
+        path.write_text(json.dumps(summary) + "\n")
+        with pytest.raises(FormatError) as err:
+            persistence.load_trace(path)
+        assert str(err.value).startswith(f"{path}:1: {message}")
+
+    def test_bad_evaluation_line_is_reported_before_a_missing_summary(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        path.write_text('{"prompt": "p"}\n')
+        with pytest.raises(
+            FormatError, match=re.escape(f"{path}:1: malformed trace line")
+        ):
+            persistence.load_trace(path)
+
+    @pytest.mark.parametrize("separator", ["\x85", "\u2028", "\u2029"])
+    def test_line_separators_inside_strings(self, tmp_path, separator):
+        trace = _demo_trace()
+        trace.record(Evaluation(
+            PromptAssignment(0, (0,)), f"a{separator}b", (f"c{separator}",),
+            PerspectivePoint(0.0, 0.0), 0.05,
+        ))
+        _assert_round_trip(tmp_path / "trace.jsonl", trace)
+
+    @settings(max_examples=60, deadline=None)
+    @given(trace=_traces())
+    def test_random_traces_round_trip(self, tmp_path_factory, trace):
+        _assert_round_trip(tmp_path_factory.mktemp("trace") / "t.jsonl", trace)
+
+    @pytest.mark.parametrize("dim", [64, 768])
+    def test_fixture_recipe_traces_round_trip(self, tmp_path, dim):
+        from conftest import FIXTURES
+        from pdial.embedding import EmbeddingBackendConfig
+        from pdial.llm_client import LlmBackendConfig
+        from pdial.optimizer import (
+            PerspectiveSpace, brute_force_search, cluster_centroid, gcd_search,
+        )
+        from pdial.pca import fit_pca
+
+        docs = persistence.load_dataset(FIXTURES / "train.jsonl")
+        model = _train_fixture(dim)
+        pca = fit_pca([model.project(hashed_embed(d.text, dim)) for d in docs])
+        space = PerspectiveSpace(
+            model, pca, EmbeddingBackendConfig(kind="hashed", dimension=dim)
+        )
+        target = cluster_centroid(docs, "pro-barca", space)
+        spec = persistence.load_prompt_spec(FIXTURES / "prompts.json")
+        llm = LlmBackendConfig(
+            kind="mock", samples_n=2,
+            mock_table=persistence.load_mock_table(FIXTURES / "mock_table.json"),
+        )
+        for search in (gcd_search, brute_force_search):
+            trace = search(spec, target, space, llm)
+            _assert_round_trip(tmp_path / f"{trace.mode}.jsonl", trace)
 
     def test_training_log_round_shape(self, tmp_path):
         from pdial.metric import TrainingLog
@@ -642,7 +853,7 @@ def _unencodable_writers():
     from pdial.evaluation import SimilarityReport
 
     bad = "\ud800"
-    trace = SearchTrace()
+    trace = SearchTrace("brute", PerspectivePoint(0.0, 0.0))
     trace.record(
         Evaluation(
             assignment=PromptAssignment(0, ()),
@@ -660,9 +871,7 @@ def _unencodable_writers():
         post_std=np.zeros((1, 1)),
     )
     return {
-        "save_trace": lambda path: persistence.save_trace(
-            path, trace, "brute", PerspectivePoint(0.0, 0.0)
-        ),
+        "save_trace": lambda path: persistence.save_trace(path, trace),
         "save_report": lambda path: persistence.save_report(path, report),
         "write_text_atomic": lambda path: persistence.write_text_atomic(path, bad),
     }
