@@ -35,7 +35,6 @@ _EXPORTS = {
             "TrainConfig",
             "TrainingPair",
             "generate_pairs",
-            "loss_gradient",
             "train",
         ],
         "metric",

@@ -10,22 +10,20 @@ through both sides. Two objectives are provided:
 * contrastive loss over Euclidean distance d with margin m:
   ``y*d^2 + (1-y)*max(0, m-d)^2`` for binary y.
 
-``_pair_loss`` holds both formulas, with their gradients, and the
-contrastive one lives in ``_contrastive``, which needs only the squared
-distance of the pair. The trainer and ``loss_gradient`` share them.
+Each formula has one copy, with its gradient: ``_cosine`` takes the
+projected pair, and ``_contrastive`` only the pair's squared distance.
+The trainer calls both.
 
 Training is plain single-pair SGD under a fixed seed so that identical
 inputs give bit-identical models. The trainer works in the span of the
 N training embeddings (dual form, see ``train``), at O(d_out * N) per
 step instead of O(d_out * d_in); a contrastive step computes only the
 pair's difference u - v and applies one gradient to both documents.
-``loss_gradient`` gives the full-matrix gradient of the same per-pair
-loss and is the oracle the tests check the trainer against.
 
 The model is held as those span factors. ``ProjectionModel.project`` is
 the one way the commands apply the head, in O(N * d) per text through
 the factors; the dense d_out x d_in ``W`` is built only when read, and
-only the oracle reads it.
+only the tests and the bench's closing check read it.
 """
 
 from __future__ import annotations
@@ -155,7 +153,8 @@ class ProjectionModel:
 
     @functools.cached_property
     def W(self) -> np.ndarray:
-        """The dense d_out x d_in head, built on first read.
+        """The dense d_out x d_in head, built on first read. No command
+        reads it: the tests and the bench's closing check do.
 
         Training and loading give the same factors, so a loaded W is
         bit-identical to the trained one. With no rows W is ``base`` as it
@@ -290,9 +289,9 @@ def _contrastive(dd: float, y: float, cfg: TrainConfig) -> tuple[float, float]:
     """Contrastive loss of a pair from its squared distance ``dd = |u-v|^2``,
     and the scale ``s`` of its gradient: dL/du = s (u-v) = -dL/dv.
 
-    The one copy of the contrastive formula: ``_pair_loss`` and the
-    trainer's step both call it. At d = 0 a dissimilar pair costs m^2 and
-    takes the zero subgradient.
+    The one copy of the contrastive formula, which the trainer's step
+    calls. At d = 0 a dissimilar pair costs m^2 and takes the zero
+    subgradient.
     """
     m = cfg.margin_m
     d = math.sqrt(dd)
@@ -305,20 +304,14 @@ def _contrastive(dd: float, y: float, cfg: TrainConfig) -> tuple[float, float]:
     return (m - d) ** 2, -2.0 * (m - d) / d
 
 
-def _pair_loss(
-    u: np.ndarray, v: np.ndarray, y: float, cfg: TrainConfig
+def _cosine(
+    u: np.ndarray, v: np.ndarray, y: float
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Loss of one projected pair (u, v) and its gradients dL/du, dL/dv.
+    """Cosine loss ``(cos(u, v) - y)^2`` of one projected pair and its
+    gradients dL/du, dL/dv; the cosine counterpart of ``_contrastive``.
 
-    Raises PairSkip when cosine loss meets a zero-norm projection.
+    Raises PairSkip when u or v has zero norm.
     """
-    if cfg.loss_kind == "contrastive":
-        diff = u - v
-        loss, scale = _contrastive(float(diff @ diff), y, cfg)
-        dldu = scale * diff
-        return loss, dldu, -dldu
-
-    # cosine loss
     nu = float(np.linalg.norm(u))
     nv = float(np.linalg.norm(v))
     if nu == 0.0 or nv == 0.0:
@@ -329,41 +322,6 @@ def _pair_loss(
     dldu = 2.0 * r * (v / (nu * nv) - c * u / (nu * nu))
     dldv = 2.0 * r * (u / (nu * nv) - c * v / (nv * nv))
     return loss, dldu, dldv
-
-
-def loss_gradient(
-    model: ProjectionModel,
-    ea_base: np.ndarray,
-    eb_base: np.ndarray,
-    y: float,
-    cfg: TrainConfig,
-) -> tuple[float, np.ndarray]:
-    """Loss and analytic dL/dW for one pair, through both branches.
-
-    With u = W a and v = W b:
-
-    * contrastive, y=1:  L = |u-v|^2,        dL/dW = 2 (u-v) (a-b)^T
-    * contrastive, y=0:  L = max(0, m-d)^2,  dL/dW = -2 (m-d)/d (u-v)(a-b)^T
-      for 0 < d < m, zero otherwise (d = |u-v|; at d = 0 the hinge is not
-      differentiable and the zero subgradient is used)
-    * cosine: L = (c - y)^2 with c = cos(u, v); dL/du = 2 (c-y)
-      (v/(|u||v|) - c u/|u|^2) and symmetrically for v.
-
-    Every case is dL/dW = (dL/du) a^T + (dL/dv) b^T, built from the same
-    per-pair loss core the trainer uses; this full-matrix form is the
-    finite-difference-checked oracle of the trainer's step.
-
-    Raises PairSkip when cosine loss meets a zero-norm projection.
-    """
-    a = np.asarray(ea_base, dtype=np.float64)
-    b = np.asarray(eb_base, dtype=np.float64)
-    if a.shape != (model.d_in,) or b.shape != (model.d_in,):
-        raise InputValidationError(
-            f"embedding shapes {a.shape}/{b.shape} do not match "
-            f"d_in={model.d_in}"
-        )
-    loss, dldu, dldv = _pair_loss(model.W @ a, model.W @ b, y, cfg)
-    return loss, np.outer(dldu, a) + np.outer(dldv, b)
 
 
 def train(
@@ -457,9 +415,8 @@ def train(
                         G[j] += g
                 else:
                     try:
-                        loss, dldu, dldv = _pair_loss(
-                            P0[i] + K[i] @ G, P0[j] + K[j] @ G, pair.label_y,
-                            cfg,
+                        loss, dldu, dldv = _cosine(
+                            P0[i] + K[i] @ G, P0[j] + K[j] @ G, pair.label_y
                         )
                     except PairSkip:
                         skipped += 1

@@ -183,66 +183,55 @@ def cluster_centroid(
     return mean_point(space.points([doc.text for doc in docs]))
 
 
-class _Evaluator:
-    """Evaluates assignments against ``trace.target``, memoizing losses
-    by rendered prompt."""
+def _losses(
+    assignments: list[PromptAssignment],
+    spec: PromptSpec,
+    space: PerspectiveSpace,
+    llm_cfg: LlmBackendConfig,
+    trace: SearchTrace,
+    memo: dict[str, float] | None,
+) -> list[float]:
+    """Loss of each assignment against ``trace.target``, recording new
+    evaluations in order.
 
-    def __init__(
-        self,
-        spec: PromptSpec,
-        space: PerspectiveSpace,
-        llm_cfg: LlmBackendConfig,
-        trace: SearchTrace,
-        memoize: bool,
-    ) -> None:
-        self.spec = spec
-        self.space = space
-        self.llm_cfg = llm_cfg
-        self.trace = trace
-        self.memoize = memoize
-        self._loss_of: dict[str, float] = {}
-
-    def losses(self, assignments: list[PromptAssignment]) -> list[float]:
-        """Loss of each assignment, recording new evaluations in order.
-
-        The prompts to evaluate go to the LLM in one ``complete`` call, and
-        all their outputs to one embedding call. With ``memoize``, a prompt
-        already in the trace or earlier in the batch is not evaluated again.
-        """
-        prompts = [render_prompt(self.spec, a) for a in assignments]
-        todo = prompts
-        if self.memoize:
-            todo = [p for p in dict.fromkeys(prompts) if p not in self._loss_of]
-        samples: list[list[str]] = []
-        points: list[PerspectivePoint] = []
-        if todo:
-            samples = complete(todo, self.llm_cfg)
-            points = self.space.points(
-                [text for outputs in samples for text in outputs]
+    The prompts to evaluate go to the LLM in one ``complete`` call, and
+    all their outputs to one embedding call. ``memo`` maps each prompt
+    already evaluated to its loss: a prompt in it, or earlier in the
+    batch, is not evaluated again. With ``memo`` None every assignment
+    is evaluated.
+    """
+    prompts = [render_prompt(spec, a) for a in assignments]
+    todo = prompts
+    if memo is not None:
+        todo = [p for p in dict.fromkeys(prompts) if p not in memo]
+    samples: list[list[str]] = []
+    points: list[PerspectivePoint] = []
+    if todo:
+        samples = complete(todo, llm_cfg)
+        points = space.points([text for outputs in samples for text in outputs])
+    n = llm_cfg.samples_n
+    fresh = itertools.count()
+    losses = []
+    for assignment, prompt in zip(assignments, prompts):
+        if memo is not None and prompt in memo:
+            losses.append(memo[prompt])
+            continue
+        j = next(fresh)
+        point = mean_point(points[j * n : (j + 1) * n])
+        loss = loss_to_target(point, trace.target)
+        trace.record(
+            Evaluation(
+                assignment=assignment,
+                prompt=prompt,
+                outputs=tuple(samples[j]),
+                point=point,
+                loss=loss,
             )
-        n = self.llm_cfg.samples_n
-        fresh = itertools.count()
-        losses = []
-        for assignment, prompt in zip(assignments, prompts):
-            if self.memoize and prompt in self._loss_of:
-                losses.append(self._loss_of[prompt])
-                continue
-            j = next(fresh)
-            point = mean_point(points[j * n : (j + 1) * n])
-            loss = loss_to_target(point, self.trace.target)
-            self.trace.record(
-                Evaluation(
-                    assignment=assignment,
-                    prompt=prompt,
-                    outputs=tuple(samples[j]),
-                    point=point,
-                    loss=loss,
-                )
-            )
-            if self.memoize:
-                self._loss_of[prompt] = loss
-            losses.append(loss)
-        return losses
+        )
+        if memo is not None:
+            memo[prompt] = loss
+        losses.append(loss)
+    return losses
 
 
 def brute_force_search(
@@ -267,14 +256,13 @@ def brute_force_search(
             f"(limit {BRUTE_FORCE_MAX_COMBINATIONS})"
         )
     trace = SearchTrace("brute", target)
-    evaluator = _Evaluator(spec, space, llm_cfg, trace, memoize=False)
     grid = (
         PromptAssignment(base_index, choices)
         for base_index in range(len(spec.base_phrases))
         for choices in itertools.product(*(range(len(s)) for s in spec.slots))
     )
     while batch := list(itertools.islice(grid, BRUTE_FORCE_BATCH)):
-        evaluator.losses(batch)
+        _losses(batch, spec, space, llm_cfg, trace, None)
     return trace
 
 
@@ -297,7 +285,7 @@ def gcd_search(
     if max_sweeps < 1:
         raise InputValidationError(f"max_sweeps must be >= 1, got {max_sweeps}")
     trace = SearchTrace("gcd", target)
-    evaluator = _Evaluator(spec, space, llm_cfg, trace, memoize=True)
+    memo: dict[str, float] = {}
     current = [0] * (1 + len(spec.slots))
     coordinate_sizes = [len(spec.base_phrases)] + [len(s) for s in spec.slots]
 
@@ -309,7 +297,7 @@ def gcd_search(
                 trial = current.copy()
                 trial[coord] = candidate
                 trials.append(PromptAssignment(trial[0], tuple(trial[1:])))
-            losses = evaluator.losses(trials)
+            losses = _losses(trials, spec, space, llm_cfg, trace, memo)
             best_candidate = losses.index(min(losses))
             if best_candidate != current[coord]:
                 current[coord] = best_candidate

@@ -17,6 +17,7 @@ from __future__ import annotations
 import base64
 import binascii
 from dataclasses import asdict
+import itertools
 import json
 import math
 import os
@@ -134,9 +135,13 @@ def _finite(value: object, what: str) -> float:
 def _numbers(value: object, what: str) -> np.ndarray:
     """``value`` as a float64 array if its entries are JSON numbers, else
     ValueError; ``np.asarray(..., dtype=float64)`` would read the string
-    "0.35" as 0.35 and ``null`` as NaN."""
+    "0.35" as 0.35 and ``null`` as NaN, and ``np.asarray`` reads a
+    ``true`` among numbers as 1, so the entries' types are checked too."""
     a = np.asarray(value)
-    if a.dtype.kind not in "iuf":
+    entries = [value]
+    for _ in range(a.ndim):
+        entries = itertools.chain.from_iterable(entries)
+    if a.dtype.kind not in "iuf" or bool in set(map(type, entries)):
         raise ValueError(f"{what} must hold only JSON numbers")
     return a.astype(np.float64)
 
@@ -362,14 +367,15 @@ def save_report(path: str | Path, report: SimilarityReport) -> None:
     )
 
 
-def save_trace(path: str | Path, trace: SearchTrace) -> None:
-    """JSON Lines: one evaluation per line, then the mode, target and best."""
-    lines = []
+def _trace_objects(trace: SearchTrace) -> list[dict]:
+    """The JSON object of each line of ``trace``'s file: one per
+    evaluation, then the summary with the mode, target and best."""
+    objects = []
     improved = set(trace.improvements)
     for i, ev in enumerate(trace.evaluations):
         if i in improved:
             best_so_far = ev.loss
-        obj = {
+        objects.append({
             "index": i,
             "assignment": {
                 "base_index": ev.assignment.base_index,
@@ -380,24 +386,31 @@ def save_trace(path: str | Path, trace: SearchTrace) -> None:
             "point": [ev.point.x, ev.point.y],
             "loss": ev.loss,
             "best_so_far": best_so_far,
-        }
-        lines.append(json.dumps(obj, ensure_ascii=False))
+        })
     best = trace.best_evaluation
-    lines.append(
-        json.dumps(
-            {
-                "summary": True,
-                "mode": trace.mode,
-                "target": [trace.target.x, trace.target.y],
-                "evaluations": len(trace.evaluations),
-                "best_index": trace.best,
-                "best_prompt": best.prompt,
-                "best_loss": best.loss,
-            },
-            ensure_ascii=False,
-        )
-    )
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    objects.append({
+        "summary": True,
+        "mode": trace.mode,
+        "target": [trace.target.x, trace.target.y],
+        "evaluations": len(trace.evaluations),
+        "best_index": trace.best,
+        "best_prompt": best.prompt,
+        "best_loss": best.loss,
+    })
+    return objects
+
+
+def save_trace(path: str | Path, trace: SearchTrace) -> None:
+    """JSON Lines: one evaluation per line, then the mode, target and best."""
+    write_text_atomic(path, "".join(
+        json.dumps(obj, ensure_ascii=False) + "\n" for obj in _trace_objects(trace)
+    ))
+
+
+def _canonical(value: object) -> str:
+    """``value`` as JSON with sorted keys, so that equal JSON values give
+    equal strings and ``true``, ``1`` and ``1.0`` three different ones."""
+    return json.dumps(value, sort_keys=True, ensure_ascii=False)
 
 
 def _point(value: object) -> PerspectivePoint:
@@ -417,12 +430,16 @@ _BAD_VALUE = (InputValidationError, KeyError, OverflowError, TypeError, ValueErr
 
 def load_trace(path: str | Path) -> SearchTrace:
     """The trace ``save_trace`` wrote; errors come in line order, then a
-    missing summary line (the empty file has none either)."""
+    missing summary line (the empty file has none either) or evaluation
+    lines, then the first line that is not the one ``save_trace`` writes
+    for the trace rebuilt from the evaluation lines and summary."""
     from .optimizer import Evaluation, PromptAssignment, SearchTrace
 
     evaluations = []
     summary = None
+    lines = []
     for lineno, obj in _read_jsonl(path):
+        lines.append((lineno, obj))
         where = f"{path}:{lineno}"
         if obj.get("summary"):
             try:
@@ -453,7 +470,28 @@ def load_trace(path: str | Path) -> SearchTrace:
             raise FormatError(f"{where}: malformed trace line: {exc}") from exc
     if summary is None:
         raise FormatError(f"{path}: trace file has no summary line")
+    if not evaluations:
+        raise FormatError(f"{path}: trace file has no evaluation lines")
     trace = SearchTrace(*summary)
     for ev in evaluations:
         trace.record(ev)
+    # The derived fields (index, best_so_far, the summary's best) must be
+    # those of the rebuilt trace: each line is the one save_trace writes.
+    # A line beyond the last object (a second summary) meets the {}.
+    for (lineno, obj), want in zip(lines, _trace_objects(trace) + [{}]):
+        if _canonical(obj) == _canonical(want):
+            continue
+        where = f"{path}:{lineno}"
+        if not want:
+            raise FormatError(f"{where}: a trace line after the summary")
+        for key in (*want, *obj):
+            if key not in obj:
+                raise FormatError(f"{where}: missing field {key!r}")
+            if key not in want:
+                raise FormatError(f"{where}: unexpected field {key!r}")
+            if _canonical(obj[key]) != _canonical(want[key]):
+                raise FormatError(
+                    f"{where}: {key!r} is {_canonical(obj[key])}, the "
+                    f"evaluations give {_canonical(want[key])}"
+                )
     return trace

@@ -6,11 +6,12 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pdial import _http
 from pdial.embedding import EmbeddingBackendConfig, embed_batch
-from pdial.metric import TrainConfig, train
+from pdial.metric import TrainConfig, _contrastive, _cosine, train
 from pdial.persistence import load_dataset, load_matrix
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -25,6 +26,38 @@ FIXTURE_TRAIN_CFG = TrainConfig(
     epochs=50,
     seed=7,
 )
+
+
+def loss_gradient(model, ea_base, eb_base, y, cfg):
+    """Loss and analytic dL/dW for one pair, through both branches: the
+    full-matrix oracle that the trainer's dual step and the finite
+    differences are checked against.
+
+    With u = W a and v = W b:
+
+    * contrastive, y=1:  L = |u-v|^2,        dL/dW = 2 (u-v) (a-b)^T
+    * contrastive, y=0:  L = max(0, m-d)^2,  dL/dW = -2 (m-d)/d (u-v)(a-b)^T
+      for 0 < d < m, zero otherwise (d = |u-v|; at d = 0 the hinge is not
+      differentiable and the zero subgradient is used)
+    * cosine: L = (c - y)^2 with c = cos(u, v); dL/du = 2 (c-y)
+      (v/(|u||v|) - c u/|u|^2) and symmetrically for v.
+
+    Every case is dL/dW = (dL/du) a^T + (dL/dv) b^T, from the package's
+    one copy of each formula, ``metric._contrastive`` and
+    ``metric._cosine``. Raises PairSkip when cosine loss meets a
+    zero-norm projection.
+    """
+    a = np.asarray(ea_base, dtype=np.float64)
+    b = np.asarray(eb_base, dtype=np.float64)
+    u, v = model.W @ a, model.W @ b
+    if cfg.loss_kind == "contrastive":
+        diff = u - v
+        loss, scale = _contrastive(float(diff @ diff), y, cfg)
+        dldu = scale * diff
+        dldv = -dldu
+    else:
+        loss, dldu, dldv = _cosine(u, v, y)
+    return loss, np.outer(dldu, a) + np.outer(dldv, b)
 
 
 @pytest.fixture(scope="session")

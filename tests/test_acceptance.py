@@ -18,7 +18,6 @@ from pdial.metric import (
     ProjectionModel,
     TrainConfig,
     generate_pairs,
-    loss_gradient,
     train,
 )
 from pdial.optimizer import (
@@ -32,7 +31,9 @@ from pdial.optimizer import (
 )
 from pdial.pca import PcaModel, PerspectivePoint, fit_pca, jacobi_eigh
 
-from conftest import FIXTURES, FIXTURE_BACKEND, FIXTURE_TRAIN_CFG
+from conftest import (
+    FIXTURES, FIXTURE_BACKEND, FIXTURE_TRAIN_CFG, loss_gradient,
+)
 
 
 def criterion(number, name):

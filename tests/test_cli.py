@@ -485,8 +485,16 @@ class TestPlotCommand:
         ),
         ([], ": trace file has no summary line"),
         ([_EVALUATION], ": trace file has no summary line"),
+        (
+            [_EVALUATION, json.dumps({
+                "summary": True, "mode": "gcd", "target": [1.0, 1.0],
+                "evaluations": 1, "best_index": 0, "best_prompt": "p",
+                "best_loss": 99.0,
+            })],
+            ":2: 'best_loss' is 99.0, the evaluations give 0.5",
+        ),
     ], ids=["list-line", "string-target", "one-number-target", "empty",
-            "no-summary"])
+            "no-summary", "edited-best-loss"])
     def test_malformed_trace_exits_2(
         self, trained, tmp_path, capsys, lines, message
     ):
@@ -541,9 +549,11 @@ class TestPlotCommand:
         import pdial.plotting as plotting_mod
 
         trace = tmp_path / "trace.jsonl"
-        trace.write_text(self._EVALUATION + "\n" + json.dumps(
-            {"summary": True, "mode": "gcd", "target": [1.0, 1.0]}
-        ) + "\n")
+        trace.write_text(self._EVALUATION + "\n" + json.dumps({
+            "summary": True, "mode": "gcd", "target": [1.0, 1.0],
+            "evaluations": 1, "best_index": 0, "best_prompt": "p",
+            "best_loss": 0.5,
+        }) + "\n")
         drawn = {}
         monkeypatch.setattr(
             plotting_mod, "render_scatter_svg",

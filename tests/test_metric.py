@@ -12,11 +12,10 @@ from pdial.metric import (
     TrainConfig,
     binarize_label,
     generate_pairs,
-    loss_gradient,
     train,
 )
 
-from conftest import FIXTURE_TRAIN_CFG
+from conftest import FIXTURE_TRAIN_CFG, loss_gradient
 
 POLES_MATRIX = ClusterSimilarityMatrix(
     clusters=["left", "center", "right"],
@@ -25,7 +24,7 @@ POLES_MATRIX = ClusterSimilarityMatrix(
 
 
 def cosine_similarity(u, v):
-    """Textbook cosine of two vectors, the oracle for ``_pair_loss``."""
+    """Textbook cosine of two vectors, the oracle for ``_cosine``."""
     nu, nv = np.linalg.norm(u), np.linalg.norm(v)
     if nu == 0.0 or nv == 0.0:
         raise InputValidationError("cosine of a zero vector is undefined")
@@ -488,16 +487,16 @@ class TestTrain:
     ):
         import pdial.metric as metric_mod
 
-        real = metric_mod._pair_loss
+        real = metric_mod._cosine
         calls = {"n": 0}
 
-        def flaky(u, v, y, cfg):
+        def flaky(u, v, y):
             calls["n"] += 1
             if calls["n"] % 10 == 0:
                 raise PairSkip("forced for test")
-            return real(u, v, y, cfg)
+            return real(u, v, y)
 
-        monkeypatch.setattr(metric_mod, "_pair_loss", flaky)
+        monkeypatch.setattr(metric_mod, "_cosine", flaky)
         cfg = TrainConfig(loss_kind="cosine", epochs=1, seed=7)
         _, log = train(
             fixture_train_docs, fixture_matrix, fixture_train_embeddings, cfg

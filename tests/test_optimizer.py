@@ -606,7 +606,7 @@ class TestGcdSearch:
 class _SequentialEvaluator:
     """The one-assignment-at-a-time evaluator that the batched one replaced:
     ``samples_n`` completions and one embedding call per new prompt. Kept
-    as the oracle of ``_Evaluator.losses``."""
+    as the oracle of ``_losses``."""
 
     def __init__(self, spec, trace, space, llm_cfg, memoize):
         self.spec, self.trace = spec, trace

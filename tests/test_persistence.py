@@ -360,8 +360,12 @@ class TestNumbersInArrayFiles:
         ("explained_variance", 0, float("inf"), "explained_variance must be finite"),
         ("explained_variance", 1, "1.0",
          "explained_variance must hold only JSON numbers"),
+        ("mean", 1, False, "mean must hold only JSON numbers"),
+        ("components", 1, [0.0, True, 0.0],
+         "components must hold only JSON numbers"),
     ], ids=["nan-mean", "string-mean", "null-mean", "inf-component",
-            "string-component", "inf-variance", "string-variance"])
+            "string-component", "inf-variance", "string-variance",
+            "false-in-mean", "true-in-components"])
     def test_pca_entries(self, tmp_path, field, index, value, message):
         data = _pca_data()
         data[field][index] = value
@@ -381,7 +385,8 @@ class TestNumbersInArrayFiles:
          "similarity labels must be finite"),
         ([[1.0, "0.35"], ["0.35", 1.0]], "sim must hold only JSON numbers"),
         ([[1.0, None], [None, 1.0]], "sim must hold only JSON numbers"),
-    ], ids=["nan", "string", "null"])
+        ([[1.0, True], [True, 1.0]], "sim must hold only JSON numbers"),
+    ], ids=["nan", "string", "null", "true-among-numbers"])
     def test_matrix_entries(self, tmp_path, sim, message):
         path = tmp_path / "matrix.json"
         path.write_text(json.dumps({"clusters": ["a", "b"], "sim": sim}))
@@ -766,6 +771,86 @@ class TestTraceFiles:
         with pytest.raises(FormatError) as err:
             persistence.load_trace(path)
         assert str(err.value).startswith(f"{path}:1: {message}")
+
+    @pytest.mark.parametrize("line,edit,message", [
+        (2, {"evaluations": 1, "best_loss": 99.0},
+         "'evaluations' is 1, the evaluations give 2"),
+        (2, {"best_loss": 99.0}, "'best_loss' is 99.0, the evaluations give 0.1"),
+        (2, {"best_index": 0}, "'best_index' is 0, the evaluations give 1"),
+        (2, {"best_index": True}, "'best_index' is true, the evaluations give 1"),
+        (2, {"best_prompt": "q a1"},
+         "'best_prompt' is \"q a1\", the evaluations give \"r a0\""),
+        (2, {"summary": 1}, "'summary' is 1, the evaluations give true"),
+        (1, {"index": 0}, "'index' is 0, the evaluations give 1"),
+        (1, {"best_so_far": 0.75},
+         "'best_so_far' is 0.75, the evaluations give 0.1"),
+        (0, {"loss": 1}, "'loss' is 1, the evaluations give 1.0"),
+        (0, {"note": "x"}, "unexpected field 'note'"),
+    ], ids=["count-and-best-loss", "best-loss", "best-index", "true-best-index",
+            "best-prompt", "summary-one", "index", "best-so-far", "integer-loss",
+            "extra-field"])
+    def test_derived_field_that_disagrees_is_a_format_error(
+        self, tmp_path, line, edit, message
+    ):
+        """Each line must be the one ``save_trace`` writes for the trace
+        that the evaluation lines and summary rebuild."""
+        path = tmp_path / "trace.jsonl"
+        persistence.save_trace(path, _demo_trace())
+        objects = [json.loads(s) for s in path.read_text().splitlines()]
+        objects[line].update(edit)
+        path.write_text("".join(json.dumps(o) + "\n" for o in objects))
+        with pytest.raises(FormatError) as err:
+            persistence.load_trace(path)
+        assert str(err.value) == f"{path}:{line + 1}: {message}"
+
+    @pytest.mark.parametrize("field", [
+        "index", "best_so_far", "evaluations", "best_index", "best_prompt",
+        "best_loss",
+    ])
+    def test_missing_derived_field_is_a_format_error(self, tmp_path, field):
+        path = tmp_path / "trace.jsonl"
+        persistence.save_trace(path, _demo_trace())
+        objects = [json.loads(s) for s in path.read_text().splitlines()]
+        line = 0 if field in objects[0] else 2
+        del objects[line][field]
+        path.write_text("".join(json.dumps(o) + "\n" for o in objects))
+        with pytest.raises(FormatError) as err:
+            persistence.load_trace(path)
+        assert str(err.value) == f"{path}:{line + 1}: missing field {field!r}"
+
+    def test_key_order_and_spacing_are_free(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        persistence.save_trace(path, _demo_trace())
+        objects = [json.loads(s) for s in path.read_text().splitlines()]
+        path.write_text("".join(
+            json.dumps(dict(reversed(o.items())), separators=(",", ":")) + "\n"
+            for o in objects
+        ))
+        loaded = persistence.load_trace(path)
+        assert loaded.evaluations == _demo_trace().evaluations
+
+    @pytest.mark.parametrize("where", ["end", "middle"])
+    def test_second_summary_is_a_format_error(self, tmp_path, where):
+        path = tmp_path / "trace.jsonl"
+        persistence.save_trace(path, _demo_trace())
+        lines = path.read_text().splitlines()
+        if where == "end":
+            lines.append(lines[-1])
+            lineno, message = 4, "a trace line after the summary"
+        else:
+            lines.insert(1, lines[-1])
+            lineno, message = 2, "missing field 'index'"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError) as err:
+            persistence.load_trace(path)
+        assert str(err.value) == f"{path}:{lineno}: {message}"
+
+    def test_summary_without_evaluations_is_a_format_error(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        path.write_text('{"summary": true, "mode": "gcd", "target": [0.0, 0.0]}\n')
+        with pytest.raises(FormatError) as err:
+            persistence.load_trace(path)
+        assert str(err.value) == f"{path}: trace file has no evaluation lines"
 
     def test_bad_evaluation_line_is_reported_before_a_missing_summary(self, tmp_path):
         path = tmp_path / "trace.jsonl"

@@ -1,3 +1,4 @@
+from pathlib import Path
 import sys
 
 import numpy as np
@@ -46,7 +47,7 @@ def test_every_export_resolves_and_is_listed():
         "SimilarityReport", "TrainConfig", "TrainingPair", "brute_force_search",
         "cluster_similarity_report", "complete", "embed_batch", "fit_pca",
         "gcd_search", "generate_pairs", "hashed_embed", "jacobi_eigh",
-        "loss_gradient", "loss_to_target", "render_prompt", "train",
+        "loss_to_target", "render_prompt", "train",
         "pca_transform",
     ])
     listed = dir(pdial)
@@ -85,10 +86,20 @@ def test_array_holders_compare_by_identity(build):
 
 
 def test_metric_holds_each_training_formula_once():
-    """``_pair_loss`` (with ``_contrastive`` under it) is the only copy of
-    the loss formulas and ``loss_gradient`` the only full-matrix
-    gradient."""
+    """``_contrastive`` and ``_cosine`` are the only copies of the loss
+    formulas, and the trainer calls both. The full-matrix gradient oracle
+    ``loss_gradient`` lives in tests/conftest.py: no package source names
+    it, ``_pair_loss`` or ``_Evaluator``."""
     for name in ("cosine_similarity", "cosine_loss", "contrastive_loss"):
         assert not hasattr(pdial, name), name
         assert not hasattr(pdial.metric, name), name
     assert not hasattr(pdial.metric, "_pair_loss_grad")
+    source = "\n".join(
+        path.read_text(encoding="utf-8")
+        for path in Path(pdial.__file__).parent.glob("*.py")
+    )
+    for name in ("_pair_loss", "loss_gradient", "_Evaluator"):
+        assert name not in source, name
+    with pytest.raises(AttributeError, match="no attribute 'loss_gradient'"):
+        pdial.loss_gradient
+    assert {"_contrastive", "_cosine"} <= set(pdial.metric.train.__code__.co_names)
