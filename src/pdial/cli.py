@@ -185,7 +185,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         DEFAULT_MAX_SWEEPS,
         PerspectiveSpace,
         brute_force_search,
-        cluster_centroid,
+        cluster_texts,
         gcd_search,
     )
     from .pca import PerspectivePoint
@@ -202,8 +202,9 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     spec = persistence.load_prompt_spec(args.prompts)
     space = PerspectiveSpace(model, pca, backend_cfg)
     if args.target_cluster:
+        # the search embeds the cluster's texts with its first batch
         dataset = persistence.load_dataset(args.data)
-        target = cluster_centroid(dataset, args.target_cluster, space)
+        target = cluster_texts(dataset, args.target_cluster)
     else:
         target = PerspectivePoint(x=args.target_x, y=args.target_y)
 

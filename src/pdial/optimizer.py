@@ -13,6 +13,7 @@ record every evaluation in a trace.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 import itertools
 import math
@@ -76,12 +77,28 @@ class Evaluation:
 class SearchTrace:
     """One search's whole record. Only ``record`` adds evaluations, and
     it lists in ``improvements`` each one whose loss is below all before
-    it; ``best`` is the last of them, so ties keep the earliest."""
+    it; ``best`` is the last of them, so ties keep the earliest.
+
+    ``target`` is a point, or the texts whose mean point is the target;
+    the search embeds those texts with its first batch and replaces them
+    by that point, so a trace it returns always holds a point.
+    """
 
     mode: str
-    target: PerspectivePoint
+    target: PerspectivePoint | tuple[str, ...]
     evaluations: list[Evaluation] = field(init=False, default_factory=list)
     improvements: list[int] = field(init=False, default_factory=list)
+
+    def __post_init__(self) -> None:
+        if isinstance(self.target, PerspectivePoint):
+            return
+        if isinstance(self.target, str):
+            raise InputValidationError(
+                "expected a point or a list of texts as target, got a str"
+            )
+        self.target = tuple(self.target)
+        if not self.target:
+            raise InputValidationError("target needs at least one text")
 
     def record(self, ev: Evaluation) -> None:
         if not self.improvements or ev.loss < self.best_evaluation.loss:
@@ -148,12 +165,18 @@ class PerspectiveSpace:
         self.backend_cfg = backend_cfg
 
     def points(self, texts: list[str]) -> list[PerspectivePoint]:
-        """Point of each of ``texts``, from one embedding call; a bare
-        ``str`` is an InputValidationError, as in ``embed_batch``."""
-        return [
-            pca_transform(self.pca, self.proj.project(e))
-            for e in embed_batch(texts, self.backend_cfg)
-        ]
+        """Point of each of ``texts``, from one embedding call that sends
+        each distinct text once; a bare ``str`` is an
+        InputValidationError, as in ``embed_batch``. Each distinct text
+        is mapped on its own, so repeats get the same point bits."""
+        if isinstance(texts, str):
+            raise InputValidationError("expected a list of texts, got a str")
+        distinct = list(dict.fromkeys(texts))
+        point_of = {
+            text: pca_transform(self.pca, self.proj.project(e))
+            for text, e in zip(distinct, embed_batch(distinct, self.backend_cfg))
+        }
+        return [point_of[text] for text in texts]
 
 
 def loss_to_target(p: PerspectivePoint, target: PerspectivePoint) -> float:
@@ -168,19 +191,25 @@ def mean_point(points: list[PerspectivePoint]) -> PerspectivePoint:
     )
 
 
+def cluster_texts(dataset: list[LabeledDocument], cluster: str) -> list[str]:
+    """Texts of one cluster's documents, in dataset order: the named-cluster
+    form of target specification, which the searches take as ``target``."""
+    texts = [doc.text for doc in dataset if doc.cluster == cluster]
+    if not texts:
+        raise ConfigurationError(
+            f"cluster {cluster!r} has no documents in the dataset"
+        )
+    return texts
+
+
 def cluster_centroid(
     dataset: list[LabeledDocument],
     cluster: str,
     space: PerspectiveSpace,
 ) -> PerspectivePoint:
-    """Mean perspective point of one cluster's documents; the named-cluster
-    form of target specification."""
-    docs = [doc for doc in dataset if doc.cluster == cluster]
-    if not docs:
-        raise ConfigurationError(
-            f"cluster {cluster!r} has no documents in the dataset"
-        )
-    return mean_point(space.points([doc.text for doc in docs]))
+    """Mean perspective point of one cluster's documents, from its own
+    embedding call."""
+    return mean_point(space.points(cluster_texts(dataset, cluster)))
 
 
 def _losses(
@@ -195,20 +224,25 @@ def _losses(
     evaluations in order.
 
     The prompts to evaluate go to the LLM in one ``complete`` call, and
-    all their outputs to one embedding call. ``memo`` maps each prompt
-    already evaluated to its loss: a prompt in it, or earlier in the
-    batch, is not evaluated again. With ``memo`` None every assignment
-    is evaluated.
+    all their outputs to one embedding call. While ``trace.target`` is
+    still texts, they go first in that call, and the mean of their points
+    becomes the target: a cluster target costs no request of its own, but
+    a failing embeddings endpoint shows only after the first batch's chat
+    requests. ``memo`` maps each prompt already evaluated to its loss: a
+    prompt in it, or earlier in the batch, is not evaluated again. With
+    ``memo`` None every assignment is evaluated.
     """
     prompts = [render_prompt(spec, a) for a in assignments]
     todo = prompts
     if memo is not None:
         todo = [p for p in dict.fromkeys(prompts) if p not in memo]
-    samples: list[list[str]] = []
-    points: list[PerspectivePoint] = []
-    if todo:
-        samples = complete(todo, llm_cfg)
-        points = space.points([text for outputs in samples for text in outputs])
+    target_texts = () if isinstance(trace.target, PerspectivePoint) else trace.target
+    samples = complete(todo, llm_cfg) if todo else []
+    texts = [*target_texts, *(text for outputs in samples for text in outputs)]
+    points = space.points(texts) if texts else []
+    if target_texts:
+        trace.target = mean_point(points[: len(target_texts)])
+        points = points[len(target_texts) :]
     n = llm_cfg.samples_n
     fresh = itertools.count()
     losses = []
@@ -236,14 +270,16 @@ def _losses(
 
 def brute_force_search(
     spec: PromptSpec,
-    target: PerspectivePoint,
+    target: PerspectivePoint | Sequence[str],
     space: PerspectiveSpace,
     llm_cfg: LlmBackendConfig,
 ) -> SearchTrace:
     """Evaluate every assignment once, in lexicographic order (base index
     major, then slot indices); ties keep the earliest evaluation.
 
-    The grid is evaluated in batches of ``BRUTE_FORCE_BATCH`` assignments."""
+    The grid is evaluated in batches of ``BRUTE_FORCE_BATCH`` assignments.
+    ``target`` is a point, or texts whose mean point is the target (see
+    ``SearchTrace``)."""
     if len(spec.slots) > BRUTE_FORCE_MAX_SLOTS:
         raise ConfigurationError(
             f"brute force allows at most {BRUTE_FORCE_MAX_SLOTS} slots, "
@@ -268,7 +304,7 @@ def brute_force_search(
 
 def gcd_search(
     spec: PromptSpec,
-    target: PerspectivePoint,
+    target: PerspectivePoint | Sequence[str],
     space: PerspectiveSpace,
     llm_cfg: LlmBackendConfig,
     max_sweeps: int = DEFAULT_MAX_SWEEPS,
@@ -281,6 +317,7 @@ def gcd_search(
     with no change or after ``max_sweeps``. The candidates of one
     coordinate are evaluated as one batch. Repeat visits to an already
     rendered prompt are served from the memo and add no trace entries.
+    ``target`` is as in ``brute_force_search``.
     """
     if max_sweeps < 1:
         raise InputValidationError(f"max_sweeps must be >= 1, got {max_sweeps}")

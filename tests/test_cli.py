@@ -760,10 +760,79 @@ class TestRequestCounts:
         ]) == 0
         evaluations = json.loads(trace.read_text().splitlines()[-1])["evaluations"]
         assert evaluations == 9
-        # the centroid, then the 18 outputs of the one brute batch in one
-        # chunk of at most 32 texts
-        assert self._posts(backend, "/v1/embeddings") == 1 + 1
+        # the cluster's 5 documents and the 18 outputs of the one brute
+        # batch in one chunk of at most 32 texts
+        assert self._posts(backend, "/v1/embeddings") == 1
         assert self._posts(backend, "/v1/chat/completions") == 2 * evaluations
+
+    def _cluster_argv(self, server, trained, tmp_path, cluster, mode="gcd"):
+        return [
+            "optimize",
+            "--model", trained["model"],
+            "--pca", trained["pca"],
+            "--prompts", trained["prompts"],
+            "--mode", mode,
+            "--llm", "http",
+            "--llm-url", f"{server.url}/v1/chat/completions",
+            "--samples-n", "2",
+            "--target-cluster", cluster,
+            "--data", trained["train"],
+            "--out-trace", str(tmp_path / "trace.jsonl"),
+            "--dim", "64",
+            *self._embed_flags(server),
+        ]
+
+    # the first batch: GCD's 3 base phrases, or brute force's whole grid
+    @pytest.mark.parametrize("mode,first_batch", [("gcd", 3), ("brute", 9)])
+    def test_cluster_documents_lead_the_first_embedding_request(
+        self, backend, trained, tmp_path, mode, first_batch
+    ):
+        from pdial.persistence import load_dataset, load_trace
+
+        argv = self._cluster_argv(backend, trained, tmp_path, "pro-barca", mode)
+        assert main(argv) == 0
+        paths = [r["path"] for r in backend.requests]
+        first = paths.index("/v1/embeddings")
+        assert paths[:first] == ["/v1/chat/completions"] * (first_batch * 2)
+        docs = [d.text for d in load_dataset(trained["train"])
+                if d.cluster == "pro-barca"]
+        batch = load_trace(tmp_path / "trace.jsonl").evaluations[:first_batch]
+        outputs = [t for ev in batch for t in ev.outputs]
+        assert backend.requests[first]["body"]["input"] == list(
+            dict.fromkeys(docs + outputs)
+        )
+        assert len(docs) == 5
+
+    def test_cluster_without_documents_exits_2_before_any_request(
+        self, backend, trained, tmp_path, capsys
+    ):
+        argv = self._cluster_argv(backend, trained, tmp_path, "pro-atletico")
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "error: cluster 'pro-atletico' has no documents in the dataset\n"
+        )
+        assert backend.requests == []
+        assert not (tmp_path / "trace.jsonl").exists()
+
+    def test_failing_embeddings_exit_3_without_a_trace(
+        self, backend, trained, tmp_path, capsys
+    ):
+        answer = backend.handler_fn
+
+        def handler(record):
+            if record["path"] == "/v1/embeddings":
+                return 400, {"error": "no embeddings today"}
+            return answer(record)
+
+        backend.handler_fn = handler
+        argv = self._cluster_argv(backend, trained, tmp_path, "pro-barca")
+        assert main(argv) == 3
+        assert "HTTP 400" in capsys.readouterr().err
+        assert self._posts(backend, "/v1/embeddings") == 1
+        # found out after the first batch's chat requests
+        assert self._posts(backend, "/v1/chat/completions") == 3 * 2
+        assert not (tmp_path / "trace.jsonl").exists()
 
     def _optimize_argv(self, server, trained, tmp_path, *extra):
         return [

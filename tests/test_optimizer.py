@@ -19,6 +19,7 @@ from pdial.optimizer import (
     SearchTrace,
     brute_force_search,
     cluster_centroid,
+    cluster_texts,
     gcd_search,
     loss_to_target,
     mean_point,
@@ -216,6 +217,28 @@ class TestPerspectiveOfOutput:
         assert calls == [texts]
         assert (got.x, got.y) == (mean_point(singles).x, mean_point(singles).y)
 
+    def test_duplicate_texts_embed_once(self, monkeypatch):
+        proj = ProjectionModel.from_weights(np.eye(8))
+        pca = PcaModel(
+            mean=np.zeros(8),
+            components=np.eye(8)[[0, 6]],
+            explained_variance=np.array([1.0, 1.0]),
+        )
+        space = PerspectiveSpace(proj, pca, EmbeddingBackendConfig(dimension=8))
+        texts = ["madrid", "barca", "madrid", "barca barca madrid", "barca"]
+        want = [space.points([t])[0] for t in texts]
+        real_embed = optimizer_mod.embed_batch
+        calls = []
+
+        def counting(batch, backend_cfg, **kwargs):
+            calls.append(list(batch))
+            return real_embed(batch, backend_cfg, **kwargs)
+
+        monkeypatch.setattr(optimizer_mod, "embed_batch", counting)
+        got = space.points(texts)
+        assert calls == [["madrid", "barca", "barca barca madrid"]]
+        assert [(p.x, p.y) for p in got] == [(p.x, p.y) for p in want]
+
     def test_bare_string_rejected(self):
         proj = ProjectionModel.from_weights(np.eye(8))
         pca = PcaModel(
@@ -363,6 +386,22 @@ class TestSearchTrace:
         value = -1 if field == "best" else [_evaluation(0.5)]
         with pytest.raises(TypeError):
             SearchTrace("gcd", PerspectivePoint(0.0, 0.0), **{field: value})
+
+    @pytest.mark.parametrize("target,message", [
+        ("pro barca", "got a str"),
+        ([], "at least one text"),
+    ])
+    @pytest.mark.parametrize("search", [brute_force_search, gcd_search])
+    def test_bad_text_target_fails_before_the_first_completion(
+        self, monkeypatch, search, target, message
+    ):
+        spec = PromptSpec(base_phrases=("q0", "q1"))
+        space, llm, _ = _loss_table_world(spec, {(0,): 0.3, (1,): 0.1})
+        calls = []
+        monkeypatch.setattr(optimizer_mod, "complete", lambda *a, **k: calls.append(a))
+        with pytest.raises(InputValidationError, match=message):
+            search(spec, target, space, llm)
+        assert calls == []
 
     def test_searches_record_their_mode_and_target(self):
         spec = PromptSpec(base_phrases=("q0", "q1"))
@@ -554,22 +593,26 @@ class TestGcdSearch:
 
     def test_one_embedding_call_per_batch(self, monkeypatch):
         # one batch per coordinate: both bases (2 new prompts), then both
-        # slot choices (1 new, 1 from the memo)
+        # slot choices (1 new, 1 from the memo); the mock's 3 samples of a
+        # prompt are alike, so each prompt's output is embedded once
         spec = PromptSpec(base_phrases=("q0", "q1"), slots=(("a0", "a1"),))
         losses = {(b, s): 0.1 + 0.05 * b + 0.02 * s for b in range(2) for s in range(2)}
         space, llm, target = _loss_table_world(spec, losses)
         llm = LlmBackendConfig(kind="mock", samples_n=3, mock_table=llm.mock_table)
         real_embed = optimizer_mod.embed_batch
-        sizes = []
+        batches = []
 
         def counting(batch, backend_cfg, **kwargs):
-            sizes.append(len(batch))
+            batches.append(list(batch))
             return real_embed(batch, backend_cfg, **kwargs)
 
         monkeypatch.setattr(optimizer_mod, "embed_batch", counting)
         trace = gcd_search(spec, target, space, llm)
-        assert sizes == [6, 3]
-        assert sum(sizes) == 3 * len(trace.evaluations)
+        assert [len(b) for b in batches] == [2, 1]
+        assert [t for b in batches for t in b] == [
+            ev.outputs[0] for ev in trace.evaluations
+        ]
+        assert all(len(set(ev.outputs)) == 1 for ev in trace.evaluations)
 
     def test_deterministic_traces(self):
         spec = PromptSpec(
@@ -773,19 +816,24 @@ class TestBatchedEvaluation:
         combos = spec.combination_count()
         assert combos > optimizer_mod.BRUTE_FORCE_BATCH
         real_embed = optimizer_mod.embed_batch
-        sizes = []
+        batches = []
 
         def counting(batch, backend_cfg, **kwargs):
-            sizes.append(len(batch))
+            batches.append(list(batch))
             return real_embed(batch, backend_cfg, **kwargs)
 
         monkeypatch.setattr(optimizer_mod, "embed_batch", counting)
         got = brute_force_search(spec, *world)
-        full, rest = divmod(combos, optimizer_mod.BRUTE_FORCE_BATCH)
-        assert sizes == (
-            [optimizer_mod.BRUTE_FORCE_BATCH * samples_n] * full
-            + ([rest * samples_n] if rest else [])
-        )
+        size = optimizer_mod.BRUTE_FORCE_BATCH
+        # one call per batch, holding each distinct output of the batch once
+        assert batches == [
+            list(dict.fromkeys(
+                t for ev in got.evaluations[i : i + size] for t in ev.outputs
+            ))
+            for i in range(0, combos, size)
+        ]
+        assert len(batches) == math.ceil(combos / size) == 2
+        assert sum(map(len, batches)) < combos * samples_n
         assert got == _sequential_brute(spec, *world)
 
     def test_http_search_keeps_fan_out_requests_in_flight(
@@ -875,3 +923,65 @@ class TestClusterCentroid:
                 fixture_train_docs, "pro-atletico",
                 PerspectiveSpace(fixture_model, pca, FIXTURE_BACKEND),
             )
+
+
+class TestTextTarget:
+    """A target given as texts is embedded with the first batch; the
+    trace equals the one searched toward ``cluster_centroid``."""
+
+    @pytest.fixture(scope="class")
+    def world(self, fixture_train_docs, fixture_model, fixture_train_embeddings):
+        from pdial.persistence import load_mock_table, load_prompt_spec
+
+        pca = fit_pca([fixture_model.project(e) for e in fixture_train_embeddings])
+        llm = LlmBackendConfig(
+            kind="mock", samples_n=2,
+            mock_table=load_mock_table(FIXTURES / "mock_table.json"),
+        )
+        return (
+            load_prompt_spec(FIXTURES / "prompts.json"),
+            PerspectiveSpace(fixture_model, pca, FIXTURE_BACKEND),
+            llm,
+        )
+
+    @pytest.mark.parametrize("search", [brute_force_search, gcd_search])
+    @pytest.mark.parametrize("cluster", ["pro-barca", "pro-madrid", "neutral"])
+    def test_trace_bytes_match_the_centroid_target(
+        self, tmp_path, world, fixture_train_docs, search, cluster
+    ):
+        spec, space, llm = world
+        centroid = cluster_centroid(fixture_train_docs, cluster, space)
+        got = search(spec, cluster_texts(fixture_train_docs, cluster), space, llm)
+        want = search(spec, centroid, space, llm)
+        assert got.target == centroid
+        assert _trace_bytes(tmp_path / "got.jsonl", got) == (
+            _trace_bytes(tmp_path / "want.jsonl", want)
+        )
+
+    @pytest.mark.parametrize("search", [brute_force_search, gcd_search])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_texts_shared_with_outputs_embed_once(
+        self, tmp_path, monkeypatch, search, seed
+    ):
+        spec, (_, space, llm) = _random_world(seed, 2)
+        start = PromptAssignment(0, (0,) * len(spec.slots))
+        first = complete([render_prompt(spec, start)], llm)[0][0]
+        texts = [first, "madrid derby glory", first]
+        real_embed = optimizer_mod.embed_batch
+        calls = []
+
+        def counting(batch, backend_cfg, **kwargs):
+            calls.append(list(batch))
+            return real_embed(batch, backend_cfg, **kwargs)
+
+        monkeypatch.setattr(optimizer_mod, "embed_batch", counting)
+        got = search(spec, texts, space, llm)
+        # the target's distinct texts lead the first call, whose outputs
+        # include the first of them, which is sent once
+        assert calls[0][:2] == [first, "madrid derby glory"]
+        assert len(calls[0]) == len(set(calls[0]))
+        monkeypatch.setattr(optimizer_mod, "embed_batch", real_embed)
+        want = search(spec, mean_point(space.points(texts)), space, llm)
+        assert _trace_bytes(tmp_path / "got.jsonl", got) == (
+            _trace_bytes(tmp_path / "want.jsonl", want)
+        )
