@@ -8,9 +8,10 @@ clusters; the diagonal says how well test texts align with their own
 cluster's training texts.
 
 Each of "pre" and "post" is one matrix: the rows of the split's vectors
-are normalised once, ``S = U_test @ U_train^T`` holds every cross-pair
-cosine, and a cell's statistics are those of the ``S`` block whose rows
-are the test cluster and whose columns are the train cluster.
+are normalised once (each first scaled by a power of two, which is exact
+and keeps its norm in range), ``S = U_test @ U_train^T`` holds every
+cross-pair cosine, and a cell's statistics are those of the ``S`` block
+whose rows are the test cluster and whose columns are the train cluster.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import EmbeddingBackendConfig, embed_batch
-from .errors import InputValidationError
+from .errors import InputValidationError, NumericError
 from .metric import LabeledDocument, ProjectionModel
 
 
@@ -40,6 +41,8 @@ class SimilarityReport:
                 raise InputValidationError(
                     f"{name} has shape {mat.shape}, expected ({n}, {n})"
                 )
+            if not np.isfinite(mat).all():
+                raise NumericError(f"{name} has non-finite cells")
             object.__setattr__(self, name, mat)
         if np.any(np.abs(self.pre_mean) > 1.0 + 1e-12) or np.any(
             np.abs(self.post_mean) > 1.0 + 1e-12
@@ -61,7 +64,8 @@ def cluster_similarity_report(
     Cluster order follows first appearance in the train split. Every
     train cluster must have test documents (and vice versa), otherwise
     some cells would be empty. A document whose base or projected vector
-    is zero has no cosine similarity and is rejected.
+    is zero has no cosine similarity and is rejected; one with a
+    non-finite entry is a NumericError.
     """
     if not train or not test:
         raise InputValidationError("both splits must be non-empty")
@@ -87,7 +91,19 @@ def cluster_similarity_report(
     train_of = [[k for k, d in enumerate(train) if d.cluster == c] for c in clusters]
     test_of = [[k for k, d in enumerate(test) if d.cluster == c] for c in clusters]
     cells = []
-    for kind, X in (("base", B), ("projected", model.project(B))):
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        projected = model.project(B)
+    for kind, X in (("base", B), ("projected", projected)):
+        peak = np.max(np.abs(X), axis=1)  # inf or NaN for a non-finite row
+        bad = np.flatnonzero(~np.isfinite(peak))
+        if bad.size:
+            raise NumericError(
+                f"document {docs[bad[0]].id!r} has a non-finite {kind} vector"
+            )
+        # Each row is scaled by the power of two that brings its largest
+        # entry into [0.5, 1): exact, so the cosines keep every bit, and
+        # the norm can neither overflow nor underflow.
+        X = np.ldexp(X, -np.frexp(peak)[1][:, None])
         norms = np.linalg.norm(X, axis=1)
         zero = np.flatnonzero(norms == 0.0)
         if zero.size:

@@ -431,6 +431,13 @@ def train(
                     G[j] -= lr * dldv
                 total += loss
                 evaluated += 1
+            # Finite losses can still sum past the float64 range, and no
+            # training log may hold a non-finite number.
+            if not math.isfinite(total):
+                raise NumericError(
+                    f"the loss of epoch {epoch} sums beyond the float64 range "
+                    f"(margin {cfg.margin_m})"
+                )
             log.epoch_mean_loss.append(total / evaluated if evaluated else 0.0)
             log.epoch_skipped_pairs.append(skipped)
 

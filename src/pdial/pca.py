@@ -5,7 +5,9 @@ covariance matrix (d x d) is diagonalized with Jacobi rotations in the
 round-robin order of Brent and Luk, where each step rotates n/2
 disjoint pairs at once as one batched numpy update, so the
 decomposition is exact for symmetric input, dependency-free, and easy
-to check against a reference eigensolver. The top components define
+to check against a reference eigensolver. Each step's index plan is
+built once per call, and the matrix and its eigenvectors share one
+buffer, so one column pass rotates both. The top components define
 the user-facing 2-D perspective space. Non-finite input is rejected.
 
 Both the solver and the fit work on their input divided by a power of
@@ -100,7 +102,10 @@ def jacobi_eigh(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order of Brent and Luk (1985): ``_round_robin`` splits the pairs
     into steps of disjoint pairs, and each step rotates all its pairs
     at once as one batched update of rows, columns and eigenvectors.
-    Pairs whose entry is already zero are skipped. Sweeps run until the
+    The plan of each step (its flat indices into ``A``) is built once
+    per call, and ``A`` and the eigenvectors ``V`` are the two halves of
+    one ``(2n, n)`` buffer, so one column pass rotates both. Pairs whose
+    entry is already zero are not rotated. Sweeps run until the
     off-diagonal Frobenius norm drops below ``JACOBI_REL_TOL`` times the
     Frobenius norm of the input, or fail after ``JACOBI_MAX_SWEEPS``
     sweeps. The sweeps run on the input scaled by ``2**-k`` (see the
@@ -108,17 +113,20 @@ def jacobi_eigh(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (eigenvalues, eigenvectors) sorted by descending eigenvalue,
     eigenvectors as rows.
     """
-    A = np.array(C, dtype=np.float64, copy=True)
-    n = A.shape[0]
-    if A.shape != (n, n):
-        raise InputValidationError(f"matrix must be square, got {A.shape}")
-    if not np.isfinite(A).all():
+    C = np.asarray(C, dtype=np.float64)
+    n = C.shape[0]
+    if C.shape != (n, n):
+        raise InputValidationError(f"matrix must be square, got {C.shape}")
+    if not np.isfinite(C).all():
         raise InputValidationError("matrix must be finite")
-    if not np.allclose(A, A.T, rtol=0.0, atol=0.0):
+    if not np.allclose(C, C.T, rtol=0.0, atol=0.0):
         raise InputValidationError("matrix must be exactly symmetric")
-    k = _scale_exponent(A)
-    A = np.ldexp(A, -k)
-    V = np.eye(n)
+    k = _scale_exponent(C)
+    AV = np.empty((2 * n, n))
+    A, V = AV[:n], AV[n:]
+    np.ldexp(C, -k, out=A)
+    V[...] = np.eye(n)
+    flat = A.reshape(-1)  # a view: A is the contiguous top half of AV
     frob = float(np.linalg.norm(A))
     tol = JACOBI_REL_TOL * frob
     off_mask = ~np.eye(n, dtype=bool)
@@ -131,7 +139,10 @@ def jacobi_eigh(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     converged = off_norm() <= tol
     sweeps = 0
-    schedule = _round_robin(n)
+    plan = [_step_plan(n, *step) for step in _round_robin(n)]
+    cos = np.empty(n)
+    sin = np.empty(n)
+    cos_rows, sin_rows = cos[:, None], sin[:, None]  # views
     while not converged:
         if sweeps >= JACOBI_MAX_SWEEPS:
             with np.errstate(over="ignore"):
@@ -140,49 +151,63 @@ def jacobi_eigh(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 f"Jacobi eigensolver did not converge in {JACOBI_MAX_SWEEPS} sweeps "
                 f"(off-diagonal norm {off:.3e}, tolerance {limit:.3e})"
             )
-        for P, Q, swap in schedule:
-            apq = A[P, Q]
+        for at, PQ, zero, swap in plan:
+            aqq, app, apq = flat.take(at)
             if not apq.all():
                 rotate = apq != 0.0
-                P, Q, apq = P[rotate], Q[rotate], apq[rotate]
-            theta = (A[Q, Q] - A[P, P]) / (2.0 * apq)
-            huge = np.abs(theta) > 1e150  # theta**2 would overflow
-            tame = np.where(huge, 0.0, theta)
-            t = np.where(theta >= 0.0, 1.0, -1.0) / (
-                np.abs(tame) + np.sqrt(tame * tame + 1.0)
-            )
-            t[huge] = 1.0 / (2.0 * theta[huge])
+                aqq, app, apq = aqq[rotate], app[rotate], apq[rotate]
+                PQ, zero = PQ[:, rotate], zero[:, rotate]
+            theta = (aqq - app) / (2.0 * apq)
+            sign = np.where(theta >= 0.0, 1.0, -1.0)
+            abs_theta = np.abs(theta)
+            if abs_theta.max(initial=0.0) <= 1e150:
+                t = sign / (abs_theta + np.sqrt(theta * theta + 1.0))
+            else:  # theta**2 would overflow
+                huge = abs_theta > 1e150
+                tame = np.where(huge, 0.0, theta)
+                t = sign / (np.abs(tame) + np.sqrt(tame * tame + 1.0))
+                t[huge] = 1.0 / (2.0 * theta[huge])
             c = 1.0 / np.sqrt(t * t + 1.0)
             s = t * c
             # Row k becomes cos[k] * row k + sin[k] * row swap[k]: for a
             # rotated pair (p, q) that is c*row_p - s*row_q and
-            # s*row_p + c*row_q; every other row keeps cos 1 and sin 0.
-            cos = np.ones(n)
-            sin = np.zeros(n)
-            cos[P] = c
-            cos[Q] = c
-            sin[P] = -s
-            sin[Q] = s
+            # s*row_p + c*row_q; every other row keeps cos 1 and sin 0,
+            # under the step's full swap.
+            cos.fill(1.0)
+            sin.fill(0.0)
+            cos.put(PQ, c)  # c repeats: cos[P] = cos[Q] = c
+            sin.put(PQ[1], s)
+            sin.put(PQ[0], -s)
             rows = A[swap]
-            rows *= sin[:, None]
-            A *= cos[:, None]
+            rows *= sin_rows
+            A *= cos_rows
             A += rows
-            cols = A[:, swap]
+            cols = AV[:, swap]
             cols *= sin
-            A *= cos
-            A += cols
-            A[P, Q] = 0.0
-            A[Q, P] = 0.0
-            cols = V[:, swap]
-            cols *= sin
-            V *= cos
-            V += cols
+            AV *= cos
+            AV += cols
+            flat.put(zero, 0.0)
         sweeps += 1
         converged = off_norm() <= tol
 
     eigvals = _unscale(np.diag(A), k, "an eigenvalue")
     order = np.argsort(-eigvals, kind="stable")
     return eigvals[order], V[:, order].T
+
+
+def _step_plan(
+    n: int, P: np.ndarray, Q: np.ndarray, swap: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """A ``_round_robin`` step ``(P, Q, swap)`` as ``jacobi_eigh`` runs it
+    on an n x n matrix: the flat indices ``(q*n+q, p*n+p, p*n+q)`` of the
+    entries it reads, the rows ``(P, Q)`` it rotates, the flat indices
+    ``(p*n+q, q*n+p)`` it zeroes, and ``swap``."""
+    return (
+        np.array([Q * n + Q, P * n + P, P * n + Q]),
+        np.array([P, Q]),
+        np.array([P * n + Q, Q * n + P]),
+        swap,
+    )
 
 
 def _scale_exponent(a: np.ndarray) -> int:

@@ -182,6 +182,22 @@ class TestTrainCommand:
         assert "non-finite" in capsys.readouterr().err
 
 
+    def test_loss_summing_past_float64_exits_3_and_writes_nothing(
+        self, tmp_path, capsys
+    ):
+        """Each pair's loss (~5e307) is finite but the epoch's sum is
+        not: no training log with an Infinity in it, and no model."""
+        paths = _base_args(tmp_path)
+        argv = _train_argv(paths)
+        for flag, value in (("--lr", "1e-300"), ("--margin", "1e154"), ("--epochs", "1")):
+            argv[argv.index(flag) + 1] = value
+        assert main(argv) == 3
+        assert "the loss of epoch 0 sums beyond the float64 range" in (
+            capsys.readouterr().err
+        )
+        assert not any(tmp_path.glob("model*")) and not any(tmp_path.glob("pca*"))
+
+
 class TestEvalCommand:
     def test_happy_path_and_cell_format(self, trained, tmp_path, capsys):
         out_json = str(tmp_path / "report.json")
@@ -204,6 +220,24 @@ class TestEvalCommand:
         out = capsys.readouterr().out
         assert out == text
         assert out.count("Test:") == 3
+
+    def test_inf_projection_exits_3(self, trained, tmp_path, capsys):
+        """Every base vector's projection overflows: a numeric error, and
+        no report."""
+        import numpy as np
+
+        from pdial.metric import ProjectionModel
+        from pdial.persistence import load_model, save_model
+
+        _, cfg = load_model(trained["model"])
+        huge = str(tmp_path / "huge.json")
+        save_model(huge, ProjectionModel.from_weights(np.full((64, 64), 1e308)), cfg)
+        argv = _eval_argv(trained, tmp_path)
+        argv[argv.index("--model") + 1] = huge
+        assert main(argv) == 3
+        assert "has a non-finite projected vector" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+        assert not (tmp_path / "r.txt").exists()
 
     def test_unknown_test_cluster_fails(self, trained, tmp_path):
         rogue = tmp_path / "rogue.jsonl"

@@ -2,8 +2,13 @@ import numpy as np
 import pytest
 
 from pdial.embedding import EmbeddingBackendConfig, embed_batch, hashed_embed
-from pdial.errors import InputValidationError
-from pdial.evaluation import cluster_similarity_report, render_report_text
+import pdial.evaluation as evaluation_mod
+from pdial.errors import InputValidationError, NumericError
+from pdial.evaluation import (
+    SimilarityReport,
+    cluster_similarity_report,
+    render_report_text,
+)
 from pdial.metric import (
     LabeledDocument,
     ProjectionModel,
@@ -210,6 +215,71 @@ class TestReportMatchesPerPairLoop:
             cluster_similarity_report(
                 fixture_train_docs, fixture_test_docs, _identity(8), FIXTURE_BACKEND
             )
+
+
+class TestExtremeScales:
+    """Rows whose norm would overflow: each row is scaled by a power of
+    two before its norm is taken, which keeps every bit."""
+
+    @staticmethod
+    def _report(train_docs, test_docs, model):
+        return cluster_similarity_report(train_docs, test_docs, model, FIXTURE_BACKEND)
+
+    @staticmethod
+    def _cells(report):
+        return [
+            getattr(report, name).tobytes()
+            for name in ("pre_mean", "pre_std", "post_mean", "post_std")
+        ]
+
+    def test_base_embeddings_scaled_by_2_to_600_give_the_same_report(
+        self, fixture_train_docs, fixture_test_docs, fixture_model, monkeypatch
+    ):
+        plain = self._report(fixture_train_docs, fixture_test_docs, fixture_model)
+        monkeypatch.setattr(
+            evaluation_mod,
+            "embed_batch",
+            lambda texts, cfg: [np.ldexp(e, 600) for e in embed_batch(texts, cfg)],
+        )
+        scaled = self._report(fixture_train_docs, fixture_test_docs, fixture_model)
+        # every squared entry is beyond float64, and still the cells are equal
+        assert self._cells(scaled) == self._cells(plain)
+        assert scaled.clusters == plain.clusters
+
+    def test_huge_weights_give_the_cosines_of_the_unscaled_model(
+        self, fixture_train_docs, fixture_test_docs, fixture_model
+    ):
+        """Projections up to ~1e302 are finite, but their squares are not:
+        the cells are those of the model before scaling, not zeros."""
+        W = fixture_model.W
+        plain = self._report(
+            fixture_train_docs, fixture_test_docs, ProjectionModel.from_weights(W)
+        )
+        huge = ProjectionModel.from_weights(np.ldexp(W, 1000))
+        report = self._report(fixture_train_docs, fixture_test_docs, huge)
+        assert self._cells(report) == self._cells(plain)
+        assert np.all(np.diag(report.post_mean) > 0.5)
+
+    def test_non_finite_projection_is_a_numeric_error(
+        self, fixture_train_docs, fixture_test_docs
+    ):
+        model = ProjectionModel.from_weights(np.full((64, 64), 1e308))
+        first = fixture_train_docs[0].id
+        with pytest.raises(
+            NumericError, match=f"'{first}' has a non-finite projected vector"
+        ):
+            self._report(fixture_train_docs, fixture_test_docs, model)
+
+    @pytest.mark.parametrize("cell", ["pre_mean", "pre_std", "post_mean", "post_std"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_report_rejects_non_finite_cells(self, cell, bad):
+        cells = {
+            name: np.full((2, 2), 0.5)
+            for name in ("pre_mean", "pre_std", "post_mean", "post_std")
+        }
+        cells[cell][1, 0] = bad
+        with pytest.raises(NumericError, match=f"{cell} has non-finite cells"):
+            SimilarityReport(clusters=("a", "b"), **cells)
 
 
 class TestReportRendering:

@@ -67,6 +67,65 @@ def cyclic_jacobi_eigh(C):
     return eigvals[order], V[:, order].T, huge
 
 
+def batched_jacobi_eigh(C):
+    """The round-robin solver as it was before its steps were planned once
+    per call: each step indexes ``A`` by its pairs, fills fresh cos/sin
+    vectors, and rotates ``A`` and ``V`` in separate column passes. The
+    oracle that ``jacobi_eigh`` must match bit for bit."""
+    A = np.array(C, dtype=np.float64, copy=True)
+    n = A.shape[0]
+    k = pca_mod._scale_exponent(A)
+    A = np.ldexp(A, -k)
+    V = np.eye(n)
+    tol = pca_mod.JACOBI_REL_TOL * float(np.linalg.norm(A))
+    off_mask = ~np.eye(n, dtype=bool)
+
+    def off_norm():
+        return float(np.sqrt(np.sum(A[off_mask] ** 2)))
+
+    sweeps = 0
+    while off_norm() > tol:
+        assert sweeps < pca_mod.JACOBI_MAX_SWEEPS
+        for P, Q, swap in _round_robin(n):
+            apq = A[P, Q]
+            if not apq.all():
+                rotate = apq != 0.0
+                P, Q, apq = P[rotate], Q[rotate], apq[rotate]
+            theta = (A[Q, Q] - A[P, P]) / (2.0 * apq)
+            huge = np.abs(theta) > 1e150
+            tame = np.where(huge, 0.0, theta)
+            t = np.where(theta >= 0.0, 1.0, -1.0) / (
+                np.abs(tame) + np.sqrt(tame * tame + 1.0)
+            )
+            t[huge] = 1.0 / (2.0 * theta[huge])
+            c = 1.0 / np.sqrt(t * t + 1.0)
+            s = t * c
+            cos = np.ones(n)
+            sin = np.zeros(n)
+            cos[P] = c
+            cos[Q] = c
+            sin[P] = -s
+            sin[Q] = s
+            rows = A[swap]
+            rows *= sin[:, None]
+            A *= cos[:, None]
+            A += rows
+            cols = A[:, swap]
+            cols *= sin
+            A *= cos
+            A += cols
+            A[P, Q] = 0.0
+            A[Q, P] = 0.0
+            cols = V[:, swap]
+            cols *= sin
+            V *= cos
+            V += cols
+        sweeps += 1
+    eigvals = pca_mod._unscale(np.diag(A), k, "an eigenvalue")
+    order = np.argsort(-eigvals, kind="stable")
+    return eigvals[order], V[:, order].T
+
+
 def _random_symmetric(n, seed):
     A = np.random.default_rng(seed).normal(size=(n, n))
     return (A + A.T) / 2.0
@@ -227,6 +286,99 @@ class TestRoundRobinJacobi:
         assert str(ours.value).startswith(
             "Jacobi eigensolver did not converge in 0 sweeps"
         )
+
+
+def _fixture_gram():
+    """The 15 x 15 centred Gram matrix that ``fit_pca`` diagonalizes for
+    the projected training fixture at dimension 768."""
+    from pdial.embedding import EmbeddingBackendConfig, embed_batch
+    from pdial.metric import train
+    from pdial.persistence import load_dataset, load_matrix
+
+    from conftest import FIXTURE_TRAIN_CFG, FIXTURES
+
+    docs = load_dataset(FIXTURES / "train.jsonl")
+    E = embed_batch(
+        [d.text for d in docs], EmbeddingBackendConfig(kind="hashed", dimension=768)
+    )
+    model, _ = train(docs, load_matrix(FIXTURES / "matrix.json"), E, FIXTURE_TRAIN_CFG)
+    X = np.array([model.project(e) for e in E])
+    X = np.ldexp(X, -pca_mod._scale_exponent(X))
+    centered = X - X.mean(axis=0)
+    gram = (centered @ centered.T) / (len(X) - 1)
+    return (gram + gram.T) / 2.0
+
+
+def _matrices():
+    """(name, matrix) cases for the bit-for-bit comparison with the
+    oracle: every size 1..24 dense, integer-valued, sparse,
+    block-diagonal, with -0.0 off the diagonal, and at 1e-200 and 1e200."""
+    rng = np.random.default_rng(77)
+    for n in range(1, 25):
+        yield f"dense-{n}", _random_symmetric(n, seed=700 + n)
+        ints = rng.integers(-3, 4, size=(n, n)).astype(float)
+        yield f"integer-{n}", ints + ints.T
+        sparse = ints * (rng.random((n, n)) < 0.2)
+        yield f"sparse-{n}", sparse + sparse.T
+        b = max(1, n // 2)
+        block = np.zeros((n, n))
+        block[:b, :b] = np.eye(b) + 1.0
+        block[b:, b:] = _random_symmetric(n - b, seed=800 + n)
+        yield f"block-{n}", block
+        signed = np.full((n, n), -0.0)
+        signed[np.diag_indices(n)] = np.arange(n, dtype=float)
+        signed[0, n - 1] = signed[n - 1, 0] = 1.0
+        yield f"signed-zeros-{n}", signed
+        for scale in (1e-200, 1e200):
+            yield f"scale-{scale:g}-{n}", _random_symmetric(n, seed=900 + n) * scale
+
+
+class TestPlannedJacobiMatchesTheBatchedOracle:
+    """``jacobi_eigh`` plans each step once and rotates ``A`` and ``V`` in
+    one column pass; every element still gets the same IEEE operations in
+    the same order as in ``batched_jacobi_eigh``, so the results are
+    equal byte for byte, signed zeros included."""
+
+    @staticmethod
+    def _assert_bits(C):
+        ev, vec = jacobi_eigh(C)
+        ref_ev, ref_vec = batched_jacobi_eigh(C)
+        assert ev.tobytes() == ref_ev.tobytes()
+        assert vec.tobytes() == ref_vec.tobytes()
+        assert vec.shape == ref_vec.shape and vec.strides == ref_vec.strides
+
+    @pytest.mark.parametrize(
+        "C", [c for _, c in _matrices()], ids=[name for name, _ in _matrices()]
+    )
+    def test_bit_identical(self, C):
+        self._assert_bits(C)
+
+    def test_block_diagonal_has_steps_with_no_nonzero_pair(self):
+        """Some steps of this matrix meet only zero pairs, and the solver
+        still runs them as the oracle does."""
+        C = np.kron(np.eye(4), [[2.0, 1.0], [1.0, 3.0]])
+        assert any(not C[P, Q].any() for P, Q, _ in _round_robin(8))
+        self._assert_bits(C)
+
+    @pytest.mark.parametrize("coupling", [1e-160, 1e-200])
+    def test_huge_theta_branch_is_taken(self, coupling):
+        C = np.array([[1.0, coupling, 0.0], [coupling, 2.0, 1.0], [0.0, 1.0, 3.0]])
+        assert cyclic_jacobi_eigh(C)[2] > 0
+        with np.errstate(over="raise"):
+            self._assert_bits(C)
+
+    def test_a_step_of_zero_pairs_still_runs(self):
+        """A step whose pairs are all zero keeps cos 1 and sin 0 under its
+        full swap, and adding the 0 * entry terms turns the -0.0 on this
+        diagonal into +0.0: a solver that skipped such a step would return
+        the eigenvalue -0.0."""
+        C = np.array([[-0.0, 0.0, 3.0], [0.0, -0.0, -0.0], [3.0, -0.0, -0.0]])
+        ev, _ = jacobi_eigh(C)
+        assert ev[1] == 0.0 and not np.signbit(ev[1])
+        self._assert_bits(C)
+
+    def test_fixture_gram_matrix(self):
+        self._assert_bits(_fixture_gram())
 
 
 class TestExtremeScales:

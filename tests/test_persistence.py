@@ -932,6 +932,142 @@ class TestReportFiles:
         assert data["std_kind"] == "population"
 
 
+def _json_oracle(data):
+    """The text every JSON artifact holds: json's own indented layout."""
+    return json.dumps(data, indent=2, ensure_ascii=False) + "\n"
+
+
+_SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, 0.1, 1e16, 1e-7]
+_SPECIAL_STRINGS = [
+    "", "plain text", 'a "quote"', "back\\slash", "new\nline", "\x1f", "\x00",
+    "del \x7f", "caf\u00e9", "line\u2028separator", "tab\tand\rreturn", "\ud800",
+]
+
+
+def _json_values():
+    """JSON values of every kind, nested, with the floats and strings
+    whose text is easiest to get wrong."""
+    floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+        _SPECIAL_FLOATS
+    )
+    strings = st.text() | st.sampled_from(_SPECIAL_STRINGS)
+    leaves = (
+        st.none() | st.booleans() | st.integers() | floats | strings
+        | st.lists(floats, max_size=6)
+    )
+    return st.recursive(
+        leaves,
+        lambda children: st.lists(children, max_size=4)
+        | st.dictionaries(strings, children, max_size=4),
+        max_leaves=30,
+    )
+
+
+class TestJsonText:
+    """``_write_json``'s text against ``json.dumps(indent=2)``, the oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=_json_values())
+    def test_generated_values(self, data):
+        assert persistence._json_text(data, "") + "\n" == _json_oracle(data)
+
+    @pytest.mark.parametrize("data", [
+        {},
+        [],
+        {"empty": {}, "list": [], "nested": [[], {}, [[]]]},
+        {"floats": _SPECIAL_FLOATS, "rows": [_SPECIAL_FLOATS, [1.5], []]},
+        {"mixed": [1, 1.0, True, None, "x", -0.0], "ints": [0, -1, 2**70]},
+        {s: s for s in _SPECIAL_STRINGS},
+        {"not a str key": {1: 2.0, None: [3.0], 2.5: "x", True: False}},
+        ("a tuple", [1.0, 2.0]),
+        "a bare string",
+        -0.0,
+    ], ids=repr)
+    def test_edge_values(self, data):
+        assert persistence._json_text(data, "") + "\n" == _json_oracle(data)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("where", [
+        lambda x: x,
+        lambda x: {"a": [0.5, x]},
+        lambda x: {"a": {"b": [[1.0], [x, 2.0]]}},
+        lambda x: [1, "s", x],
+        lambda x: {"t": (x,)},
+    ])
+    def test_non_finite_float_is_refused_and_nothing_written(self, tmp_path, bad, where):
+        path = tmp_path / "artifact.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            persistence._write_json(path, {"format": "x", "value": where(bad)})
+        assert os.listdir(tmp_path) == []
+
+
+class TestArtifactBytes:
+    """The bytes each ``save_*`` writes are json's indented layout of the
+    object that the file holds."""
+
+    @staticmethod
+    def _assert_layout(path):
+        raw = path.read_bytes()
+        assert raw.decode("utf-8") == _json_oracle(json.loads(raw))
+
+    @pytest.mark.parametrize("d_out", [None, 8])
+    def test_save_model(self, tmp_path, fixture_train_docs, fixture_matrix,
+                        fixture_train_embeddings, d_out):
+        from conftest import FIXTURE_TRAIN_CFG
+
+        model, _ = train(fixture_train_docs, fixture_matrix,
+                         fixture_train_embeddings, FIXTURE_TRAIN_CFG, d_out=d_out)
+        path = tmp_path / "model.json"
+        persistence.save_model(path, model, FIXTURE_TRAIN_CFG)
+        self._assert_layout(path)
+
+    def test_save_pca(self, tmp_path, fixture_model, fixture_train_embeddings):
+        from pdial.pca import fit_pca
+
+        pca = fit_pca([fixture_model.project(e) for e in fixture_train_embeddings])
+        path = tmp_path / "pca.json"
+        persistence.save_pca(path, pca)
+        self._assert_layout(path)
+
+    def test_save_train_log(self, tmp_path):
+        from pdial.metric import TrainingLog
+
+        log = TrainingLog(pair_count=3, epoch_mean_loss=[0.5, -0.0, 5e-324],
+                          epoch_skipped_pairs=[0, 2, 1])
+        path = tmp_path / "log.json"
+        persistence.save_train_log(path, log)
+        self._assert_layout(path)
+
+    def test_save_report(self, tmp_path, fixture_train_docs, fixture_test_docs,
+                         fixture_model):
+        from conftest import FIXTURE_BACKEND
+        from pdial.evaluation import cluster_similarity_report
+
+        renamed = {"pro-madrid": 'pro "Madrid"', "neutral": "neutral\\\ncaf\u00e9"}
+        train_docs, test_docs = (
+            [dataclasses.replace(d, cluster=renamed.get(d.cluster, d.cluster))
+             for d in docs]
+            for docs in (fixture_train_docs, fixture_test_docs)
+        )
+        report = cluster_similarity_report(
+            train_docs, test_docs, fixture_model, FIXTURE_BACKEND
+        )
+        path = tmp_path / "report.json"
+        persistence.save_report(path, report)
+        self._assert_layout(path)
+
+    def test_train_command_artifacts(self, tmp_path):
+        argv = [
+            "train", "--data", str(FIXTURES / "train.jsonl"),
+            "--matrix", str(FIXTURES / "matrix.json"),
+            "--out", str(tmp_path / "model.json"),
+            "--pca-out", str(tmp_path / "pca.json"), "--dim", "64",
+        ]
+        assert main(argv) == 0
+        for name in ("model.json", "model.log.json", "pca.json"):
+            self._assert_layout(tmp_path / name)
+
+
 def _unencodable_writers():
     """Each artifact writer, given content with a lone surrogate, which
     only fails when the text is encoded, i.e. while the file is written."""
