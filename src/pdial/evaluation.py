@@ -91,7 +91,9 @@ def cluster_similarity_report(
     train_of = [[k for k, d in enumerate(train) if d.cluster == c] for c in clusters]
     test_of = [[k for k, d in enumerate(test) if d.cluster == c] for c in clusters]
     cells = []
-    with np.errstate(over="ignore"):  # an overflow is reported below
+    # An overflow gives inf, or NaN where infinities of opposite sign
+    # meet; either is reported below as a non-finite projected vector.
+    with np.errstate(over="ignore", invalid="ignore"):
         projected = model.project(B)
     for kind, X in (("base", B), ("projected", projected)):
         peak = np.max(np.abs(X), axis=1)  # inf or NaN for a non-finite row

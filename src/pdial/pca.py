@@ -6,9 +6,9 @@ round-robin order of Brent and Luk, where each step rotates n/2
 disjoint pairs at once as one batched numpy update, so the
 decomposition is exact for symmetric input, dependency-free, and easy
 to check against a reference eigensolver. Each step's index plan is
-built once per call, and the matrix and its eigenvectors share one
-buffer, so one column pass rotates both. The top components define
-the user-facing 2-D perspective space. Non-finite input is rejected.
+built once per call, and one row pass rotates the matrix and its
+eigenvectors. The top components define the user-facing 2-D
+perspective space. Non-finite input is rejected.
 
 Both the solver and the fit work on their input divided by a power of
 two that brings its largest entry into [0.5, 1), and scale the results
@@ -103,15 +103,15 @@ def jacobi_eigh(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     into steps of disjoint pairs, and each step rotates all its pairs
     at once as one batched update of rows, columns and eigenvectors.
     The plan of each step (its flat indices into ``A``) is built once
-    per call, and ``A`` and the eigenvectors ``V`` are the two halves of
-    one ``(2n, n)`` buffer, so one column pass rotates both. Pairs whose
-    entry is already zero are not rotated. Sweeps run until the
-    off-diagonal Frobenius norm drops below ``JACOBI_REL_TOL`` times the
-    Frobenius norm of the input, or fail after ``JACOBI_MAX_SWEEPS``
-    sweeps. The sweeps run on the input scaled by ``2**-k`` (see the
-    module docstring), and the eigenvalues are scaled back. Returns
-    (eigenvalues, eigenvectors) sorted by descending eigenvalue,
-    eigenvectors as rows.
+    per call, and ``A`` and the transposed eigenvectors ``V^T`` are the
+    two halves of one ``(2, n, n)`` buffer, so one row pass rotates the
+    rows of ``A`` and the columns of ``V``. Pairs whose entry is already
+    zero are not rotated. Sweeps run until the off-diagonal Frobenius
+    norm drops below ``JACOBI_REL_TOL`` times the Frobenius norm of the
+    input, or fail after ``JACOBI_MAX_SWEEPS`` sweeps. The sweeps run on
+    the input scaled by ``2**-k`` (see the module docstring), and the
+    eigenvalues are scaled back. Returns (eigenvalues, eigenvectors)
+    sorted by descending eigenvalue, eigenvectors as rows.
     """
     C = np.asarray(C, dtype=np.float64)
     n = C.shape[0]
@@ -122,11 +122,11 @@ def jacobi_eigh(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not np.allclose(C, C.T, rtol=0.0, atol=0.0):
         raise InputValidationError("matrix must be exactly symmetric")
     k = _scale_exponent(C)
-    AV = np.empty((2 * n, n))
-    A, V = AV[:n], AV[n:]
+    AVt = np.empty((2, n, n))
+    A, Vt = AVt
     np.ldexp(C, -k, out=A)
-    V[...] = np.eye(n)
-    flat = A.reshape(-1)  # a view: A is the contiguous top half of AV
+    Vt[...] = np.eye(n)
+    flat = A.reshape(-1)  # a view
     frob = float(np.linalg.norm(A))
     tol = JACOBI_REL_TOL * frob
     off_mask = ~np.eye(n, dtype=bool)
@@ -143,71 +143,71 @@ def jacobi_eigh(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     cos = np.empty(n)
     sin = np.empty(n)
     cos_rows, sin_rows = cos[:, None], sin[:, None]  # views
-    while not converged:
-        if sweeps >= JACOBI_MAX_SWEEPS:
-            with np.errstate(over="ignore"):
+    # Each step gathers its swapped rows and columns into these. The
+    # indices are in range, so mode="clip" changes no index; it lets
+    # np.take write straight into ``out`` instead of through a buffer.
+    rows = np.empty((2, n, n))
+    cols = np.empty((n, n))
+    # Entries of the scaled input cannot overflow in a rotation; only
+    # theta can, for a tiny apq, and its square, handled below.
+    with np.errstate(over="ignore"):
+        while not converged:
+            if sweeps >= JACOBI_MAX_SWEEPS:
                 off, limit = np.ldexp([off_norm(), tol], k)
-            raise NumericError(
-                f"Jacobi eigensolver did not converge in {JACOBI_MAX_SWEEPS} sweeps "
-                f"(off-diagonal norm {off:.3e}, tolerance {limit:.3e})"
-            )
-        for at, PQ, zero, swap in plan:
-            aqq, app, apq = flat.take(at)
-            if not apq.all():
-                rotate = apq != 0.0
-                aqq, app, apq = aqq[rotate], app[rotate], apq[rotate]
-                PQ, zero = PQ[:, rotate], zero[:, rotate]
-            theta = (aqq - app) / (2.0 * apq)
-            sign = np.where(theta >= 0.0, 1.0, -1.0)
-            abs_theta = np.abs(theta)
-            if abs_theta.max(initial=0.0) <= 1e150:
+                raise NumericError(
+                    f"Jacobi eigensolver did not converge in {JACOBI_MAX_SWEEPS} "
+                    f"sweeps (off-diagonal norm {off:.3e}, tolerance {limit:.3e})"
+                )
+            for at, swap in plan:
+                aqq, app, apq = flat.take(at[2:5])
+                if not apq.all():
+                    rotate = apq != 0.0
+                    aqq, app, apq = aqq[rotate], app[rotate], apq[rotate]
+                    at = at[:, rotate]
+                theta = (aqq - app) / (2.0 * apq)
+                sign = np.where(theta >= 0.0, 1.0, -1.0)
+                abs_theta = np.abs(theta)
                 t = sign / (abs_theta + np.sqrt(theta * theta + 1.0))
-            else:  # theta**2 would overflow
-                huge = abs_theta > 1e150
-                tame = np.where(huge, 0.0, theta)
-                t = sign / (np.abs(tame) + np.sqrt(tame * tame + 1.0))
-                t[huge] = 1.0 / (2.0 * theta[huge])
-            c = 1.0 / np.sqrt(t * t + 1.0)
-            s = t * c
-            # Row k becomes cos[k] * row k + sin[k] * row swap[k]: for a
-            # rotated pair (p, q) that is c*row_p - s*row_q and
-            # s*row_p + c*row_q; every other row keeps cos 1 and sin 0,
-            # under the step's full swap.
-            cos.fill(1.0)
-            sin.fill(0.0)
-            cos.put(PQ, c)  # c repeats: cos[P] = cos[Q] = c
-            sin.put(PQ[1], s)
-            sin.put(PQ[0], -s)
-            rows = A[swap]
-            rows *= sin_rows
-            A *= cos_rows
-            A += rows
-            cols = AV[:, swap]
-            cols *= sin
-            AV *= cos
-            AV += cols
-            flat.put(zero, 0.0)
-        sweeps += 1
-        converged = off_norm() <= tol
+                if abs_theta.max(initial=0.0) > 1e150:  # theta**2 may overflow
+                    huge = abs_theta > 1e150
+                    t[huge] = 1.0 / (2.0 * theta[huge])
+                c = 1.0 / np.sqrt(t * t + 1.0)
+                s = t * c
+                # Row k becomes cos[k] * row k + sin[k] * row swap[k]: for
+                # a rotated pair (p, q) that is c*row_p - s*row_q and
+                # s*row_p + c*row_q; every other row keeps cos 1 and sin
+                # 0, under the step's full swap.
+                cos.fill(1.0)
+                sin.fill(0.0)
+                cos.put(at[:2], c)  # c repeats: cos[Q] = cos[P] = c
+                sin.put(at[0], s)
+                sin.put(at[1], -s)
+                np.take(AVt, swap, axis=1, out=rows, mode="clip")
+                rows *= sin_rows
+                AVt *= cos_rows
+                AVt += rows
+                np.take(A, swap, axis=1, out=cols, mode="clip")
+                cols *= sin
+                A *= cos
+                A += cols
+                flat.put(at[4:], 0.0)
+            sweeps += 1
+            converged = off_norm() <= tol
 
     eigvals = _unscale(np.diag(A), k, "an eigenvalue")
     order = np.argsort(-eigvals, kind="stable")
-    return eigvals[order], V[:, order].T
+    return eigvals[order], Vt[order]
 
 
 def _step_plan(
     n: int, P: np.ndarray, Q: np.ndarray, swap: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """A ``_round_robin`` step ``(P, Q, swap)`` as ``jacobi_eigh`` runs it
-    on an n x n matrix: the flat indices ``(q*n+q, p*n+p, p*n+q)`` of the
-    entries it reads, the rows ``(P, Q)`` it rotates, the flat indices
-    ``(p*n+q, q*n+p)`` it zeroes, and ``swap``."""
-    return (
-        np.array([Q * n + Q, P * n + P, P * n + Q]),
-        np.array([P, Q]),
-        np.array([P * n + Q, Q * n + P]),
-        swap,
-    )
+    on an n x n matrix: ``(at, swap)``, where the rows of ``at`` are the
+    rotated rows ``Q`` and ``P``, the flat indices ``q*n+q``, ``p*n+p``
+    and ``p*n+q`` of the entries the step reads, and ``q*n+p``, which it
+    zeroes with ``p*n+q``."""
+    return np.array([Q, P, Q * n + Q, P * n + P, P * n + Q, Q * n + P]), swap
 
 
 def _scale_exponent(a: np.ndarray) -> int:

@@ -270,6 +270,27 @@ class TestExtremeScales:
         ):
             self._report(fixture_train_docs, fixture_test_docs, model)
 
+    def test_opposite_overflows_are_a_numeric_error(
+        self, fixture_train_docs, fixture_test_docs, monkeypatch
+    ):
+        """``base`` and the low-rank part each overflow, with opposite
+        signs, and meet as inf + -inf = NaN: reported as the same error,
+        with no warning."""
+        d = FIXTURE_BACKEND.dimension
+        model = ProjectionModel(
+            coef=np.full((1, d), -8e307),
+            basis=np.ones((1, d)),
+            base=np.full((d, d), 8e307),
+        )
+        monkeypatch.setattr(
+            evaluation_mod, "embed_batch", lambda texts, cfg: [np.ones(d)] * len(texts)
+        )
+        first = fixture_train_docs[0].id
+        with pytest.raises(
+            NumericError, match=f"'{first}' has a non-finite projected vector"
+        ):
+            self._report(fixture_train_docs, fixture_test_docs, model)
+
     @pytest.mark.parametrize("cell", ["pre_mean", "pre_std", "post_mean", "post_std"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_report_rejects_non_finite_cells(self, cell, bad):
