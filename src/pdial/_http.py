@@ -2,10 +2,11 @@
 
 Both clients POST JSON, authenticate with a bearer token from the
 ``PD_API_KEY`` environment variable when it is set, retry transport
-failures with exponential backoff, and share one fan-out limit so the
-total number of in-flight requests stays bounded no matter which client
-issues them. Both issue their concurrent requests through
-:func:`fan_out_map`.
+failures with exponential backoff, and send each batch of requests
+through :func:`fan_out_map`, on a pool of at most ``--fan-out``
+threads. A command sends one batch at a time, so the fan-out limits its
+requests in flight; a library caller that runs batches from several of
+its own threads gets the limit per batch.
 
 Requests go through the standard library (``urllib.request``), one
 connection per request. It is imported by the first :func:`post_json`
@@ -38,29 +39,21 @@ RETRIED_4XX = (408, 429)  # request timeout, too many requests
 T = TypeVar("T")
 R = TypeVar("R")
 
-_fan_out_lock = threading.Lock()
-_fan_out_limit = DEFAULT_FAN_OUT
-_fan_out_sem = threading.BoundedSemaphore(DEFAULT_FAN_OUT)
+_fan_out = DEFAULT_FAN_OUT
 
 
 def set_fan_out(limit: int) -> None:
-    """Set the shared cap on concurrent in-flight requests."""
-    global _fan_out_limit, _fan_out_sem
+    """Set the number of threads each :func:`fan_out_map` batch runs on
+    at most."""
+    global _fan_out
     if limit < 1:
         raise ConfigurationError(f"fan-out limit must be >= 1, got {limit}")
-    with _fan_out_lock:
-        _fan_out_limit = limit
-        _fan_out_sem = threading.BoundedSemaphore(limit)
-
-
-def get_fan_out() -> int:
-    with _fan_out_lock:
-        return _fan_out_limit
+    _fan_out = limit
 
 
 def fan_out_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
-    """Apply ``fn`` to every item, on at most ``get_fan_out()`` threads,
-    and return the results in input order.
+    """Apply ``fn`` to every item, on a pool of at most the fan-out
+    threads, and return the results in input order.
 
     A single item runs inline. Once a job has failed no new job starts;
     the jobs already running finish, and the error of the earliest
@@ -68,7 +61,7 @@ def fan_out_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
     """
     if len(items) <= 1:
         return [fn(item) for item in items]
-    from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+    from concurrent.futures import ThreadPoolExecutor
 
     failed = threading.Event()
 
@@ -81,16 +74,10 @@ def fan_out_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
             failed.set()
             raise
 
-    pool = ThreadPoolExecutor(max_workers=min(get_fan_out(), len(items)))
-    try:
-        futures = [pool.submit(job, item) for item in items]
-        wait(futures, return_when=FIRST_EXCEPTION)
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
-    for future in futures:
-        if not future.cancelled() and future.exception() is not None:
-            raise future.exception()
-    return [future.result() for future in futures]
+    # map yields in input order and, when a result raises, cancels the
+    # jobs not yet started; leaving the block joins the running ones
+    with ThreadPoolExecutor(max_workers=min(_fan_out, len(items))) as pool:
+        return list(pool.map(job, items))
 
 
 def check_endpoint_url(url: str, what: str) -> None:
@@ -169,8 +156,6 @@ def post_json(
     import urllib.request
 
     data = json.dumps(body, allow_nan=False).encode()
-    with _fan_out_lock:
-        sem = _fan_out_sem
     last_detail = ""
     for attempt in range(MAX_ATTEMPTS):
         if attempt > 0:
@@ -179,15 +164,14 @@ def post_json(
             url, data=data, headers=auth_headers(), method="POST"
         )
         try:
-            with sem:
-                try:
-                    with _open(request, timeout=timeout) as resp:
-                        status, raw = resp.status, resp.read()
-                except urllib.error.HTTPError as exc:
-                    # the opener raises every status outside 2xx; the
-                    # error is the response
-                    with exc:
-                        status, raw = exc.code, exc.read()
+            try:
+                with _open(request, timeout=timeout) as resp:
+                    status, raw = resp.status, resp.read()
+            except urllib.error.HTTPError as exc:
+                # the opener raises every status outside 2xx; the error
+                # is the response
+                with exc:
+                    status, raw = exc.code, exc.read()
         except (OSError, http.client.HTTPException) as exc:
             last_detail = f"transport error: {exc}"
             continue

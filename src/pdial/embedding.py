@@ -139,8 +139,8 @@ def embed_batch(
 ) -> list[np.ndarray]:
     """Embed ``texts``, one vector per input, order-preserving.
 
-    The http backend chunks requests to ``cfg.batch_size`` and issues
-    chunks concurrently up to the shared fan-out limit; results are
+    The http backend chunks requests to ``cfg.batch_size`` and sends the
+    chunks as one batch, on at most ``--fan-out`` threads; results are
     reassembled in input order. Any failed chunk fails the whole call, and
     no new chunk is sent after the first failure.
     """

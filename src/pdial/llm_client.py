@@ -97,10 +97,10 @@ def complete(
     """Generate ``cfg.samples_n`` completions for each of ``prompts``.
 
     Every prompt is checked before any request is made. The http backend
-    sends one request per (prompt, sample), concurrently up to the shared
-    fan-out limit; each is retried on its own, so a successful sample is
-    never re-requested, and the first failure fails the call. The mock
-    backend is deterministic, so its samples are identical.
+    sends one request per (prompt, sample), as one batch on at most
+    ``--fan-out`` threads; each is retried on its own, so a successful
+    sample is never re-requested, and the first failure fails the call.
+    The mock backend is deterministic, so its samples are identical.
 
     A bare ``str`` is one prompt and gives its list of samples, the form
     this function had before it took a list.

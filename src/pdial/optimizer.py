@@ -19,7 +19,7 @@ import itertools
 import math
 
 from .embedding import EmbeddingBackendConfig, embed_batch
-from .errors import ConfigurationError, InputValidationError
+from .errors import ConfigurationError, InputValidationError, NumericError
 from .llm_client import LlmBackendConfig, complete
 from .metric import LabeledDocument, ProjectionModel
 from .pca import PcaModel, PerspectivePoint, pca_transform
@@ -180,8 +180,13 @@ class PerspectiveSpace:
 
 
 def loss_to_target(p: PerspectivePoint, target: PerspectivePoint) -> float:
-    """L2 distance between two perspective points."""
-    return math.hypot(p.x - target.x, p.y - target.y)
+    """L2 distance between two perspective points; NumericError when it
+    is not a finite float, as between points near opposite ends of the
+    float range."""
+    loss = math.hypot(p.x - target.x, p.y - target.y)
+    if not math.isfinite(loss):
+        raise NumericError(f"loss from {p} to target {target} is {loss}")
+    return loss
 
 
 def mean_point(points: list[PerspectivePoint]) -> PerspectivePoint:

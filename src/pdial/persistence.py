@@ -438,9 +438,11 @@ def _trace_objects(trace: SearchTrace) -> list[dict]:
 
 
 def save_trace(path: str | Path, trace: SearchTrace) -> None:
-    """JSON Lines: one evaluation per line, then the mode, target and best."""
+    """JSON Lines: one evaluation per line, then the mode, target and best.
+    A non-finite number raises ValueError before the file is touched."""
     write_text_atomic(path, "".join(
-        json.dumps(obj, ensure_ascii=False) + "\n" for obj in _trace_objects(trace)
+        json.dumps(obj, ensure_ascii=False, allow_nan=False) + "\n"
+        for obj in _trace_objects(trace)
     ))
 
 

@@ -64,6 +64,39 @@ class TestFanOutMap:
         with pytest.raises(ValueError, match="item 0"):
             _http.fan_out_map(job, [0, 1, 2])
 
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_running_jobs_finish_before_the_error_arrives(self, failing):
+        _http.set_fan_out(2)
+        started = threading.Event()
+        done = []
+
+        def job(i):
+            if i == failing:
+                started.wait(5)
+                raise ValueError(f"item {i}")
+            started.set()
+            time.sleep(0.05)
+            done.append(i)
+
+        with pytest.raises(ValueError, match=f"item {failing}"):
+            _http.fan_out_map(job, [0, 1])
+        assert done == [1 - failing]
+
+    def test_no_thread_outlives_the_call(self):
+        _http.set_fan_out(3)
+        before = threading.active_count()
+
+        def job(i):
+            time.sleep(0.01)
+            if i == 4:
+                raise ValueError("item 4")
+
+        assert _http.fan_out_map(job, [0, 1, 2]) == [None] * 3
+        assert threading.active_count() == before
+        with pytest.raises(ValueError, match="item 4"):
+            _http.fan_out_map(job, list(range(8)))
+        assert threading.active_count() == before
+
 
 # Replies that fail below HTTP: no status line, a non-HTTP status line,
 # and a body cut short of its Content-Length.

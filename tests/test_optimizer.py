@@ -8,7 +8,7 @@ import pytest
 
 import pdial.optimizer as optimizer_mod
 from pdial.embedding import EmbeddingBackendConfig, embed_batch
-from pdial.errors import ConfigurationError, InputValidationError
+from pdial.errors import ConfigurationError, InputValidationError, NumericError
 from pdial.llm_client import LlmBackendConfig, complete
 from pdial.metric import ProjectionModel, train
 from pdial.optimizer import (
@@ -153,6 +153,11 @@ class TestLossToTarget:
             b = PerspectivePoint(*rng.normal(size=2))
             want = math.sqrt((a.x - b.x) ** 2 + (a.y - b.y) ** 2)
             assert loss_to_target(a, b) == pytest.approx(want, abs=1e-12)
+
+    def test_distance_beyond_the_float_range_is_a_numeric_error(self):
+        # both points are finite, their distance 2e308 is not
+        with pytest.raises(NumericError, match="is inf"):
+            loss_to_target(PerspectivePoint(1e308, 0.0), PerspectivePoint(-1e308, 0.0))
 
 
 class TestPerspectiveOfOutput:
@@ -402,6 +407,17 @@ class TestSearchTrace:
         with pytest.raises(InputValidationError, match=message):
             search(spec, target, space, llm)
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "search", [brute_force_search, gcd_search], ids=["brute", "gcd"]
+    )
+    def test_overflowing_loss_stops_the_search(self, monkeypatch, search):
+        spec = PromptSpec(base_phrases=("q0", "q1"))
+        space, llm, _ = _loss_table_world(spec, {(0,): 0.3, (1,): 0.1})
+        far = PerspectivePoint(1e308, 0.0)
+        monkeypatch.setattr(space, "points", lambda texts: [far] * len(texts))
+        with pytest.raises(NumericError, match="is inf"):
+            search(spec, PerspectivePoint(-1e308, 0.0), space, llm)
 
     def test_searches_record_their_mode_and_target(self):
         spec = PromptSpec(base_phrases=("q0", "q1"))
@@ -836,8 +852,11 @@ class TestBatchedEvaluation:
         assert sum(map(len, batches)) < combos * samples_n
         assert got == _sequential_brute(spec, *world)
 
+    @pytest.mark.parametrize(
+        "search", [brute_force_search, gcd_search], ids=["brute", "gcd"]
+    )
     def test_http_search_keeps_fan_out_requests_in_flight(
-        self, stub_server, monkeypatch
+        self, stub_server, monkeypatch, search
     ):
         from pdial import _http
         from pdial.embedding import hashed_embed
@@ -885,11 +904,11 @@ class TestBatchedEvaluation:
         _, (_, http_space, _) = _random_world(
             3, 2, slot_sizes=[3, 2], backend=http_backend
         )
-        got = brute_force_search(spec, target, http_space, http_llm)
+        got = search(spec, target, http_space, http_llm)
         assert flight["max"] == 2
-        assert got == brute_force_search(spec, target, space, llm)
+        assert got == search(spec, target, space, llm)
         chats = sum("messages" in r["body"] for r in stub_server.requests)
-        assert chats == 2 * spec.combination_count()
+        assert chats == 2 * len(got.evaluations)
 
 
 class TestClusterCentroid:

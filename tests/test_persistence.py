@@ -698,6 +698,27 @@ class TestTraceFiles:
         assert summary["summary"] is True
         assert (summary["mode"], summary["target"]) == ("gcd", [1.0, 2.0])
 
+    def test_infinite_loss_is_not_written(self, tmp_path):
+        """``load_trace`` would reject ``Infinity``, so ``save_trace``
+        fails before it touches the file."""
+        path = tmp_path / "trace.jsonl"
+        persistence.save_trace(path, _demo_trace())
+        before = path.read_bytes()
+        trace = SearchTrace("brute", PerspectivePoint(-1e308, 0.0))
+        trace.record(
+            Evaluation(
+                assignment=PromptAssignment(0, ()),
+                prompt="p",
+                outputs=("o",),
+                point=PerspectivePoint(1e308, 0.0),
+                loss=float("inf"),
+            )
+        )
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            persistence.save_trace(path, trace)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["trace.jsonl"]
+
     @pytest.mark.parametrize("field,value,message", [
         ("outputs", "abc", "outputs must be a JSON list, got str"),
         ("prompt", ["p"], "prompt must be a JSON string, got list"),
