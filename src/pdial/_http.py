@@ -124,17 +124,18 @@ _opener = None
 
 
 def _open(request: Any, *, timeout: float) -> Any:
-    """Send ``request`` and return the response. Redirects are refused:
-    a 3xx answer is raised as an ``HTTPError``, like a 4xx."""
+    """Send ``request`` and return the response, whatever its status: the
+    opener has no redirect handler and no error processor, so a 3xx is
+    not followed and no status is raised as an ``HTTPError``."""
     global _opener
     import urllib.request
 
     if _opener is None:
-        class NoRedirect(urllib.request.HTTPRedirectHandler):
-            def redirect_request(self, *args: Any, **kwargs: Any) -> None:
-                return None
-
-        _opener = urllib.request.build_opener(NoRedirect)
+        opener = urllib.request.OpenerDirector()
+        for name in ("ProxyHandler", "UnknownHandler", "HTTPHandler", "HTTPSHandler"):
+            if hasattr(urllib.request, name):  # no HTTPSHandler without ssl
+                opener.add_handler(getattr(urllib.request, name)())
+        _opener = opener
     return _opener.open(request, timeout=timeout)
 
 
@@ -152,7 +153,6 @@ def post_json(
     is raised at once.
     """
     import http.client
-    import urllib.error
     import urllib.request
 
     data = json.dumps(body, allow_nan=False).encode()
@@ -164,22 +164,17 @@ def post_json(
             url, data=data, headers=auth_headers(), method="POST"
         )
         try:
-            try:
-                with _open(request, timeout=timeout) as resp:
-                    status, raw = resp.status, resp.read()
-            except urllib.error.HTTPError as exc:
-                # the opener raises every status outside 2xx; the error
-                # is the response
-                with exc:
-                    status, raw = exc.code, exc.read()
+            with _open(request, timeout=timeout) as resp:
+                status, raw = resp.status, resp.read()
         except (OSError, http.client.HTTPException) as exc:
             last_detail = f"transport error: {exc}"
             continue
         if status == 200:
             try:
                 return json.loads(raw)
-            except ValueError as exc:
-                # A 200 with an unparseable body is not a transport glitch.
+            except (ValueError, RecursionError) as exc:
+                # A 200 with an unparseable or too deeply nested body is
+                # not a transport glitch.
                 raise ProtocolError(
                     f"POST {url}: response is not valid JSON: {exc}"
                 ) from exc

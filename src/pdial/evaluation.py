@@ -69,10 +69,7 @@ def cluster_similarity_report(
     """
     if not train or not test:
         raise InputValidationError("both splits must be non-empty")
-    clusters: list[str] = []
-    for doc in train:
-        if doc.cluster not in clusters:
-            clusters.append(doc.cluster)
+    clusters = list(dict.fromkeys(doc.cluster for doc in train))
     test_clusters = {doc.cluster for doc in test}
     unknown = sorted(test_clusters - set(clusters))
     if unknown:

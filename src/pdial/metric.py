@@ -28,8 +28,9 @@ only the tests and the bench's closing check read it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -224,6 +225,13 @@ class TrainConfig:
     binarize_threshold: float = 0.5
 
     def __post_init__(self) -> None:
+        # The JSON type of each field, by its annotation: an int is also a
+        # float, and a bool is neither.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kinds = {"str": str, "int": int, "float": (int, float)}[f.type]
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise ConfigurationError(f"{f.name} must be {f.type}, got {value!r}")
         if self.loss_kind not in ("cosine", "contrastive"):
             raise ConfigurationError(f"unknown loss kind {self.loss_kind!r}")
         for name, value in (
@@ -270,13 +278,10 @@ def generate_pairs(
     cluster matrix, in a seed-determined shuffled order."""
     if len(dataset) < 2:
         raise InputValidationError("need at least 2 documents to form pairs")
-    pairs = []
-    for i in range(len(dataset)):
-        for j in range(i + 1, len(dataset)):
-            a, b = dataset[i], dataset[j]
-            pairs.append(
-                TrainingPair(a=a.id, b=b.id, label_y=matrix.label(a.cluster, b.cluster))
-            )
+    pairs = [
+        TrainingPair(a=a.id, b=b.id, label_y=matrix.label(a.cluster, b.cluster))
+        for a, b in itertools.combinations(dataset, 2)
+    ]
     order = _rng(seed).permutation(len(pairs))
     return [pairs[k] for k in order]
 

@@ -190,10 +190,13 @@ def loss_to_target(p: PerspectivePoint, target: PerspectivePoint) -> float:
 
 
 def mean_point(points: list[PerspectivePoint]) -> PerspectivePoint:
-    return PerspectivePoint(
-        x=sum(p.x for p in points) / len(points),
-        y=sum(p.y for p in points) / len(points),
-    )
+    """Mean of ``points``; NumericError when a coordinate's sum leaves the
+    float range."""
+    x = sum(p.x for p in points) / len(points)
+    y = sum(p.y for p in points) / len(points)
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise NumericError(f"mean of {len(points)} points is ({x}, {y})")
+    return PerspectivePoint(x, y)
 
 
 def cluster_texts(dataset: list[LabeledDocument], cluster: str) -> list[str]:
@@ -205,16 +208,6 @@ def cluster_texts(dataset: list[LabeledDocument], cluster: str) -> list[str]:
             f"cluster {cluster!r} has no documents in the dataset"
         )
     return texts
-
-
-def cluster_centroid(
-    dataset: list[LabeledDocument],
-    cluster: str,
-    space: PerspectiveSpace,
-) -> PerspectivePoint:
-    """Mean perspective point of one cluster's documents, from its own
-    embedding call."""
-    return mean_point(space.points(cluster_texts(dataset, cluster)))
 
 
 def _losses(

@@ -62,6 +62,8 @@ class PcaModel:
         mean = np.asarray(self.mean, dtype=np.float64)
         comps = np.asarray(self.components, dtype=np.float64)
         ev = np.asarray(self.explained_variance, dtype=np.float64)
+        if mean.ndim != 1:
+            raise InputValidationError(f"mean must be a vector, got shape {mean.shape}")
         if comps.ndim != 2 or comps.shape[1] != mean.shape[0]:
             raise InputValidationError(
                 f"components shape {comps.shape} does not match mean "
@@ -257,12 +259,10 @@ def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
 
 
 def _apply_sign_convention(components: np.ndarray) -> np.ndarray:
-    fixed = components.copy()
-    for i in range(fixed.shape[0]):
-        j = int(np.argmax(np.abs(fixed[i])))
-        if fixed[i, j] < 0.0:
-            fixed[i] = -fixed[i]
-    return fixed
+    """Negate each row whose first entry of largest |value| is negative."""
+    j = np.argmax(np.abs(components), axis=1)[:, None]
+    lead = np.take_along_axis(components, j, axis=1)
+    return np.where(lead < 0.0, -components, components)
 
 
 def fit_pca(points: list[np.ndarray]) -> PcaModel:

@@ -68,6 +68,8 @@ def _read_json(path: str | Path) -> dict:
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: "
             f"{exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise FormatError(f"{path}: JSON nested too deeply") from exc
     if not isinstance(data, dict):
         raise FormatError(f"{path}: expected a JSON object at top level")
     return data
@@ -90,6 +92,8 @@ def _read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
             raise FormatError(
                 f"{path}:{lineno}: invalid JSON at column {exc.colno}: {exc.msg}"
             ) from exc
+        except RecursionError as exc:
+            raise FormatError(f"{path}:{lineno}: JSON nested too deeply") from exc
         if not isinstance(obj, dict):
             raise FormatError(f"{path}:{lineno}: expected a JSON object")
         yield lineno, obj
@@ -268,7 +272,11 @@ def load_model(path: str | Path) -> tuple[ProjectionModel, TrainConfig]:
         d_out = _count(data["d_out"], "d_out", 1)
         n = _count(data["n"], "n")
         base = data["base"]
-        cfg = TrainConfig(**data["train_config"])
+        config = data["train_config"]
+        keys = asdict(TrainConfig()).keys()
+        if not isinstance(config, dict) or config.keys() != keys:
+            raise ValueError(f"train_config must hold exactly the keys {sorted(keys)}")
+        cfg = TrainConfig(**config)
     except (ConfigurationError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed model file: {exc}") from exc
     if base is not None:

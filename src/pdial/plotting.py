@@ -8,6 +8,7 @@ the data extent (all points, target included) gets 5% padding per side.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import html
 
 from .errors import InputValidationError
 from .pca import PerspectivePoint
@@ -135,7 +136,7 @@ def render_scatter_svg(
         )
         parts.append(
             f'<text x="38" y="{legend_y:.0f}" font-size="13" '
-            f'fill="#333333">{_escape(group.label)}</text>'
+            f'fill="#333333">{html.escape(group.label, quote=False)}</text>'
         )
         legend_y += 18.0
     if target is not None:
@@ -146,9 +147,3 @@ def render_scatter_svg(
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def _escape(text: str) -> str:
-    return (
-        text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-    )

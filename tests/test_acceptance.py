@@ -25,7 +25,7 @@ from pdial.optimizer import (
     PromptAssignment,
     PromptSpec,
     brute_force_search,
-    cluster_centroid,
+    cluster_texts,
     gcd_search,
     render_prompt,
 )
@@ -315,7 +315,7 @@ def test_criterion_6_correct_phrase(
     cluster_to_base = {"pro-madrid": 0, "neutral": 1, "pro-barca": 2}
     hits = 0
     for cluster, base_index in cluster_to_base.items():
-        target = cluster_centroid(fixture_train_docs, cluster, space)
+        target = cluster_texts(fixture_train_docs, cluster)
         trace = brute_force_search(spec, target, space, llm)
         if trace.best_evaluation.assignment.base_index == base_index:
             hits += 1

@@ -195,3 +195,26 @@ class TestPostJson:
         with pytest.raises(ProtocolError, match="not valid JSON"):
             _http.post_json(stub_server.url, self.BODY, 5.0)
         assert len(stub_server.requests) == 1
+
+    def test_too_deeply_nested_200_is_a_protocol_error(self, stub_server):
+        stub_server.handler_fn = lambda record: (200, b"[" * 200_000 + b"]" * 200_000)
+        with pytest.raises(ProtocolError, match="not valid JSON: maximum recursion"):
+            _http.post_json(stub_server.url, self.BODY, 5.0)
+        assert len(stub_server.requests) == 1
+
+    def test_http_works_without_ssl(self, stub_server, monkeypatch, no_sleep):
+        # without ssl, http.client has no HTTPSConnection and urllib.request
+        # no HTTPSHandler; an https URL then fails as an unknown URL type,
+        # retried like any transport error
+        import http.client
+        import urllib.request
+
+        monkeypatch.delattr(http.client, "HTTPSConnection")
+        monkeypatch.delattr(urllib.request, "HTTPSHandler")
+        monkeypatch.setattr(_http, "_opener", None)
+        stub_server.handler_fn = lambda record: (200, {"ok": True})
+        assert _http.post_json(stub_server.url, self.BODY, 5.0) == {"ok": True}
+        with pytest.raises(
+            BackendError, match="after 3 attempts .*unknown url type: https"
+        ):
+            _http.post_json("https://127.0.0.1:9/", self.BODY, 5.0)

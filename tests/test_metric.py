@@ -75,6 +75,13 @@ class TestGeneratePairs:
         assert len(keys) == len(pairs) == 15
         assert all(p.a != p.b for p in pairs)
 
+    def test_order_is_the_nested_loops_shuffled_by_the_seed(self):
+        docs = _docs([(f"d{i}", ["left", "center", "right"][i % 3]) for i in range(7)])
+        nested = [(docs[i].id, docs[j].id) for i in range(7) for j in range(i + 1, 7)]
+        order = np.random.default_rng([4]).permutation(len(nested))
+        got = [(p.a, p.b) for p in generate_pairs(docs, POLES_MATRIX, 4)]
+        assert got == [nested[k] for k in order]
+
     def test_seed_determines_order(self):
         docs = _docs([(f"d{i}", "left") for i in range(8)])
         p1 = generate_pairs(docs, POLES_MATRIX, 5)
@@ -102,6 +109,25 @@ class TestTrainConfig:
     def test_not_positive_rejected(self, name, message, value):
         with pytest.raises(ConfigurationError, match=f"{message} must be > 0"):
             TrainConfig(**{name: value})
+
+    @pytest.mark.parametrize("name,value,message", [
+        ("epochs", 2.5, "epochs must be int, got 2.5"),
+        ("epochs", True, "epochs must be int, got True"),
+        ("seed", "x", "seed must be int, got 'x'"),
+        ("seed", None, "seed must be int, got None"),
+        ("margin_m", True, "margin_m must be float, got True"),
+        ("learning_rate", "0.1", "learning_rate must be float, got '0.1'"),
+        ("binarize_threshold", None, "binarize_threshold must be float, got None"),
+        ("loss_kind", ["cosine"], "loss_kind must be str, got ['cosine']"),
+    ])
+    def test_values_of_the_wrong_json_type_rejected(self, name, value, message):
+        with pytest.raises(ConfigurationError) as err:
+            TrainConfig(**{name: value})
+        assert str(err.value) == message
+
+    def test_an_int_is_a_float(self):
+        cfg = TrainConfig(margin_m=2, learning_rate=1)
+        assert (cfg.margin_m, cfg.learning_rate) == (2, 1)
 
 
 class TestCosineSimilarity:

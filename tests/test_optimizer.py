@@ -18,7 +18,6 @@ from pdial.optimizer import (
     PromptSpec,
     SearchTrace,
     brute_force_search,
-    cluster_centroid,
     cluster_texts,
     gcd_search,
     loss_to_target,
@@ -918,10 +917,8 @@ class TestClusterCentroid:
 
         embs = embed_batch([d.text for d in fixture_train_docs], FIXTURE_BACKEND)
         pca = fit_pca([fixture_model.W @ e for e in embs])
-        got = cluster_centroid(
-            fixture_train_docs, "pro-barca",
-            PerspectiveSpace(fixture_model, pca, FIXTURE_BACKEND),
-        )
+        space = PerspectiveSpace(fixture_model, pca, FIXTURE_BACKEND)
+        got = mean_point(space.points(cluster_texts(fixture_train_docs, "pro-barca")))
         points = [
             pca_transform(pca, fixture_model.W @ e)
             for d, e in zip(fixture_train_docs, embs)
@@ -931,22 +928,32 @@ class TestClusterCentroid:
         assert got.x == pytest.approx(want.x, abs=1e-15)
         assert got.y == pytest.approx(want.y, abs=1e-15)
 
-    def test_unknown_cluster_rejected(self, fixture_train_docs, fixture_model):
-        from pdial.embedding import embed_batch
-        from pdial.pca import fit_pca
+    def test_unknown_cluster_rejected(self, fixture_train_docs):
+        with pytest.raises(ConfigurationError, match="'pro-atletico' has no documents"):
+            cluster_texts(fixture_train_docs, "pro-atletico")
 
-        embs = embed_batch([d.text for d in fixture_train_docs], FIXTURE_BACKEND)
-        pca = fit_pca([fixture_model.W @ e for e in embs])
-        with pytest.raises(ConfigurationError):
-            cluster_centroid(
-                fixture_train_docs, "pro-atletico",
-                PerspectiveSpace(fixture_model, pca, FIXTURE_BACKEND),
-            )
+    @pytest.mark.parametrize("y", [0.0, -1e308])
+    def test_mean_beyond_the_float_range_is_a_numeric_error(self, y):
+        # each point is finite; the sum of their x (2e308) is not
+        points = [PerspectivePoint(1e308, y), PerspectivePoint(1e308, 0.0)]
+        with pytest.raises(NumericError, match=r"mean of 2 points is \(inf, "):
+            mean_point(points)
+
+    @pytest.mark.parametrize(
+        "search", [brute_force_search, gcd_search], ids=["brute", "gcd"]
+    )
+    def test_overflowing_text_target_stops_the_search(self, monkeypatch, search):
+        spec = PromptSpec(base_phrases=("q0", "q1"))
+        space, llm, _ = _loss_table_world(spec, {(0,): 0.3, (1,): 0.1})
+        far = PerspectivePoint(1e308, 0.0)
+        monkeypatch.setattr(space, "points", lambda texts: [far] * len(texts))
+        with pytest.raises(NumericError, match="mean of 2 points"):
+            search(spec, ["a", "b"], space, llm)
 
 
 class TestTextTarget:
     """A target given as texts is embedded with the first batch; the
-    trace equals the one searched toward ``cluster_centroid``."""
+    trace equals the one searched toward the mean point of those texts."""
 
     @pytest.fixture(scope="class")
     def world(self, fixture_train_docs, fixture_model, fixture_train_embeddings):
@@ -969,8 +976,9 @@ class TestTextTarget:
         self, tmp_path, world, fixture_train_docs, search, cluster
     ):
         spec, space, llm = world
-        centroid = cluster_centroid(fixture_train_docs, cluster, space)
-        got = search(spec, cluster_texts(fixture_train_docs, cluster), space, llm)
+        texts = cluster_texts(fixture_train_docs, cluster)
+        centroid = mean_point(space.points(texts))
+        got = search(spec, texts, space, llm)
         want = search(spec, centroid, space, llm)
         assert got.target == centroid
         assert _trace_bytes(tmp_path / "got.jsonl", got) == (

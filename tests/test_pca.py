@@ -482,6 +482,26 @@ class TestFitPca:
         for row in model.components:
             assert row[np.argmax(np.abs(row))] > 0
 
+    def test_sign_convention_matches_the_per_row_loop(self):
+        from pdial.pca import _apply_sign_convention
+
+        def per_row(components):
+            fixed = components.copy()
+            for i in range(fixed.shape[0]):
+                j = int(np.argmax(np.abs(fixed[i])))
+                if fixed[i, j] < 0.0:
+                    fixed[i] = -fixed[i]
+            return fixed
+
+        rng = np.random.default_rng(9)
+        ties = np.array([
+            [0.5, -0.5, 0.0], [-0.5, 0.5, -0.0], [-0.0, 0.0, -0.0], [0.0, -0.0, 0.0],
+        ])
+        for C in (ties, rng.normal(size=(2, 7)), rng.normal(size=(6, 3))):
+            got = _apply_sign_convention(C)
+            assert got.tobytes() == per_row(C).tobytes()
+            assert got is not C
+
     def test_deterministic_bit_identical(self):
         rng = np.random.default_rng(8)
         X = rng.normal(size=(20, 4))

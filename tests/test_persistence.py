@@ -240,6 +240,31 @@ BAD_MODEL_FILES = {
     "bad-train-config": (
         lambda d: d["train_config"].update(margin_m=-1.0), "margin must be > 0"
     ),
+    "seed-string": (
+        lambda d: d["train_config"].update(seed="x"), "seed must be int, got 'x'"
+    ),
+    "seed-null": (
+        lambda d: d["train_config"].update(seed=None), "seed must be int, got None"
+    ),
+    "epochs-float": (
+        lambda d: d["train_config"].update(epochs=2.5), "epochs must be int, got 2.5"
+    ),
+    "margin-true": (
+        lambda d: d["train_config"].update(margin_m=True),
+        "margin_m must be float, got True",
+    ),
+    "train-config-key-missing": (
+        lambda d: d["train_config"].pop("seed"),
+        "train_config must hold exactly the keys",
+    ),
+    "train-config-key-extra": (
+        lambda d: d["train_config"].update(momentum=0.9),
+        "train_config must hold exactly the keys",
+    ),
+    "train-config-list": (
+        lambda d: d.update(train_config=[]),
+        "train_config must hold exactly the keys",
+    ),
     "d-in-string": (
         lambda d: d.update(d_in="64"), "d_in must be a JSON integer >= 1, got '64'"
     ),
@@ -363,12 +388,19 @@ class TestNumbersInArrayFiles:
         ("mean", 1, False, "mean must hold only JSON numbers"),
         ("components", 1, [0.0, True, 0.0],
          "components must hold only JSON numbers"),
+        ("mean", None, 0.5, "mean must be a vector, got shape ()"),
+        ("mean", None, [[0.0], [0.5], [-0.25]],
+         "mean must be a vector, got shape (3, 1)"),
     ], ids=["nan-mean", "string-mean", "null-mean", "inf-component",
             "string-component", "inf-variance", "string-variance",
-            "false-in-mean", "true-in-components"])
+            "false-in-mean", "true-in-components", "scalar-mean", "2d-mean"])
     def test_pca_entries(self, tmp_path, field, index, value, message):
+        """``index`` None replaces the whole field."""
         data = _pca_data()
-        data[field][index] = value
+        if index is None:
+            data[field] = value
+        else:
+            data[field][index] = value
         path = tmp_path / "pca.json"
         path.write_text(json.dumps(data))
         with pytest.raises(FormatError) as err:
@@ -429,6 +461,19 @@ class TestDatasetLoader:
         path.write_text('{"id": "a", "text": "t", "cluster": "c"}\nnot json\n')
         with pytest.raises(FormatError, match=r":2:"):
             persistence.load_dataset(path)
+
+    @pytest.mark.parametrize("load,head,where", [
+        (persistence.load_dataset, '{"id": "a", "text": "t", "cluster": "c"}\n', ":2"),
+        (persistence.load_matrix, "", ""),
+    ], ids=["jsonl-line", "json-file"])
+    def test_too_deeply_nested_json_is_a_format_error(
+        self, tmp_path, load, head, where
+    ):
+        path = tmp_path / "deep.json"
+        path.write_text(head + "[" * 200_000 + "]" * 200_000 + "\n")
+        with pytest.raises(FormatError) as err:
+            load(path)
+        assert str(err.value) == f"{path}{where}: JSON nested too deeply"
 
     def test_missing_field_reported(self, tmp_path):
         path = tmp_path / "short.jsonl"
@@ -901,7 +946,7 @@ class TestTraceFiles:
         from pdial.embedding import EmbeddingBackendConfig
         from pdial.llm_client import LlmBackendConfig
         from pdial.optimizer import (
-            PerspectiveSpace, brute_force_search, cluster_centroid, gcd_search,
+            PerspectiveSpace, brute_force_search, cluster_texts, gcd_search,
         )
         from pdial.pca import fit_pca
 
@@ -911,7 +956,7 @@ class TestTraceFiles:
         space = PerspectiveSpace(
             model, pca, EmbeddingBackendConfig(kind="hashed", dimension=dim)
         )
-        target = cluster_centroid(docs, "pro-barca", space)
+        target = cluster_texts(docs, "pro-barca")
         spec = persistence.load_prompt_spec(FIXTURES / "prompts.json")
         llm = LlmBackendConfig(
             kind="mock", samples_n=2,

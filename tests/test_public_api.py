@@ -61,7 +61,8 @@ def test_every_export_resolves_and_is_listed():
 
 def test_perspective_space_is_the_one_text_to_point_path():
     assert pdial.PerspectiveSpace is pdial.optimizer.PerspectiveSpace
-    for name in ("perspective_points", "perspective_of_output", "_PlaneMap"):
+    names = ("perspective_points", "perspective_of_output", "_PlaneMap", "cluster_centroid")
+    for name in names:
         assert not hasattr(pdial, name), name
         assert not hasattr(pdial.optimizer, name), name
 
