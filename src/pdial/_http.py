@@ -80,12 +80,17 @@ def fan_out_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
         return list(pool.map(job, items))
 
 
+def _printable_ascii(text: str) -> bool:
+    """Whether ``text`` is printable ASCII without spaces; http.client
+    sends neither non-ASCII characters nor line breaks."""
+    return all("!" <= c <= "~" for c in text)
+
+
 def check_endpoint_url(url: str, what: str) -> None:
     """Raise ConfigurationError unless ``url`` is an http(s) URL with a
     host, written in printable ASCII; ``what`` names the backend in the
     message."""
-    if not all("!" <= c <= "~" for c in url):
-        # http.client sends neither spaces nor non-ASCII characters
+    if not _printable_ascii(url):
         raise ConfigurationError(
             f"{what} endpoint URL {url!r} must be printable ASCII without "
             f"spaces; percent-encode other characters"
@@ -113,9 +118,16 @@ def check_timeout(timeout: float) -> None:
 
 
 def auth_headers() -> dict[str, str]:
+    """The request headers, with the bearer token from ``PD_API_KEY`` when
+    it is set. A key that is not printable ASCII without spaces is a
+    ConfigurationError, whose message does not echo the key."""
     headers = {"Content-Type": "application/json"}
     key = os.environ.get(API_KEY_ENV)
     if key:
+        if not _printable_ascii(key):
+            raise ConfigurationError(
+                f"{API_KEY_ENV} must be printable ASCII without spaces"
+            )
         headers["Authorization"] = f"Bearer {key}"
     return headers
 

@@ -15,7 +15,12 @@ import re
 import numpy as np
 
 from . import _http
-from .errors import ConfigurationError, InputValidationError, ProtocolError
+from .errors import (
+    ConfigurationError,
+    InputValidationError,
+    ProtocolError,
+    require_numbers,
+)
 
 DEFAULT_DIMENSION = 768
 
@@ -122,8 +127,11 @@ def _http_embed_chunk(
         )
     out = []
     for i in range(len(chunk)):
-        vec = np.asarray(rows[i], dtype=np.float64)
-        if vec.ndim != 1 or vec.shape[0] != cfg.dimension:
+        what = f"embedding at index {i}"
+        vec = require_numbers(rows[i], ProtocolError, what)
+        if vec.ndim != 1:
+            raise ProtocolError(f"{what} must be a flat list of JSON numbers")
+        if vec.shape[0] != cfg.dimension:
             raise ConfigurationError(
                 f"server returned dimension {vec.shape}, "
                 f"configured dimension is {cfg.dimension}"

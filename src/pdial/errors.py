@@ -1,11 +1,17 @@
-"""Exception hierarchy shared by all pdial modules, and the text check
-that every entry point applies to incoming strings.
+"""Exception hierarchy shared by all pdial modules, and the text and
+number checks that every entry point applies to incoming JSON values.
 
 The CLI maps these onto its exit-code contract: usage/config problems
 exit 2, numeric/protocol/transport failures exit 3.
 """
 
 from __future__ import annotations
+
+import itertools
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class PdialError(Exception):
@@ -52,3 +58,27 @@ def require_utf8(text: str, error: type[PdialError], where: str) -> str:
             f"{exc.start})"
         ) from exc
     return text
+
+
+def require_numbers(value: object, error: type[Exception], what: str) -> np.ndarray:
+    """``value`` as a float64 array if it is a JSON number or equal-length
+    lists of them, at any depth, else ``error`` naming ``what``.
+
+    ``np.asarray(..., dtype=float64)`` would read the string ``"0.35"`` as
+    0.35 and ``null`` as NaN, and ``np.asarray`` reads a ``true`` among
+    numbers as 1, so the entries' types are checked too. numpy is
+    imported by the first call, so that importing the errors alone does
+    not load it.
+    """
+    import numpy as np
+
+    try:
+        a = np.asarray(value)
+    except ValueError as exc:  # lists of unequal length
+        raise error(f"{what}: {exc}") from exc
+    entries = [value]
+    for _ in range(a.ndim):
+        entries = itertools.chain.from_iterable(entries)
+    if a.dtype.kind not in "iuf" or bool in set(map(type, entries)):
+        raise error(f"{what} must hold only JSON numbers")
+    return a.astype(np.float64)

@@ -243,6 +243,11 @@ class TrainConfig:
                 )
         if self.epochs < 0:
             raise ConfigurationError(f"epochs must be >= 0, got {self.epochs}")
+        if not -(2**63) <= self.seed < 2**63:
+            # _rng reads a seed modulo 2**64: a wider one would repeat another
+            raise ConfigurationError(
+                f"seed must be a signed 64-bit integer, got {self.seed}"
+            )
         if not 0.0 < self.binarize_threshold < 1.0:
             raise ConfigurationError(
                 f"binarize threshold must be in (0, 1), "

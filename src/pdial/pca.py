@@ -1,9 +1,10 @@
 """Principal-component reduction of perspective embeddings to 2-D.
 
-The smaller of the centred Gram matrix (m x m, for m points) and the
-covariance matrix (d x d) is diagonalized with Jacobi rotations in the
-round-robin order of Brent and Luk, where each step rotates n/2
-disjoint pairs at once as one batched numpy update, so the
+Each fit makes one eigendecomposition: of the centred Gram matrix
+(m x m, for m points) when there are fewer points than dimensions,
+else of the covariance matrix (d x d). It is diagonalized with Jacobi
+rotations in the round-robin order of Brent and Luk, where each step
+rotates n/2 disjoint pairs at once as one batched numpy update, so the
 decomposition is exact for symmetric input, dependency-free, and easy
 to check against a reference eigensolver. Each step's index plan is
 built once per call, and one row pass rotates the matrix and its
@@ -30,11 +31,6 @@ JACOBI_MAX_SWEEPS = 100
 JACOBI_REL_TOL = 1e-12
 # The perspective space is a plane: every fitted model has two axes.
 PCA_AXES = 2
-# The Gram route maps an eigenvector v back to the axis Xc^T v, whose
-# length is sqrt((m-1) * eigenvalue). Below this fraction of the top
-# eigenvalue that axis is rounding noise (rank < PCA_AXES), and the
-# covariance route is used instead.
-GRAM_MIN_EIGENVALUE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -274,11 +270,14 @@ def fit_pca(points: list[np.ndarray]) -> PcaModel:
 
     With fewer points than dimensions (m < d) the m x m centred Gram
     matrix ``Xc Xc^T / (m-1)`` is diagonalized instead of the d x d
-    covariance: it has the same nonzero eigenvalues, and each top
-    eigenvector v maps to the principal axis ``Xc^T v``. When the Gram
-    matrix has fewer than two clearly positive eigenvalues the
-    axes are not determined by the points, and the covariance is
-    diagonalized as for m >= d.
+    covariance, and no d x d matrix is built: the Gram matrix has the
+    same nonzero eigenvalues, and each top eigenvector v maps to the
+    principal axis ``Xc^T v``, orthonormalized in order. An axis the
+    points do not determine (identical or collinear points) maps to a
+    vector at the rounding level, at most ``m * d * eps`` long for the
+    scaled points; it is completed with the first unit vector e_j not
+    yet spanned (see ``_orthonormal_rows``). For identical points that
+    gives e_0 and e_1.
 
     The points are scaled by ``2**-k`` before they are centred (see the
     module docstring), so neither the mean nor the products overflow;
@@ -309,20 +308,34 @@ def fit_pca(points: list[np.ndarray]) -> PcaModel:
     if m < d:
         gram = (centered @ centered.T) / (m - 1)
         eigvals, eigvecs = jacobi_eigh((gram + gram.T) / 2.0)
-        if eigvals[PCA_AXES - 1] > GRAM_MIN_EIGENVALUE * eigvals[0]:
-            components = _orthonormal_rows(eigvecs[:PCA_AXES] @ centered)
-            return _pca_model(mean, components, eigvals[:PCA_AXES], k)
+        # The scaled entries are below 1 in size, so the rounding left in
+        # Xc^T v of an axis the points do not fix is below this floor.
+        floor = m * d * np.finfo(np.float64).eps
+        components = _orthonormal_rows(eigvecs[:PCA_AXES] @ centered, floor)
+        return _pca_model(mean, components, eigvals[:PCA_AXES], k)
     cov = (centered.T @ centered) / (m - 1)
     cov = (cov + cov.T) / 2.0  # force exact symmetry for the solver
     eigvals, eigvecs = jacobi_eigh(cov)
     return _pca_model(mean, eigvecs[:PCA_AXES], eigvals[:PCA_AXES], k)
 
 
-def _orthonormal_rows(rows: np.ndarray) -> np.ndarray:
-    """Gram-Schmidt on a few linearly independent rows, in order."""
+def _orthonormal_rows(rows: np.ndarray, floor: float) -> np.ndarray:
+    """Gram-Schmidt on a few rows, in order.
+
+    A row whose residual is at most ``floor`` is rounding noise: the
+    points do not determine that axis. It is replaced by the residual of
+    the first unit vector e_j not yet spanned, that is, the first that
+    keeps more than half its squared length outside the span of the rows
+    before it, so that one Gram-Schmidt pass leaves it orthogonal to
+    working precision. Only that one unit vector is built.
+    """
     basis = np.zeros_like(rows)
     for k, row in enumerate(rows):
         r = row - basis[:k].T @ (basis[:k] @ row)
+        if np.linalg.norm(r) <= floor:
+            j = int(np.argmax(np.sum(basis[:k] ** 2, axis=0) < 0.5))
+            r = -basis[:k].T @ basis[:k, j]
+            r[j] += 1.0
         basis[k] = r / np.linalg.norm(r)
     return basis
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import base64
 import binascii
 from dataclasses import asdict
-import itertools
 import json
 import math
 import os
@@ -30,6 +29,7 @@ from .errors import (
     ConfigurationError,
     FormatError,
     InputValidationError,
+    require_numbers,
     require_utf8,
 )
 from .metric import (
@@ -134,20 +134,6 @@ def _finite(value: object, what: str) -> float:
     if type(value) not in (int, float) or not math.isfinite(value):
         raise ValueError(f"{what} must be a finite JSON number, got {value!r}")
     return float(value)
-
-
-def _numbers(value: object, what: str) -> np.ndarray:
-    """``value`` as a float64 array if its entries are JSON numbers, else
-    ValueError; ``np.asarray(..., dtype=float64)`` would read the string
-    "0.35" as 0.35 and ``null`` as NaN, and ``np.asarray`` reads a
-    ``true`` among numbers as 1, so the entries' types are checked too."""
-    a = np.asarray(value)
-    entries = [value]
-    for _ in range(a.ndim):
-        entries = itertools.chain.from_iterable(entries)
-    if a.dtype.kind not in "iuf" or bool in set(map(type, entries)):
-        raise ValueError(f"{what} must hold only JSON numbers")
-    return a.astype(np.float64)
 
 
 def _check_format(data: dict, expected: str, path: str | Path) -> None:
@@ -306,7 +292,7 @@ def load_pca(path: str | Path) -> PcaModel:
     _check_format(data, PCA_FORMAT, path)
     try:
         return PcaModel(
-            *(_numbers(data[name], name)
+            *(require_numbers(data[name], ValueError, name)
               for name in ("mean", "components", "explained_variance"))
         )
     except (InputValidationError, KeyError, TypeError, ValueError) as exc:
@@ -350,7 +336,7 @@ def load_matrix(path: str | Path) -> ClusterSimilarityMatrix:
     try:
         return ClusterSimilarityMatrix(
             clusters=_strings(data["clusters"], f"{path}: clusters"),
-            sim=_numbers(data["sim"], "sim"),
+            sim=require_numbers(data["sim"], ValueError, "sim"),
         )
     except (InputValidationError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed cluster matrix: {exc}") from exc

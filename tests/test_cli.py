@@ -74,6 +74,15 @@ class TestTrainCommand:
         log = json.loads((tmp_path / "model.log.json").read_text())
         assert len(log["epoch_mean_loss"]) == 50
 
+    def test_seed_beyond_64_bits_exits_2(self, tmp_path, capsys):
+        paths = _base_args(tmp_path)
+        assert main(_train_argv(paths, seed=2**64 + 7)) == 2
+        assert capsys.readouterr().err == (
+            "error: seed must be a signed 64-bit integer, "
+            "got 18446744073709551623\n"
+        )
+        assert not (tmp_path / "model.json").exists()
+
     def test_missing_matrix_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as err:
             main(["train", "--data", "x.jsonl", "--out", "m.json"])
@@ -1101,6 +1110,47 @@ class TestBackendFailures:
         err = capsys.readouterr().err
         assert str(bad) in err
         assert "3 components, expected 2" in err
+
+    @pytest.mark.parametrize(
+        "key", ["bad\nkey", "bad\u20ackey", "bad\u00e9key", "bad key", "bad\x7fkey"],
+        ids=["newline", "non-latin-1", "latin-1", "space", "control"],
+    )
+    def test_unusable_api_key_exits_2_before_any_request(
+        self, stub_server, tmp_path, capsys, monkeypatch, key
+    ):
+        monkeypatch.setenv(_http.API_KEY_ENV, key)
+        paths = _base_args(tmp_path)
+        argv = [
+            *_train_argv(paths), "--embedding", "http",
+            "--embedding-url", f"{stub_server.url}/v1/embeddings",
+        ]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: PD_API_KEY must be printable ASCII without spaces\n"
+        assert "bad" not in err
+        assert stub_server.requests == []
+        assert not (tmp_path / "model.json").exists()
+
+    @pytest.mark.parametrize(
+        "embedding", [{"a": 1}, ["0.5"] * 64, [True] * 64],
+        ids=["object", "strings", "booleans"],
+    )
+    def test_embedding_of_non_numbers_exits_3(
+        self, stub_server, trained, tmp_path, capsys, embedding
+    ):
+        stub_server.handler_fn = lambda record: (200, {"data": [
+            {"index": i, "embedding": embedding}
+            for i in range(len(record["body"]["input"]))
+        ]})
+        argv = _eval_argv(
+            trained, tmp_path, "--embedding", "http",
+            "--embedding-url", f"{stub_server.url}/v1/embeddings",
+        )
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "must hold only JSON numbers" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("server", ["closed-port", "bad-status-line"])
     def test_failure_below_http_exits_3(

@@ -198,6 +198,29 @@ class TestEmbedBatchHttp:
         with pytest.raises(ConfigurationError):
             embed_batch(["hello"], cfg)
 
+    @pytest.mark.parametrize("embedding, message", [
+        (["0.25", "1e0"], "must hold only JSON numbers"),
+        ([True, False], "must hold only JSON numbers"),
+        ([0.25, True], "must hold only JSON numbers"),
+        ({"a": 1}, "must hold only JSON numbers"),
+        (None, "must hold only JSON numbers"),
+        ("0.5", "must hold only JSON numbers"),
+        ([[0.5], [1.0]], "must be a flat list of JSON numbers"),
+        (0.5, "must be a flat list of JSON numbers"),
+        ([[0.5], [1.0, 2.0]], "sequence"),
+    ], ids=["strings", "booleans", "true-among-numbers", "object", "null",
+            "string", "nested", "scalar", "ragged"])
+    def test_entry_that_is_not_a_flat_list_of_numbers(
+        self, stub_server, embedding, message
+    ):
+        cfg = self._cfg(stub_server, dimension=2)
+        stub_server.handler_fn = lambda record: (
+            200, {"data": [{"index": 0, "embedding": embedding}]}
+        )
+        with pytest.raises(ProtocolError, match=f"embedding at index 0.*{message}"):
+            embed_batch(["hello"], cfg)
+        assert len(stub_server.requests) == 1
+
     def test_http_failure_retries_then_raises(self, stub_server):
         cfg = self._cfg(stub_server, dimension=2)
         stub_server.handler_fn = lambda record: (500, {"error": "boom"})

@@ -129,6 +129,20 @@ class TestTrainConfig:
         cfg = TrainConfig(margin_m=2, learning_rate=1)
         assert (cfg.margin_m, cfg.learning_rate) == (2, 1)
 
+    @pytest.mark.parametrize("seed", [-(2**63), 2**63 - 1])
+    def test_signed_64_bit_seeds_accepted(self, seed):
+        assert TrainConfig(seed=seed).seed == seed
+
+    @pytest.mark.parametrize(
+        "seed", [2**63, -(2**63) - 1, 2**64 + 7, -(2**64) + 7],
+        ids=["2**63", "-2**63-1", "2**64+7", "-2**64+7"],
+    )
+    def test_seeds_beyond_64_bits_rejected(self, seed):
+        # _rng reads seeds modulo 2**64, so 2**64 + 7 would train as seed 7
+        with pytest.raises(ConfigurationError) as err:
+            TrainConfig(seed=seed)
+        assert str(err.value) == f"seed must be a signed 64-bit integer, got {seed}"
+
 
 class TestCosineSimilarity:
     def test_self_similarity_is_one(self):

@@ -652,28 +652,28 @@ class TestGramRoute:
         assert shapes == [(15, 15)]
         _assert_valid(model, 768)
 
-    def test_identical_points_fall_back_to_covariance(self, monkeypatch):
+    def test_identical_points_are_completed(self, monkeypatch):
         shapes = _jacobi_spy(monkeypatch)
         model = fit_pca([np.arange(10.0)] * 5)
-        assert shapes == [(5, 5), (10, 10)]
+        assert shapes == [(5, 5)]
         _assert_valid(model, 10)
         np.testing.assert_array_equal(model.explained_variance, [0.0, 0.0])
 
-    def test_collinear_points_fall_back_to_covariance(self, monkeypatch):
+    def test_collinear_points_are_completed(self, monkeypatch):
         shapes = _jacobi_spy(monkeypatch)
         rng = np.random.default_rng(3)
         direction = rng.normal(size=10)
         direction /= np.linalg.norm(direction)
         offset = rng.normal(size=10)
         model = fit_pca([offset + t * direction for t in (-2.0, -0.5, 1.0, 3.0)])
-        assert shapes == [(4, 4), (10, 10)]
+        assert shapes == [(4, 4)]
         _assert_valid(model, 10)
         assert abs(np.dot(model.components[0], direction)) == pytest.approx(
             1.0, abs=1e-10
         )
         assert model.explained_variance[1] <= 1e-12
 
-    # variance ratios ~7e-9 (Gram route), ~7e-11 and ~7e-13 (covariance)
+    # variance ratios ~7e-9, ~7e-11 and ~7e-13, all on the 6 x 6 Gram route
     @pytest.mark.parametrize("second_std", [1e-4, 1e-5, 1e-6])
     def test_tiny_second_variance(self, second_std):
         rng = np.random.default_rng(4)
@@ -686,3 +686,84 @@ class TestGramRoute:
         assert 0.1 * second_std**2 < ratio < 10 * second_std**2
         ref_top = np.linalg.eigh(np.cov(X.T))[1][:, -1]
         assert abs(np.dot(model.components[0], ref_top)) > 1.0 - 1e-10
+        exact = _exact_axes(t, basis)
+        assert abs(np.dot(model.components[1], exact[1])) > 1.0 - 1e-12
+
+    @pytest.mark.parametrize("m, d", [(6, 10), (15, 128), (40, 300)])
+    @pytest.mark.parametrize("second_std", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8])
+    def test_second_axis_of_an_exact_plane(self, m, d, second_std):
+        # A d x d solve that stops at JACOBI_REL_TOL * ||C|| cannot find an
+        # axis whose variance is below that tolerance; Xc^T v can.
+        rng = np.random.default_rng(m * 1000 + d)
+        basis = np.linalg.qr(rng.normal(size=(d, 2)))[0].T
+        t = rng.normal(size=(m, 2)) * np.array([1.0, second_std])
+        model = fit_pca(list(t @ basis))
+        exact = _exact_axes(t, basis)
+        for k in range(2):
+            assert 1.0 - abs(np.dot(model.components[k], exact[k])) <= 1e-12
+
+    @pytest.mark.parametrize("points", [
+        pytest.param([np.arange(10.0)] * 5, id="identical-exact-mean"),
+        pytest.param([np.full(768, 0.1)] * 3, id="identical-inexact-mean"),
+    ])
+    def test_identical_points_get_the_first_unit_vectors(self, points):
+        model = fit_pca(points)
+        d = len(points[0])
+        np.testing.assert_array_equal(model.components, np.eye(2, d))
+
+    @pytest.mark.parametrize("spread", [1e-2, 1e-6, 1e-12])
+    def test_line_along_a_unit_vector_with_inexact_means(self, spread):
+        # The second axis is rounding noise in the other coordinates, so
+        # e_0 lies in the first axis's span up to ~1e-16 / spread; it must
+        # not be taken as the second axis, or the rows are not orthonormal.
+        rng = np.random.default_rng(5)
+        base = rng.uniform(0.5, 1.0, size=10)
+        points = [base + t * np.eye(10)[0] for t in rng.normal(size=6) * spread]
+        model = fit_pca(points)
+        C = model.components
+        np.testing.assert_allclose(C @ C.T, np.eye(2), rtol=0.0, atol=1e-15)
+        assert C[0, 0] > 1.0 - 1e-12
+        assert C[1, 1] > 1.0 - 1e-12
+
+
+def _exact_axes(t, basis):
+    """The principal axes of the points ``t @ basis``, for orthonormal
+    rows ``basis``, from the 2 x 2 covariance of their coordinates ``t``."""
+    tc = t - t.mean(axis=0)
+    return np.linalg.eigh(tc.T @ tc)[1][:, ::-1].T @ basis
+
+
+def _clouds():
+    rng = np.random.default_rng(21)
+    direction = rng.normal(size=40)
+    offset = rng.normal(size=40)
+    basis = np.linalg.qr(rng.normal(size=(40, 2)))[0].T
+    t = rng.normal(size=(6, 2)) * np.array([1.0, 1e-8])
+    return {
+        "wide": list(rng.normal(size=(12, 200))),
+        "tall": list(rng.normal(size=(30, 8))),
+        "square": list(rng.normal(size=(9, 9))),
+        "identical-exact-mean": [np.arange(40.0)] * 5,
+        "identical-inexact-mean": [np.full(768, 0.1)] * 3,
+        "identical-tall": [np.full(4, 0.1)] * 7,
+        "collinear": [offset + s * direction for s in (-2.0, -0.5, 1.0, 3.0)],
+        "two-equal-one-apart": [np.full(768, 0.1)] * 2 + [np.full(768, 0.2)],
+        "tiny-second-variance": list(t @ basis),
+    }
+
+
+CLOUDS = _clouds()
+
+
+class TestOneDecompositionPerFit:
+    """Every fit diagonalizes one matrix, the smaller of the m x m Gram
+    matrix and the d x d covariance."""
+
+    @pytest.mark.parametrize("name", sorted(CLOUDS))
+    def test_one_jacobi_call_of_the_smaller_side(self, name, monkeypatch):
+        points = CLOUDS[name]
+        shapes = _jacobi_spy(monkeypatch)
+        model = fit_pca(points)
+        n = min(len(points), len(points[0]))
+        assert shapes == [(n, n)]
+        _assert_valid(model, len(points[0]))

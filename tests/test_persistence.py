@@ -246,6 +246,10 @@ BAD_MODEL_FILES = {
     "seed-null": (
         lambda d: d["train_config"].update(seed=None), "seed must be int, got None"
     ),
+    "seed-beyond-64-bits": (
+        lambda d: d["train_config"].update(seed=2**64 + 7),
+        "seed must be a signed 64-bit integer, got 18446744073709551623",
+    ),
     "epochs-float": (
         lambda d: d["train_config"].update(epochs=2.5), "epochs must be int, got 2.5"
     ),
