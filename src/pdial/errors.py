@@ -66,9 +66,11 @@ def require_numbers(value: object, error: type[Exception], what: str) -> np.ndar
 
     ``np.asarray(..., dtype=float64)`` would read the string ``"0.35"`` as
     0.35 and ``null`` as NaN, and ``np.asarray`` reads a ``true`` among
-    numbers as 1, so the entries' types are checked too. numpy is
-    imported by the first call, so that importing the errors alone does
-    not load it.
+    numbers as 1, so the entries' types are checked too. An integer
+    outside the 64-bit range, which numpy keeps as an object, is read as
+    its float64 value; one beyond the float64 range is ``error``. numpy
+    is imported by the first call, so that importing the errors alone
+    does not load it.
     """
     import numpy as np
 
@@ -79,6 +81,14 @@ def require_numbers(value: object, error: type[Exception], what: str) -> np.ndar
     entries = [value]
     for _ in range(a.ndim):
         entries = itertools.chain.from_iterable(entries)
-    if a.dtype.kind not in "iuf" or bool in set(map(type, entries)):
+    kinds = set(map(type, entries))
+    if a.dtype.kind == "O" and kinds <= {int, float}:
+        try:
+            return np.array([float(x) for x in a.flat]).reshape(a.shape)
+        except OverflowError as exc:
+            raise error(
+                f"{what} holds an integer beyond the float64 range"
+            ) from exc
+    if a.dtype.kind not in "iuf" or bool in kinds:
         raise error(f"{what} must hold only JSON numbers")
     return a.astype(np.float64)

@@ -16,9 +16,11 @@ The trainer calls both.
 
 Training is plain single-pair SGD under a fixed seed so that identical
 inputs give bit-identical models. The trainer works in the span of the
-N training embeddings (dual form, see ``train``), at O(d_out * N) per
-step instead of O(d_out * d_in); a contrastive step computes only the
-pair's difference u - v and applies one gradient to both documents.
+N training embeddings (dual form, see ``train``), and its steps in an
+orthonormal basis of the row space of the initial projections, so a
+step costs O(N * min(N, d_out)) instead of O(d_out * d_in); a
+contrastive step computes only the pair's difference u - v and applies
+one gradient to both documents.
 
 The model is held as those span factors. ``ProjectionModel.project`` is
 the one way the commands apply the head, in O(N * d) per text through
@@ -351,15 +353,27 @@ def train(
 
     The SGD runs in dual form. Each step's gradient is
     ``outer(dL/du, a) + outer(dL/dv, b)`` with ``a``, ``b`` rows of the
-    N x d_in embedding matrix ``E``, so ``W = W0 + G^T E`` for an
-    N x d_out coefficient matrix ``G`` whose row n belongs to document n.
-    With ``K = E E^T`` and ``P0 = E W0^T`` precomputed, a step computes
-    ``u = P0[i] + K[i] @ G`` and updates rows i and j of ``G`` in
-    O(d_out * N). Under contrastive loss dL/dv = -dL/du, so the step
-    computes only ``diff = u - v = (P0[i] - P0[j]) + (K[i] - K[j]) @ G``
-    and applies one gradient ``g`` as ``G[i] -= g; G[j] += g``. The
-    model is ``ProjectionModel(G, E, W0)``, with ``W0`` None for the
-    identity.
+    N x d_in embedding matrix ``E``, so ``W = W0 + C^T E`` for an
+    N x d_out coefficient matrix ``C`` whose row n belongs to document n.
+    With ``K = E E^T`` and ``P0 = E W0^T`` precomputed, the projections
+    of all documents are the rows of ``U = P0 + K C``.
+
+    Every gradient is a combination of rows of ``U`` (``u - v`` under
+    contrastive loss, ``u`` and ``v`` under cosine loss), so the rows of
+    ``C`` stay in the row space of ``P0``. The steps therefore run in
+    the orthonormal coordinates ``Q`` (d_out x r, r = min(N, d_out), from
+    a QR of ``P0^T``): on ``P = P0 Q`` and ``G = C Q``, which are r wide,
+    and ``C = G Q^T`` at the end. ``Q`` keeps distances, norms and dot
+    products, so every loss and branch is the one of the d_out-wide
+    steps, up to rounding. A step computes ``u = P[i] + K[i] @ G`` in
+    O(N * r); under contrastive loss dL/dv = -dL/du, so it computes only
+    ``diff = u - v = (P[i] - P[j]) + (K[i] - K[j]) @ G`` and applies one
+    gradient ``g`` as ``G[i] -= g; G[j] += g``. The model is
+    ``ProjectionModel(C, E, W0)``, with ``W0`` None for the identity.
+
+    A NumericError is raised before the first step when ``K``, ``P0`` or
+    ``Q`` is not finite, and at the first step whose loss or gradient is
+    not.
     """
     clusters_present = {doc.cluster for doc in dataset}
     if len(clusters_present) < 2:
@@ -386,47 +400,60 @@ def train(
 
     initial = ProjectionModel.initial(d_in, d_out, cfg.seed)
     E = np.stack(rows)
-    # Documents with equal embeddings share one row of K and of P0, so a
-    # pair of them sits at distance exactly 0: a matrix product may round
-    # equal rows apart.
+    # Documents with equal embeddings share one row of K and of P, so that
+    # a pair of them sits at distance exactly 0. A matrix product may
+    # round equal rows apart, so the rows are shared after the last one.
     first: dict[bytes, int] = {}
     same = [first.setdefault(r.tobytes(), n) for n, r in enumerate(rows)]
-    K = (E @ E.T)[same]
-    P0 = initial.project(E)[same]
-    G = np.zeros((len(rows), d_out))
-
     pairs = generate_pairs(dataset, matrix, cfg.seed)
     log = TrainingLog(pair_count=len(pairs))
-
     lr = cfg.learning_rate
     contrastive = cfg.loss_kind == "contrastive"
-    # An overflow shows as a non-finite loss or gradient, checked right
-    # after each step; numpy need not warn about it as well.
+    # An overflow shows as a non-finite product, checked before the first
+    # step, or as a non-finite loss or gradient, checked right after each
+    # step; numpy need not warn about it as well.
     with np.errstate(over="ignore", invalid="ignore"):
+        K = (E @ E.T)[same]
+        P0 = initial.project(E)
+        finite = np.isfinite(K).all() and np.isfinite(P0).all()
+        Q = np.linalg.qr(P0.T)[0] if finite else None
+        if Q is None or not np.isfinite(Q).all():
+            raise NumericError(
+                "the embeddings' inner products or initial projections are "
+                "beyond the float64 range"
+            )
+        P = (P0 @ Q)[same]
+        G = np.zeros(P.shape)
+        # One view per row, and each pair's rows, built once: a step then
+        # indexes Python lists instead of arrays.
+        P_rows, K_rows, G_rows = list(P), list(K), list(G)
+        ia = [index[pair.a] for pair in pairs]
+        ib = [index[pair.b] for pair in pairs]
         for epoch in range(cfg.epochs):
             order = _rng(cfg.seed, epoch).permutation(len(pairs))
             total = 0.0
             evaluated = 0
             skipped = 0
-            for step, k in enumerate(order):
-                pair = pairs[k]
-                i, j = index[pair.a], index[pair.b]
+            for step, k in enumerate(order.tolist()):
+                i, j = ia[k], ib[k]
                 if contrastive:
-                    diff = (P0[i] - P0[j]) + (K[i] - K[j]) @ G
+                    diff = (P_rows[i] - P_rows[j]) + (K_rows[i] - K_rows[j]) @ G
                     dd = float(diff @ diff)
-                    loss, scale = _contrastive(dd, pair.label_y, cfg)
+                    loss, scale = _contrastive(dd, pairs[k].label_y, cfg)
                     # diff is finite when dd is; a margin near the float
                     # limit can still overflow the loss.
                     if not (math.isfinite(dd) and math.isfinite(loss)):
-                        raise _diverged(epoch, step, pair)
+                        raise _diverged(epoch, step, pairs[k])
                     if scale:
-                        g = (lr * scale) * diff
-                        G[i] -= g
-                        G[j] += g
+                        diff *= lr * scale
+                        G_rows[i] -= diff
+                        G_rows[j] += diff
                 else:
                     try:
                         loss, dldu, dldv = _cosine(
-                            P0[i] + K[i] @ G, P0[j] + K[j] @ G, pair.label_y
+                            P_rows[i] + K_rows[i] @ G,
+                            P_rows[j] + K_rows[j] @ G,
+                            pairs[k].label_y,
                         )
                     except PairSkip:
                         skipped += 1
@@ -436,9 +463,9 @@ def train(
                         and np.isfinite(dldu).all()
                         and np.isfinite(dldv).all()
                     ):
-                        raise _diverged(epoch, step, pair)
-                    G[i] -= lr * dldu
-                    G[j] -= lr * dldv
+                        raise _diverged(epoch, step, pairs[k])
+                    G_rows[i] -= lr * dldu
+                    G_rows[j] -= lr * dldv
                 total += loss
                 evaluated += 1
             # Finite losses can still sum past the float64 range, and no
@@ -450,9 +477,10 @@ def train(
                 )
             log.epoch_mean_loss.append(total / evaluated if evaluated else 0.0)
             log.epoch_skipped_pairs.append(skipped)
+        coef = G @ Q.T
 
     try:
-        return ProjectionModel(G, E, initial.base), log
+        return ProjectionModel(coef, E, initial.base), log
     except InputValidationError as exc:
         # The last step's update is not seen by any later loss check.
         raise NumericError(

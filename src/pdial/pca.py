@@ -1,18 +1,23 @@
 """Principal-component reduction of perspective embeddings to 2-D.
 
-Each fit makes one eigendecomposition: of the centred Gram matrix
-(m x m, for m points) when there are fewer points than dimensions,
-else of the covariance matrix (d x d). It is diagonalized with Jacobi
-rotations in the round-robin order of Brent and Luk, where each step
-rotates n/2 disjoint pairs at once as one batched numpy update, so the
-decomposition is exact for symmetric input, dependency-free, and easy
-to check against a reference eigensolver. Each step's index plan is
-built once per call, and one row pass rotates the matrix and its
-eigenvectors. The top components define the user-facing 2-D
-perspective space. Non-finite input is rejected.
+Each fit needs the top two eigenpairs of one symmetric matrix: the
+centred Gram matrix (m x m, for m points) when there are fewer points
+than dimensions, else the covariance matrix (d x d). ``_top_eigh``
+finds them by block subspace iteration with a block of two columns and
+a Rayleigh-Ritz step (Halko, Martinsson and Tropp, SIAM Review 2011),
+at O(n^2) per iteration. When that cannot settle the pair cheaply (the
+matrix has fewer than two eigenvalues above the tolerance, or the
+residual decays too slowly), the whole matrix is diagonalized with
+Jacobi rotations in the round-robin order of Brent and Luk, where each
+step rotates n/2 disjoint pairs at once as one batched numpy update:
+exact for symmetric input, dependency-free, and easy to check against a
+reference eigensolver. Each step's index plan is built once per call,
+and one row pass rotates the matrix and its eigenvectors. The top
+components define the user-facing 2-D perspective space. Non-finite
+input is rejected.
 
-Both the solver and the fit work on their input divided by a power of
-two that brings its largest entry into [0.5, 1), and scale the results
+The solvers and the fit work on their input divided by a power of two
+that brings its largest entry into [0.5, 1), and scale the results
 back. Such a scaling is exact and commutes with every rounding, so
 results keep every bit, while the norms and products of the largest
 entries can neither overflow nor underflow, whatever the input's scale.
@@ -22,6 +27,7 @@ A result beyond the float64 range is an ``InputValidationError``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -29,6 +35,8 @@ from .errors import InputValidationError, NumericError
 
 JACOBI_MAX_SWEEPS = 100
 JACOBI_REL_TOL = 1e-12
+SUBSPACE_MAX_ITERATIONS = 100
+SUBSPACE_WARMUP = 4
 # The perspective space is a plane: every fitted model has two axes.
 PCA_AXES = 2
 
@@ -254,6 +262,104 @@ def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     return steps
 
 
+def _top_eigh(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``PCA_AXES`` largest eigenvalues of a symmetric positive
+    semi-definite matrix (subspace iteration finds those of largest
+    magnitude), in descending order, and their eigenvectors as rows.
+
+    Block subspace iteration on ``A = C / 2**k`` (see the module
+    docstring) with a block ``Q`` of ``PCA_AXES`` orthonormal columns,
+    started from ``_start_block``. Each iteration computes ``Z = A Q``
+    and ``H = Q^T Z``, and orthonormalizes ``Z`` by two-pass
+    Gram-Schmidt into the next block. Once the residual ``||Z - Q H||_F``
+    is at most ``JACOBI_REL_TOL * ||A||_F``, ``jacobi_eigh`` on the
+    2 x 2 ``H`` of that next block gives the eigenpairs (Rayleigh-Ritz).
+    In exact arithmetic they are those of ``C``.
+
+    It falls back to ``jacobi_eigh`` on all of ``C``, and returns its top
+    pairs, in three cases: a column of ``Z`` keeps at most that tolerance
+    after orthogonalization (``C`` has fewer than two eigenvalues the
+    tolerance resolves, as for identical or collinear points); after
+    ``SUBSPACE_WARMUP`` iterations, the residual's last decay predicts
+    more than ``SUBSPACE_MAX_ITERATIONS`` iterations in all (a flat
+    spectrum, where the full solve is cheaper); or those iterations are
+    spent.
+    """
+    k = _scale_exponent(C)
+    A = np.ldexp(C, -k)
+    tol = JACOBI_REL_TOL * float(np.linalg.norm(A))
+    Qt = _orthonormal_block(_start_block(len(A)), 0.0)
+    previous = math.inf
+    for iteration in range(SUBSPACE_MAX_ITERATIONS):
+        # Rows instead of columns: Z^T = Q^T A, as A is symmetric.
+        Zt = Qt @ A
+        next_Qt = _orthonormal_block(Zt, tol)
+        if next_Qt is None:
+            break
+        H = Zt @ Qt.T
+        residual = float(np.linalg.norm(Zt - H.T @ Qt))
+        if residual <= tol:
+            # The next block is one power step on: its axes are closer by
+            # the ratio of the third eigenvalue to the second.
+            H = next_Qt @ A @ next_Qt.T
+            values, vectors = jacobi_eigh((H + H.T) / 2.0)
+            return _unscale(values, k, "an eigenvalue"), vectors @ next_Qt
+        # While the block turns toward the top plane, the residual can
+        # grow or stall for a few iterations before it decays at the rate
+        # of the third eigenvalue to the second; predict only after that.
+        rate = residual / previous
+        if iteration >= SUBSPACE_WARMUP and (
+            rate >= 1.0
+            or iteration + math.log(tol / residual) / math.log(rate)
+            > SUBSPACE_MAX_ITERATIONS
+        ):
+            break
+        previous = residual
+        Qt = next_Qt
+    values, vectors = jacobi_eigh(C)
+    return values[:PCA_AXES], vectors[:PCA_AXES]
+
+
+def _start_block(n: int) -> np.ndarray:
+    """The subspace iteration's first block: ``PCA_AXES`` rows of length
+    n, pseudo-random in [-1/2, 1/2).
+
+    Entry ``(r, i)`` is output ``r * n + i`` of splitmix64 seeded with 0
+    (Steele, Lea and Flood, 2014), in 53-bit fixed point. The block is
+    dense, since unit vectors can span an invariant subspace that misses
+    the top eigenvalue; pseudo-random, since a low-discrepancy sequence
+    is nearly orthogonal to the piecewise-constant eigenvectors of
+    clustered points in index order; and exact integer arithmetic, so
+    that every numpy gives the same bytes (its ``Generator`` streams
+    may change between versions).
+    """
+    z = np.arange(1, PCA_AXES * n + 1, dtype=np.uint64) * np.uint64(
+        0x9E3779B97F4A7C15
+    )
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return np.ldexp((z >> np.uint64(11)).astype(np.float64), -53).reshape(
+        PCA_AXES, n
+    ) - 0.5
+
+
+def _orthonormal_block(rows: np.ndarray, floor: float) -> np.ndarray | None:
+    """Gram-Schmidt with two passes on a few rows, in order, or None when
+    a row keeps at most ``floor`` of its norm outside the span of the
+    rows before it. The caller's rows are scaled (see ``_top_eigh``), so
+    their squared norms neither overflow nor underflow above ``floor``."""
+    basis = np.empty_like(rows)
+    for k, row in enumerate(rows):
+        for _ in range(2 if k else 0):
+            row = row - (basis[:k] @ row) @ basis[:k]
+        norm = math.sqrt(row @ row)
+        if norm <= floor:
+            return None
+        basis[k] = row / norm
+    return basis
+
+
 def _apply_sign_convention(components: np.ndarray) -> np.ndarray:
     """Negate each row whose first entry of largest |value| is negative."""
     j = np.argmax(np.abs(components), axis=1)[:, None]
@@ -264,20 +370,21 @@ def _apply_sign_convention(components: np.ndarray) -> np.ndarray:
 def fit_pca(points: list[np.ndarray]) -> PcaModel:
     """Fit the 2-D PCA reduction on projected perspective embeddings.
 
-    Uses the unbiased covariance (1/(m-1)) and the Jacobi solver; the
-    largest-|entry| coordinate of each principal axis is made positive so
-    fitted models are reproducible down to the byte.
+    Uses the unbiased covariance (1/(m-1)) and its top two eigenpairs
+    from ``_top_eigh``: subspace iteration with a 2 x 2 Rayleigh-Ritz
+    step, or the full Jacobi solve when the iteration cannot settle them
+    (see there). The largest-|entry| coordinate of each principal axis
+    is made positive so fitted models are reproducible down to the byte.
 
     With fewer points than dimensions (m < d) the m x m centred Gram
-    matrix ``Xc Xc^T / (m-1)`` is diagonalized instead of the d x d
-    covariance, and no d x d matrix is built: the Gram matrix has the
-    same nonzero eigenvalues, and each top eigenvector v maps to the
-    principal axis ``Xc^T v``, orthonormalized in order. An axis the
-    points do not determine (identical or collinear points) maps to a
-    vector at the rounding level, at most ``m * d * eps`` long for the
-    scaled points; it is completed with the first unit vector e_j not
-    yet spanned (see ``_orthonormal_rows``). For identical points that
-    gives e_0 and e_1.
+    matrix ``Xc Xc^T / (m-1)`` takes the place of the d x d covariance,
+    and no d x d matrix is built: the Gram matrix has the same nonzero
+    eigenvalues, and each top eigenvector v maps to the principal axis
+    ``Xc^T v``, orthonormalized in order. An axis the points do not
+    determine (identical or collinear points) maps to a vector at the
+    rounding level, at most ``m * d * eps`` long for the scaled points;
+    it is completed with the first unit vector e_j not yet spanned (see
+    ``_orthonormal_rows``). For identical points that gives e_0 and e_1.
 
     The points are scaled by ``2**-k`` before they are centred (see the
     module docstring), so neither the mean nor the products overflow;
@@ -307,16 +414,16 @@ def fit_pca(points: list[np.ndarray]) -> PcaModel:
     m = X.shape[0]
     if m < d:
         gram = (centered @ centered.T) / (m - 1)
-        eigvals, eigvecs = jacobi_eigh((gram + gram.T) / 2.0)
+        eigvals, eigvecs = _top_eigh((gram + gram.T) / 2.0)
         # The scaled entries are below 1 in size, so the rounding left in
         # Xc^T v of an axis the points do not fix is below this floor.
         floor = m * d * np.finfo(np.float64).eps
-        components = _orthonormal_rows(eigvecs[:PCA_AXES] @ centered, floor)
-        return _pca_model(mean, components, eigvals[:PCA_AXES], k)
+        components = _orthonormal_rows(eigvecs @ centered, floor)
+        return _pca_model(mean, components, eigvals, k)
     cov = (centered.T @ centered) / (m - 1)
     cov = (cov + cov.T) / 2.0  # force exact symmetry for the solver
-    eigvals, eigvecs = jacobi_eigh(cov)
-    return _pca_model(mean, eigvecs[:PCA_AXES], eigvals[:PCA_AXES], k)
+    eigvals, eigvecs = _top_eigh(cov)
+    return _pca_model(mean, eigvecs, eigvals, k)
 
 
 def _orthonormal_rows(rows: np.ndarray, floor: float) -> np.ndarray:

@@ -208,8 +208,12 @@ class TestEmbedBatchHttp:
         ([[0.5], [1.0]], "must be a flat list of JSON numbers"),
         (0.5, "must be a flat list of JSON numbers"),
         ([[0.5], [1.0, 2.0]], "sequence"),
+        ([0.5, 10**400], "holds an integer beyond the float64 range"),
+        ([True, 2**64], "must hold only JSON numbers"),
+        (["0.5", 2**64], "must hold only JSON numbers"),
     ], ids=["strings", "booleans", "true-among-numbers", "object", "null",
-            "string", "nested", "scalar", "ragged"])
+            "string", "nested", "scalar", "ragged", "400-digit-integer",
+            "true-beside-2**64", "string-beside-2**64"])
     def test_entry_that_is_not_a_flat_list_of_numbers(
         self, stub_server, embedding, message
     ):
@@ -220,6 +224,14 @@ class TestEmbedBatchHttp:
         with pytest.raises(ProtocolError, match=f"embedding at index 0.*{message}"):
             embed_batch(["hello"], cfg)
         assert len(stub_server.requests) == 1
+
+    def test_integers_beyond_64_bits_are_json_numbers(self, stub_server):
+        cfg = self._cfg(stub_server, dimension=3)
+        stub_server.handler_fn = lambda record: (
+            200, {"data": [{"index": 0, "embedding": [2**64, -(2**70), 0.5]}]}
+        )
+        out = embed_batch(["hello"], cfg)
+        assert out[0].tolist() == [2.0**64, -(2.0**70), 0.5]
 
     def test_http_failure_retries_then_raises(self, stub_server):
         cfg = self._cfg(stub_server, dimension=2)

@@ -575,6 +575,130 @@ def _primal_train(dataset, matrix, embeddings, cfg, d_out=None):
     return W, losses, skips
 
 
+def _full_width_train(dataset, matrix, embeddings, cfg, d_out=None):
+    """The dual SGD on d_out-wide rows, as train ran it before its steps
+    moved to the row space of ``P0``, less its overflow checks: the
+    oracle for ``train``. Returns ``(model, log)``."""
+    from pdial.metric import (
+        TrainingLog, _contrastive, _cosine, _diverged, _rng,
+    )
+
+    index = {doc.id: n for n, doc in enumerate(dataset)}
+    rows = [np.asarray(e, dtype=np.float64) for e in embeddings]
+    d_in = rows[0].size
+    initial = ProjectionModel.initial(d_in, d_out or d_in, cfg.seed)
+    E = np.stack(rows)
+    first = {}
+    same = [first.setdefault(r.tobytes(), n) for n, r in enumerate(rows)]
+    K = (E @ E.T)[same]
+    P0 = initial.project(E)[same]
+    G = np.zeros((len(rows), d_out or d_in))
+    pairs = generate_pairs(dataset, matrix, cfg.seed)
+    log = TrainingLog(pair_count=len(pairs))
+    lr = cfg.learning_rate
+    for epoch in range(cfg.epochs):
+        total, evaluated, skipped = 0.0, 0, 0
+        for step, k in enumerate(_rng(cfg.seed, epoch).permutation(len(pairs))):
+            pair = pairs[k]
+            i, j = index[pair.a], index[pair.b]
+            if cfg.loss_kind == "contrastive":
+                diff = (P0[i] - P0[j]) + (K[i] - K[j]) @ G
+                dd = float(diff @ diff)
+                loss, scale = _contrastive(dd, pair.label_y, cfg)
+                if not (np.isfinite(dd) and np.isfinite(loss)):
+                    raise _diverged(epoch, step, pair)
+                if scale:
+                    g = (lr * scale) * diff
+                    G[i] -= g
+                    G[j] += g
+            else:
+                try:
+                    loss, dldu, dldv = _cosine(
+                        P0[i] + K[i] @ G, P0[j] + K[j] @ G, pair.label_y
+                    )
+                except PairSkip:
+                    skipped += 1
+                    continue
+                G[i] -= lr * dldu
+                G[j] -= lr * dldv
+            total += loss
+            evaluated += 1
+        log.epoch_mean_loss.append(total / evaluated if evaluated else 0.0)
+        log.epoch_skipped_pairs.append(skipped)
+    return ProjectionModel(G, E, initial.base), log
+
+
+def _assert_matches_full_width(dataset, matrix, embeddings, cfg, d_out=None):
+    """train against ``_full_width_train``: W and the epoch losses within
+    1e-12 relative, the skips equal. Returns train's model and log."""
+    model, log = train(dataset, matrix, embeddings, cfg, d_out=d_out)
+    ref, ref_log = _full_width_train(dataset, matrix, embeddings, cfg, d_out)
+    assert model.coef.shape == ref.coef.shape
+    W, ref_W = model.W, ref.W
+    assert np.abs(W - ref_W).max() <= 1e-12 * np.abs(ref_W).max()
+    np.testing.assert_allclose(
+        log.epoch_mean_loss, ref_log.epoch_mean_loss, rtol=1e-12, atol=0.0
+    )
+    assert log.epoch_skipped_pairs == ref_log.epoch_skipped_pairs
+    assert log.pair_count == ref_log.pair_count
+    return model, log
+
+
+class TestRowSpaceTraining:
+    """train runs its steps in an orthonormal basis of the row space of
+    ``P0``, min(N, d_out) wide, and must agree with the d_out-wide steps
+    up to rounding."""
+
+    @pytest.mark.parametrize("loss_kind", ["contrastive", "cosine"])
+    @pytest.mark.parametrize("dim, d_out", [(64, None), (768, None), (64, 8)],
+                             ids=["square-64", "square-768", "d-out-8"])
+    def test_matches_the_full_width_steps(
+        self, fixture_train_docs, fixture_matrix, loss_kind, dim, d_out
+    ):
+        from pdial.embedding import EmbeddingBackendConfig, embed_batch
+
+        embeddings = embed_batch(
+            [doc.text for doc in fixture_train_docs],
+            EmbeddingBackendConfig(kind="hashed", dimension=dim),
+        )
+        cfg = TrainConfig(
+            loss_kind=loss_kind, margin_m=1.0, learning_rate=0.05, epochs=5,
+            seed=7,
+        )
+        model, log = _assert_matches_full_width(
+            fixture_train_docs, fixture_matrix, embeddings, cfg, d_out
+        )
+        assert model.d_out == (d_out or dim)
+        assert log.epoch_mean_loss[-1] < log.epoch_mean_loss[0]
+
+    def test_a_seeded_corpus_of_300_documents(self):
+        # 300 documents in 320 dimensions: the steps run 300 wide.
+        rng = np.random.default_rng(300)
+        clusters = ["left", "center", "right"]
+        docs = _docs([(f"d{n}", clusters[n % 3]) for n in range(300)])
+        embeddings = list(rng.normal(size=(300, 320)) / np.sqrt(320))
+        cfg = TrainConfig(learning_rate=0.002, epochs=1, seed=7)
+        _assert_matches_full_width(docs, POLES_MATRIX, embeddings, cfg)
+
+    @pytest.mark.parametrize("d_out", [None, 8], ids=["square", "d-out-8"])
+    def test_overflowing_products_fail_before_the_first_step(
+        self, fixture_train_docs, fixture_matrix, fixture_train_embeddings,
+        d_out, monkeypatch,
+    ):
+        # Under the suite's warnings-as-errors, a numpy warning from K or
+        # P0 would surface in place of the NumericError.
+        import pdial.metric as metric_mod
+
+        def no_step(*args):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(metric_mod, "_contrastive", no_step)
+        embeddings = [1e200 * np.asarray(e) for e in fixture_train_embeddings]
+        cfg = TrainConfig(epochs=1, seed=7)
+        with pytest.raises(NumericError, match="beyond the float64 range"):
+            train(fixture_train_docs, fixture_matrix, embeddings, cfg, d_out)
+
+
 class TestDualTraining:
     """train's dual (Gram-space) SGD against the primal oracle."""
 
@@ -619,6 +743,9 @@ class TestDualTraining:
         assert sum(skips) == (5 * 14 if zero_doc else 0)
         W0 = ProjectionModel.initial(W.shape[1], W.shape[0], cfg.seed).W
         assert not np.allclose(W, W0)  # training moved the weights
+        _assert_matches_full_width(
+            fixture_train_docs, fixture_matrix, embeddings, cfg, d_out
+        )
 
     @pytest.mark.parametrize("d_out", [None, 8], ids=["square", "rectangular"])
     def test_poles_apart_pair_at_zero_distance(
@@ -663,6 +790,7 @@ class TestDualTraining:
             log.epoch_mean_loss, losses, rtol=0.0, atol=1e-12
         )
         assert skips == [0] * 5
+        _assert_matches_full_width(docs, fixture_matrix, embeddings, cfg, d_out)
 
 
 class TestSpanFactorsWeights:

@@ -636,7 +636,7 @@ class TestGramRoute:
         rng = np.random.default_rng(200 + seed)
         X = rng.normal(size=(12, 200)) * rng.uniform(0.3, 2.5, size=200)
         model = fit_pca(list(X))
-        assert shapes == [(12, 12)]
+        assert shapes in ([(2, 2)], [(12, 12)])
         ref_ev, ref_vec = np.linalg.eigh(np.cov(X.T))
         np.testing.assert_allclose(
             model.explained_variance, ref_ev[::-1][:2], rtol=0.0, atol=1e-8
@@ -649,7 +649,7 @@ class TestGramRoute:
         shapes = _jacobi_spy(monkeypatch)
         rng = np.random.default_rng(15)
         model = fit_pca(list(rng.normal(size=(15, 768))))
-        assert shapes == [(15, 15)]
+        assert shapes in ([(2, 2)], [(15, 15)])
         _assert_valid(model, 768)
 
     def test_identical_points_are_completed(self, monkeypatch):
@@ -739,7 +739,7 @@ def _clouds():
     offset = rng.normal(size=40)
     basis = np.linalg.qr(rng.normal(size=(40, 2)))[0].T
     t = rng.normal(size=(6, 2)) * np.array([1.0, 1e-8])
-    return {
+    clouds = {
         "wide": list(rng.normal(size=(12, 200))),
         "tall": list(rng.normal(size=(30, 8))),
         "square": list(rng.normal(size=(9, 9))),
@@ -747,17 +747,28 @@ def _clouds():
         "identical-inexact-mean": [np.full(768, 0.1)] * 3,
         "identical-tall": [np.full(4, 0.1)] * 7,
         "collinear": [offset + s * direction for s in (-2.0, -0.5, 1.0, 3.0)],
+        "collinear-tall": [offset[:3] + s * direction[:3] for s in range(-3, 5)],
         "two-equal-one-apart": [np.full(768, 0.1)] * 2 + [np.full(768, 0.2)],
         "tiny-second-variance": list(t @ basis),
     }
+    for name, (m, d) in (("wide-clear-plane", (12, 200)),
+                         ("tall-clear-plane", (30, 8))):
+        plane = np.linalg.qr(rng.normal(size=(d, 2)))[0].T
+        spread = rng.normal(size=(m, 2)) * [5.0, 3.0]
+        clouds[name] = list(spread @ plane + 0.1 * rng.normal(size=(m, d)))
+    return clouds
 
 
 CLOUDS = _clouds()
+# Clouds with a clear top plane: the subspace iteration settles them.
+SETTLED = {"square", "wide-clear-plane", "tall-clear-plane"}
 
 
 class TestOneDecompositionPerFit:
-    """Every fit diagonalizes one matrix, the smaller of the m x m Gram
-    matrix and the d x d covariance."""
+    """Every fit makes one ``jacobi_eigh`` call: on the 2 x 2 Rayleigh-Ritz
+    matrix when the subspace iteration settles the top plane, else on the
+    smaller of the m x m Gram matrix and the d x d covariance. No fit
+    decomposes the larger side."""
 
     @pytest.mark.parametrize("name", sorted(CLOUDS))
     def test_one_jacobi_call_of_the_smaller_side(self, name, monkeypatch):
@@ -765,5 +776,147 @@ class TestOneDecompositionPerFit:
         shapes = _jacobi_spy(monkeypatch)
         model = fit_pca(points)
         n = min(len(points), len(points[0]))
-        assert shapes == [(n, n)]
+        assert shapes == [(2, 2) if name in SETTLED else (n, n)]
         _assert_valid(model, len(points[0]))
+
+
+def _with_spectrum(values, seed):
+    """A symmetric matrix with eigenvalues ``values`` and random orthonormal
+    eigenvectors, returned as (matrix, eigenvector columns)."""
+    n = len(values)
+    V = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, n)))[0]
+    C = (V * values) @ V.T
+    return (C + C.T) / 2.0, V
+
+
+def _geometric(n, top, ratio):
+    """``top`` followed by n - len(top) values falling from ``ratio`` times
+    the last of ``top``."""
+    tail = top[-1] * ratio * 0.9 ** np.arange(n - len(top))
+    return np.concatenate([top, tail])
+
+
+SPECTRA = {
+    "n15-ratio-0.5": _geometric(15, [10.0, 8.0], 0.5),
+    "n40-ratio-0.2": _geometric(40, [1.0, 0.5], 0.2),
+    "n100-close-top-pair": _geometric(100, [3.0, 2.9], 0.3),
+    "n8-double-top": _geometric(8, [2.0, 2.0], 0.6),
+}
+
+
+def _top_eigh_spy(monkeypatch):
+    """Count the blocks _top_eigh orthonormalizes (the start block and one
+    per iteration) and record the shapes handed to jacobi_eigh."""
+    blocks = []
+    real = pca_mod._orthonormal_block
+
+    def spy(rows, floor):
+        blocks.append(rows.shape)
+        return real(rows, floor)
+
+    monkeypatch.setattr(pca_mod, "_orthonormal_block", spy)
+    return blocks, _jacobi_spy(monkeypatch)
+
+
+def _full_top(C):
+    values, vectors = jacobi_eigh(C)
+    return values[:2], vectors[:2]
+
+
+class TestTopEigh:
+    """``_top_eigh`` against the full ``jacobi_eigh`` oracle."""
+
+    @pytest.mark.parametrize("name", sorted(SPECTRA))
+    def test_matches_the_full_decomposition(self, name, monkeypatch):
+        spectrum = SPECTRA[name]
+        C, V = _with_spectrum(spectrum, seed=len(spectrum))
+        ref_values, _ = _full_top(C)
+        blocks, shapes = _top_eigh_spy(monkeypatch)
+        values, vectors = pca_mod._top_eigh(C)
+        assert shapes == [(2, 2)]  # no fallback
+        assert 3 <= len(blocks) < pca_mod.SUBSPACE_MAX_ITERATIONS
+        np.testing.assert_allclose(values, ref_values, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(values, spectrum[:2], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(vectors @ vectors.T, np.eye(2), atol=1e-15)
+        # Davis-Kahan sin(theta): the plane of the returned vectors is
+        # within ||C U - U diag(values)|| / (values[1] - lambda_3) of the
+        # exact plane, up to the rounding of C's own eigenvectors.
+        U = vectors.T
+        residual = np.linalg.norm(C @ U - U * values, 2)
+        bound = residual / (values[1] - spectrum[2])
+        exact = V[:, :2]
+        sin_theta = np.linalg.norm(U - exact @ (exact.T @ U), 2)
+        assert bound < 1e-11
+        assert sin_theta <= bound + 1e-14
+
+    def test_unit_vectors_would_miss_the_top_eigenvalue(self):
+        # e_0 and e_1 (the largest diagonal) span an invariant subspace
+        # with Ritz values 1, 1; the top eigenvalue 1.8 lies outside it.
+        C = np.zeros((4, 4))
+        C[:2, :2] = np.eye(2)
+        C[2:, 2:] = 0.9
+        values, vectors = pca_mod._top_eigh(C)
+        np.testing.assert_allclose(values, [1.8, 1.0], rtol=1e-12)
+        assert abs(vectors[0] @ [0.0, 0.0, 1.0, 1.0]) == pytest.approx(
+            np.sqrt(2.0), rel=1e-12
+        )
+
+    def test_flat_spectrum_falls_back_after_a_few_iterations(self, monkeypatch):
+        C, _ = _with_spectrum(1.0 - 0.01 * np.arange(15), seed=3)
+        blocks, shapes = _top_eigh_spy(monkeypatch)
+        values, vectors = pca_mod._top_eigh(C)
+        assert shapes == [(15, 15)]
+        # the start block, then one per iteration up to the first forecast
+        assert len(blocks) == pca_mod.SUBSPACE_WARMUP + 2
+        ref_values, ref_vectors = _full_top(C)
+        assert values.tobytes() == ref_values.tobytes()
+        assert vectors.tobytes() == ref_vectors.tobytes()
+
+    def test_spent_budget_falls_back(self, monkeypatch):
+        C, _ = _with_spectrum(SPECTRA["n15-ratio-0.5"], seed=15)
+        monkeypatch.setattr(pca_mod, "SUBSPACE_MAX_ITERATIONS", 2)
+        blocks, shapes = _top_eigh_spy(monkeypatch)
+        values, _ = pca_mod._top_eigh(C)
+        assert shapes == [(15, 15)]
+        assert len(blocks) == 3
+        assert values.tobytes() == _full_top(C)[0].tobytes()
+
+    @pytest.mark.parametrize("C", [
+        pytest.param(np.zeros((5, 5)), id="zero"),
+        pytest.param(np.ones((5, 5)), id="rank-one"),
+    ])
+    def test_fewer_than_two_eigenvalues_fall_back(self, C, monkeypatch):
+        blocks, shapes = _top_eigh_spy(monkeypatch)
+        values, vectors = pca_mod._top_eigh(C)
+        assert shapes == [(5, 5)]
+        assert len(blocks) == 2  # the start block, then the collapse
+        ref_values, ref_vectors = _full_top(C)
+        assert values.tobytes() == ref_values.tobytes()
+        assert vectors.tobytes() == ref_vectors.tobytes()
+
+    @pytest.mark.parametrize("name", [
+        "identical-exact-mean", "identical-inexact-mean", "identical-tall",
+        "collinear", "collinear-tall", "two-equal-one-apart",
+    ])
+    def test_degenerate_clouds_keep_the_full_solve_bytes(self, name, monkeypatch):
+        points = CLOUDS[name]
+        model = fit_pca(points)
+        monkeypatch.setattr(pca_mod, "_top_eigh", _full_top)
+        ref = fit_pca(points)
+        for field in ("mean", "components", "explained_variance"):
+            assert getattr(model, field).tobytes() == getattr(ref, field).tobytes()
+
+    def test_start_block_is_splitmix64(self):
+        # Integer arithmetic, so every numpy gives these bytes; the
+        # reference is splitmix64 in Python integers.
+        mask = 2**64 - 1
+        state, want = 0, []
+        for _ in range(2 * 7):
+            state = (state + 0x9E3779B97F4A7C15) & mask
+            z = state
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+            want.append(((z ^ (z >> 31)) >> 11) / 2.0**53 - 0.5)
+        got = pca_mod._start_block(7)
+        assert got.shape == (2, 7)
+        assert got.ravel().tolist() == want

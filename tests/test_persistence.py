@@ -395,9 +395,14 @@ class TestNumbersInArrayFiles:
         ("mean", None, 0.5, "mean must be a vector, got shape ()"),
         ("mean", None, [[0.0], [0.5], [-0.25]],
          "mean must be a vector, got shape (3, 1)"),
+        ("mean", 1, 10**400, "mean holds an integer beyond the float64 range"),
+        ("explained_variance", 0, -(10**400),
+         "explained_variance holds an integer beyond the float64 range"),
+        ("components", 0, [1, 0, 2**64], "component rows must be orthonormal"),
     ], ids=["nan-mean", "string-mean", "null-mean", "inf-component",
             "string-component", "inf-variance", "string-variance",
-            "false-in-mean", "true-in-components", "scalar-mean", "2d-mean"])
+            "false-in-mean", "true-in-components", "scalar-mean", "2d-mean",
+            "400-digit-mean", "400-digit-variance", "2**64-component"])
     def test_pca_entries(self, tmp_path, field, index, value, message):
         """``index`` None replaces the whole field."""
         data = _pca_data()
@@ -416,13 +421,27 @@ class TestNumbersInArrayFiles:
         path.write_text(json.dumps(_pca_data()))
         assert persistence.load_pca(path).mean.tolist() == [0.0, 0.5, -0.25]
 
+    def test_integers_beyond_64_bits_are_json_numbers(self, tmp_path):
+        data = _pca_data()
+        data["mean"] = [2**64, -(2**70), 0.5]
+        data["explained_variance"] = [2**80, 1.5]
+        path = tmp_path / "pca.json"
+        path.write_text(json.dumps(data))
+        pca = persistence.load_pca(path)
+        assert pca.mean.tolist() == [2.0**64, -(2.0**70), 0.5]
+        assert pca.explained_variance.tolist() == [2.0**80, 1.5]
+
     @pytest.mark.parametrize("sim,message", [
         ([[1.0, float("nan")], [float("nan"), 1.0]],
          "similarity labels must be finite"),
         ([[1.0, "0.35"], ["0.35", 1.0]], "sim must hold only JSON numbers"),
         ([[1.0, None], [None, 1.0]], "sim must hold only JSON numbers"),
         ([[1.0, True], [True, 1.0]], "sim must hold only JSON numbers"),
-    ], ids=["nan", "string", "null", "true-among-numbers"])
+        ([[1, 2**64], [2**64, 1]], "similarity labels must lie in [0, 1]"),
+        ([[1.0, 10**400], [10**400, 1.0]],
+         "sim holds an integer beyond the float64 range"),
+    ], ids=["nan", "string", "null", "true-among-numbers", "2**64",
+            "400-digit"])
     def test_matrix_entries(self, tmp_path, sim, message):
         path = tmp_path / "matrix.json"
         path.write_text(json.dumps({"clusters": ["a", "b"], "sim": sim}))
