@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -31,21 +32,25 @@ EXIT_NUMERIC = 3
 
 
 def _add_embedding_flags(parser: argparse.ArgumentParser) -> None:
+    from . import _http
+    from .embedding import EmbeddingBackendConfig
+
+    cfg = EmbeddingBackendConfig()
     group = parser.add_argument_group("embedding backend")
     group.add_argument(
-        "--embedding", choices=["hashed", "http"], default="hashed",
+        "--embedding", choices=["hashed", "http"], default=cfg.kind,
         help="embedding backend kind (default: hashed, offline)",
     )
     group.add_argument("--embedding-url", default="", help="http endpoint URL")
     group.add_argument("--embedding-model", default="", help="http model name")
     group.add_argument(
-        "--dim", type=int, default=768,
-        help="embedding dimension (default: 768)",
+        "--dim", type=int, default=cfg.dimension,
+        help=f"embedding dimension (default: {cfg.dimension})",
     )
-    group.add_argument("--batch-size", type=int, default=32)
-    group.add_argument("--timeout", type=float, default=30.0)
+    group.add_argument("--batch-size", type=int, default=cfg.batch_size)
+    group.add_argument("--timeout", type=float, default=cfg.timeout)
     group.add_argument(
-        "--fan-out", type=int, default=4,
+        "--fan-out", type=int, default=_http.DEFAULT_FAN_OUT,
         help="max concurrent backend requests (shared limit)",
     )
 
@@ -101,12 +106,30 @@ def _llm_cfg(args: argparse.Namespace) -> LlmBackendConfig:
     )
 
 
+def _check_paths(inputs: list[str], outputs: list[str]) -> None:
+    """Refuse an output that resolves to another output or to an input,
+    so that a command never writes over its own files; a blank path is a
+    flag not given."""
+    seen = {os.path.realpath(p): f"input {p}" for p in inputs if p}
+    for path in filter(None, outputs):
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ConfigurationError(
+                f"output {path} and {seen[real]} are the same file"
+            )
+        seen[real] = f"output {path}"
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     from . import persistence
     from .embedding import embed_batch
 
     if args.pca_data and not args.pca_out:
         raise ConfigurationError("--pca-data needs --pca-out")
+    log_path = args.log_out or str(Path(args.out).with_suffix(".log.json"))
+    _check_paths(
+        [args.data, args.matrix, *args.pca_data], [args.out, log_path, args.pca_out]
+    )
     backend_cfg = _embedding_cfg(args)
     cfg = TrainConfig(
         loss_kind=args.loss,
@@ -132,7 +155,6 @@ def cmd_train(args: argparse.Namespace) -> int:
 
         pca = fit_pca([model.project(e) for e in embeddings])
     persistence.save_model(args.out, model, cfg)
-    log_path = args.log_out or str(Path(args.out).with_suffix(".log.json"))
     persistence.save_train_log(log_path, log)
     print(f"model written to {args.out}, training log to {log_path}")
 
@@ -146,6 +168,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     from . import persistence
     from .evaluation import cluster_similarity_report, render_report_text
 
+    _check_paths([args.model, args.train, args.test], [args.out_json, args.out_text])
     backend_cfg = _embedding_cfg(args)
     model, _ = persistence.load_model(args.model)
     train_docs = persistence.load_dataset(args.train)
@@ -182,7 +205,6 @@ def _check_target_flags(args: argparse.Namespace) -> None:
 def cmd_optimize(args: argparse.Namespace) -> int:
     from . import persistence
     from .optimizer import (
-        DEFAULT_MAX_SWEEPS,
         PerspectiveSpace,
         brute_force_search,
         cluster_texts,
@@ -195,6 +217,10 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     if args.mock_table and args.llm != "mock":
         raise ConfigurationError("--mock-table is read only with --llm mock")
     _check_target_flags(args)
+    _check_paths(
+        [args.model, args.pca, args.prompts, args.data, args.mock_table],
+        [args.out_trace],
+    )
     backend_cfg = _embedding_cfg(args)
     llm_cfg = _llm_cfg(args)
     model, _ = persistence.load_model(args.model)
@@ -210,11 +236,10 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
     if args.mode == "brute":
         trace = brute_force_search(spec, target, space, llm_cfg)
+    elif args.max_sweeps is None:
+        trace = gcd_search(spec, target, space, llm_cfg)
     else:
-        max_sweeps = args.max_sweeps
-        if max_sweeps is None:
-            max_sweeps = DEFAULT_MAX_SWEEPS
-        trace = gcd_search(spec, target, space, llm_cfg, max_sweeps=max_sweeps)
+        trace = gcd_search(spec, target, space, llm_cfg, max_sweeps=args.max_sweeps)
     persistence.save_trace(args.out_trace, trace)
     best = trace.best_evaluation
     print(f"best prompt: {best.prompt}")
@@ -234,6 +259,9 @@ def cmd_plot(args: argparse.Namespace) -> int:
         raise ConfigurationError("--model is read only with --data")
     if args.data and not args.model:
         raise ConfigurationError("--data needs --model to project documents")
+    if not (args.data or args.trace):
+        raise ConfigurationError("nothing to plot: give --data and/or --trace")
+    _check_paths([args.pca, args.model, args.data, args.trace], [args.out])
     backend_cfg = _embedding_cfg(args)
     pca = persistence.load_pca(args.pca)
     groups: list[PointGroup] = []
@@ -243,8 +271,6 @@ def cmd_plot(args: argparse.Namespace) -> int:
     if args.data:
         model, _ = persistence.load_model(args.model)
         dataset = persistence.load_dataset(args.data)
-        if not dataset:
-            raise ConfigurationError(f"{args.data}: dataset is empty")
         points = PerspectiveSpace(model, pca, backend_cfg).points(
             [d.text for d in dataset]
         )
@@ -272,10 +298,6 @@ def cmd_plot(args: argparse.Namespace) -> int:
     if args.target_x is not None:
         target = PerspectivePoint(x=args.target_x, y=args.target_y)
 
-    if not groups:
-        raise ConfigurationError(
-            "nothing to plot: give --data and/or --trace"
-        )
     svg = render_scatter_svg(groups, target=target, path_points=path_points)
     persistence.write_text_atomic(args.out, svg)
     print(f"plot written to {args.out}")
@@ -303,14 +325,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--matrix", required=True, help="cluster matrix JSON")
     p_train.add_argument("--out", required=True, help="model output path")
     p_train.add_argument("--log-out", default="", help="training log path")
+    cfg = TrainConfig()
     p_train.add_argument(
-        "--loss", choices=["cosine", "contrastive"], default="contrastive"
+        "--loss", choices=["cosine", "contrastive"], default=cfg.loss_kind
     )
-    p_train.add_argument("--margin", type=float, default=1.0)
-    p_train.add_argument("--lr", type=float, default=0.01)
-    p_train.add_argument("--epochs", type=int, default=10)
-    p_train.add_argument("--seed", type=int, default=0)
-    p_train.add_argument("--binarize-threshold", type=float, default=0.5)
+    p_train.add_argument("--margin", type=float, default=cfg.margin_m)
+    p_train.add_argument("--lr", type=float, default=cfg.learning_rate)
+    p_train.add_argument("--epochs", type=int, default=cfg.epochs)
+    p_train.add_argument("--seed", type=int, default=cfg.seed)
+    p_train.add_argument(
+        "--binarize-threshold", type=float, default=cfg.binarize_threshold
+    )
     p_train.add_argument(
         "--d-out", type=int, default=None,
         help="projection output dimension (default: same as --dim)",

@@ -73,7 +73,7 @@ class ClusterSimilarityMatrix:
             )
         if not np.isfinite(sim).all():
             raise InputValidationError("similarity labels must be finite")
-        if not np.allclose(sim, sim.T, rtol=0.0, atol=0.0):
+        if not np.array_equal(sim, sim.T):
             raise InputValidationError("similarity matrix must be symmetric")
         if not np.all(np.diag(sim) == 1.0):
             raise InputValidationError(

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import itertools
 import math
 
-from .embedding import EmbeddingBackendConfig, embed_batch
+from .embedding import EmbeddingBackendConfig, _validate_texts, embed_batch
 from .errors import ConfigurationError, InputValidationError, NumericError
 from .llm_client import LlmBackendConfig, complete
 from .metric import LabeledDocument, ProjectionModel
@@ -166,11 +166,10 @@ class PerspectiveSpace:
 
     def points(self, texts: list[str]) -> list[PerspectivePoint]:
         """Point of each of ``texts``, from one embedding call that sends
-        each distinct text once; a bare ``str`` is an
-        InputValidationError, as in ``embed_batch``. Each distinct text
-        is mapped on its own, so repeats get the same point bits."""
-        if isinstance(texts, str):
-            raise InputValidationError("expected a list of texts, got a str")
+        each distinct text once; ``texts`` is checked as in
+        ``embed_batch``. Each distinct text is mapped on its own, so
+        repeats get the same point bits."""
+        _validate_texts(texts)
         distinct = list(dict.fromkeys(texts))
         point_of = {
             text: pca_transform(self.pca, self.proj.project(e))

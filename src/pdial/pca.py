@@ -125,7 +125,7 @@ def jacobi_eigh(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise InputValidationError(f"matrix must be square, got {C.shape}")
     if not np.isfinite(C).all():
         raise InputValidationError("matrix must be finite")
-    if not np.allclose(C, C.T, rtol=0.0, atol=0.0):
+    if not np.array_equal(C, C.T):
         raise InputValidationError("matrix must be exactly symmetric")
     k = _scale_exponent(C)
     AVt = np.empty((2, n, n))

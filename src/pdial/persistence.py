@@ -302,8 +302,8 @@ def load_pca(path: str | Path) -> PcaModel:
 def load_dataset(path: str | Path) -> list[LabeledDocument]:
     """JSON Lines, one ``{"id", "text", "cluster"}`` object per line.
 
-    Duplicate ids are rejected with both line numbers; an empty file is
-    allowed but logged as a warning.
+    Duplicate ids are rejected with both line numbers, and a file that
+    holds no document is a FormatError.
     """
     docs: list[LabeledDocument] = []
     seen: dict[str, int] = {}
@@ -325,9 +325,7 @@ def load_dataset(path: str | Path) -> list[LabeledDocument]:
         seen[doc.id] = lineno
         docs.append(doc)
     if not docs:
-        import logging
-
-        logging.getLogger(__name__).warning("%s: dataset file is empty", path)
+        raise FormatError(f"{path}: dataset file holds no documents")
     return docs
 
 

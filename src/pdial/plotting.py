@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import html
+import math
 
 from .errors import InputValidationError
 from .pca import PerspectivePoint
@@ -86,6 +87,14 @@ def render_scatter_svg(
         raise InputValidationError("nothing to plot: no points given")
 
     x_lo, x_hi, y_lo, y_hi = _extent(all_points)
+    # A span beyond the float range would draw at NaN, and one that
+    # rounds to zero (a 1.0 pad lost on a huge coordinate) divides by it.
+    for axis, lo, hi in (("x", x_lo, x_hi), ("y", y_lo, y_hi)):
+        if not 0.0 < hi - lo < math.inf:
+            raise InputValidationError(
+                f"cannot draw the points: their padded {axis} extent "
+                f"[{lo}, {hi}] has no finite, non-zero span"
+            )
 
     def px(p: PerspectivePoint) -> tuple[float, float]:
         sx = (p.x - x_lo) / (x_hi - x_lo) * VIEW_W

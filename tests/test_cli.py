@@ -2,6 +2,7 @@ import gc
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import time
@@ -307,18 +308,7 @@ def test_each_error_class_exits_with_its_code(
 
 class TestOptimizeCommand:
     def _argv(self, trained, tmp_path, mode="brute", extra=()):
-        return [
-            "optimize",
-            "--model", trained["model"],
-            "--pca", trained["pca"],
-            "--prompts", trained["prompts"],
-            "--mode", mode,
-            "--llm", "mock",
-            "--mock-table", trained["mock_table"],
-            "--out-trace", str(tmp_path / "trace.jsonl"),
-            "--dim", "64",
-            *extra,
-        ]
+        return _optimize_argv(trained, tmp_path, "--mode", mode, *extra)
 
     def test_brute_with_cluster_target(self, trained, tmp_path, capsys):
         code = main(self._argv(
@@ -609,7 +599,7 @@ class TestPlotCommand:
         ]) == 0
         assert drawn["target"] == PerspectivePoint(-2.0, 3.0)
 
-    def test_empty_dataset_is_config_error(self, trained, tmp_path):
+    def test_empty_dataset_is_config_error(self, trained, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
         code = main([
@@ -621,6 +611,29 @@ class TestPlotCommand:
             "--dim", "64",
         ])
         assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {empty}: dataset file holds no documents\n"
+        )
+        assert not (tmp_path / "x.svg").exists()
+
+    def test_target_beyond_the_drawable_extent_exits_2(
+        self, trained, tmp_path, capsys
+    ):
+        """A star at 1.75e308 pads the x extent past the float range,
+        where the star would be drawn at cx="nan"."""
+        trace = tmp_path / "trace.jsonl"
+        assert main(_optimize_argv(
+            trained, tmp_path, "--mode", "gcd", "--target-x", "0.5", "--target-y", "0.5"
+        )) == 0
+        capsys.readouterr()
+        code = main([
+            "plot", "--pca", trained["pca"], "--trace", str(trace),
+            "--target-x", "1.75e308", "--target-y", "0",
+            "--out", str(tmp_path / "x.svg"), "--dim", "64",
+        ])
+        assert code == 2
+        assert "no finite, non-zero span" in capsys.readouterr().err
+        assert not (tmp_path / "x.svg").exists()
 
 
 @pytest.mark.parametrize("extra,message", [
@@ -674,6 +687,128 @@ def test_an_ignored_flag_exits_2_before_anything_runs(
     assert main(argv) == 2
     assert f"error: {message}\n" == capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+_TRAIN = ["train", "--data", "{train}", "--matrix", "{matrix}", "--dim", "64"]
+_SAME_FILE = {
+    "model-and-pca": [*_TRAIN, "--out", "{tmp}/m.json", "--pca-out", "{tmp}/m.json"],
+    "model-and-log": [*_TRAIN, "--out", "{tmp}/a.json", "--log-out", "{tmp}/a.json"],
+    "derived-log-and-pca": [
+        *_TRAIN, "--out", "{tmp}/a.json", "--pca-out", "{tmp}/sub/../a.log.json",
+    ],
+    "model-over-data": [
+        "train", "--data", "{tmp}/t.jsonl", "--matrix", "{matrix}",
+        "--out", "{tmp}/t.jsonl", "--dim", "64",
+    ],
+    "report-json-and-text": [
+        "eval", "--model", "{tmp}/model.json", "--train", "{train}",
+        "--test", "{train}", "--out-json", "{tmp}/r", "--out-text", "{tmp}/r",
+        "--dim", "64",
+    ],
+    "trace-over-model-by-symlink": [
+        "optimize", "--model", "{tmp}/model.json", "--pca", "{tmp}/pca.json",
+        "--prompts", "{prompts}", "--target-x", "0", "--target-y", "0",
+        "--out-trace", "{tmp}/link", "--dim", "64",
+    ],
+    "svg-over-pca": [
+        "plot", "--pca", "{tmp}/pca.json", "--model", "{tmp}/model.json",
+        "--data", "{train}", "--out", "{tmp}/./pca.json", "--dim", "64",
+    ],
+}
+
+
+@pytest.mark.parametrize("argv", list(_SAME_FILE.values()), ids=list(_SAME_FILE))
+def test_an_output_on_another_path_exits_2_and_touches_nothing(
+    trained, tmp_path, capsys, argv
+):
+    """Two outputs, or an output and an input, that resolve to one file:
+    the run would write one over the other."""
+    shutil.copy(FIXTURES / "train.jsonl", tmp_path / "t.jsonl")
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "link").symlink_to(tmp_path / "model.json")
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    names = dict(
+        tmp=tmp_path, train=FIXTURES / "train.jsonl",
+        matrix=FIXTURES / "matrix.json", prompts=FIXTURES / "prompts.json",
+    )
+    assert main([a.format(**names) for a in argv]) == 2
+    assert re.fullmatch(
+        r"error: output \S+ and (input|output) \S+ are the same file\n",
+        capsys.readouterr().err,
+    )
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
+@pytest.mark.parametrize("command,role", [
+    ("train", "--data"), ("train", "--pca-data"), ("eval", "--train"),
+    ("eval", "--test"), ("optimize", "--data"),
+])
+def test_an_empty_dataset_file_exits_2_naming_it(
+    trained, tmp_path, capsys, command, role
+):
+    """The loader names the file, whichever command reads it, before
+    any other check can fail on the empty list."""
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("\n")
+    argv = {
+        "train": _train_argv({
+            **trained, "model": str(tmp_path / "new.json"),
+            "pca": str(tmp_path / "new-pca.json"),
+        }),
+        "eval": _eval_argv(trained, tmp_path),
+        "optimize": _optimize_argv(
+            trained, tmp_path, "--target-cluster", "pro-barca",
+            "--data", trained["train"],
+        ),
+    }[command]
+    if role == "--pca-data":
+        argv += [role, str(empty)]
+    else:
+        argv[argv.index(role) + 1] = str(empty)
+    before = sorted(tmp_path.iterdir())
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {empty}: dataset file holds no documents\n"
+    )
+    assert sorted(tmp_path.iterdir()) == before
+
+
+_MINIMAL_ARGV = {
+    "train": ["--data", "d", "--matrix", "m", "--out", "o"],
+    "eval": ["--model", "m", "--train", "a", "--test", "b", "--out-json", "j",
+             "--out-text", "t"],
+    "optimize": ["--model", "m", "--pca", "p", "--prompts", "s", "--out-trace", "t"],
+    "plot": ["--pca", "p", "--out", "o"],
+}
+
+
+@pytest.mark.parametrize("command", list(_MINIMAL_ARGV))
+def test_each_flag_default_is_its_owners(command, capsys):
+    """The llm flags keep literal defaults (``train`` may not load the llm
+    client to read them); the rest are read from their owners. Either
+    way each equals the default of the config field it fills."""
+    from pdial.cli import _embedding_cfg, _llm_cfg, build_parser
+    from pdial.embedding import EmbeddingBackendConfig
+    from pdial.llm_client import LlmBackendConfig
+    from pdial.metric import TrainConfig
+
+    args = build_parser().parse_args([command, *_MINIMAL_ARGV[command]])
+    assert args.fan_out == _http.DEFAULT_FAN_OUT
+    assert _embedding_cfg(args) == EmbeddingBackendConfig()
+    if command == "train":
+        assert TrainConfig(
+            loss_kind=args.loss, margin_m=args.margin, learning_rate=args.lr,
+            epochs=args.epochs, seed=args.seed,
+            binarize_threshold=args.binarize_threshold,
+        ) == TrainConfig()
+    if command == "optimize":
+        cfg = LlmBackendConfig()
+        assert _llm_cfg(args) == cfg
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert f"seconds per http llm request (default: {cfg.timeout:g})" in help_text
+        assert f"llm backend kind (default: {cfg.kind}, offline)" in help_text
 
 
 def test_max_sweeps_help_states_the_optimizer_default(capsys):
@@ -1052,6 +1187,20 @@ def _eval_argv(trained, tmp_path, *extra):
         "--test", trained["test"],
         "--out-json", str(tmp_path / "r.json"),
         "--out-text", str(tmp_path / "r.txt"),
+        "--dim", "64",
+        *extra,
+    ]
+
+
+def _optimize_argv(trained, tmp_path, *extra):
+    return [
+        "optimize",
+        "--model", trained["model"],
+        "--pca", trained["pca"],
+        "--prompts", trained["prompts"],
+        "--llm", "mock",
+        "--mock-table", trained["mock_table"],
+        "--out-trace", str(tmp_path / "trace.jsonl"),
         "--dim", "64",
         *extra,
     ]

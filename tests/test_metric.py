@@ -792,6 +792,44 @@ class TestDualTraining:
         assert skips == [0] * 5
         _assert_matches_full_width(docs, fixture_matrix, embeddings, cfg, d_out)
 
+    @pytest.mark.parametrize("d_out", [None, 8], ids=["square", "rectangular"])
+    def test_twins_share_rows_whatever_the_product_rounds(
+        self, fixture_train_docs, fixture_matrix, fixture_train_embeddings,
+        d_out, monkeypatch,
+    ):
+        """The twins' pair stays at d == 0 when the initial projection
+        rounds their rows one ulp apart: training shares equal
+        embeddings' rows after the products, whatever the BLAS rounds."""
+        import pdial.metric as metric_mod
+
+        embeddings = [np.asarray(e, dtype=np.float64) for e in fixture_train_embeddings]
+        embeddings[10] = embeddings[0].copy()
+        cfg = TrainConfig(
+            loss_kind="contrastive", margin_m=1.0, learning_rate=0.05, epochs=5,
+            seed=7,
+        )
+        real_project = ProjectionModel.project
+
+        def project_apart(self, e):
+            P0 = real_project(self, e)
+            P0[10] = np.nextafter(P0[10], np.inf)
+            return P0
+
+        real = metric_mod._contrastive
+        zero_distance = []
+
+        def spy(dd, y, cfg):
+            loss, scale = real(dd, y, cfg)
+            if dd == 0.0:
+                zero_distance.append((y, loss, scale))
+            return loss, scale
+
+        monkeypatch.setattr(ProjectionModel, "project", project_apart)
+        monkeypatch.setattr(metric_mod, "_contrastive", spy)
+        train(fixture_train_docs, fixture_matrix, embeddings, cfg, d_out=d_out)
+        monkeypatch.undo()
+        assert zero_distance == [(0.0, 1.0, 0.0)] * 5  # one step per epoch
+
 
 class TestSpanFactorsWeights:
     """``ProjectionModel`` builds ``W`` from its span factors in the

@@ -253,6 +253,17 @@ class TestPerspectiveOfOutput:
         with pytest.raises(InputValidationError, match="list of texts"):
             PerspectiveSpace(proj, pca, EmbeddingBackendConfig(dimension=8)).points("alpha")
 
+    def test_blank_text_index_counts_in_the_callers_list(self):
+        proj = ProjectionModel.from_weights(np.eye(8))
+        pca = PcaModel(
+            mean=np.zeros(8),
+            components=np.eye(8)[:2],
+            explained_variance=np.array([1.0, 1.0]),
+        )
+        space = PerspectiveSpace(proj, pca, EmbeddingBackendConfig(dimension=8))
+        with pytest.raises(InputValidationError, match="^text 2 is empty"):
+            space.points(["alpha", "alpha", "  "])
+
 
 def _random_pca(rng, dim):
     q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))

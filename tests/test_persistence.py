@@ -462,13 +462,13 @@ class TestDatasetLoader:
         assert {len(v) for v in by_cluster.values()} == {5}
         assert len(by_cluster) == 3
 
-    def test_empty_file_warns(self, tmp_path, caplog):
+    @pytest.mark.parametrize("text", ["", "\n  \n"], ids=["empty", "blank-lines"])
+    def test_file_without_documents_is_format_error(self, tmp_path, text):
         path = tmp_path / "empty.jsonl"
-        path.write_text("")
-        with caplog.at_level("WARNING"):
-            docs = persistence.load_dataset(path)
-        assert docs == []
-        assert "empty" in caplog.text
+        path.write_text(text)
+        with pytest.raises(FormatError) as err:
+            persistence.load_dataset(path)
+        assert str(err.value) == f"{path}: dataset file holds no documents"
 
     def test_duplicate_id_cites_both_lines(self, tmp_path):
         path = tmp_path / "dup.jsonl"

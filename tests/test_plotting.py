@@ -76,6 +76,21 @@ class TestRenderScatterSvg:
         (cx, cy, _), = _circles(svg)
         assert (cx, cy) == (400.0, 300.0)  # centered in the viewport
 
+    @pytest.mark.parametrize("points,target", [
+        ([(1e308, 0.0), (-1e308, 0.0)], None),
+        ([(0.0, 0.0)], (1.75e308, 0.0)),
+        ([(0.0, 0.85e308), (0.0, -0.85e308)], None),
+        ([(1e20, 0.0)], None),
+    ], ids=["span-overflows", "pad-overflows", "padded-span-overflows", "pad-lost"])
+    def test_extent_without_finite_nonzero_span_rejected(self, points, target):
+        """Each case would draw at NaN or divide by zero: the padded extent
+        or its span leaves the float range, or a span rounds to zero."""
+        groups = [PointGroup("far", tuple(PerspectivePoint(*p) for p in points))]
+        with pytest.raises(InputValidationError, match="no finite, non-zero span"):
+            render_scatter_svg(
+                groups, target=None if target is None else PerspectivePoint(*target)
+            )
+
     def test_empty_input_rejected(self):
         with pytest.raises(InputValidationError):
             render_scatter_svg([])
