@@ -85,7 +85,9 @@ class PcaModel:
         for name, a in named:
             if not np.isfinite(a).all():
                 raise InputValidationError(f"{name} must be finite")
-        gram = comps @ comps.T
+        with np.errstate(over="ignore", invalid="ignore"):
+            # entries near 1e308 overflow to inf or NaN, which fail below
+            gram = comps @ comps.T
         if not np.allclose(gram, np.eye(comps.shape[0]), atol=1e-8):
             raise InputValidationError("component rows must be orthonormal")
         if np.any(ev < 0.0) or np.any(np.diff(ev) > 0.0):

@@ -1,11 +1,14 @@
-"""Versioned JSON/JSONL serialization for every artifact the pipeline
-reads or writes.
+"""Versioned serialization for every artifact the pipeline reads or
+writes.
 
-Formats carry a ``format`` tag and are rejected on mismatch. The
-projection model stores its span factors as base64 of little-endian
-float64; every other float goes through Python's shortest-round-trip
-repr. Either way save/load pairs are bit-exact; see FORMATS.md for the
-full schemas.
+The two numeric artifacts, the projection model and the PCA plane, are
+one line of compact JSON (a ``format`` tag, the shapes and the small
+fields) followed by their arrays as raw little-endian float64, the
+layout of NumPy's ``.npy`` files. A loader checks the tag, the header
+and the payload's byte count before it takes the arrays as views of
+the payload. Every other artifact is JSON or JSON Lines, floats in
+Python's shortest-round-trip repr. Either way save/load pairs are
+bit-exact; see FORMATS.md for the full schemas.
 
 The optimizer's types are imported by the loaders that build them, and
 the report's only for type checking, so a command that reads no prompt
@@ -14,8 +17,6 @@ spec or trace does not load the optimizer.
 
 from __future__ import annotations
 
-import base64
-import binascii
 from dataclasses import asdict
 import json
 import math
@@ -39,40 +40,49 @@ from .metric import (
     TrainConfig,
     TrainingLog,
 )
-from .pca import PcaModel, PerspectivePoint
+from .pca import PCA_AXES, PcaModel, PerspectivePoint, _apply_sign_convention
 
 if TYPE_CHECKING:
     from .evaluation import SimilarityReport
     from .optimizer import PromptSpec, SearchTrace
 
-MODEL_FORMAT = "pdial-proj-v2"
-PCA_FORMAT = "pdial-pca-v1"
+MODEL_FORMAT = "pdial-proj-v3"
+PCA_FORMAT = "pdial-pca-v2"
 TRAIN_LOG_FORMAT = "pdial-train-log-v1"
 REPORT_FORMAT = "pdial-report-v1"
 
 
 def _read_text(path: str | Path) -> str:
-    """The UTF-8 text of ``path``; an unreadable file or one that is not
-    valid UTF-8 is a FormatError naming it."""
+    """The UTF-8 text of ``path``, its line ends as they are; an
+    unreadable file or one that is not valid UTF-8 is a FormatError
+    naming it."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_bytes().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
 
 
-def _read_json(path: str | Path) -> dict:
+def _json_object(text: str, where: str) -> dict:
+    """The JSON object ``text`` holds; anything else is a FormatError
+    naming ``where``."""
     try:
-        data = json.loads(_read_text(path))
+        obj = json.loads(text)
     except json.JSONDecodeError as exc:
+        at = f"line {exc.lineno} column" if exc.lineno > 1 else "column"
         raise FormatError(
-            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: "
-            f"{exc.msg}"
+            f"{where}: invalid JSON at {at} {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer of more digits than int() reads
+        raise FormatError(f"{where}: invalid JSON: {exc}") from exc
     except RecursionError as exc:
-        raise FormatError(f"{path}: JSON nested too deeply") from exc
-    if not isinstance(data, dict):
-        raise FormatError(f"{path}: expected a JSON object at top level")
-    return data
+        raise FormatError(f"{where}: JSON nested too deeply") from exc
+    if not isinstance(obj, dict):
+        raise FormatError(f"{where}: expected a JSON object")
+    return obj
+
+
+def _read_json(path: str | Path) -> dict:
+    return _json_object(_read_text(path), str(path))
 
 
 def _read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
@@ -80,23 +90,14 @@ def _read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     file; a line that is not a JSON object is a FormatError naming the
     file and the line.
 
-    Lines end at ``\n`` only (the text is read with universal newlines):
+    Lines end at ``\n`` only, and the text is read without newline
+    translation: a ``\r`` is JSON whitespace, so a ``\r\n`` ending and a
+    lone ``\r`` between tokens both stay inside their line.
     ``str.splitlines`` would also split inside a string holding U+0085 or
     U+2028, which ``json.dumps(..., ensure_ascii=False)`` writes as is."""
     for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise FormatError(
-                f"{path}:{lineno}: invalid JSON at column {exc.colno}: {exc.msg}"
-            ) from exc
-        except RecursionError as exc:
-            raise FormatError(f"{path}:{lineno}: JSON nested too deeply") from exc
-        if not isinstance(obj, dict):
-            raise FormatError(f"{path}:{lineno}: expected a JSON object")
-        yield lineno, obj
+        if line.strip():
+            yield lineno, _json_object(line, f"{path}:{lineno}")
 
 
 def _string(value: object, where: str) -> str:
@@ -136,6 +137,9 @@ def _finite(value: object, what: str) -> float:
     return float(value)
 
 
+_BAD_VALUE = (InputValidationError, KeyError, OverflowError, TypeError, ValueError)
+
+
 def _check_format(data: dict, expected: str, path: str | Path) -> None:
     tag = data.get("format")
     if tag != expected:
@@ -144,25 +148,31 @@ def _check_format(data: dict, expected: str, path: str | Path) -> None:
         )
 
 
-def write_text_atomic(path: str | Path, text: str) -> None:
-    """Write ``text`` as UTF-8 to a temporary file next to ``path``, then
-    rename it over ``path``.
+def write_bytes_atomic(path: str | Path, data: bytes) -> None:
+    """Write ``data`` to a temporary file next to ``path``, then rename it
+    over ``path``.
 
     Readers see the old file or the new one, never a truncated one. An
-    error while encoding or writing leaves any existing file as it was
-    and removes the temporary file; a process killed mid-write also
-    leaves the existing file intact. Without an fsync this does not
-    guard against power loss.
+    error while writing leaves any existing file as it was and removes
+    the temporary file; a process killed mid-write also leaves the
+    existing file intact. Without an fsync this does not guard against
+    power loss.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     try:
-        with open(tmp, "x", encoding="utf-8") as f:
-            f.write(text)
+        with open(tmp, "xb") as f:
+            f.write(data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_text_atomic(path: str | Path, text: str) -> None:
+    """``write_bytes_atomic`` of ``text`` as UTF-8; text that UTF-8 cannot
+    hold raises before any file is touched."""
+    write_bytes_atomic(path, text.encode("utf-8"))
 
 
 def _write_json(path: str | Path, data: dict) -> None:
@@ -206,97 +216,171 @@ def _json_text(value: object, indent: str) -> str:
     return text.replace("\n", "\n" + indent)
 
 
-def _encode_array(a: np.ndarray) -> str:
-    raw = np.ascontiguousarray(a, dtype="<f8").tobytes()
-    return base64.b64encode(raw).decode("ascii")
+def _header_line(header: dict) -> bytes:
+    """``header`` as one line of compact JSON, without its newline."""
+    return json.dumps(header, separators=(",", ":"), allow_nan=False).encode()
 
 
-def _decode_array(
-    data: dict, name: str, rows: int, cols: int, path: str | Path
-) -> np.ndarray:
-    """Field ``name`` of a model file as a finite rows x cols array."""
+def _write_arrays(path: str | Path, header: dict, arrays: list[np.ndarray]) -> None:
+    """Write the header line, then each array's little-endian float64
+    values in row-major order, back to back."""
+    write_bytes_atomic(path, b"".join([
+        _header_line(header),
+        b"\n",
+        *(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays),
+    ]))
+
+
+def _read_header(path: str | Path, expected: str) -> tuple[dict, bytes, bytes]:
+    """The header object, header line and payload of a file that
+    ``_write_arrays`` wrote, once its tag is ``expected``."""
     try:
-        raw = base64.b64decode(data[name], validate=True)
-    except KeyError as exc:
-        raise FormatError(f"{path}: malformed model file: no {name!r}") from exc
-    except (binascii.Error, TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: {name} is not valid base64: {exc}") from exc
-    if len(raw) != rows * cols * 8:
-        raise FormatError(
-            f"{path}: {name} holds {len(raw)} bytes, expected {rows} x {cols} "
-            f"float64 ({rows * cols * 8} bytes)"
+        with open(path, "rb") as f:
+            line = f.readline().removesuffix(b"\n")
+            # Read to the end into a bytes object of its own, so its views
+            # start aligned: numpy hands only aligned arrays to BLAS, and
+            # the bits of every projection depend on which code sums them.
+            payload = f.read(os.fstat(f.fileno()).st_size)
+        text = line.decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FormatError(f"cannot read {path}: {exc}") from exc
+    try:
+        header = _json_object(text, f"{path}:1")
+    except FormatError:
+        # The JSON layouts before this one put one object over many
+        # lines, so their first line is no header: name their tag.
+        try:
+            old = json.loads((line + b"\n" + payload).decode("utf-8"))
+        except (ValueError, RecursionError):
+            old = None
+        if isinstance(old, dict):
+            _check_format(old, expected, path)
+        raise
+    _check_format(header, expected, path)
+    return header, line, payload
+
+
+def _arrays(
+    payload: bytes, shapes: dict[str, tuple[int, ...]], path: str | Path
+) -> dict[str, np.ndarray]:
+    """The finite arrays of ``shapes``, in order, as views of ``payload``,
+    which must hold exactly their float64 values; the byte count is
+    checked before any array is built."""
+    sizes = [math.prod(shape) for shape in shapes.values()]
+    if len(payload) != 8 * sum(sizes):
+        layout = ", ".join(
+            f"{name} {' x '.join(map(str, shape))}" for name, shape in shapes.items()
         )
-    a = np.frombuffer(raw, dtype="<f8").reshape(rows, cols)
-    if not np.isfinite(a).all():
-        raise FormatError(f"{path}: {name} contains non-finite values")
-    return a
+        raise FormatError(
+            f"{path}: payload holds {len(payload)} bytes, expected "
+            f"{8 * sum(sizes)} for float64 {layout}"
+        )
+    flat = np.frombuffer(payload, dtype="<f8")
+    arrays = {}
+    start = 0
+    for (name, shape), size in zip(shapes.items(), sizes):
+        a = flat[start:start + size].reshape(shape)
+        if not np.isfinite(a).all():
+            raise FormatError(f"{path}: {name} contains non-finite values")
+        arrays[name] = a
+        start += size
+    return arrays
+
+
+def _check_header(line: bytes, header: dict, path: str | Path) -> None:
+    """The header line must be the one saving the loaded values writes,
+    so that every file that loads saves back to its own bytes."""
+    want = _header_line(header)
+    if line != want:
+        raise FormatError(
+            f"{path}:1: the header is not the one its values are saved with, "
+            f"{want.decode()}"
+        )
+
+
+def _model_header(model: ProjectionModel, cfg: TrainConfig) -> dict:
+    return {
+        "format": MODEL_FORMAT,
+        "d_in": model.d_in,
+        "d_out": model.d_out,
+        "n": len(model.coef),
+        "base": model.base is not None,
+        "train_config": asdict(cfg),
+    }
 
 
 def save_model(path: str | Path, model: ProjectionModel, cfg: TrainConfig) -> None:
-    """Store ``model`` as its span factors."""
-    _write_json(
-        path,
-        {
-            "format": MODEL_FORMAT,
-            "d_in": model.d_in,
-            "d_out": model.d_out,
-            "n": len(model.coef),
-            "base": None if model.base is None else _encode_array(model.base),
-            "coef": _encode_array(model.coef),
-            "basis": _encode_array(model.basis),
-            "train_config": asdict(cfg),
-        },
-    )
+    """Store ``model`` as its span factors: ``base`` (when it is not the
+    identity), ``coef``, then ``basis``."""
+    arrays = [model.coef, model.basis]
+    if model.base is not None:
+        arrays.insert(0, model.base)
+    _write_arrays(path, _model_header(model, cfg), arrays)
 
 
 def load_model(path: str | Path) -> tuple[ProjectionModel, TrainConfig]:
-    """Read a model file and rebuild ``W`` once from its span factors."""
-    data = _read_json(path)
-    _check_format(data, MODEL_FORMAT, path)
+    """Read a model file and build the model from its span factors."""
+    header, line, payload = _read_header(path, MODEL_FORMAT)
     try:
-        d_in = _count(data["d_in"], "d_in", 1)
-        d_out = _count(data["d_out"], "d_out", 1)
-        n = _count(data["n"], "n")
-        base = data["base"]
-        config = data["train_config"]
+        d_in = _count(header["d_in"], "d_in", 1)
+        d_out = _count(header["d_out"], "d_out", 1)
+        n = _count(header["n"], "n")
+        base = header["base"]
+        if type(base) is not bool:
+            raise ValueError(f"base must be true or false, got {base!r}")
+        config = header["train_config"]
         keys = asdict(TrainConfig()).keys()
         if not isinstance(config, dict) or config.keys() != keys:
             raise ValueError(f"train_config must hold exactly the keys {sorted(keys)}")
         cfg = TrainConfig(**config)
     except (ConfigurationError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed model file: {exc}") from exc
-    if base is not None:
-        base = _decode_array(data, "base", d_out, d_in, path)
-    coef = _decode_array(data, "coef", n, d_out, path)
-    basis = _decode_array(data, "basis", n, d_in, path)
+    shapes = {"base": (d_out, d_in)} if base else {}
+    arrays = _arrays(payload, {**shapes, "coef": (n, d_out), "basis": (n, d_in)}, path)
     try:
-        return ProjectionModel(coef, basis, base), cfg
+        model = ProjectionModel(arrays["coef"], arrays["basis"], arrays.get("base"))
     except InputValidationError as exc:
         raise FormatError(f"{path}: {exc}") from exc
+    _check_header(line, _model_header(model, cfg), path)
+    return model, cfg
+
+
+def _pca_header(model: PcaModel) -> dict:
+    return {
+        "format": PCA_FORMAT,
+        "dim": model.dim,
+        "explained_variance": model.explained_variance.tolist(),
+    }
 
 
 def save_pca(path: str | Path, model: PcaModel) -> None:
-    _write_json(
-        path,
-        {
-            "format": PCA_FORMAT,
-            "mean": model.mean.tolist(),
-            "components": model.components.tolist(),
-            "explained_variance": model.explained_variance.tolist(),
-        },
-    )
+    """Store ``model``'s ``mean``, then its ``components``."""
+    _write_arrays(path, _pca_header(model), [model.mean, model.components])
 
 
 def load_pca(path: str | Path) -> PcaModel:
-    data = _read_json(path)
-    _check_format(data, PCA_FORMAT, path)
+    header, line, payload = _read_header(path, PCA_FORMAT)
+    where = f"{path}: malformed PCA file"
     try:
-        return PcaModel(
-            *(require_numbers(data[name], ValueError, name)
-              for name in ("mean", "components", "explained_variance"))
+        dim = _count(header["dim"], "dim", 1)
+        variance = [
+            _finite(v, "explained_variance")
+            for v in _list(header["explained_variance"], f"{where}: explained_variance")
+        ]
+    except _BAD_VALUE as exc:
+        raise FormatError(f"{where}: {exc}") from exc
+    arrays = _arrays(payload, {"mean": (dim,), "components": (PCA_AXES, dim)}, path)
+    try:
+        pca = PcaModel(arrays["mean"], arrays["components"], variance)
+    except InputValidationError as exc:
+        raise FormatError(f"{where}: {exc}") from exc
+    if not np.array_equal(_apply_sign_convention(pca.components), pca.components):
+        raise FormatError(
+            f"{where}: the entry of largest absolute value in each component "
+            f"row must be positive"
         )
-    except (InputValidationError, KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: malformed PCA file: {exc}") from exc
+    _check_header(line, _pca_header(pca), path)
+    return pca
 
 
 def load_dataset(path: str | Path) -> list[LabeledDocument]:
@@ -454,9 +538,6 @@ def _point(value: object) -> PerspectivePoint:
     ):
         raise ValueError(f"expected [x, y] as two numbers, got {value!r}")
     return PerspectivePoint(x=float(value[0]), y=float(value[1]))
-
-
-_BAD_VALUE = (InputValidationError, KeyError, OverflowError, TypeError, ValueError)
 
 
 def load_trace(path: str | Path) -> SearchTrace:

@@ -16,6 +16,20 @@ from pdial.persistence import load_dataset, load_matrix
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
+
+def read_artifact(path):
+    """The header object and the float64 payload of a model or PCA file."""
+    line, _, payload = Path(path).read_bytes().partition(b"\n")
+    return json.loads(line), np.frombuffer(payload, dtype="<f8").copy()
+
+
+def write_artifact(path, header, values=()):
+    """A model or PCA file holding ``header`` and the float64 ``values``
+    (flattened in order), as pdial writes one, but with no check."""
+    line = json.dumps(header, separators=(",", ":"))
+    payload = b"".join(np.asarray(v, dtype="<f8").tobytes() for v in values)
+    Path(path).write_bytes(line.encode() + b"\n" + payload)
+
 # The acceptance recipe: contrastive, margin 1.0, 50 epochs, lr 0.05, seed 7,
 # hashed backend at dimension 64.
 FIXTURE_BACKEND = EmbeddingBackendConfig(kind="hashed", dimension=64)

@@ -8,6 +8,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pdial import _http
@@ -22,9 +23,9 @@ from pdial.errors import (
     ProtocolError,
 )
 
-from pdial.pca import PerspectivePoint
+from pdial.pca import PcaModel, PerspectivePoint
 
-from conftest import FIXTURES
+from conftest import FIXTURES, read_artifact, write_artifact
 
 
 def _base_args(tmp_path):
@@ -69,9 +70,9 @@ class TestTrainCommand:
         assert (tmp_path / "model.json").exists()
         assert (tmp_path / "model.log.json").exists()
         assert (tmp_path / "pca.json").exists()
-        model = json.loads((tmp_path / "model.json").read_text())
-        assert model["format"] == "pdial-proj-v2"
-        assert model["d_in"] == model["d_out"] == 64
+        header, _ = read_artifact(tmp_path / "model.json")
+        assert header["format"] == "pdial-proj-v3"
+        assert header["d_in"] == header["d_out"] == 64
         log = json.loads((tmp_path / "model.log.json").read_text())
         assert len(log["epoch_mean_loss"]) == 50
 
@@ -1104,22 +1105,21 @@ class TestRequestCounts:
 
     @staticmethod
     def _pca_of_width(trained, tmp_path, width):
-        pca = json.loads(Path(trained["pca"]).read_text())
-        pca["mean"] = [0.0] * width
-        pca["components"] = [
-            [float(i == j) for j in range(width)] for i in range(2)
-        ]
+        from pdial.persistence import load_pca, save_pca
+
+        pca = load_pca(trained["pca"])
         path = tmp_path / f"pca{width}.json"
-        path.write_text(json.dumps(pca))
+        save_pca(path, PcaModel(np.zeros(width), np.eye(2, width),
+                                pca.explained_variance))
         return str(path)
 
     def test_non_finite_pca_exits_2_before_any_request(
         self, backend, trained, tmp_path, capsys
     ):
-        pca = json.loads(Path(trained["pca"]).read_text())
-        pca["mean"][0] = float("nan")
+        header, values = read_artifact(trained["pca"])
+        values[0] = float("nan")  # the first entry of the mean
         path = tmp_path / "nan_pca.json"
-        path.write_text(json.dumps(pca))
+        write_artifact(path, header, [values])
         assert main([
             "optimize", "--pca", str(path), "--model", trained["model"],
             "--prompts", trained["prompts"],
@@ -1128,7 +1128,7 @@ class TestRequestCounts:
             *self._embed_flags(backend), "--target-x", "0", "--target-y", "0",
         ]) == 2
         assert capsys.readouterr().err == (
-            f"error: {path}: malformed PCA file: mean must be finite\n"
+            f"error: {path}: mean contains non-finite values\n"
         )
         assert backend.requests == []
         assert not (tmp_path / "trace.jsonl").exists()
@@ -1238,14 +1238,10 @@ class TestBackendFailures:
         assert not (tmp_path / "trace.jsonl").exists()
 
     def test_rejected_pca_file_is_named(self, trained, tmp_path, capsys):
-        pca = json.loads(Path(trained["pca"]).read_text())
-        d = len(pca["mean"])
-        pca["components"] = [
-            [float(i == j) for j in range(d)] for i in range(3)
-        ]
-        pca["explained_variance"] = [3.0, 2.0, 1.0]
+        header, values = read_artifact(trained["pca"])
+        header["explained_variance"] = [3.0, 2.0, 1.0]
         bad = tmp_path / "three_axes.json"
-        bad.write_text(json.dumps(pca))
+        write_artifact(bad, header, [values])
         assert main([
             "optimize",
             "--model", trained["model"],
@@ -1258,7 +1254,7 @@ class TestBackendFailures:
         ]) == 2
         err = capsys.readouterr().err
         assert str(bad) in err
-        assert "3 components, expected 2" in err
+        assert "explained_variance length must match component count" in err
 
     @pytest.mark.parametrize(
         "key", ["bad\nkey", "bad\u20ackey", "bad\u00e9key", "bad key", "bad\x7fkey"],

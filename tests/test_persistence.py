@@ -6,7 +6,7 @@ import os
 import re
 import stat
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -15,15 +15,15 @@ from pdial.embedding import hashed_embed
 from pdial.errors import FormatError
 from pdial.metric import ProjectionModel, TrainConfig, train
 from pdial.optimizer import Evaluation, PromptAssignment, SearchTrace
-from pdial.pca import PerspectivePoint
+from pdial.pca import PcaModel, PerspectivePoint
 from pdial import persistence
 
-from conftest import FIXTURES
+from conftest import FIXTURES, read_artifact, write_artifact
 
 
 class TestModelRoundTrip:
     def test_identity_round_trip(self, tmp_path):
-        path = tmp_path / "model.json"
+        path = tmp_path / "model.bin"
         model = ProjectionModel.from_weights(np.eye(4))
         cfg = TrainConfig(loss_kind="cosine", epochs=5, seed=1)
         persistence.save_model(path, model, cfg)
@@ -32,7 +32,7 @@ class TestModelRoundTrip:
         assert loaded_cfg == cfg
 
     def test_random_768x768_bit_exact(self, tmp_path):
-        path = tmp_path / "big.json"
+        path = tmp_path / "big.bin"
         rng = np.random.default_rng(0)
         W = rng.normal(size=(768, 768))
         model = ProjectionModel.from_weights(W)
@@ -41,25 +41,26 @@ class TestModelRoundTrip:
         assert np.max(np.abs(loaded.W - W)) == 0.0
 
     def test_wrong_version_tag_names_both(self, tmp_path):
-        path = tmp_path / "old.json"
-        path.write_text(json.dumps({"format": "pdial-proj-v0"}))
+        path = tmp_path / "old.bin"
+        write_artifact(path, {"format": "pdial-proj-v0"})
         with pytest.raises(FormatError) as err:
             persistence.load_model(path)
-        assert "pdial-proj-v0" in str(err.value)
-        assert "pdial-proj-v2" in str(err.value)
+        assert "'pdial-proj-v0'" in str(err.value)
+        assert "'pdial-proj-v3'" in str(err.value)
 
     def test_malformed_json_reports_position(self, tmp_path):
-        path = tmp_path / "broken.json"
-        path.write_text('{"format": "pdial-proj-v2", \n  "d_in": }')
-        with pytest.raises(FormatError, match=r"line 2 column"):
+        path = tmp_path / "broken.bin"
+        path.write_bytes(b'{"format":"pdial-proj-v3","d_in":}\n' + bytes(8))
+        with pytest.raises(FormatError) as err:
             persistence.load_model(path)
+        assert str(err.value).startswith(f"{path}:1: invalid JSON at column 34: ")
 
     def test_save_is_deterministic(self, tmp_path):
         model = ProjectionModel.from_weights(
             np.random.default_rng(1).normal(size=(3, 3))
         )
         cfg = TrainConfig()
-        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+        p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
         persistence.save_model(p1, model, cfg)
         persistence.save_model(p2, model, cfg)
         assert p1.read_bytes() == p2.read_bytes()
@@ -82,6 +83,36 @@ def _v1_load(path):
     data = json.loads(path.read_text())
     w = np.asarray(data["w_row_major"], dtype=np.float64)
     return w.reshape(data["d_out"], data["d_in"])
+
+
+def _v2_save(path, model, cfg):
+    """The pdial-proj-v2 writer the header-and-payload layout replaced:
+    the span factors as base64 strings in an indented JSON object."""
+    def encode(a):
+        return base64.b64encode(np.asarray(a, dtype="<f8").tobytes()).decode("ascii")
+
+    data = {
+        "format": "pdial-proj-v2",
+        "d_in": model.d_in,
+        "d_out": model.d_out,
+        "n": len(model.coef),
+        "base": None if model.base is None else encode(model.base),
+        "coef": encode(model.coef),
+        "basis": encode(model.basis),
+        "train_config": asdict(cfg),
+    }
+    path.write_text(json.dumps(data, indent=2) + "\n")
+
+
+def _pca_v1_save(path, pca):
+    """The pdial-pca-v1 writer: every array as JSON numbers."""
+    data = {
+        "format": "pdial-pca-v1",
+        "mean": pca.mean.tolist(),
+        "components": pca.components.tolist(),
+        "explained_variance": pca.explained_variance.tolist(),
+    }
+    path.write_text(json.dumps(data, indent=2) + "\n")
 
 
 FIXTURE_RECIPE = TrainConfig(
@@ -107,47 +138,68 @@ class TestFactoredModel:
         return _train_fixture(*request.param)
 
     def test_load_rebuilds_trained_W_bit_for_bit(self, tmp_path, model):
-        path = tmp_path / "model.json"
+        path = tmp_path / "model.bin"
         persistence.save_model(path, model, FIXTURE_RECIPE)
         loaded, cfg = persistence.load_model(path)
         assert loaded.W.tobytes() == model.W.tobytes()
         assert cfg == FIXTURE_RECIPE
 
     def test_save_load_save_is_byte_identical(self, tmp_path, model):
-        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+        p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
         persistence.save_model(p1, model, FIXTURE_RECIPE)
         persistence.save_model(p2, persistence.load_model(p1)[0], FIXTURE_RECIPE)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_v1_oracle_reads_the_same_W(self, tmp_path, model):
-        v1, v2 = tmp_path / "v1.json", tmp_path / "v2.json"
+        v1, v3 = tmp_path / "v1.json", tmp_path / "v3.bin"
         _v1_save(v1, model, FIXTURE_RECIPE)
-        persistence.save_model(v2, model, FIXTURE_RECIPE)
-        assert _v1_load(v1).tobytes() == persistence.load_model(v2)[0].W.tobytes()
+        persistence.save_model(v3, model, FIXTURE_RECIPE)
+        assert _v1_load(v1).tobytes() == persistence.load_model(v3)[0].W.tobytes()
 
     def test_stores_the_span_factors(self, tmp_path, model):
-        path = tmp_path / "model.json"
+        path = tmp_path / "model.bin"
         persistence.save_model(path, model, FIXTURE_RECIPE)
-        data = json.loads(path.read_text())
-        assert data["n"] == 15
-        if model.d_out == model.d_in:
-            assert data["base"] is None
-        else:
-            base = np.frombuffer(base64.b64decode(data["base"]), dtype="<f8")
+        header, values = read_artifact(path)
+        assert header == {
+            "format": "pdial-proj-v3", "d_in": model.d_in, "d_out": model.d_out,
+            "n": 15, "base": model.d_out != model.d_in,
+            "train_config": asdict(FIXTURE_RECIPE),
+        }
+        factors = [model.coef, model.basis]
+        if model.d_out != model.d_in:
             initial = ProjectionModel.initial(model.d_in, model.d_out, 7).W
-            assert base.tobytes() == initial.tobytes()
+            assert model.base.tobytes() == initial.tobytes()
+            factors.insert(0, model.base)
+        assert values.tobytes() == b"".join(a.tobytes() for a in factors)
 
     def test_fixture_model_at_768_is_under_half_a_megabyte(self, tmp_path):
-        path = tmp_path / "model.json"
+        path = tmp_path / "model.bin"
         persistence.save_model(path, _train_fixture(768), FIXTURE_RECIPE)
-        assert path.stat().st_size < 500_000
+        header_line = path.read_bytes().split(b"\n")[0]
+        # the header line, its newline, then coef and basis, 15 x 768 each
+        assert path.stat().st_size == len(header_line) + 1 + 2 * 15 * 768 * 8
+        assert path.stat().st_size < 200_000
+
+    def test_loaded_arrays_are_aligned_views(self, tmp_path, model):
+        """numpy's matrix products call BLAS only on aligned arrays, so the
+        loaded factors must be aligned for projections to keep their bits."""
+        from pdial.pca import fit_pca
+
+        path = tmp_path / "model.bin"
+        persistence.save_model(path, model, FIXTURE_RECIPE)
+        loaded, _ = persistence.load_model(path)
+        pca_path = tmp_path / "pca.bin"
+        persistence.save_pca(pca_path, fit_pca(list(model.project(model.basis))))
+        pca = persistence.load_pca(pca_path)
+        for a in (loaded.coef, loaded.basis, pca.mean, pca.components):
+            assert a.flags.aligned and not a.flags.owndata
 
     def test_bare_W_with_negative_zeros_round_trips(self, tmp_path):
         W = np.random.default_rng(3).normal(size=(5, 7))
         W[0, 0] = W[4, 6] = -0.0
-        path = tmp_path / "model.json"
+        path = tmp_path / "model.bin"
         persistence.save_model(path, ProjectionModel.from_weights(W), TrainConfig())
-        assert json.loads(path.read_text())["n"] == 0
+        assert read_artifact(path)[0]["n"] == 0
         loaded, _ = persistence.load_model(path)
         assert loaded.W.tobytes() == W.tobytes()
         assert np.signbit(loaded.W[0, 0]) and np.signbit(loaded.W[4, 6])
@@ -169,7 +221,7 @@ class TestSavedModelIsTheModelInMemory:
             "initial-gaussian"])
     def test_load_gives_the_W_in_memory(self, tmp_path, build):
         model = build()
-        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+        p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
         persistence.save_model(p1, model, TrainConfig())
         loaded, _ = persistence.load_model(p1)
         assert loaded.W.tobytes() == model.W.tobytes()
@@ -187,104 +239,148 @@ class TestSavedModelIsTheModelInMemory:
         with pytest.raises(TypeError):
             ProjectionModel(trained.coef, trained.basis, W=np.eye(16))
         identity = ProjectionModel.from_weights(np.eye(16))
-        path = tmp_path / "model.json"
+        path = tmp_path / "model.bin"
         persistence.save_model(path, identity, TrainConfig())
         assert persistence.load_model(path)[0].W.tobytes() == np.eye(16).tobytes()
 
 
-def _encode(a):
-    return base64.b64encode(np.asarray(a, dtype="<f8").tobytes()).decode("ascii")
+# The payload of the d_in=64, d_out=8 model below: base 8 x 64 (512
+# values), coef 15 x 8 (120), then basis 15 x 64 (960).
+BASE, COEF, BASIS = slice(0, 512), slice(512, 632), slice(632, 1592)
+SHAPES = "base 8 x 64, coef 15 x 8, basis 15 x 64"
 
 
-def _decode(text):
-    return np.frombuffer(base64.b64decode(text), dtype="<f8").copy()
+def _edit(change):
+    """A bad file: the model saved, then ``change(header, values)``
+    applied to its header and float64 payload; ``change`` edits the
+    header in place and returns the new payload, or None to keep it."""
+    def make(path, model):
+        persistence.save_model(path, model, FIXTURE_RECIPE)
+        header, values = read_artifact(path)
+        new = change(header, values)
+        write_artifact(path, header, [values if new is None else new])
+
+    return make
 
 
-def _with_non_finite(name, value):
-    def mutate(data):
-        a = _decode(data[name])
-        a[3] = value
-        data[name] = _encode(a)
+def _raw(change):
+    """A bad file: the model saved, then ``change`` applied to its bytes."""
+    def make(path, model):
+        persistence.save_model(path, model, FIXTURE_RECIPE)
+        path.write_bytes(change(path.read_bytes()))
 
-    return mutate
-
-
-def _drop_a_row(name, width):
-    def mutate(data):
-        data[name] = _encode(_decode(data[name])[width:])
-
-    return mutate
+    return make
 
 
-# Each mutation of a valid d_in=64, d_out=8 model file, and a pattern its
+def _set(where, value):
+    def change(header, values):
+        values[where] = value
+
+    return change
+
+
+def _config(**fields):
+    return _edit(lambda h, v: h["train_config"].update(fields))
+
+
+CANONICAL = r":1: the header is not the one its values are saved with"
+
+# Each way to spoil a valid d_in=64, d_out=8 model file, and a pattern its
 # FormatError must match.
 BAD_MODEL_FILES = {
-    "v1-file": (None, r"'pdial-proj-v1'.*'pdial-proj-v2'"),
-    "bad-base64": (
-        lambda d: d.update(coef=d["coef"][:-4] + "#==="), "coef is not valid base64"
+    "v1-file": (
+        lambda path, model: _v1_save(path, model, FIXTURE_RECIPE),
+        r"format tag is 'pdial-proj-v1', this reader expects 'pdial-proj-v3'",
     ),
-    "unpadded-base64": (
-        lambda d: d.update(basis=d["basis"][:-1]), "basis is not valid base64"
+    "v2-file": (
+        lambda path, model: _v2_save(path, model, FIXTURE_RECIPE),
+        r"format tag is 'pdial-proj-v2', this reader expects 'pdial-proj-v3'",
+    ),
+    "header-not-json": (
+        _raw(lambda b: b"not json" + b[b.index(b"\n"):]), ":1: invalid JSON at column 1"
+    ),
+    "header-a-list": (
+        _raw(lambda b: b"[]" + b[b.index(b"\n"):]), ":1: expected a JSON object"
+    ),
+    "header-spaced": (_raw(lambda b: b.replace(b",", b", ", 1)), CANONICAL),
+    "header-key-extra": (_edit(lambda h, v: h.update(comment="x")), CANONICAL),
+    "margin-as-1e0": (
+        _raw(lambda b: b.replace(b'"margin_m":1.0', b'"margin_m":1e0')), CANONICAL
     ),
     "short-by-one-float": (
-        lambda d: d.update(basis=_encode(_decode(d["basis"])[:-1])),
-        r"basis holds 7672 bytes, expected 15 x 64",
+        _edit(lambda h, v: v[:-1]),
+        rf"payload holds 12728 bytes, expected 12736 for float64 {SHAPES}$",
     ),
-    "coef-one-row-short": (_drop_a_row("coef", 8), r"coef holds 896 bytes"),
-    "n-off-by-one": (lambda d: d.update(n=16), r"coef holds 960 bytes, expected 16 x 8"),
-    "null-base-not-square": (lambda d: d.update(base=None), "base is null"),
-    "nan-in-base": (_with_non_finite("base", np.nan), "base contains non-finite"),
-    "inf-in-coef": (_with_non_finite("coef", np.inf), "coef contains non-finite"),
-    "nan-in-basis": (_with_non_finite("basis", np.nan), "basis contains non-finite"),
-    "no-coef": (lambda d: d.pop("coef"), "no 'coef'"),
-    "bad-train-config": (
-        lambda d: d["train_config"].update(margin_m=-1.0), "margin must be > 0"
+    "byte-appended": (
+        _raw(lambda b: b + b"\0"), r"payload holds 12737 bytes, expected 12736"
     ),
-    "seed-string": (
-        lambda d: d["train_config"].update(seed="x"), "seed must be int, got 'x'"
+    "coef-one-row-short": (
+        _edit(lambda h, v: np.delete(v, range(512, 520))), r"payload holds 12672 bytes"
     ),
-    "seed-null": (
-        lambda d: d["train_config"].update(seed=None), "seed must be int, got None"
+    "n-off-by-one": (
+        _edit(lambda h, v: h.update(n=16)),
+        r"payload holds 12736 bytes, expected 13312 for float64 base 8 x 64, "
+        r"coef 16 x 8, basis 16 x 64",
     ),
+    "n-2**62": (
+        _edit(lambda h, v: h.update(n=2**62)),
+        rf"expected {8 * (512 + 2**62 * 72)} for float64 base 8 x 64, "
+        rf"coef {2**62} x 8",
+    ),
+    "null-base-not-square": (
+        _edit(lambda h, v: h.update(base=False) or v[COEF.start:]), "base is null"
+    ),
+    "base-null": (
+        _edit(lambda h, v: h.update(base=None)), "base must be true or false, got None"
+    ),
+    "nan-in-base": (_edit(_set(3, np.nan)), "base contains non-finite"),
+    "inf-in-coef": (_edit(_set(COEF.start + 3, np.inf)), "coef contains non-finite"),
+    "nan-in-basis": (_edit(_set(BASIS.start + 3, np.nan)), "basis contains non-finite"),
+    "no-coef": (
+        _edit(lambda h, v: np.delete(v, np.arange(COEF.start, COEF.stop))),
+        rf"payload holds 11776 bytes, expected 12736 for float64 {SHAPES}",
+    ),
+    "no-n": (_edit(lambda h, v: h.pop("n")), "malformed model file: 'n'"),
+    "bad-train-config": (_config(margin_m=-1.0), "margin must be > 0"),
+    "seed-string": (_config(seed="x"), "seed must be int, got 'x'"),
+    "seed-null": (_config(seed=None), "seed must be int, got None"),
     "seed-beyond-64-bits": (
-        lambda d: d["train_config"].update(seed=2**64 + 7),
+        _config(seed=2**64 + 7),
         "seed must be a signed 64-bit integer, got 18446744073709551623",
     ),
-    "epochs-float": (
-        lambda d: d["train_config"].update(epochs=2.5), "epochs must be int, got 2.5"
-    ),
-    "margin-true": (
-        lambda d: d["train_config"].update(margin_m=True),
-        "margin_m must be float, got True",
-    ),
+    "epochs-float": (_config(epochs=2.5), "epochs must be int, got 2.5"),
+    "margin-true": (_config(margin_m=True), "margin_m must be float, got True"),
     "train-config-key-missing": (
-        lambda d: d["train_config"].pop("seed"),
+        _edit(lambda h, v: h["train_config"].pop("seed")),
         "train_config must hold exactly the keys",
     ),
     "train-config-key-extra": (
-        lambda d: d["train_config"].update(momentum=0.9),
-        "train_config must hold exactly the keys",
+        _config(momentum=0.9), "train_config must hold exactly the keys"
     ),
     "train-config-list": (
-        lambda d: d.update(train_config=[]),
+        _edit(lambda h, v: h.update(train_config=[])),
         "train_config must hold exactly the keys",
     ),
     "d-in-string": (
-        lambda d: d.update(d_in="64"), "d_in must be a JSON integer >= 1, got '64'"
+        _edit(lambda h, v: h.update(d_in="64")),
+        "d_in must be a JSON integer >= 1, got '64'",
     ),
     "d-in-true": (
-        lambda d: d.update(d_in=True), "d_in must be a JSON integer >= 1, got True"
+        _edit(lambda h, v: h.update(d_in=True)),
+        "d_in must be a JSON integer >= 1, got True",
     ),
     "d-out-float": (
-        lambda d: d.update(d_out=8.0), r"d_out must be a JSON integer >= 1, got 8\.0"
+        _edit(lambda h, v: h.update(d_out=8.0)),
+        r"d_out must be a JSON integer >= 1, got 8\.0",
     ),
     "d-out-zero": (
-        lambda d: d.update(d_out=0), "d_out must be a JSON integer >= 1, got 0"
+        _edit(lambda h, v: h.update(d_out=0)), "d_out must be a JSON integer >= 1, got 0"
     ),
-    "n-negative": (lambda d: d.update(n=-1), "n must be a JSON integer >= 0, got -1"),
+    "n-negative": (
+        _edit(lambda h, v: h.update(n=-1)), "n must be a JSON integer >= 0, got -1"
+    ),
     "overflowing-product": (
-        lambda d: d.update(coef=_encode(np.full(15 * 8, 1e308)),
-                           basis=_encode(np.full(15 * 64, 1e308))),
+        _edit(lambda h, v: v.__setitem__(slice(COEF.start, None), 1e308)),
         "W contains non-finite entries",
     ),
 }
@@ -297,15 +393,9 @@ def small_model():
 
 @pytest.fixture(params=sorted(BAD_MODEL_FILES))
 def bad_model_file(request, tmp_path, small_model):
-    mutate, pattern = BAD_MODEL_FILES[request.param]
-    path = tmp_path / "model.json"
-    if mutate is None:
-        _v1_save(path, small_model, FIXTURE_RECIPE)
-    else:
-        persistence.save_model(path, small_model, FIXTURE_RECIPE)
-        data = json.loads(path.read_text())
-        mutate(data)
-        path.write_text(json.dumps(data))
+    make, pattern = BAD_MODEL_FILES[request.param]
+    path = tmp_path / "model.bin"
+    make(path, small_model)
     return path, pattern
 
 
@@ -333,6 +423,28 @@ class TestBadModelFiles:
         assert "Traceback" not in err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("load,header", [
+        (persistence.load_model, {
+            "format": "pdial-proj-v3", "d_in": 2, "d_out": 2, "n": 2**62,
+            "base": False, "train_config": asdict(TrainConfig()),
+        }),
+        (persistence.load_pca, {
+            "format": "pdial-pca-v2", "dim": 2**62, "explained_variance": [1.0, 0.5],
+        }),
+    ], ids=["model", "pca"])
+    def test_huge_shape_fails_before_any_array_is_built(
+        self, tmp_path, monkeypatch, load, header
+    ):
+        path = tmp_path / "huge.bin"
+        write_artifact(path, header, [np.zeros(4)])
+
+        def no_array(*args, **kwargs):
+            raise AssertionError("an array was built")
+
+        monkeypatch.setattr(persistence.np, "frombuffer", no_array)
+        with pytest.raises(FormatError, match=r"payload holds 32 bytes, expected \d{19,} "):
+            load(path)
+
 
 class TestPcaRoundTrip:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -340,7 +452,7 @@ class TestPcaRoundTrip:
         from pdial.pca import fit_pca
 
         model = fit_pca(list(rng.normal(size=(20, 6))))
-        path = tmp_path / "pca.json"
+        path = tmp_path / "pca.bin"
         persistence.save_pca(path, model)
         loaded = persistence.load_pca(path)
         assert np.array_equal(loaded.mean, model.mean)
@@ -348,88 +460,135 @@ class TestPcaRoundTrip:
         assert np.array_equal(loaded.explained_variance, model.explained_variance)
 
     def test_wrong_tag_rejected(self, tmp_path):
-        path = tmp_path / "pca.json"
-        path.write_text(json.dumps({"format": "pdial-proj-v1"}))
-        with pytest.raises(FormatError):
+        path = tmp_path / "pca.bin"
+        write_artifact(path, {"format": "pdial-proj-v3"})
+        with pytest.raises(FormatError, match="'pdial-proj-v3'.*'pdial-pca-v2'"):
             persistence.load_pca(path)
 
-    def test_rejected_model_names_the_file(self, tmp_path):
-        # well-formed JSON that PcaModel's own checks reject
+    def test_v1_file_names_both_tags(self, tmp_path):
         path = tmp_path / "pca.json"
-        path.write_text(json.dumps({
-            "format": persistence.PCA_FORMAT,
-            "mean": [0.0] * 4,
-            "components": np.eye(4)[:3].tolist(),
-            "explained_variance": [3.0, 2.0, 1.0],
-        }))
+        _pca_v1_save(path, PcaModel(**_pca_arrays()))
+        with pytest.raises(FormatError) as err:
+            persistence.load_pca(path)
+        assert str(err.value) == (
+            f"{path}: format tag is 'pdial-pca-v1', this reader expects 'pdial-pca-v2'"
+        )
+
+    def test_rejected_model_names_the_file(self, tmp_path):
+        # a well-formed file that PcaModel's own checks reject
+        path = tmp_path / "pca.bin"
+        arrays = _pca_arrays()
+        write_artifact(path, _pca_header(explained_variance=[3.0, 2.0, 1.0]),
+                       [arrays["mean"], arrays["components"]])
         with pytest.raises(
-            FormatError, match=f"{re.escape(str(path))}: .*3 components"
+            FormatError,
+            match=f"{re.escape(str(path))}: .*explained_variance length must match",
         ):
             persistence.load_pca(path)
 
 
-def _pca_data():
+def _pca_arrays():
     return {
-        "format": persistence.PCA_FORMAT,
         "mean": [0.0, 0.5, -0.25],
         "components": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
         "explained_variance": [2.0, 1.0],
     }
 
 
+def _pca_header(**fields):
+    return {"format": persistence.PCA_FORMAT, "dim": 3,
+            "explained_variance": [2.0, 1.0], **fields}
+
+
 class TestNumbersInArrayFiles:
-    """PCA and cluster-matrix arrays hold finite JSON numbers only."""
+    """PCA headers hold finite JSON numbers, PCA payloads finite float64
+    values, and cluster-matrix arrays finite JSON numbers only."""
 
     @pytest.mark.parametrize("field,index,value,message", [
-        ("mean", 1, float("nan"), "mean must be finite"),
-        ("mean", 0, "0.35", "mean must hold only JSON numbers"),
-        ("mean", 2, None, "mean must hold only JSON numbers"),
-        ("components", 0, [1.0, float("inf"), 0.0], "components must be finite"),
-        ("components", 1, ["0", "1", "0"], "components must hold only JSON numbers"),
-        ("explained_variance", 0, float("inf"), "explained_variance must be finite"),
+        ("mean", 1, float("nan"), "mean contains non-finite values"),
+        ("dim", None, "3", "malformed PCA file: dim must be a JSON integer >= 1, got '3'"),
+        ("dim", None, None, "malformed PCA file: dim must be a JSON integer >= 1, got None"),
+        ("components", 4, float("inf"), "components contains non-finite values"),
+        ("explained_variance", None, "2.0 1.0",
+         "malformed PCA file: explained_variance must be a JSON list, got str"),
+        ("explained_variance", 0, float("inf"),
+         "malformed PCA file: explained_variance must be a finite JSON number, got inf"),
         ("explained_variance", 1, "1.0",
-         "explained_variance must hold only JSON numbers"),
-        ("mean", 1, False, "mean must hold only JSON numbers"),
-        ("components", 1, [0.0, True, 0.0],
-         "components must hold only JSON numbers"),
-        ("mean", None, 0.5, "mean must be a vector, got shape ()"),
-        ("mean", None, [[0.0], [0.5], [-0.25]],
-         "mean must be a vector, got shape (3, 1)"),
-        ("mean", 1, 10**400, "mean holds an integer beyond the float64 range"),
+         "malformed PCA file: explained_variance must be a finite JSON number, got '1.0'"),
+        ("explained_variance", 1, False,
+         "malformed PCA file: explained_variance must be a finite JSON number, got False"),
+        ("dim", None, True, "malformed PCA file: dim must be a JSON integer >= 1, got True"),
+        ("dim", None, 0, "malformed PCA file: dim must be a JSON integer >= 1, got 0"),
+        ("dim", None, 2, "payload holds 72 bytes, expected 48 for float64 mean 2, "
+                         "components 2 x 2"),
+        ("dim", None, 10**400, "payload holds 72 bytes, expected"),
         ("explained_variance", 0, -(10**400),
-         "explained_variance holds an integer beyond the float64 range"),
-        ("components", 0, [1, 0, 2**64], "component rows must be orthonormal"),
-    ], ids=["nan-mean", "string-mean", "null-mean", "inf-component",
-            "string-component", "inf-variance", "string-variance",
-            "false-in-mean", "true-in-components", "scalar-mean", "2d-mean",
-            "400-digit-mean", "400-digit-variance", "2**64-component"])
+         "malformed PCA file: int too large to convert to float"),
+        ("components", 2, 2.0**64, "malformed PCA file: component rows must be orthonormal"),
+    ], ids=["nan-mean", "string-dim", "null-dim", "inf-component",
+            "string-variances", "inf-variance", "string-variance",
+            "false-in-variance", "true-dim", "zero-dim", "small-dim",
+            "400-digit-dim", "400-digit-variance", "2**64-component"])
     def test_pca_entries(self, tmp_path, field, index, value, message):
-        """``index`` None replaces the whole field."""
-        data = _pca_data()
-        if index is None:
-            data[field] = value
+        """A header field (``dim``, ``explained_variance``) or a payload
+        entry (``mean``, ``components``, flattened) set to ``value``;
+        ``index`` None replaces the whole field."""
+        header, arrays = _pca_header(), _pca_arrays()
+        mean = np.array(arrays["mean"])
+        components = np.array(arrays["components"])
+        if field == "mean":
+            mean[index] = value
+        elif field == "components":
+            components.flat[index] = value
+        elif index is None:
+            header[field] = value
         else:
-            data[field][index] = value
-        path = tmp_path / "pca.json"
-        path.write_text(json.dumps(data))
+            header[field][index] = value
+        path = tmp_path / "pca.bin"
+        write_artifact(path, header, [mean, components])
         with pytest.raises(FormatError) as err:
             persistence.load_pca(path)
-        assert str(err.value) == f"{path}: malformed PCA file: {message}"
+        assert str(err.value).startswith(f"{path}: {message}")
 
     def test_valid_pca_file_loads(self, tmp_path):
-        path = tmp_path / "pca.json"
-        path.write_text(json.dumps(_pca_data()))
+        path = tmp_path / "pca.bin"
+        arrays = _pca_arrays()
+        write_artifact(path, _pca_header(), [arrays["mean"], arrays["components"]])
         assert persistence.load_pca(path).mean.tolist() == [0.0, 0.5, -0.25]
 
     def test_integers_beyond_64_bits_are_json_numbers(self, tmp_path):
-        data = _pca_data()
-        data["mean"] = [2**64, -(2**70), 0.5]
-        data["explained_variance"] = [2**80, 1.5]
-        path = tmp_path / "pca.json"
-        path.write_text(json.dumps(data))
-        pca = persistence.load_pca(path)
-        assert pca.mean.tolist() == [2.0**64, -(2.0**70), 0.5]
-        assert pca.explained_variance.tolist() == [2.0**80, 1.5]
+        """An integer variance is read as its float64 value, so the file
+        loads, but it is not what saving writes: the header must be."""
+        path = tmp_path / "pca.bin"
+        arrays = _pca_arrays()
+        write_artifact(path, _pca_header(explained_variance=[2**80, 1.5]),
+                       [arrays["mean"], arrays["components"]])
+        with pytest.raises(FormatError) as err:
+            persistence.load_pca(path)
+        assert str(err.value) == (
+            f"{path}:1: the header is not the one its values are saved with, "
+            '{"format":"pdial-pca-v2","dim":3,'
+            '"explained_variance":[1.2089258196146292e+24,1.5]}'
+        )
+
+    @pytest.mark.parametrize("components", [
+        [[-1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+        [[0.0, 1.0, 0.0], [0.6, 0.0, -0.8]],
+        [[-0.6, 0.0, 0.6 + 1e-17], [0.0, 1.0, 0.0]],
+    ], ids=["negative-unit", "negative-lead", "near-tie-negative-first"])
+    def test_mirrored_axis_is_refused(self, tmp_path, components):
+        """In each component row the first entry of largest absolute
+        value must be positive, the sign ``fit_pca`` gives its axes."""
+        path = tmp_path / "pca.bin"
+        comps = np.array(components)
+        comps /= np.linalg.norm(comps, axis=1, keepdims=True)
+        write_artifact(path, _pca_header(), [np.zeros(3), comps])
+        with pytest.raises(FormatError) as err:
+            persistence.load_pca(path)
+        assert str(err.value) == (
+            f"{path}: malformed PCA file: the entry of largest absolute value "
+            f"in each component row must be positive"
+        )
 
     @pytest.mark.parametrize("sim,message", [
         ([[1.0, float("nan")], [float("nan"), 1.0]],
@@ -448,6 +607,97 @@ class TestNumbersInArrayFiles:
         with pytest.raises(FormatError) as err:
             persistence.load_matrix(path)
         assert str(err.value) == f"{path}: malformed cluster matrix: {message}"
+
+    def test_integer_longer_than_int_reads_is_a_format_error(self, tmp_path):
+        path = tmp_path / "matrix.json"
+        path.write_text('{"clusters": ["a"], "sim": [[' + "1" * 5000 + "]]}")
+        with pytest.raises(FormatError, match=re.escape(f"{path}: invalid JSON: ")):
+            persistence.load_matrix(path)
+
+
+def _small_artifacts():
+    """One small file's content of each kind, with its saver and loader:
+    a non-square model (it stores a base), a square one and a PCA."""
+    from pdial.pca import fit_pca
+
+    rng = np.random.default_rng(11)
+    non_square = ProjectionModel(rng.normal(size=(4, 3)), rng.normal(size=(4, 6)),
+                                 rng.normal(size=(3, 6)))
+    square = ProjectionModel(rng.normal(size=(2, 3)), rng.normal(size=(2, 3)))
+    pca = fit_pca(list(rng.normal(size=(9, 4))))
+
+    def save_model(path, loaded):
+        persistence.save_model(path, *loaded)
+
+    return [
+        ((non_square, TrainConfig()), save_model, persistence.load_model),
+        ((square, TrainConfig()), save_model, persistence.load_model),
+        (pca, persistence.save_pca, persistence.load_pca),
+    ]
+
+
+_SMALL = _small_artifacts()
+
+
+def _assert_saves_back(path, load, save, again):
+    """``path`` loads with finite arrays and saves back to its own bytes,
+    or is a FormatError."""
+    try:
+        loaded = load(path)
+    except FormatError:
+        return
+    model = loaded[0] if isinstance(loaded, tuple) else loaded
+    for a in vars(model).values():
+        assert not isinstance(a, np.ndarray) or np.isfinite(a).all()
+    save(again, loaded)
+    assert again.read_bytes() == path.read_bytes()
+
+
+@st.composite
+def _spoiled(draw):
+    """One of the small files cut at some length, with one byte changed,
+    or with bytes appended."""
+    kind = draw(st.sampled_from(range(len(_SMALL))))
+    return kind, draw(st.one_of(
+        st.tuples(st.just("cut"), st.integers(0, 1 << 20)),
+        # half of the changes fall in the first 256 bytes: the header
+        st.tuples(st.just("change"), st.integers(0, 255) | st.integers(0, 1 << 20),
+                  st.integers(1, 255)),
+        st.tuples(st.just("append"), st.binary(min_size=1, max_size=24)),
+    ))
+
+
+class TestSpoiledArtifacts:
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=_spoiled())
+    def test_loads_and_saves_back_or_is_a_format_error(self, tmp_path, case):
+        kind, edit = case
+        content, save, load = _SMALL[kind]
+        path = tmp_path / "artifact.bin"
+        save(path, content)
+        raw = path.read_bytes()
+        if edit[0] == "cut":
+            raw = raw[:edit[1] % len(raw)]
+        elif edit[0] == "change":
+            i = edit[1] % len(raw)
+            raw = raw[:i] + bytes([raw[i] ^ edit[2]]) + raw[i + 1:]
+        else:
+            raw += edit[1]
+        path.write_bytes(raw)
+        _assert_saves_back(path, load, save, tmp_path / "again.bin")
+
+    def test_every_header_byte_changed(self, tmp_path):
+        """The property above, over the header line of each small file:
+        every byte, changed to each byte that JSON gives a meaning."""
+        path = tmp_path / "artifact.bin"
+        for content, save, load in _SMALL:
+            save(path, content)
+            raw = path.read_bytes()
+            for i in range(raw.index(b"\n") + 1):
+                for value in set(b' \t\r\n"\\0123456789.eE+-,:[]{}aflnrstu') - {raw[i]}:
+                    path.write_bytes(raw[:i] + bytes([value]) + raw[i + 1:])
+                    _assert_saves_back(path, load, save, tmp_path / "again.bin")
 
 
 class TestDatasetLoader:
@@ -527,6 +777,18 @@ class TestDatasetLoader:
             FormatError, match=rf"listed.jsonl:2: {field} must be a JSON string, got list"
         ):
             persistence.load_dataset(path)
+
+    @pytest.mark.parametrize("content", [
+        b'{"id": "a",\r"text": "barca won", "cluster": "x"}\n',
+        b'{"id": "a", "text": "barca won", "cluster": "x"}\r\n\r\n',
+        b'{"id": "a", "text": "barca won", "cluster": "x"}\r',
+    ], ids=["lone-cr-inside", "crlf-endings", "cr-at-end"])
+    def test_carriage_return_is_json_whitespace(self, tmp_path, content):
+        """Lines end at \\n only: a \\r between tokens is whitespace."""
+        path = tmp_path / "cr.jsonl"
+        path.write_bytes(content)
+        docs = persistence.load_dataset(path)
+        assert [(d.id, d.text, d.cluster) for d in docs] == [("a", "barca won", "x")]
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "gaps.jsonl"
@@ -949,6 +1211,19 @@ class TestTraceFiles:
         ):
             persistence.load_trace(path)
 
+    def test_carriage_returns_between_tokens(self, tmp_path):
+        """A trace whose lines hold a \\r after each comma, and end in
+        \\r\\n, is the trace saved without them."""
+        path = tmp_path / "trace.jsonl"
+        persistence.save_trace(path, _demo_trace())
+        edited = tmp_path / "cr.jsonl"
+        edited.write_bytes(
+            path.read_bytes().replace(b", ", b",\r").replace(b"\n", b"\r\n")
+        )
+        again = tmp_path / "again.jsonl"
+        persistence.save_trace(again, persistence.load_trace(edited))
+        assert again.read_bytes() == path.read_bytes()
+
     @pytest.mark.parametrize("separator", ["\x85", "\u2028", "\u2029"])
     def test_line_separators_inside_strings(self, tmp_path, separator):
         trace = _demo_trace()
@@ -1091,13 +1366,23 @@ class TestJsonText:
 
 
 class TestArtifactBytes:
-    """The bytes each ``save_*`` writes are json's indented layout of the
-    object that the file holds."""
+    """The bytes each ``save_*`` writes: json's indented layout of the
+    object that a JSON file holds, and for the model and the PCA one
+    line of compact JSON, then the arrays' float64 bytes."""
 
     @staticmethod
     def _assert_layout(path):
         raw = path.read_bytes()
         assert raw.decode("utf-8") == _json_oracle(json.loads(raw))
+
+    @staticmethod
+    def _assert_header_and_arrays(path, arrays):
+        header, payload = read_artifact(path)
+        compact = json.dumps(header, separators=(",", ":"), allow_nan=False)
+        assert path.read_bytes() == b"".join(
+            [compact.encode("ascii"), b"\n",
+             *(np.asarray(a, dtype="<f8").tobytes() for a in arrays)]
+        )
 
     @pytest.mark.parametrize("d_out", [None, 8])
     def test_save_model(self, tmp_path, fixture_train_docs, fixture_matrix,
@@ -1106,17 +1391,24 @@ class TestArtifactBytes:
 
         model, _ = train(fixture_train_docs, fixture_matrix,
                          fixture_train_embeddings, FIXTURE_TRAIN_CFG, d_out=d_out)
-        path = tmp_path / "model.json"
+        path = tmp_path / "model.bin"
         persistence.save_model(path, model, FIXTURE_TRAIN_CFG)
-        self._assert_layout(path)
+        arrays = [model.coef, model.basis]
+        self._assert_header_and_arrays(
+            path, arrays if model.base is None else [model.base, *arrays]
+        )
 
     def test_save_pca(self, tmp_path, fixture_model, fixture_train_embeddings):
         from pdial.pca import fit_pca
 
         pca = fit_pca([fixture_model.project(e) for e in fixture_train_embeddings])
-        path = tmp_path / "pca.json"
+        path = tmp_path / "pca.bin"
         persistence.save_pca(path, pca)
-        self._assert_layout(path)
+        self._assert_header_and_arrays(path, [pca.mean, pca.components])
+        assert read_artifact(path)[0] == {
+            "format": "pdial-pca-v2", "dim": 64,
+            "explained_variance": pca.explained_variance.tolist(),
+        }
 
     def test_save_train_log(self, tmp_path):
         from pdial.metric import TrainingLog
@@ -1153,8 +1445,11 @@ class TestArtifactBytes:
             "--pca-out", str(tmp_path / "pca.json"), "--dim", "64",
         ]
         assert main(argv) == 0
-        for name in ("model.json", "model.log.json", "pca.json"):
-            self._assert_layout(tmp_path / name)
+        self._assert_layout(tmp_path / "model.log.json")
+        model, _ = persistence.load_model(tmp_path / "model.json")
+        self._assert_header_and_arrays(tmp_path / "model.json", [model.coef, model.basis])
+        pca = persistence.load_pca(tmp_path / "pca.json")
+        self._assert_header_and_arrays(tmp_path / "pca.json", [pca.mean, pca.components])
 
 
 def _unencodable_writers():
