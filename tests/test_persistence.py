@@ -104,6 +104,14 @@ def _v2_save(path, model, cfg):
     path.write_text(json.dumps(data, indent=2) + "\n")
 
 
+def _v2_unpadded_save(path, model):
+    """A pdial-proj-v2 file whose base string has lost a padding '='."""
+    _v2_save(path, model, FIXTURE_RECIPE)
+    text = path.read_text()
+    assert '==",' in text
+    path.write_text(text.replace('==",', '=",', 1))
+
+
 def _pca_v1_save(path, pca):
     """The pdial-pca-v1 writer: every array as JSON numbers."""
     data = {
@@ -295,6 +303,11 @@ BAD_MODEL_FILES = {
     "v2-file": (
         lambda path, model: _v2_save(path, model, FIXTURE_RECIPE),
         r"format tag is 'pdial-proj-v2', this reader expects 'pdial-proj-v3'",
+    ),
+    # an old file with a spoiled array is refused by its tag, not by base64
+    "unpadded-base64": (
+        lambda path, model: _v2_unpadded_save(path, model),
+        r"format tag is 'pdial-proj-v2', this reader expects 'pdial-proj-v3'$",
     ),
     "header-not-json": (
         _raw(lambda b: b"not json" + b[b.index(b"\n"):]), ":1: invalid JSON at column 1"
