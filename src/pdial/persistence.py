@@ -176,44 +176,11 @@ def write_text_atomic(path: str | Path, text: str) -> None:
 
 
 def _write_json(path: str | Path, data: dict) -> None:
-    """Write ``json.dumps(data, indent=2, ensure_ascii=False) + "\\n"``,
-    built by ``_json_text``; a non-finite float is a ValueError, as with
-    ``allow_nan=False``, and nothing is written."""
-    write_text_atomic(path, _json_text(data, "") + "\n")
-
-
-# The bytes that json writes as they are inside a string: ASCII from the
-# space up (DEL too), but the quote and the backslash.
-_PLAIN = bytes(sorted(set(range(0x20, 0x80)) - set(b'"\\')))
-
-
-def _json_text(value: object, indent: str) -> str:
-    """``json.dumps(value, indent=2, ensure_ascii=False, allow_nan=False)``
-    with ``indent`` before every line but the first, from C-level string
-    operations where the value allows: a string that needs no escape goes
-    between quotes as it is, and a list of finite floats is joined from
-    ``float.__repr__``, the repr that json uses. Everything else is
-    json's own text; it holds no raw newline but those of its layout."""
-    kind = type(value)
-    inner = indent + "  "
-    sep = ",\n" + inner
-    if kind is str:
-        if value.isascii() and not value.encode().translate(None, _PLAIN):
-            return f'"{value}"'
-    elif kind is dict and value and set(map(type, value)) == {str}:
-        body = sep.join(
-            f"{_json_text(k, inner)}: {_json_text(v, inner)}" for k, v in value.items()
-        )
-        return f"{{\n{inner}{body}\n{indent}}}"
-    elif kind is list and value:
-        if set(map(type, value)) != {float}:
-            body = sep.join(_json_text(v, inner) for v in value)
-            return f"[\n{inner}{body}\n{indent}]"
-        body = sep.join(map(float.__repr__, value))
-        if "n" not in body:  # else a "nan" or "inf", which json refuses below
-            return f"[\n{inner}{body}\n{indent}]"
-    text = json.dumps(value, indent=2, ensure_ascii=False, allow_nan=False)
-    return text.replace("\n", "\n" + indent)
+    """Write ``data`` as indented JSON; a non-finite float is a ValueError
+    and nothing is written."""
+    write_text_atomic(
+        path, json.dumps(data, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
+    )
 
 
 def _header_line(header: dict) -> bytes:
@@ -353,8 +320,21 @@ def _pca_header(model: PcaModel) -> dict:
     }
 
 
+def _require_sign_rule(model: PcaModel, error: type[Exception], where: str) -> None:
+    """Refuse a model whose axes lack the sign ``fit_pca`` gives them, so
+    that every PCA file that saves also loads."""
+    if not np.array_equal(_apply_sign_convention(model.components), model.components):
+        raise error(
+            f"{where}: the entry of largest absolute value in each component "
+            f"row must be positive"
+        )
+
+
 def save_pca(path: str | Path, model: PcaModel) -> None:
-    """Store ``model``'s ``mean``, then its ``components``."""
+    """Store ``model``'s ``mean``, then its ``components``; a model that
+    breaks the sign rule is an InputValidationError and nothing is
+    written."""
+    _require_sign_rule(model, InputValidationError, f"{path}: cannot save PCA")
     _write_arrays(path, _pca_header(model), [model.mean, model.components])
 
 
@@ -374,11 +354,7 @@ def load_pca(path: str | Path) -> PcaModel:
         pca = PcaModel(arrays["mean"], arrays["components"], variance)
     except InputValidationError as exc:
         raise FormatError(f"{where}: {exc}") from exc
-    if not np.array_equal(_apply_sign_convention(pca.components), pca.components):
-        raise FormatError(
-            f"{where}: the entry of largest absolute value in each component "
-            f"row must be positive"
-        )
+    _require_sign_rule(pca, FormatError, where)
     _check_header(line, _pca_header(pca), path)
     return pca
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import pdial.pca as pca_mod
+from pdial.embedding import hashed_embed
 from pdial.errors import InputValidationError, NumericError
 from pdial.pca import (
     PcaModel,
@@ -573,6 +574,47 @@ class TestPcaModelValidation:
                 explained_variance=np.array([1.0, 0.5]),
             )
 
+    # The tolerance of np.allclose(gram, eye, atol=1e-8): 1e-8 + 1e-5 on
+    # the diagonal, 1e-8 off it. Each case sits 1% inside or outside.
+    @pytest.mark.parametrize("diagonal, off", [
+        (1.0 + 0.99 * 1.001e-5, 0.0),
+        (1.0 + 1.01 * 1.001e-5, 0.0),
+        (1.0 - 0.99 * 1.001e-5, 0.0),
+        (1.0 - 1.01 * 1.001e-5, 0.0),
+        (1.0, 0.99e-8),
+        (1.0, 1.01e-8),
+        (1.0, -0.99e-8),
+        (1.0, -1.01e-8),
+    ], ids=["diagonal-over-inside", "diagonal-over-outside",
+            "diagonal-under-inside", "diagonal-under-outside",
+            "off-inside", "off-outside", "off-negative-inside",
+            "off-negative-outside"])
+    def test_orthonormality_tolerance_is_that_of_allclose(self, diagonal, off):
+        # gram[0, 0] is ``diagonal``, gram[0, 1] is ``off``, up to rounding
+        components = np.array([
+            [np.sqrt(diagonal), 0.0, 0.0],
+            [off / np.sqrt(diagonal), np.sqrt(1.0 - off**2), 0.0],
+        ])
+        gram = components @ components.T
+        inside = abs(diagonal - 1.0) < 1.001e-5 and abs(off) < 1e-8
+        assert np.allclose(gram, np.eye(2), atol=1e-8) == inside
+        arrays = dict(mean=np.zeros(3), components=components,
+                      explained_variance=np.array([1.0, 0.5]))
+        if inside:
+            PcaModel(**arrays)
+        else:
+            with pytest.raises(InputValidationError, match="must be orthonormal"):
+                PcaModel(**arrays)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_gram_beyond_the_float64_range_is_rejected(self, scale):
+        # the products of 1e200 overflow (to inf, or NaN where infs of both
+        # signs meet), and those of 1e-200 underflow to 0
+        components = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0]]) * scale
+        with pytest.raises(InputValidationError, match="must be orthonormal"):
+            PcaModel(mean=np.zeros(3), components=components,
+                     explained_variance=np.array([1.0, 0.5]))
+
     def test_increasing_variance_rejected(self):
         with pytest.raises(InputValidationError):
             PcaModel(
@@ -823,6 +865,50 @@ def _full_top(C):
     return values[:2], vectors[:2]
 
 
+def _budget(n):
+    """The iterations ``_top_eigh`` runs on an n x n matrix before it
+    falls back."""
+    return max(pca_mod.SUBSPACE_MAX_ITERATIONS, pca_mod.SUBSPACE_ITERATIONS_PER_ROW * n)
+
+
+def _three_cluster_gram(per_cluster=60, dim=768):
+    """The centred Gram matrix of the hashed embeddings of three clusters
+    of texts: each text holds twelve of its cluster's 500 pseudo-words
+    and three of 20 words that all clusters share."""
+    rng = np.random.default_rng(2)
+
+    def words(count):
+        letters = rng.choice(list("bcdfghjklmnpqrstvwxz"), size=(count, 3))
+        vowels = rng.choice(list("aeiou"), size=(count, 3))
+        return ["".join(a + b for a, b in zip(*pair)) for pair in zip(letters, vowels)]
+
+    shared = words(20)
+    texts = []
+    for _ in range(3):
+        owned = words(500)
+        for _ in range(per_cluster):
+            texts.append(" ".join([*rng.choice(owned, size=12, replace=False),
+                                   *rng.choice(shared, size=3, replace=False)]))
+    X = np.array([hashed_embed(t, dim) for t in texts])
+    Xc = X - X.mean(axis=0)
+    G = Xc @ Xc.T / (len(X) - 1)
+    return (G + G.T) / 2.0
+
+
+def _gaussian_covariance(m=300, d=128):
+    X = np.random.default_rng(101).normal(size=(m, d))
+    Xc = X - X.mean(axis=0)
+    C = Xc.T @ Xc / (m - 1)
+    return (C + C.T) / 2.0
+
+
+# Matrices whose residual decays slowly, each with a third eigenvalue
+# close below the second: a clustered corpus's 180 x 180 Gram matrix
+# (~310 iterations) and a Gaussian cloud's 128 x 128 covariance (~430).
+SLOW = {"three-cluster-gram": _three_cluster_gram,
+        "gaussian-covariance": _gaussian_covariance}
+
+
 class TestTopEigh:
     """``_top_eigh`` against the full ``jacobi_eigh`` oracle."""
 
@@ -861,13 +947,37 @@ class TestTopEigh:
             np.sqrt(2.0), rel=1e-12
         )
 
+    @pytest.mark.parametrize("name", sorted(SLOW))
+    def test_slow_decay_settles_within_the_budget(self, name, monkeypatch):
+        # Each needs more than SUBSPACE_MAX_ITERATIONS iterations to settle.
+        C = SLOW[name]()
+        ref_values, ref_vectors = jacobi_eigh(C)
+        blocks, shapes = _top_eigh_spy(monkeypatch)
+        values, vectors = pca_mod._top_eigh(C)
+        assert shapes == [(2, 2)]  # no fallback
+        assert pca_mod.SUBSPACE_MAX_ITERATIONS + 1 < len(blocks) <= _budget(len(C)) + 1
+        np.testing.assert_allclose(values, ref_values[:2], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(vectors @ vectors.T, np.eye(2), atol=1e-15)
+        # Davis-Kahan, as in test_matches_the_full_decomposition, with the
+        # third eigenvalue of the full solve; its own plane is off the
+        # exact one by at most its own bound, so the two bounds add up.
+        third = ref_values[2]
+        exact = ref_vectors[:2].T
+        U = vectors.T
+        bound = np.linalg.norm(C @ U - U * values, 2) / (values[1] - third)
+        ref_bound = np.linalg.norm(
+            C @ exact - exact * ref_values[:2], 2
+        ) / (ref_values[1] - third)
+        sin_theta = np.linalg.norm(U - exact @ (exact.T @ U), 2)
+        assert sin_theta <= bound + ref_bound
+
     def test_flat_spectrum_falls_back_after_a_few_iterations(self, monkeypatch):
         C, _ = _with_spectrum(1.0 - 0.01 * np.arange(15), seed=3)
         blocks, shapes = _top_eigh_spy(monkeypatch)
         values, vectors = pca_mod._top_eigh(C)
         assert shapes == [(15, 15)]
-        # the start block, then one per iteration up to the first forecast
-        assert len(blocks) == pca_mod.SUBSPACE_WARMUP + 2
+        # the start block, then one per iteration of the spent budget
+        assert len(blocks) == _budget(15) + 1
         ref_values, ref_vectors = _full_top(C)
         assert values.tobytes() == ref_values.tobytes()
         assert vectors.tobytes() == ref_vectors.tobytes()
@@ -875,6 +985,7 @@ class TestTopEigh:
     def test_spent_budget_falls_back(self, monkeypatch):
         C, _ = _with_spectrum(SPECTRA["n15-ratio-0.5"], seed=15)
         monkeypatch.setattr(pca_mod, "SUBSPACE_MAX_ITERATIONS", 2)
+        monkeypatch.setattr(pca_mod, "SUBSPACE_ITERATIONS_PER_ROW", 0)
         blocks, shapes = _top_eigh_spy(monkeypatch)
         values, _ = pca_mod._top_eigh(C)
         assert shapes == [(15, 15)]

@@ -12,7 +12,7 @@ import pytest
 
 from pdial.cli import main
 from pdial.embedding import hashed_embed
-from pdial.errors import FormatError
+from pdial.errors import FormatError, InputValidationError
 from pdial.metric import ProjectionModel, TrainConfig, train
 from pdial.optimizer import Evaluation, PromptAssignment, SearchTrace
 from pdial.pca import PcaModel, PerspectivePoint
@@ -471,6 +471,18 @@ class TestPcaRoundTrip:
         assert np.array_equal(loaded.mean, model.mean)
         assert np.array_equal(loaded.components, model.components)
         assert np.array_equal(loaded.explained_variance, model.explained_variance)
+
+    def test_mirrored_axis_is_not_saved(self, tmp_path):
+        # a valid PcaModel, but load_pca refuses its first axis's sign
+        path = tmp_path / "pca.bin"
+        model = PcaModel(np.zeros(3), [[-1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [2.0, 1.0])
+        with pytest.raises(InputValidationError) as err:
+            persistence.save_pca(path, model)
+        assert str(err.value) == (
+            f"{path}: cannot save PCA: the entry of largest absolute value "
+            f"in each component row must be positive"
+        )
+        assert os.listdir(tmp_path) == []
 
     def test_wrong_tag_rejected(self, tmp_path):
         path = tmp_path / "pca.bin"
@@ -1340,13 +1352,31 @@ def _json_values():
     )
 
 
-class TestJsonText:
-    """``_write_json``'s text against ``json.dumps(indent=2)``, the oracle."""
+def _assert_writes_the_oracle(directory, data):
+    """``_write_json`` writes the oracle's text as UTF-8, or, for text that
+    UTF-8 cannot hold (a lone surrogate), raises and writes nothing."""
+    path = directory / "artifact.json"
+    try:
+        want = _json_oracle(data).encode("utf-8")
+    except UnicodeEncodeError:
+        with pytest.raises(UnicodeEncodeError):
+            persistence._write_json(path, data)
+        assert os.listdir(directory) == []
+        return
+    persistence._write_json(path, data)
+    assert path.read_bytes() == want
+    path.unlink()
 
-    @settings(max_examples=200, deadline=None)
+
+class TestJsonText:
+    """The bytes ``_write_json`` writes against ``json.dumps(indent=2)``,
+    the oracle."""
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=_json_values())
-    def test_generated_values(self, data):
-        assert persistence._json_text(data, "") + "\n" == _json_oracle(data)
+    def test_generated_values(self, tmp_path, data):
+        _assert_writes_the_oracle(tmp_path, data)
 
     @pytest.mark.parametrize("data", [
         {},
@@ -1360,8 +1390,8 @@ class TestJsonText:
         "a bare string",
         -0.0,
     ], ids=repr)
-    def test_edge_values(self, data):
-        assert persistence._json_text(data, "") + "\n" == _json_oracle(data)
+    def test_edge_values(self, tmp_path, data):
+        _assert_writes_the_oracle(tmp_path, data)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("where", [
