@@ -19,6 +19,7 @@ from .errors import (
     ConfigurationError,
     InputValidationError,
     ProtocolError,
+    require_field_types,
     require_numbers,
 )
 
@@ -45,6 +46,7 @@ class EmbeddingBackendConfig:
     timeout: float = 30.0
 
     def __post_init__(self) -> None:
+        require_field_types(self)
         if self.kind not in ("http", "hashed"):
             raise ConfigurationError(
                 f"unknown embedding backend kind {self.kind!r}"

@@ -1,5 +1,6 @@
-"""Exception hierarchy shared by all pdial modules, and the text and
-number checks that every entry point applies to incoming JSON values.
+"""Exception hierarchy shared by all pdial modules, and the text, number
+and config-field checks that every entry point applies to incoming JSON
+values.
 
 The CLI maps these onto its exit-code contract: usage/config problems
 exit 2, numeric/protocol/transport failures exit 3.
@@ -7,6 +8,7 @@ exit 2, numeric/protocol/transport failures exit 3.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from typing import TYPE_CHECKING
 
@@ -92,3 +94,21 @@ def require_numbers(value: object, error: type[Exception], what: str) -> np.ndar
     if a.dtype.kind not in "iuf" or bool in kinds:
         raise error(f"{what} must hold only JSON numbers")
     return a.astype(np.float64)
+
+
+# The JSON type of a config field, by its annotation: an int is also a
+# float, and a bool is neither.
+_FIELD_KINDS = {"str": str, "int": int, "float": (int, float)}
+
+
+def require_field_types(config: object) -> None:
+    """Raise ConfigurationError naming the first field of the dataclass
+    ``config`` annotated ``str``, ``int`` or ``float`` whose value is not of
+    that JSON type. The annotations are read as strings, so the config's
+    module must use ``from __future__ import annotations``; fields with
+    other annotations, such as a mapping, are not checked."""
+    for f in dataclasses.fields(config):
+        kinds = _FIELD_KINDS.get(f.type)
+        value = getattr(config, f.name)
+        if kinds and (isinstance(value, bool) or not isinstance(value, kinds)):
+            raise ConfigurationError(f"{f.name} must be {f.type}, got {value!r}")

@@ -16,6 +16,7 @@ from .errors import (
     ConfigurationError,
     InputValidationError,
     ProtocolError,
+    require_field_types,
     require_utf8,
 )
 
@@ -31,6 +32,7 @@ class LlmBackendConfig:
     timeout: float = 60.0  # seconds per http request
 
     def __post_init__(self) -> None:
+        require_field_types(self)
         if self.kind not in ("http", "mock"):
             raise ConfigurationError(f"unknown llm backend kind {self.kind!r}")
         if not 0 <= self.temperature < math.inf:

@@ -30,14 +30,19 @@ only the tests and the bench's closing check read it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 import functools
 import itertools
 import math
 
 import numpy as np
 
-from .errors import ConfigurationError, InputValidationError, NumericError
+from .errors import (
+    ConfigurationError,
+    InputValidationError,
+    NumericError,
+    require_field_types,
+)
 
 
 @dataclass(frozen=True)
@@ -227,13 +232,7 @@ class TrainConfig:
     binarize_threshold: float = 0.5
 
     def __post_init__(self) -> None:
-        # The JSON type of each field, by its annotation: an int is also a
-        # float, and a bool is neither.
-        for f in fields(self):
-            value = getattr(self, f.name)
-            kinds = {"str": str, "int": int, "float": (int, float)}[f.type]
-            if isinstance(value, bool) or not isinstance(value, kinds):
-                raise ConfigurationError(f"{f.name} must be {f.type}, got {value!r}")
+        require_field_types(self)
         if self.loss_kind not in ("cosine", "contrastive"):
             raise ConfigurationError(f"unknown loss kind {self.loss_kind!r}")
         for name, value in (

@@ -61,7 +61,10 @@ class PerspectivePoint:
 @dataclass(frozen=True, eq=False)
 class PcaModel:
     """Mean vector plus the two orthonormal principal axes (rows of
-    components)."""
+    components). The entry of largest absolute value in each axis (the
+    first such entry, on a tie) is positive, the sign ``fit_pca`` gives
+    it, so one fitted plane has one set of coordinates; a model with a
+    mirrored axis is an InputValidationError, however it is built."""
 
     mean: np.ndarray
     components: np.ndarray
@@ -100,6 +103,11 @@ class PcaModel:
         if np.any(ev < 0.0) or np.any(np.diff(ev) > 0.0):
             raise InputValidationError(
                 "explained variances must be non-negative and non-increasing"
+            )
+        if not np.array_equal(_apply_sign_convention(comps), comps):
+            raise InputValidationError(
+                "the entry of largest absolute value in each component row "
+                "must be positive"
             )
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "components", comps)

@@ -40,7 +40,7 @@ from .metric import (
     TrainConfig,
     TrainingLog,
 )
-from .pca import PCA_AXES, PcaModel, PerspectivePoint, _apply_sign_convention
+from .pca import PCA_AXES, PcaModel, PerspectivePoint
 
 if TYPE_CHECKING:
     from .evaluation import SimilarityReport
@@ -320,21 +320,10 @@ def _pca_header(model: PcaModel) -> dict:
     }
 
 
-def _require_sign_rule(model: PcaModel, error: type[Exception], where: str) -> None:
-    """Refuse a model whose axes lack the sign ``fit_pca`` gives them, so
-    that every PCA file that saves also loads."""
-    if not np.array_equal(_apply_sign_convention(model.components), model.components):
-        raise error(
-            f"{where}: the entry of largest absolute value in each component "
-            f"row must be positive"
-        )
-
-
 def save_pca(path: str | Path, model: PcaModel) -> None:
-    """Store ``model``'s ``mean``, then its ``components``; a model that
-    breaks the sign rule is an InputValidationError and nothing is
-    written."""
-    _require_sign_rule(model, InputValidationError, f"{path}: cannot save PCA")
+    """Store ``model``'s ``mean``, then its ``components``. Every
+    ``PcaModel`` keeps the sign rule (see there), so every PCA file that
+    saves also loads."""
     _write_arrays(path, _pca_header(model), [model.mean, model.components])
 
 
@@ -354,7 +343,6 @@ def load_pca(path: str | Path) -> PcaModel:
         pca = PcaModel(arrays["mean"], arrays["components"], variance)
     except InputValidationError as exc:
         raise FormatError(f"{where}: {exc}") from exc
-    _require_sign_rule(pca, FormatError, where)
     _check_header(line, _pca_header(pca), path)
     return pca
 

@@ -346,6 +346,22 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             EmbeddingBackendConfig(kind="quantum")
 
+    @pytest.mark.parametrize("name,value,message", [
+        ("dimension", 64.0, "dimension must be int, got 64.0"),
+        ("dimension", True, "dimension must be int, got True"),
+        ("batch_size", "8", "batch_size must be int, got '8'"),
+        ("timeout", "30", "timeout must be float, got '30'"),
+        ("timeout", None, "timeout must be float, got None"),
+        ("kind", None, "kind must be str, got None"),
+        ("endpoint_url", b"http://h", "endpoint_url must be str, got b'http://h'"),
+        ("model_name", 0, "model_name must be str, got 0"),
+    ])
+    def test_values_of_the_wrong_json_type_rejected(self, name, value, message):
+        # a ConfigurationError, which the CLI reports with exit code 2
+        with pytest.raises(ConfigurationError) as err:
+            EmbeddingBackendConfig(**{name: value})
+        assert str(err.value) == message
+
     def test_bad_dimension(self):
         with pytest.raises(ConfigurationError):
             EmbeddingBackendConfig(dimension=1)

@@ -173,6 +173,26 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             LlmBackendConfig(kind="telepathy")
 
+    @pytest.mark.parametrize("name,value,message", [
+        ("samples_n", 2.0, "samples_n must be int, got 2.0"),
+        ("samples_n", True, "samples_n must be int, got True"),
+        ("temperature", "0.5", "temperature must be float, got '0.5'"),
+        ("temperature", False, "temperature must be float, got False"),
+        ("timeout", None, "timeout must be float, got None"),
+        ("kind", 1, "kind must be str, got 1"),
+        ("model_name", None, "model_name must be str, got None"),
+    ])
+    def test_values_of_the_wrong_json_type_rejected(self, name, value, message):
+        # a ConfigurationError, which the CLI reports with exit code 2
+        with pytest.raises(ConfigurationError) as err:
+            LlmBackendConfig(**{name: value})
+        assert str(err.value) == message
+
+    def test_an_int_is_a_float_and_the_mock_table_is_not_checked(self):
+        table = {"p": "out"}
+        cfg = LlmBackendConfig(temperature=1, timeout=5, mock_table=table)
+        assert (cfg.temperature, cfg.timeout, cfg.mock_table) == (1, 5, table)
+
     def test_negative_temperature(self):
         with pytest.raises(ConfigurationError):
             LlmBackendConfig(temperature=-0.1)

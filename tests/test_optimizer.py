@@ -24,7 +24,13 @@ from pdial.optimizer import (
     mean_point,
     render_prompt,
 )
-from pdial.pca import PcaModel, PerspectivePoint, fit_pca, pca_transform
+from pdial.pca import (
+    PcaModel,
+    PerspectivePoint,
+    _apply_sign_convention,
+    fit_pca,
+    pca_transform,
+)
 from pdial.persistence import load_dataset, load_matrix, save_trace
 
 from conftest import FIXTURE_BACKEND, FIXTURE_TRAIN_CFG, FIXTURES
@@ -191,7 +197,7 @@ class TestPerspectiveOfOutput:
         q, _ = np.linalg.qr(rng.normal(size=(16, 16)))
         pca = PcaModel(
             mean=np.zeros(16),
-            components=q[:, :2].T,
+            components=_apply_sign_convention(q[:, :2].T),
             explained_variance=np.array([1.0, 1.0]),
         )
         space = PerspectiveSpace(proj, pca, EmbeddingBackendConfig(dimension=16))
@@ -269,7 +275,7 @@ def _random_pca(rng, dim):
     q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
     return PcaModel(
         mean=rng.normal(size=dim),
-        components=q[:, :2].T,
+        components=_apply_sign_convention(q[:, :2].T),
         explained_variance=np.array([2.0, 1.0]),
     )
 
@@ -772,7 +778,7 @@ def _random_world(
     q, _ = np.linalg.qr(rng.normal(size=(d_out, d_out)))
     pca = PcaModel(
         mean=rng.normal(size=d_out) * 0.1,
-        components=q[:, :2].T,
+        components=_apply_sign_convention(q[:, :2].T),
         explained_variance=np.array([1.0, 0.5]),
     )
     target = PerspectivePoint(*rng.normal(size=2))

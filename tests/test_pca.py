@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -641,6 +643,47 @@ class TestPcaModelValidation:
         arrays[field].flat[1] = np.nan
         with pytest.raises(InputValidationError, match=f"^{field} must be finite$"):
             PcaModel(**arrays)
+
+    SIGN_RULE = (
+        "the entry of largest absolute value in each component row must be "
+        "positive"
+    )
+
+    # The exact tie: -0.6 and 0.6 keep equal magnitudes when normalized.
+    @pytest.mark.parametrize("components", [
+        [[-1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+        [[1.0, 0.0, 0.0], [0.0, 0.6, -0.8]],
+        [[-0.6, 0.0, 0.6], [0.0, 1.0, 0.0]],
+    ], ids=["mirrored-row-0", "mirrored-row-1", "tie-negative-first"])
+    def test_mirrored_axis_rejected(self, components):
+        comps = np.array(components)
+        comps /= np.linalg.norm(comps, axis=1, keepdims=True)
+        with pytest.raises(InputValidationError) as err:
+            PcaModel(np.zeros(3), comps, [2.0, 1.0])
+        assert str(err.value) == self.SIGN_RULE
+
+    def test_tie_is_decided_by_the_first_entry(self):
+        comps = np.array([[0.6, 0.0, -0.6], [0.0, 1.0, 0.0]])
+        comps /= np.linalg.norm(comps, axis=1, keepdims=True)
+        assert comps[0, 0] == -comps[0, 2]
+        model = PcaModel(np.zeros(3), comps, [2.0, 1.0])
+        assert np.array_equal(model.components, comps)
+
+    def test_replace_that_mirrors_a_fitted_model_rejected(self):
+        model = fit_pca(list(np.random.default_rng(0).normal(size=(20, 6))))
+        with pytest.raises(InputValidationError) as err:
+            dataclasses.replace(
+                model, components=model.components * np.array([[1.0], [-1.0]])
+            )
+        assert str(err.value) == self.SIGN_RULE
+
+    def test_sign_rule_is_checked_last(self):
+        # a model that breaks several rules names the one checked first
+        with pytest.raises(InputValidationError) as err:
+            PcaModel(np.zeros(3), [[-1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [1.0, 2.0])
+        assert str(err.value) == (
+            "explained variances must be non-negative and non-increasing"
+        )
 
     def test_perspective_point_must_be_finite(self):
         with pytest.raises(InputValidationError):

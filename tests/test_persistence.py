@@ -12,7 +12,7 @@ import pytest
 
 from pdial.cli import main
 from pdial.embedding import hashed_embed
-from pdial.errors import FormatError, InputValidationError
+from pdial.errors import FormatError
 from pdial.metric import ProjectionModel, TrainConfig, train
 from pdial.optimizer import Evaluation, PromptAssignment, SearchTrace
 from pdial.pca import PcaModel, PerspectivePoint
@@ -471,18 +471,6 @@ class TestPcaRoundTrip:
         assert np.array_equal(loaded.mean, model.mean)
         assert np.array_equal(loaded.components, model.components)
         assert np.array_equal(loaded.explained_variance, model.explained_variance)
-
-    def test_mirrored_axis_is_not_saved(self, tmp_path):
-        # a valid PcaModel, but load_pca refuses its first axis's sign
-        path = tmp_path / "pca.bin"
-        model = PcaModel(np.zeros(3), [[-1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [2.0, 1.0])
-        with pytest.raises(InputValidationError) as err:
-            persistence.save_pca(path, model)
-        assert str(err.value) == (
-            f"{path}: cannot save PCA: the entry of largest absolute value "
-            f"in each component row must be positive"
-        )
-        assert os.listdir(tmp_path) == []
 
     def test_wrong_tag_rejected(self, tmp_path):
         path = tmp_path / "pca.bin"
