@@ -1,6 +1,6 @@
-"""Exception hierarchy shared by all pdial modules, and the text, number
+"""Exception hierarchy shared by all pdial modules, the text, number
 and config-field checks that every entry point applies to incoming JSON
-values.
+values, and the read-only arrays that the array holders keep.
 
 The CLI maps these onto its exit-code contract: usage/config problems
 exit 2, numeric/protocol/transport failures exit 3.
@@ -94,6 +94,25 @@ def require_numbers(value: object, error: type[Exception], what: str) -> np.ndar
     if a.dtype.kind not in "iuf" or bool in kinds:
         raise error(f"{what} must hold only JSON numbers")
     return a.astype(np.float64)
+
+
+def read_only_float64(value: object) -> np.ndarray:
+    """``value`` as a float64 array that nobody can write, for a holder
+    that keeps it and so takes ownership of it.
+
+    An array handed over whole is frozen in place, so the caller's own
+    array becomes read-only. A writable view is copied first, since the
+    caller can still write its base. A read-only view, such as a loader's
+    view of a file's bytes, is kept without a copy. numpy is imported by
+    the first call, as in ``require_numbers``.
+    """
+    import numpy as np
+
+    a = np.asarray(value, dtype=np.float64)
+    if a.base is not None and a.flags.writeable:
+        a = a.copy()
+    a.flags.writeable = False
+    return a
 
 
 # The JSON type of a config field, by its annotation: an int is also a

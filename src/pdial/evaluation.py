@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import EmbeddingBackendConfig, embed_batch
-from .errors import InputValidationError, NumericError
+from .errors import InputValidationError, NumericError, read_only_float64
 from .metric import LabeledDocument, ProjectionModel
 
 
@@ -35,6 +35,7 @@ class SimilarityReport:
 
     def __post_init__(self) -> None:
         n = len(self.clusters)
+        mats = {}
         for name in ("pre_mean", "pre_std", "post_mean", "post_std"):
             mat = np.asarray(getattr(self, name), dtype=np.float64)
             if mat.shape != (n, n):
@@ -43,13 +44,15 @@ class SimilarityReport:
                 )
             if not np.isfinite(mat).all():
                 raise NumericError(f"{name} has non-finite cells")
-            object.__setattr__(self, name, mat)
-        if np.any(np.abs(self.pre_mean) > 1.0 + 1e-12) or np.any(
-            np.abs(self.post_mean) > 1.0 + 1e-12
+            mats[name] = mat
+        if np.any(np.abs(mats["pre_mean"]) > 1.0 + 1e-12) or np.any(
+            np.abs(mats["post_mean"]) > 1.0 + 1e-12
         ):
             raise InputValidationError("mean similarities must lie in [-1, 1]")
-        if np.any(self.pre_std < 0.0) or np.any(self.post_std < 0.0):
+        if np.any(mats["pre_std"] < 0.0) or np.any(mats["post_std"] < 0.0):
             raise InputValidationError("stds must be non-negative")
+        for name, mat in mats.items():
+            object.__setattr__(self, name, read_only_float64(mat))
 
 
 def cluster_similarity_report(

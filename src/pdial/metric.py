@@ -41,6 +41,7 @@ from .errors import (
     ConfigurationError,
     InputValidationError,
     NumericError,
+    read_only_float64,
     require_field_types,
 )
 
@@ -119,7 +120,9 @@ class ProjectionModel:
     (N x d_out). ``base`` is the initial matrix (d_out x d_in), or None
     for the identity, which needs d_in == d_out. ``project`` applies the
     head through the factors; the dense ``W`` is built only when read,
-    and cannot be passed in or replaced.
+    and cannot be passed in or replaced. The factors and ``W`` are
+    read-only (see ``read_only_float64``), so ``W`` and ``project`` agree
+    for the model's life.
     """
 
     coef: np.ndarray
@@ -155,9 +158,11 @@ class ProjectionModel:
             )
         if not np.isfinite(bound):
             raise InputValidationError("W contains non-finite entries")
-        object.__setattr__(self, "coef", coef)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "coef", read_only_float64(coef))
+        object.__setattr__(self, "basis", read_only_float64(basis))
+        object.__setattr__(
+            self, "base", None if base is None else read_only_float64(base)
+        )
 
     @functools.cached_property
     def W(self) -> np.ndarray:
@@ -171,13 +176,15 @@ class ProjectionModel:
         ``P += 0.0`` turns -0.0 into 0.0 as ``eye + P`` does.
         """
         if len(self.coef) == 0:
-            return np.eye(self.d_in) if self.base is None else self.base
-        W = self.coef.T @ self.basis
-        if self.base is None:
-            W += 0.0
-            W[np.diag_indices_from(W)] += 1.0
+            W = np.eye(self.d_in) if self.base is None else self.base
         else:
-            W += self.base
+            W = self.coef.T @ self.basis
+            if self.base is None:
+                W += 0.0
+                W[np.diag_indices_from(W)] += 1.0
+            else:
+                W += self.base
+        W.flags.writeable = False
         return W
 
     def project(self, e: np.ndarray) -> np.ndarray:

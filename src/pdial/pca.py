@@ -1,17 +1,20 @@
 """Principal-component reduction of perspective embeddings to 2-D.
 
-Each fit needs the top two eigenpairs of one symmetric matrix: the
-centred Gram matrix (m x m, for m points) when there are fewer points
-than dimensions, else the covariance matrix (d x d). ``_top_eigh``
-finds them by block subspace iteration with a block of two columns and
-a Rayleigh-Ritz step (Halko, Martinsson and Tropp, SIAM Review 2011),
-at O(n^2) per iteration. When that does not settle the pair (the
-matrix has fewer than two eigenvalues above the tolerance, or a budget
-of iterations that grows with n is spent), the whole matrix is
-diagonalized with Jacobi rotations in the round-robin order of Brent
-and Luk, where each step rotates n/2 disjoint pairs at once as one
-batched numpy update:
-exact for symmetric input, dependency-free, and easy to check against a
+Each fit takes one path: it forms the smaller of the centred Gram
+matrix (m x m, for m points) and the covariance matrix (d x d), and
+needs the top two eigenpairs of that one symmetric matrix.
+``_top_eigh`` finds them by block subspace iteration with a block of
+two columns and a Rayleigh-Ritz step (Halko, Martinsson and Tropp, SIAM
+Review 2011), at O(n^2) per iteration. One two-pass Gram-Schmidt
+routine, ``_gram_schmidt``, orthonormalizes every block and maps the
+Gram matrix's eigenvectors back to d dimensions, and it alone decides
+what an axis the input does not determine is and what replaces it.
+When the iteration does not settle the pair (the matrix has fewer than
+two eigenvalues above the tolerance, or a budget of iterations that
+grows with n is spent), the whole matrix is diagonalized with Jacobi
+rotations in the round-robin order of Brent and Luk, where each step
+rotates n/2 disjoint pairs at once as one batched numpy update: exact
+for symmetric input, dependency-free, and easy to check against a
 reference eigensolver. Each step's index plan is built once per call,
 and one row pass rotates the matrix and its eigenvectors. The top
 components define the user-facing 2-D perspective space. Non-finite
@@ -32,7 +35,7 @@ import math
 
 import numpy as np
 
-from .errors import InputValidationError, NumericError
+from .errors import InputValidationError, NumericError, read_only_float64
 
 JACOBI_MAX_SWEEPS = 100
 JACOBI_REL_TOL = 1e-12
@@ -64,7 +67,9 @@ class PcaModel:
     components). The entry of largest absolute value in each axis (the
     first such entry, on a tie) is positive, the sign ``fit_pca`` gives
     it, so one fitted plane has one set of coordinates; a model with a
-    mirrored axis is an InputValidationError, however it is built."""
+    mirrored axis is an InputValidationError, however it is built. The
+    model keeps its arrays read-only (see ``read_only_float64``), so no
+    later write can break these rules."""
 
     mean: np.ndarray
     components: np.ndarray
@@ -109,9 +114,8 @@ class PcaModel:
                 "the entry of largest absolute value in each component row "
                 "must be positive"
             )
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "explained_variance", ev)
+        for name, a in named:
+            object.__setattr__(self, name, read_only_float64(a))
 
     @property
     def dim(self) -> int:
@@ -287,15 +291,16 @@ def _top_eigh(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Block subspace iteration on ``A = C / 2**k`` (see the module
     docstring) with a block ``Q`` of ``PCA_AXES`` orthonormal columns,
     started from ``_start_block``. Each iteration computes ``Z = A Q``
-    and ``H = Q^T Z``, and orthonormalizes ``Z`` by two-pass
-    Gram-Schmidt into the next block. Once the residual ``||Z - Q H||_F``
+    and ``H = Q^T Z``, and orthonormalizes ``Z`` by ``_gram_schmidt``
+    into the next block. Once the residual ``||Z - Q H||_F``
     is at most ``JACOBI_REL_TOL * ||A||_F``, ``jacobi_eigh`` on the
     2 x 2 ``H`` of that next block gives the eigenpairs (Rayleigh-Ritz).
     In exact arithmetic they are those of ``C``.
 
     It falls back to ``jacobi_eigh`` on all of ``C``, and returns its top
     pairs, in two cases: a column of ``Z`` keeps at most that tolerance
-    after orthogonalization (``C`` has fewer than two eigenvalues the
+    after orthogonalization, so that ``_gram_schmidt`` counts fewer than
+    ``PCA_AXES`` rows it kept (``C`` has fewer than two eigenvalues the
     tolerance resolves, as for identical or collinear points), or the
     budget of ``max(SUBSPACE_MAX_ITERATIONS, SUBSPACE_ITERATIONS_PER_ROW
     * n)`` iterations is spent (a top pair too close to the third
@@ -305,12 +310,12 @@ def _top_eigh(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     A = np.ldexp(C, -k)
     tol = JACOBI_REL_TOL * float(np.linalg.norm(A))
     n = len(A)
-    Qt = _orthonormal_block(_start_block(n), 0.0)
+    Qt, _ = _gram_schmidt(_start_block(n), 0.0)
     for _ in range(max(SUBSPACE_MAX_ITERATIONS, SUBSPACE_ITERATIONS_PER_ROW * n)):
         # Rows instead of columns: Z^T = Q^T A, as A is symmetric.
         Zt = Qt @ A
-        next_Qt = _orthonormal_block(Zt, tol)
-        if next_Qt is None:
+        next_Qt, kept = _gram_schmidt(Zt, tol)
+        if kept < PCA_AXES:
             break
         H = Zt @ Qt.T
         if np.linalg.norm(Zt - H.T @ Qt) <= tol:
@@ -348,20 +353,36 @@ def _start_block(n: int) -> np.ndarray:
     ) - 0.5
 
 
-def _orthonormal_block(rows: np.ndarray, floor: float) -> np.ndarray | None:
-    """Gram-Schmidt with two passes on a few rows, in order, or None when
-    a row keeps at most ``floor`` of its norm outside the span of the
-    rows before it. The caller's rows are scaled (see ``_top_eigh``), so
-    their squared norms neither overflow nor underflow above ``floor``."""
+def _gram_schmidt(rows: np.ndarray, floor: float) -> tuple[np.ndarray, int]:
+    """Gram-Schmidt with two passes on a few rows, in order, which leaves
+    them orthonormal to working precision ("twice is enough": Giraud,
+    Langou and Rozloznik, 2005); and the number of rows that kept more
+    than ``floor`` of their norm outside the span of the rows before them.
+
+    A row that keeps at most ``floor`` is one the caller's input does not
+    determine. It is replaced by the residual of the first unit vector
+    e_j not yet spanned, that is, the first that keeps more than half its
+    squared length outside the span of the rows before it, so that one
+    pass leaves it orthogonal to working precision. Only that one unit
+    vector is built. The callers' rows are scaled (see the module
+    docstring), so their squared norms neither overflow nor underflow
+    above ``floor``.
+    """
     basis = np.empty_like(rows)
+    kept = 0
     for k, row in enumerate(rows):
         for _ in range(2 if k else 0):
             row = row - (basis[:k] @ row) @ basis[:k]
         norm = math.sqrt(row @ row)
-        if norm <= floor:
-            return None
+        if norm > floor:
+            kept += 1
+        else:
+            j = int(np.argmax(np.sum(basis[:k] ** 2, axis=0) < 0.5))
+            row = -basis[:k].T @ basis[:k, j]
+            row[j] += 1.0
+            norm = math.sqrt(row @ row)
         basis[k] = row / norm
-    return basis
+    return basis, kept
 
 
 def _apply_sign_convention(components: np.ndarray) -> np.ndarray:
@@ -374,22 +395,25 @@ def _apply_sign_convention(components: np.ndarray) -> np.ndarray:
 def fit_pca(points: list[np.ndarray]) -> PcaModel:
     """Fit the 2-D PCA reduction on projected perspective embeddings.
 
-    Uses the unbiased covariance (1/(m-1)) and its top two eigenpairs
-    from ``_top_eigh``: subspace iteration with a 2 x 2 Rayleigh-Ritz
-    step, or the full Jacobi solve when the iteration collapses or spends
-    its budget (see there). The largest-|entry| coordinate of each
-    principal axis is made positive so fitted models are reproducible
+    One path for every shape: form the smaller of the m x m centred Gram
+    matrix ``Xc Xc^T`` and the d x d covariance ``Xc^T Xc``, both over
+    m - 1 (unbiased), make it exactly symmetric, and take its top two
+    eigenpairs from one call of ``_top_eigh``: subspace iteration with a
+    2 x 2 Rayleigh-Ritz step, or the full Jacobi solve when the iteration
+    collapses or spends its budget (see there). The model is built by
+    one ``_pca_model`` call, which makes the largest-|entry| coordinate
+    of each principal axis positive so fitted models are reproducible
     down to the byte.
 
-    With fewer points than dimensions (m < d) the m x m centred Gram
-    matrix ``Xc Xc^T / (m-1)`` takes the place of the d x d covariance,
-    and no d x d matrix is built: the Gram matrix has the same nonzero
-    eigenvalues, and each top eigenvector v maps to the principal axis
-    ``Xc^T v``, orthonormalized in order. An axis the points do not
-    determine (identical or collinear points) maps to a vector at the
-    rounding level, at most ``m * d * eps`` long for the scaled points;
-    it is completed with the first unit vector e_j not yet spanned (see
-    ``_orthonormal_rows``). For identical points that gives e_0 and e_1.
+    With fewer points than dimensions (m < d) no d x d matrix is built:
+    the Gram matrix has the same nonzero eigenvalues, and each top
+    eigenvector v maps to the principal axis ``Xc^T v``, orthonormalized
+    in order by ``_gram_schmidt``, the routine that orthonormalizes the
+    subspace iteration's blocks. An axis the points do not determine
+    (identical or collinear points) maps to a vector at the rounding
+    level, at most ``m * d * eps`` long for the scaled points; it is
+    completed with the first unit vector e_j not yet spanned. For
+    identical points that gives e_0 and e_1.
 
     The points are scaled by ``2**-k`` before they are centred (see the
     module docstring), so neither the mean nor the products overflow;
@@ -417,39 +441,15 @@ def fit_pca(points: list[np.ndarray]) -> PcaModel:
     mean = X.mean(axis=0)
     centered = X - mean
     m = X.shape[0]
+    rows = centered if m < d else centered.T
+    M = (rows @ rows.T) / (m - 1)
+    eigvals, eigvecs = _top_eigh((M + M.T) / 2.0)  # exactly symmetric
     if m < d:
-        gram = (centered @ centered.T) / (m - 1)
-        eigvals, eigvecs = _top_eigh((gram + gram.T) / 2.0)
         # The scaled entries are below 1 in size, so the rounding left in
         # Xc^T v of an axis the points do not fix is below this floor.
         floor = m * d * np.finfo(np.float64).eps
-        components = _orthonormal_rows(eigvecs @ centered, floor)
-        return _pca_model(mean, components, eigvals, k)
-    cov = (centered.T @ centered) / (m - 1)
-    cov = (cov + cov.T) / 2.0  # force exact symmetry for the solver
-    eigvals, eigvecs = _top_eigh(cov)
+        eigvecs, _ = _gram_schmidt(eigvecs @ centered, floor)
     return _pca_model(mean, eigvecs, eigvals, k)
-
-
-def _orthonormal_rows(rows: np.ndarray, floor: float) -> np.ndarray:
-    """Gram-Schmidt on a few rows, in order.
-
-    A row whose residual is at most ``floor`` is rounding noise: the
-    points do not determine that axis. It is replaced by the residual of
-    the first unit vector e_j not yet spanned, that is, the first that
-    keeps more than half its squared length outside the span of the rows
-    before it, so that one Gram-Schmidt pass leaves it orthogonal to
-    working precision. Only that one unit vector is built.
-    """
-    basis = np.zeros_like(rows)
-    for k, row in enumerate(rows):
-        r = row - basis[:k].T @ (basis[:k] @ row)
-        if np.linalg.norm(r) <= floor:
-            j = int(np.argmax(np.sum(basis[:k] ** 2, axis=0) < 0.5))
-            r = -basis[:k].T @ basis[:k, j]
-            r[j] += 1.0
-        basis[k] = r / np.linalg.norm(r)
-    return basis
 
 
 def _pca_model(

@@ -2,10 +2,14 @@
 or complete.
 
 Each command runs in a fresh interpreter over a directory that holds the
-artifacts of its previous run, and gets SIGKILL after a seeded random
-delay within its measured run time. An artifact is complete when it loads
-and saving what was loaded gives its bytes again. A killed write may leave
-its ``.NAME.<hex>.tmp`` file behind.
+artifacts of its previous run. The random case sends SIGKILL after a
+seeded random delay within the command's measured run time. The
+deterministic case wraps ``os.replace`` in the child, which kills itself
+right before its first replace and right after its k-th, for every k the
+command reaches, so every gap between two artifacts is hit on every run.
+An artifact is complete when it loads and saving what was loaded gives
+its bytes again. A killed write may leave its ``.NAME.<hex>.tmp`` file
+behind.
 """
 
 import json
@@ -33,6 +37,27 @@ pytestmark = pytest.mark.skipif(
 SRC = Path(__file__).resolve().parents[1] / "src"
 KILLS_PER_COMMAND = 5
 TMP_FILE = re.compile(r"\.(.+)\.[0-9a-f]{16}\.tmp")
+ARTIFACTS = {
+    "model.json", "model.log.json", "pca.json", "r.json", "r.txt", "trace.jsonl",
+}
+# The files each command replaces, one os.replace each.
+REPLACES = {"train": 3, "eval": 2, "optimize": 1}
+# Runs pdial.cli with os.replace wrapped: argv[1] = k kills the process
+# right after its k-th replace, and k = 0 right before its first.
+KILL_PRELUDE = """
+import os, signal, sys
+from pdial.cli import main
+kill_after, done, real = int(sys.argv.pop(1)), [], os.replace
+def replace(*args, **kwargs):
+    if not kill_after:
+        os.kill(os.getpid(), signal.SIGKILL)
+    real(*args, **kwargs)
+    done.append(args)
+    if len(done) == kill_after:
+        os.kill(os.getpid(), signal.SIGKILL)
+os.replace = replace
+sys.exit(main(sys.argv[1:]))
+"""
 
 
 def _argv(command, seed):
@@ -56,14 +81,19 @@ def _argv(command, seed):
     }[command] + ["--dim", "64"]
 
 
-def _start(cwd, command, seed):
+def _start(cwd, command, seed, kill_after=None):
+    """Run ``command`` in a fresh interpreter; with ``kill_after`` set, under
+    ``KILL_PRELUDE``."""
+    head = ["-m", "pdial.cli"]
+    if kill_after is not None:
+        head = ["-c", KILL_PRELUDE, str(kill_after)]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC), env.get("PYTHONPATH")])
     )
     env.pop("PD_API_KEY", None)
     return subprocess.Popen(
-        [sys.executable, "-m", "pdial.cli", *map(str, _argv(command, seed))],
+        [sys.executable, *head, *map(str, _argv(command, seed))],
         cwd=cwd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     )
 
@@ -116,10 +146,7 @@ def test_a_killed_command_leaves_old_or_complete_artifacts(tmp_path):
         assert _start(work, command, 0).wait(timeout=120) == 0
         run_time[command] = time.perf_counter() - start
     artifacts = set(_snapshot(work))
-    assert artifacts == {
-        "model.json", "model.log.json", "pca.json", "r.json", "r.txt",
-        "trace.jsonl",
-    }
+    assert artifacts == ARTIFACTS
 
     killed = late = 0
     for command in ("train", "eval", "optimize"):
@@ -145,3 +172,33 @@ def test_a_killed_command_leaves_old_or_complete_artifacts(tmp_path):
         f"{killed} of {3 * KILLS_PER_COMMAND} runs killed, {late} of them after "
         f"an artifact was replaced; {len(left)} temporary files left"
     )
+
+
+def test_a_command_killed_at_each_replace_leaves_old_or_complete_artifacts(
+    tmp_path,
+):
+    work = tmp_path / "work"
+    work.mkdir()
+    for command in REPLACES:  # the previous run
+        assert _start(work, command, 0).wait(timeout=120) == 0
+    assert set(_snapshot(work)) == ARTIFACTS
+
+    seed = 0
+    for command, replaces in REPLACES.items():
+        # k = replaces + 1 is never reached: the command finishes.
+        for k in range(replaces + 2):
+            before = _snapshot(work)
+            seed += 1  # so that a new model differs from the old
+            status = _start(work, command, seed, kill_after=k).wait(timeout=120)
+            after = _snapshot(work)
+            assert set(after) == ARTIFACTS
+            replaced = [n for n in ARTIFACTS if after[n][1] != before[n][1]]
+            if k <= replaces:
+                assert status == -signal.SIGKILL, (command, k)
+                assert len(replaced) == k, (command, k, replaced)
+            else:
+                assert status == 0, (command, k)
+                assert len(replaced) == replaces, (command, replaced)
+            for name, (data, _) in after.items():
+                if data != before[name][0]:
+                    assert data == _saved_again(work / name, tmp_path / name), name

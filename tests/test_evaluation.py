@@ -72,6 +72,40 @@ class TestReportBasics:
             )
 
 
+class TestReportOwnsItsArrays:
+    """A report keeps its matrices read-only, so no write after it is
+    built can break its rules."""
+
+    FIELDS = ("pre_mean", "pre_std", "post_mean", "post_std")
+
+    def test_a_write_through_the_callers_array_raises(self):
+        cells = [np.array([[0.5]]) for _ in self.FIELDS]
+        SimilarityReport(("a",), *cells)
+        for cell in cells:
+            with pytest.raises(ValueError, match="read-only"):
+                cell[0, 0] = 2.0
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_a_write_through_the_report_raises(self, field):
+        report = SimilarityReport(("a",), [[0.5]], [[0.1]], [[0.5]], [[0.1]])
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(report, field)[0, 0] = 2.0
+
+    def test_a_report_of_writable_views_keeps_its_values(self):
+        buf = np.full(4, 0.5)
+        cells = [buf[i:i + 1].reshape(1, 1) for i in range(4)]
+        report = SimilarityReport(("a",), *cells)
+        buf[:] = -2.0  # the caller's base stays writable
+        for field in self.FIELDS:
+            assert getattr(report, field).tolist() == [[0.5]]
+
+    def test_a_rejected_report_leaves_the_callers_arrays_writable(self):
+        std = np.array([[-0.1]])
+        with pytest.raises(InputValidationError, match="non-negative"):
+            SimilarityReport(("a",), [[0.5]], std, [[0.5]], [[0.1]])
+        std[0, 0] = 0.1
+
+
 class TestReportValues:
     def test_matches_independent_recomputation(
         self, fixture_train_docs, fixture_test_docs, fixture_model

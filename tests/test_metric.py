@@ -921,6 +921,48 @@ class TestProjectionModel:
             ProjectionModel.from_weights(np.ones(3))
 
 
+class TestProjectionModelOwnsItsArrays:
+    """A model keeps its factors and ``W`` read-only, so ``W`` and
+    ``project`` agree for the model's life."""
+
+    def test_a_write_through_the_callers_array_raises(self):
+        coef = np.ones((1, 2))
+        model = ProjectionModel(coef, [[1.0, 0.0]])
+        W = model.W
+        with pytest.raises(ValueError, match="read-only"):
+            coef[0, 0] = 5.0
+        assert model.project(np.array([1.0, 0.0])).tolist() == [2.0, 1.0]
+        assert (W @ [1.0, 0.0]).tolist() == [2.0, 1.0]
+
+    @pytest.mark.parametrize("field", ["coef", "basis", "base"])
+    def test_a_write_through_the_model_raises(self, field):
+        model = ProjectionModel(np.ones((1, 2)), np.ones((1, 3)), np.ones((2, 3)))
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(model, field)[0, 0] = 5.0
+
+    def test_a_model_of_writable_views_keeps_its_values(self):
+        buf = np.arange(1.0, 13.0)
+        coef, basis, base = buf[:2].reshape(1, 2), buf[2:6].reshape(1, 4), buf[4:]
+        model = ProjectionModel(coef, basis, base.reshape(2, 4))
+        W = model.W.copy()
+        buf[:] = 0.0  # the caller's base stays writable
+        assert model.coef.tolist() == [[1.0, 2.0]]
+        assert model.basis.tolist() == [[3.0, 4.0, 5.0, 6.0]]
+        assert model.W.tobytes() == W.tobytes()
+        assert model.project(np.ones(4)).tolist() == (W @ np.ones(4)).tolist()
+
+    @pytest.mark.parametrize("build", [
+        lambda: ProjectionModel(np.ones((1, 3)), np.ones((1, 3))),
+        lambda: ProjectionModel(np.ones((1, 2)), np.ones((1, 3)), np.ones((2, 3))),
+        lambda: ProjectionModel.initial(4, 4, 0),
+        lambda: ProjectionModel.from_weights(np.ones((2, 3))),
+    ], ids=["identity-plus-rows", "base-plus-rows", "empty-identity", "bare-matrix"])
+    def test_W_is_read_only(self, build):
+        W = build().W
+        with pytest.raises(ValueError, match="read-only"):
+            W[0, 0] = 5.0
+
+
 class TestProject:
     """``project`` applies the head through the factors; the dense ``W``
     is its oracle."""

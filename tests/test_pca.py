@@ -690,6 +690,51 @@ class TestPcaModelValidation:
             PerspectivePoint(x=float("nan"), y=0.0)
 
 
+class TestPcaModelOwnsItsArrays:
+    """A model keeps its arrays read-only, so no write after it is built
+    can break its rules."""
+
+    def test_a_write_through_the_callers_array_raises(self, tmp_path):
+        from pdial.persistence import load_pca, save_pca
+
+        c = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        model = PcaModel(np.zeros(3), c, [2.0, 1.0])
+        with pytest.raises(ValueError, match="read-only"):
+            c[0, 0] = -1.0
+        save_pca(tmp_path / "pca.bin", model)
+        assert load_pca(tmp_path / "pca.bin").components.tolist() == c.tolist()
+
+    @pytest.mark.parametrize("field", ["mean", "components", "explained_variance"])
+    def test_a_write_through_the_model_raises(self, field):
+        model = fit_pca(list(np.random.default_rng(0).normal(size=(20, 6))))
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(model, field)[0] *= -1.0
+
+    def test_a_model_of_writable_views_keeps_its_values(self):
+        buf = np.zeros(11)
+        mean, comps, ev = buf[:3], buf[3:9].reshape(2, 3), buf[9:]
+        comps[0, 0] = comps[1, 1] = 1.0
+        ev[:] = [2.0, 1.0]
+        model = PcaModel(mean, comps, ev)
+        buf[:] = -1.0  # the caller's base stays writable
+        assert model.mean.tolist() == [0.0] * 3
+        assert model.components.tolist() == [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+        assert model.explained_variance.tolist() == [2.0, 1.0]
+
+    def test_a_read_only_view_is_kept_without_a_copy(self):
+        flat = np.frombuffer(np.eye(3)[:2].tobytes(), dtype=np.float64)
+        comps = flat.reshape(2, 3)
+        model = PcaModel(np.zeros(3), comps, [2.0, 1.0])
+        assert np.shares_memory(model.components, flat)
+
+    def test_a_rejected_model_leaves_the_callers_arrays_writable(self):
+        c = np.array([[-1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        with pytest.raises(InputValidationError):
+            PcaModel(np.zeros(3), c, [2.0, 1.0])
+        c[0, 0] = 1.0
+        PcaModel(np.zeros(3), c, [2.0, 1.0])
+
+
 def _jacobi_spy(monkeypatch):
     """Record the shape of every matrix fit_pca hands to jacobi_eigh."""
     shapes = []
@@ -890,16 +935,18 @@ SPECTRA = {
 
 
 def _top_eigh_spy(monkeypatch):
-    """Count the blocks _top_eigh orthonormalizes (the start block and one
-    per iteration) and record the shapes handed to jacobi_eigh."""
+    """Count the row sets _gram_schmidt orthonormalizes and record the
+    shapes handed to jacobi_eigh. In _top_eigh those are the start block
+    and one block per iteration; a fit on fewer points than dimensions
+    adds one call, its map back to d dimensions."""
     blocks = []
-    real = pca_mod._orthonormal_block
+    real = pca_mod._gram_schmidt
 
     def spy(rows, floor):
         blocks.append(rows.shape)
         return real(rows, floor)
 
-    monkeypatch.setattr(pca_mod, "_orthonormal_block", spy)
+    monkeypatch.setattr(pca_mod, "_gram_schmidt", spy)
     return blocks, _jacobi_spy(monkeypatch)
 
 
