@@ -20,6 +20,7 @@ from .errors import (
     InputValidationError,
     ProtocolError,
     require_field_types,
+    require_list,
     require_numbers,
 )
 
@@ -94,8 +95,7 @@ def hashed_embed(text: str, dimension: int) -> np.ndarray:
 
 
 def _validate_texts(texts: list[str]) -> None:
-    if isinstance(texts, str):
-        raise InputValidationError("expected a list of texts, got a str")
+    require_list(texts, "texts")
     if not texts:
         raise InputValidationError("embed_batch needs at least one text")
     for i, text in enumerate(texts):

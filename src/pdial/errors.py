@@ -62,6 +62,15 @@ def require_utf8(text: str, error: type[PdialError], where: str) -> str:
     return text
 
 
+def require_list(value: object, what: str) -> object:
+    """Return ``value`` unless it is a bare ``str``, which, iterated where
+    a list of strings belongs, gives its characters; that is an
+    InputValidationError naming ``what``, the entries the list holds."""
+    if isinstance(value, str):
+        raise InputValidationError(f"expected a list of {what}, got a str")
+    return value
+
+
 def require_numbers(value: object, error: type[Exception], what: str) -> np.ndarray:
     """``value`` as a float64 array if it is a JSON number or equal-length
     lists of them, at any depth, else ``error`` naming ``what``.
@@ -101,15 +110,19 @@ def read_only_float64(value: object) -> np.ndarray:
     that keeps it and so takes ownership of it.
 
     An array handed over whole is frozen in place, so the caller's own
-    array becomes read-only. A writable view is copied first, since the
-    caller can still write its base. A read-only view, such as a loader's
-    view of a file's bytes, is kept without a copy. numpy is imported by
-    the first call, as in ``require_numbers``.
+    array becomes read-only. A view is kept without a copy only if it and
+    every array on its ``.base`` chain are read-only, as is a loader's
+    view of a file's bytes; any other view is copied first, since the
+    caller can still write its base. numpy is imported by the first call,
+    as in ``require_numbers``.
     """
     import numpy as np
 
     a = np.asarray(value, dtype=np.float64)
-    if a.base is not None and a.flags.writeable:
+    link = a  # ends at the first writable array on the .base chain, if any
+    while isinstance(link, np.ndarray) and not link.flags.writeable:
+        link = link.base
+    if a.base is not None and isinstance(link, np.ndarray):
         a = a.copy()
     a.flags.writeable = False
     return a

@@ -43,6 +43,7 @@ from .errors import (
     NumericError,
     read_only_float64,
     require_field_types,
+    require_list,
 )
 
 
@@ -68,6 +69,7 @@ class ClusterSimilarityMatrix:
     pole-vs-pole 0.0 in the canonical three-cluster setup."""
 
     def __init__(self, clusters: list[str], sim: np.ndarray) -> None:
+        require_list(clusters, "clusters")
         sim = np.asarray(sim, dtype=np.float64)
         n = len(clusters)
         if len(set(clusters)) != n:

@@ -19,7 +19,12 @@ import itertools
 import math
 
 from .embedding import EmbeddingBackendConfig, _validate_texts, embed_batch
-from .errors import ConfigurationError, InputValidationError, NumericError
+from .errors import (
+    ConfigurationError,
+    InputValidationError,
+    NumericError,
+    require_list,
+)
 from .llm_client import LlmBackendConfig, complete
 from .metric import LabeledDocument, ProjectionModel
 from .pca import PcaModel, PerspectivePoint, pca_transform
@@ -41,10 +46,13 @@ class PromptSpec:
     joiner: str = " "
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "base_phrases", tuple(self.base_phrases))
-        object.__setattr__(
-            self, "slots", tuple(tuple(s) for s in self.slots)
+        phrases = require_list(self.base_phrases, "base phrases")
+        slots = tuple(
+            tuple(require_list(candidates, f"candidates for slot {i}"))
+            for i, candidates in enumerate(require_list(self.slots, "slots"))
         )
+        object.__setattr__(self, "base_phrases", tuple(phrases))
+        object.__setattr__(self, "slots", slots)
         if not self.base_phrases:
             raise InputValidationError("prompt spec needs at least one base phrase")
         for i, candidates in enumerate(self.slots):

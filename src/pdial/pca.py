@@ -8,10 +8,10 @@ two columns and a Rayleigh-Ritz step (Halko, Martinsson and Tropp, SIAM
 Review 2011), at O(n^2) per iteration. One two-pass Gram-Schmidt
 routine, ``_gram_schmidt``, orthonormalizes every block and maps the
 Gram matrix's eigenvectors back to d dimensions, and it alone decides
-what an axis the input does not determine is and what replaces it.
-When the iteration does not settle the pair (the matrix has fewer than
-two eigenvalues above the tolerance, or a budget of iterations that
-grows with n is spent), the whole matrix is diagonalized with Jacobi
+what an axis the input does not determine is and what replaces it: the
+first unit vector not yet spanned, on either side. Only when the
+iteration spends a budget of iterations that grows with n without
+settling the pair is the whole matrix diagonalized with Jacobi
 rotations in the round-robin order of Brent and Luk, where each step
 rotates n/2 disjoint pairs at once as one batched numpy update: exact
 for symmetric input, dependency-free, and easy to check against a
@@ -292,31 +292,33 @@ def _top_eigh(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     docstring) with a block ``Q`` of ``PCA_AXES`` orthonormal columns,
     started from ``_start_block``. Each iteration computes ``Z = A Q``
     and ``H = Q^T Z``, and orthonormalizes ``Z`` by ``_gram_schmidt``
-    into the next block. Once the residual ``||Z - Q H||_F``
-    is at most ``JACOBI_REL_TOL * ||A||_F``, ``jacobi_eigh`` on the
-    2 x 2 ``H`` of that next block gives the eigenpairs (Rayleigh-Ritz).
-    In exact arithmetic they are those of ``C``.
+    into the next block. A column of ``Z`` that keeps at most the
+    tolerance ``JACOBI_REL_TOL * ||A||_F`` after orthogonalization, as
+    when ``C`` has fewer than two eigenvalues the tolerance resolves
+    (identical or collinear points), is completed from a unit vector by
+    ``_gram_schmidt``, and the iteration goes on with that block. Once the
+    residual ``||Z - Q H||_F`` is at most that tolerance, ``jacobi_eigh``
+    on the 2 x 2 ``H`` of the next block gives the eigenpairs
+    (Rayleigh-Ritz): each Ritz value lies within the residual of an
+    eigenvalue of ``A`` (Parlett, *The Symmetric Eigenvalue Problem*,
+    ch. 11), a completed block's too. In exact arithmetic they are those
+    of ``C``.
 
-    It falls back to ``jacobi_eigh`` on all of ``C``, and returns its top
-    pairs, in two cases: a column of ``Z`` keeps at most that tolerance
-    after orthogonalization, so that ``_gram_schmidt`` counts fewer than
-    ``PCA_AXES`` rows it kept (``C`` has fewer than two eigenvalues the
-    tolerance resolves, as for identical or collinear points), or the
-    budget of ``max(SUBSPACE_MAX_ITERATIONS, SUBSPACE_ITERATIONS_PER_ROW
-    * n)`` iterations is spent (a top pair too close to the third
-    eigenvalue to settle, as in a flat spectrum).
+    Only when the budget of ``max(SUBSPACE_MAX_ITERATIONS,
+    SUBSPACE_ITERATIONS_PER_ROW * n)`` iterations is spent (a top pair
+    too close to the third eigenvalue to settle, as in a flat spectrum)
+    does it fall back to ``jacobi_eigh`` on all of ``C``, and return its
+    top pairs.
     """
     k = _scale_exponent(C)
     A = np.ldexp(C, -k)
     tol = JACOBI_REL_TOL * float(np.linalg.norm(A))
     n = len(A)
-    Qt, _ = _gram_schmidt(_start_block(n), 0.0)
+    Qt = _gram_schmidt(_start_block(n), 0.0)
     for _ in range(max(SUBSPACE_MAX_ITERATIONS, SUBSPACE_ITERATIONS_PER_ROW * n)):
         # Rows instead of columns: Z^T = Q^T A, as A is symmetric.
         Zt = Qt @ A
-        next_Qt, kept = _gram_schmidt(Zt, tol)
-        if kept < PCA_AXES:
-            break
+        next_Qt = _gram_schmidt(Zt, tol)
         H = Zt @ Qt.T
         if np.linalg.norm(Zt - H.T @ Qt) <= tol:
             # The next block is one power step on: its axes are closer by
@@ -353,36 +355,33 @@ def _start_block(n: int) -> np.ndarray:
     ) - 0.5
 
 
-def _gram_schmidt(rows: np.ndarray, floor: float) -> tuple[np.ndarray, int]:
+def _gram_schmidt(rows: np.ndarray, floor: float) -> np.ndarray:
     """Gram-Schmidt with two passes on a few rows, in order, which leaves
     them orthonormal to working precision ("twice is enough": Giraud,
-    Langou and Rozloznik, 2005); and the number of rows that kept more
-    than ``floor`` of their norm outside the span of the rows before them.
+    Langou and Rozloznik, 2005).
 
-    A row that keeps at most ``floor`` is one the caller's input does not
-    determine. It is replaced by the residual of the first unit vector
-    e_j not yet spanned, that is, the first that keeps more than half its
-    squared length outside the span of the rows before it, so that one
-    pass leaves it orthogonal to working precision. Only that one unit
-    vector is built. The callers' rows are scaled (see the module
-    docstring), so their squared norms neither overflow nor underflow
-    above ``floor``.
+    A row that keeps at most ``floor`` of its norm outside the span of
+    the rows before it is one the caller's input does not determine. It
+    is replaced by the residual of the first unit vector e_j not yet
+    spanned, that is, the first that keeps more than half its squared
+    length outside the span of the rows before it, so that one pass
+    leaves it orthogonal to working precision. Only that one unit vector
+    is built. The callers' rows are scaled (see the module docstring),
+    so their squared norms neither overflow nor underflow above
+    ``floor``.
     """
     basis = np.empty_like(rows)
-    kept = 0
     for k, row in enumerate(rows):
         for _ in range(2 if k else 0):
             row = row - (basis[:k] @ row) @ basis[:k]
         norm = math.sqrt(row @ row)
-        if norm > floor:
-            kept += 1
-        else:
+        if norm <= floor:
             j = int(np.argmax(np.sum(basis[:k] ** 2, axis=0) < 0.5))
             row = -basis[:k].T @ basis[:k, j]
             row[j] += 1.0
             norm = math.sqrt(row @ row)
         basis[k] = row / norm
-    return basis, kept
+    return basis
 
 
 def _apply_sign_convention(components: np.ndarray) -> np.ndarray:
@@ -400,7 +399,7 @@ def fit_pca(points: list[np.ndarray]) -> PcaModel:
     m - 1 (unbiased), make it exactly symmetric, and take its top two
     eigenpairs from one call of ``_top_eigh``: subspace iteration with a
     2 x 2 Rayleigh-Ritz step, or the full Jacobi solve when the iteration
-    collapses or spends its budget (see there). The model is built by
+    spends its budget (see there). The model is built by
     one ``_pca_model`` call, which makes the largest-|entry| coordinate
     of each principal axis positive so fitted models are reproducible
     down to the byte.
@@ -412,7 +411,8 @@ def fit_pca(points: list[np.ndarray]) -> PcaModel:
     subspace iteration's blocks. An axis the points do not determine
     (identical or collinear points) maps to a vector at the rounding
     level, at most ``m * d * eps`` long for the scaled points; it is
-    completed with the first unit vector e_j not yet spanned. For
+    completed with the first unit vector e_j not yet spanned, as the
+    subspace iteration completes it on the covariance route. For
     identical points that gives e_0 and e_1.
 
     The points are scaled by ``2**-k`` before they are centred (see the
@@ -448,7 +448,7 @@ def fit_pca(points: list[np.ndarray]) -> PcaModel:
         # The scaled entries are below 1 in size, so the rounding left in
         # Xc^T v of an axis the points do not fix is below this floor.
         floor = m * d * np.finfo(np.float64).eps
-        eigvecs, _ = _gram_schmidt(eigvecs @ centered, floor)
+        eigvecs = _gram_schmidt(eigvecs @ centered, floor)
     return _pca_model(mean, eigvecs, eigvals, k)
 
 

@@ -1048,3 +1048,8 @@ class TestMatrixValidation:
     def test_duplicate_labels_rejected(self):
         with pytest.raises(InputValidationError):
             ClusterSimilarityMatrix(["a", "a"], np.eye(2))
+
+    def test_bare_str_of_clusters_rejected(self):
+        # iterated, "ab" would be the two clusters "a" and "b"
+        with pytest.raises(InputValidationError, match="expected a list of clusters"):
+            ClusterSimilarityMatrix("ab", np.eye(2))

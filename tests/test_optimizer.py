@@ -140,6 +140,17 @@ class TestRenderPrompt:
         with pytest.raises(InputValidationError):
             PromptSpec(base_phrases=())
 
+    # iterated, a bare str would be split into one-letter phrases
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"base_phrases": "write about football"}, "base phrases"),
+        ({"base_phrases": ("b",), "slots": "ab"}, "slots"),
+        ({"base_phrases": ("b",), "slots": (("x", "y"), "ab")},
+         "candidates for slot 1"),
+    ])
+    def test_bare_str_where_a_list_belongs_rejected(self, kwargs, field):
+        with pytest.raises(InputValidationError, match=f"^expected a list of {field},"):
+            PromptSpec(**kwargs)
+
 
 class TestLossToTarget:
     def test_zero_at_target(self):

@@ -727,6 +727,15 @@ class TestPcaModelOwnsItsArrays:
         model = PcaModel(np.zeros(3), comps, [2.0, 1.0])
         assert np.shares_memory(model.components, flat)
 
+    def test_a_read_only_view_of_a_writable_array_keeps_its_values(self):
+        c = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        v = c.view()
+        v.flags.writeable = False
+        model = PcaModel(np.zeros(3), v, [2.0, 1.0])
+        c[0, 0] = -1.0  # the caller's base stays writable
+        assert model.components.tolist() == [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+        assert not np.shares_memory(model.components, c)
+
     def test_a_rejected_model_leaves_the_callers_arrays_writable(self):
         c = np.array([[-1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         with pytest.raises(InputValidationError):
@@ -757,6 +766,38 @@ def _assert_valid(model, d):
     assert np.all(ev >= 0.0) and ev[0] >= ev[1]
 
 
+def _completion(axis):
+    """The unit vector that completes ``axis`` to an orthonormal pair: the
+    first e_j with axis_j**2 < 0.5, minus its projection on ``axis``,
+    normalized, under the sign rule."""
+    j = int(np.argmax(axis**2 < 0.5))
+    row = np.eye(len(axis))[j] - axis[j] * axis
+    return pca_mod._apply_sign_convention((row / np.linalg.norm(row))[None])[0]
+
+
+def _assert_matches_the_full_solve(points, monkeypatch, completed):
+    """Fit ``points`` and check the model against the fit whose top pairs
+    come from the full ``jacobi_eigh`` solve: one 2 x 2 ``jacobi_eigh``
+    call, the same mean bytes, the first variance and axis within 1e-12
+    relative, and a second variance at most 1e-12 of the first. If
+    ``completed``, the second axis is the unit-vector completion of the
+    first, to 1e-15. Returns the model."""
+    shapes = _jacobi_spy(monkeypatch)
+    model = fit_pca(points)
+    assert shapes == [(2, 2)]
+    monkeypatch.setattr(pca_mod, "_top_eigh", _full_top)
+    ref = fit_pca(points)
+    assert model.mean.tobytes() == ref.mean.tobytes()
+    ev, ref_ev = model.explained_variance, ref.explained_variance
+    assert abs(ev[0] - ref_ev[0]) <= 1e-12 * ref_ev[0]
+    assert np.linalg.norm(model.components[0] - ref.components[0]) <= 1e-12
+    assert ev[1] <= 1e-12 * ev[0]
+    if completed:
+        second = _completion(model.components[0])
+        np.testing.assert_allclose(model.components[1], second, rtol=0.0, atol=1e-15)
+    return model
+
+
 class TestGramRoute:
     """Fewer points than dimensions: the m x m Gram matrix is diagonalized."""
 
@@ -783,20 +824,19 @@ class TestGramRoute:
         _assert_valid(model, 768)
 
     def test_identical_points_are_completed(self, monkeypatch):
-        shapes = _jacobi_spy(monkeypatch)
-        model = fit_pca([np.arange(10.0)] * 5)
-        assert shapes == [(5, 5)]
+        model = _assert_matches_the_full_solve(
+            [np.arange(10.0)] * 5, monkeypatch, completed=True
+        )
         _assert_valid(model, 10)
         np.testing.assert_array_equal(model.explained_variance, [0.0, 0.0])
 
     def test_collinear_points_are_completed(self, monkeypatch):
-        shapes = _jacobi_spy(monkeypatch)
         rng = np.random.default_rng(3)
         direction = rng.normal(size=10)
         direction /= np.linalg.norm(direction)
         offset = rng.normal(size=10)
-        model = fit_pca([offset + t * direction for t in (-2.0, -0.5, 1.0, 3.0)])
-        assert shapes == [(4, 4)]
+        points = [offset + t * direction for t in (-2.0, -0.5, 1.0, 3.0)]
+        model = _assert_matches_the_full_solve(points, monkeypatch, completed=True)
         _assert_valid(model, 10)
         assert abs(np.dot(model.components[0], direction)) == pytest.approx(
             1.0, abs=1e-10
@@ -890,15 +930,21 @@ def _clouds():
 
 
 CLOUDS = _clouds()
-# Clouds with a clear top plane: the subspace iteration settles them.
-SETTLED = {"square", "wide-clear-plane", "tall-clear-plane"}
+# Identical and collinear points, whose second axis the subspace
+# iteration completes from a unit vector.
+COMPLETED = {"identical-exact-mean", "identical-inexact-mean", "identical-tall",
+             "collinear", "collinear-tall", "two-equal-one-apart"}
+# Every cloud but "wide" and "tall", whose spectra are too flat to settle
+# within the budget: clouds with a clear top plane, and degenerate ones.
+SETTLED = {"square", "wide-clear-plane", "tall-clear-plane",
+           "tiny-second-variance", *COMPLETED}
 
 
 class TestOneDecompositionPerFit:
     """Every fit makes one ``jacobi_eigh`` call: on the 2 x 2 Rayleigh-Ritz
-    matrix when the subspace iteration settles the top plane, else on the
-    smaller of the m x m Gram matrix and the d x d covariance. No fit
-    decomposes the larger side."""
+    matrix when the subspace iteration settles the top plane, else, once
+    its budget is spent, on the smaller of the m x m Gram matrix and the
+    d x d covariance. No fit decomposes the larger side."""
 
     @pytest.mark.parametrize("name", sorted(CLOUDS))
     def test_one_jacobi_call_of_the_smaller_side(self, name, monkeypatch):
@@ -937,8 +983,9 @@ SPECTRA = {
 def _top_eigh_spy(monkeypatch):
     """Count the row sets _gram_schmidt orthonormalizes and record the
     shapes handed to jacobi_eigh. In _top_eigh those are the start block
-    and one block per iteration; a fit on fewer points than dimensions
-    adds one call, its map back to d dimensions."""
+    and one block per iteration, a block with a completed row included;
+    a fit on fewer points than dimensions adds one call, its map back to
+    d dimensions."""
     blocks = []
     real = pca_mod._gram_schmidt
 
@@ -1082,30 +1129,63 @@ class TestTopEigh:
         assert len(blocks) == 3
         assert values.tobytes() == _full_top(C)[0].tobytes()
 
-    @pytest.mark.parametrize("C", [
-        pytest.param(np.zeros((5, 5)), id="zero"),
-        pytest.param(np.ones((5, 5)), id="rank-one"),
-    ])
-    def test_fewer_than_two_eigenvalues_fall_back(self, C, monkeypatch):
+    def test_zero_matrix_is_completed_from_the_first_unit_vectors(self, monkeypatch):
+        blocks, shapes = _top_eigh_spy(monkeypatch)
+        values, vectors = pca_mod._top_eigh(np.zeros((5, 5)))
+        assert shapes == [(2, 2)]
+        assert len(blocks) == 2  # the start block, then one completed block
+        assert values.tobytes() == np.zeros(2).tobytes()
+        assert vectors.tobytes() == np.eye(2, 5).tobytes()
+
+    def test_rank_one_matrix_is_completed(self, monkeypatch):
+        C = np.ones((5, 5))
         blocks, shapes = _top_eigh_spy(monkeypatch)
         values, vectors = pca_mod._top_eigh(C)
-        assert shapes == [(5, 5)]
-        assert len(blocks) == 2  # the start block, then the collapse
+        assert shapes == [(2, 2)]
+        assert len(blocks) == 3
         ref_values, ref_vectors = _full_top(C)
-        assert values.tobytes() == ref_values.tobytes()
-        assert vectors.tobytes() == ref_vectors.tobytes()
+        assert abs(values[0] - ref_values[0]) <= 1e-12 * ref_values[0]
+        assert abs(vectors[0] @ ref_vectors[0]) >= 1.0 - 1e-12
+        assert values[1] <= 1e-12 * values[0]
+        # _top_eigh leaves the signs to the model
+        first, second = pca_mod._apply_sign_convention(vectors)
+        np.testing.assert_allclose(second, _completion(first), rtol=0.0, atol=1e-15)
 
     @pytest.mark.parametrize("name", [
         "identical-exact-mean", "identical-inexact-mean", "identical-tall",
         "collinear", "collinear-tall", "two-equal-one-apart",
+        "tiny-second-variance",
     ])
     def test_degenerate_clouds_keep_the_full_solve_bytes(self, name, monkeypatch):
-        points = CLOUDS[name]
-        model = fit_pca(points)
-        monkeypatch.setattr(pca_mod, "_top_eigh", _full_top)
-        ref = fit_pca(points)
-        for field in ("mean", "components", "explained_variance"):
-            assert getattr(model, field).tobytes() == getattr(ref, field).tobytes()
+        # The mean keeps the full solve's bytes; the axes and variances
+        # match it to 1e-12, and the second axis of identical or collinear
+        # points is the unit-vector completion of the first.
+        _assert_matches_the_full_solve(
+            CLOUDS[name], monkeypatch, completed=name in COMPLETED
+        )
+
+    @pytest.mark.parametrize("rel", [1e-6, 1e-7, 1e-8, 1e-9])
+    @pytest.mark.parametrize("m, d", [
+        pytest.param(6, 20, id="gram"),
+        pytest.param(20, 6, id="covariance"),
+    ])
+    def test_near_degenerate_clouds_settle(self, m, d, rel, monkeypatch):
+        # Collinear points plus noise of relative size ``rel``: the second
+        # variance is at most ~1e-11 of the first, at or below the
+        # residual tolerance, so a column may collapse and be completed.
+        rng = np.random.default_rng(m * 1000 + d)
+        direction = rng.normal(size=d)
+        direction /= np.linalg.norm(direction)
+        t = rng.normal(size=(m, 1))
+        X = rng.normal(size=d) + t * direction + rel * rng.normal(size=(m, d))
+        blocks, shapes = _top_eigh_spy(monkeypatch)
+        model = fit_pca(list(X))
+        assert shapes == [(2, 2)]
+        # the start block, the iterations and, for m < d, the map back
+        assert len(blocks) < _budget(min(m, d)) + 1
+        top = np.linalg.eigvalsh(np.cov(X.T))[-1]
+        assert abs(model.explained_variance[0] - top) <= 1e-12 * top
+        _assert_valid(model, d)
 
     def test_start_block_is_splitmix64(self):
         # Integer arithmetic, so every numpy gives these bytes; the
