@@ -20,8 +20,9 @@ from .errors import (
     InputValidationError,
     ProtocolError,
     require_field_types,
-    require_list,
     require_numbers,
+    require_text,
+    require_texts,
 )
 
 DEFAULT_DIMENSION = 768
@@ -81,6 +82,7 @@ def hashed_embed(text: str, dimension: int) -> np.ndarray:
     ``fnv1a64(token) % dimension`` per token, then L2-normalize. Bit-exact
     across platforms; raises if the text contains no tokens.
     """
+    require_text(text, InputValidationError, "text")
     if dimension < 2:
         raise InputValidationError(f"dimension must be >= 2, got {dimension}")
     tokens = _TOKEN_RE.findall(text.lower())
@@ -95,7 +97,7 @@ def hashed_embed(text: str, dimension: int) -> np.ndarray:
 
 
 def _validate_texts(texts: list[str]) -> None:
-    require_list(texts, "texts")
+    require_texts(texts, InputValidationError, "texts")
     if not texts:
         raise InputValidationError("embed_batch needs at least one text")
     for i, text in enumerate(texts):

@@ -1,6 +1,6 @@
 """Exception hierarchy shared by all pdial modules, the text, number
-and config-field checks that every entry point applies to incoming JSON
-values, and the read-only arrays that the array holders keep.
+and config-field checks that every entry point applies to the values it
+is given, and the read-only arrays that the array holders keep.
 
 The CLI maps these onto its exit-code contract: usage/config problems
 exit 2, numeric/protocol/transport failures exit 3.
@@ -44,30 +44,35 @@ class NumericError(PdialError):
     """A numeric procedure failed (non-finite values, non-convergence)."""
 
 
-def require_utf8(text: str, error: type[PdialError], where: str) -> str:
-    """Return ``text`` if it can be encoded as UTF-8, else raise ``error``
-    naming ``where``.
+def require_text(value: object, error: type[Exception], what: str) -> str:
+    """``value`` if it is a ``str`` that UTF-8 can hold, else ``error``
+    naming ``what``.
 
     A JSON string escape such as ``"\\ud800"`` decodes to a lone surrogate,
     which no UTF-8 artifact can hold; rejecting it where text enters the
     program keeps it from failing a write much later.
     """
+    if not isinstance(value, str):
+        raise error(f"{what} must be a string, got {type(value).__name__}")
     try:
-        text.encode("utf-8")
+        value.encode("utf-8")
     except UnicodeEncodeError as exc:
-        raise error(
-            f"{where} is not valid Unicode ({exc.reason} at position "
-            f"{exc.start})"
-        ) from exc
-    return text
+        at = f"{exc.reason} at position {exc.start}"
+        raise error(f"{what} is not valid Unicode ({at})") from exc
+    return value
 
 
-def require_list(value: object, what: str) -> object:
-    """Return ``value`` unless it is a bare ``str``, which, iterated where
-    a list of strings belongs, gives its characters; that is an
-    InputValidationError naming ``what``, the entries the list holds."""
-    if isinstance(value, str):
-        raise InputValidationError(f"expected a list of {what}, got a str")
+def require_texts(
+    value: object, error: type[Exception], what: str, entry=require_text
+) -> list | tuple:
+    """``value`` if it is a list or tuple whose entries pass ``entry``,
+    else ``error`` naming ``what`` or the entry, ``what[i]``. A bare
+    ``str``, which iterated would give its characters, is refused. With
+    ``entry=require_texts`` each entry must be a list of texts itself."""
+    if not isinstance(value, (list, tuple)):
+        raise error(f"{what} must be a list, got {type(value).__name__}")
+    for i, item in enumerate(value):
+        entry(item, error, f"{what}[{i}]")
     return value
 
 

@@ -7,9 +7,10 @@ can run offline and byte-reproducibly.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 import math
-from typing import Mapping, overload
+from typing import overload
 
 from . import _http
 from .errors import (
@@ -17,7 +18,8 @@ from .errors import (
     InputValidationError,
     ProtocolError,
     require_field_types,
-    require_utf8,
+    require_text,
+    require_texts,
 )
 
 
@@ -47,6 +49,12 @@ class LlmBackendConfig:
         _http.check_timeout(self.timeout)
         if self.kind == "http":
             _http.check_endpoint_url(self.endpoint_url, "llm")
+        if self.mock_table is not None:
+            if not isinstance(self.mock_table, Mapping):
+                raise ConfigurationError("mock_table must map strings to strings")
+            for key, value in self.mock_table.items():
+                require_text(key, ConfigurationError, "mock table key")
+                require_text(value, ConfigurationError, "mock table value")
 
 
 def _mock_complete(prompt: str, table: Mapping[str, str]) -> str:
@@ -78,11 +86,7 @@ def _http_complete(prompt: str, cfg: LlmBackendConfig) -> str:
         raise ProtocolError(
             f"chat completion response has unexpected shape: {exc!r}"
         ) from exc
-    if not isinstance(content, str):
-        raise ProtocolError(
-            f"chat completion content is not a string: {type(content).__name__}"
-        )
-    return require_utf8(content, ProtocolError, "chat completion content")
+    return require_text(content, ProtocolError, "chat completion content")
 
 
 @overload
@@ -109,6 +113,7 @@ def complete(
     """
     if isinstance(prompts, str):
         return complete([prompts], cfg)[0]
+    require_texts(prompts, InputValidationError, "prompts")
     for i, prompt in enumerate(prompts):
         if not prompt.strip():
             raise InputValidationError(f"prompt {i} must be non-empty")

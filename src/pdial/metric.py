@@ -43,7 +43,8 @@ from .errors import (
     NumericError,
     read_only_float64,
     require_field_types,
-    require_list,
+    require_text,
+    require_texts,
 )
 
 
@@ -54,6 +55,8 @@ class LabeledDocument:
     cluster: str
 
     def __post_init__(self) -> None:
+        for name in ("id", "text", "cluster"):
+            require_text(getattr(self, name), InputValidationError, name)
         if not self.id:
             raise InputValidationError("document id must be non-empty")
         if not self.text.strip():
@@ -69,7 +72,7 @@ class ClusterSimilarityMatrix:
     pole-vs-pole 0.0 in the canonical three-cluster setup."""
 
     def __init__(self, clusters: list[str], sim: np.ndarray) -> None:
-        require_list(clusters, "clusters")
+        require_texts(clusters, InputValidationError, "clusters")
         sim = np.asarray(sim, dtype=np.float64)
         n = len(clusters)
         if len(set(clusters)) != n:

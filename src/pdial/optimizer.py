@@ -23,7 +23,8 @@ from .errors import (
     ConfigurationError,
     InputValidationError,
     NumericError,
-    require_list,
+    require_text,
+    require_texts,
 )
 from .llm_client import LlmBackendConfig, complete
 from .metric import LabeledDocument, ProjectionModel
@@ -46,13 +47,11 @@ class PromptSpec:
     joiner: str = " "
 
     def __post_init__(self) -> None:
-        phrases = require_list(self.base_phrases, "base phrases")
-        slots = tuple(
-            tuple(require_list(candidates, f"candidates for slot {i}"))
-            for i, candidates in enumerate(require_list(self.slots, "slots"))
-        )
+        phrases = require_texts(self.base_phrases, InputValidationError, "base_phrases")
+        slots = require_texts(self.slots, InputValidationError, "slots", require_texts)
+        require_text(self.joiner, InputValidationError, "joiner")
         object.__setattr__(self, "base_phrases", tuple(phrases))
-        object.__setattr__(self, "slots", slots)
+        object.__setattr__(self, "slots", tuple(map(tuple, slots)))
         if not self.base_phrases:
             raise InputValidationError("prompt spec needs at least one base phrase")
         for i, candidates in enumerate(self.slots):
@@ -100,11 +99,7 @@ class SearchTrace:
     def __post_init__(self) -> None:
         if isinstance(self.target, PerspectivePoint):
             return
-        if isinstance(self.target, str):
-            raise InputValidationError(
-                "expected a point or a list of texts as target, got a str"
-            )
-        self.target = tuple(self.target)
+        self.target = tuple(require_texts(self.target, InputValidationError, "target"))
         if not self.target:
             raise InputValidationError("target needs at least one text")
 

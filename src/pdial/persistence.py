@@ -31,7 +31,8 @@ from .errors import (
     FormatError,
     InputValidationError,
     require_numbers,
-    require_utf8,
+    require_text,
+    require_texts,
 )
 from .metric import (
     ClusterSimilarityMatrix,
@@ -100,25 +101,11 @@ def _read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
             yield lineno, _json_object(line, f"{path}:{lineno}")
 
 
-def _string(value: object, where: str) -> str:
-    """``value`` if it is a JSON string that UTF-8 can hold, else a
-    FormatError naming ``where``."""
-    if not isinstance(value, str):
-        raise FormatError(f"{where} must be a JSON string, got {type(value).__name__}")
-    return require_utf8(value, FormatError, where)
-
-
 def _list(value: object, where: str) -> list:
     """``value`` if it is a JSON list, else a FormatError naming ``where``."""
     if not isinstance(value, list):
         raise FormatError(f"{where} must be a JSON list, got {type(value).__name__}")
     return value
-
-
-def _strings(value: object, where: str) -> list[str]:
-    """``value`` if it is a JSON list of strings, each checked as by
-    ``_string``."""
-    return [_string(v, where) for v in _list(value, where)]
 
 
 def _count(value: object, what: str, least: int = 0) -> int:
@@ -350,19 +337,17 @@ def load_pca(path: str | Path) -> PcaModel:
 def load_dataset(path: str | Path) -> list[LabeledDocument]:
     """JSON Lines, one ``{"id", "text", "cluster"}`` object per line.
 
-    Duplicate ids are rejected with both line numbers, and a file that
-    holds no document is a FormatError.
+    ``LabeledDocument`` checks the fields, and its error names the file
+    and line here. Duplicate ids are rejected with both line numbers, and
+    a file that holds no document is a FormatError.
     """
     docs: list[LabeledDocument] = []
     seen: dict[str, int] = {}
     for lineno, obj in _read_jsonl(path):
-        fields = {}
-        for name in ("id", "text", "cluster"):
-            if name not in obj:
-                raise FormatError(f"{path}:{lineno}: missing field {name!r}")
-            fields[name] = _string(obj[name], f"{path}:{lineno}: {name}")
         try:
-            doc = LabeledDocument(**fields)
+            doc = LabeledDocument(obj["id"], obj["text"], obj["cluster"])
+        except KeyError as exc:
+            raise FormatError(f"{path}:{lineno}: missing field {exc}") from exc
         except InputValidationError as exc:
             raise FormatError(f"{path}:{lineno}: {exc}") from exc
         if doc.id in seen:
@@ -381,7 +366,7 @@ def load_matrix(path: str | Path) -> ClusterSimilarityMatrix:
     data = _read_json(path)
     try:
         return ClusterSimilarityMatrix(
-            clusters=_strings(data["clusters"], f"{path}: clusters"),
+            clusters=data["clusters"],
             sim=require_numbers(data["sim"], ValueError, "sim"),
         )
     except (InputValidationError, KeyError, TypeError, ValueError) as exc:
@@ -393,13 +378,12 @@ def load_prompt_spec(path: str | Path) -> PromptSpec:
 
     data = _read_json(path)
     try:
-        slots = _list(data.get("slots", []), f"{path}: slots")
         return PromptSpec(
-            base_phrases=_strings(data["base_phrases"], f"{path}: base_phrases"),
-            slots=[_strings(s, f"{path}: slot {i}") for i, s in enumerate(slots)],
-            joiner=_string(data.get("joiner", " "), f"{path}: joiner"),
+            base_phrases=data["base_phrases"],
+            slots=data.get("slots", []),
+            joiner=data.get("joiner", " "),
         )
-    except (InputValidationError, KeyError, TypeError) as exc:
+    except (InputValidationError, KeyError) as exc:
         raise FormatError(f"{path}: malformed prompt spec: {exc}") from exc
 
 
@@ -408,8 +392,8 @@ def load_mock_table(path: str | Path) -> dict[str, str]:
     strings to strings."""
     table = _read_json(path)
     for key, value in table.items():
-        _string(key, f"{path}: mock table key")
-        _string(value, f"{path}: mock table value")
+        require_text(key, FormatError, f"{path}: mock table key")
+        require_text(value, FormatError, f"{path}: mock table value")
     return table
 
 
@@ -518,13 +502,12 @@ def load_trace(path: str | Path) -> SearchTrace:
         lines.append((lineno, obj))
         where = f"{path}:{lineno}"
         if obj.get("summary"):
+            where += ": malformed trace summary"
             try:
                 target = _point(obj.get("target"))
             except _BAD_VALUE as exc:
-                raise FormatError(
-                    f"{where}: malformed trace summary: target {exc}"
-                ) from exc
-            mode = _string(obj.get("mode"), f"{where}: malformed trace summary: mode")
+                raise FormatError(f"{where}: target {exc}") from exc
+            mode = require_text(obj.get("mode"), FormatError, f"{where}: mode")
             summary = (mode, target)
             continue
         try:
@@ -536,8 +519,8 @@ def load_trace(path: str | Path) -> SearchTrace:
                     assignment=PromptAssignment(
                         base_index, [_count(c, "choice") for c in choices]
                     ),
-                    prompt=_string(obj["prompt"], f"{where}: prompt"),
-                    outputs=tuple(_strings(obj["outputs"], f"{where}: outputs")),
+                    prompt=require_text(obj["prompt"], ValueError, "prompt"),
+                    outputs=tuple(require_texts(obj["outputs"], ValueError, "outputs")),
                     point=_point(obj["point"]),
                     loss=_finite(obj["loss"], "loss"),
                 )

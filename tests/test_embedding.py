@@ -101,7 +101,7 @@ class TestHashedEmbed:
 
 class TestEmbedBatchHashed:
     def test_bare_string_rejected(self):
-        with pytest.raises(InputValidationError, match="list of texts, got a str"):
+        with pytest.raises(InputValidationError, match="^texts must be a list, got str$"):
             embed_batch("hello", EmbeddingBackendConfig(dimension=8))
 
     CFG = EmbeddingBackendConfig(kind="hashed", dimension=8)

@@ -1051,5 +1051,5 @@ class TestMatrixValidation:
 
     def test_bare_str_of_clusters_rejected(self):
         # iterated, "ab" would be the two clusters "a" and "b"
-        with pytest.raises(InputValidationError, match="expected a list of clusters"):
+        with pytest.raises(InputValidationError, match="^clusters must be a list, got str$"):
             ClusterSimilarityMatrix("ab", np.eye(2))

@@ -141,15 +141,16 @@ class TestRenderPrompt:
             PromptSpec(base_phrases=())
 
     # iterated, a bare str would be split into one-letter phrases
-    @pytest.mark.parametrize("kwargs, field", [
-        ({"base_phrases": "write about football"}, "base phrases"),
-        ({"base_phrases": ("b",), "slots": "ab"}, "slots"),
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"base_phrases": "write about football"}, "base_phrases must be a list"),
+        ({"base_phrases": ("b",), "slots": "ab"}, "slots must be a list"),
         ({"base_phrases": ("b",), "slots": (("x", "y"), "ab")},
-         "candidates for slot 1"),
-    ])
-    def test_bare_str_where_a_list_belongs_rejected(self, kwargs, field):
-        with pytest.raises(InputValidationError, match=f"^expected a list of {field},"):
+         "slots[1] must be a list"),
+    ], ids=["kwargs0-base phrases", "kwargs1-slots", "kwargs2-candidates for slot 1"])
+    def test_bare_str_where_a_list_belongs_rejected(self, kwargs, message):
+        with pytest.raises(InputValidationError) as err:
             PromptSpec(**kwargs)
+        assert str(err.value) == f"{message}, got str"
 
 
 class TestLossToTarget:
@@ -267,7 +268,7 @@ class TestPerspectiveOfOutput:
             components=np.eye(8)[:2],
             explained_variance=np.array([1.0, 1.0]),
         )
-        with pytest.raises(InputValidationError, match="list of texts"):
+        with pytest.raises(InputValidationError, match="^texts must be a list, got str$"):
             PerspectiveSpace(proj, pca, EmbeddingBackendConfig(dimension=8)).points("alpha")
 
     def test_blank_text_index_counts_in_the_callers_list(self):
@@ -420,7 +421,8 @@ class TestSearchTrace:
             SearchTrace("gcd", PerspectivePoint(0.0, 0.0), **{field: value})
 
     @pytest.mark.parametrize("target,message", [
-        ("pro barca", "got a str"),
+        pytest.param("pro barca", "^target must be a list, got str$",
+                     id="pro barca-got a str"),
         ([], "at least one text"),
     ])
     @pytest.mark.parametrize("search", [brute_force_search, gcd_search])

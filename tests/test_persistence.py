@@ -787,7 +787,7 @@ class TestDatasetLoader:
             '{"id": "a", "text": "t", "cluster": "c"}\n' + json.dumps(doc) + "\n"
         )
         with pytest.raises(
-            FormatError, match=rf"listed.jsonl:2: {field} must be a JSON string, got list"
+            FormatError, match=rf"listed.jsonl:2: {field} must be a string, got list$"
         ):
             persistence.load_dataset(path)
 
@@ -838,11 +838,11 @@ class TestOtherLoaders:
         assert spec.joiner == " "
 
     @pytest.mark.parametrize("spec,message", [
-        ({"base_phrases": "Tell me"}, "base_phrases must be a JSON list, got str"),
-        ({"base_phrases": [3]}, "base_phrases must be a JSON string, got int"),
-        ({"base_phrases": ["ok"], "slots": "ab"}, "slots must be a JSON list, got str"),
-        ({"base_phrases": ["ok"], "slots": ["ab"]}, "slot 0 must be a JSON list, got str"),
-        ({"base_phrases": ["ok"], "joiner": 0}, "joiner must be a JSON string, got int"),
+        ({"base_phrases": "Tell me"}, "base_phrases must be a list, got str"),
+        ({"base_phrases": [3]}, "base_phrases[0] must be a string, got int"),
+        ({"base_phrases": ["ok"], "slots": "ab"}, "slots must be a list, got str"),
+        ({"base_phrases": ["ok"], "slots": ["ab"]}, "slots[0] must be a list, got str"),
+        ({"base_phrases": ["ok"], "joiner": 0}, "joiner must be a string, got int"),
     ], ids=["string-base-phrases", "number-phrase", "string-slots", "string-slot",
             "number-joiner"])
     def test_prompt_spec_wrong_json_type_rejected(self, tmp_path, spec, message):
@@ -850,14 +850,16 @@ class TestOtherLoaders:
         path.write_text(json.dumps(spec))
         with pytest.raises(FormatError) as err:
             persistence.load_prompt_spec(path)
-        assert str(err.value) == f"{path}: {message}"
+        assert str(err.value) == f"{path}: malformed prompt spec: {message}"
 
     def test_matrix_string_clusters_rejected(self, tmp_path):
         path = tmp_path / "matrix.json"
         path.write_text(json.dumps({"clusters": "ab", "sim": [[1.0, 0.0], [0.0, 1.0]]}))
         with pytest.raises(FormatError) as err:
             persistence.load_matrix(path)
-        assert str(err.value) == f"{path}: clusters must be a JSON list, got str"
+        assert str(err.value) == (
+            f"{path}: malformed cluster matrix: clusters must be a list, got str"
+        )
 
     def test_prompt_spec_fixture(self):
         from conftest import FIXTURES
@@ -1063,8 +1065,8 @@ class TestTraceFiles:
         assert os.listdir(tmp_path) == ["trace.jsonl"]
 
     @pytest.mark.parametrize("field,value,message", [
-        ("outputs", "abc", "outputs must be a JSON list, got str"),
-        ("prompt", ["p"], "prompt must be a JSON string, got list"),
+        ("outputs", "abc", "outputs must be a list, got str"),
+        ("prompt", ["p"], "prompt must be a string, got list"),
         ("point", [1.0, 2.0, 3.0], "expected [x, y] as two numbers"),
         ("assignment", {"base_index": "1", "choices": []},
          "base_index must be a JSON integer >= 0, got '1'"),
@@ -1123,9 +1125,9 @@ class TestTraceFiles:
 
     @pytest.mark.parametrize("summary,message", [
         ({"summary": True, "target": [0.0, 0.0]},
-         "malformed trace summary: mode must be a JSON string, got NoneType"),
+         "malformed trace summary: mode must be a string, got NoneType"),
         ({"summary": True, "mode": 3, "target": [0.0, 0.0]},
-         "malformed trace summary: mode must be a JSON string, got int"),
+         "malformed trace summary: mode must be a string, got int"),
         ({"summary": True, "mode": 3, "target": [0.0]},
          "malformed trace summary: target expected [x, y]"),
     ], ids=["no-mode", "number-mode", "bad-target-before-bad-mode"])

@@ -104,3 +104,82 @@ def test_metric_holds_each_training_formula_once():
     with pytest.raises(AttributeError, match="no attribute 'loss_gradient'"):
         pdial.loss_gradient
     assert {"_contrastive", "_cosine"} <= set(pdial.metric.train.__code__.co_names)
+
+
+def _points(texts):
+    space = pdial.PerspectiveSpace(
+        pdial.ProjectionModel.from_weights(np.eye(8)),
+        pdial.PcaModel(
+            mean=np.zeros(8), components=np.eye(8)[:2],
+            explained_variance=np.array([1.0, 1.0]),
+        ),
+        pdial.EmbeddingBackendConfig(dimension=8),
+    )
+    return space.points(texts)
+
+
+# Each entry point that takes text: a call with a value in place of one
+# text, or of one list of texts, and what its message names. The mock
+# table is a config field, so its errors are ConfigurationErrors.
+_TEXT_ENTRY_POINTS = {
+    "LabeledDocument-id": (lambda v: pdial.LabeledDocument(v, "t", "c"), "id"),
+    "LabeledDocument-text": (lambda v: pdial.LabeledDocument("a", v, "c"), "text"),
+    "LabeledDocument-cluster": (
+        lambda v: pdial.LabeledDocument("a", "t", v), "cluster"
+    ),
+    "PromptSpec-joiner": (lambda v: pdial.PromptSpec(["a"], joiner=v), "joiner"),
+    "hashed_embed": (lambda v: pdial.hashed_embed(v, 8), "text"),
+    "mock-table-key": (
+        lambda v: pdial.LlmBackendConfig(mock_table={v: "x"}), "mock table key"
+    ),
+    "mock-table-value": (
+        lambda v: pdial.LlmBackendConfig(mock_table={"x": v}), "mock table value"
+    ),
+}
+_TEXT_LIST_ENTRY_POINTS = {
+    "ClusterSimilarityMatrix": (
+        lambda v: pdial.ClusterSimilarityMatrix(v, np.eye(2)), "clusters"
+    ),
+    "PromptSpec-base_phrases": (lambda v: pdial.PromptSpec(v), "base_phrases"),
+    "PromptSpec-slot": (lambda v: pdial.PromptSpec(["a"], slots=[v]), "slots[0]"),
+    "SearchTrace-target": (lambda v: pdial.SearchTrace("gcd", v), "target"),
+    "embed_batch": (
+        lambda v: pdial.embed_batch(v, pdial.EmbeddingBackendConfig(dimension=8)),
+        "texts",
+    ),
+    "PerspectiveSpace.points": (_points, "texts"),
+    "complete": (lambda v: pdial.complete(v, pdial.LlmBackendConfig()), "prompts"),
+}
+
+
+def _text_cases():
+    for name, (call, what) in _TEXT_ENTRY_POINTS.items():
+        yield name, call, 5, f"{what} must be a string, got int", "number"
+        yield (name, call, "barca\ud800", f"{what} is not valid Unicode",
+               "lone-surrogate")
+    for name, (call, what) in _TEXT_LIST_ENTRY_POINTS.items():
+        yield name, call, ["barca", 5], f"{what}[1] must be a string, got int", "number"
+        if name != "complete":  # there a bare str is one prompt
+            yield name, call, "barca", f"{what} must be a list, got str", "bare-str"
+        yield (name, call, ["barca", "madrid\ud800"], f"{what}[1] is not valid Unicode",
+               "lone-surrogate")
+    yield ("mock-table", lambda v: pdial.LlmBackendConfig(mock_table=v), "barca",
+           "mock_table must map strings to strings", "bare-str")
+
+
+@pytest.mark.parametrize("name, call, value, message", [
+    pytest.param(name, call, value, message, id=f"{name}-{case}")
+    for name, call, value, message, case in _text_cases()
+])
+def test_every_text_entry_point_refuses_what_is_not_text(name, call, value, message):
+    """A non-``str`` where text belongs, a bare ``str`` where a list of
+    texts belongs, and text that UTF-8 cannot hold each give the entry
+    point's typed error, naming the value."""
+    error = (
+        pdial.ConfigurationError if name.startswith("mock-table")
+        else pdial.InputValidationError
+    )
+    with pytest.raises(error) as err:
+        call(value)
+    assert type(err.value) is error
+    assert str(err.value).startswith(message)
