@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 import math
+import types
 from typing import overload
 
 from . import _http
@@ -52,9 +53,13 @@ class LlmBackendConfig:
         if self.mock_table is not None:
             if not isinstance(self.mock_table, Mapping):
                 raise ConfigurationError("mock_table must map strings to strings")
-            for key, value in self.mock_table.items():
+            # A read-only copy: a later change to the caller's mapping
+            # cannot put an unchecked entry into this config.
+            table = types.MappingProxyType(dict(self.mock_table))
+            for key, value in table.items():
                 require_text(key, ConfigurationError, "mock table key")
                 require_text(value, ConfigurationError, "mock table value")
+            object.__setattr__(self, "mock_table", table)
 
 
 def _mock_complete(prompt: str, table: Mapping[str, str]) -> str:

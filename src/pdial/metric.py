@@ -20,7 +20,11 @@ N training embeddings (dual form, see ``train``), and its steps in an
 orthonormal basis of the row space of the initial projections, so a
 step costs O(N * min(N, d_out)) instead of O(d_out * d_in); a
 contrastive step computes only the pair's difference u - v and applies
-one gradient to both documents.
+one gradient to both documents. At the sizes this runs at, a step is a
+few small numpy calls, so their count sets its cost: the pairs are
+arrays, not ``TrainingPair`` objects, the rows a step reads are gathered
+for a chunk of steps at a time, and the 1-D products call
+``ndarray.dot``.
 
 The model is held as those span factors. ``ProjectionModel.project`` is
 the one way the commands apply the head, in O(N * d) per text through
@@ -304,6 +308,38 @@ def generate_pairs(
     return [pairs[k] for k in order]
 
 
+def _pair_arrays(
+    dataset: list[LabeledDocument],
+    matrix: ClusterSimilarityMatrix,
+    seed: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``generate_pairs`` as arrays: the dataset positions of each pair's
+    documents and its label, in the same order and with the same errors.
+
+    ``np.triu_indices`` lists the pairs i < j in the order of
+    ``itertools.combinations``, and the labels come from a table of the
+    clusters present, C^2 calls of ``matrix.label`` instead of one per
+    pair. The table's rows follow the clusters' first appearance, so an
+    unknown cluster raises the ConfigurationError ``generate_pairs``
+    raises first.
+    """
+    names = {doc.cluster: None for doc in dataset}
+    table = np.array([[matrix.label(a, b) for b in names] for a in names])
+    position = {name: n for n, name in enumerate(names)}
+    cluster = np.array([position[doc.cluster] for doc in dataset])
+    ia, ib = np.triu_indices(len(dataset), 1)
+    order = _rng(seed).permutation(len(ia))
+    ia, ib = ia[order], ib[order]
+    return ia, ib, table[cluster[ia], cluster[ib]]
+
+
+# Steps per gather of the rows of P and K that they read (see train).
+# A chunk holds 256 x (N + r) floats, twice that under cosine loss, small
+# at any N; one gather per epoch would hold N^2/2 x (N + r), ~40 MB at
+# N = 180.
+_CHUNK = 256
+
+
 def binarize_label(label_y: float, threshold: float) -> int:
     return 1 if label_y >= threshold else 0
 
@@ -335,11 +371,13 @@ def _cosine(
 
     Raises PairSkip when u or v has zero norm.
     """
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
+    # sqrt(u . u) is how np.linalg.norm computes a vector's norm, bit for
+    # bit, at a fraction of its call cost.
+    nu = math.sqrt(u.dot(u))
+    nv = math.sqrt(v.dot(v))
     if nu == 0.0 or nv == 0.0:
         raise PairSkip("zero-norm projected embedding under cosine loss")
-    c = float(np.dot(u, v) / (nu * nv))
+    c = float(u.dot(v) / (nu * nv))
     r = c - y
     loss = r * r
     dldu = 2.0 * r * (v / (nu * nv) - c * u / (nu * nu))
@@ -358,9 +396,11 @@ def train(
 
     ``embeddings`` holds the frozen base embedding of each document, in
     dataset order; d_in is their length, and ``d_out`` (default d_in)
-    must be at least 1. Pairs are generated once from the cluster matrix
-    and reshuffled per epoch with a seed derived from (cfg.seed, epoch).
-    Returns the final model and a per-epoch training log.
+    must be at least 1. The pairs are those of ``generate_pairs``, in its
+    order, held as arrays of dataset positions and labels
+    (``_pair_arrays``), and reshuffled per epoch with a seed derived from
+    (cfg.seed, epoch). Returns the final model and a per-epoch training
+    log.
 
     The SGD runs in dual form. Each step's gradient is
     ``outer(dL/du, a) + outer(dL/dv, b)`` with ``a``, ``b`` rows of the
@@ -382,6 +422,16 @@ def train(
     gradient ``g`` as ``G[i] -= g; G[j] += g``. The model is
     ``ProjectionModel(C, E, W0)``, with ``W0`` None for the identity.
 
+    Only ``G`` changes between steps, so the rows of ``P`` and ``K`` that
+    a step reads are gathered ahead, ``_CHUNK`` steps at a time, with one
+    fancy index per array: ``P[a] - P[b]`` and ``K[a] - K[b]`` under
+    contrastive loss, ``P[a]``, ``K[a]``, ``P[b]``, ``K[b]`` under cosine
+    loss. The subtractions are elementwise, so their bits are those of
+    each step's own, and ``diff = dK.dot(G); diff += dP`` is ``dP + dK @ G``
+    (IEEE addition commutes). The per-step products on 1-D rows use
+    ``ndarray.dot``, which gives the bits of ``@`` at half its call cost.
+    So the model and log are bit for bit those of one step at a time.
+
     A NumericError is raised before the first step when ``K``, ``P0`` or
     ``Q`` is not finite, and at the first step whose loss or gradient is
     not.
@@ -401,8 +451,7 @@ def train(
         raise InputValidationError(
             "embeddings must be non-empty vectors of one common length"
         )
-    index = {doc.id: n for n, doc in enumerate(dataset)}
-    if len(index) != len(dataset):
+    if len({doc.id for doc in dataset}) != len(dataset):
         raise InputValidationError("dataset contains duplicate document ids")
     if d_out is None:
         d_out = d_in
@@ -416,8 +465,8 @@ def train(
     # round equal rows apart, so the rows are shared after the last one.
     first: dict[bytes, int] = {}
     same = [first.setdefault(r.tobytes(), n) for n, r in enumerate(rows)]
-    pairs = generate_pairs(dataset, matrix, cfg.seed)
-    log = TrainingLog(pair_count=len(pairs))
+    ia, ib, labels = _pair_arrays(dataset, matrix, cfg.seed)
+    log = TrainingLog(pair_count=len(ia))
     lr = cfg.learning_rate
     contrastive = cfg.loss_kind == "contrastive"
     # An overflow shows as a non-finite product, checked before the first
@@ -435,50 +484,59 @@ def train(
             )
         P = (P0 @ Q)[same]
         G = np.zeros(P.shape)
-        # One view per row, and each pair's rows, built once: a step then
-        # indexes Python lists instead of arrays.
-        P_rows, K_rows, G_rows = list(P), list(K), list(G)
-        ia = [index[pair.a] for pair in pairs]
-        ib = [index[pair.b] for pair in pairs]
+        # One view per row of G, built once: a step updates its two rows
+        # through a Python list instead of indexing the array.
+        G_rows = list(G)
         for epoch in range(cfg.epochs):
-            order = _rng(cfg.seed, epoch).permutation(len(pairs))
+            order = _rng(cfg.seed, epoch).permutation(len(ia))
             total = 0.0
             evaluated = 0
             skipped = 0
-            for step, k in enumerate(order.tolist()):
-                i, j = ia[k], ib[k]
+            for start in range(0, len(order), _CHUNK):
+                k = order[start:start + _CHUNK]
+                a, b = ia[k], ib[k]
+                steps = zip(
+                    itertools.count(start), a.tolist(), b.tolist(),
+                    labels[k].tolist(),
+                )
                 if contrastive:
-                    diff = (P_rows[i] - P_rows[j]) + (K_rows[i] - K_rows[j]) @ G
-                    dd = float(diff @ diff)
-                    loss, scale = _contrastive(dd, pairs[k].label_y, cfg)
-                    # diff is finite when dd is; a margin near the float
-                    # limit can still overflow the loss.
-                    if not (math.isfinite(dd) and math.isfinite(loss)):
-                        raise _diverged(epoch, step, pairs[k])
-                    if scale:
-                        diff *= lr * scale
-                        G_rows[i] -= diff
-                        G_rows[j] += diff
+                    gathered = zip(P[a] - P[b], K[a] - K[b])
                 else:
-                    try:
-                        loss, dldu, dldv = _cosine(
-                            P_rows[i] + K_rows[i] @ G,
-                            P_rows[j] + K_rows[j] @ G,
-                            pairs[k].label_y,
-                        )
-                    except PairSkip:
-                        skipped += 1
-                        continue
-                    if not (
-                        np.isfinite(loss)
-                        and np.isfinite(dldu).all()
-                        and np.isfinite(dldv).all()
-                    ):
-                        raise _diverged(epoch, step, pairs[k])
-                    G_rows[i] -= lr * dldu
-                    G_rows[j] -= lr * dldv
-                total += loss
-                evaluated += 1
+                    gathered = zip(P[a], K[a], P[b], K[b])
+                for (step, i, j, y), rows_ij in zip(steps, gathered):
+                    if contrastive:
+                        dP, dK = rows_ij
+                        diff = dK.dot(G)
+                        diff += dP
+                        dd = float(diff.dot(diff))
+                        loss, scale = _contrastive(dd, y, cfg)
+                        # diff is finite when dd is; a margin near the
+                        # float limit can still overflow the loss.
+                        if not (math.isfinite(dd) and math.isfinite(loss)):
+                            raise _diverged(dataset, epoch, step, i, j)
+                        if scale:
+                            diff *= lr * scale
+                            G_rows[i] -= diff
+                            G_rows[j] += diff
+                    else:
+                        Pa, Ka, Pb, Kb = rows_ij
+                        try:
+                            loss, dldu, dldv = _cosine(
+                                Pa + Ka.dot(G), Pb + Kb.dot(G), y
+                            )
+                        except PairSkip:
+                            skipped += 1
+                            continue
+                        if not (
+                            np.isfinite(loss)
+                            and np.isfinite(dldu).all()
+                            and np.isfinite(dldv).all()
+                        ):
+                            raise _diverged(dataset, epoch, step, i, j)
+                        G_rows[i] -= lr * dldu
+                        G_rows[j] -= lr * dldv
+                    total += loss
+                    evaluated += 1
             # Finite losses can still sum past the float64 range, and no
             # training log may hold a non-finite number.
             if not math.isfinite(total):
@@ -500,8 +558,10 @@ def train(
         ) from exc
 
 
-def _diverged(epoch: int, step: int, pair: TrainingPair) -> NumericError:
+def _diverged(
+    dataset: list[LabeledDocument], epoch: int, step: int, i: int, j: int
+) -> NumericError:
     return NumericError(
         f"non-finite loss/gradient at epoch {epoch} step {step} "
-        f"(pair {pair.a!r}, {pair.b!r})"
+        f"(pair {dataset[i].id!r}, {dataset[j].id!r})"
     )

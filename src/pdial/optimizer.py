@@ -79,6 +79,11 @@ class Evaluation:
     point: PerspectivePoint
     loss: float
 
+    def __post_init__(self) -> None:
+        require_text(self.prompt, InputValidationError, "prompt")
+        outputs = require_texts(self.outputs, InputValidationError, "outputs")
+        object.__setattr__(self, "outputs", tuple(outputs))
+
 
 @dataclass
 class SearchTrace:
@@ -97,6 +102,7 @@ class SearchTrace:
     improvements: list[int] = field(init=False, default_factory=list)
 
     def __post_init__(self) -> None:
+        require_text(self.mode, InputValidationError, "mode")
         if isinstance(self.target, PerspectivePoint):
             return
         self.target = tuple(require_texts(self.target, InputValidationError, "target"))

@@ -32,7 +32,6 @@ from .errors import (
     InputValidationError,
     require_numbers,
     require_text,
-    require_texts,
 )
 from .metric import (
     ClusterSimilarityMatrix,
@@ -519,8 +518,8 @@ def load_trace(path: str | Path) -> SearchTrace:
                     assignment=PromptAssignment(
                         base_index, [_count(c, "choice") for c in choices]
                     ),
-                    prompt=require_text(obj["prompt"], ValueError, "prompt"),
-                    outputs=tuple(require_texts(obj["outputs"], ValueError, "outputs")),
+                    prompt=obj["prompt"],
+                    outputs=obj["outputs"],
                     point=_point(obj["point"]),
                     loss=_finite(obj["loss"], "loss"),
                 )

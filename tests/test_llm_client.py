@@ -188,6 +188,14 @@ class TestConfigValidation:
             LlmBackendConfig(**{name: value})
         assert str(err.value) == message
 
+    def test_the_mock_table_is_a_read_only_copy(self):
+        table = {"ping": "pong"}
+        cfg = LlmBackendConfig(mock_table=table)
+        table["ping"] = 5
+        assert complete(["ping"], cfg) == [["pong"]]
+        with pytest.raises(TypeError):
+            cfg.mock_table["ping"] = 5
+
     def test_an_int_is_a_float_and_the_mock_table_is_not_checked(self):
         table = {"p": "out"}
         cfg = LlmBackendConfig(temperature=1, timeout=5, mock_table=table)

@@ -606,7 +606,7 @@ def _full_width_train(dataset, matrix, embeddings, cfg, d_out=None):
                 dd = float(diff @ diff)
                 loss, scale = _contrastive(dd, pair.label_y, cfg)
                 if not (np.isfinite(dd) and np.isfinite(loss)):
-                    raise _diverged(epoch, step, pair)
+                    raise _diverged(dataset, epoch, step, i, j)
                 if scale:
                     g = (lr * scale) * diff
                     G[i] -= g
@@ -626,6 +626,213 @@ def _full_width_train(dataset, matrix, embeddings, cfg, d_out=None):
         log.epoch_mean_loss.append(total / evaluated if evaluated else 0.0)
         log.epoch_skipped_pairs.append(skipped)
     return ProjectionModel(G, E, initial.base), log
+
+
+def _norm_cosine(u, v, y):
+    """``_cosine`` as it was written with ``np.linalg.norm`` and
+    ``np.dot``: the oracle for its ``ndarray.dot`` form."""
+    nu = float(np.linalg.norm(u))
+    nv = float(np.linalg.norm(v))
+    if nu == 0.0 or nv == 0.0:
+        raise PairSkip("zero-norm projected embedding under cosine loss")
+    c = float(np.dot(u, v) / (nu * nv))
+    r = c - y
+    dldu = 2.0 * r * (v / (nu * nv) - c * u / (nu * nu))
+    dldv = 2.0 * r * (u / (nu * nv) - c * v / (nv * nv))
+    return r * r, dldu, dldv
+
+
+def _row_space_train(dataset, matrix, embeddings, cfg, d_out=None):
+    """The row-space SGD as train ran it before its pairs became arrays:
+    ``TrainingPair`` objects from ``generate_pairs``, one step's rows
+    indexed at a time, ``@`` products and ``np.linalg.norm``. The oracle
+    that train must match bit for bit. Returns ``(coef, log)``."""
+    import math
+
+    from pdial.metric import TrainingLog, _contrastive, _rng
+
+    rows = [np.asarray(e, dtype=np.float64) for e in embeddings]
+    index = {doc.id: n for n, doc in enumerate(dataset)}
+    d_in = rows[0].size
+    initial = ProjectionModel.initial(d_in, d_out or d_in, cfg.seed)
+    E = np.stack(rows)
+    first = {}
+    same = [first.setdefault(r.tobytes(), n) for n, r in enumerate(rows)]
+    pairs = generate_pairs(dataset, matrix, cfg.seed)
+    log = TrainingLog(pair_count=len(pairs))
+    lr = cfg.learning_rate
+    contrastive = cfg.loss_kind == "contrastive"
+
+    def diverged(epoch, step, pair):
+        return NumericError(
+            f"non-finite loss/gradient at epoch {epoch} step {step} "
+            f"(pair {pair.a!r}, {pair.b!r})"
+        )
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        K = (E @ E.T)[same]
+        P0 = initial.project(E)
+        Q = np.linalg.qr(P0.T)[0]
+        P = (P0 @ Q)[same]
+        G = np.zeros(P.shape)
+        P_rows, K_rows, G_rows = list(P), list(K), list(G)
+        ia = [index[pair.a] for pair in pairs]
+        ib = [index[pair.b] for pair in pairs]
+        for epoch in range(cfg.epochs):
+            order = _rng(cfg.seed, epoch).permutation(len(pairs))
+            total = 0.0
+            evaluated = 0
+            skipped = 0
+            for step, k in enumerate(order.tolist()):
+                i, j = ia[k], ib[k]
+                if contrastive:
+                    diff = (P_rows[i] - P_rows[j]) + (K_rows[i] - K_rows[j]) @ G
+                    dd = float(diff @ diff)
+                    loss, scale = _contrastive(dd, pairs[k].label_y, cfg)
+                    if not (math.isfinite(dd) and math.isfinite(loss)):
+                        raise diverged(epoch, step, pairs[k])
+                    if scale:
+                        diff *= lr * scale
+                        G_rows[i] -= diff
+                        G_rows[j] += diff
+                else:
+                    try:
+                        loss, dldu, dldv = _norm_cosine(
+                            P_rows[i] + K_rows[i] @ G,
+                            P_rows[j] + K_rows[j] @ G,
+                            pairs[k].label_y,
+                        )
+                    except PairSkip:
+                        skipped += 1
+                        continue
+                    if not (
+                        np.isfinite(loss)
+                        and np.isfinite(dldu).all()
+                        and np.isfinite(dldv).all()
+                    ):
+                        raise diverged(epoch, step, pairs[k])
+                    G_rows[i] -= lr * dldu
+                    G_rows[j] -= lr * dldv
+                total += loss
+                evaluated += 1
+            log.epoch_mean_loss.append(total / evaluated if evaluated else 0.0)
+            log.epoch_skipped_pairs.append(skipped)
+        return G @ Q.T, log
+
+
+def _thirty_documents():
+    """30 documents in 48 dimensions, two pairs of them with equal
+    embeddings (one pair within a cluster, one across): 435 pairs, one
+    full chunk of steps and a partial one."""
+    rng = np.random.default_rng(30)
+    clusters = ["left", "center", "right"]
+    docs = _docs([(f"d{n}", clusters[n % 3]) for n in range(30)])
+    embeddings = rng.normal(size=(30, 48)) / np.sqrt(48)
+    embeddings[7] = embeddings[1]
+    embeddings[20] = embeddings[11]
+    return docs, list(embeddings)
+
+
+class TestPairArrayTraining:
+    """train draws its pairs as arrays and gathers their rows a chunk of
+    steps at a time; ``_row_space_train``, the loop it replaced, fixes its
+    bits."""
+
+    @staticmethod
+    def _assert_bit_identical(dataset, matrix, embeddings, cfg, d_out=None):
+        model, log = train(dataset, matrix, embeddings, cfg, d_out=d_out)
+        coef, ref_log = _row_space_train(dataset, matrix, embeddings, cfg, d_out)
+        assert model.coef.tobytes() == coef.tobytes()
+        assert log.epoch_mean_loss == ref_log.epoch_mean_loss
+        assert log.epoch_skipped_pairs == ref_log.epoch_skipped_pairs
+        assert log.pair_count == ref_log.pair_count
+        return log
+
+    @pytest.mark.parametrize("loss_kind", ["contrastive", "cosine"])
+    @pytest.mark.parametrize("dim, d_out", [
+        (64, None), (64, 8), (768, None), (768, 8),
+    ], ids=["square-64", "d-out-8-64", "square-768", "d-out-8-768"])
+    def test_the_fixture(self, fixture_train_docs, fixture_matrix, loss_kind,
+                         dim, d_out):
+        from pdial.embedding import EmbeddingBackendConfig, embed_batch
+
+        embeddings = embed_batch(
+            [doc.text for doc in fixture_train_docs],
+            EmbeddingBackendConfig(kind="hashed", dimension=dim),
+        )
+        cfg = TrainConfig(
+            loss_kind=loss_kind, learning_rate=0.05, epochs=5, seed=7
+        )
+        self._assert_bit_identical(
+            fixture_train_docs, fixture_matrix, embeddings, cfg, d_out
+        )
+
+    @pytest.mark.parametrize("loss_kind", ["contrastive", "cosine"])
+    def test_thirty_documents_with_equal_embeddings(self, loss_kind):
+        docs, embeddings = _thirty_documents()
+        cfg = TrainConfig(loss_kind=loss_kind, learning_rate=0.1, epochs=3,
+                          seed=7)
+        log = self._assert_bit_identical(docs, POLES_MATRIX, embeddings, cfg)
+        assert log.pair_count == 435
+
+    def test_cosine_zero_norm_skips(
+        self, fixture_train_docs, fixture_matrix, fixture_train_embeddings
+    ):
+        embeddings = [np.asarray(e, dtype=np.float64)
+                      for e in fixture_train_embeddings]
+        embeddings[3] = np.zeros_like(embeddings[3])
+        cfg = TrainConfig(loss_kind="cosine", learning_rate=0.05, epochs=5,
+                          seed=7)
+        log = self._assert_bit_identical(
+            fixture_train_docs, fixture_matrix, embeddings, cfg
+        )
+        assert log.epoch_skipped_pairs == [14] * 5
+
+    def test_divergence_past_the_first_chunk_names_its_step_and_pair(self):
+        docs, embeddings = _thirty_documents()
+        cfg = TrainConfig(learning_rate=50.0, epochs=1, seed=7)
+        with pytest.raises(NumericError) as err:
+            train(docs, POLES_MATRIX, embeddings, cfg)
+        with pytest.raises(NumericError) as ref:
+            _row_space_train(docs, POLES_MATRIX, embeddings, cfg)
+        assert str(err.value) == str(ref.value) == (
+            "non-finite loss/gradient at epoch 0 step 385 (pair 'd7', 'd14')"
+        )
+
+    @pytest.mark.parametrize("n, d", [(2, 1), (5, 3), (16, 16), (33, 7)])
+    def test_cosine_matches_its_norm_form(self, n, d):
+        from pdial.metric import _cosine
+
+        rng = np.random.default_rng(n * d)
+        for u, v, y in zip(rng.normal(size=(n, d)), rng.normal(size=(n, d)),
+                           rng.uniform(size=n)):
+            loss, dldu, dldv = _cosine(u, v, y)
+            ref_loss, ref_dldu, ref_dldv = _norm_cosine(u, v, y)
+            assert loss == ref_loss
+            assert dldu.tobytes() == ref_dldu.tobytes()
+            assert dldv.tobytes() == ref_dldv.tobytes()
+
+    def test_pair_arrays_are_the_generated_pairs(self):
+        from pdial.metric import _pair_arrays
+
+        docs = _docs([(f"d{n}", ["right", "left", "center"][n % 3])
+                      for n in range(12)])
+        ia, ib, labels = _pair_arrays(docs, POLES_MATRIX, 9)
+        pairs = generate_pairs(docs, POLES_MATRIX, 9)
+        assert [(docs[i].id, docs[j].id, y)
+                for i, j, y in zip(ia.tolist(), ib.tolist(), labels.tolist())
+                ] == [(p.a, p.b, p.label_y) for p in pairs]
+
+    def test_pair_arrays_name_the_first_unknown_cluster(self):
+        from pdial.metric import _pair_arrays
+
+        docs = _docs([("a", "left"), ("b", "up"), ("c", "down"), ("d", "up")])
+        with pytest.raises(ConfigurationError) as ref:
+            generate_pairs(docs, POLES_MATRIX, 0)
+        with pytest.raises(ConfigurationError) as err:
+            _pair_arrays(docs, POLES_MATRIX, 0)
+        assert str(err.value) == str(ref.value)
+        assert "'up'" in str(err.value)
 
 
 def _assert_matches_full_width(dataset, matrix, embeddings, cfg, d_out=None):

@@ -12,7 +12,7 @@ import pytest
 
 from pdial.cli import main
 from pdial.embedding import hashed_embed
-from pdial.errors import FormatError
+from pdial.errors import FormatError, InputValidationError
 from pdial.metric import ProjectionModel, TrainConfig, train
 from pdial.optimizer import Evaluation, PromptAssignment, SearchTrace
 from pdial.pca import PcaModel, PerspectivePoint
@@ -1029,6 +1029,36 @@ class TestTraceFiles:
         summary = json.loads(path.read_text().splitlines()[-1])
         assert summary["best_prompt"] == "r a0"
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("mode", 5, "mode must be a string, got int"),
+        ("prompt", 7, "prompt must be a string, got int"),
+        ("outputs", ["o", 7], "outputs[1] must be a string, got int"),
+        ("outputs", "o", "outputs must be a list, got str"),
+    ])
+    def test_what_load_trace_refuses_no_trace_holds(
+        self, tmp_path, field, value, message
+    ):
+        """A trace built through the API saves and loads back, so a text
+        field that ``load_trace`` refuses is refused when it is built."""
+        path = tmp_path / "trace.jsonl"
+        _assert_round_trip(path, _demo_trace())
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        lines[-1 if field == "mode" else 0][field] = value
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        with pytest.raises(FormatError) as loaded:
+            persistence.load_trace(path)
+        assert str(loaded.value).endswith(message)
+        evaluation = {
+            "assignment": PromptAssignment(0, ()), "prompt": "p",
+            "outputs": ("o",), "point": PerspectivePoint(0.0, 0.0), "loss": 0.0,
+        }
+        with pytest.raises(InputValidationError) as built:
+            if field == "mode":
+                SearchTrace(value, PerspectivePoint(0.0, 0.0))
+            else:
+                Evaluation(**{**evaluation, field: value})
+        assert str(built.value) == message
+
     def test_jsonl_layout(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         persistence.save_trace(path, _demo_trace("gcd", PerspectivePoint(1.0, 2.0)))
@@ -1492,15 +1522,17 @@ def _unencodable_writers():
 
     bad = "\ud800"
     trace = SearchTrace("brute", PerspectivePoint(0.0, 0.0))
-    trace.record(
-        Evaluation(
-            assignment=PromptAssignment(0, ()),
-            prompt="p",
-            outputs=(f"output {bad}",),
-            point=PerspectivePoint(0.0, 0.0),
-            loss=0.0,
-        )
+    evaluation = Evaluation(
+        assignment=PromptAssignment(0, ()),
+        prompt="p",
+        outputs=("output",),
+        point=PerspectivePoint(0.0, 0.0),
+        loss=0.0,
     )
+    # An Evaluation refuses such text when it is built, so it is put in
+    # afterwards: the writer must still keep the previous file.
+    object.__setattr__(evaluation, "outputs", (f"output {bad}",))
+    trace.record(evaluation)
     report = SimilarityReport(
         clusters=(f"cluster {bad}",),
         pre_mean=np.ones((1, 1)),

@@ -118,6 +118,13 @@ def _points(texts):
     return space.points(texts)
 
 
+def _evaluation(**text):
+    return pdial.optimizer.Evaluation(**{
+        "assignment": pdial.PromptAssignment(0), "prompt": "p", "outputs": ("o",),
+        "point": pdial.PerspectivePoint(0.0, 0.0), "loss": 0.0, **text,
+    })
+
+
 # Each entry point that takes text: a call with a value in place of one
 # text, or of one list of texts, and what its message names. The mock
 # table is a config field, so its errors are ConfigurationErrors.
@@ -135,6 +142,10 @@ _TEXT_ENTRY_POINTS = {
     "mock-table-value": (
         lambda v: pdial.LlmBackendConfig(mock_table={"x": v}), "mock table value"
     ),
+    "SearchTrace-mode": (
+        lambda v: pdial.SearchTrace(v, pdial.PerspectivePoint(0.0, 0.0)), "mode"
+    ),
+    "Evaluation-prompt": (lambda v: _evaluation(prompt=v), "prompt"),
 }
 _TEXT_LIST_ENTRY_POINTS = {
     "ClusterSimilarityMatrix": (
@@ -143,6 +154,7 @@ _TEXT_LIST_ENTRY_POINTS = {
     "PromptSpec-base_phrases": (lambda v: pdial.PromptSpec(v), "base_phrases"),
     "PromptSpec-slot": (lambda v: pdial.PromptSpec(["a"], slots=[v]), "slots[0]"),
     "SearchTrace-target": (lambda v: pdial.SearchTrace("gcd", v), "target"),
+    "Evaluation-outputs": (lambda v: _evaluation(outputs=v), "outputs"),
     "embed_batch": (
         lambda v: pdial.embed_batch(v, pdial.EmbeddingBackendConfig(dimension=8)),
         "texts",
