@@ -19,6 +19,7 @@ from .errors import (
     ConfigurationError,
     InputValidationError,
     ProtocolError,
+    is_integer,
     require_field_types,
     require_numbers,
     require_text,
@@ -114,8 +115,8 @@ def _http_embed_chunk(
     try:
         for item in payload["data"]:
             index = item["index"]
-            # bool is an int subclass; JSON true must not pass as index 1
-            if type(index) is not int or not 0 <= index < len(chunk) or index in rows:
+            # JSON true must not pass as index 1
+            if not is_integer(index) or not 0 <= index < len(chunk) or index in rows:
                 raise ProtocolError(
                     f"embeddings response has a bad or repeated index "
                     f"{index!r} for {len(chunk)} inputs"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import sys
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -68,12 +69,45 @@ def require_texts(
     """``value`` if it is a list or tuple whose entries pass ``entry``,
     else ``error`` naming ``what`` or the entry, ``what[i]``. A bare
     ``str``, which iterated would give its characters, is refused. With
-    ``entry=require_texts`` each entry must be a list of texts itself."""
+    ``entry=require_texts`` each entry must be a list of texts itself;
+    any check of ``require_text``'s signature can be the entry, such as
+    ``require_count`` for a list of counts."""
     if not isinstance(value, (list, tuple)):
         raise error(f"{what} must be a list, got {type(value).__name__}")
     for i, item in enumerate(value):
         entry(item, error, f"{what}[{i}]")
     return value
+
+
+def is_integer(value: object) -> bool:
+    """Whether ``value`` is a JSON integer: an ``int``, never a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value: object) -> bool:
+    """Whether ``value`` is a JSON number: an ``int`` or a ``float``, never
+    a ``bool``. ``np.float64`` is a ``float``; ``np.float32`` is not."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def require_count(
+    value: object, error: type[Exception], what: str, least: int = 0
+) -> int:
+    """``value`` if it is a JSON integer of at least ``least``, else
+    ``error`` naming ``what``."""
+    if not is_integer(value) or value < least:
+        raise error(f"{what} must be a JSON integer >= {least}, got {value!r}")
+    return value
+
+
+def require_finite(value: object, error: type[Exception], what: str) -> float:
+    """``value`` as a ``float`` if it is a finite JSON number, else
+    ``error`` naming ``what``; an integer beyond the largest float64 is
+    not one. A holder that stores the ``float`` saves an integer as the
+    float it is read back as."""
+    if is_number(value) and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise error(f"{what} must be a finite JSON number, got {value!r}")
 
 
 def require_numbers(value: object, error: type[Exception], what: str) -> np.ndarray:
@@ -82,11 +116,13 @@ def require_numbers(value: object, error: type[Exception], what: str) -> np.ndar
 
     ``np.asarray(..., dtype=float64)`` would read the string ``"0.35"`` as
     0.35 and ``null`` as NaN, and ``np.asarray`` reads a ``true`` among
-    numbers as 1, so the entries' types are checked too. An integer
+    numbers as 1, so each entry must pass ``is_number``. An integer
     outside the 64-bit range, which numpy keeps as an object, is read as
-    its float64 value; one beyond the float64 range is ``error``. numpy
-    is imported by the first call, so that importing the errors alone
-    does not load it.
+    its float64 value; one beyond the float64 range is ``error``. An
+    ndarray of integer or float dtype is taken by its dtype, with no walk
+    over its entries, and a float64 one is returned as it is. numpy is
+    imported by the first call, so that importing the errors alone does
+    not load it.
     """
     import numpy as np
 
@@ -94,20 +130,17 @@ def require_numbers(value: object, error: type[Exception], what: str) -> np.ndar
         a = np.asarray(value)
     except ValueError as exc:  # lists of unequal length
         raise error(f"{what}: {exc}") from exc
-    entries = [value]
-    for _ in range(a.ndim):
-        entries = itertools.chain.from_iterable(entries)
-    kinds = set(map(type, entries))
-    if a.dtype.kind == "O" and kinds <= {int, float}:
-        try:
-            return np.array([float(x) for x in a.flat]).reshape(a.shape)
-        except OverflowError as exc:
-            raise error(
-                f"{what} holds an integer beyond the float64 range"
-            ) from exc
-    if a.dtype.kind not in "iuf" or bool in kinds:
-        raise error(f"{what} must hold only JSON numbers")
-    return a.astype(np.float64)
+    if a is not value or a.dtype.kind not in "iuf":
+        entries = [value]
+        for _ in range(a.ndim):
+            entries = list(itertools.chain.from_iterable(entries))
+        # isinstance depends only on the type: test one entry of each
+        if not all(map(is_number, dict(zip(map(type, entries), entries)).values())):
+            raise error(f"{what} must hold only JSON numbers")
+    try:
+        return a.astype(np.float64, copy=False)
+    except OverflowError as exc:
+        raise error(f"{what} holds an integer beyond the float64 range") from exc
 
 
 def read_only_float64(value: object) -> np.ndarray:
@@ -133,9 +166,10 @@ def read_only_float64(value: object) -> np.ndarray:
     return a
 
 
-# The JSON type of a config field, by its annotation: an int is also a
+# The check of a config field, by its annotation: an int is also a
 # float, and a bool is neither.
-_FIELD_KINDS = {"str": str, "int": int, "float": (int, float)}
+_FIELD_CHECKS = {"str": lambda value: isinstance(value, str),
+                 "int": is_integer, "float": is_number}
 
 
 def require_field_types(config: object) -> None:
@@ -145,7 +179,7 @@ def require_field_types(config: object) -> None:
     module must use ``from __future__ import annotations``; fields with
     other annotations, such as a mapping, are not checked."""
     for f in dataclasses.fields(config):
-        kinds = _FIELD_KINDS.get(f.type)
+        check = _FIELD_CHECKS.get(f.type)
         value = getattr(config, f.name)
-        if kinds and (isinstance(value, bool) or not isinstance(value, kinds)):
+        if check and not check(value):
             raise ConfigurationError(f"{f.name} must be {f.type}, got {value!r}")

@@ -21,7 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import EmbeddingBackendConfig, embed_batch
-from .errors import InputValidationError, NumericError, read_only_float64
+from .errors import (
+    InputValidationError,
+    NumericError,
+    read_only_float64,
+    require_numbers,
+    require_texts,
+)
 from .metric import LabeledDocument, ProjectionModel
 
 
@@ -34,10 +40,12 @@ class SimilarityReport:
     post_std: np.ndarray
 
     def __post_init__(self) -> None:
+        require_texts(self.clusters, InputValidationError, "clusters")
+        object.__setattr__(self, "clusters", tuple(self.clusters))
         n = len(self.clusters)
         mats = {}
         for name in ("pre_mean", "pre_std", "post_mean", "post_std"):
-            mat = np.asarray(getattr(self, name), dtype=np.float64)
+            mat = require_numbers(getattr(self, name), InputValidationError, name)
             if mat.shape != (n, n):
                 raise InputValidationError(
                     f"{name} has shape {mat.shape}, expected ({n}, {n})"

@@ -47,6 +47,8 @@ from .errors import (
     NumericError,
     read_only_float64,
     require_field_types,
+    require_finite,
+    require_numbers,
     require_text,
     require_texts,
 )
@@ -77,7 +79,7 @@ class ClusterSimilarityMatrix:
 
     def __init__(self, clusters: list[str], sim: np.ndarray) -> None:
         require_texts(clusters, InputValidationError, "clusters")
-        sim = np.asarray(sim, dtype=np.float64)
+        sim = require_numbers(sim, InputValidationError, "sim")
         n = len(clusters)
         if len(set(clusters)) != n:
             raise InputValidationError("cluster labels must be unique")
@@ -118,6 +120,12 @@ class TrainingPair:
     b: str
     label_y: float
 
+    def __post_init__(self) -> None:
+        require_text(self.a, InputValidationError, "a")
+        require_text(self.b, InputValidationError, "b")
+        label = require_finite(self.label_y, InputValidationError, "label_y")
+        object.__setattr__(self, "label_y", label)
+
 
 @dataclass(frozen=True, eq=False)
 class ProjectionModel:
@@ -139,8 +147,8 @@ class ProjectionModel:
     base: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        coef = np.asarray(self.coef, dtype=np.float64)
-        basis = np.asarray(self.basis, dtype=np.float64)
+        coef = require_numbers(self.coef, InputValidationError, "coef")
+        basis = require_numbers(self.basis, InputValidationError, "basis")
         if not (coef.ndim == basis.ndim == 2 and len(coef) == len(basis)
                 and coef.shape[1] and basis.shape[1]):
             raise InputValidationError(
@@ -148,7 +156,9 @@ class ProjectionModel:
                 f"the same number of rows and at least one column"
             )
         d_out, d_in = coef.shape[1], basis.shape[1]
-        base = None if self.base is None else np.asarray(self.base, np.float64)
+        base = self.base
+        if base is not None:
+            base = require_numbers(base, InputValidationError, "base")
         if base is None and d_in != d_out:
             raise InputValidationError(
                 f"base is null (the identity) but d_in={d_in} != d_out={d_out}"
@@ -221,7 +231,7 @@ class ProjectionModel:
     @classmethod
     def from_weights(cls, W: np.ndarray) -> "ProjectionModel":
         """The model of a bare d_out x d_in matrix: ``base = W``, no rows."""
-        W = np.asarray(W, dtype=np.float64)
+        W = require_numbers(W, InputValidationError, "W")
         if W.ndim != 2:
             raise InputValidationError(f"W must be 2-D, got shape {W.shape}")
         d_out, d_in = W.shape

@@ -23,12 +23,14 @@ from .errors import (
     ConfigurationError,
     InputValidationError,
     NumericError,
+    require_count,
+    require_finite,
     require_text,
     require_texts,
 )
 from .llm_client import LlmBackendConfig, complete
 from .metric import LabeledDocument, ProjectionModel
-from .pca import PcaModel, PerspectivePoint, pca_transform
+from .pca import PcaModel, PerspectivePoint, pca_transform, require_point
 
 BRUTE_FORCE_MAX_SLOTS = 8
 BRUTE_FORCE_MAX_COMBINATIONS = 10_000
@@ -68,6 +70,8 @@ class PromptAssignment:
     choices: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        require_count(self.base_index, InputValidationError, "base_index")
+        require_texts(self.choices, InputValidationError, "choices", require_count)
         object.__setattr__(self, "choices", tuple(self.choices))
 
 
@@ -83,6 +87,9 @@ class Evaluation:
         require_text(self.prompt, InputValidationError, "prompt")
         outputs = require_texts(self.outputs, InputValidationError, "outputs")
         object.__setattr__(self, "outputs", tuple(outputs))
+        require_point(self.point, InputValidationError, "point")
+        loss = require_finite(self.loss, InputValidationError, "loss")
+        object.__setattr__(self, "loss", loss)
 
 
 @dataclass

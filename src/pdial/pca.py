@@ -35,7 +35,13 @@ import math
 
 import numpy as np
 
-from .errors import InputValidationError, NumericError, read_only_float64
+from .errors import (
+    InputValidationError,
+    NumericError,
+    read_only_float64,
+    require_finite,
+    require_numbers,
+)
 
 JACOBI_MAX_SWEEPS = 100
 JACOBI_REL_TOL = 1e-12
@@ -55,10 +61,18 @@ class PerspectivePoint:
     y: float
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.x) and np.isfinite(self.y)):
-            raise InputValidationError(
-                f"perspective point must be finite, got ({self.x}, {self.y})"
-            )
+        x = require_finite(self.x, InputValidationError, "perspective point x")
+        y = require_finite(self.y, InputValidationError, "perspective point y")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+
+
+def require_point(value: object, error: type[Exception], what: str) -> PerspectivePoint:
+    """``value`` if it is a ``PerspectivePoint``, else ``error`` naming
+    ``what``."""
+    if not isinstance(value, PerspectivePoint):
+        raise error(f"{what} must be a PerspectivePoint, got {type(value).__name__}")
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,9 +90,10 @@ class PcaModel:
     explained_variance: np.ndarray
 
     def __post_init__(self) -> None:
-        mean = np.asarray(self.mean, dtype=np.float64)
-        comps = np.asarray(self.components, dtype=np.float64)
-        ev = np.asarray(self.explained_variance, dtype=np.float64)
+        mean, comps, ev = (
+            require_numbers(getattr(self, name), InputValidationError, name)
+            for name in ("mean", "components", "explained_variance")
+        )
         if mean.ndim != 1:
             raise InputValidationError(f"mean must be a vector, got shape {mean.shape}")
         if comps.ndim != 2 or comps.shape[1] != mean.shape[0]:

@@ -30,7 +30,7 @@ from .errors import (
     ConfigurationError,
     FormatError,
     InputValidationError,
-    require_numbers,
+    require_count,
     require_text,
 )
 from .metric import (
@@ -98,32 +98,6 @@ def _read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
         if line.strip():
             yield lineno, _json_object(line, f"{path}:{lineno}")
-
-
-def _list(value: object, where: str) -> list:
-    """``value`` if it is a JSON list, else a FormatError naming ``where``."""
-    if not isinstance(value, list):
-        raise FormatError(f"{where} must be a JSON list, got {type(value).__name__}")
-    return value
-
-
-def _count(value: object, what: str, least: int = 0) -> int:
-    """``value`` if it is a JSON integer of at least ``least``, else
-    ValueError; a JSON ``true`` is not an integer."""
-    if type(value) is not int or value < least:
-        raise ValueError(f"{what} must be a JSON integer >= {least}, got {value!r}")
-    return value
-
-
-def _finite(value: object, what: str) -> float:
-    """``value`` as a float if it is a finite JSON number, else ValueError
-    (OverflowError for an integer too large for a float)."""
-    if type(value) not in (int, float) or not math.isfinite(value):
-        raise ValueError(f"{what} must be a finite JSON number, got {value!r}")
-    return float(value)
-
-
-_BAD_VALUE = (InputValidationError, KeyError, OverflowError, TypeError, ValueError)
 
 
 def _check_format(data: dict, expected: str, path: str | Path) -> None:
@@ -275,9 +249,9 @@ def load_model(path: str | Path) -> tuple[ProjectionModel, TrainConfig]:
     """Read a model file and build the model from its span factors."""
     header, line, payload = _read_header(path, MODEL_FORMAT)
     try:
-        d_in = _count(header["d_in"], "d_in", 1)
-        d_out = _count(header["d_out"], "d_out", 1)
-        n = _count(header["n"], "n")
+        d_in = require_count(header["d_in"], ValueError, "d_in", 1)
+        d_out = require_count(header["d_out"], ValueError, "d_out", 1)
+        n = require_count(header["n"], ValueError, "n")
         base = header["base"]
         if type(base) is not bool:
             raise ValueError(f"base must be true or false, got {base!r}")
@@ -316,17 +290,10 @@ def save_pca(path: str | Path, model: PcaModel) -> None:
 def load_pca(path: str | Path) -> PcaModel:
     header, line, payload = _read_header(path, PCA_FORMAT)
     where = f"{path}: malformed PCA file"
-    try:
-        dim = _count(header["dim"], "dim", 1)
-        variance = [
-            _finite(v, "explained_variance")
-            for v in _list(header["explained_variance"], f"{where}: explained_variance")
-        ]
-    except _BAD_VALUE as exc:
-        raise FormatError(f"{where}: {exc}") from exc
+    dim = require_count(header.get("dim"), FormatError, f"{where}: dim", 1)
     arrays = _arrays(payload, {"mean": (dim,), "components": (PCA_AXES, dim)}, path)
     try:
-        pca = PcaModel(arrays["mean"], arrays["components"], variance)
+        pca = PcaModel(*arrays.values(), header.get("explained_variance"))
     except InputValidationError as exc:
         raise FormatError(f"{where}: {exc}") from exc
     _check_header(line, _pca_header(pca), path)
@@ -364,11 +331,8 @@ def load_dataset(path: str | Path) -> list[LabeledDocument]:
 def load_matrix(path: str | Path) -> ClusterSimilarityMatrix:
     data = _read_json(path)
     try:
-        return ClusterSimilarityMatrix(
-            clusters=data["clusters"],
-            sim=require_numbers(data["sim"], ValueError, "sim"),
-        )
-    except (InputValidationError, KeyError, TypeError, ValueError) as exc:
+        return ClusterSimilarityMatrix(clusters=data["clusters"], sim=data["sim"])
+    except (InputValidationError, KeyError) as exc:
         raise FormatError(f"{path}: malformed cluster matrix: {exc}") from exc
 
 
@@ -475,16 +439,13 @@ def _canonical(value: object) -> str:
     return json.dumps(value, sort_keys=True, ensure_ascii=False)
 
 
-def _point(value: object) -> PerspectivePoint:
-    """A trace's ``[x, y]`` as a point; anything but two finite JSON
-    numbers raises ValueError, OverflowError or InputValidationError."""
-    if not (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(type(v) in (int, float) for v in value)
-    ):
-        raise ValueError(f"expected [x, y] as two numbers, got {value!r}")
-    return PerspectivePoint(x=float(value[0]), y=float(value[1]))
+def _point(value: object, what: str) -> PerspectivePoint:
+    """A trace's ``[x, y]`` as a point: anything but a list of two values
+    is a ValueError naming ``what``, and ``PerspectivePoint`` checks the
+    values."""
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ValueError(f"{what} expected [x, y] as two numbers, got {value!r}")
+    return PerspectivePoint(*value)
 
 
 def load_trace(path: str | Path) -> SearchTrace:
@@ -495,42 +456,30 @@ def load_trace(path: str | Path) -> SearchTrace:
     from .optimizer import Evaluation, PromptAssignment, SearchTrace
 
     evaluations = []
-    summary = None
+    trace = None
     lines = []
     for lineno, obj in _read_jsonl(path):
         lines.append((lineno, obj))
         where = f"{path}:{lineno}"
         if obj.get("summary"):
-            where += ": malformed trace summary"
             try:
-                target = _point(obj.get("target"))
-            except _BAD_VALUE as exc:
-                raise FormatError(f"{where}: target {exc}") from exc
-            mode = require_text(obj.get("mode"), FormatError, f"{where}: mode")
-            summary = (mode, target)
+                target = _point(obj.get("target"), "target")
+                trace = SearchTrace(obj.get("mode"), target)
+            except (InputValidationError, ValueError) as exc:
+                raise FormatError(f"{where}: malformed trace summary: {exc}") from exc
             continue
         try:
-            assignment = obj["assignment"]
-            base_index = _count(assignment["base_index"], "base_index")
-            choices = _list(assignment["choices"], f"{where}: choices")
-            evaluations.append(
-                Evaluation(
-                    assignment=PromptAssignment(
-                        base_index, [_count(c, "choice") for c in choices]
-                    ),
-                    prompt=obj["prompt"],
-                    outputs=obj["outputs"],
-                    point=_point(obj["point"]),
-                    loss=_finite(obj["loss"], "loss"),
-                )
-            )
-        except _BAD_VALUE as exc:
+            a = obj["assignment"]
+            evaluations.append(Evaluation(
+                PromptAssignment(a["base_index"], a["choices"]), obj["prompt"],
+                obj["outputs"], _point(obj["point"], "point"), obj["loss"],
+            ))
+        except (InputValidationError, KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"{where}: malformed trace line: {exc}") from exc
-    if summary is None:
+    if trace is None:
         raise FormatError(f"{path}: trace file has no summary line")
     if not evaluations:
         raise FormatError(f"{path}: trace file has no evaluation lines")
-    trace = SearchTrace(*summary)
     for ev in evaluations:
         trace.record(ev)
     # The derived fields (index, best_so_far, the summary's best) must be

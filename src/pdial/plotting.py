@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import html
 import math
 
-from .errors import InputValidationError
-from .pca import PerspectivePoint
+from .errors import InputValidationError, require_text, require_texts
+from .pca import PerspectivePoint, require_point
 
 VIEW_W = 800.0
 VIEW_H = 600.0
@@ -37,6 +37,11 @@ PALETTE = (
 class PointGroup:
     label: str
     points: tuple[PerspectivePoint, ...]
+
+    def __post_init__(self) -> None:
+        require_text(self.label, InputValidationError, "label")
+        require_texts(self.points, InputValidationError, "points", require_point)
+        object.__setattr__(self, "points", tuple(self.points))
 
 
 def _extent(points: list[PerspectivePoint]) -> tuple[float, float, float, float]:

@@ -523,20 +523,21 @@ class TestNumbersInArrayFiles:
         ("dim", None, None, "malformed PCA file: dim must be a JSON integer >= 1, got None"),
         ("components", 4, float("inf"), "components contains non-finite values"),
         ("explained_variance", None, "2.0 1.0",
-         "malformed PCA file: explained_variance must be a JSON list, got str"),
+         "malformed PCA file: explained_variance must hold only JSON numbers"),
         ("explained_variance", 0, float("inf"),
-         "malformed PCA file: explained_variance must be a finite JSON number, got inf"),
+         "malformed PCA file: explained_variance must be finite"),
         ("explained_variance", 1, "1.0",
-         "malformed PCA file: explained_variance must be a finite JSON number, got '1.0'"),
+         "malformed PCA file: explained_variance must hold only JSON numbers"),
         ("explained_variance", 1, False,
-         "malformed PCA file: explained_variance must be a finite JSON number, got False"),
+         "malformed PCA file: explained_variance must hold only JSON numbers"),
         ("dim", None, True, "malformed PCA file: dim must be a JSON integer >= 1, got True"),
         ("dim", None, 0, "malformed PCA file: dim must be a JSON integer >= 1, got 0"),
         ("dim", None, 2, "payload holds 72 bytes, expected 48 for float64 mean 2, "
                          "components 2 x 2"),
         ("dim", None, 10**400, "payload holds 72 bytes, expected"),
         ("explained_variance", 0, -(10**400),
-         "malformed PCA file: int too large to convert to float"),
+         "malformed PCA file: explained_variance holds an integer beyond the "
+         "float64 range"),
         ("components", 2, 2.0**64, "malformed PCA file: component rows must be orthonormal"),
     ], ids=["nan-mean", "string-dim", "null-dim", "inf-component",
             "string-variances", "inf-variance", "string-variance",
@@ -935,7 +936,8 @@ _VALID_DOC = '{"id": "b", "text": "fine", "cluster": "x"}\n'
             "assignment": {"base_index": 0, "choices": []}, "prompt": "p",
             "outputs": ["o"], "point": [float("nan"), 0.0], "loss": 1.0,
         }) + "\n",
-        ":1: malformed trace line: ", "perspective point must be finite",
+        ":1: malformed trace line: ",
+        "perspective point x must be a finite JSON number, got nan",
     ),
     (
         persistence.load_dataset,
@@ -1016,6 +1018,21 @@ def _traces(draw):
 
 
 class TestTraceFiles:
+    def test_integer_coordinates_and_loss_round_trip(self, tmp_path):
+        """A trace built with integer coordinates and an integer loss holds
+        them as floats, so it saves the floats it loads back as, and
+        saving the loaded trace writes the same bytes."""
+        path = tmp_path / "trace.jsonl"
+        trace = SearchTrace("gcd", PerspectivePoint(1, 2))
+        trace.record(Evaluation(
+            PromptAssignment(0), "p", ("o",), PerspectivePoint(0, 0), 1
+        ))
+        _assert_round_trip(path, trace)
+        line, summary = map(json.loads, path.read_text().splitlines())
+        assert (line["point"], line["loss"]) == ([0.0, 0.0], 1.0)
+        assert summary["target"] == [1.0, 2.0]
+        assert '"point": [0.0, 0.0], "loss": 1.0' in path.read_text()
+
     def test_round_trip(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         trace = _demo_trace()
@@ -1074,21 +1091,23 @@ class TestTraceFiles:
         assert (summary["mode"], summary["target"]) == ("gcd", [1.0, 2.0])
 
     def test_infinite_loss_is_not_written(self, tmp_path):
-        """``load_trace`` would reject ``Infinity``, so ``save_trace``
-        fails before it touches the file."""
+        """``load_trace`` would reject ``Infinity``. ``Evaluation`` refuses
+        an infinite loss, and were one set on it after, ``save_trace``
+        would still fail before it touches the file."""
         path = tmp_path / "trace.jsonl"
         persistence.save_trace(path, _demo_trace())
         before = path.read_bytes()
+        evaluation = {
+            "assignment": PromptAssignment(0, ()), "prompt": "p",
+            "outputs": ("o",), "point": PerspectivePoint(1e308, 0.0),
+        }
+        with pytest.raises(InputValidationError) as built:
+            Evaluation(**evaluation, loss=float("inf"))
+        assert str(built.value) == "loss must be a finite JSON number, got inf"
+        ev = Evaluation(**evaluation, loss=1.0)
+        object.__setattr__(ev, "loss", float("inf"))
         trace = SearchTrace("brute", PerspectivePoint(-1e308, 0.0))
-        trace.record(
-            Evaluation(
-                assignment=PromptAssignment(0, ()),
-                prompt="p",
-                outputs=("o",),
-                point=PerspectivePoint(1e308, 0.0),
-                loss=float("inf"),
-            )
-        )
+        trace.record(ev)
         with pytest.raises(ValueError, match="not JSON compliant"):
             persistence.save_trace(path, trace)
         assert path.read_bytes() == before
@@ -1107,9 +1126,9 @@ class TestTraceFiles:
         ("assignment", {"base_index": -3, "choices": []},
          "base_index must be a JSON integer >= 0, got -3"),
         ("assignment", {"base_index": 0, "choices": ["x"]},
-         "choice must be a JSON integer >= 0, got 'x'"),
+         "choices[0] must be a JSON integer >= 0, got 'x'"),
         ("assignment", {"base_index": 0, "choices": [0, -1]},
-         "choice must be a JSON integer >= 0, got -1"),
+         "choices[1] must be a JSON integer >= 0, got -1"),
         ("loss", "0.25", "loss must be a finite JSON number, got '0.25'"),
         ("loss", True, "loss must be a finite JSON number, got True"),
         ("loss", float("nan"), "loss must be a finite JSON number, got nan"),
@@ -1529,17 +1548,19 @@ def _unencodable_writers():
         point=PerspectivePoint(0.0, 0.0),
         loss=0.0,
     )
-    # An Evaluation refuses such text when it is built, so it is put in
-    # afterwards: the writer must still keep the previous file.
-    object.__setattr__(evaluation, "outputs", (f"output {bad}",))
-    trace.record(evaluation)
     report = SimilarityReport(
-        clusters=(f"cluster {bad}",),
+        clusters=("cluster",),
         pre_mean=np.ones((1, 1)),
         pre_std=np.zeros((1, 1)),
         post_mean=np.ones((1, 1)),
         post_std=np.zeros((1, 1)),
     )
+    # An Evaluation and a SimilarityReport refuse such text when they are
+    # built, so it is put in afterwards: the writer must still keep the
+    # previous file.
+    object.__setattr__(evaluation, "outputs", (f"output {bad}",))
+    object.__setattr__(report, "clusters", (f"cluster {bad}",))
+    trace.record(evaluation)
     return {
         "save_trace": lambda path: persistence.save_trace(path, trace),
         "save_report": lambda path: persistence.save_report(path, report),

@@ -99,3 +99,20 @@ class TestRenderScatterSvg:
         groups = [PointGroup("a<b & c>", (PerspectivePoint(0.0, 0.0),))]
         svg = render_scatter_svg(groups)
         assert "a&lt;b &amp; c&gt;" in svg
+
+
+class TestPointGroup:
+    @pytest.mark.parametrize("points, message", [
+        (((0.0, 0.0),), "points[0] must be a PerspectivePoint, got tuple"),
+        ((PerspectivePoint(0.0, 0.0), None),
+         "points[1] must be a PerspectivePoint, got NoneType"),
+        (PerspectivePoint(0.0, 0.0), "points must be a list, got PerspectivePoint"),
+    ], ids=["tuple-point", "null-point", "bare-point"])
+    def test_points_must_be_perspective_points(self, points, message):
+        with pytest.raises(InputValidationError) as err:
+            PointGroup("a", points)
+        assert str(err.value) == message
+
+    def test_points_are_kept_as_a_tuple(self):
+        point = PerspectivePoint(0.0, 1.0)
+        assert PointGroup("a", [point]).points == (point,)

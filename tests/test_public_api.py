@@ -1,4 +1,5 @@
 from pathlib import Path
+import re
 import sys
 
 import numpy as np
@@ -146,6 +147,9 @@ _TEXT_ENTRY_POINTS = {
         lambda v: pdial.SearchTrace(v, pdial.PerspectivePoint(0.0, 0.0)), "mode"
     ),
     "Evaluation-prompt": (lambda v: _evaluation(prompt=v), "prompt"),
+    "TrainingPair-a": (lambda v: pdial.TrainingPair(v, "b", 1.0), "a"),
+    "TrainingPair-b": (lambda v: pdial.TrainingPair("a", v, 1.0), "b"),
+    "PointGroup-label": (lambda v: pdial.plotting.PointGroup(v, ()), "label"),
 }
 _TEXT_LIST_ENTRY_POINTS = {
     "ClusterSimilarityMatrix": (
@@ -155,6 +159,12 @@ _TEXT_LIST_ENTRY_POINTS = {
     "PromptSpec-slot": (lambda v: pdial.PromptSpec(["a"], slots=[v]), "slots[0]"),
     "SearchTrace-target": (lambda v: pdial.SearchTrace("gcd", v), "target"),
     "Evaluation-outputs": (lambda v: _evaluation(outputs=v), "outputs"),
+    "SimilarityReport-clusters": (
+        lambda v: pdial.evaluation.SimilarityReport(
+            v, *(np.zeros((2, 2)) for _ in range(4))
+        ),
+        "clusters",
+    ),
     "embed_batch": (
         lambda v: pdial.embed_batch(v, pdial.EmbeddingBackendConfig(dimension=8)),
         "texts",
@@ -195,3 +205,139 @@ def test_every_text_entry_point_refuses_what_is_not_text(name, call, value, mess
         call(value)
     assert type(err.value) is error
     assert str(err.value).startswith(message)
+
+
+# Each holder field that takes numbers: how to build the holder with
+# ``v`` in it, the name its message gives, and the rule: "finite" (one
+# finite number, stored as a float), "count" (an integer >= 0) or the
+# holder's own message for a NaN or an infinity in an array.
+_SCALAR_NUMBER_FIELDS = {
+    "PerspectivePoint-x": (lambda v: pdial.PerspectivePoint(v, 0.0),
+                           "perspective point x", "finite"),
+    "PerspectivePoint-y": (lambda v: pdial.PerspectivePoint(0.0, v),
+                           "perspective point y", "finite"),
+    "Evaluation-loss": (lambda v: _evaluation(loss=v), "loss", "finite"),
+    "TrainingPair-label_y": (lambda v: pdial.TrainingPair("a", "b", v),
+                             "label_y", "finite"),
+    "PromptAssignment-base_index": (lambda v: pdial.PromptAssignment(v),
+                                    "base_index", "count"),
+    "PromptAssignment-choices": (lambda v: pdial.PromptAssignment(0, (0, v)),
+                                 "choices[1]", "count"),
+}
+
+
+def _report(name):
+    def build(v):
+        mats = {"pre_mean": [[1.0]], "pre_std": [[0.0]],
+                "post_mean": [[1.0]], "post_std": [[0.0]], name: [[v]]}
+        return pdial.evaluation.SimilarityReport(("a",), **mats)
+    return build
+
+
+_ARRAY_NUMBER_FIELDS = {
+    "ClusterSimilarityMatrix-sim": (
+        lambda v: pdial.ClusterSimilarityMatrix(["a", "b"], [[1.0, v], [v, 1.0]]),
+        "sim", (pdial.InputValidationError, "similarity labels must be finite"),
+    ),
+    "PcaModel-mean": (
+        lambda v: pdial.PcaModel([0.0, v], np.eye(2), [1.0, 0.5]),
+        "mean", (pdial.InputValidationError, "mean must be finite"),
+    ),
+    "PcaModel-components": (
+        lambda v: pdial.PcaModel(np.zeros(2), [[1.0, 0.0], [v, 1.0]], [1.0, 0.5]),
+        "components", (pdial.InputValidationError, "components must be finite"),
+    ),
+    "PcaModel-explained_variance": (
+        lambda v: pdial.PcaModel(np.zeros(2), np.eye(2), [1.0, v]),
+        "explained_variance",
+        (pdial.InputValidationError, "explained_variance must be finite"),
+    ),
+    "ProjectionModel-coef": (
+        lambda v: pdial.ProjectionModel([[v, 0.0]], [[1.0, 0.0]]),
+        "coef", (pdial.InputValidationError, "W contains non-finite entries"),
+    ),
+    "ProjectionModel-basis": (
+        lambda v: pdial.ProjectionModel([[1.0, 0.0]], [[v, 0.0]]),
+        "basis", (pdial.InputValidationError, "W contains non-finite entries"),
+    ),
+    "ProjectionModel-base": (
+        lambda v: pdial.ProjectionModel(np.empty((0, 1)), np.empty((0, 2)), [[v, 0.0]]),
+        "base", (pdial.InputValidationError, "W contains non-finite entries"),
+    ),
+    "ProjectionModel.from_weights": (
+        lambda v: pdial.ProjectionModel.from_weights([[1.0, v]]),
+        "W", (pdial.InputValidationError, "W contains non-finite entries"),
+    ),
+    **{
+        f"SimilarityReport-{name}": (
+            _report(name), name, (pdial.NumericError, f"{name} has non-finite cells")
+        )
+        for name in ("pre_mean", "pre_std", "post_mean", "post_std")
+    },
+}
+
+_NOT_NUMBERS = {"true": True, "string": "1", "null": None}
+_NOT_FINITE = {"nan": float("nan"), "inf": float("inf")}
+
+
+def _number_cases():
+    error = pdial.InputValidationError
+    for name, (call, what, rule) in _SCALAR_NUMBER_FIELDS.items():
+        values = {**_NOT_NUMBERS, **_NOT_FINITE}
+        if rule == "finite":
+            values["400-digit"] = 10**400
+            kind = "a finite JSON number"
+        else:
+            values.update({"negative": -1, "float": 1.0})
+            kind = "a JSON integer >= 0"
+        for case, v in values.items():
+            yield name, case, call, v, error, f"{what} must be {kind}, got {v!r}"
+    for name, (call, what, (finite_error, finite_message)) in (
+        _ARRAY_NUMBER_FIELDS.items()
+    ):
+        for case, v in _NOT_NUMBERS.items():
+            yield name, case, call, v, error, f"{what} must hold only JSON numbers"
+        for case, v in _NOT_FINITE.items():
+            yield name, case, call, v, finite_error, finite_message
+        yield (name, "400-digit", call, 10**400, error,
+               f"{what} holds an integer beyond the float64 range")
+
+
+@pytest.mark.parametrize("call, value, error, message", [
+    pytest.param(call, value, error, message, id=f"{name}-{case}")
+    for name, case, call, value, error, message in _number_cases()
+])
+def test_every_number_holder_refuses_what_is_not_a_number(call, value, error, message):
+    """A bool, a string, a null, a NaN, an infinity or an integer beyond
+    the float64 range, where a holder keeps a number, gives that holder's
+    typed error when it is built, naming the field."""
+    with pytest.raises(error) as err:
+        call(value)
+    assert type(err.value) is error
+    assert str(err.value).startswith(message)
+
+
+def test_number_holders_store_floats_and_keep_float64_arrays():
+    """An integer coordinate or loss is stored as the float that a trace
+    saves and loads, and a float64 array is kept as it is, not copied."""
+    point = pdial.PerspectivePoint(1, -2)
+    assert (type(point.x), type(point.y)) == (float, float)
+    assert repr(point) == "PerspectivePoint(x=1.0, y=-2.0)"
+    assert type(_evaluation(loss=3).loss) is float
+    assert type(pdial.TrainingPair("a", "b", 1).label_y) is float
+    coef, basis = np.ones((1, 2)), np.zeros((1, 2))
+    model = pdial.ProjectionModel(coef, basis)
+    assert model.coef is coef and model.basis is basis
+    ints = pdial.ProjectionModel([[1, 2]], [[3, 4]])
+    assert ints.coef.dtype == np.float64 and ints.coef.tolist() == [[1.0, 2.0]]
+
+
+def test_the_number_rule_lives_in_errors():
+    """Only ``errors.py`` says what a JSON integer or number is; every
+    other module asks its predicates or checks."""
+    pattern = re.compile(
+        r"type\([^)]*\) is (not )?int\b|\(int, float\)|isinstance\([^)]*, bool\)"
+    )
+    for path in Path(pdial.__file__).parent.glob("*.py"):
+        if path.name != "errors.py":
+            assert not pattern.search(path.read_text(encoding="utf-8")), path.name
