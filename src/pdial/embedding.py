@@ -20,8 +20,8 @@ from .errors import (
     InputValidationError,
     ProtocolError,
     is_integer,
+    require_array,
     require_field_types,
-    require_numbers,
     require_text,
     require_texts,
 )
@@ -132,17 +132,12 @@ def _http_embed_chunk(
         )
     out = []
     for i in range(len(chunk)):
-        what = f"embedding at index {i}"
-        vec = require_numbers(rows[i], ProtocolError, what)
-        if vec.ndim != 1:
-            raise ProtocolError(f"{what} must be a flat list of JSON numbers")
+        vec = require_array(rows[i], ProtocolError, f"embedding at index {i}", (None,))
         if vec.shape[0] != cfg.dimension:
             raise ConfigurationError(
                 f"server returned dimension {vec.shape}, "
                 f"configured dimension is {cfg.dimension}"
             )
-        if not np.all(np.isfinite(vec)):
-            raise ProtocolError("server returned non-finite embedding values")
         out.append(vec)
     return out
 

@@ -1,6 +1,7 @@
-"""Exception hierarchy shared by all pdial modules, the text, number
-and config-field checks that every entry point applies to the values it
-is given, and the read-only arrays that the array holders keep.
+"""Exception hierarchy shared by all pdial modules, the text, number,
+array and config-field checks that every entry point applies to the
+values it is given, and the read-only arrays that the array holders
+keep.
 
 The CLI maps these onto its exit-code contract: usage/config problems
 exit 2, numeric/protocol/transport failures exit 3.
@@ -120,9 +121,10 @@ def require_numbers(value: object, error: type[Exception], what: str) -> np.ndar
     outside the 64-bit range, which numpy keeps as an object, is read as
     its float64 value; one beyond the float64 range is ``error``. An
     ndarray of integer or float dtype is taken by its dtype, with no walk
-    over its entries, and a float64 one is returned as it is. numpy is
-    imported by the first call, so that importing the errors alone does
-    not load it.
+    over its entries, whether it is ``value`` or an entry of a list, such
+    as one embedding in a list of them; a float64 ndarray ``value`` is
+    returned as it is. numpy is imported by the first call, so that
+    importing the errors alone does not load it.
     """
     import numpy as np
 
@@ -133,7 +135,10 @@ def require_numbers(value: object, error: type[Exception], what: str) -> np.ndar
     if a is not value or a.dtype.kind not in "iuf":
         entries = [value]
         for _ in range(a.ndim):
-            entries = list(itertools.chain.from_iterable(entries))
+            entries = list(itertools.chain.from_iterable(
+                e for e in entries
+                if not (isinstance(e, np.ndarray) and e.dtype.kind in "iuf")
+            ))
         # isinstance depends only on the type: test one entry of each
         if not all(map(is_number, dict(zip(map(type, entries), entries)).values())):
             raise error(f"{what} must hold only JSON numbers")
@@ -141,6 +146,30 @@ def require_numbers(value: object, error: type[Exception], what: str) -> np.ndar
         return a.astype(np.float64, copy=False)
     except OverflowError as exc:
         raise error(f"{what} holds an integer beyond the float64 range") from exc
+
+
+def require_array(
+    value: object, error: type[Exception], what: str, shape: tuple[int | None, ...]
+) -> np.ndarray:
+    """``value`` as a float64 array if it passes ``require_numbers``, has
+    ``shape`` and is finite, else ``error`` naming ``what``. ``None`` in
+    ``shape`` matches any length on that axis.
+
+    This is the one check of an array a caller hands in: the holders
+    call it once per array field, and the functions once per array
+    argument. The result is not frozen: a holder stores it through
+    ``read_only_float64`` once all its own checks pass, so a holder it
+    refuses leaves the caller's arrays writable.
+    """
+    import numpy as np
+
+    a = require_numbers(value, error, what)
+    if a.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, a.shape)):
+        want = str(tuple("any" if n is None else n for n in shape)).replace("'", "")
+        raise error(f"{what} has shape {a.shape}, expected {want}")
+    if not np.isfinite(a).all():
+        raise error(f"{what} must be finite")
+    return a
 
 
 def read_only_float64(value: object) -> np.ndarray:

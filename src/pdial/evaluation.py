@@ -25,7 +25,7 @@ from .errors import (
     InputValidationError,
     NumericError,
     read_only_float64,
-    require_numbers,
+    require_array,
     require_texts,
 )
 from .metric import LabeledDocument, ProjectionModel
@@ -43,16 +43,14 @@ class SimilarityReport:
         require_texts(self.clusters, InputValidationError, "clusters")
         object.__setattr__(self, "clusters", tuple(self.clusters))
         n = len(self.clusters)
-        mats = {}
-        for name in ("pre_mean", "pre_std", "post_mean", "post_std"):
-            mat = require_numbers(getattr(self, name), InputValidationError, name)
-            if mat.shape != (n, n):
-                raise InputValidationError(
-                    f"{name} has shape {mat.shape}, expected ({n}, {n})"
-                )
-            if not np.isfinite(mat).all():
-                raise NumericError(f"{name} has non-finite cells")
-            mats[name] = mat
+        if not n:
+            raise InputValidationError("a report needs at least one cluster")
+        if len(set(self.clusters)) != n:
+            raise InputValidationError("cluster labels must be unique")
+        mats = {
+            name: require_array(getattr(self, name), InputValidationError, name, (n, n))
+            for name in ("pre_mean", "pre_std", "post_mean", "post_std")
+        }
         if np.any(np.abs(mats["pre_mean"]) > 1.0 + 1e-12) or np.any(
             np.abs(mats["post_mean"]) > 1.0 + 1e-12
         ):

@@ -46,9 +46,9 @@ from .errors import (
     InputValidationError,
     NumericError,
     read_only_float64,
+    require_array,
     require_field_types,
     require_finite,
-    require_numbers,
     require_text,
     require_texts,
 )
@@ -75,21 +75,16 @@ class LabeledDocument:
 
 class ClusterSimilarityMatrix:
     """Per-topic pair label scheme: same cluster 1.0, center-vs-pole 0.35,
-    pole-vs-pole 0.0 in the canonical three-cluster setup."""
+    pole-vs-pole 0.0 in the canonical three-cluster setup. The matrix
+    keeps ``sim`` read-only (see ``read_only_float64``), so no later write
+    can break these rules."""
 
     def __init__(self, clusters: list[str], sim: np.ndarray) -> None:
         require_texts(clusters, InputValidationError, "clusters")
-        sim = require_numbers(sim, InputValidationError, "sim")
         n = len(clusters)
         if len(set(clusters)) != n:
             raise InputValidationError("cluster labels must be unique")
-        if sim.shape != (n, n):
-            raise InputValidationError(
-                f"similarity matrix shape {sim.shape} does not match "
-                f"{n} clusters"
-            )
-        if not np.isfinite(sim).all():
-            raise InputValidationError("similarity labels must be finite")
+        sim = require_array(sim, InputValidationError, "sim", (n, n))
         if not np.array_equal(sim, sim.T):
             raise InputValidationError("similarity matrix must be symmetric")
         if not np.all(np.diag(sim) == 1.0):
@@ -101,7 +96,7 @@ class ClusterSimilarityMatrix:
                 "similarity labels must lie in [0, 1]"
             )
         self.clusters = list(clusters)
-        self.sim = sim
+        self.sim = read_only_float64(sim)
         self._index = {c: i for i, c in enumerate(clusters)}
 
     def label(self, cluster_a: str, cluster_b: str) -> float:
@@ -147,31 +142,26 @@ class ProjectionModel:
     base: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        coef = require_numbers(self.coef, InputValidationError, "coef")
-        basis = require_numbers(self.basis, InputValidationError, "basis")
-        if not (coef.ndim == basis.ndim == 2 and len(coef) == len(basis)
-                and coef.shape[1] and basis.shape[1]):
+        coef = require_array(self.coef, InputValidationError, "coef", (None, None))
+        n, d_out = coef.shape
+        basis = require_array(self.basis, InputValidationError, "basis", (n, None))
+        d_in = basis.shape[1]
+        if not (d_out and d_in):
             raise InputValidationError(
-                f"coef {coef.shape} and basis {basis.shape} must be 2-D, with "
-                f"the same number of rows and at least one column"
+                f"coef {coef.shape} and basis {basis.shape} must have at least "
+                f"one column"
             )
-        d_out, d_in = coef.shape[1], basis.shape[1]
         base = self.base
         if base is not None:
-            base = require_numbers(base, InputValidationError, "base")
-        if base is None and d_in != d_out:
+            base = require_array(base, InputValidationError, "base", (d_out, d_in))
+        elif d_in != d_out:
             raise InputValidationError(
                 f"base is null (the identity) but d_in={d_in} != d_out={d_out}"
             )
-        if base is not None and base.shape != (d_out, d_in):
-            raise InputValidationError(
-                f"base shape {base.shape} does not match (d_out, d_in) = "
-                f"({d_out}, {d_in})"
-            )
-        # |W_ij| <= |base_ij| + sum_n |coef_ni| |basis_nj|, so this bound
-        # is finite only if every factor is, and then so is every entry
-        # of W. It is NaN or infinite when the bound itself overflows.
-        with np.errstate(over="ignore", invalid="ignore"):
+        # |W_ij| <= |base_ij| + sum_n |coef_ni| |basis_nj|, so every entry
+        # of W is finite when this bound is. The factors are finite; the
+        # bound is infinite when their products overflow.
+        with np.errstate(over="ignore"):
             bound = (1.0 if base is None else np.abs(base).max()) + (
                 np.abs(coef).max(axis=1) @ np.abs(basis).max(axis=1)
             )
@@ -231,9 +221,7 @@ class ProjectionModel:
     @classmethod
     def from_weights(cls, W: np.ndarray) -> "ProjectionModel":
         """The model of a bare d_out x d_in matrix: ``base = W``, no rows."""
-        W = require_numbers(W, InputValidationError, "W")
-        if W.ndim != 2:
-            raise InputValidationError(f"W must be 2-D, got shape {W.shape}")
+        W = require_array(W, InputValidationError, "W", (None, None))
         d_out, d_in = W.shape
         return cls(np.empty((0, d_out)), np.empty((0, d_in)), W)
 
@@ -451,16 +439,14 @@ def train(
         raise InputValidationError(
             "training needs at least 2 clusters with documents"
         )
-    if len(embeddings) != len(dataset):
-        raise InputValidationError(
-            f"got {len(embeddings)} embeddings for {len(dataset)} documents"
-        )
-    rows = [np.asarray(e, dtype=np.float64) for e in embeddings]
-    d_in = rows[0].size
-    if d_in == 0 or any(r.shape != (d_in,) for r in rows):
-        raise InputValidationError(
-            "embeddings must be non-empty vectors of one common length"
-        )
+    # A copy of its own: the model keeps E read-only, and the caller's
+    # array must stay writable.
+    E = require_array(
+        embeddings, InputValidationError, "embeddings", (len(dataset), None)
+    ).copy()
+    d_in = E.shape[1]
+    if d_in == 0:
+        raise InputValidationError("embeddings must be non-empty vectors")
     if len({doc.id for doc in dataset}) != len(dataset):
         raise InputValidationError("dataset contains duplicate document ids")
     if d_out is None:
@@ -469,12 +455,11 @@ def train(
         raise InputValidationError(f"d_out must be >= 1, got {d_out}")
 
     initial = ProjectionModel.initial(d_in, d_out, cfg.seed)
-    E = np.stack(rows)
     # Documents with equal embeddings share one row of K and of P, so that
     # a pair of them sits at distance exactly 0. A matrix product may
     # round equal rows apart, so the rows are shared after the last one.
     first: dict[bytes, int] = {}
-    same = [first.setdefault(r.tobytes(), n) for n, r in enumerate(rows)]
+    same = [first.setdefault(r.tobytes(), n) for n, r in enumerate(E)]
     ia, ib, labels = _pair_arrays(dataset, matrix, cfg.seed)
     log = TrainingLog(pair_count=len(ia))
     lr = cfg.learning_rate

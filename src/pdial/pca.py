@@ -39,8 +39,8 @@ from .errors import (
     InputValidationError,
     NumericError,
     read_only_float64,
+    require_array,
     require_finite,
-    require_numbers,
 )
 
 JACOBI_MAX_SWEEPS = 100
@@ -90,34 +90,19 @@ class PcaModel:
     explained_variance: np.ndarray
 
     def __post_init__(self) -> None:
-        mean, comps, ev = (
-            require_numbers(getattr(self, name), InputValidationError, name)
-            for name in ("mean", "components", "explained_variance")
+        mean = require_array(self.mean, InputValidationError, "mean", (None,))
+        comps = require_array(
+            self.components, InputValidationError, "components", (PCA_AXES, len(mean))
         )
-        if mean.ndim != 1:
-            raise InputValidationError(f"mean must be a vector, got shape {mean.shape}")
-        if comps.ndim != 2 or comps.shape[1] != mean.shape[0]:
-            raise InputValidationError(
-                f"components shape {comps.shape} does not match mean "
-                f"length {mean.shape}"
-            )
-        if comps.shape[0] != PCA_AXES:
-            raise InputValidationError(
-                f"model has {comps.shape[0]} components, expected {PCA_AXES}"
-            )
-        if ev.shape != (comps.shape[0],):
-            raise InputValidationError(
-                "explained_variance length must match component count"
-            )
-        named = (("mean", mean), ("components", comps), ("explained_variance", ev))
-        for name, a in named:
-            if not np.isfinite(a).all():
-                raise InputValidationError(f"{name} must be finite")
+        ev = require_array(
+            self.explained_variance, InputValidationError, "explained_variance",
+            (PCA_AXES,),
+        )
         with np.errstate(over="ignore", invalid="ignore"):
             # entries near 1e308 overflow to inf or NaN, which fail below
             gram = comps @ comps.T
         # np.allclose(gram, eye, atol=1e-8), without its machinery
-        eye = np.eye(comps.shape[0])
+        eye = np.eye(PCA_AXES)
         if not (np.abs(gram - eye) <= 1e-8 + 1e-5 * eye).all():
             raise InputValidationError("component rows must be orthonormal")
         if np.any(ev < 0.0) or np.any(np.diff(ev) > 0.0):
@@ -129,6 +114,7 @@ class PcaModel:
                 "the entry of largest absolute value in each component row "
                 "must be positive"
             )
+        named = (("mean", mean), ("components", comps), ("explained_variance", ev))
         for name, a in named:
             object.__setattr__(self, name, read_only_float64(a))
 
@@ -155,12 +141,8 @@ def jacobi_eigh(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eigenvalues are scaled back. Returns (eigenvalues, eigenvectors)
     sorted by descending eigenvalue, eigenvectors as rows.
     """
-    C = np.asarray(C, dtype=np.float64)
-    n = C.shape[0]
-    if C.shape != (n, n):
-        raise InputValidationError(f"matrix must be square, got {C.shape}")
-    if not np.isfinite(C).all():
-        raise InputValidationError("matrix must be finite")
+    n = len(C)
+    C = require_array(C, InputValidationError, "matrix", (n, n))
     if not np.array_equal(C, C.T):
         raise InputValidationError("matrix must be exactly symmetric")
     k = _scale_exponent(C)
@@ -434,28 +416,16 @@ def fit_pca(points: list[np.ndarray]) -> PcaModel:
     module docstring), so neither the mean nor the products overflow;
     the mean and the variances are scaled back.
     """
-    if len(points) < 3:
-        raise InputValidationError(
-            f"PCA needs at least 3 points, got {len(points)}"
-        )
-    try:
-        X = np.asarray(points, dtype=np.float64)
-    except ValueError as exc:
-        raise InputValidationError(
-            f"points must all have the same dimension: {exc}"
-        ) from exc
-    if X.ndim != 2:
-        raise InputValidationError("points must all have the same dimension")
-    d = X.shape[1]
+    X = require_array(points, InputValidationError, "points", (None, None))
+    m, d = X.shape
+    if m < 3:
+        raise InputValidationError(f"PCA needs at least 3 points, got {m}")
     if d < 2:
         raise InputValidationError(f"point dimension must be >= 2, got {d}")
-    if not np.isfinite(X).all():
-        raise InputValidationError("points must be finite")
     k = _scale_exponent(X)
     X = np.ldexp(X, -k)
     mean = X.mean(axis=0)
     centered = X - mean
-    m = X.shape[0]
     rows = centered if m < d else centered.T
     M = (rows @ rows.T) / (m - 1)
     eigvals, eigvecs = _top_eigh((M + M.T) / 2.0)  # exactly symmetric
@@ -483,10 +453,6 @@ def _pca_model(
 
 def pca_transform(model: PcaModel, p: np.ndarray) -> PerspectivePoint:
     """Coordinates of ``p`` in the fitted 2-D perspective space."""
-    p = np.asarray(p, dtype=np.float64)
-    if p.shape != (model.dim,):
-        raise InputValidationError(
-            f"point length {p.shape} does not match model dimension {model.dim}"
-        )
+    p = require_array(p, InputValidationError, "point", (model.dim,))
     coords = model.components @ (p - model.mean)
     return PerspectivePoint(x=float(coords[0]), y=float(coords[1]))

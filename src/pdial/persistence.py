@@ -190,9 +190,10 @@ def _read_header(path: str | Path, expected: str) -> tuple[dict, bytes, bytes]:
 def _arrays(
     payload: bytes, shapes: dict[str, tuple[int, ...]], path: str | Path
 ) -> dict[str, np.ndarray]:
-    """The finite arrays of ``shapes``, in order, as views of ``payload``,
-    which must hold exactly their float64 values; the byte count is
-    checked before any array is built."""
+    """The arrays of ``shapes``, in order, as views of ``payload``, which
+    must hold exactly their float64 values; the byte count is checked
+    before any array is built. The holder they are handed to checks
+    their values."""
     sizes = [math.prod(shape) for shape in shapes.values()]
     if len(payload) != 8 * sum(sizes):
         layout = ", ".join(
@@ -206,10 +207,7 @@ def _arrays(
     arrays = {}
     start = 0
     for (name, shape), size in zip(shapes.items(), sizes):
-        a = flat[start:start + size].reshape(shape)
-        if not np.isfinite(a).all():
-            raise FormatError(f"{path}: {name} contains non-finite values")
-        arrays[name] = a
+        arrays[name] = flat[start:start + size].reshape(shape)
         start += size
     return arrays
 

@@ -1128,7 +1128,7 @@ class TestRequestCounts:
             *self._embed_flags(backend), "--target-x", "0", "--target-y", "0",
         ]) == 2
         assert capsys.readouterr().err == (
-            f"error: {path}: mean contains non-finite values\n"
+            f"error: {path}: malformed PCA file: mean must be finite\n"
         )
         assert backend.requests == []
         assert not (tmp_path / "trace.jsonl").exists()
@@ -1254,7 +1254,7 @@ class TestBackendFailures:
         ]) == 2
         err = capsys.readouterr().err
         assert str(bad) in err
-        assert "explained_variance length must match component count" in err
+        assert "explained_variance has shape (3,), expected (2,)" in err
 
     @pytest.mark.parametrize(
         "key", ["bad\nkey", "bad\u20ackey", "bad\u00e9key", "bad key", "bad\x7fkey"],

@@ -205,15 +205,17 @@ class TestEmbedBatchHttp:
         ({"a": 1}, "must hold only JSON numbers"),
         (None, "must hold only JSON numbers"),
         ("0.5", "must hold only JSON numbers"),
-        ([[0.5], [1.0]], "must be a flat list of JSON numbers"),
-        (0.5, "must be a flat list of JSON numbers"),
+        ([[0.5], [1.0]], r"has shape \(2, 1\), expected \(any,\)"),
+        (0.5, r"has shape \(\), expected \(any,\)"),
         ([[0.5], [1.0, 2.0]], "sequence"),
         ([0.5, 10**400], "holds an integer beyond the float64 range"),
         ([True, 2**64], "must hold only JSON numbers"),
         (["0.5", 2**64], "must hold only JSON numbers"),
+        ([0.5, float("nan")], "must be finite"),
+        ([float("inf"), 0.5], "must be finite"),
     ], ids=["strings", "booleans", "true-among-numbers", "object", "null",
             "string", "nested", "scalar", "ragged", "400-digit-integer",
-            "true-beside-2**64", "string-beside-2**64"])
+            "true-beside-2**64", "string-beside-2**64", "nan", "inf"])
     def test_entry_that_is_not_a_flat_list_of_numbers(
         self, stub_server, embedding, message
     ):

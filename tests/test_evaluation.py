@@ -72,6 +72,25 @@ class TestReportBasics:
             )
 
 
+class TestReportClusters:
+    """A report's clusters are at least one, each named once, as in a
+    ``ClusterSimilarityMatrix``."""
+
+    def test_zero_clusters_rejected(self):
+        e = np.empty((0, 0))
+        with pytest.raises(
+            InputValidationError, match="^a report needs at least one cluster$"
+        ):
+            SimilarityReport((), e, e, e, e)
+
+    def test_duplicate_cluster_names_rejected(self):
+        cells = [np.eye(2), np.zeros((2, 2)), np.eye(2), np.zeros((2, 2))]
+        with pytest.raises(
+            InputValidationError, match="^cluster labels must be unique$"
+        ):
+            SimilarityReport(("a", "a"), *cells)
+
+
 class TestReportOwnsItsArrays:
     """A report keeps its matrices read-only, so no write after it is
     built can break its rules."""
@@ -333,7 +352,7 @@ class TestExtremeScales:
             for name in ("pre_mean", "pre_std", "post_mean", "post_std")
         }
         cells[cell][1, 0] = bad
-        with pytest.raises(NumericError, match=f"{cell} has non-finite cells"):
+        with pytest.raises(InputValidationError, match=f"^{cell} must be finite$"):
             SimilarityReport(clusters=("a", "b"), **cells)
 
 

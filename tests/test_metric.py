@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -464,21 +465,26 @@ class TestTrain:
 
     def test_embedding_count_must_match_dataset(self):
         docs = _docs([("a", "left"), ("b", "right")])
-        with pytest.raises(InputValidationError, match="1 embeddings for 2"):
+        with pytest.raises(
+            InputValidationError,
+            match=re.escape("embeddings has shape (1, 8), expected (2, any)"),
+        ):
             train(docs, POLES_MATRIX, [np.ones(8)], TrainConfig())
 
     @pytest.mark.parametrize(
-        "rows",
+        "rows, message",
         [
-            [np.ones(8), np.ones(7)],
-            [np.ones((1, 8)), np.ones((1, 8))],
-            [np.ones(0), np.ones(0)],
+            ([np.ones(8), np.ones(7)],
+             "embeddings: setting an array element with a sequence"),
+            ([np.ones((1, 8)), np.ones((1, 8))],
+             "embeddings has shape (2, 1, 8), expected (2, any)"),
+            ([np.ones(0), np.ones(0)], "embeddings must be non-empty vectors"),
         ],
         ids=["ragged", "two-dimensional", "empty"],
     )
-    def test_embedding_shapes_validated(self, rows):
+    def test_embedding_shapes_validated(self, rows, message):
         docs = _docs([("a", "left"), ("b", "right")])
-        with pytest.raises(InputValidationError, match="common length"):
+        with pytest.raises(InputValidationError, match=re.escape(message)):
             train(docs, POLES_MATRIX, rows, TrainConfig())
 
     def test_duplicate_ids_rejected(self):
@@ -1103,12 +1109,17 @@ class TestProjectionModel:
     @pytest.mark.parametrize(
         "coef,basis,base,message",
         [
-            (np.ones((3, 4)), np.ones((2, 5)), np.ones((4, 5)), "same number of rows"),
-            (np.ones(4), np.ones((1, 5)), np.ones((4, 5)), "must be 2-D"),
+            (np.ones((3, 4)), np.ones((2, 5)), np.ones((4, 5)),
+             "basis has shape (2, 5), expected (3, any)"),
+            (np.ones(4), np.ones((1, 5)), np.ones((4, 5)),
+             "coef has shape (4,), expected (any, any)"),
             (np.ones((0, 0)), np.ones((0, 5)), np.ones((0, 5)), "at least one column"),
-            (np.ones((3, 4)), np.ones((3, 5)), np.ones((5, 4)), "base shape"),
-            (np.ones((0, 2)), np.ones((0, 2)), [[1, np.inf], [0, 1]], "non-finite"),
-            (np.full((1, 2), 1e200), np.full((1, 2), 1e200), None, "non-finite"),
+            (np.ones((3, 4)), np.ones((3, 5)), np.ones((5, 4)),
+             "base has shape (5, 4), expected (4, 5)"),
+            (np.ones((0, 2)), np.ones((0, 2)), [[1, np.inf], [0, 1]],
+             "base must be finite"),
+            (np.full((1, 2), 1e200), np.full((1, 2), 1e200), None,
+             "W contains non-finite entries"),
         ],
         ids=[
             "row-counts-differ", "1-d-coef", "no-columns", "base-transposed",
@@ -1116,7 +1127,7 @@ class TestProjectionModel:
         ],
     )
     def test_bad_factors_rejected(self, coef, basis, base, message):
-        with pytest.raises(InputValidationError, match=message):
+        with pytest.raises(InputValidationError, match=re.escape(message)):
             ProjectionModel(coef=coef, basis=basis, base=base)
 
     def test_from_weights_keeps_the_matrix_whole(self):
@@ -1124,7 +1135,10 @@ class TestProjectionModel:
         model = ProjectionModel.from_weights(W)
         assert (model.d_in, model.d_out, len(model.coef)) == (3, 2, 0)
         assert model.W.tobytes() == W.tobytes()
-        with pytest.raises(InputValidationError, match="2-D"):
+        with pytest.raises(
+            InputValidationError,
+            match=re.escape("W has shape (3,), expected (any, any)"),
+        ):
             ProjectionModel.from_weights(np.ones(3))
 
 
@@ -1170,6 +1184,35 @@ class TestProjectionModelOwnsItsArrays:
             W[0, 0] = 5.0
 
 
+class TestClusterSimilarityMatrixOwnsSim:
+    """A matrix keeps ``sim`` read-only, so no write after it is built
+    can break its rules (symmetric, unit diagonal, labels in [0, 1])."""
+
+    def test_a_write_through_the_callers_array_raises(self):
+        sim = np.eye(2)
+        matrix = ClusterSimilarityMatrix(["a", "b"], sim)
+        with pytest.raises(ValueError, match="read-only"):
+            sim[0, 1] = 7.0
+        assert matrix.label("a", "b") == 0.0
+
+    def test_a_write_through_the_matrix_raises(self):
+        matrix = ClusterSimilarityMatrix(["a", "b"], [[1.0, 0.35], [0.35, 1.0]])
+        with pytest.raises(ValueError, match="read-only"):
+            matrix.sim[0, 1] = 7.0
+
+    def test_a_matrix_of_a_writable_view_keeps_its_values(self):
+        buf = np.array([1.0, 0.5, 0.5, 1.0, 9.0])
+        matrix = ClusterSimilarityMatrix(["a", "b"], buf[:4].reshape(2, 2))
+        buf[:] = 7.0  # the caller's base stays writable
+        assert matrix.label("a", "b") == 0.5
+
+    def test_a_rejected_matrix_leaves_the_callers_array_writable(self):
+        sim = np.array([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(InputValidationError, match="lie in"):
+            ClusterSimilarityMatrix(["a", "b"], sim)
+        sim[0, 1] = 0.5
+
+
 class TestProject:
     """``project`` applies the head through the factors; the dense ``W``
     is its oracle."""
@@ -1203,19 +1246,23 @@ class TestProject:
             np.testing.assert_allclose(got, want, rtol=0.0, atol=tol)
 
     @pytest.mark.parametrize(
-        "coef,basis,base",
+        "coef,basis,base,message",
         [
-            (np.full((2, 4), 1e200), np.full((2, 4), 1e200), None),
-            (np.array([[1.0, np.inf]]), np.ones((1, 2)), None),
-            (np.ones((1, 2)), np.array([[np.nan, 1.0]]), None),
-            (np.ones((1, 2)), np.ones((1, 3)), np.array([[0.0] * 3, [np.nan] * 3])),
+            (np.full((2, 4), 1e200), np.full((2, 4), 1e200), None,
+             "W contains non-finite entries"),
+            (np.array([[1.0, np.inf]]), np.ones((1, 2)), None,
+             "coef must be finite"),
+            (np.ones((1, 2)), np.array([[np.nan, 1.0]]), None,
+             "basis must be finite"),
+            (np.ones((1, 2)), np.ones((1, 3)), np.array([[0.0] * 3, [np.nan] * 3]),
+             "base must be finite"),
         ],
         ids=["bound-overflows", "inf-in-coef", "nan-in-basis", "nan-in-base"],
     )
-    def test_non_finite_bound_rejected(self, coef, basis, base):
-        with pytest.raises(
-            InputValidationError, match="W contains non-finite entries"
-        ):
+    def test_non_finite_bound_rejected(self, coef, basis, base, message):
+        """The bound on W is checked on finite factors only: a factor
+        that is not finite is refused by name before it."""
+        with pytest.raises(InputValidationError, match=f"^{message}$"):
             ProjectionModel(coef=coef, basis=basis, base=base)
 
     def test_building_a_model_makes_no_d_by_d_array(self):
@@ -1247,7 +1294,7 @@ class TestMatrixValidation:
             ClusterSimilarityMatrix(["a", "b"], np.array([[1.0, 1.2], [1.2, 1.0]]))
 
     def test_non_finite_label_rejected(self):
-        with pytest.raises(InputValidationError, match="labels must be finite"):
+        with pytest.raises(InputValidationError, match="^sim must be finite$"):
             ClusterSimilarityMatrix(
                 ["a", "b"], np.array([[1.0, np.nan], [np.nan, 1.0]])
             )

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -626,7 +627,10 @@ class TestPcaModelValidation:
             )
 
     def test_three_components_rejected(self):
-        with pytest.raises(InputValidationError, match="3 components, expected 2"):
+        with pytest.raises(
+            InputValidationError,
+            match=re.escape("components has shape (3, 3), expected (2, 3)"),
+        ):
             PcaModel(
                 mean=np.zeros(3),
                 components=np.eye(3),

@@ -346,9 +346,9 @@ BAD_MODEL_FILES = {
     "base-null": (
         _edit(lambda h, v: h.update(base=None)), "base must be true or false, got None"
     ),
-    "nan-in-base": (_edit(_set(3, np.nan)), "base contains non-finite"),
-    "inf-in-coef": (_edit(_set(COEF.start + 3, np.inf)), "coef contains non-finite"),
-    "nan-in-basis": (_edit(_set(BASIS.start + 3, np.nan)), "basis contains non-finite"),
+    "nan-in-base": (_edit(_set(3, np.nan)), ": base must be finite$"),
+    "inf-in-coef": (_edit(_set(COEF.start + 3, np.inf)), ": coef must be finite$"),
+    "nan-in-basis": (_edit(_set(BASIS.start + 3, np.nan)), ": basis must be finite$"),
     "no-coef": (
         _edit(lambda h, v: np.delete(v, np.arange(COEF.start, COEF.stop))),
         rf"payload holds 11776 bytes, expected 12736 for float64 {SHAPES}",
@@ -495,7 +495,8 @@ class TestPcaRoundTrip:
                        [arrays["mean"], arrays["components"]])
         with pytest.raises(
             FormatError,
-            match=f"{re.escape(str(path))}: .*explained_variance length must match",
+            match=f"{re.escape(str(path))}: .*explained_variance has shape "
+                  r"\(3,\), expected \(2,\)",
         ):
             persistence.load_pca(path)
 
@@ -518,10 +519,10 @@ class TestNumbersInArrayFiles:
     values, and cluster-matrix arrays finite JSON numbers only."""
 
     @pytest.mark.parametrize("field,index,value,message", [
-        ("mean", 1, float("nan"), "mean contains non-finite values"),
+        ("mean", 1, float("nan"), "malformed PCA file: mean must be finite"),
         ("dim", None, "3", "malformed PCA file: dim must be a JSON integer >= 1, got '3'"),
         ("dim", None, None, "malformed PCA file: dim must be a JSON integer >= 1, got None"),
-        ("components", 4, float("inf"), "components contains non-finite values"),
+        ("components", 4, float("inf"), "malformed PCA file: components must be finite"),
         ("explained_variance", None, "2.0 1.0",
          "malformed PCA file: explained_variance must hold only JSON numbers"),
         ("explained_variance", 0, float("inf"),
@@ -605,8 +606,7 @@ class TestNumbersInArrayFiles:
         )
 
     @pytest.mark.parametrize("sim,message", [
-        ([[1.0, float("nan")], [float("nan"), 1.0]],
-         "similarity labels must be finite"),
+        ([[1.0, float("nan")], [float("nan"), 1.0]], "sim must be finite"),
         ([[1.0, "0.35"], ["0.35", 1.0]], "sim must hold only JSON numbers"),
         ([[1.0, None], [None, 1.0]], "sim must hold only JSON numbers"),
         ([[1.0, True], [True, 1.0]], "sim must hold only JSON numbers"),

@@ -209,8 +209,8 @@ def test_every_text_entry_point_refuses_what_is_not_text(name, call, value, mess
 
 # Each holder field that takes numbers: how to build the holder with
 # ``v`` in it, the name its message gives, and the rule: "finite" (one
-# finite number, stored as a float), "count" (an integer >= 0) or the
-# holder's own message for a NaN or an infinity in an array.
+# finite number, stored as a float) or "count" (an integer >= 0). An
+# array field's NaN or infinity is "{name} must be finite".
 _SCALAR_NUMBER_FIELDS = {
     "PerspectivePoint-x": (lambda v: pdial.PerspectivePoint(v, 0.0),
                            "perspective point x", "finite"),
@@ -237,41 +237,34 @@ def _report(name):
 _ARRAY_NUMBER_FIELDS = {
     "ClusterSimilarityMatrix-sim": (
         lambda v: pdial.ClusterSimilarityMatrix(["a", "b"], [[1.0, v], [v, 1.0]]),
-        "sim", (pdial.InputValidationError, "similarity labels must be finite"),
+        "sim",
     ),
     "PcaModel-mean": (
-        lambda v: pdial.PcaModel([0.0, v], np.eye(2), [1.0, 0.5]),
-        "mean", (pdial.InputValidationError, "mean must be finite"),
+        lambda v: pdial.PcaModel([0.0, v], np.eye(2), [1.0, 0.5]), "mean",
     ),
     "PcaModel-components": (
         lambda v: pdial.PcaModel(np.zeros(2), [[1.0, 0.0], [v, 1.0]], [1.0, 0.5]),
-        "components", (pdial.InputValidationError, "components must be finite"),
+        "components",
     ),
     "PcaModel-explained_variance": (
         lambda v: pdial.PcaModel(np.zeros(2), np.eye(2), [1.0, v]),
         "explained_variance",
-        (pdial.InputValidationError, "explained_variance must be finite"),
     ),
     "ProjectionModel-coef": (
-        lambda v: pdial.ProjectionModel([[v, 0.0]], [[1.0, 0.0]]),
-        "coef", (pdial.InputValidationError, "W contains non-finite entries"),
+        lambda v: pdial.ProjectionModel([[v, 0.0]], [[1.0, 0.0]]), "coef",
     ),
     "ProjectionModel-basis": (
-        lambda v: pdial.ProjectionModel([[1.0, 0.0]], [[v, 0.0]]),
-        "basis", (pdial.InputValidationError, "W contains non-finite entries"),
+        lambda v: pdial.ProjectionModel([[1.0, 0.0]], [[v, 0.0]]), "basis",
     ),
     "ProjectionModel-base": (
         lambda v: pdial.ProjectionModel(np.empty((0, 1)), np.empty((0, 2)), [[v, 0.0]]),
-        "base", (pdial.InputValidationError, "W contains non-finite entries"),
+        "base",
     ),
     "ProjectionModel.from_weights": (
-        lambda v: pdial.ProjectionModel.from_weights([[1.0, v]]),
-        "W", (pdial.InputValidationError, "W contains non-finite entries"),
+        lambda v: pdial.ProjectionModel.from_weights([[1.0, v]]), "W",
     ),
     **{
-        f"SimilarityReport-{name}": (
-            _report(name), name, (pdial.NumericError, f"{name} has non-finite cells")
-        )
+        f"SimilarityReport-{name}": (_report(name), name)
         for name in ("pre_mean", "pre_std", "post_mean", "post_std")
     },
 }
@@ -292,13 +285,11 @@ def _number_cases():
             kind = "a JSON integer >= 0"
         for case, v in values.items():
             yield name, case, call, v, error, f"{what} must be {kind}, got {v!r}"
-    for name, (call, what, (finite_error, finite_message)) in (
-        _ARRAY_NUMBER_FIELDS.items()
-    ):
+    for name, (call, what) in _ARRAY_NUMBER_FIELDS.items():
         for case, v in _NOT_NUMBERS.items():
             yield name, case, call, v, error, f"{what} must hold only JSON numbers"
         for case, v in _NOT_FINITE.items():
-            yield name, case, call, v, finite_error, finite_message
+            yield name, case, call, v, error, f"{what} must be finite"
         yield (name, "400-digit", call, 10**400, error,
                f"{what} holds an integer beyond the float64 range")
 
@@ -341,3 +332,110 @@ def test_the_number_rule_lives_in_errors():
     for path in Path(pdial.__file__).parent.glob("*.py"):
         if path.name != "errors.py":
             assert not pattern.search(path.read_text(encoding="utf-8")), path.name
+
+
+_DOCS = [pdial.LabeledDocument(*doc) for doc in
+         [("a", "left", "x"), ("b", "right", "y"), ("c", "more left", "x")]]
+_MATRIX = pdial.ClusterSimilarityMatrix(["x", "y"], np.eye(2))
+_PCA = pdial.PcaModel(np.zeros(2), np.eye(2), [1.0, 0.5])
+_MEAN, _STD = [[1.0, 0.5], [0.5, 1.0]], [[0.0, 0.1], [0.1, 0.0]]
+
+
+def _report_of(name):
+    def build(v):
+        mats = {"pre_mean": _MEAN, "pre_std": _STD,
+                "post_mean": _MEAN, "post_std": _STD, name: v}
+        return pdial.evaluation.SimilarityReport(("a", "b"), **mats)
+    return build
+
+
+# Each entry point that takes an array: a call with ``v`` in place of
+# one array, the name its message gives, and a value it accepts there.
+_ARRAY_ENTRY_POINTS = {
+    "ClusterSimilarityMatrix-sim": (
+        lambda v: pdial.ClusterSimilarityMatrix(["a", "b"], v), "sim", _MEAN
+    ),
+    "PcaModel-mean": (
+        lambda v: pdial.PcaModel(v, np.eye(2), [1.0, 0.5]), "mean", [0.0, 0.0]
+    ),
+    "PcaModel-components": (
+        lambda v: pdial.PcaModel(np.zeros(2), v, [1.0, 0.5]), "components",
+        [[1.0, 0.0], [0.0, 1.0]],
+    ),
+    "PcaModel-explained_variance": (
+        lambda v: pdial.PcaModel(np.zeros(2), np.eye(2), v), "explained_variance",
+        [1.0, 0.5],
+    ),
+    "ProjectionModel-coef": (
+        lambda v: pdial.ProjectionModel(v, np.eye(2)), "coef", [[1.0, 0.0], [0.0, 1.0]]
+    ),
+    "ProjectionModel-basis": (
+        lambda v: pdial.ProjectionModel(np.eye(2), v), "basis", [[1.0, 0.0], [0.0, 1.0]]
+    ),
+    "ProjectionModel-base": (
+        lambda v: pdial.ProjectionModel(np.empty((0, 2)), np.empty((0, 2)), v), "base",
+        [[1.0, 0.0], [0.0, 1.0]],
+    ),
+    "ProjectionModel.from_weights": (
+        pdial.ProjectionModel.from_weights, "W", [[1.0, 0.0], [0.0, 1.0]]
+    ),
+    **{
+        f"SimilarityReport-{name}": (_report_of(name), name, good)
+        for name, good in (("pre_mean", _MEAN), ("pre_std", _STD),
+                           ("post_mean", _MEAN), ("post_std", _STD))
+    },
+    "fit_pca": (pdial.fit_pca, "points", [[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]]),
+    "jacobi_eigh": (pdial.jacobi_eigh, "matrix", [[2.0, 1.0], [1.0, 2.0]]),
+    "pca_transform": (lambda v: pdial.pca_transform(_PCA, v), "point", [1.0, 2.0]),
+    "train": (
+        lambda v: pdial.train(_DOCS, _MATRIX, v, pdial.TrainConfig(epochs=1)),
+        "embeddings", [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+    ),
+}
+
+
+def _with_first(good, v):
+    """``good`` with its first number replaced by ``v``."""
+    if isinstance(good[0], list):
+        return [_with_first(good[0], v), *good[1:]]
+    return [v, *good[1:]]
+
+
+def _array_cases():
+    for name, (call, what, good) in _ARRAY_ENTRY_POINTS.items():
+        for case, v in {"string": "1", "bool": True}.items():
+            yield name, case, call, _with_first(good, v), (
+                f"{what} must hold only JSON numbers")
+        yield name, "ragged", call, [*good[:-1], [good[-1]]], (
+            f"{what}: setting an array element with a sequence")
+        for case, v in _NOT_FINITE.items():
+            yield name, case, call, _with_first(good, v), f"{what} must be finite"
+        wrong = [[entry] for entry in good]
+        yield name, "wrong-shape", call, wrong, (
+            f"{what} has shape {np.shape(wrong)}, expected ")
+
+
+@pytest.mark.parametrize("call, value, message", [
+    pytest.param(call, value, message, id=f"{name}-{case}")
+    for name, case, call, value, message in _array_cases()
+])
+def test_every_array_entry_point_refuses_what_is_not_a_number(call, value, message):
+    """A string, a bool, a ragged nested list, a NaN, an infinity or a
+    wrong shape, where a holder or a function takes an array, gives an
+    InputValidationError naming the array, from the one check in
+    ``errors.require_array``."""
+    with pytest.raises(pdial.InputValidationError) as err:
+        call(value)
+    assert type(err.value) is pdial.InputValidationError
+    assert str(err.value).startswith(message)
+
+
+@pytest.mark.parametrize("name", ["train", "fit_pca"])
+def test_arrays_a_function_is_given_stay_writable(name):
+    """A function is no holder: a float64 array it is given stays the
+    caller's, writable."""
+    call, _, good = _ARRAY_ENTRY_POINTS[name]
+    value = np.array(good)
+    call(value)
+    assert value.flags.writeable
+    value[0, 0] = 5.0
