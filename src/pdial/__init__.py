@@ -33,8 +33,6 @@ _EXPORTS = {
             "LabeledDocument",
             "ProjectionModel",
             "TrainConfig",
-            "TrainingPair",
-            "generate_pairs",
             "train",
         ],
         "metric",

@@ -84,6 +84,8 @@ def hashed_embed(text: str, dimension: int) -> np.ndarray:
     across platforms; raises if the text contains no tokens.
     """
     require_text(text, InputValidationError, "text")
+    if not is_integer(dimension):
+        raise InputValidationError(f"dimension must be int, got {dimension!r}")
     if dimension < 2:
         raise InputValidationError(f"dimension must be >= 2, got {dimension}")
     tokens = _TOKEN_RE.findall(text.lower())

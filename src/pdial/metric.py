@@ -22,9 +22,8 @@ step costs O(N * min(N, d_out)) instead of O(d_out * d_in); a
 contrastive step computes only the pair's difference u - v and applies
 one gradient to both documents. At the sizes this runs at, a step is a
 few small numpy calls, so their count sets its cost: the pairs are
-arrays, not ``TrainingPair`` objects, the rows a step reads are gathered
-for a chunk of steps at a time, and the 1-D products call
-``ndarray.dot``.
+arrays of dataset positions, the rows a step reads are gathered for a
+chunk of steps at a time, and the 1-D products call ``ndarray.dot``.
 
 The model is held as those span factors. ``ProjectionModel.project`` is
 the one way the commands apply the head, in O(N * d) per text through
@@ -45,10 +44,10 @@ from .errors import (
     ConfigurationError,
     InputValidationError,
     NumericError,
+    is_integer,
     read_only_float64,
     require_array,
     require_field_types,
-    require_finite,
     require_text,
     require_texts,
 )
@@ -107,19 +106,6 @@ class ClusterSimilarityMatrix:
                 f"cluster {exc.args[0]!r} is not in the similarity matrix "
                 f"(known: {self.clusters})"
             ) from exc
-
-
-@dataclass(frozen=True)
-class TrainingPair:
-    a: str
-    b: str
-    label_y: float
-
-    def __post_init__(self) -> None:
-        require_text(self.a, InputValidationError, "a")
-        require_text(self.b, InputValidationError, "b")
-        label = require_finite(self.label_y, InputValidationError, "label_y")
-        object.__setattr__(self, "label_y", label)
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,37 +275,20 @@ def _rng(*parts: int) -> np.random.Generator:
     return np.random.default_rng([p & 0xFFFFFFFFFFFFFFFF for p in parts])
 
 
-def generate_pairs(
-    dataset: list[LabeledDocument],
-    matrix: ClusterSimilarityMatrix,
-    seed: int,
-) -> list[TrainingPair]:
-    """All unordered document pairs (i < j) exactly once, labeled from the
-    cluster matrix, in a seed-determined shuffled order."""
-    if len(dataset) < 2:
-        raise InputValidationError("need at least 2 documents to form pairs")
-    pairs = [
-        TrainingPair(a=a.id, b=b.id, label_y=matrix.label(a.cluster, b.cluster))
-        for a, b in itertools.combinations(dataset, 2)
-    ]
-    order = _rng(seed).permutation(len(pairs))
-    return [pairs[k] for k in order]
-
-
 def _pair_arrays(
     dataset: list[LabeledDocument],
     matrix: ClusterSimilarityMatrix,
     seed: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``generate_pairs`` as arrays: the dataset positions of each pair's
-    documents and its label, in the same order and with the same errors.
+    """The training pairs: every pair of dataset positions i < j once,
+    in ``np.triu_indices`` order, permuted by ``_rng(seed)``. Returns the
+    positions of each pair's documents and its label from the cluster
+    matrix.
 
-    ``np.triu_indices`` lists the pairs i < j in the order of
-    ``itertools.combinations``, and the labels come from a table of the
-    clusters present, C^2 calls of ``matrix.label`` instead of one per
-    pair. The table's rows follow the clusters' first appearance, so an
-    unknown cluster raises the ConfigurationError ``generate_pairs``
-    raises first.
+    The labels come from a table of the clusters present, C^2 calls of
+    ``matrix.label`` instead of one per pair. The table's rows follow
+    the clusters' first appearance, so an unknown cluster raises the
+    ConfigurationError that names the first unknown one in the dataset.
     """
     names = {doc.cluster: None for doc in dataset}
     table = np.array([[matrix.label(a, b) for b in names] for a in names])
@@ -338,27 +307,23 @@ def _pair_arrays(
 _CHUNK = 256
 
 
-def binarize_label(label_y: float, threshold: float) -> int:
-    return 1 if label_y >= threshold else 0
-
-
-def _contrastive(dd: float, y: float, cfg: TrainConfig) -> tuple[float, float]:
-    """Contrastive loss of a pair from its squared distance ``dd = |u-v|^2``,
-    and the scale ``s`` of its gradient: dL/du = s (u-v) = -dL/dv.
+def _contrastive(dd: float, similar: bool, margin: float) -> tuple[float, float]:
+    """Contrastive loss of a pair from its squared distance ``dd = |u-v|^2``
+    and its binarized label, and the scale ``s`` of its gradient:
+    dL/du = s (u-v) = -dL/dv.
 
     The one copy of the contrastive formula, which the trainer's step
-    calls. At d = 0 a dissimilar pair costs m^2 and takes the zero
+    calls. At d = 0 a dissimilar pair costs margin^2 and takes the zero
     subgradient.
     """
-    m = cfg.margin_m
     d = math.sqrt(dd)
-    if binarize_label(y, cfg.binarize_threshold) == 1:
+    if similar:
         return d * d, 2.0
-    if d >= m:
+    if d >= margin:
         return 0.0, 0.0
     if d == 0.0:
-        return m * m, 0.0
-    return (m - d) ** 2, -2.0 * (m - d) / d
+        return margin * margin, 0.0
+    return (margin - d) ** 2, -2.0 * (margin - d) / d
 
 
 def _cosine(
@@ -394,11 +359,14 @@ def train(
 
     ``embeddings`` holds the frozen base embedding of each document, in
     dataset order; d_in is their length, and ``d_out`` (default d_in)
-    must be at least 1. The pairs are those of ``generate_pairs``, in its
-    order, held as arrays of dataset positions and labels
-    (``_pair_arrays``), and reshuffled per epoch with a seed derived from
-    (cfg.seed, epoch). Returns the final model and a per-epoch training
-    log.
+    must be an int of at least 1. The pairs are every pair of documents
+    i < j once, in ``np.triu_indices`` order permuted by
+    ``_rng(cfg.seed)``, held as arrays of dataset positions and labels
+    (``_pair_arrays``), and reshuffled per epoch by
+    ``_rng(cfg.seed, epoch)``. Under contrastive loss a pair is similar
+    when its label is at least ``cfg.binarize_threshold``; the labels are
+    binarized once, before the first step. Returns the final model and a
+    per-epoch training log.
 
     The SGD runs in dual form. Each step's gradient is
     ``outer(dL/du, a) + outer(dL/dv, b)`` with ``a``, ``b`` rows of the
@@ -451,6 +419,8 @@ def train(
         raise InputValidationError("dataset contains duplicate document ids")
     if d_out is None:
         d_out = d_in
+    if not is_integer(d_out):
+        raise InputValidationError(f"d_out must be int, got {d_out!r}")
     if d_out < 1:
         raise InputValidationError(f"d_out must be >= 1, got {d_out}")
 
@@ -463,7 +433,10 @@ def train(
     ia, ib, labels = _pair_arrays(dataset, matrix, cfg.seed)
     log = TrainingLog(pair_count=len(ia))
     lr = cfg.learning_rate
+    margin = cfg.margin_m
     contrastive = cfg.loss_kind == "contrastive"
+    if contrastive:
+        labels = labels >= cfg.binarize_threshold
     # An overflow shows as a non-finite product, checked before the first
     # step, or as a non-finite loss or gradient, checked right after each
     # step; numpy need not warn about it as well.
@@ -504,7 +477,7 @@ def train(
                         diff = dK.dot(G)
                         diff += dP
                         dd = float(diff.dot(diff))
-                        loss, scale = _contrastive(dd, y, cfg)
+                        loss, scale = _contrastive(dd, y, margin)
                         # diff is finite when dd is; a margin near the
                         # float limit can still overflow the loss.
                         if not (math.isfinite(dd) and math.isfinite(loss)):

@@ -23,6 +23,7 @@ from .errors import (
     ConfigurationError,
     InputValidationError,
     NumericError,
+    is_integer,
     require_count,
     require_finite,
     require_text,
@@ -332,6 +333,8 @@ def gcd_search(
     rendered prompt are served from the memo and add no trace entries.
     ``target`` is as in ``brute_force_search``.
     """
+    if not is_integer(max_sweeps):
+        raise InputValidationError(f"max_sweeps must be int, got {max_sweeps!r}")
     if max_sweeps < 1:
         raise InputValidationError(f"max_sweeps must be >= 1, got {max_sweeps}")
     trace = SearchTrace("gcd", target)

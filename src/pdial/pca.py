@@ -141,8 +141,10 @@ def jacobi_eigh(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eigenvalues are scaled back. Returns (eigenvalues, eigenvectors)
     sorted by descending eigenvalue, eigenvectors as rows.
     """
+    C = require_array(C, InputValidationError, "matrix", (None, None))
     n = len(C)
-    C = require_array(C, InputValidationError, "matrix", (n, n))
+    if C.shape != (n, n):
+        raise InputValidationError(f"matrix has shape {C.shape}, expected ({n}, {n})")
     if not np.array_equal(C, C.T):
         raise InputValidationError("matrix must be exactly symmetric")
     k = _scale_exponent(C)

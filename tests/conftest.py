@@ -66,7 +66,9 @@ def loss_gradient(model, ea_base, eb_base, y, cfg):
     u, v = model.W @ a, model.W @ b
     if cfg.loss_kind == "contrastive":
         diff = u - v
-        loss, scale = _contrastive(float(diff @ diff), y, cfg)
+        loss, scale = _contrastive(
+            float(diff @ diff), y >= cfg.binarize_threshold, cfg.margin_m
+        )
         dldu = scale * diff
         dldv = -dldu
     else:

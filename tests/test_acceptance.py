@@ -17,7 +17,7 @@ from pdial.llm_client import LlmBackendConfig
 from pdial.metric import (
     ProjectionModel,
     TrainConfig,
-    generate_pairs,
+    _pair_arrays,
     train,
 )
 from pdial.optimizer import (
@@ -142,19 +142,17 @@ def test_criterion_2_separation(
 
 @criterion(3, "pair labels follow the 1 / 0.35 / 0 scheme")
 def test_criterion_3_label_scheme(fixture_train_docs, fixture_matrix):
-    pairs = generate_pairs(fixture_train_docs, fixture_matrix, seed=7)
-    labels = sorted({p.label_y for p in pairs})
-    assert labels == [0.0, 0.35, 1.0]
-    counts = {0.0: 0, 0.35: 0, 1.0: 0}
-    for p in pairs:
-        counts[p.label_y] += 1
+    ia, ib, pair_labels = _pair_arrays(fixture_train_docs, fixture_matrix, seed=7)
+    labels, label_counts = np.unique(pair_labels, return_counts=True)
+    assert labels.tolist() == [0.0, 0.35, 1.0]
+    counts = dict(zip(labels.tolist(), label_counts.tolist()))
     # closed form for 3 clusters x 5 documents:
     #   same-cluster 3 * C(5,2) = 30; center-vs-pole 2 * 5 * 5 = 50;
     #   pole-vs-pole 5 * 5 = 25; total C(15,2) = 105
     assert counts[1.0] == 30
     assert counts[0.35] == 50
     assert counts[0.0] == 25
-    assert len(pairs) == 105
+    assert len(ia) == len(ib) == 105
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,12 @@ class TestHashedEmbed:
         with pytest.raises(InputValidationError):
             hashed_embed("ok", 1)
 
+    @pytest.mark.parametrize("dimension", [16.0, True], ids=["float", "bool"])
+    def test_dimension_must_be_an_int(self, dimension):
+        with pytest.raises(InputValidationError) as err:
+            hashed_embed("ok", dimension)
+        assert str(err.value) == f"dimension must be int, got {dimension!r}"
+
     @given(st.text(min_size=1, max_size=60))
     def test_unit_norm_and_determinism(self, text):
         try:

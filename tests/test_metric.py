@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import re
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -11,8 +13,7 @@ from pdial.metric import (
     PairSkip,
     ProjectionModel,
     TrainConfig,
-    binarize_label,
-    generate_pairs,
+    _pair_arrays,
     train,
 )
 
@@ -50,56 +51,62 @@ def _docs(spec):
     return [LabeledDocument(id=i, text=f"text {i}", cluster=c) for i, c in spec]
 
 
-class TestGeneratePairs:
+def _pair_list(docs, seed):
+    """``_pair_arrays`` on ``POLES_MATRIX`` as (id, id, label) triples."""
+    ia, ib, labels = _pair_arrays(docs, POLES_MATRIX, seed)
+    return [(docs[i].id, docs[j].id, y)
+            for i, j, y in zip(ia.tolist(), ib.tolist(), labels.tolist())]
+
+
+class TestPairArrays:
     def test_same_cluster_pair_labeled_one(self):
-        pairs = generate_pairs(_docs([("a", "left"), ("b", "left")]), POLES_MATRIX, 0)
-        assert len(pairs) == 1
-        assert pairs[0].label_y == 1.0
+        pairs = _pair_list(_docs([("a", "left"), ("b", "left")]), 0)
+        assert pairs == [("a", "b", 1.0)]
 
     def test_center_vs_pole_labeled_035(self):
-        pairs = generate_pairs(_docs([("a", "left"), ("b", "center")]), POLES_MATRIX, 0)
-        assert pairs[0].label_y == 0.35
+        pairs = _pair_list(_docs([("a", "left"), ("b", "center")]), 0)
+        assert pairs == [("a", "b", 0.35)]
 
     def test_pole_vs_pole_labeled_zero(self):
-        pairs = generate_pairs(_docs([("a", "left"), ("b", "right")]), POLES_MATRIX, 0)
-        assert pairs[0].label_y == 0.0
+        pairs = _pair_list(_docs([("a", "left"), ("b", "right")]), 0)
+        assert pairs == [("a", "b", 0.0)]
 
     def test_pair_count_is_n_choose_2(self):
         docs = _docs([(f"d{i}", ["left", "center", "right"][i % 3]) for i in range(9)])
-        pairs = generate_pairs(docs, POLES_MATRIX, 1)
-        assert len(pairs) == 9 * 8 // 2
+        ia, ib, labels = _pair_arrays(docs, POLES_MATRIX, 1)
+        assert len(ia) == len(ib) == len(labels) == 9 * 8 // 2
 
     def test_each_unordered_pair_exactly_once(self):
         docs = _docs([(f"d{i}", "left") for i in range(6)])
-        pairs = generate_pairs(docs, POLES_MATRIX, 3)
-        keys = {tuple(sorted((p.a, p.b))) for p in pairs}
-        assert len(keys) == len(pairs) == 15
-        assert all(p.a != p.b for p in pairs)
+        ia, ib, _ = _pair_arrays(docs, POLES_MATRIX, 3)
+        assert (ia < ib).all()
+        assert len(set(zip(ia.tolist(), ib.tolist()))) == len(ia) == 15
 
     def test_order_is_the_nested_loops_shuffled_by_the_seed(self):
         docs = _docs([(f"d{i}", ["left", "center", "right"][i % 3]) for i in range(7)])
-        nested = [(docs[i].id, docs[j].id) for i in range(7) for j in range(i + 1, 7)]
+        nested = [(i, j) for i in range(7) for j in range(i + 1, 7)]
         order = np.random.default_rng([4]).permutation(len(nested))
-        got = [(p.a, p.b) for p in generate_pairs(docs, POLES_MATRIX, 4)]
-        assert got == [nested[k] for k in order]
+        ia, ib, _ = _pair_arrays(docs, POLES_MATRIX, 4)
+        assert list(zip(ia.tolist(), ib.tolist())) == [nested[k] for k in order]
 
     def test_seed_determines_order(self):
         docs = _docs([(f"d{i}", "left") for i in range(8)])
-        p1 = generate_pairs(docs, POLES_MATRIX, 5)
-        p2 = generate_pairs(docs, POLES_MATRIX, 5)
-        p3 = generate_pairs(docs, POLES_MATRIX, 6)
-        assert p1 == p2
-        assert p1 != p3  # a different shuffle, same pair set
+        p1 = _pair_list(docs, 5)
+        assert _pair_list(docs, 5) == p1
+        p3 = _pair_list(docs, 6)
+        assert p3 != p1 and sorted(p3) == sorted(p1)  # a different shuffle
+
+    @pytest.mark.parametrize("seed", [0, 4, 9, -3, 2**63 - 1])
+    def test_equal_to_the_object_oracle_in_order(self, seed):
+        docs = _docs([(f"d{n}", ["right", "left", "center"][n % 3])
+                      for n in range(12)])
+        assert _pair_list(docs, seed) == [
+            (p.a, p.b, p.label_y) for p in generate_pairs(docs, POLES_MATRIX, seed)
+        ]
 
     def test_unknown_cluster_is_config_error(self):
         with pytest.raises(ConfigurationError):
-            generate_pairs(
-                _docs([("a", "left"), ("b", "uptown")]), POLES_MATRIX, 0
-            )
-
-    def test_single_document_rejected(self):
-        with pytest.raises(InputValidationError):
-            generate_pairs(_docs([("a", "left")]), POLES_MATRIX, 0)
+            _pair_arrays(_docs([("a", "left"), ("b", "uptown")]), POLES_MATRIX, 0)
 
 
 class TestTrainConfig:
@@ -217,12 +224,6 @@ class TestLosses:
             if loss == 0.0:
                 assert (y == 1 and d == 0.0) or (y == 0 and d >= m)
 
-    def test_binarize_threshold(self):
-        assert binarize_label(0.35, 0.5) == 0
-        assert binarize_label(0.5, 0.5) == 1
-        assert binarize_label(1.0, 0.5) == 1
-        assert binarize_label(0.35, 0.3) == 1
-
 
 def _fd_gradient(W, a, b, y, cfg, h=1e-5):
     """Central finite differences of the pair loss with respect to W."""
@@ -319,7 +320,7 @@ class TestLossOracles:
                 margin_m=float(rng.uniform(0.5, 3.0)),
                 binarize_threshold=float(rng.uniform(0.1, 0.9)),
             )
-            y_bin = binarize_label(y, cfg.binarize_threshold)
+            y_bin = int(y >= cfg.binarize_threshold)
             model = ProjectionModel.from_weights(W)
             loss, _ = loss_gradient(model, a, b, y, cfg)
             assert loss == pytest.approx(
@@ -498,6 +499,13 @@ class TestTrain:
         with pytest.raises(InputValidationError, match="d_out must be >= 1"):
             train(docs, POLES_MATRIX, [np.ones(8)] * 2, TrainConfig(), d_out=d_out)
 
+    @pytest.mark.parametrize("d_out", [2.0, True], ids=["float", "bool"])
+    def test_d_out_must_be_an_int(self, d_out):
+        docs = _docs([("a", "left"), ("b", "right")])
+        with pytest.raises(InputValidationError) as err:
+            train(docs, POLES_MATRIX, [np.ones(8)] * 2, TrainConfig(), d_out=d_out)
+        assert str(err.value) == f"d_out must be int, got {d_out!r}"
+
     def test_d_in_taken_from_embeddings(self):
         docs = _docs([("a", "left"), ("b", "right"), ("c", "center")])
         rows = list(np.eye(5)[:3])
@@ -527,6 +535,30 @@ class TestTrain:
             with pytest.raises(NumericError, match="non-finite weights"):
                 train(docs, POLES_MATRIX, list(np.eye(2)), cfg)
 
+    @pytest.mark.parametrize("threshold, similar", [(0.35, 30 + 50), (0.36, 30)])
+    def test_a_label_at_the_threshold_counts_as_similar(
+        self, fixture_train_docs, fixture_matrix, fixture_train_embeddings,
+        monkeypatch, threshold, similar,
+    ):
+        """Contrastive loss takes a pair as similar when its label is at
+        least the threshold: the 50 center-vs-pole pairs (label 0.35) join
+        the 30 same-cluster pairs at threshold 0.35, not at 0.36."""
+        import pdial.metric as metric_mod
+
+        real = metric_mod._contrastive
+        seen = []
+
+        def spy(dd, is_similar, margin):
+            seen.append(is_similar)
+            return real(dd, is_similar, margin)
+
+        monkeypatch.setattr(metric_mod, "_contrastive", spy)
+        cfg = TrainConfig(epochs=1, seed=7, binarize_threshold=threshold)
+        train(fixture_train_docs, fixture_matrix, fixture_train_embeddings, cfg)
+        assert len(seen) == 105
+        assert all(type(flag) is bool for flag in seen)
+        assert sum(seen) == similar
+
     def test_skipped_pairs_counted(
         self, fixture_train_docs, fixture_matrix, fixture_train_embeddings,
         monkeypatch,
@@ -549,6 +581,31 @@ class TestTrain:
         )
         assert log.pair_count == 105
         assert log.epoch_skipped_pairs[0] == 10  # every 10th of 105 pairs
+
+
+class TrainingPair(NamedTuple):
+    """One training pair by document ids, as the trainer took its pairs
+    before they became arrays."""
+
+    a: str
+    b: str
+    label_y: float
+
+
+def generate_pairs(dataset, matrix, seed):
+    """The pair list the trainer once drew: every unordered document pair
+    once, in ``itertools.combinations`` order, labeled from the cluster
+    matrix and shuffled by ``_rng(seed)``. The oracle for
+    ``metric._pair_arrays`` and for the pair order of the oracle trainers
+    below."""
+    from pdial.metric import _rng
+
+    pairs = [
+        TrainingPair(a.id, b.id, matrix.label(a.cluster, b.cluster))
+        for a, b in itertools.combinations(dataset, 2)
+    ]
+    order = _rng(seed).permutation(len(pairs))
+    return [pairs[k] for k in order]
 
 
 def _primal_train(dataset, matrix, embeddings, cfg, d_out=None):
@@ -610,7 +667,9 @@ def _full_width_train(dataset, matrix, embeddings, cfg, d_out=None):
             if cfg.loss_kind == "contrastive":
                 diff = (P0[i] - P0[j]) + (K[i] - K[j]) @ G
                 dd = float(diff @ diff)
-                loss, scale = _contrastive(dd, pair.label_y, cfg)
+                loss, scale = _contrastive(
+                    dd, pair.label_y >= cfg.binarize_threshold, cfg.margin_m
+                )
                 if not (np.isfinite(dd) and np.isfinite(loss)):
                     raise _diverged(dataset, epoch, step, i, j)
                 if scale:
@@ -694,7 +753,10 @@ def _row_space_train(dataset, matrix, embeddings, cfg, d_out=None):
                 if contrastive:
                     diff = (P_rows[i] - P_rows[j]) + (K_rows[i] - K_rows[j]) @ G
                     dd = float(diff @ diff)
-                    loss, scale = _contrastive(dd, pairs[k].label_y, cfg)
+                    loss, scale = _contrastive(
+                        dd, pairs[k].label_y >= cfg.binarize_threshold,
+                        cfg.margin_m,
+                    )
                     if not (math.isfinite(dd) and math.isfinite(loss)):
                         raise diverged(epoch, step, pairs[k])
                     if scale:
@@ -818,20 +880,7 @@ class TestPairArrayTraining:
             assert dldu.tobytes() == ref_dldu.tobytes()
             assert dldv.tobytes() == ref_dldv.tobytes()
 
-    def test_pair_arrays_are_the_generated_pairs(self):
-        from pdial.metric import _pair_arrays
-
-        docs = _docs([(f"d{n}", ["right", "left", "center"][n % 3])
-                      for n in range(12)])
-        ia, ib, labels = _pair_arrays(docs, POLES_MATRIX, 9)
-        pairs = generate_pairs(docs, POLES_MATRIX, 9)
-        assert [(docs[i].id, docs[j].id, y)
-                for i, j, y in zip(ia.tolist(), ib.tolist(), labels.tolist())
-                ] == [(p.a, p.b, p.label_y) for p in pairs]
-
     def test_pair_arrays_name_the_first_unknown_cluster(self):
-        from pdial.metric import _pair_arrays
-
         docs = _docs([("a", "left"), ("b", "up"), ("c", "down"), ("d", "up")])
         with pytest.raises(ConfigurationError) as ref:
             generate_pairs(docs, POLES_MATRIX, 0)
@@ -981,16 +1030,16 @@ class TestDualTraining:
         real = metric_mod._contrastive
         zero_distance = []
 
-        def spy(dd, y, cfg):
-            loss, scale = real(dd, y, cfg)
+        def spy(dd, similar, margin):
+            loss, scale = real(dd, similar, margin)
             if dd == 0.0:
-                zero_distance.append((y, loss, scale))
+                zero_distance.append((similar, loss, scale))
             return loss, scale
 
         monkeypatch.setattr(metric_mod, "_contrastive", spy)
         model, log = train(docs, fixture_matrix, embeddings, cfg, d_out=d_out)
         monkeypatch.undo()
-        assert zero_distance == [(0.0, 1.0, 0.0)] * 5  # one step per epoch
+        assert zero_distance == [(False, 1.0, 0.0)] * 5  # one step per epoch
         assert log.epoch_skipped_pairs == [0] * 5
         np.testing.assert_array_equal(
             model.project(embeddings[0]), model.project(embeddings[10])
@@ -1031,17 +1080,17 @@ class TestDualTraining:
         real = metric_mod._contrastive
         zero_distance = []
 
-        def spy(dd, y, cfg):
-            loss, scale = real(dd, y, cfg)
+        def spy(dd, similar, margin):
+            loss, scale = real(dd, similar, margin)
             if dd == 0.0:
-                zero_distance.append((y, loss, scale))
+                zero_distance.append((similar, loss, scale))
             return loss, scale
 
         monkeypatch.setattr(ProjectionModel, "project", project_apart)
         monkeypatch.setattr(metric_mod, "_contrastive", spy)
         train(fixture_train_docs, fixture_matrix, embeddings, cfg, d_out=d_out)
         monkeypatch.undo()
-        assert zero_distance == [(0.0, 1.0, 0.0)] * 5  # one step per epoch
+        assert zero_distance == [(False, 1.0, 0.0)] * 5  # one step per epoch
 
 
 class TestSpanFactorsWeights:

@@ -676,6 +676,16 @@ class TestGcdSearch:
         with pytest.raises(InputValidationError):
             gcd_search(spec, target, space, llm, max_sweeps=0)
 
+    @pytest.mark.parametrize("max_sweeps", [1.5, True], ids=["float", "bool"])
+    def test_max_sweeps_must_be_an_int(self, max_sweeps):
+        """A float or a bool is no sweep count: ``True`` does not run one
+        sweep."""
+        spec = PromptSpec(base_phrases=("q",))
+        space, llm, target = _loss_table_world(spec, {(0,): 0.1})
+        with pytest.raises(InputValidationError) as err:
+            gcd_search(spec, target, space, llm, max_sweeps=max_sweeps)
+        assert str(err.value) == f"max_sweeps must be int, got {max_sweeps!r}"
+
     def test_best_so_far_monotone_on_both_searches(self):
         spec = PromptSpec(
             base_phrases=("q0", "q1", "q2"), slots=(("a0", "a1", "a2"),)

@@ -187,6 +187,20 @@ class TestJacobiEigh:
         with pytest.raises(InputValidationError):
             jacobi_eigh(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize(
+        "C", [5.0, np.float64(2.0), np.array(3.0)],
+        ids=["float", "float64", "0-d-array"],
+    )
+    def test_scalar_rejected(self, C):
+        with pytest.raises(InputValidationError) as err:
+            jacobi_eigh(C)
+        assert str(err.value) == "matrix has shape (), expected (any, any)"
+
+    def test_non_square_rejected(self):
+        with pytest.raises(InputValidationError) as err:
+            jacobi_eigh(np.ones((2, 3)))
+        assert str(err.value) == "matrix has shape (2, 3), expected (2, 2)"
+
     def test_sweep_budget_exhaustion_raises(self, monkeypatch):
         monkeypatch.setattr(pca_mod, "JACOBI_MAX_SWEEPS", 0)
         C = np.array([[2.0, 1.0], [1.0, 2.0]])

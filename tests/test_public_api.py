@@ -24,7 +24,6 @@ def test_core_names_exported():
         "SearchTrace",
         "hashed_embed",
         "embed_batch",
-        "generate_pairs",
         "train",
         "fit_pca",
         "pca_transform",
@@ -45,9 +44,9 @@ def test_every_export_resolves_and_is_listed():
         "LabeledDocument", "LlmBackendConfig", "NumericError", "PcaModel",
         "PdialError", "PerspectivePoint", "PerspectiveSpace", "ProjectionModel",
         "PromptAssignment", "PromptSpec", "ProtocolError", "SearchTrace",
-        "SimilarityReport", "TrainConfig", "TrainingPair", "brute_force_search",
+        "SimilarityReport", "TrainConfig", "brute_force_search",
         "cluster_similarity_report", "complete", "embed_batch", "fit_pca",
-        "gcd_search", "generate_pairs", "hashed_embed", "jacobi_eigh",
+        "gcd_search", "hashed_embed", "jacobi_eigh",
         "loss_to_target", "render_prompt", "train",
         "pca_transform",
     ])
@@ -107,6 +106,20 @@ def test_metric_holds_each_training_formula_once():
     assert {"_contrastive", "_cosine"} <= set(pdial.metric.train.__code__.co_names)
 
 
+def test_pair_arrays_are_the_one_statement_of_the_pairs():
+    """``metric._pair_arrays`` alone states the training pairs and their
+    labels: no pair object, pair list or label binarizer is left in the
+    package."""
+    source = "\n".join(
+        path.read_text(encoding="utf-8")
+        for path in Path(pdial.__file__).parent.glob("*.py")
+    )
+    for name in ("TrainingPair", "generate_pairs", "binarize_label"):
+        assert name not in source, name
+        assert not hasattr(pdial, name), name
+    assert "_pair_arrays" in pdial.metric.train.__code__.co_names
+
+
 def _points(texts):
     space = pdial.PerspectiveSpace(
         pdial.ProjectionModel.from_weights(np.eye(8)),
@@ -147,8 +160,6 @@ _TEXT_ENTRY_POINTS = {
         lambda v: pdial.SearchTrace(v, pdial.PerspectivePoint(0.0, 0.0)), "mode"
     ),
     "Evaluation-prompt": (lambda v: _evaluation(prompt=v), "prompt"),
-    "TrainingPair-a": (lambda v: pdial.TrainingPair(v, "b", 1.0), "a"),
-    "TrainingPair-b": (lambda v: pdial.TrainingPair("a", v, 1.0), "b"),
     "PointGroup-label": (lambda v: pdial.plotting.PointGroup(v, ()), "label"),
 }
 _TEXT_LIST_ENTRY_POINTS = {
@@ -217,8 +228,6 @@ _SCALAR_NUMBER_FIELDS = {
     "PerspectivePoint-y": (lambda v: pdial.PerspectivePoint(0.0, v),
                            "perspective point y", "finite"),
     "Evaluation-loss": (lambda v: _evaluation(loss=v), "loss", "finite"),
-    "TrainingPair-label_y": (lambda v: pdial.TrainingPair("a", "b", v),
-                             "label_y", "finite"),
     "PromptAssignment-base_index": (lambda v: pdial.PromptAssignment(v),
                                     "base_index", "count"),
     "PromptAssignment-choices": (lambda v: pdial.PromptAssignment(0, (0, v)),
@@ -315,7 +324,6 @@ def test_number_holders_store_floats_and_keep_float64_arrays():
     assert (type(point.x), type(point.y)) == (float, float)
     assert repr(point) == "PerspectivePoint(x=1.0, y=-2.0)"
     assert type(_evaluation(loss=3).loss) is float
-    assert type(pdial.TrainingPair("a", "b", 1).label_y) is float
     coef, basis = np.ones((1, 2)), np.zeros((1, 2))
     model = pdial.ProjectionModel(coef, basis)
     assert model.coef is coef and model.basis is basis
