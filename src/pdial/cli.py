@@ -106,12 +106,26 @@ def _llm_cfg(args: argparse.Namespace) -> LlmBackendConfig:
     )
 
 
+def _output_path(value: str) -> str:
+    """An output flag's value; one that names no file ("", ".", "/")
+    is a usage error."""
+    if not Path(value).name:
+        raise argparse.ArgumentTypeError(f"must name a file, got {value!r}")
+    return value
+
+
 def _check_paths(inputs: list[str], outputs: list[str]) -> None:
-    """Refuse an output that resolves to another output or to an input,
-    so that a command never writes over its own files; a blank path is a
-    flag not given."""
+    """Refuse an output that is a directory, or whose directory is
+    missing, and one that resolves to another output or to an input, so
+    that a command neither fails on its first write nor writes over its
+    own files; a blank path is a flag not given."""
     seen = {os.path.realpath(p): f"input {p}" for p in inputs if p}
     for path in filter(None, outputs):
+        if os.path.isdir(path):
+            raise ConfigurationError(f"output {path} is a directory")
+        parent = os.path.dirname(path)
+        if not os.path.isdir(parent or "."):
+            raise ConfigurationError(f"output {path}: {parent} is not a directory")
         real = os.path.realpath(path)
         if real in seen:
             raise ConfigurationError(
@@ -323,7 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="train the projection head")
     p_train.add_argument("--data", required=True, help="training JSONL")
     p_train.add_argument("--matrix", required=True, help="cluster matrix JSON")
-    p_train.add_argument("--out", required=True, help="model output path")
+    p_train.add_argument(
+        "--out", required=True, type=_output_path, help="model output path"
+    )
     p_train.add_argument("--log-out", default="", help="training log path")
     cfg = TrainConfig()
     p_train.add_argument(
@@ -355,8 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--model", required=True)
     p_eval.add_argument("--train", required=True, help="train split JSONL")
     p_eval.add_argument("--test", required=True, help="test split JSONL")
-    p_eval.add_argument("--out-json", required=True)
-    p_eval.add_argument("--out-text", required=True)
+    p_eval.add_argument("--out-json", required=True, type=_output_path)
+    p_eval.add_argument("--out-text", required=True, type=_output_path)
     _add_embedding_flags(p_eval)
     p_eval.set_defaults(func=cmd_eval)
 
@@ -372,7 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--data", default="",
         help="training JSONL (for --target-cluster centroids)",
     )
-    p_opt.add_argument("--out-trace", required=True, help="trace JSONL path")
+    p_opt.add_argument(
+        "--out-trace", required=True, type=_output_path, help="trace JSONL path"
+    )
     p_opt.add_argument(
         "--max-sweeps", type=int,
         help="GCD sweep limit (default: 10)",
@@ -388,7 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot.add_argument("--trace", default="", help="trace JSONL to plot")
     p_plot.add_argument("--target-x", type=float, default=None)
     p_plot.add_argument("--target-y", type=float, default=None)
-    p_plot.add_argument("--out", required=True, help="SVG output path")
+    p_plot.add_argument(
+        "--out", required=True, type=_output_path, help="SVG output path"
+    )
     _add_embedding_flags(p_plot)
     p_plot.set_defaults(func=cmd_plot)
 
@@ -405,6 +425,9 @@ def main(argv: list[str] | None = None) -> int:
         if isinstance(exc, (ConfigurationError, InputValidationError)):
             return EXIT_CONFIG
         return EXIT_NUMERIC
+    except MemoryError as exc:  # a size no machine holds, e.g. --dim 10**15
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 def entrypoint() -> None:

@@ -15,10 +15,8 @@ settling the pair is the whole matrix diagonalized with Jacobi
 rotations in the round-robin order of Brent and Luk, where each step
 rotates n/2 disjoint pairs at once as one batched numpy update: exact
 for symmetric input, dependency-free, and easy to check against a
-reference eigensolver. Each step's index plan is built once per call,
-and one row pass rotates the matrix and its eigenvectors. The top
-components define the user-facing 2-D perspective space. Non-finite
-input is rejected.
+reference eigensolver. The top components define the user-facing 2-D
+perspective space. Non-finite input is rejected.
 
 The solvers and the fit work on their input divided by a power of two
 that brings its largest entry into [0.5, 1), and scale the results
@@ -129,17 +127,15 @@ def jacobi_eigh(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Each sweep visits every off-diagonal pair once, in the round-robin
     order of Brent and Luk (1985): ``_round_robin`` splits the pairs
     into steps of disjoint pairs, and each step rotates all its pairs
-    at once as one batched update of rows, columns and eigenvectors.
-    The plan of each step (its flat indices into ``A``) is built once
-    per call, and ``A`` and the transposed eigenvectors ``V^T`` are the
-    two halves of one ``(2, n, n)`` buffer, so one row pass rotates the
-    rows of ``A`` and the columns of ``V``. Pairs whose entry is already
-    zero are not rotated. Sweeps run until the off-diagonal Frobenius
-    norm drops below ``JACOBI_REL_TOL`` times the Frobenius norm of the
-    input, or fail after ``JACOBI_MAX_SWEEPS`` sweeps. The sweeps run on
-    the input scaled by ``2**-k`` (see the module docstring), and the
-    eigenvalues are scaled back. Returns (eigenvalues, eigenvectors)
-    sorted by descending eigenvalue, eigenvectors as rows.
+    at once as one batched update of the rows and columns of ``A`` and
+    the rows of the transposed eigenvectors ``V^T``. Pairs whose entry
+    is already zero are not rotated. Sweeps run until the off-diagonal
+    Frobenius norm drops below ``JACOBI_REL_TOL`` times the Frobenius
+    norm of the input, or fail after ``JACOBI_MAX_SWEEPS`` sweeps. The
+    sweeps run on the input scaled by ``2**-k`` (see the module
+    docstring), and the eigenvalues are scaled back. Returns
+    (eigenvalues, eigenvectors) sorted by descending eigenvalue,
+    eigenvectors as rows.
     """
     C = require_array(C, InputValidationError, "matrix", (None, None))
     n = len(C)
@@ -148,13 +144,9 @@ def jacobi_eigh(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not np.array_equal(C, C.T):
         raise InputValidationError("matrix must be exactly symmetric")
     k = _scale_exponent(C)
-    AVt = np.empty((2, n, n))
-    A, Vt = AVt
-    np.ldexp(C, -k, out=A)
-    Vt[...] = np.eye(n)
-    flat = A.reshape(-1)  # a view
-    frob = float(np.linalg.norm(A))
-    tol = JACOBI_REL_TOL * frob
+    A = np.ldexp(C, -k)
+    Vt = np.eye(n)
+    tol = JACOBI_REL_TOL * float(np.linalg.norm(A))
     off_mask = ~np.eye(n, dtype=bool)
 
     def off_norm() -> float:
@@ -163,77 +155,56 @@ def jacobi_eigh(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # sqrt(eps)*|A| to cancellation.
         return float(np.sqrt(np.sum(A[off_mask] ** 2)))
 
-    converged = off_norm() <= tol
     sweeps = 0
-    plan = [_step_plan(n, *step) for step in _round_robin(n)]
-    cos = np.empty(n)
-    sin = np.empty(n)
-    cos_rows, sin_rows = cos[:, None], sin[:, None]  # views
-    # Each step gathers its swapped rows and columns into these. The
-    # indices are in range, so mode="clip" changes no index; it lets
-    # np.take write straight into ``out`` instead of through a buffer.
-    rows = np.empty((2, n, n))
-    cols = np.empty((n, n))
+    steps = _round_robin(n)
     # Entries of the scaled input cannot overflow in a rotation; only
-    # theta can, for a tiny apq, and its square, handled below.
+    # theta can, for a tiny apq: to inf for a subnormal one, where t is 0.
     with np.errstate(over="ignore"):
-        while not converged:
+        while off_norm() > tol:
             if sweeps >= JACOBI_MAX_SWEEPS:
                 off, limit = np.ldexp([off_norm(), tol], k)
                 raise NumericError(
                     f"Jacobi eigensolver did not converge in {JACOBI_MAX_SWEEPS} "
                     f"sweeps (off-diagonal norm {off:.3e}, tolerance {limit:.3e})"
                 )
-            for at, swap in plan:
-                aqq, app, apq = flat.take(at[2:5])
+            for P, Q, swap in steps:
+                apq = A[P, Q]
                 if not apq.all():
                     rotate = apq != 0.0
-                    aqq, app, apq = aqq[rotate], app[rotate], apq[rotate]
-                    at = at[:, rotate]
-                theta = (aqq - app) / (2.0 * apq)
-                sign = np.where(theta >= 0.0, 1.0, -1.0)
-                abs_theta = np.abs(theta)
-                t = sign / (abs_theta + np.sqrt(theta * theta + 1.0))
-                if abs_theta.max(initial=0.0) > 1e150:  # theta**2 may overflow
-                    huge = abs_theta > 1e150
-                    t[huge] = 1.0 / (2.0 * theta[huge])
+                    P, Q, apq = P[rotate], Q[rotate], apq[rotate]
+                theta = (A[Q, Q] - A[P, P]) / (2.0 * apq)
+                huge = np.abs(theta) > 1e150  # theta**2 would overflow
+                tame = np.where(huge, 0.0, theta)
+                t = np.where(theta >= 0.0, 1.0, -1.0) / (
+                    np.abs(tame) + np.sqrt(tame * tame + 1.0)
+                )
+                t[huge] = 1.0 / (2.0 * theta[huge])
                 c = 1.0 / np.sqrt(t * t + 1.0)
                 s = t * c
                 # Row k becomes cos[k] * row k + sin[k] * row swap[k]: for
                 # a rotated pair (p, q) that is c*row_p - s*row_q and
                 # s*row_p + c*row_q; every other row keeps cos 1 and sin
-                # 0, under the step's full swap.
-                cos.fill(1.0)
-                sin.fill(0.0)
-                cos.put(at[:2], c)  # c repeats: cos[Q] = cos[P] = c
-                sin.put(at[0], s)
-                sin.put(at[1], -s)
-                np.take(AVt, swap, axis=1, out=rows, mode="clip")
-                rows *= sin_rows
-                AVt *= cos_rows
-                AVt += rows
-                np.take(A, swap, axis=1, out=cols, mode="clip")
+                # 0, under the step's full swap. The columns of A follow,
+                # and the rows of V^T as the rows of A.
+                cos = np.ones(n)
+                sin = np.zeros(n)
+                cos[P] = cos[Q] = c
+                sin[P], sin[Q] = -s, s
+                for M in (A, Vt):
+                    rows = M[swap]
+                    rows *= sin[:, None]
+                    M *= cos[:, None]
+                    M += rows
+                cols = A[:, swap]
                 cols *= sin
                 A *= cos
                 A += cols
-                flat.put(at[4:], 0.0)
+                A[P, Q] = A[Q, P] = 0.0
             sweeps += 1
-            converged = off_norm() <= tol
 
     eigvals = _unscale(np.diag(A), k, "an eigenvalue")
     order = np.argsort(-eigvals, kind="stable")
     return eigvals[order], Vt[order]
-
-
-def _step_plan(
-    n: int, P: np.ndarray, Q: np.ndarray, swap: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """A ``_round_robin`` step ``(P, Q, swap)`` as ``jacobi_eigh`` runs it
-    on an n x n matrix: ``(at, swap)``, where the rows of ``at`` are the
-    rotated rows ``Q`` and ``P``, the flat indices ``q*n+q``, ``p*n+p``
-    and ``p*n+q`` of the entries the step reads, and ``q*n+p``, which it
-    zeroes with ``p*n+q``."""
-    return np.array([Q, P, Q * n + Q, P * n + P, P * n + Q, Q * n + P]), swap
 
 
 def _scale_exponent(a: np.ndarray) -> int:

@@ -116,17 +116,23 @@ def write_bytes_atomic(path: str | Path, data: bytes) -> None:
     error while writing leaves any existing file as it was and removes
     the temporary file; a process killed mid-write also leaves the
     existing file intact. Without an fsync this does not guard against
-    power loss.
+    power loss. A target that cannot be written (its directory is
+    missing, it is a directory, the disk is full) is a
+    ConfigurationError naming it.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     try:
-        with open(tmp, "xb") as f:
-            f.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        try:
+            with open(tmp, "xb") as f:
+                f.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        # strerror: the message of exc names the random temporary file
+        raise ConfigurationError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:

@@ -740,6 +740,132 @@ def test_an_output_on_another_path_exits_2_and_touches_nothing(
     assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
 
+_PLOT = ["plot", "--pca", "{tmp}/pca.json", "--model", "{tmp}/model.json",
+         "--data", "{train}", "--dim", "64"]
+_UNWRITABLE = {  # the flag that names the output, and the command line
+    "model-in-missing-dir": ("--out", [*_TRAIN, "--out", "{tmp}/missing/m.bin"]),
+    "model-onto-a-directory": ("--out", [*_TRAIN, "--out", "{tmp}/sub"]),
+    "log-in-missing-dir": ("--log-out", [
+        *_TRAIN, "--out", "{tmp}/m.bin", "--log-out", "{tmp}/missing/l.json",
+    ]),
+    "pca-onto-a-directory": ("--pca-out", [
+        *_TRAIN, "--out", "{tmp}/m.bin", "--pca-out", "{tmp}/sub/",
+    ]),
+    "report-in-missing-dir": ("--out-text", [
+        "eval", "--model", "{tmp}/model.json", "--train", "{train}",
+        "--test", "{train}", "--out-json", "{tmp}/r.json",
+        "--out-text", "{tmp}/missing/r.txt", "--dim", "64",
+    ]),
+    "trace-onto-a-directory": ("--out-trace", [
+        "optimize", "--model", "{tmp}/model.json", "--pca", "{tmp}/pca.json",
+        "--prompts", "{prompts}", "--target-x", "0", "--target-y", "0",
+        "--out-trace", "{tmp}/sub", "--dim", "64",
+    ]),
+    "svg-in-missing-relative-dir": ("--out", [*_PLOT, "--out", "missing/x.svg"]),
+    "svg-in-a-file": ("--out", [*_PLOT, "--out", "{tmp}/model.json/x.svg"]),
+}
+
+
+@pytest.mark.parametrize(
+    "flag,argv", list(_UNWRITABLE.values()), ids=list(_UNWRITABLE)
+)
+def test_an_output_that_cannot_be_written_exits_2_before_any_input(
+    trained, tmp_path, capsys, monkeypatch, flag, argv
+):
+    """An output whose directory is missing, or which is a directory, is
+    refused by name before any input is read, so no output is written
+    either (a training log that cannot be written used to fail after
+    the model was)."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    names = dict(
+        tmp=tmp_path, train=FIXTURES / "train.jsonl",
+        matrix=FIXTURES / "matrix.json", prompts=FIXTURES / "prompts.json",
+    )
+    argv = [a.format(**names) for a in argv]
+    assert main(argv) == 2
+    path = re.escape(argv[argv.index(flag) + 1])
+    assert re.fullmatch(
+        rf"error: output {path}( is a directory|: \S+ is not a directory)\n",
+        capsys.readouterr().err,
+    )
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
+def test_an_output_in_a_missing_directory_exits_2_without_a_traceback(tmp_path):
+    """The same refusal from the command line, in a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")])
+    )
+    done = subprocess.run(
+        [
+            sys.executable, "-m", "pdial.cli", "train",
+            "--data", str(FIXTURES / "train.jsonl"),
+            "--matrix", str(FIXTURES / "matrix.json"),
+            "--out", "missing-dir/model.bin", "--dim", "64",
+        ],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 2, done.stderr
+    assert done.stderr == (
+        "error: output missing-dir/model.bin: missing-dir is not a directory\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", ["", "."])
+@pytest.mark.parametrize("command,flag", [
+    ("train", "--out"), ("eval", "--out-json"), ("eval", "--out-text"),
+    ("optimize", "--out-trace"), ("plot", "--out"),
+])
+def test_a_required_output_that_names_no_file_is_a_usage_error(
+    tmp_path, capsys, monkeypatch, command, flag, value
+):
+    """argparse refuses it, before any path is derived from it or any
+    input is read; the inputs named here do not exist."""
+    monkeypatch.chdir(tmp_path)
+    argv = [command, *_MINIMAL_ARGV[command]]
+    argv[argv.index(flag) + 1] = value
+    with pytest.raises(SystemExit) as done:
+        main(argv)
+    assert done.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: argument {flag}: must name a file, got {value!r}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_empty_optional_output_is_a_flag_not_given(tmp_path, capsys):
+    argv = [
+        *_TRAIN, "--out", "{tmp}/m.bin", "--log-out", "", "--pca-out", "",
+    ]
+    names = dict(
+        tmp=tmp_path, train=FIXTURES / "train.jsonl", matrix=FIXTURES / "matrix.json"
+    )
+    assert main([a.format(**names) for a in argv]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.bin", "m.log.json"]
+
+
+@pytest.mark.parametrize("flags", [
+    ["--dim", "64", "--d-out", str(10**12)], ["--dim", str(10**15)],
+], ids=["d-out", "dim"])
+def test_a_size_no_machine_can_hold_exits_2(tmp_path, capsys, flags):
+    """A 10**12 x 64 head and a 10**15-entry embedding are 466 TiB and 7
+    PiB, beyond the 128 TiB a process can address, so the allocation
+    fails at once and no test can really make it."""
+    argv = [
+        "train", "--data", str(FIXTURES / "train.jsonl"),
+        "--matrix", str(FIXTURES / "matrix.json"),
+        "--out", str(tmp_path / "m.bin"), *flags,
+    ]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: "), err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command,role", [
     ("train", "--data"), ("train", "--pca-data"), ("eval", "--train"),
     ("eval", "--test"), ("optimize", "--data"),

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -69,65 +70,6 @@ def cyclic_jacobi_eigh(C):
     eigvals = np.diag(A).copy()
     order = np.argsort(-eigvals, kind="stable")
     return eigvals[order], V[:, order].T, huge
-
-
-def batched_jacobi_eigh(C):
-    """The round-robin solver as it was before its steps were planned once
-    per call: each step indexes ``A`` by its pairs, fills fresh cos/sin
-    vectors, and rotates ``A`` and ``V`` in separate column passes. The
-    oracle that ``jacobi_eigh`` must match bit for bit."""
-    A = np.array(C, dtype=np.float64, copy=True)
-    n = A.shape[0]
-    k = pca_mod._scale_exponent(A)
-    A = np.ldexp(A, -k)
-    V = np.eye(n)
-    tol = pca_mod.JACOBI_REL_TOL * float(np.linalg.norm(A))
-    off_mask = ~np.eye(n, dtype=bool)
-
-    def off_norm():
-        return float(np.sqrt(np.sum(A[off_mask] ** 2)))
-
-    sweeps = 0
-    while off_norm() > tol:
-        assert sweeps < pca_mod.JACOBI_MAX_SWEEPS
-        for P, Q, swap in _round_robin(n):
-            apq = A[P, Q]
-            if not apq.all():
-                rotate = apq != 0.0
-                P, Q, apq = P[rotate], Q[rotate], apq[rotate]
-            theta = (A[Q, Q] - A[P, P]) / (2.0 * apq)
-            huge = np.abs(theta) > 1e150
-            tame = np.where(huge, 0.0, theta)
-            t = np.where(theta >= 0.0, 1.0, -1.0) / (
-                np.abs(tame) + np.sqrt(tame * tame + 1.0)
-            )
-            t[huge] = 1.0 / (2.0 * theta[huge])
-            c = 1.0 / np.sqrt(t * t + 1.0)
-            s = t * c
-            cos = np.ones(n)
-            sin = np.zeros(n)
-            cos[P] = c
-            cos[Q] = c
-            sin[P] = -s
-            sin[Q] = s
-            rows = A[swap]
-            rows *= sin[:, None]
-            A *= cos[:, None]
-            A += rows
-            cols = A[:, swap]
-            cols *= sin
-            A *= cos
-            A += cols
-            A[P, Q] = 0.0
-            A[Q, P] = 0.0
-            cols = V[:, swap]
-            cols *= sin
-            V *= cos
-            V += cols
-        sweeps += 1
-    eigvals = pca_mod._unscale(np.diag(A), k, "an eigenvalue")
-    order = np.argsort(-eigvals, kind="stable")
-    return eigvals[order], V[:, order].T
 
 
 def _random_symmetric(n, seed):
@@ -278,20 +220,41 @@ class TestRoundRobinJacobi:
         np.testing.assert_allclose(vec @ vec.T, np.eye(7), rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(vec @ C, ev[:, None] * vec, rtol=0.0, atol=1e-12)
 
-    def test_huge_theta_branch(self):
+    @pytest.mark.parametrize("coupling", [1e-160, 1e-200])
+    def test_huge_theta_branch(self, coupling):
         """A coupling of 1e-160 between diagonal entries 1 apart gives
         |theta| ~ 5e159, whose square would overflow. The 1/(2 theta)
         branch rotates the pair anyway, so the eigenvector of eigenvalue
-        ~1 picks up its ~1e-160 components (first order: -2e-160 and
-        1e-160); an unrotated pair would leave them 0."""
-        C = np.array([[1.0, 1e-160, 0.0], [1e-160, 2.0, 1.0], [0.0, 1.0, 3.0]])
+        ~1 picks up its components of the coupling's size (first order:
+        -2 and 1 times it); an unrotated pair would leave them 0."""
+        C = np.array([[1.0, coupling, 0.0], [coupling, 2.0, 1.0], [0.0, 1.0, 3.0]])
         ev_ref, vec_ref, huge = cyclic_jacobi_eigh(C)
         assert huge > 0
         with np.errstate(over="raise"):
             ev, vec = jacobi_eigh(C)
         _assert_same_eigensystem((ev, vec), (ev_ref, vec_ref))
         v = vec[int(np.argmin(np.abs(ev - 1.0)))]
-        assert 1e-161 < abs(v[1]) < 1e-159 and 1e-161 < abs(v[2]) < 1e-159
+        for entry in v[1:]:
+            assert coupling / 10 < abs(entry) < coupling * 10, v
+
+    def test_subnormal_coupling_overflows_theta_without_a_warning(self):
+        """A coupling of 1e-320 is subnormal: theta = 1 / (2 apq)
+        overflows to inf, t = 1 / (2 theta) is 0, and the pair turns by
+        no angle at all. The overflow is expected, so it must not warn
+        (the suite turns warnings into errors). The bytes are those the
+        solver gave before its round-robin steps lost their index plans."""
+        C = np.array([[1.0, 1e-320, 0.0], [1e-320, 2.0, 1.0], [0.0, 1.0, 3.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ev, vec = jacobi_eigh(C)
+        top, mid = float.fromhex("0x1.cf1bbcdcbfa52p+1"), float.fromhex(
+            "0x1.61c8864680b57p+0"
+        )
+        a = float.fromhex("0x1.0d2ca0da1530cp-1")
+        b = float.fromhex("0x1.b38880b4603e4p-1")
+        assert ev.tobytes() == np.array([top, mid, 1.0]).tobytes()
+        expected = np.array([[0.0, a, b], [0.0, b, -a], [1.0, 0.0, 0.0]])
+        assert vec.tobytes() == expected.tobytes()
 
     def test_zero_sweep_budget_gives_the_oracles_message(self, monkeypatch):
         monkeypatch.setattr(pca_mod, "JACOBI_MAX_SWEEPS", 0)
@@ -351,39 +314,52 @@ def _matrices():
             yield f"scale-{scale:g}-{n}", _random_symmetric(n, seed=900 + n) * scale
 
 
-class TestPlannedJacobiMatchesTheBatchedOracle:
-    """``jacobi_eigh`` plans each step once and rotates ``A`` and ``V`` in
-    one column pass; every element still gets the same IEEE operations in
-    the same order as in ``batched_jacobi_eigh``, so the results are
-    equal byte for byte, signed zeros included."""
+def _assert_an_eigensystem_of(C, got, ref_ev):
+    """``got`` holds the eigenvalues ``ref_ev`` within 1e-12 of the largest
+    |eigenvalue|, orthonormal rows, and rows that ``C`` maps to their
+    eigenvalue times themselves within 1e-12 of that scale. Each vector
+    is checked on its own, so repeated eigenvalues may pick any basis of
+    their eigenspace."""
+    ev, vec = got
+    atol = 1e-12 * np.max(np.abs(ref_ev), initial=0.0)
+    np.testing.assert_allclose(ev, ref_ev, rtol=0.0, atol=atol)
+    np.testing.assert_allclose(vec @ vec.T, np.eye(len(C)), rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(vec @ C - ev[:, None] * vec, 0.0, rtol=0.0, atol=atol)
 
-    @staticmethod
-    def _assert_bits(C):
-        ev, vec = jacobi_eigh(C)
-        ref_ev, ref_vec = batched_jacobi_eigh(C)
-        assert ev.tobytes() == ref_ev.tobytes()
-        assert vec.tobytes() == ref_vec.tobytes()
-        assert vec.shape == ref_vec.shape and vec.strides == ref_vec.strides
+
+def _assert_matches_the_oracles(C):
+    """``jacobi_eigh(C)`` against the cyclic oracle and ``numpy.linalg.eigh``.
+    The oracle runs on ``C`` scaled by a power of two as ``jacobi_eigh``
+    does: unscaled, the squares of 1e-200 entries underflow and those of
+    1e200 entries overflow, and it stops at once."""
+    got = jacobi_eigh(C)
+    k = pca_mod._scale_exponent(C)
+    cyclic_ev = np.ldexp(cyclic_jacobi_eigh(np.ldexp(C, -k))[0], k)
+    _assert_an_eigensystem_of(C, got, cyclic_ev)
+    _assert_an_eigensystem_of(C, got, np.linalg.eigh(C)[0][::-1])
+
+
+class TestJacobiOnACorpus:
+    """``jacobi_eigh`` on every shape of input it must handle, by tolerance
+    against the cyclic oracle and ``numpy.linalg.eigh``."""
 
     @pytest.mark.parametrize(
         "C", [c for _, c in _matrices()], ids=[name for name, _ in _matrices()]
     )
-    def test_bit_identical(self, C):
-        self._assert_bits(C)
+    def test_matches_the_oracles(self, C):
+        _assert_matches_the_oracles(C)
+
+    def test_fixture_gram_matrix(self):
+        _assert_matches_the_oracles(_fixture_gram())
 
     def test_block_diagonal_has_steps_with_no_nonzero_pair(self):
-        """Some steps of this matrix meet only zero pairs, and the solver
-        still runs them as the oracle does."""
+        """Some steps of this matrix meet only zero pairs; the solver still
+        runs them, and each pair of eigenvectors stays in its block."""
         C = np.kron(np.eye(4), [[2.0, 1.0], [1.0, 3.0]])
         assert any(not C[P, Q].any() for P, Q, _ in _round_robin(8))
-        self._assert_bits(C)
-
-    @pytest.mark.parametrize("coupling", [1e-160, 1e-200])
-    def test_huge_theta_branch_is_taken(self, coupling):
-        C = np.array([[1.0, coupling, 0.0], [coupling, 2.0, 1.0], [0.0, 1.0, 3.0]])
-        assert cyclic_jacobi_eigh(C)[2] > 0
-        with np.errstate(over="raise"):
-            self._assert_bits(C)
+        _assert_matches_the_oracles(C)
+        for v in jacobi_eigh(C)[1]:
+            assert np.count_nonzero(v) == 2, v
 
     def test_a_step_of_zero_pairs_still_runs(self):
         """A step whose pairs are all zero keeps cos 1 and sin 0 under its
@@ -393,10 +369,7 @@ class TestPlannedJacobiMatchesTheBatchedOracle:
         C = np.array([[-0.0, 0.0, 3.0], [0.0, -0.0, -0.0], [3.0, -0.0, -0.0]])
         ev, _ = jacobi_eigh(C)
         assert ev[1] == 0.0 and not np.signbit(ev[1])
-        self._assert_bits(C)
-
-    def test_fixture_gram_matrix(self):
-        self._assert_bits(_fixture_gram())
+        _assert_matches_the_oracles(C)
 
 
 class TestExtremeScales:

@@ -12,7 +12,7 @@ import pytest
 
 from pdial.cli import main
 from pdial.embedding import hashed_embed
-from pdial.errors import FormatError, InputValidationError
+from pdial.errors import ConfigurationError, FormatError, InputValidationError
 from pdial.metric import ProjectionModel, TrainConfig, train
 from pdial.optimizer import Evaluation, PromptAssignment, SearchTrace
 from pdial.pca import PcaModel, PerspectivePoint
@@ -1607,6 +1607,25 @@ class TestAtomicWrites:
         persistence.write_text_atomic(path, "new \u00e9\n")
         assert path.read_bytes() == "new \u00e9\n".encode("utf-8")
         assert os.listdir(tmp_path) == ["artifact.out"]
+
+    @pytest.mark.parametrize("name,reason", [
+        ("missing/artifact.out", "No such file or directory"),
+        ("adir", "Is a directory"),
+        ("file/artifact.out", "Not a directory"),
+    ])
+    def test_unwritable_target_is_a_configuration_error(self, tmp_path, name, reason):
+        """The message names the target, not the temporary file, and no
+        temporary file is left."""
+        (tmp_path / "adir").mkdir()
+        (tmp_path / "file").write_text("kept")
+        target = tmp_path / name
+        with pytest.raises(ConfigurationError) as err:
+            persistence.write_text_atomic(target, "{}")
+        assert str(err.value) == f"cannot write {target}: {reason}"
+        assert isinstance(err.value.__cause__, OSError)
+        assert sorted(os.listdir(tmp_path)) == ["adir", "file"]
+        assert os.listdir(tmp_path / "adir") == []
+        assert (tmp_path / "file").read_text() == "kept"
 
     def test_new_file_mode_follows_umask(self, tmp_path):
         old = os.umask(0o022)
